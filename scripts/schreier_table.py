@@ -31,10 +31,13 @@ from steinlab import (
 
 
 def dim_der(alg, gens=None) -> float:
-    """Dimension of the derivation space; the dense Leibniz solver up to
-    dim 11, the generator-indexed inner-derivation module beyond."""
-    if alg.dim <= 11:
+    """Dimension of the derivation space from the solved Leibniz kernel; the
+    generator-indexed inner-derivation module only when the solver's dense
+    limit refuses the algebra."""
+    try:
         return vn_dimension(phi_x(derivation_space(alg))).value
+    except MemoryError:
+        pass
     if gens is None:
         raise ValueError("need explicit generators above the dense limit")
     if subalgebra_generate(alg, list(gens.T)).shape[1] != alg.dim:

@@ -18,12 +18,14 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import frob, gram_onb, nullspace
+from ._linalg import SparseSystem, frob, gram_onb, nullspace
 from .algebra import FDAlgebra
 from .constructions import CrossedProduct, opposite, subalgebra_generate, span_equal, tensor
 from .errors import NotGenerating, NotSubalgebra, UnitsInvalid
 
-# full-basis Leibniz systems get dense-infeasible beyond this many unknowns
+# most unknowns in one connected block of the Leibniz system that the dense
+# per-block SVD takes on; a basis with no zero structure is a single block of
+# dim^3 unknowns and reaches it at dim 12, matrix-unit bases stay far below
 _DENSE_LIMIT = 1600
 
 
@@ -169,27 +171,41 @@ def _commutator_stack(bim: Bimodule) -> np.ndarray:
     return c3.transpose(1, 0, 2).reshape(nn * n, nn)
 
 
-def leibniz_system(bim: Bimodule) -> np.ndarray:
+def leibniz_system(bim: Bimodule) -> SparseSystem:
     """Linear system whose kernel is the space of derivations.
 
-    Unknown is the row-major vec of the (dim N, dim A) matrix; one block of
-    equations per basis pair (i, j).
+    Unknown is the row-major vec of the (dim N, dim A) matrix D, entry
+    D[q, k] at q * dim A + k. Equation (p, i, j), at row
+    (p * dim A + i) * dim A + j, is component p of
+    d(b_i b_j) - b_i . d(b_j) - d(b_i) . b_j = 0.
+
+    The entries come straight from the nonzeros mult[x, y, z] of the
+    structure constants: left_mult(b_x)[z, y] and right_mult(b_y)[z, x]
+    both equal mult[x, y, z], and the bimodule actions are krons of these
+    with the identity. In a monomial basis (matrix units, b u_g) each of
+    the three terms is a permutation pattern, so nullspace splits the
+    system into many small blocks.
     """
     alg = bim.algebra
     n, nn = alg.dim, bim.dim
-    lops = np.stack([bim.act_left(alg.basis(i)) for i in range(n)])
-    rops = np.stack([bim.act_right(alg.basis(i)) for i in range(n)])
-    eye_n, eye_nn = np.eye(n), np.eye(nn)
-    t1 = np.einsum("ijk,pq->pijqk", alg.mult, eye_nn)
-    t2 = np.einsum("ipq,jk->pijqk", lops, eye_n)
-    t3 = np.einsum("jpq,ik->pijqk", rops, eye_n)
-    return (t1 - t2 - t3).reshape(nn * n * n, nn * n)
-
-
-def derivation_metric(bim: Bimodule, gens: np.ndarray) -> np.ndarray:
-    """Gram matrix of <d1, d2>_X = sum_x <d1(x), d2(x)> on row-major vecs."""
-    sx = gens @ gens.conj().T
-    return np.kron(bim.gram, sx.T)
+    x, y, z = (ax[:, None, None] for ax in np.nonzero(alg.mult))
+    v = alg.mult[x, y, z]
+    a = np.arange(n)[:, None]  # free index on one tensor leg of N
+    b = np.arange(n)  # free index on A
+    p = a * n + b  # every index of N
+    terms = [
+        # d(b_x b_y) = sum_z mult[x, y, z] d(b_z): row (p, x, y), column (p, z)
+        ((p * n + x) * n + y, p * n + z, v),
+        # b_x . d(b_b), through left_mult(b_x) (x) 1: row (za, x, b), column (ya, b)
+        (((z * n + a) * n + x) * n + b, (y * n + a) * n + b, -v),
+        # d(b_b) . b_y, through 1 (x) right_mult(b_y): row (az, b, y), column (ax, b)
+        (((a * n + z) * n + b) * n + y, (a * n + x) * n + b, -v),
+    ]
+    rows, cols, vals = (
+        np.concatenate([np.broadcast_to(t, (v.size, n, n)).ravel() for t in parts])
+        for parts in zip(*terms)
+    )
+    return SparseSystem((nn * n * n, nn * n), rows, cols, vals)
 
 
 @dataclass(eq=False)
@@ -203,10 +219,6 @@ class DerivationSpace:
     @property
     def rank(self) -> int:
         return self.basis.shape[0]
-
-    @cached_property
-    def metric(self) -> np.ndarray:
-        return derivation_metric(self.bim, self.gens)
 
     def derivation(self, r: int) -> Derivation:
         return Derivation(self.bim, self.basis[r])
@@ -243,9 +255,12 @@ class DerivationSpace:
 
 
 def _space_from_vecs(bim: Bimodule, gens: np.ndarray, vecs: np.ndarray) -> DerivationSpace:
-    """Orthonormalize vec'd derivations against the <., .>_X metric."""
-    k = derivation_metric(bim, gens)
-    q, _ = gram_onb(vecs, k)
+    """Orthonormalize vec'd derivations against the <., .>_X metric.
+
+    <d1, d2>_X = sum_x <d1(x), d2(x)> has Gram matrix
+    kron(bim.gram, (gens gens^H)^T) on row-major vecs, applied in factored form.
+    """
+    q, _ = gram_onb(vecs, (bim.gram, (gens @ gens.conj().T).T))
     n = bim.algebra.dim
     basis = q.T.reshape(-1, bim.dim, n)
     return DerivationSpace(bim, gens, basis)
@@ -263,16 +278,14 @@ def derivation_space(
     """All derivations of A, solved from the Leibniz system on every basis pair.
 
     gens only fixes the inner product used for the returned orthonormal
-    basis; the solved space is the same for any generating set.
+    basis; the solved space is the same for any generating set. The system
+    is solved block by block; a connected block of more than _DENSE_LIMIT
+    unknowns raises MemoryError before any SVD, and inner_derivation_module
+    is the route for such algebras.
     """
     bim = bim or Bimodule(alg)
     gens = _default_gens(alg) if gens is None else np.asarray(gens, dtype=complex)
-    if bim.dim * alg.dim > _DENSE_LIMIT:
-        raise MemoryError(
-            f"Leibniz system with {bim.dim * alg.dim} unknowns is too large for "
-            "the dense solver; use inner_derivations / inner_derivation_module"
-        )
-    ker = nullspace(leibniz_system(bim))
+    ker = nullspace(leibniz_system(bim), max_block=_DENSE_LIMIT)
     return _space_from_vecs(bim, gens, ker)
 
 

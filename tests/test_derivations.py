@@ -5,6 +5,7 @@ from steinlab import (
     Bimodule,
     CrossedContext,
     Derivation,
+    FDAlgebra,
     NotSubalgebra,
     ad_action,
     average_scaling,
@@ -23,14 +24,42 @@ from steinlab import (
     matrix_units,
     multimatrix,
     permutation_action,
+    phi_x,
     relative_derivations,
     restrict_component,
     scaling_conjugation,
     trivial_action,
     vanishing_space,
+    validate,
+    vn_dimension,
 )
+from steinlab.derivations import leibniz_system
 
 M2 = multimatrix([(2, 1.0)], label="M2")
+
+
+def rotated(alg: FDAlgebra, rng: np.random.Generator) -> FDAlgebra:
+    """The same algebra in a random unitary change of basis, so that the
+    structure constants have no zero pattern."""
+    n = alg.dim
+    s, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    sinv = s.conj().T
+    mult = np.einsum("ai,bj,abc,kc->ijk", s, s, alg.mult, sinv)
+    star = sinv @ alg.star @ np.conj(s)
+    return FDAlgebra(n, mult, star, sinv @ alg.unit, alg.trace @ s, label=alg.label + " rotated")
+
+
+def einsum_leibniz_system(bim: Bimodule) -> np.ndarray:
+    """Reference: the dense Leibniz system from three 5-index einsum terms."""
+    alg = bim.algebra
+    n, nn = alg.dim, bim.dim
+    lops = np.stack([bim.act_left(alg.basis(i)) for i in range(n)])
+    rops = np.stack([bim.act_right(alg.basis(i)) for i in range(n)])
+    eye_n, eye_nn = np.eye(n), np.eye(nn)
+    t1 = np.einsum("ijk,pq->pijqk", alg.mult, eye_nn)
+    t2 = np.einsum("ipq,jk->pijqk", lops, eye_n)
+    t3 = np.einsum("jpq,ik->pijqk", rops, eye_n)
+    return (t1 - t2 - t3).reshape(nn * n * n, nn * n)
 
 
 @pytest.fixture(scope="module")
@@ -223,3 +252,40 @@ def test_zero_derivation_is_contained():
     zero = Derivation(space.bim, np.zeros((space.bim.dim, M2.dim)))
     assert space.contains(zero)
     assert zero.leibniz_residual() == 0.0
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [
+        M2,
+        multimatrix([(2, 2 / 3), (1, 1 / 3)]),
+        group_algebra(cyclic(3)),
+        rotated(multimatrix([(2, 0.6), (1, 0.4)]), np.random.default_rng(4)),
+        crossed_product(
+            M2, ad_action(cyclic(2), M2, np.stack([M2.unit, np.array([1, 0, 0, -1])]))
+        ).algebra,
+    ],
+    ids=["M2", "M2+C", "C[Z/3]", "M2+C rotated", "M2 x| Z/2"],
+)
+def test_sparse_leibniz_system_matches_einsum_formula(alg):
+    bim = Bimodule(alg)
+    sys_ = leibniz_system(bim)
+    dense = np.zeros(sys_.shape, dtype=complex)
+    np.add.at(dense, (sys_.rows, sys_.cols), sys_.vals)
+    assert np.max(np.abs(dense - einsum_leibniz_system(bim))) < 1e-13
+
+
+def test_derivation_space_above_dim_11_in_matrix_units():
+    blocks = [(3, 0.5), (2, 0.3), (1, 0.2)]
+    alg = multimatrix(blocks, label="M3+M2+C")
+    assert alg.dim == 14
+    value = vn_dimension(phi_x(derivation_space(alg))).value
+    assert abs(value - (1 - sum(a * a / (n * n) for n, a in blocks))) < 1e-10
+
+
+def test_unstructured_basis_hits_the_dense_limit_at_dim_12():
+    alg = rotated(multimatrix([(3, 0.4), (1, 0.3), (1, 0.2), (1, 0.1)]), np.random.default_rng(9))
+    assert alg.dim == 12
+    assert validate(alg).passed
+    with pytest.raises(MemoryError):
+        derivation_space(alg)
