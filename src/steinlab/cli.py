@@ -6,9 +6,9 @@ Three subcommands:
   steinlab corpus               run the built-in experiment battery
   steinlab dim <algebra.json>   derivation-space dimension of one algebra
 
-The exit code is 0 exactly when every executed check passed. The default
-tolerance is 1e-8, overridable by the STEINLAB_TOL environment variable
-and then by --tolerance.
+The exit code is 0 exactly when every executed check passed. The pass/fail
+tolerance of run and corpus is 1e-8, overridable by the STEINLAB_TOL
+environment variable and then by --tolerance; dim has no pass/fail.
 """
 
 from __future__ import annotations
@@ -37,9 +37,12 @@ def _default_tolerance() -> float:
         raise SteinlabError(f"STEINLAB_TOL={env!r} is not a number") from None
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_tolerance(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tolerance", type=float, default=None,
                    help="pass/fail tolerance (default 1e-8, or STEINLAB_TOL)")
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=sorted(_FORMATS), default="md",
                    help="report format (default md)")
     p.add_argument("--seed", type=int, default=None,
@@ -101,9 +104,7 @@ def _cmd_dim(args) -> int:
     if isinstance(payload, dict) and "algebra" in payload:
         payload = payload["algebra"]
     alg, blocks = parse_algebra(payload)
-    tol = args.tolerance if args.tolerance is not None else _default_tolerance()
-    space = derivation_space(alg)
-    result = vn_dimension(phi_x(space), tol)
+    result = vn_dimension(phi_x(derivation_space(alg)))
     max_den = alg.dim * alg.dim
     if blocks is not None:
         max_den = 1
@@ -137,10 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the checks from an experiment spec file")
     p_run.add_argument("spec", help="path to the experiment spec (JSON)")
+    _add_tolerance(p_run)
     _add_common(p_run)
     p_run.set_defaults(fn=_cmd_run)
 
     p_corpus = sub.add_parser("corpus", help="run the built-in experiment battery")
+    _add_tolerance(p_corpus)
     _add_common(p_corpus)
     p_corpus.set_defaults(fn=_cmd_corpus)
 

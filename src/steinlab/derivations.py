@@ -20,7 +20,7 @@ import numpy as np
 
 from ._linalg import SparseSystem, frob, gram_onb, nullspace
 from .algebra import FDAlgebra
-from .constructions import CrossedProduct, opposite, subalgebra_generate, span_equal, tensor
+from .constructions import CrossedProduct, subalgebra_generate, span_equal
 from .errors import NotGenerating, NotSubalgebra, UnitsInvalid
 
 # most unknowns in one connected block of the Leibniz system that the dense
@@ -54,11 +54,6 @@ class Bimodule:
     def star(self) -> np.ndarray:
         return np.kron(self.algebra.star, self.algebra.star)
 
-    @cached_property
-    def space(self) -> FDAlgebra:
-        """Materialized N = A (x) A^op; only safe for small algebras."""
-        return tensor(self.algebra, opposite(self.algebra))
-
     def embed(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Coordinates of x (x) y^op."""
         return np.kron(x, y)
@@ -88,19 +83,6 @@ class Bimodule:
             for b in range(n):
                 if m[a, b] != 0:
                     out += m[a, b] * self.left_pair(
-                        self.algebra.basis(a), self.algebra.basis(b)
-                    )
-        return out
-
-    def right_elem(self, xi: np.ndarray) -> np.ndarray:
-        """Right multiplication by a general element xi of N."""
-        n = self.algebra.dim
-        m = xi.reshape(n, n)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                if m[a, b] != 0:
-                    out += m[a, b] * self.right_pair(
                         self.algebra.basis(a), self.algebra.basis(b)
                     )
         return out
@@ -140,10 +122,6 @@ class Derivation:
         return max(
             (self.bim.norm(img[:, j]) for j in range(img.shape[1])), default=0.0
         )
-
-    def times(self, m: np.ndarray) -> "Derivation":
-        """Right module action (d . m)(x) = d(x) m."""
-        return Derivation(self.bim, self.bim.right_elem(m) @ self.matrix)
 
 
 def commutator_derivation(bim: Bimodule, xi: np.ndarray) -> Derivation:

@@ -44,10 +44,6 @@ class UnitsInvalid(SteinlabError):
     """Candidate matrix units fail the matrix-unit relations."""
 
 
-class GeneratingSetNotScaled(SteinlabError):
-    """Generating set is not scaled: some element is not an eigenvector of the action."""
-
-
 class NotGenerating(SteinlabError):
     """Set does not generate the algebra as a unital *-algebra."""
 

@@ -274,6 +274,10 @@ class VerificationReport:
 
 # -- run context with memoized pipeline stages ---------------------------------
 
+# errors a check may raise; run() turns them into a failed row with a note
+_CHECK_ERRORS = (SteinlabError, np.linalg.LinAlgError, MemoryError)
+
+
 class RunContext:
     """Caches the expensive pipeline stages shared between checks."""
 
@@ -287,9 +291,19 @@ class RunContext:
         self._memo: dict[str, object] = {}
 
     def _get(self, key: str, fn):
+        """Memoized stage value. A stage that raises one of the errors run()
+        reports is stored too and re-raised, not recomputed, on every later
+        lookup by a dependent check."""
         if key not in self._memo:
-            self._memo[key] = fn()
-        return self._memo[key]
+            try:
+                self._memo[key] = fn()
+            except _CHECK_ERRORS as exc:
+                # the traceback would keep the failed stage's arrays alive
+                self._memo[key] = exc.with_traceback(None)
+        val = self._memo[key]
+        if isinstance(val, _CHECK_ERRORS):
+            raise val
+        return val
 
     @property
     def cp(self):
@@ -305,9 +319,7 @@ class RunContext:
 
     @property
     def dim_a(self) -> float:
-        return self._get(
-            "dim_a", lambda: vn_dimension(phi_x(self.space_a), self.tol).value
-        )
+        return self._get("dim_a", lambda: vn_dimension(phi_x(self.space_a)).value)
 
     @property
     def space_m(self):
@@ -318,9 +330,7 @@ class RunContext:
 
     @property
     def dim_m(self) -> float:
-        return self._get(
-            "dim_m", lambda: vn_dimension(phi_x(self.space_m), self.tol).value
-        )
+        return self._get("dim_m", lambda: vn_dimension(phi_x(self.space_m)).value)
 
     @property
     def vanishing(self):
@@ -335,7 +345,7 @@ class RunContext:
     def dim_van_big(self) -> float:
         return self._get(
             "dim_van_big",
-            lambda: vn_dimension(phi_x(self.vanishing), self.tol).value,
+            lambda: vn_dimension(phi_x(self.vanishing)).value,
         )
 
     @property
@@ -343,7 +353,7 @@ class RunContext:
         return self._get(
             "dim_van_base",
             lambda: vn_dimension(
-                restrict_scalars(phi_x(self.vanishing), self.ctx), self.tol
+                restrict_scalars(phi_x(self.vanishing), self.ctx)
             ).value,
         )
 
@@ -461,17 +471,15 @@ def _chk_index_scaling_full(rc: RunContext):
     big = ctx.big
     calg = rc.cp.algebra
     full = ModuleSubspace(
-        block_gram=big.gram,
+        gram=(calg.gram, calg.gram),
         ncoords=1,
         span=np.eye(big.dim, dtype=complex),
         right_ops=[],
         trace_vectors=big.unit.reshape(-1, 1),
         label="full ambient",
-        gram_factors=(calg.gram, calg.gram),
-        star_closed=True,
     )
-    one = vn_dimension(full, rc.tol).value
-    lhs = vn_dimension(restrict_scalars(full, ctx), rc.tol).value
+    one = vn_dimension(full).value
+    lhs = vn_dimension(restrict_scalars(full, ctx)).value
     k = rc.grp.order
     rhs = float(k * k)
     residual = max(abs(one - 1.0), abs(lhs - rhs))
@@ -494,9 +502,7 @@ def _chk_subgroup_schreier(rc: RunContext):
         sub, rc.alg, rc.act.matrices[np.asarray(embedding, dtype=int)]
     )
     cp_h = crossed_product(rc.alg, act_h)
-    dim_h = vn_dimension(
-        phi_x(derivation_space(cp_h.algebra)), rc.tol
-    ).value
+    dim_h = vn_dimension(phi_x(derivation_space(cp_h.algebra))).value
     index = rc.grp.order // sub.order
     lhs = rc.dim_m - 1.0
     rhs = (dim_h - 1.0) / index
@@ -779,7 +785,7 @@ def _chk_generating_independence(rc: RunContext):
         x2 = multimatrix_generators(rc.spec.blocks)
     else:
         x2 = _greedy_generators(alg)
-    rep = generating_set_independence_check(rc.space_a, x1, x2, rc.tol)
+    rep = generating_set_independence_check(rc.space_a, x1, x2)
     status = "pass" if rep.delta <= rc.tol else "fail"
     return status, rep.dim_a, rep.dim_b, rep.delta, (
         f"{x1.shape[1]} vs {x2.shape[1]} generators"
@@ -937,7 +943,7 @@ def run(spec: ExperimentSpec) -> VerificationReport:
         t0 = time.perf_counter()
         try:
             status, lhs, rhs, residual, note = fn(rc)
-        except (SteinlabError, np.linalg.LinAlgError, MemoryError) as exc:
+        except _CHECK_ERRORS as exc:
             status, lhs, rhs, residual = "fail", None, None, None
             note = f"{type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - t0

@@ -1,16 +1,22 @@
 """von Neumann dimension of right submodules of L^2(N)^k.
 
 A ModuleSubspace is a span of vectors in a direct sum of k copies of
-L^2(N), together with the right action of a coefficient algebra N_0
-(one block operator per basis element, acting diagonally across the
+L^2(N), N = A (x) A^op, together with the right action of a coefficient
+algebra N_0 (one block operator per element, acting diagonally across the
 copies) and the trace vectors Omega_b. The dimension is
 sum_b <P Omega_b, Omega_b> for the orthogonal projection P onto the
 span, valid once P commutes with the right action.
 
-Right operators may be given either as dense (block_dim, block_dim)
-matrices or as factor pairs (a, b) standing for kron(a, b); the factored
-form keeps the large-coefficient-algebra path fast, since each factor
-acts on one tensor leg.
+Every block-level matrix is a kron factor pair (a, b) standing for
+kron(a, b), one factor per tensor leg: the GNS Gram of one copy of L^2(N)
+is kron(wa, wb), and each right operator is R(x (x) 1) = (right_mult(x), 1)
+or R(1 (x) y^op) = (1, left_mult(y)), never formed as a dense product.
+
+The right operators need only come from a generating set of N_0 closed
+under *. By von Neumann's bicommutant theorem the commutant of a
+self-adjoint set of operators is the commutant of the *-algebra it
+generates, so P commutes with all of R(N_0) exactly when it commutes with
+the generators' operators.
 """
 
 from __future__ import annotations
@@ -24,21 +30,30 @@ from ._linalg import frob, gram_onb, onb_transform
 from .derivations import Bimodule, CrossedContext, DerivationSpace
 from .errors import NotGenerating, NotRightClosed
 
+# largest relative residual of a right operator's image off the span that
+# still counts as right-closed; fixed, independent of any report tolerance
+CLOSURE_TOL = 1e-8
+
 
 @dataclass(eq=False)
 class ModuleSubspace:
-    block_gram: np.ndarray  # GNS Gram of a single copy of L^2(N)
+    """Span of vectors in L^2(N)^ncoords with a right action.
+
+    right_ops is closed under adjoints as a span: the GNS adjoint of each
+    operator lies in the span of the list (R(m)* = R(m*) for a trace, so a
+    *-closed generating set gives such a list).
+    """
+
+    gram: tuple  # (wa, wb): GNS Gram of one copy of L^2(N) is kron(wa, wb)
     ncoords: int
     span: np.ndarray  # (ncoords * block_dim, r), raw coordinates
-    right_ops: list  # block operators, dense or (a, b) kron factors
+    right_ops: list  # (a, b) kron factor pairs
     trace_vectors: np.ndarray  # (ncoords * block_dim, t)
     label: str = ""
-    gram_factors: tuple | None = None  # (wa, wb) with block_gram = kron(wa, wb)
-    star_closed: bool = False  # right_ops closed under adjoints (as a span)
 
     @property
     def block_dim(self) -> int:
-        return self.block_gram.shape[0]
+        return self.gram[0].shape[0] * self.gram[1].shape[0]
 
 
 @dataclass
@@ -51,78 +66,43 @@ class DimensionResult:
         return self.value
 
 
-def _blockwise(op, vecs: np.ndarray, ncoords: int) -> np.ndarray:
-    """Apply a block operator (dense or kron-factored) to stacked vectors."""
+def _blockwise(op: tuple, vecs: np.ndarray, ncoords: int) -> np.ndarray:
+    """Apply a kron-factored block operator (a, b) to stacked vectors."""
+    a, b = op
     r = vecs.shape[1]
-    if isinstance(op, tuple):
-        a, b = op
-        da, db = a.shape[0], b.shape[0]
-        t = vecs.reshape(ncoords, da, db * r)
-        t = np.matmul(a, t)
-        t = t.reshape(ncoords * da, db, r)
-        t = np.matmul(b, t)
-        return t.reshape(ncoords * da * db, r)
-    bd = op.shape[0]
-    blocks = vecs.reshape(ncoords, bd, r)
-    return np.matmul(op, blocks).reshape(ncoords * bd, r)
+    da, db = a.shape[0], b.shape[0]
+    t = vecs.reshape(ncoords, da, db * r)
+    t = np.matmul(a, t)
+    t = t.reshape(ncoords * da, db, r)
+    t = np.matmul(b, t)
+    return t.reshape(ncoords * da * db, r)
 
 
-def vn_dimension(sub: ModuleSubspace, tol: float = 1e-8) -> DimensionResult:
+def vn_dimension(sub: ModuleSubspace) -> DimensionResult:
     """Trace of the span projection against the trace vectors.
 
     Raises NotRightClosed unless the projection commutes with every right
-    operator, checked through range invariance. When star_closed is set the
-    adjoint of each operator already lies in the span of the list (right
-    multiplication satisfies R(m)* = R(m*)), so only one side is tested;
-    otherwise both the operator and its adjoint are.
+    operator, checked through range invariance up to CLOSURE_TOL. Since
+    right_ops is closed under adjoints, invariance under each operator
+    already gives invariance under its adjoint.
     """
-    if sub.gram_factors is not None:
-        wa, wb = sub.gram_factors
-        ta, tai = onb_transform(wa)
-        tb, tbi = onb_transform(wb)
-        fwd = (ta, tb)
-        dense = [None, None]
-
-        def to_on(op):
-            if isinstance(op, tuple):
-                return (ta @ op[0] @ tai, tb @ op[1] @ tbi)
-            if dense[0] is None:
-                dense[0] = np.kron(ta, tb)
-                dense[1] = np.kron(tai, tbi)
-            return dense[0] @ op @ dense[1]
-
-    else:
-        t, tinv = onb_transform(sub.block_gram)
-        fwd = t
-
-        def to_on(op):
-            if isinstance(op, tuple):
-                op = np.kron(op[0], op[1])
-            return t @ op @ tinv
-
-    span_on = _blockwise(fwd, sub.span, sub.ncoords)
+    ta, tai = onb_transform(sub.gram[0])
+    tb, tbi = onb_transform(sub.gram[1])
+    span_on = _blockwise((ta, tb), sub.span, sub.ncoords)
     q, _ = gram_onb(span_on)
     rank = q.shape[1]
-    qc = q.conj()
+    qh = q.conj().T
 
     worst = 0.0
-    for op in sub.right_ops:
-        op_on = to_on(op)
-        if sub.star_closed:
-            sides = (op_on,)
-        elif isinstance(op_on, tuple):
-            sides = (op_on, (op_on[0].conj().T, op_on[1].conj().T))
-        else:
-            sides = (op_on, op_on.conj().T)
-        for mat in sides:
-            img = _blockwise(mat, q, sub.ncoords)
-            rem = img - q @ (qc.T @ img)
-            worst = max(worst, frob(rem) / max(1.0, frob(img)))
-    if worst > tol:
-        raise NotRightClosed(f"commutant residual {worst:.3e} above {tol}")
+    for a, b in sub.right_ops:
+        img = _blockwise((ta @ a @ tai, tb @ b @ tbi), q, sub.ncoords)
+        rem = img - q @ (qh @ img)
+        worst = max(worst, frob(rem) / max(1.0, frob(img)))
+    if worst > CLOSURE_TOL:
+        raise NotRightClosed(f"commutant residual {worst:.3e} above {CLOSURE_TOL}")
 
-    omega_on = _blockwise(fwd, sub.trace_vectors, sub.ncoords)
-    overlaps = q.conj().T @ omega_on
+    omega_on = _blockwise((ta, tb), sub.trace_vectors, sub.ncoords)
+    overlaps = qh @ omega_on
     value = float(np.sum(np.abs(overlaps) ** 2))
     return DimensionResult(value, rank, worst)
 
@@ -137,29 +117,28 @@ def as_fraction(x: float, max_den: int, tol: float = 1e-6) -> Fraction | None:
 
 # -- builders -----------------------------------------------------------------
 
-def _right_ops_full(alg) -> list:
-    """Right multiplication by every basis element b_a (x) b_b^op of N,
-    as kron factor pairs."""
-    rs = [alg.right_mult(alg.basis(a)) for a in range(alg.dim)]
-    ls = [alg.left_mult(alg.basis(b)) for b in range(alg.dim)]
-    return [(ra, lb) for ra in rs for lb in ls]
-
-
-def _right_ops_gens(alg, gens: np.ndarray) -> list:
-    """Right multiplication by x (x) 1 and 1 (x) x^op over a *-closed
-    generating set of A; enough to pin the commutant. Duplicates (a set
-    already containing its stars) are skipped."""
-    eye = np.eye(alg.dim, dtype=complex)
+def _with_stars(alg, gens: np.ndarray) -> list:
+    """The columns of gens and their stars; repeats (a set already
+    containing its stars) are skipped."""
     seen = set()
-    ops = []
+    out = []
     for j in range(gens.shape[1]):
         for x in (gens[:, j], alg.star_of(gens[:, j])):
             key = (np.round(x, 12) + 0.0).tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            ops.append((alg.right_mult(x), eye))
-            ops.append((eye, alg.left_mult(x)))
+            if key not in seen:
+                seen.add(key)
+                out.append(x)
+    return out
+
+
+def _right_ops(alg, xs: list) -> list:
+    """Right multiplication on L^2(alg (x) alg^op) by x (x) 1 and 1 (x) x^op
+    for each x, as kron factor pairs."""
+    eye = np.eye(alg.dim, dtype=complex)
+    ops = []
+    for x in xs:
+        ops.append((alg.right_mult(x), eye))
+        ops.append((eye, alg.left_mult(x)))
     return ops
 
 
@@ -174,7 +153,8 @@ def phi_x(space: DerivationSpace, gens: np.ndarray | None = None) -> ModuleSubsp
     """Image of a derivation space under d -> (d(x))_{x in X}.
 
     X must generate the algebra, so that the map is injective and the
-    dimension does not depend on the choice.
+    dimension does not depend on the choice. X and its stars also supply
+    the right operators.
     """
     from .constructions import generates
 
@@ -187,35 +167,14 @@ def phi_x(space: DerivationSpace, gens: np.ndarray | None = None) -> ModuleSubsp
     span = np.vstack(
         [np.einsum("rpj,j->pr", space.basis, x) for x in gens.T]
     )
-    if alg.dim <= 10:
-        ops = _right_ops_full(alg)
-    else:
-        ops = _right_ops_gens(alg, gens)
     return ModuleSubspace(
-        block_gram=bim.gram,
+        gram=(alg.gram, alg.gram),
         ncoords=gens.shape[1],
         span=span,
-        right_ops=ops,
+        right_ops=_right_ops(alg, _with_stars(alg, gens)),
         trace_vectors=_block_traces(bim, gens.shape[1]),
         label=f"phi_X({alg.label})",
-        gram_factors=(alg.gram, alg.gram),
-        star_closed=True,
     )
-
-
-def twisted_module(
-    space: DerivationSpace, twist: np.ndarray, gens: np.ndarray | None = None
-) -> ModuleSubspace:
-    """Same span as phi_x but with the right action twisted by an
-    automorphism matrix on N coordinates (right op R(theta(m)))."""
-    sub = phi_x(space, gens)
-    bim = space.bim
-    if bim.algebra.dim > 10:
-        raise NotImplementedError("twisted modules only for small algebras")
-    ops = [bim.right_elem(twist[:, m]) for m in range(bim.dim)]
-    return ModuleSubspace(sub.block_gram, sub.ncoords, sub.span, ops,
-                          sub.trace_vectors, label=sub.label + " twisted",
-                          gram_factors=sub.gram_factors, star_closed=True)
 
 
 def inner_derivation_module(alg, gens: np.ndarray) -> ModuleSubspace:
@@ -234,38 +193,23 @@ def inner_derivation_module(alg, gens: np.ndarray) -> ModuleSubspace:
         x = gens[:, j]
         blocks.append(bim.act_left(x) - bim.act_right(x))
     span = np.vstack(blocks)  # columns = phi_X([., xi_m]) for basis xi_m
-    return ModuleSubspace(bim.gram, k, span, _right_ops_gens(alg, gens),
-                          _block_traces(bim, k), label=f"inner({alg.label})",
-                          gram_factors=(alg.gram, alg.gram), star_closed=True)
+    return ModuleSubspace((alg.gram, alg.gram), k, span,
+                          _right_ops(alg, _with_stars(alg, gens)),
+                          _block_traces(bim, k), label=f"inner({alg.label})")
 
 
 def restrict_scalars(sub: ModuleSubspace, ctx: CrossedContext) -> ModuleSubspace:
     """View a module over N_big = (A x| G) (x) (A x| G)^op as a module over
-    N_0 = A (x) A^op; same span, right action through the inclusion, and
-    one trace vector u_g (x) u_h^op per original coordinate and sector."""
+    N_0 = A (x) A^op; same span, right action through the inclusion (one
+    operator pair per basis element of A and its star), and one trace
+    vector u_g (x) u_h^op per original coordinate and sector."""
     cp = ctx.cp
     big = ctx.big
     if sub.block_dim != big.dim:
         raise ValueError("module is not over the crossed-product bimodule")
     base = cp.base
-    calg = cp.algebra
-    if base.dim * base.dim <= 100:
-        pairs = [
-            (base.basis(a), base.basis(b))
-            for a in range(base.dim)
-            for b in range(base.dim)
-        ]
-    else:
-        eye = np.eye(base.dim, dtype=complex)
-        pairs = []
-        for j in range(base.dim):
-            for x in (eye[:, j], base.star_of(eye[:, j])):
-                pairs.append((x, base.unit))
-                pairs.append((base.unit, x))
-    ops = [
-        (calg.right_mult(cp.lift(x)), calg.left_mult(cp.lift(y)))
-        for x, y in pairs
-    ]
+    basis = np.eye(base.dim, dtype=complex)
+    ops = _right_ops(cp.algebra, [cp.lift(x) for x in _with_stars(base, basis)])
     k = ctx.group.order
     traces = []
     for c in range(sub.ncoords):
@@ -275,14 +219,12 @@ def restrict_scalars(sub: ModuleSubspace, ctx: CrossedContext) -> ModuleSubspace
                 col[c * big.dim : (c + 1) * big.dim] = big.embed(cp.u(g), cp.u(h))
                 traces.append(col)
     return ModuleSubspace(
-        sub.block_gram,
+        sub.gram,
         sub.ncoords,
         sub.span,
         ops,
         np.column_stack(traces),
         label=sub.label + " over base",
-        gram_factors=sub.gram_factors,
-        star_closed=True,
     )
 
 
@@ -297,9 +239,9 @@ class IndependenceReport:
 
 
 def generating_set_independence_check(
-    space: DerivationSpace, gens_a: np.ndarray, gens_b: np.ndarray, tol: float = 1e-8
+    space: DerivationSpace, gens_a: np.ndarray, gens_b: np.ndarray
 ) -> IndependenceReport:
     """Dimension of the same derivation space against two generating sets."""
-    da = vn_dimension(phi_x(space, gens_a), tol)
-    db = vn_dimension(phi_x(space, gens_b), tol)
+    da = vn_dimension(phi_x(space, gens_a))
+    db = vn_dimension(phi_x(space, gens_b))
     return IndependenceReport(da.value, db.value)

@@ -8,6 +8,7 @@ from steinlab.cli import main
 from steinlab.reports import (
     CHECKS,
     ExperimentSpec,
+    RunContext,
     parse_action,
     parse_algebra,
     parse_group,
@@ -132,6 +133,31 @@ def test_invalid_action_short_circuits():
     assert not rep.passed
 
 
+def test_failed_stage_is_computed_once(monkeypatch):
+    calls = {}
+
+    def failing_space(alg, gens=None, bim=None):
+        calls[alg.dim] = calls.get(alg.dim, 0) + 1
+        raise MemoryError(f"dim {alg.dim} too large")
+
+    monkeypatch.setattr(reports, "derivation_space", failing_space)
+    spec = ExperimentSpec.from_json(C2_SPEC)
+    rep = run(spec)
+    # one call per stage: space_a (A = C^2, dim 2) and space_m (A x| Z/2, dim 4)
+    assert calls == {2: 1, 4: 1}
+    assert rep.row("multimatrix_formula").note == "MemoryError: dim 2 too large"
+    assert rep.row("schreier_crossed").note == "MemoryError: dim 4 too large"
+
+    # recomputing every stage on every lookup gives the same rows
+    calls.clear()
+    monkeypatch.setattr(RunContext, "_get", lambda self, key, fn: fn())
+    again = run(spec)
+    assert calls[4] > 1
+    assert [(r.name, r.status, r.note) for r in again.rows] == [
+        (r.name, r.status, r.note) for r in rep.rows
+    ]
+
+
 def test_every_corpus_check_name_is_registered(corpus_reports):
     for rep in corpus_reports:
         for row in rep.rows:
@@ -194,10 +220,18 @@ def test_cli_run_passes(tmp_path, capsys):
 
 
 def test_cli_run_fails_at_tight_tolerance(tmp_path, capsys):
-    path = write_spec(tmp_path, dict(C2_SPEC, checks=["schreier_crossed"]))
-    code = main(["run", path, "--tolerance", "1e-30"])
-    capsys.readouterr()
+    path = write_spec(
+        tmp_path, dict(C2_SPEC, checks=["multimatrix_formula", "schreier_crossed"])
+    )
+    code = main(["run", path, "--tolerance", "1e-30", "--format", "json"])
+    rows = json.loads(capsys.readouterr().out)["reports"][0]["rows"]
     assert code == 1
+    # the tolerance bounds |lhs - rhs| only; the closure test keeps its own
+    # threshold, so both sides are still computed
+    assert [r["name"] for r in rows] == ["multimatrix_formula", "schreier_crossed"]
+    for r in rows:
+        assert all(isinstance(r[f], float) for f in ("lhs", "rhs", "residual"))
+        assert r["note"] == ""
 
 
 def test_cli_env_tolerance(tmp_path, capsys, monkeypatch):
@@ -221,7 +255,7 @@ def test_cli_out_file_and_json(tmp_path, capsys):
     assert "elapsed" not in payload["reports"][0]["rows"][0]
 
 
-def test_cli_dim(tmp_path, capsys):
+def test_cli_dim(tmp_path, capsys, monkeypatch):
     alg_path = tmp_path / "alg.json"
     alg_path.write_text(json.dumps({"multimatrix": {"blocks": [[2, 1.0]]}}))
     assert main(["dim", str(alg_path)]) == 0
@@ -230,6 +264,13 @@ def test_cli_dim(tmp_path, capsys):
     assert main(["dim", str(alg_path), "--format", "json"]) == 0
     parsed = json.loads(capsys.readouterr().out)
     assert abs(parsed["dimension"] - 0.75) < 1e-9
+    # dim has no pass/fail, so the tolerance setting is not read
+    monkeypatch.setenv("STEINLAB_TOL", "loose")
+    assert main(["dim", str(alg_path)]) == 0
+    assert "3/4" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["dim", str(alg_path), "--tolerance", "1e-8"])
+    capsys.readouterr()
 
 
 def test_cli_bad_input_exits_2(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from steinlab import (
     Bimodule,
     CrossedContext,
+    DerivationSpace,
     ModuleSubspace,
     NotGenerating,
     NotRightClosed,
@@ -23,7 +24,6 @@ from steinlab import (
     permutation_action,
     phi_x,
     restrict_scalars,
-    twisted_module,
     vn_dimension,
 )
 
@@ -31,13 +31,11 @@ from steinlab import (
 def full_ambient(alg) -> ModuleSubspace:
     bim = Bimodule(alg)
     return ModuleSubspace(
-        block_gram=bim.gram,
+        gram=(alg.gram, alg.gram),
         ncoords=1,
         span=np.eye(bim.dim, dtype=complex),
         right_ops=[],
         trace_vectors=bim.unit.reshape(-1, 1),
-        gram_factors=(alg.gram, alg.gram),
-        star_closed=True,
     )
 
 
@@ -106,16 +104,23 @@ def test_non_invariant_span_is_rejected():
         for j in range(4)
     ]
     sub = ModuleSubspace(
-        block_gram=bim.gram,
+        gram=(alg.gram, alg.gram),
         ncoords=1,
         span=vec,
         right_ops=ops,
         trace_vectors=bim.unit.reshape(-1, 1),
-        gram_factors=(alg.gram, alg.gram),
-        star_closed=True,
     )
     with pytest.raises(NotRightClosed):
         vn_dimension(sub)
+
+
+@pytest.mark.parametrize("blocks", [[(2, 1.0)], [(2, 0.5), (1, 0.5)]])
+def test_phi_x_of_one_derivation_is_not_right_closed(blocks):
+    # the generator right operators alone must reject a non-module span
+    space = derivation_space(multimatrix(blocks))
+    cut = DerivationSpace(space.bim, space.gens, space.basis[:1])
+    with pytest.raises(NotRightClosed):
+        vn_dimension(phi_x(cut))
 
 
 def test_restrict_scalars_multiplies_by_group_order_squared():
@@ -128,16 +133,27 @@ def test_restrict_scalars_multiplies_by_group_order_squared():
     assert abs(vn_dimension(down).value - 4.0) < 1e-9
 
 
-def test_twist_by_automorphism_preserves_dimension():
-    m2 = multimatrix([(2, 1.0)])
-    space = derivation_space(m2)
-    plain = vn_dimension(phi_x(space)).value
-    sign = np.diag([1.0, -1.0, -1.0, 1.0])  # Ad(diag(1,-1)) on matrix units
-    theta = np.kron(sign, sign)
-    twisted = vn_dimension(twisted_module(space, theta)).value
-    ident = vn_dimension(twisted_module(space, np.eye(16))).value
-    assert abs(twisted - plain) < 1e-9
-    assert abs(ident - plain) < 1e-9
+@pytest.mark.parametrize("legs", ["1 (x) 1", "N (x) 1", "1 (x) N"])
+def test_restrict_scalars_rejects_non_invariant_spans(legs):
+    c2 = multimatrix([(1, 0.5), (1, 0.5)])
+    act = permutation_action(cyclic(2), c2, [[0, 1], [1, 0]])
+    ctx = CrossedContext(crossed_product(c2, act))
+    calg = ctx.cp.algebra
+    one = calg.unit.reshape(-1, 1)
+    eye = np.eye(calg.dim, dtype=complex)
+    # 1 (x) 1 is cyclic, not invariant, for the right action of C^2 (x) C^2;
+    # the other two are invariant for one tensor leg only
+    span = {"1 (x) 1": np.kron(one, one), "N (x) 1": np.kron(eye, one),
+            "1 (x) N": np.kron(one, eye)}[legs]
+    sub = ModuleSubspace(
+        gram=(calg.gram, calg.gram),
+        ncoords=1,
+        span=span,
+        right_ops=[],
+        trace_vectors=ctx.big.unit.reshape(-1, 1),
+    )
+    with pytest.raises(NotRightClosed):
+        vn_dimension(restrict_scalars(sub, ctx))
 
 
 def test_independence_of_generating_set():
