@@ -13,7 +13,8 @@ Matrix Computations, 2.4). Each block's spectrum is zero-padded to its
 column count, as the full SVD pads, so the union is the full matrix's
 padded spectrum; one rank_split on it, with the global scale, is the
 rank decision a full SVD makes, and each block contributes its right
-singular vectors below that single cut.
+singular vectors below that single cut. batched_svd is that batching and
+cut on its own; vndim orthonormalizes spectral blocks with it.
 """
 
 from __future__ import annotations
@@ -142,34 +143,48 @@ def nullspace(mat: np.ndarray | SparseSystem, max_block: int | None = None) -> n
         vals,
     )
 
-    # one batched SVD per block shape; spectra padded to the column count
-    batches = []
+    stacks, block_ids = [], []
     for key in np.unique(shape_key):
         ids = np.flatnonzero(shape_key == key)
         r, c = int(nrow_b[ids[0]]), int(ncol_b[ids[0]])
         start = offset[ids[0]]
-        stack = buf[start : start + ids.size * r * c].reshape(ids.size, r, c)
-        # economy SVD only returns all right-singular vectors when r >= c
-        _, s, vh = np.linalg.svd(stack, full_matrices=r < c)
-        s = np.concatenate([s, np.zeros((ids.size, c - s.shape[1]))], axis=1)
-        batches.append((ids, c, s, vh))
+        stacks.append(buf[start : start + ids.size * r * c].reshape(ids.size, r, c))
+        block_ids.append(ids)
 
-    union = np.concatenate([s.ravel() for _, _, s, _ in batches])
+    batches = batched_svd(stacks, all_right=True)
+    out = np.zeros((ncols, ncols - sum(int(kept.sum()) for *_, kept in batches)), dtype=complex)
+    k = 0
+    for ids, (_, s, vh, kept) in zip(block_ids, batches):
+        # kept values are a prefix of each block's descending spectrum
+        owner, _ = np.nonzero(~kept)
+        gcols = block_cols[col_start[ids[owner], None] + np.arange(s.shape[1])]
+        out[gcols, np.arange(k, k + owner.size)[:, None]] = vh[~kept].conj()
+        k += owner.size
+    return out
+
+
+def batched_svd(stacks: list[np.ndarray], all_right: bool = False) -> list[tuple]:
+    """SVD of many blocks with one rank decision, as for their direct sum.
+
+    stacks holds (count, rows, cols) arrays, one per block shape, each taken
+    by one batched SVD. Every block's spectrum is zero-padded to its column
+    count; one rank_split on the union, with the global scale, is the cut.
+    Returns (u, s, vh, kept) per stack, kept[b, j] marking the singular
+    values of block b above the cut (a prefix of each padded spectrum).
+    """
+    svds = []
+    for stack in stacks:
+        _, r, c = stack.shape
+        # economy SVD only returns all right-singular vectors when r >= c
+        u, s, vh = np.linalg.svd(stack, full_matrices=all_right and r < c)
+        s = np.concatenate([s, np.zeros((s.shape[0], c - s.shape[1]))], axis=1)
+        svds.append((u, s, vh))
+    union = np.concatenate([s.ravel() for _, s, _ in svds] + [np.zeros(0)])
     order = np.argsort(-union, kind="stable")
     kept = np.zeros(union.size, dtype=bool)
     kept[order[: rank_split(union[order])]] = True
-
-    out = np.zeros((ncols, ncols - int(kept.sum())), dtype=complex)
-    done = k = 0
-    for ids, c, s, vh in batches:
-        # kept values are a prefix of each block's descending spectrum
-        drop = ~kept[done : done + s.size].reshape(s.shape)
-        done += s.size
-        owner, _ = np.nonzero(drop)
-        gcols = block_cols[col_start[ids[owner], None] + np.arange(c)]
-        out[gcols, np.arange(k, k + owner.size)[:, None]] = vh[drop].conj()
-        k += owner.size
-    return out
+    parts = np.split(kept, np.cumsum([s.size for _, s, _ in svds])[:-1])
+    return [(u, s, vh, part.reshape(s.shape)) for (u, s, vh), part in zip(svds, parts)]
 
 
 def gram_onb(

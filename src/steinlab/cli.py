@@ -37,16 +37,17 @@ def _default_tolerance() -> float:
         raise SteinlabError(f"STEINLAB_TOL={env!r} is not a number") from None
 
 
-def _add_tolerance(p: argparse.ArgumentParser) -> None:
+def _add_checks(p: argparse.ArgumentParser) -> None:
+    """Options of the subcommands that run checks (run and corpus)."""
     p.add_argument("--tolerance", type=float, default=None,
                    help="pass/fail tolerance (default 1e-8, or STEINLAB_TOL)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed for the randomized probes")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=sorted(_FORMATS), default="md",
                    help="report format (default md)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for the randomized probes")
     p.add_argument("--out", default=None, help="write the report to this file")
 
 
@@ -138,12 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the checks from an experiment spec file")
     p_run.add_argument("spec", help="path to the experiment spec (JSON)")
-    _add_tolerance(p_run)
+    _add_checks(p_run)
     _add_common(p_run)
     p_run.set_defaults(fn=_cmd_run)
 
     p_corpus = sub.add_parser("corpus", help="run the built-in experiment battery")
-    _add_tolerance(p_corpus)
+    _add_checks(p_corpus)
     _add_common(p_corpus)
     p_corpus.set_defaults(fn=_cmd_corpus)
 

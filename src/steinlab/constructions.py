@@ -426,17 +426,24 @@ def multimatrix_decompose(
 
 def subalgebra_generate(alg: FDAlgebra, gens: list[np.ndarray]) -> np.ndarray:
     """GNS-orthonormal basis (columns) of the unital *-subalgebra generated
-    by gens, computed as an iterated span closure under products."""
-    cols = [alg.unit] + [np.asarray(g, dtype=complex) for g in gens]
-    cols += [alg.star_of(g) for g in gens]
-    cur, _ = gram_onb(np.column_stack(cols), alg.gram)
-    while True:
-        r = cur.shape[1]
-        prods = np.einsum("ia,jb,ijk->kab", cur, cur, alg.mult).reshape(alg.dim, r * r)
-        grown, _ = gram_onb(np.hstack([cur, prods]), alg.gram)
-        if grown.shape[1] == r:
-            return grown
+    by gens: the span of 1 and the letters (gens and their stars) closed
+    under left multiplication by the letters.
+
+    Each round multiplies only the directions the previous round added, so
+    the words grow by one letter per round; the fixed point contains every
+    word and is closed under products and under *. The whole algebra is
+    closed, so the rounds stop once the span reaches it.
+    """
+    letters = [np.asarray(g, dtype=complex) for g in gens]
+    letters += [alg.star_of(g) for g in letters]
+    lefts = [alg.left_mult(x) for x in letters]
+    cur, _ = gram_onb(np.column_stack([alg.unit] + letters), alg.gram)
+    new = cur
+    while new.shape[1] and cur.shape[1] < alg.dim:
+        grown, _ = gram_onb(np.hstack([cur] + [m @ new for m in lefts]), alg.gram)
+        new = grown[:, cur.shape[1] :]
         cur = grown
+    return cur
 
 
 def generates(alg: FDAlgebra, gens: list[np.ndarray]) -> bool:

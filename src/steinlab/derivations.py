@@ -77,15 +77,11 @@ class Bimodule:
     def left_elem(self, xi: np.ndarray) -> np.ndarray:
         """Left multiplication by a general element xi of N."""
         n = self.algebra.dim
-        m = xi.reshape(n, n)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                if m[a, b] != 0:
-                    out += m[a, b] * self.left_pair(
-                        self.algebra.basis(a), self.algebra.basis(b)
-                    )
-        return out
+        c = self.algebra.mult
+        # sum over a, b of xi_ab kron(left_mult(b_a), right_mult(b_b)), with
+        # left_mult(b_a)[i, k] = c[a, k, i] and right_mult(b_b)[j, l] = c[l, b, j]
+        out = np.einsum("ab,aki,lbj->ijkl", xi.reshape(n, n), c, c, optimize=True)
+        return out.reshape(self.dim, self.dim)
 
     def inner(self, v: np.ndarray, w: np.ndarray) -> complex:
         return complex(np.conj(w) @ (self.gram @ v))

@@ -273,6 +273,16 @@ def test_cli_dim(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_cli_dim_rejects_seed(tmp_path, capsys):
+    # dim uses no randomness, so it takes no --seed
+    alg_path = tmp_path / "m2.json"
+    alg_path.write_text(json.dumps({"multimatrix": {"blocks": [[2, 1.0]]}}))
+    with pytest.raises(SystemExit) as exc:
+        main(["dim", str(alg_path), "--seed", "5"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_cli_bad_input_exits_2(tmp_path, capsys):
     bogus = tmp_path / "bad.json"
     bogus.write_text(json.dumps({"algebra": {"multimatrix": {"blocks": []}},

@@ -11,11 +11,13 @@ from steinlab import (
     ModuleSubspace,
     NotGenerating,
     NotRightClosed,
+    SteinlabError,
     ad_action,
     as_fraction,
     crossed_product,
     cyclic,
     derivation_space,
+    dual_action,
     generating_set_independence_check,
     group_algebra,
     inner_derivation_module,
@@ -26,6 +28,9 @@ from steinlab import (
     restrict_scalars,
     vn_dimension,
 )
+from steinlab._linalg import gram_onb, onb_transform
+from steinlab.vndim import CLOSURE_TOL, _right_ops, _with_stars
+from test_derivations import rotated
 
 
 def full_ambient(alg) -> ModuleSubspace:
@@ -184,3 +189,139 @@ def test_as_fraction_round_trip(num, den):
 def test_as_fraction_rejects_far_values():
     assert as_fraction(np.sqrt(2.0), max_den=50) is None
     assert as_fraction(0.5 + 1e-3, max_den=10) is None
+
+
+# -- the spectral block split against one dense projector ------------------------
+
+def _apply(op: tuple, vecs: np.ndarray, shape: tuple) -> np.ndarray:
+    """Apply a factor pair (a, b) to vectors stacked as shape =
+    (ncoords, leg a, leg b); None stands for the identity leg."""
+    a, b = op
+    t = vecs.reshape(*shape, -1)
+    if a is not None:
+        t = np.einsum("ij,cjkr->cikr", a, t)
+    if b is not None:
+        t = np.einsum("ij,ckjr->ckir", b, t)
+    return t.reshape(vecs.shape)
+
+
+def dense_vn_dimension(sub: ModuleSubspace):
+    """Reference: orthonormalize the whole span by Gram-Schmidt and test
+    every right operator against the dense projector onto it."""
+    (ta, tai), (tb, tbi) = onb_transform(sub.gram[0]), onb_transform(sub.gram[1])
+    shape = (sub.ncoords, ta.shape[0], tb.shape[0])
+    q, _ = gram_onb(_apply((ta, tb), sub.span, shape))
+    worst = 0.0
+    for a, b in sub.right_ops:
+        op = (None if a is None else ta @ a @ tai, None if b is None else tb @ b @ tbi)
+        img = _apply(op, q, shape)
+        rem = img - q @ (q.conj().T @ img)
+        worst = max(worst, np.linalg.norm(rem) / max(1.0, np.linalg.norm(img)))
+    if worst > CLOSURE_TOL:
+        raise NotRightClosed(f"commutant residual {worst:.3e}")
+    overlaps = q.conj().T @ _apply((ta, tb), sub.trace_vectors, shape)
+    return float(np.sum(np.abs(overlaps) ** 2)), q.shape[1]
+
+
+def _inner(blocks):
+    return inner_derivation_module(multimatrix(blocks), multimatrix_generators(blocks))
+
+
+def _crossed(name):
+    if name == "C2 x| Z/2":
+        c2 = multimatrix([(1, 0.5), (1, 0.5)])
+        act = permutation_action(cyclic(2), c2, [[0, 1], [1, 0]])
+        return CrossedContext(crossed_product(c2, act))
+    act = dual_action(3)
+    return CrossedContext(crossed_product(act.algebra, act))
+
+
+def _with_two_leg_ops(sub: ModuleSubspace) -> ModuleSubspace:
+    # products of one leg-a and one leg-b operator are right operators too;
+    # they are closure-tested but do not shape the blocks
+    legs_a = [a for a, b in sub.right_ops if b is None]
+    legs_b = [b for a, b in sub.right_ops if a is None]
+    extra = [(a, b) for a in legs_a[:2] for b in legs_b[:2]]
+    return ModuleSubspace(sub.gram, sub.ncoords, sub.span, sub.right_ops + extra,
+                          sub.trace_vectors, sub.label)
+
+
+def _sum_of_blocks(leg: int):
+    # right operators of one leg only, R(e12) and R(e21) (or L(e12), L(e21)
+    # on leg b): every random self-adjoint combination of them is a multiple
+    # of R(sigma_x), so E = {x : x sigma_x = x} (or sigma_x x = x) is a sum of
+    # clusters and the span E (x) N (or N (x) E) passes the rank certificate;
+    # R(e12) does not preserve it, which only the closure test can see
+    alg = multimatrix([(2, 1.0)])
+    e12, e21 = alg.basis(1), alg.basis(2)
+    eye = np.eye(4, dtype=complex)
+    if leg == 0:
+        ops = [(alg.right_mult(e12), None), (alg.right_mult(e21), None)]
+        span = np.kron(np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=complex), eye)
+    else:
+        ops = [(None, alg.left_mult(e12)), (None, alg.left_mult(e21))]
+        span = np.kron(eye, np.array([[1, 0], [0, 1], [1, 0], [0, 1]], dtype=complex))
+    unit = Bimodule(alg).unit.reshape(-1, 1)
+    return ModuleSubspace((alg.gram, alg.gram), 1, span, ops, unit)
+
+
+MODULES = {
+    "inner M2": lambda: _inner([(2, 1.0)]),
+    "inner M3": lambda: _inner([(3, 1.0)]),
+    "inner M4": lambda: _inner([(4, 1.0)]),
+    "inner M4+M2+C": lambda: _inner([(4, 0.5), (2, 0.3), (1, 0.2)]),
+    "inner M2+C, two-leg ops": lambda: _with_two_leg_ops(_inner([(2, 0.6), (1, 0.4)])),
+    "phi_x M2+C rotated": lambda: phi_x(derivation_space(
+        rotated(multimatrix([(2, 0.6), (1, 0.4)]), np.random.default_rng(4)))),
+    "full C2 x| Z/2 over C2": lambda: restrict_scalars(
+        full_ambient(_crossed("C2 x| Z/2").cp.algebra), _crossed("C2 x| Z/2")),
+    "phi_x C2 x| Z/2 over C2": lambda: restrict_scalars(
+        phi_x(derivation_space(_crossed("C2 x| Z/2").cp.algebra)), _crossed("C2 x| Z/2")),
+    "phi_x C[Z/3] x| Z/3": lambda: phi_x(derivation_space(_crossed("dual").cp.algebra)),
+    "phi_x C[Z/3] x| Z/3 over C[Z/3]": lambda: restrict_scalars(
+        phi_x(derivation_space(_crossed("dual").cp.algebra)), _crossed("dual")),
+    # sums of block parts that are not right submodules
+    "E (x) N, leg-a operators": lambda: _sum_of_blocks(0),
+    "N (x) E, leg-b operators": lambda: _sum_of_blocks(1),
+}
+
+
+def _outcome(fn, sub):
+    try:
+        return fn(sub)
+    except SteinlabError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", list(MODULES))
+def test_block_split_matches_dense_projector(name):
+    sub = MODULES[name]()
+    got = _outcome(vn_dimension, sub)
+    want = _outcome(dense_vn_dimension, sub)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert abs(got.value - want[0]) < 1e-12
+        assert got.rank == want[1]
+
+
+@pytest.mark.parametrize("blocks", [[(2, 1.0)], [(1, 0.5), (1, 0.5)]], ids=["M2", "C2"])
+def test_rank_certificate_rejects_a_cyclic_vector(blocks):
+    # the block parts of 1 (x) 1 span more than 1 (x) 1; for C2 they span
+    # all of L^2(C2 (x) C2^op), which every operator leaves invariant, so
+    # only the rank certificate can reject this span
+    alg = multimatrix(blocks)
+    bim = Bimodule(alg)
+    ops = _right_ops(alg, _with_stars(alg, multimatrix_generators(blocks)))
+    sub = ModuleSubspace((alg.gram, alg.gram), 1, bim.unit.reshape(-1, 1), ops,
+                         bim.unit.reshape(-1, 1))
+    with pytest.raises(NotRightClosed, match=r"span rank 1 differs from the rank \d+"):
+        vn_dimension(sub)
+
+
+def test_vn_dimension_is_deterministic():
+    sub = _inner([(4, 0.5), (2, 0.3), (1, 0.2)])
+    first, second = vn_dimension(sub), vn_dimension(sub)
+    assert first.value == second.value
+    assert first.rank == second.rank
+    assert first.closure_residual == second.closure_residual
