@@ -11,6 +11,7 @@ import sys
 import numpy as np
 
 from steinlab import (
+    DenseLimitExceeded,
     ad_action,
     as_fraction,
     crossed_product,
@@ -36,7 +37,7 @@ def dim_der(alg, gens=None) -> float:
     limit refuses the algebra."""
     try:
         return vn_dimension(phi_x(derivation_space(alg))).value
-    except MemoryError:
+    except DenseLimitExceeded:
         pass
     if gens is None:
         raise ValueError("need explicit generators above the dense limit")

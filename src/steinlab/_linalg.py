@@ -1,9 +1,10 @@
-"""Rank decisions, nullspaces and Gram-aware orthonormalization.
+"""Rank decisions, nullspaces and metric orthonormalization.
 
-All rank cuts go through the same policy: singular values below
-max(scale * REL_CUT, ABS_CUT) count as zero, and the decision must be
-backed by a spectral gap of at least GAP_RATIO between the smallest
-kept and the largest dropped value, otherwise RankAmbiguous is raised.
+There is one rank cut, rank_split, shared by nullspace, batched_svd and
+gram_onb: singular values below max(scale * REL_CUT, ABS_CUT) count as
+zero, and the decision must be backed by a spectral gap of at least
+GAP_RATIO between the smallest kept and the largest dropped value,
+otherwise RankAmbiguous is raised. It is the only place that raises it.
 
 nullspace solves a matrix one connected block at a time. Up to a row and
 column permutation a matrix is block diagonal over the connected
@@ -15,6 +16,12 @@ padded spectrum; one rank_split on it, with the global scale, is the
 rank decision a full SVD makes, and each block contributes its right
 singular vectors below that single cut. batched_svd is that batching and
 cut on its own; vndim orthonormalizes spectral blocks with it.
+
+gram_onb orthonormalizes in a metric given by whitening factors, the
+upper Cholesky factor T (gram = T^H T) of each tensor leg, never by a
+Gram matrix: it whitens the vectors and takes one SVD through
+batched_svd (of the triangular factor of their QR, which has the same
+singular values and right singular vectors).
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankAmbiguous
+from .errors import DenseLimitExceeded, RankAmbiguous
 
 REL_CUT = 1e-10
 ABS_CUT = 1e-10
@@ -97,7 +104,7 @@ def nullspace(mat: np.ndarray | SparseSystem, max_block: int | None = None) -> n
     mat is a dense array, whose exact zeros give the block structure, or a
     SparseSystem. Blocks are solved one SVD per shape-batch and share one
     rank decision (see the module docstring). A block with more than
-    max_block columns raises MemoryError before any SVD runs.
+    max_block columns raises DenseLimitExceeded before any SVD runs.
     """
     if isinstance(mat, SparseSystem):
         nrows, ncols = mat.shape
@@ -114,7 +121,7 @@ def nullspace(mat: np.ndarray | SparseSystem, max_block: int | None = None) -> n
     )
     ncol_b = np.bincount(col_block)
     if max_block is not None and ncol_b.max() > max_block:
-        raise MemoryError(
+        raise DenseLimitExceeded(
             f"connected block of {ncol_b.max()} unknowns exceeds the dense "
             f"limit of {max_block}"
         )
@@ -187,81 +194,35 @@ def batched_svd(stacks: list[np.ndarray], all_right: bool = False) -> list[tuple
     return [(u, s, vh, part.reshape(s.shape)) for (u, s, vh), part in zip(svds, parts)]
 
 
-def gram_onb(
-    vectors: np.ndarray,
-    gram: np.ndarray | tuple[np.ndarray, np.ndarray] | None = None,
-    panel: int = 64,
-):
-    """Orthonormalize columns against a Gram matrix by blocked Gram-Schmidt.
+def gram_onb(vectors: np.ndarray, factors: tuple = ()) -> np.ndarray:
+    """Columns orthonormal in a metric and spanning the input columns.
 
-    gram is None (the standard inner product), a dense Gram matrix, or a
-    factor pair (a, b) standing for kron(a, b), applied leg by leg without
-    forming the product.
-    Panels of columns are projected against the kept basis in two passes
-    (reorthogonalization), then finished sequentially within the panel.
-    Returns (Q, kept) where Q has inner-product-orthonormal columns spanning
-    the input and kept lists the surviving column indices. Rank drops share
-    the gap-ratio guard.
+    The metric is given by whitening factors, one per leading tensor leg:
+    with the rows of vectors indexed (leg 0, .., leg m-1, rest), the Gram
+    matrix is kron(T_0^H T_0, .., T_{m-1}^H T_{m-1}, 1), so that the
+    whitened W = (T_0 (x) .. (x) T_{m-1} (x) 1) V carries the metric as the
+    standard inner product. () is the standard inner product, (T,) the GNS
+    metric of an algebra A (T = A.onb_factor) and (T, T) that of
+    N = A (x) A^op, with a trailing argument axis left alone.
+
+    One SVD W = U S Vh through batched_svd, rank r by rank_split's cut,
+    gives Q = V Vh^H[:r] / s[:r], whose whitened image is U[:, :r]. The
+    SVD is taken of the triangular factor of W's QR, which has the same
+    S and Vh.
     """
     v = np.asarray(vectors, dtype=complex)
     if v.ndim != 2:
         raise ValueError("expected a matrix of column vectors")
-    n, k = v.shape
-
-    if isinstance(gram, tuple):
-        a, b = gram
-
-        def hdot(w):
-            t = np.tensordot(a, w.reshape(a.shape[0], b.shape[0], -1), axes=(1, 0))
-            return np.matmul(b, t).reshape(w.shape)
-
-    else:
-
-        def hdot(w):
-            return w if gram is None else gram @ w
-
-    q = np.zeros((n, k), dtype=complex)
-    qc = np.zeros((n, k), dtype=complex)  # conjugate copy, kept in sync
-    r = 0
-    kept: list[int] = []
-    kept_ratio: list[float] = []
-    dropped_ratio: list[float] = []
-    scale = 0.0
-    for p0 in range(0, k, panel):
-        w = v[:, p0 : p0 + panel].copy()
-        n0s = np.sqrt(np.abs(np.sum(np.conj(w) * hdot(w), axis=0).real))
-        for _ in range(2):
-            if r:
-                w = w - q[:, :r] @ (qc[:, :r].T @ hdot(w))
-        rp = r  # columns kept within this panel start here
-        for jj in range(w.shape[1]):
-            col = w[:, jj]
-            n0 = n0s[jj]
-            scale = max(scale, n0)
-            if scale == 0.0:
-                dropped_ratio.append(0.0)
-                continue
-            for _ in range(2):
-                if r > rp:
-                    col = col - q[:, rp:r] @ (qc[:, rp:r].T @ hdot(col))
-            nr = np.sqrt(abs(np.conj(col) @ hdot(col)).real)
-            ratio = nr / scale
-            if nr <= max(scale * REL_CUT, ABS_CUT) or n0 == 0.0:
-                dropped_ratio.append(ratio)
-                continue
-            q[:, r] = col / nr
-            qc[:, r] = np.conj(q[:, r])
-            r += 1
-            kept.append(p0 + jj)
-            kept_ratio.append(ratio)
-    if kept_ratio and dropped_ratio:
-        worst_drop = max(dropped_ratio)
-        if worst_drop > 0 and min(kept_ratio) / worst_drop < GAP_RATIO:
-            raise RankAmbiguous(
-                f"orthonormalization rank unclear: kept ratio {min(kept_ratio):.3e} "
-                f"vs dropped {worst_drop:.3e}"
-            )
-    return q[:, :r].copy(), kept
+    w, lead = v, 1
+    for t in factors:
+        w = np.matmul(t, w.reshape(lead, t.shape[1], -1))
+        lead *= t.shape[0]
+    # the SVD of the small factor needs no W-sized buffers
+    tri = np.linalg.qr(w.reshape(v.shape), mode="r")
+    del w
+    _, s, vh, kept = batched_svd([tri[None]])[0]
+    r = int(kept.sum())
+    return v @ (vh[0, :r].conj().T / s[0, :r])
 
 
 def onb_transform(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -95,8 +95,14 @@ class FDAlgebra:
     def _onb(self) -> tuple[np.ndarray, np.ndarray]:
         return onb_transform(self.gram)
 
+    @property
+    def onb_factor(self) -> np.ndarray:
+        """Upper-triangular T with gram = T^H T: x -> T x maps coordinates
+        to GNS-orthonormal ones, and whitens the metric for gram_onb."""
+        return self._onb[0]
+
     def to_onb(self, x: np.ndarray) -> np.ndarray:
-        return self._onb[0] @ x
+        return self.onb_factor @ x
 
     def from_onb(self, x: np.ndarray) -> np.ndarray:
         return self._onb[1] @ x

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import frob, gram_onb, rank_split
+from ._linalg import frob, gram_onb, nullspace, rank_split
 from .algebra import FDAlgebra
 from .errors import (
     ActionInvalid,
@@ -348,15 +348,11 @@ def crossed_product(base: FDAlgebra, act: GroupAction) -> CrossedProduct:
 
 def center_basis(alg: FDAlgebra) -> np.ndarray:
     """GNS-orthonormal basis (columns) of the center."""
-    from ._linalg import nullspace
-
     rows = []
     for i in range(alg.dim):
         e = alg.basis(i)
         rows.append(alg.left_mult(e) - alg.right_mult(e))
-    ker = nullspace(np.vstack(rows))
-    q, _ = gram_onb(ker, alg.gram)
-    return q
+    return gram_onb(nullspace(np.vstack(rows)), (alg.onb_factor,))
 
 
 def multimatrix_decompose(
@@ -429,19 +425,19 @@ def subalgebra_generate(alg: FDAlgebra, gens: list[np.ndarray]) -> np.ndarray:
     by gens: the span of 1 and the letters (gens and their stars) closed
     under left multiplication by the letters.
 
-    Each round multiplies only the directions the previous round added, so
-    the words grow by one letter per round; the fixed point contains every
-    word and is closed under products and under *. The whole algebra is
-    closed, so the rounds stop once the span reaches it.
+    Each round adds the products of the letters with the current span, so
+    the words grow by one letter per round; once the rank stops growing the
+    span contains every word and is closed under products and under *.
     """
     letters = [np.asarray(g, dtype=complex) for g in gens]
     letters += [alg.star_of(g) for g in letters]
     lefts = [alg.left_mult(x) for x in letters]
-    cur, _ = gram_onb(np.column_stack([alg.unit] + letters), alg.gram)
-    new = cur
-    while new.shape[1] and cur.shape[1] < alg.dim:
-        grown, _ = gram_onb(np.hstack([cur] + [m @ new for m in lefts]), alg.gram)
-        new = grown[:, cur.shape[1] :]
+    metric = (alg.onb_factor,)
+    cur = gram_onb(np.column_stack([alg.unit] + letters), metric)
+    while cur.shape[1] < alg.dim:
+        grown = gram_onb(np.hstack([cur] + [m @ cur for m in lefts]), metric)
+        if grown.shape[1] == cur.shape[1]:
+            break
         cur = grown
     return cur
 
@@ -452,8 +448,8 @@ def generates(alg: FDAlgebra, gens: list[np.ndarray]) -> bool:
 
 def span_equal(alg: FDAlgebra, a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> bool:
     """Whether two column spans coincide, compared in the GNS geometry."""
-    qa, _ = gram_onb(a, alg.gram)
-    qb, _ = gram_onb(b, alg.gram)
+    qa = gram_onb(a, (alg.onb_factor,))
+    qb = gram_onb(b, (alg.onb_factor,))
     if qa.shape[1] != qb.shape[1]:
         return False
     g = alg.gram

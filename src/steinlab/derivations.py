@@ -21,7 +21,7 @@ import numpy as np
 from ._linalg import SparseSystem, frob, gram_onb, nullspace
 from .algebra import FDAlgebra
 from .constructions import CrossedProduct, subalgebra_generate, span_equal
-from .errors import NotGenerating, NotSubalgebra, UnitsInvalid
+from .errors import NotSubalgebra, UnitsInvalid
 
 # most unknowns in one connected block of the Leibniz system that the dense
 # per-block SVD takes on; a basis with no zero structure is a single block of
@@ -184,10 +184,10 @@ def leibniz_system(bim: Bimodule) -> SparseSystem:
 
 @dataclass(eq=False)
 class DerivationSpace:
-    """Span of derivations with a basis orthonormal for <., .>_X."""
+    """Span of derivations with a basis orthonormal for <., .>_X, X the
+    basis of A: <d1, d2>_X = sum_j <d1(b_j), d2(b_j)>."""
 
     bim: Bimodule
-    gens: np.ndarray  # generating set X as columns
     basis: np.ndarray  # (r, dim N, dim A)
 
     @property
@@ -200,9 +200,8 @@ class DerivationSpace:
     def pair(self, d1: Derivation | np.ndarray, d2: Derivation | np.ndarray) -> complex:
         m1 = d1.matrix if isinstance(d1, Derivation) else d1
         m2 = d2.matrix if isinstance(d2, Derivation) else d2
-        img1 = m1 @ self.gens
-        img2 = m2 @ self.gens
-        return complex(np.einsum("pq,px,qx->", self.bim.gram, img1, np.conj(img2)))
+        # sum_j d2(b_j)^H gram d1(b_j), linear in d1 as Bimodule.inner
+        return complex(np.einsum("pq,qx,px->", self.bim.gram, m1, np.conj(m2)))
 
     def coefficients(self, d: Derivation | np.ndarray) -> np.ndarray:
         return np.array([self.pair(d, self.basis[r]) for r in range(self.rank)])
@@ -228,50 +227,34 @@ class DerivationSpace:
         return max(a, b) <= tol
 
 
-def _space_from_vecs(bim: Bimodule, gens: np.ndarray, vecs: np.ndarray) -> DerivationSpace:
-    """Orthonormalize vec'd derivations against the <., .>_X metric.
+def _space_from_vecs(bim: Bimodule, vecs: np.ndarray) -> DerivationSpace:
+    """Orthonormalize vec'd derivations for the <., .>_X metric.
 
-    <d1, d2>_X = sum_x <d1(x), d2(x)> has Gram matrix
-    kron(bim.gram, (gens gens^H)^T) on row-major vecs, applied in factored form.
+    On row-major vecs, indexed (leg a, leg b, argument), <., .>_X has Gram
+    matrix kron(gram, gram, 1): whitening factors (T, T) on the two legs of
+    N and none on the argument axis.
     """
-    q, _ = gram_onb(vecs, (bim.gram, (gens @ gens.conj().T).T))
-    n = bim.algebra.dim
-    basis = q.T.reshape(-1, bim.dim, n)
-    return DerivationSpace(bim, gens, basis)
+    alg = bim.algebra
+    q = gram_onb(vecs, (alg.onb_factor, alg.onb_factor))
+    return DerivationSpace(bim, q.T.reshape(-1, bim.dim, alg.dim))
 
 
-def _default_gens(alg: FDAlgebra) -> np.ndarray:
-    return np.eye(alg.dim, dtype=complex)
+def derivation_space(alg: FDAlgebra, bim: Bimodule | None = None) -> DerivationSpace:
+    """All derivations of A, solved from the Leibniz system on every basis
+    pair, with a basis orthonormal for <., .>_X, X the basis of A.
 
-
-def derivation_space(
-    alg: FDAlgebra,
-    gens: np.ndarray | None = None,
-    bim: Bimodule | None = None,
-) -> DerivationSpace:
-    """All derivations of A, solved from the Leibniz system on every basis pair.
-
-    gens only fixes the inner product used for the returned orthonormal
-    basis; the solved space is the same for any generating set. The system
-    is solved block by block; a connected block of more than _DENSE_LIMIT
-    unknowns raises MemoryError before any SVD, and inner_derivation_module
-    is the route for such algebras.
+    The system is solved block by block; a connected block of more than
+    _DENSE_LIMIT unknowns raises DenseLimitExceeded before any SVD, and
+    inner_derivation_module is the route for such algebras.
     """
     bim = bim or Bimodule(alg)
-    gens = _default_gens(alg) if gens is None else np.asarray(gens, dtype=complex)
-    ker = nullspace(leibniz_system(bim), max_block=_DENSE_LIMIT)
-    return _space_from_vecs(bim, gens, ker)
+    return _space_from_vecs(bim, nullspace(leibniz_system(bim), max_block=_DENSE_LIMIT))
 
 
-def inner_derivations(
-    alg: FDAlgebra,
-    gens: np.ndarray | None = None,
-    bim: Bimodule | None = None,
-) -> DerivationSpace:
+def inner_derivations(alg: FDAlgebra, bim: Bimodule | None = None) -> DerivationSpace:
     """Span of the commutator derivations [., xi], xi in N."""
     bim = bim or Bimodule(alg)
-    gens = _default_gens(alg) if gens is None else np.asarray(gens, dtype=complex)
-    return _space_from_vecs(bim, gens, _commutator_stack(bim))
+    return _space_from_vecs(bim, _commutator_stack(bim))
 
 
 def central_vectors(alg: FDAlgebra, sub_cols: np.ndarray, bim: Bimodule | None = None) -> np.ndarray:
@@ -282,9 +265,7 @@ def central_vectors(alg: FDAlgebra, sub_cols: np.ndarray, bim: Bimodule | None =
         bim.act_left(sub_cols[:, j]) - bim.act_right(sub_cols[:, j])
         for j in range(sub_cols.shape[1])
     ]
-    ker = nullspace(np.vstack(rows))
-    q, _ = gram_onb(ker, bim.gram)
-    return q
+    return gram_onb(nullspace(np.vstack(rows)), (alg.onb_factor, alg.onb_factor))
 
 
 def relative_derivations(
@@ -302,7 +283,7 @@ def relative_derivations(
     con = np.stack([space.basis[r] @ sub_cols for r in range(space.rank)])
     combos = nullspace(con.reshape(space.rank, -1).T)
     basis = np.einsum("rm,rpj->mpj", combos, space.basis)
-    return DerivationSpace(space.bim, space.gens, basis)
+    return DerivationSpace(space.bim, basis)
 
 
 # -- matrix-unit central projection -------------------------------------------
@@ -411,10 +392,6 @@ class CrossedContext:
         alg = self.cp.algebra
         return alg.left_mult(self.cp.u(g)) @ alg.right_mult(self.cp.u(self.group.inv(g)))
 
-    def right_leg_twist(self, h: int) -> np.ndarray:
-        """Matrix of 1 (x) alpha_h on A (x) A^op coordinates."""
-        return np.kron(np.eye(self.cp.base.dim), self.cp.action.matrices[h])
-
 
 @dataclass(eq=False)
 class CosetProjection:
@@ -508,10 +485,10 @@ def restrict_component(ctx: CrossedContext, d: Derivation, g: int, h: int) -> De
     return Derivation(ctx.base, cols)
 
 
-def vanishing_space(ctx: CrossedContext, gens: np.ndarray | None = None) -> DerivationSpace:
+def vanishing_space(ctx: CrossedContext) -> DerivationSpace:
     """Derivations of A x| G vanishing on the copy of C[G]."""
     cp = ctx.cp
-    full = derivation_space(cp.algebra, gens=gens, bim=ctx.big)
+    full = derivation_space(cp.algebra, bim=ctx.big)
     return relative_derivations(full, cp.embed_group, check_subalgebra=False)
 
 

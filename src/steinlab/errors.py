@@ -56,5 +56,9 @@ class RankAmbiguous(SteinlabError):
     """Numerical rank decision has no clear spectral gap."""
 
 
+class DenseLimitExceeded(SteinlabError):
+    """A connected block of a linear system is too large for the dense solver."""
+
+
 class SpecInvalid(SteinlabError):
     """Experiment or object description cannot be parsed."""

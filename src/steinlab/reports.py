@@ -510,15 +510,6 @@ def _chk_subgroup_schreier(rc: RunContext):
     return status, lhs, rhs, residual, f"index {index}"
 
 
-def _chk_betti_difference(rc: RunContext):
-    k = rc.grp.order
-    lhs = rc.dim_m - 1.0
-    rhs = (rc.dim_a - 1.0) / k
-    status, _, _, residual, _ = _cmp(lhs, rhs, rc.tol)
-    note = "inner and full derivation spaces coincide here, so b1 - b0 = dim Der - 1"
-    return status, lhs, rhs, residual, note
-
-
 def _chk_coset_projections(rc: RunContext):
     ctx = rc.ctx
     cp = rc.cp
@@ -840,10 +831,6 @@ CHECKS: dict[str, tuple[str, object]] = {
     "subgroup_schreier": (
         "dim Der(A x| G) - 1 = (dim Der(A x| H) - 1) / [G:H] for H <= G",
         _chk_subgroup_schreier,
-    ),
-    "betti_difference": (
-        "(b1 - b0)(A x| G) = (b1 - b0)(A) / |G| with b1 - b0 = dim Der - 1",
-        _chk_betti_difference,
     ),
     "coset_projection_relations": (
         "the sector projections p_{g,h} resolve the identity, commute with "

@@ -285,15 +285,15 @@ def _block_traces(bim: Bimodule, k: int) -> np.ndarray:
 def phi_x(space: DerivationSpace, gens: np.ndarray | None = None) -> ModuleSubspace:
     """Image of a derivation space under d -> (d(x))_{x in X}.
 
-    X must generate the algebra, so that the map is injective and the
-    dimension does not depend on the choice. X and its stars also supply
-    the right operators.
+    X (columns of gens, the basis of A by default) must generate the
+    algebra, so that the map is injective and the dimension does not depend
+    on the choice. X and its stars also supply the right operators.
     """
     from .constructions import generates
 
     bim = space.bim
     alg = bim.algebra
-    gens = space.gens if gens is None else np.asarray(gens, dtype=complex)
+    gens = np.eye(alg.dim, dtype=complex) if gens is None else np.asarray(gens, dtype=complex)
     if not generates(alg, list(gens.T)):
         raise NotGenerating("argument set does not generate the algebra")
     # block per argument x, derivations along columns

@@ -4,6 +4,7 @@ import pytest
 from steinlab import (
     Bimodule,
     CrossedContext,
+    DenseLimitExceeded,
     Derivation,
     FDAlgebra,
     NotSubalgebra,
@@ -254,7 +255,7 @@ def test_zero_derivation_is_contained():
     assert zero.leibniz_residual() == 0.0
 
 
-@pytest.mark.parametrize(
+SMALL = pytest.mark.parametrize(
     "alg",
     [
         M2,
@@ -267,12 +268,22 @@ def test_zero_derivation_is_contained():
     ],
     ids=["M2", "M2+C", "C[Z/3]", "M2+C rotated", "M2 x| Z/2"],
 )
+
+
+@SMALL
 def test_sparse_leibniz_system_matches_einsum_formula(alg):
     bim = Bimodule(alg)
     sys_ = leibniz_system(bim)
     dense = np.zeros(sys_.shape, dtype=complex)
     np.add.at(dense, (sys_.rows, sys_.cols), sys_.vals)
     assert np.max(np.abs(dense - einsum_leibniz_system(bim))) < 1e-13
+
+
+@SMALL
+def test_derivation_basis_is_orthonormal_for_the_pairing(alg):
+    space = derivation_space(alg)
+    gram = np.array([[space.pair(d1, d2) for d2 in space.basis] for d1 in space.basis])
+    assert np.max(np.abs(gram - np.eye(space.rank))) < 1e-12
 
 
 def test_derivation_space_above_dim_11_in_matrix_units():
@@ -287,5 +298,5 @@ def test_unstructured_basis_hits_the_dense_limit_at_dim_12():
     alg = rotated(multimatrix([(3, 0.4), (1, 0.3), (1, 0.2), (1, 0.1)]), np.random.default_rng(9))
     assert alg.dim == 12
     assert validate(alg).passed
-    with pytest.raises(MemoryError):
+    with pytest.raises(DenseLimitExceeded, match="exceeds the dense limit of 1600"):
         derivation_space(alg)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steinlab import RankAmbiguous
+from steinlab import DenseLimitExceeded, RankAmbiguous
 from steinlab._linalg import SparseSystem, gram_onb, nullspace, rank_split
 
 
@@ -105,21 +105,67 @@ def test_max_block_guard_runs_on_the_largest_block():
         rng, [_with_spectrum(rng, 2, 2, [1.0]), _with_spectrum(rng, 3, 3, [1.0, 1.0])]
     )
     assert nullspace(m, max_block=3).shape[1] == 2
-    with pytest.raises(MemoryError):
+    with pytest.raises(DenseLimitExceeded, match="3 unknowns exceeds the dense limit of 2"):
         nullspace(m, max_block=2)
 
 
-def test_gram_onb_factor_pair_matches_kron():
-    rng = np.random.default_rng(11)
+def _hpd(rng, n: int) -> np.ndarray:
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return x @ x.conj().T + n * np.eye(n)
 
-    def hpd(n):
-        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        return x @ x.conj().T + n * np.eye(n)
 
-    a, b = hpd(4), hpd(3)
-    v = rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5))
-    v[:, 3] = v[:, 0] - 2j * v[:, 1]  # dependent column is dropped either way
-    q_kron, kept_kron = gram_onb(v, np.kron(a, b))
-    q_pair, kept_pair = gram_onb(v, (a, b))
-    assert kept_pair == kept_kron == [0, 1, 2, 4]
-    assert np.max(np.abs(q_pair - q_kron)) < 1e-10
+def _planted(rng, nrows: int, rank: int, extra: list) -> np.ndarray:
+    """(V, B): B holds rank independent columns of a random subspace, with
+    norms in [0.5, 2], and V is B with duplicated, scaled and zero columns
+    added, shuffled."""
+    x = rng.standard_normal((nrows, rank)) + 1j * rng.standard_normal((nrows, rank))
+    base = np.linalg.qr(x)[0] * rng.uniform(0.5, 2.0, rank)
+    cols = list(base.T)
+    for kind in extra:
+        j = int(rng.integers(rank)) if rank else 0
+        if kind == "zero" or not rank:
+            cols.append(np.zeros(nrows, dtype=complex))
+        elif kind == "dup":
+            cols.append(base[:, j].copy())
+        else:
+            cols.append(base[:, j] * np.exp(2j * np.pi * rng.uniform()) * rng.uniform(0.1, 10.0))
+    v = np.column_stack(cols) if cols else np.zeros((nrows, 0), dtype=complex)
+    return v[:, rng.permutation(v.shape[1])], base
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(1, 4), min_size=0, max_size=2),
+    st.integers(0, 4),
+    st.lists(st.sampled_from(["dup", "scaled", "zero"]), max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_gram_onb_is_a_metric_onb_of_the_span(legs, rest, extra, seed):
+    rng = np.random.default_rng(seed)
+    factors = tuple(np.linalg.cholesky(_hpd(rng, n)).conj().T for n in legs)
+    nrows = int(np.prod(legs, dtype=int)) * max(rest, 1)
+    rank = int(rng.integers(0, min(nrows, 5) + 1))
+    v, base = _planted(rng, nrows, rank, extra)
+    gram = np.eye(max(rest, 1))
+    for t in reversed(factors):
+        gram = np.kron(t.conj().T @ t, gram)
+
+    q = gram_onb(v, factors)
+    assert q.shape == (nrows, rank)
+    assert np.max(np.abs(q.conj().T @ gram @ q - np.eye(rank)), initial=0.0) < 1e-12
+    # the metric-orthogonal projector onto span(V) = span(B)
+    ref = base @ np.linalg.solve(base.conj().T @ gram @ base, base.conj().T @ gram)
+    assert np.max(np.abs(q @ q.conj().T @ gram - ref), initial=0.0) < 1e-12
+
+
+def test_gram_onb_refuses_a_near_gap_at_the_cut():
+    # against the cut 1e-10 the singular value 5e-10 is kept and 8e-11
+    # dropped, only 6.25x apart (below GAP_RATIO), so the rank is ambiguous
+    rng = np.random.default_rng(2)
+    v = _with_spectrum(rng, 6, 3, [1.0, 5e-10, 8e-11])
+    t = np.linalg.cholesky(_hpd(rng, 6)).conj().T
+    with pytest.raises(RankAmbiguous):
+        gram_onb(v)
+    with pytest.raises(RankAmbiguous):
+        gram_onb(np.linalg.solve(t, v), (t,))
+    assert gram_onb(_with_spectrum(rng, 6, 3, [1.0, 1e-6, 1e-12])).shape[1] == 2

@@ -14,6 +14,7 @@ from steinlab.reports import (
     parse_group,
     run,
 )
+from test_derivations import rotated
 
 C2_SPEC = {
     "label": "swap test",
@@ -136,7 +137,7 @@ def test_invalid_action_short_circuits():
 def test_failed_stage_is_computed_once(monkeypatch):
     calls = {}
 
-    def failing_space(alg, gens=None, bim=None):
+    def failing_space(alg, bim=None):
         calls[alg.dim] = calls.get(alg.dim, 0) + 1
         raise MemoryError(f"dim {alg.dim} too large")
 
@@ -237,11 +238,11 @@ def test_cli_run_fails_at_tight_tolerance(tmp_path, capsys):
 def test_cli_env_tolerance(tmp_path, capsys, monkeypatch):
     path = write_spec(tmp_path, dict(C2_SPEC, checks=["schreier_crossed"]))
     monkeypatch.setenv("STEINLAB_TOL", "1e-30")
-    assert main(["run", path]) == 1
-    capsys.readouterr()
+    main(["run", path, "--format", "json"])
+    assert json.loads(capsys.readouterr().out)["reports"][0]["tolerance"] == 1e-30
     # an explicit flag beats the environment
-    assert main(["run", path, "--tolerance", "1e-8"]) == 0
-    capsys.readouterr()
+    assert main(["run", path, "--tolerance", "1e-8", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["reports"][0]["tolerance"] == 1e-8
 
 
 def test_cli_out_file_and_json(tmp_path, capsys):
@@ -271,6 +272,21 @@ def test_cli_dim(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit):
         main(["dim", str(alg_path), "--tolerance", "1e-8"])
     capsys.readouterr()
+
+
+def test_cli_dim_above_the_dense_limit_exits_2(tmp_path, capsys):
+    alg = rotated(multimatrix([(3, 0.4), (1, 0.3), (1, 0.2), (1, 0.1)]), np.random.default_rng(9))
+
+    def pairs(a):
+        return np.stack([a.real, a.imag], axis=-1).tolist()
+
+    path = tmp_path / "rotated.json"
+    fields = {f: pairs(getattr(alg, f)) for f in ("mult", "star", "unit", "trace")}
+    path.write_text(json.dumps({"dim": alg.dim, **fields}))
+    assert main(["dim", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "exceeds the dense limit of 1600" in err
+    assert "Traceback" not in err
 
 
 def test_cli_dim_rejects_seed(tmp_path, capsys):

@@ -123,7 +123,7 @@ def test_non_invariant_span_is_rejected():
 def test_phi_x_of_one_derivation_is_not_right_closed(blocks):
     # the generator right operators alone must reject a non-module span
     space = derivation_space(multimatrix(blocks))
-    cut = DerivationSpace(space.bim, space.gens, space.basis[:1])
+    cut = DerivationSpace(space.bim, space.basis[:1])
     with pytest.raises(NotRightClosed):
         vn_dimension(phi_x(cut))
 
@@ -206,11 +206,11 @@ def _apply(op: tuple, vecs: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def dense_vn_dimension(sub: ModuleSubspace):
-    """Reference: orthonormalize the whole span by Gram-Schmidt and test
+    """Reference: orthonormalize the whole span by one SVD and test
     every right operator against the dense projector onto it."""
     (ta, tai), (tb, tbi) = onb_transform(sub.gram[0]), onb_transform(sub.gram[1])
     shape = (sub.ncoords, ta.shape[0], tb.shape[0])
-    q, _ = gram_onb(_apply((ta, tb), sub.span, shape))
+    q = gram_onb(_apply((ta, tb), sub.span, shape))
     worst = 0.0
     for a, b in sub.right_ops:
         op = (None if a is None else ta @ a @ tai, None if b is None else tb @ b @ tbi)
