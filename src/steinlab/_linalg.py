@@ -49,6 +49,12 @@ class SparseSystem:
     cols: np.ndarray
     vals: np.ndarray
 
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """The matrix times the vector x."""
+        prod = self.vals * x[self.cols]
+        n = self.shape[0]
+        return np.bincount(self.rows, prod.real, n) + 1j * np.bincount(self.rows, prod.imag, n)
+
 
 def rank_split(svals: np.ndarray, scale: float | None = None) -> int:
     """Number of nonzero singular values in a descending array."""

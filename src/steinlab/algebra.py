@@ -92,40 +92,10 @@ class FDAlgebra:
         return 0.5 * (g + g.conj().T)
 
     @cached_property
-    def _onb(self) -> tuple[np.ndarray, np.ndarray]:
-        return onb_transform(self.gram)
-
-    @property
     def onb_factor(self) -> np.ndarray:
         """Upper-triangular T with gram = T^H T: x -> T x maps coordinates
         to GNS-orthonormal ones, and whitens the metric for gram_onb."""
-        return self._onb[0]
-
-    def to_onb(self, x: np.ndarray) -> np.ndarray:
-        return self.onb_factor @ x
-
-    def from_onb(self, x: np.ndarray) -> np.ndarray:
-        return self._onb[1] @ x
-
-
-@dataclass(frozen=True, eq=False)
-class AntilinearOp:
-    """Conjugate-linear map v -> matrix @ conj(v)."""
-
-    matrix: np.ndarray
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.conj(v)
-
-    def compose_linear(self, m: np.ndarray) -> np.ndarray:
-        """Matrix of the linear map self . m . self (a sandwich J M J)."""
-        s = self.matrix
-        return s @ np.conj(m) @ np.conj(s)
-
-
-def tomita_j(alg: FDAlgebra) -> AntilinearOp:
-    """Conjugation x -> x* on the GNS space."""
-    return AntilinearOp(matrix=alg.star)
+        return onb_transform(self.gram)[0]
 
 
 @dataclass

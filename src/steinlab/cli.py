@@ -21,20 +21,19 @@ import sys
 from . import reports
 from .derivations import derivation_space
 from .errors import SteinlabError
-from .reports import ExperimentSpec, parse_algebra
+from .reports import ExperimentSpec, check_tolerance, parse_algebra
 from .vndim import as_fraction, phi_x, vn_dimension
 
 _FORMATS = {"json": reports.to_json, "csv": reports.to_csv, "md": reports.to_markdown}
 
 
-def _default_tolerance() -> float:
+def _tolerance(args) -> float:
+    """The --tolerance flag, else STEINLAB_TOL, else 1e-8; a value that is
+    not a finite number >= 0 raises SpecInvalid."""
+    if args.tolerance is not None:
+        return check_tolerance(args.tolerance, "--tolerance")
     env = os.environ.get("STEINLAB_TOL")
-    if env is None:
-        return 1e-8
-    try:
-        return float(env)
-    except ValueError:
-        raise SteinlabError(f"STEINLAB_TOL={env!r} is not a number") from None
+    return 1e-8 if env is None else check_tolerance(env, "STEINLAB_TOL")
 
 
 def _add_checks(p: argparse.ArgumentParser) -> None:
@@ -75,15 +74,13 @@ def _cmd_run(args) -> int:
         objs = payload
     else:
         objs = [payload]
-    default_tol = _default_tolerance()
+    default_tol = _tolerance(args)
     specs = []
     for obj in objs:
         if not isinstance(obj, dict):
             raise SteinlabError("each experiment must be a JSON object")
         obj = dict(obj)
-        if args.tolerance is not None:
-            obj["tolerance"] = args.tolerance
-        elif "tolerance" not in obj:
+        if args.tolerance is not None or "tolerance" not in obj:
             obj["tolerance"] = default_tol
         if args.seed is not None:
             obj["seed"] = args.seed
@@ -93,7 +90,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    tol = args.tolerance if args.tolerance is not None else _default_tolerance()
+    tol = _tolerance(args)
     seed = args.seed if args.seed is not None else 0
     reps = reports.run_corpus(seed=seed, tolerance=tol)
     return _finish(reps, args.format, args.out)

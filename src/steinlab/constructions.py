@@ -1,5 +1,5 @@
 """Constructions of tracial *-algebras: multimatrix algebras, group algebras,
-opposites, tensor products, group actions and crossed products.
+group actions and crossed products.
 
 Coordinate conventions follow algebra.py. Group actions are stored as one
 matrix per group element acting on algebra coordinates.
@@ -125,35 +125,6 @@ def group_algebra(g: FiniteGroup) -> FDAlgebra:
     unit[g.identity] = 1.0
     trace = unit.copy()
     return FDAlgebra(n, mult, star, unit, trace, label=f"C[{g.label or 'G'}]")
-
-
-# -- opposite and tensor -----------------------------------------------------
-
-def opposite(alg: FDAlgebra) -> FDAlgebra:
-    """Same space with reversed multiplication."""
-    return FDAlgebra(
-        alg.dim,
-        alg.mult.transpose(1, 0, 2).copy(),
-        alg.star,
-        alg.unit,
-        alg.trace,
-        label=(alg.label or "A") + "^op",
-    )
-
-
-def tensor(a: FDAlgebra, b: FDAlgebra) -> FDAlgebra:
-    """Tensor product with basis b_i (x) c_p at flat index i * dim(b) + p."""
-    mult = np.einsum("ijk,pqr->ipjqkr", a.mult, b.mult).reshape(
-        a.dim * b.dim, a.dim * b.dim, a.dim * b.dim
-    )
-    return FDAlgebra(
-        a.dim * b.dim,
-        mult,
-        np.kron(a.star, b.star),
-        np.kron(a.unit, b.unit),
-        np.kron(a.trace, b.trace),
-        label=f"{a.label or 'A'}(x){b.label or 'B'}",
-    )
 
 
 # -- group actions -----------------------------------------------------------
@@ -505,7 +476,8 @@ def group_central_family(grp: FiniteGroup) -> np.ndarray:
     """Columns f_h in C[G] (x) C[G]^op coordinates.
 
     f_h = |G|^{-1/2} sum_k u_{kh} (x) (u_{k^-1})^op is an orthonormal family
-    spanning the C[G]-central vectors; index convention matches tensor().
+    spanning the C[G]-central vectors, in the kron coordinates of
+    derivations.Bimodule.
     """
     k = grp.order
     out = np.zeros((k * k, k), dtype=complex)

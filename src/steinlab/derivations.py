@@ -1,14 +1,25 @@
 """Derivation spaces of finite-dimensional tracial *-algebras.
 
-A derivation is a linear map d : A -> L^2(A (x) A^op) with
+A derivation is a linear map d : A -> L^2(N), N = A (x) A^op, with
 d(xy) = x . d(y) + d(x) . y, where the bimodule action is
-x . v . y = (x (x) y^op) v. Derivations are stored as (dim N, dim A)
-matrices whose j-th column is d(b_j).
+x . v . y = (x (x) y^op) v.
 
-For crossed products A x| G the module carries extra structure: the
-coset sectors L^2(N)(u_g (x) u_h^op), a scaling conjugation by each
-group element, and extension/restriction maps moving derivations
-between A and A x| G. All of that lives in CrossedContext.
+One convention throughout, the one vndim uses. A vector of L^2(N) has the
+coordinate of b_a (x) b_b^op at flat index a * n + b (n = dim A), so it is
+an (n, n) tensor with one axis per tensor leg. A derivation is the
+(n^2, m) matrix whose column j is d(x_j) for m arguments x_j, i.e. an
+(n, n, m) tensor; derivations are handled as stacks (r, n^2, m). Every
+operator on L^2(N) is a kron factor pair (a, b) standing for kron(a, b),
+one (n, n) factor per leg, None for an identity leg: x (x) y^op acts by
+(left_mult(x), right_mult(y)) on the left and by (right_mult(x),
+left_mult(y)) on the right, and the GNS metric is whitened by
+(T, T), T = A.onb_factor. Bimodule.apply contracts a pair into a stack leg
+by leg; no (n^2, n^2) operator matrix is formed.
+
+For crossed products A x| G the module carries extra structure: the coset
+sectors L^2(N)(u_g (x) u_h^op), a scaling conjugation by each group
+element, and extension/restriction maps moving derivations between A and
+A x| G. All of that lives in CrossedContext.
 """
 
 from __future__ import annotations
@@ -32,10 +43,11 @@ _DENSE_LIMIT = 1600
 class Bimodule:
     """L^2(A (x) A^op) with its two-sided A-action, in kron coordinates.
 
-    Index convention matches constructions.tensor: a (x) b^op sits at
-    flat index a * dim + b, i.e. the coordinate vector is kron(a, b).
-    The rank-3 structure constants of A (x) A^op are never materialized;
-    every operator used here is a kron of small multiplication matrices.
+    The element a (x) b^op sits at flat index a * dim + b, i.e. its
+    coordinate vector is kron(a, b).
+    Operators are kron factor pairs applied by apply; neither the
+    structure constants of A (x) A^op nor any operator matrix on it is
+    materialized.
     """
 
     def __init__(self, alg: FDAlgebra):
@@ -43,106 +55,65 @@ class Bimodule:
         self.dim = alg.dim * alg.dim
 
     @cached_property
-    def gram(self) -> np.ndarray:
-        return np.kron(self.algebra.gram, self.algebra.gram)
-
-    @cached_property
     def unit(self) -> np.ndarray:
         return np.kron(self.algebra.unit, self.algebra.unit)
-
-    @cached_property
-    def star(self) -> np.ndarray:
-        return np.kron(self.algebra.star, self.algebra.star)
 
     def embed(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Coordinates of x (x) y^op."""
         return np.kron(x, y)
 
-    def act_left(self, x: np.ndarray) -> np.ndarray:
-        """Left bimodule action of x in A."""
-        return np.kron(self.algebra.left_mult(x), np.eye(self.algebra.dim))
-
-    def act_right(self, y: np.ndarray) -> np.ndarray:
-        """Right bimodule action of y in A."""
-        return np.kron(np.eye(self.algebra.dim), self.algebra.right_mult(y))
-
-    def left_pair(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Left multiplication by the element x (x) y^op of N."""
-        return np.kron(self.algebra.left_mult(x), self.algebra.right_mult(y))
-
-    def right_pair(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Right multiplication by the element x (x) y^op of N."""
-        return np.kron(self.algebra.right_mult(x), self.algebra.left_mult(y))
-
-    def left_elem(self, xi: np.ndarray) -> np.ndarray:
-        """Left multiplication by a general element xi of N."""
+    def apply(self, pair: tuple, v: np.ndarray) -> np.ndarray:
+        """kron(a, b) for the factor pair (a, b), None an identity leg,
+        applied to a stack v of shape (..., n^2, m): the L^2(N) axis is
+        read as the two legs (n, n) and each factor contracts its leg."""
+        a, b = pair
         n = self.algebra.dim
-        c = self.algebra.mult
-        # sum over a, b of xi_ab kron(left_mult(b_a), right_mult(b_b)), with
-        # left_mult(b_a)[i, k] = c[a, k, i] and right_mult(b_b)[j, l] = c[l, b, j]
-        out = np.einsum("ab,aki,lbj->ijkl", xi.reshape(n, n), c, c, optimize=True)
-        return out.reshape(self.dim, self.dim)
+        *lead, _, m = v.shape
+        t = v
+        if a is not None:
+            t = np.matmul(a, t.reshape(*lead, n, n * m))
+        if b is not None:
+            t = np.matmul(b, t.reshape(*lead, n, n, m))
+        return t.reshape(v.shape)
 
-    def inner(self, v: np.ndarray, w: np.ndarray) -> complex:
-        return complex(np.conj(w) @ (self.gram @ v))
-
-    def norm(self, v: np.ndarray) -> float:
-        return float(np.sqrt(max(self.inner(v, v).real, 0.0)))
+    def whiten(self, v: np.ndarray) -> np.ndarray:
+        """A stack (..., n^2, m) in GNS-orthonormal coordinates, where the
+        GNS inner product of L^2(N) is the standard one."""
+        t = self.algebra.onb_factor
+        return self.apply((t, t), v)
 
 
 @dataclass(eq=False)
 class Derivation:
     bim: Bimodule
-    matrix: np.ndarray
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
+    matrix: np.ndarray  # (n^2, dim A)
 
     def leibniz_residual(self) -> float:
-        alg = self.bim.algebra
-        rights = [self.bim.act_right(alg.basis(j)) for j in range(alg.dim)]
-        worst = 0.0
-        for i in range(alg.dim):
-            ei = alg.basis(i)
-            li = self.bim.act_left(ei)
-            di = self.matrix @ ei
-            for j in range(alg.dim):
-                lhs = self.matrix @ alg.mul(ei, alg.basis(j))
-                rhs = li @ (self.matrix @ alg.basis(j)) + rights[j] @ di
-                worst = max(worst, self.bim.norm(lhs - rhs))
-        return worst
+        """Largest GNS norm of d(b_i b_j) - b_i . d(b_j) - d(b_i) . b_j over
+        basis pairs: the rows of leibniz_system applied to d."""
+        n = self.bim.algebra.dim
+        res = leibniz_system(self.bim).dot(self.matrix.ravel())
+        norms = np.linalg.norm(self.bim.whiten(res.reshape(self.bim.dim, n * n)), axis=0)
+        return float(norms.max())
 
     def restricted_norm(self, cols: np.ndarray) -> float:
-        """Largest image norm over the given argument vectors."""
-        img = self.matrix @ cols
-        return max(
-            (self.bim.norm(img[:, j]) for j in range(img.shape[1])), default=0.0
-        )
+        """Largest GNS image norm over the given argument vectors."""
+        img = self.bim.whiten(self.matrix @ cols)
+        return float(np.linalg.norm(img, axis=0).max(initial=0.0))
 
 
-def commutator_derivation(bim: Bimodule, xi: np.ndarray) -> Derivation:
-    """Inner derivation x -> x xi - xi x."""
+def commutator_span(bim: Bimodule, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    """x . xi - xi . x for every column x of xs (elements of A) and xi of
+    xis (vectors of L^2(N)), shape (len x, n^2, len xi): block k holds the
+    values at x_k of the inner derivations [., xi]. With xis the identity
+    it is the matrix of xi -> ([x_k, xi])_k."""
     alg = bim.algebra
-    cols = np.column_stack(
-        [
-            (bim.act_left(alg.basis(j)) - bim.act_right(alg.basis(j))) @ xi
-            for j in range(alg.dim)
-        ]
-    )
-    return Derivation(bim, cols)
-
-
-def _commutator_stack(bim: Bimodule) -> np.ndarray:
-    """Matrix sending xi to the row-major vec of the inner derivation [., xi]."""
-    alg = bim.algebra
-    n, nn = alg.dim, bim.dim
-    c3 = np.stack(
-        [
-            bim.act_left(alg.basis(j)) - bim.act_right(alg.basis(j))
-            for j in range(n)
-        ]
-    )  # (nA, nN, nN)
-    return c3.transpose(1, 0, 2).reshape(nn * n, nn)
+    xs, xis = np.asarray(xs, dtype=complex), np.asarray(xis, dtype=complex)
+    out = np.empty((xs.shape[1], *xis.shape), dtype=complex)
+    for k, x in enumerate(xs.T):
+        left = bim.apply((alg.left_mult(x), None), xis)
+        np.subtract(left, bim.apply((None, alg.right_mult(x)), xis), out=out[k])
+    return out
 
 
 def leibniz_system(bim: Bimodule) -> SparseSystem:
@@ -200,31 +171,8 @@ class DerivationSpace:
     def pair(self, d1: Derivation | np.ndarray, d2: Derivation | np.ndarray) -> complex:
         m1 = d1.matrix if isinstance(d1, Derivation) else d1
         m2 = d2.matrix if isinstance(d2, Derivation) else d2
-        # sum_j d2(b_j)^H gram d1(b_j), linear in d1 as Bimodule.inner
-        return complex(np.einsum("pq,qx,px->", self.bim.gram, m1, np.conj(m2)))
-
-    def coefficients(self, d: Derivation | np.ndarray) -> np.ndarray:
-        return np.array([self.pair(d, self.basis[r]) for r in range(self.rank)])
-
-    def distance(self, d: Derivation | np.ndarray) -> float:
-        """<., .>_X distance from d to the span."""
-        m = d.matrix if isinstance(d, Derivation) else d
-        coef = self.coefficients(m)
-        rem = m - np.einsum("r,rpj->pj", coef, self.basis)
-        val = self.pair(rem, rem).real
-        return float(np.sqrt(max(val, 0.0)))
-
-    def contains(self, d: Derivation | np.ndarray, tol: float = 1e-8) -> bool:
-        return self.distance(d) <= tol
-
-    def same_span(self, other: "DerivationSpace", tol: float = 1e-8) -> bool:
-        if self.rank != other.rank:
-            return False
-        if self.rank == 0:
-            return True
-        a = max(self.distance(other.basis[r]) for r in range(other.rank))
-        b = max(other.distance(self.basis[r]) for r in range(self.rank))
-        return max(a, b) <= tol
+        # sum_j <d1(b_j), d2(b_j)>, linear in d1
+        return complex(np.vdot(self.bim.whiten(m2), self.bim.whiten(m1)))
 
 
 def _space_from_vecs(bim: Bimodule, vecs: np.ndarray) -> DerivationSpace:
@@ -254,18 +202,16 @@ def derivation_space(alg: FDAlgebra, bim: Bimodule | None = None) -> DerivationS
 def inner_derivations(alg: FDAlgebra, bim: Bimodule | None = None) -> DerivationSpace:
     """Span of the commutator derivations [., xi], xi in N."""
     bim = bim or Bimodule(alg)
-    return _space_from_vecs(bim, _commutator_stack(bim))
+    span = commutator_span(bim, np.eye(alg.dim), np.eye(bim.dim))
+    # (argument, N, xi) to row-major derivation vecs (N, argument) per xi
+    return _space_from_vecs(bim, span.transpose(1, 0, 2).reshape(-1, bim.dim))
 
 
 def central_vectors(alg: FDAlgebra, sub_cols: np.ndarray, bim: Bimodule | None = None) -> np.ndarray:
     """GNS-orthonormal basis of {v in N : b . v = v . b for all b in the span}."""
     bim = bim or Bimodule(alg)
-    sub_cols = np.asarray(sub_cols, dtype=complex)
-    rows = [
-        bim.act_left(sub_cols[:, j]) - bim.act_right(sub_cols[:, j])
-        for j in range(sub_cols.shape[1])
-    ]
-    return gram_onb(nullspace(np.vstack(rows)), (alg.onb_factor, alg.onb_factor))
+    rows = commutator_span(bim, np.asarray(sub_cols), np.eye(bim.dim))
+    return gram_onb(nullspace(rows.reshape(-1, bim.dim)), (alg.onb_factor, alg.onb_factor))
 
 
 def relative_derivations(
@@ -280,7 +226,7 @@ def relative_derivations(
             raise NotSubalgebra("span is not a unital *-subalgebra")
     if space.rank == 0:
         return space
-    con = np.stack([space.basis[r] @ sub_cols for r in range(space.rank)])
+    con = space.basis @ sub_cols
     combos = nullspace(con.reshape(space.rank, -1).T)
     basis = np.einsum("rm,rpj->mpj", combos, space.basis)
     return DerivationSpace(space.bim, basis)
@@ -290,9 +236,10 @@ def relative_derivations(
 
 def central_projection_element(
     alg: FDAlgebra, units: list[np.ndarray], bim: Bimodule | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, list]:
     """Element p = sum_i n_i^-1 sum_jk e^(i)_jk (x) (e^(i)_kj)^op and its
-    left-multiplication operator on L^2(N).
+    left multiplication on L^2(N), as a list of kron factor pairs whose
+    sum it is (one per matrix unit).
 
     The units argument lists one (n_i, n_i, dim) array of coordinate vectors
     per block; they must satisfy the matrix-unit relations and sum to 1.
@@ -301,188 +248,147 @@ def central_projection_element(
     """
     bim = bim or Bimodule(alg)
     tol = 1e-8
-    total = np.zeros(alg.dim, dtype=complex)
-    for arr in units:
-        n = arr.shape[0]
-        if arr.shape[:2] != (n, n):
-            raise UnitsInvalid("unit array must be square in its first two axes")
-        for j in range(n):
-            for k in range(n):
-                if frob(alg.star_of(arr[j, k]) - arr[k, j]) > tol:
-                    raise UnitsInvalid("star does not transpose the units")
-        total += np.einsum("jji->i", arr)
-    if frob(total - alg.unit) > tol:
+    if any(arr.shape[:2] != (arr.shape[0],) * 2 for arr in units):
+        raise UnitsInvalid("unit array must be square in its first two axes")
+    # every unit e_jk in block order, and the transposed units e_kj
+    flat = np.concatenate([arr.reshape(-1, alg.dim) for arr in units])
+    flat_t = np.concatenate([arr.transpose(1, 0, 2).reshape(-1, alg.dim) for arr in units])
+    if np.linalg.norm(flat.conj() @ alg.star.T - flat_t, axis=1).max() > tol:
+        raise UnitsInvalid("star does not transpose the units")
+    if frob(sum(np.einsum("jji->i", arr) for arr in units) - alg.unit) > tol:
         raise UnitsInvalid("units do not sum to the identity")
-    for bi, a in enumerate(units):
-        for bj, b in enumerate(units):
-            for j in range(a.shape[0]):
-                for k in range(a.shape[0]):
-                    for l in range(b.shape[0]):
-                        for m in range(b.shape[0]):
-                            prod = alg.mul(a[j, k], b[l, m])
-                            want = (
-                                a[j, m]
-                                if (bi == bj and k == l)
-                                else np.zeros(alg.dim)
-                            )
-                            if frob(prod - want) > tol:
-                                raise UnitsInvalid("matrix unit relations fail")
+    # e_jk e_lm = delta_kl e_jm within a block, 0 across blocks
+    want = np.zeros((len(flat), len(flat), alg.dim), dtype=complex)
+    off = 0
+    for arr in units:
+        m = arr.shape[0] ** 2
+        want[off : off + m, off : off + m] = np.einsum(
+            "kl,jmi->jklmi", np.eye(arr.shape[0]), arr
+        ).reshape(m, m, -1)
+        off += m
+    prods = np.einsum("ai,bj,ijk->abk", flat, flat, alg.mult)
+    if np.linalg.norm(prods - want, axis=2).max() > tol:
+        raise UnitsInvalid("matrix unit relations fail")
     p = np.zeros(bim.dim, dtype=complex)
+    left = []
     for arr in units:
         n = arr.shape[0]
         for j in range(n):
             for k in range(n):
                 p += bim.embed(arr[j, k], arr[k, j]) / n
-    return p, bim.left_elem(p)
+                left.append((alg.left_mult(arr[j, k]) / n, alg.right_mult(arr[k, j])))
+    return p, left
 
 
 # -- crossed-product context ---------------------------------------------------
 
 class CrossedContext:
-    """Derivation-level structure of a crossed product A x| G."""
+    """Derivation-level structure of a crossed product A x| G.
+
+    The basis element b_i u_g of A x| G has group index g. The coset sector
+    L^2(N)(u_g (x) u_h^op) is spanned by the basis vectors whose left leg
+    has group index g and whose right leg has group index h, so a sector is
+    a pair of masks, one per leg.
+    """
 
     def __init__(self, cp: CrossedProduct):
         self.cp = cp
         self.big = Bimodule(cp.algebra)
         self.base = Bimodule(cp.base)
         self.group = cp.group
-        k = self.group.order
-        n_cp = cp.algebra.dim
-        idx = np.arange(n_cp * n_cp)
-        self._left_g = (idx // n_cp) % k
-        self._right_g = idx % k
-        nb = cp.base.dim
-        ii, jj = np.meshgrid(np.arange(nb), np.arange(nb), indexing="ij")
-        e = self.group.identity
-        self._center_idx = ((ii * k + e) * n_cp + (jj * k + e)).reshape(-1)
+        self.group_index = np.arange(cp.algebra.dim) % self.group.order
 
-    def coset_mask(self, g: int, h: int) -> np.ndarray:
-        """0/1 selector of the sector L^2(N)(u_g (x) u_h^op)."""
-        return ((self._left_g == g) & (self._right_g == h)).astype(float)
-
-    def coset_projection(self, g: int, h: int) -> "CosetProjection":
-        return CosetProjection(self, g, h, self.coset_mask(g, h))
-
-    def embed_center(self, v: np.ndarray) -> np.ndarray:
-        """A (x) A^op coordinates into the (e, e) sector of the big module."""
-        out = np.zeros(self.big.dim, dtype=complex)
-        out[self._center_idx] = v
-        return out
-
-    def extract_center(self, v: np.ndarray) -> np.ndarray:
-        return v[self._center_idx].copy()
+    def coset_mask(self, g: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+        """Leg masks (left, right) of the sector L^2(N)(u_g (x) u_h^op)."""
+        return self.group_index == g, self.group_index == h
 
     @cached_property
-    def _left_u_pairs(self) -> dict[tuple[int, int], np.ndarray]:
-        return {}
-
-    def left_u(self, a: int, b: int) -> np.ndarray:
-        """Left multiplication by u_a (x) u_b^op, cached."""
-        key = (a, b)
-        cache = self._left_u_pairs
-        if key not in cache:
-            cache[key] = self.big.left_pair(self.cp.u(a), self.cp.u(b))
-        return cache[key]
-
-    def right_u(self, a: int, b: int) -> np.ndarray:
-        return self.big.right_pair(self.cp.u(a), self.cp.u(b))
+    def u_mult(self) -> tuple[np.ndarray, np.ndarray]:
+        """(left_mult(u_g), right_mult(u_g)) for every g, each (|G|, n, n)."""
+        alg = self.cp.algebra
+        us = self.cp.embed_group.T
+        return np.stack([alg.left_mult(u) for u in us]), np.stack([alg.right_mult(u) for u in us])
 
     def ad(self, g: int) -> np.ndarray:
         """Coordinate matrix of x -> u_g x u_g^-1 on the crossed product."""
-        alg = self.cp.algebra
-        return alg.left_mult(self.cp.u(g)) @ alg.right_mult(self.cp.u(self.group.inv(g)))
-
-
-@dataclass(eq=False)
-class CosetProjection:
-    ctx: CrossedContext
-    g: int
-    h: int
-    mask: np.ndarray
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.mask * v
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.mask)
+        lu, ru = self.u_mult
+        return lu[g] @ ru[self.group.inv(g)]
 
 
 # -- scaling conjugation (covariance) -----------------------------------------
+#
+# These take stacks (..., n^2, n) of derivation matrices of A x| G.
 
-def scaling_conjugation(ctx: CrossedContext, g: int, d: Derivation) -> Derivation:
-    """The conjugated derivation x -> u_g* . d(u_g x u_g*) . u_g."""
-    gi = ctx.group.inv(g)
-    mat = ctx.left_u(gi, g) @ d.matrix @ ctx.ad(g)
-    return Derivation(ctx.big, mat)
+def scaling_conjugation(ctx: CrossedContext, g: int, mats: np.ndarray) -> np.ndarray:
+    """The conjugated derivations x -> u_g* . d(u_g x u_g*) . u_g."""
+    lu, ru = ctx.u_mult
+    return ctx.big.apply((lu[ctx.group.inv(g)], ru[g]), mats) @ ctx.ad(g)
 
 
-def average_scaling(ctx: CrossedContext, d: Derivation) -> Derivation:
+def average_scaling(ctx: CrossedContext, mats: np.ndarray) -> np.ndarray:
     """Group average of the scaling conjugations; lands on the derivations
     vanishing on the copy of C[G]."""
     k = ctx.group.order
-    acc = np.zeros_like(d.matrix)
-    for g in range(k):
-        acc += scaling_conjugation(ctx, g, d).matrix
-    return Derivation(ctx.big, acc / k)
+    return sum(scaling_conjugation(ctx, g, mats) for g in range(k)) / k
 
 
-def covariance_defect(ctx: CrossedContext, d: Derivation) -> float:
-    """Largest deviation of d from its scaling conjugates, relative to the
-    size of d."""
-    scale = max(1.0, frob(d.matrix))
-    worst = 0.0
+def covariance_defect(ctx: CrossedContext, mats: np.ndarray) -> np.ndarray:
+    """Largest Frobenius deviation of each derivation from its scaling
+    conjugates, relative to max(1, its Frobenius norm)."""
+    mats = np.asarray(mats)
+    worst = np.zeros(mats.shape[:-2])
     for g in range(ctx.group.order):
-        worst = max(worst, frob(scaling_conjugation(ctx, g, d).matrix - d.matrix))
-    return worst / scale
-
-
-def is_covariant(ctx: CrossedContext, d: Derivation, tol: float = 1e-8) -> bool:
-    """Whether d is fixed by every scaling conjugation."""
-    return covariance_defect(ctx, d) <= tol
+        dev = np.linalg.norm(scaling_conjugation(ctx, g, mats) - mats, axis=(-2, -1))
+        worst = np.maximum(worst, dev)
+    return worst / np.maximum(1.0, np.linalg.norm(mats, axis=(-2, -1)))
 
 
 # -- extension and restriction --------------------------------------------------
 
-def extend_vanishing(ctx: CrossedContext, d: Derivation, h: int) -> Derivation:
-    """Extension of a derivation of A to one of A x| G vanishing on C[G],
-    landing in the sectors with right group index h.
+def extend_vanishing(ctx: CrossedContext, mats: np.ndarray, h: int) -> np.ndarray:
+    """Extensions of derivations of A (a stack (..., dim_A^2, dim_A)) to
+    derivations of A x| G vanishing on C[G], landing in the sectors with
+    right group index h.
 
     On b u_m the value is sum_g (u_{g^-1} (x) (u_{g m})^op) . d(alpha_g(b)),
-    pushed right by u_e (x) u_h^op.
+    pushed right by u_e (x) u_h^op: one contraction for every argument
+    b_j u_m at once, summed over g, with the leg factors left_mult(u_{g^-1})
+    and left_mult(u_h) right_mult(u_{g m}) restricted to the (e, e) sector,
+    where A (x) A^op sits.
     """
-    grp, cp = ctx.group, ctx.cp
-    k = grp.order
-    nb = cp.base.dim
-    act = cp.action.matrices
-    cols = np.zeros((ctx.big.dim, cp.algebra.dim), dtype=complex)
-    push = ctx.right_u(grp.identity, h)
-    for j in range(nb):
-        ej = cp.base.basis(j)
-        for m in range(k):
-            acc = np.zeros(ctx.big.dim, dtype=complex)
-            for g in range(k):
-                v = d.matrix @ (act[g] @ ej)
-                acc += ctx.left_u(grp.inv(g), grp.mul(g, m)) @ ctx.embed_center(v)
-            cols[:, j * k + m] = push @ acc
-    return Derivation(ctx.big, cols)
+    cp, grp = ctx.cp, ctx.group
+    k, nb, n = grp.order, cp.base.dim, cp.algebra.dim
+    lu, ru = ctx.u_mult
+    left = lu[grp.inverse] @ cp.embed_base  # (g, n, nb)
+    right = lu[h] @ ru[grp.table] @ cp.embed_base  # (g, m, n, nb)
+    mats = np.asarray(mats)
+    lead = mats.shape[:-2]
+    # d(alpha_g(b_j)) on both base legs: (..., g, i, i', j)
+    vals = (mats[..., None, :, :] @ cp.action.matrices).reshape(*lead, k, nb, nb, nb)
+    out = np.einsum("gpi,gmqk,...gikj->...pqjm", left, right, vals, optimize=True)
+    return out.reshape(*lead, n * n, n)
 
 
-def restrict_component(ctx: CrossedContext, d: Derivation, g: int, h: int) -> Derivation:
-    """Component D_{g,h} of a derivation of A x| G, as a derivation of A.
+def restrict_component(ctx: CrossedContext, mats: np.ndarray, g: int, h: int) -> np.ndarray:
+    """Component D_{g,h} of derivations of A x| G (a stack (..., n^2, n)),
+    as derivations of A.
 
-    Cuts d|_A to the (g, h) sector and translates it back to the (e, e)
-    sector, i.e. to the standard A-bimodule.
+    Cuts d|_A to the (g, h) sector and pulls it back to the (e, e) sector,
+    i.e. to the standard A-bimodule, by right multiplication with
+    u_{g^-1} (x) (u_{h^-1})^op; its leg factors right_mult(u_{g^-1}) and
+    left_mult(u_{h^-1}) are applied restricted to the two sectors.
     """
-    grp, cp = ctx.group, ctx.cp
-    mask = ctx.coset_mask(g, h)
-    pull = ctx.right_u(grp.inv(g), grp.inv(h))
-    nb = cp.base.dim
-    cols = np.zeros((ctx.base.dim, nb), dtype=complex)
-    for j in range(nb):
-        xi = d.matrix @ cp.lift(cp.base.basis(j))
-        cols[:, j] = ctx.extract_center(pull @ (mask * xi))
-    return Derivation(ctx.base, cols)
+    cp, grp = ctx.cp, ctx.group
+    n, nb = cp.algebra.dim, cp.base.dim
+    rows, cols = ctx.coset_mask(g, h)
+    centre = ctx.group_index == grp.identity
+    lu, ru = ctx.u_mult
+    pull = (ru[grp.inv(g)][np.ix_(centre, rows)], lu[grp.inv(h)][np.ix_(centre, cols)])
+    mats = np.asarray(mats)
+    lead = mats.shape[:-2]
+    vals = (mats @ cp.embed_base).reshape(*lead, n, n, nb)
+    cut = vals[..., rows, :, :][..., cols, :]
+    return ctx.base.apply(pull, cut.reshape(*lead, nb * nb, nb))
 
 
 def vanishing_space(ctx: CrossedContext) -> DerivationSpace:
@@ -499,7 +405,7 @@ class VanishingDecomposition:
 
     ctx: CrossedContext
     space: DerivationSpace
-    components: list[list[Derivation]]  # components[r][h]
+    components: np.ndarray  # (r, |G|, dim_A^2, dim_A): components[r, h] = D_h
     residuals: np.ndarray
 
     @property
@@ -510,16 +416,8 @@ class VanishingDecomposition:
 def decompose_vanishing(ctx: CrossedContext, space: DerivationSpace) -> VanishingDecomposition:
     """Split each basis derivation D into components D_h := D_{e,h} and verify
     D = sum_h (D_h)^h."""
-    grp = ctx.group
-    e = grp.identity
-    comps: list[list[Derivation]] = []
-    residuals = np.zeros(space.rank)
-    for r in range(space.rank):
-        d = space.derivation(r)
-        per_h = [restrict_component(ctx, d, e, h) for h in range(grp.order)]
-        comps.append(per_h)
-        back = sum(
-            extend_vanishing(ctx, per_h[h], h).matrix for h in range(grp.order)
-        )
-        residuals[r] = frob(back - d.matrix)
+    e, k = ctx.group.identity, ctx.group.order
+    comps = np.stack([restrict_component(ctx, space.basis, e, h) for h in range(k)], axis=1)
+    back = sum(extend_vanishing(ctx, comps[:, h], h) for h in range(k))
+    residuals = np.linalg.norm(back - space.basis, axis=(1, 2))
     return VanishingDecomposition(ctx, space, comps, residuals)

@@ -51,7 +51,7 @@ import numpy as np
 # gram_onb is no longer called here; the name stays bound because
 # benchmark/tracing.py hooks steinlab.vndim.gram_onb
 from ._linalg import batched_svd, gram_onb, onb_transform, rank_split  # noqa: F401
-from .derivations import Bimodule, CrossedContext, DerivationSpace
+from .derivations import Bimodule, CrossedContext, DerivationSpace, commutator_span
 from .errors import NotGenerating, NotRightClosed
 
 # largest relative residual of a right operator's image off the span that
@@ -321,11 +321,8 @@ def inner_derivation_module(alg, gens: np.ndarray) -> ModuleSubspace:
     if not generates(alg, list(gens.T)):
         raise NotGenerating("argument set does not generate the algebra")
     k = gens.shape[1]
-    blocks = []
-    for j in range(k):
-        x = gens[:, j]
-        blocks.append(bim.act_left(x) - bim.act_right(x))
-    span = np.vstack(blocks)  # columns = phi_X([., xi_m]) for basis xi_m
+    # columns = phi_X([., xi_m]) for basis xi_m
+    span = commutator_span(bim, gens, np.eye(bim.dim)).reshape(k * bim.dim, bim.dim)
     return ModuleSubspace((alg.gram, alg.gram), k, span,
                           _right_ops(alg, _with_stars(alg, gens)),
                           _block_traces(bim, k), label=f"inner({alg.label})")

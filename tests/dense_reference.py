@@ -1,0 +1,147 @@
+"""Dense reference formulas for the bimodule layer.
+
+Every operator on L^2(N), N = A (x) A^op, is written out here as an
+(n^2, n^2) np.kron matrix and applied one column, one group element at a
+time, as the package did before it applied kron factor pairs to stacks.
+The tests compare the package against these formulas; the package itself
+never forms these matrices.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def act_left(alg, x):
+    """Left bimodule action of x in A: kron(left_mult(x), 1)."""
+    return np.kron(alg.left_mult(x), np.eye(alg.dim))
+
+
+def act_right(alg, y):
+    """Right bimodule action of y in A: kron(1, right_mult(y))."""
+    return np.kron(np.eye(alg.dim), alg.right_mult(y))
+
+
+def left_pair(alg, x, y):
+    """Left multiplication by the element x (x) y^op of N."""
+    return np.kron(alg.left_mult(x), alg.right_mult(y))
+
+
+def right_pair(alg, x, y):
+    """Right multiplication by the element x (x) y^op of N."""
+    return np.kron(alg.right_mult(x), alg.left_mult(y))
+
+
+def gram(alg):
+    """GNS Gram matrix of L^2(N)."""
+    return np.kron(alg.gram, alg.gram)
+
+
+def inner(alg, v, w) -> complex:
+    """GNS inner product of L^2(N), linear in v."""
+    return complex(np.conj(w) @ (gram(alg) @ v))
+
+
+def norm(alg, v) -> float:
+    return float(np.sqrt(max(inner(alg, v, v).real, 0.0)))
+
+
+def leibniz_residual(alg, mat) -> float:
+    """Largest GNS norm of d(b_i b_j) - b_i . d(b_j) - d(b_i) . b_j."""
+    rights = [act_right(alg, alg.basis(j)) for j in range(alg.dim)]
+    worst = 0.0
+    for i in range(alg.dim):
+        ei = alg.basis(i)
+        li = act_left(alg, ei)
+        di = mat @ ei
+        for j in range(alg.dim):
+            lhs = mat @ alg.mul(ei, alg.basis(j))
+            rhs = li @ (mat @ alg.basis(j)) + rights[j] @ di
+            worst = max(worst, norm(alg, lhs - rhs))
+    return worst
+
+
+def commutator_derivation(alg, xi):
+    """Matrix of the inner derivation x -> x xi - xi x."""
+    return np.column_stack(
+        [(act_left(alg, alg.basis(j)) - act_right(alg, alg.basis(j))) @ xi for j in range(alg.dim)]
+    )
+
+
+def _center_index(ctx):
+    """Big-module indices of the (e, e) sector, in base kron order."""
+    nb, k, n = ctx.cp.base.dim, ctx.group.order, ctx.cp.algebra.dim
+    e = ctx.group.identity
+    ii, jj = np.meshgrid(np.arange(nb), np.arange(nb), indexing="ij")
+    return ((ii * k + e) * n + (jj * k + e)).reshape(-1)
+
+
+def coset_mask(ctx, g, h):
+    """0/1 selector of the sector L^2(N)(u_g (x) u_h^op) on the big module."""
+    n, k = ctx.cp.algebra.dim, ctx.group.order
+    idx = np.arange(n * n)
+    return (((idx // n) % k == g) & (idx % k == h)).astype(float)
+
+
+def extend_vanishing(ctx, mat, h):
+    """On b u_m: sum_g (u_{g^-1} (x) (u_{g m})^op) . d(alpha_g(b)), pushed
+    right by u_e (x) u_h^op."""
+    cp, grp = ctx.cp, ctx.group
+    calg = cp.algebra
+    k, nb = grp.order, cp.base.dim
+    centre = _center_index(ctx)
+    cols = np.zeros((calg.dim**2, calg.dim), dtype=complex)
+    push = right_pair(calg, cp.u(grp.identity), cp.u(h))
+    for j in range(nb):
+        ej = cp.base.basis(j)
+        for m in range(k):
+            acc = np.zeros(calg.dim**2, dtype=complex)
+            for g in range(k):
+                v = np.zeros(calg.dim**2, dtype=complex)
+                v[centre] = mat @ (cp.action.matrices[g] @ ej)
+                acc += left_pair(calg, cp.u(grp.inv(g)), cp.u(grp.mul(g, m))) @ v
+            cols[:, j * k + m] = push @ acc
+    return cols
+
+
+def restrict_component(ctx, mat, g, h):
+    """d|_A cut to the (g, h) sector and pulled back to the (e, e) sector."""
+    cp, grp = ctx.cp, ctx.group
+    mask = coset_mask(ctx, g, h)
+    pull = right_pair(cp.algebra, cp.u(grp.inv(g)), cp.u(grp.inv(h)))
+    centre = _center_index(ctx)
+    cols = np.zeros((cp.base.dim**2, cp.base.dim), dtype=complex)
+    for j in range(cp.base.dim):
+        xi = mat @ cp.lift(cp.base.basis(j))
+        cols[:, j] = (pull @ (mask * xi))[centre]
+    return cols
+
+
+def scaling_conjugation(ctx, g, mat):
+    """x -> u_g* . d(u_g x u_g*) . u_g."""
+    cp, grp = ctx.cp, ctx.group
+    return left_pair(cp.algebra, cp.u(grp.inv(g)), cp.u(g)) @ mat @ ctx.ad(g)
+
+
+def covariance_defect(ctx, mat) -> float:
+    scale = max(1.0, np.linalg.norm(mat))
+    return max(
+        np.linalg.norm(scaling_conjugation(ctx, g, mat) - mat) for g in range(ctx.group.order)
+    ) / scale
+
+
+# -- spans of derivations, through the public pairing --------------------------
+
+def distance(space, mat) -> float:
+    """<., .>_X distance from a derivation matrix to the span of an
+    orthonormal derivation space."""
+    coef = np.array([space.pair(mat, b) for b in space.basis])
+    rem = mat - np.einsum("r,rpj->pj", coef, space.basis)
+    return float(np.sqrt(max(space.pair(rem, rem).real, 0.0)))
+
+
+def same_span(a, b, tol: float = 1e-8) -> bool:
+    if a.rank != b.rank:
+        return False
+    worst = max([distance(a, m) for m in b.basis] + [distance(b, m) for m in a.basis], default=0.0)
+    return worst <= tol

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,16 +14,16 @@ from steinlab import (
     average_scaling,
     central_projection_element,
     central_vectors,
-    commutator_derivation,
+    commutator_span,
     covariance_defect,
     crossed_product,
     cyclic,
     decompose_vanishing,
     derivation_space,
+    dual_action,
     extend_vanishing,
     group_algebra,
     inner_derivations,
-    is_covariant,
     matrix_units,
     multimatrix,
     permutation_action,
@@ -29,12 +31,16 @@ from steinlab import (
     relative_derivations,
     restrict_component,
     scaling_conjugation,
+    symmetric_3,
     trivial_action,
+    UnitsInvalid,
     vanishing_space,
     validate,
     vn_dimension,
 )
 from steinlab.derivations import leibniz_system
+
+import dense_reference as ref
 
 M2 = multimatrix([(2, 1.0)], label="M2")
 
@@ -54,8 +60,8 @@ def einsum_leibniz_system(bim: Bimodule) -> np.ndarray:
     """Reference: the dense Leibniz system from three 5-index einsum terms."""
     alg = bim.algebra
     n, nn = alg.dim, bim.dim
-    lops = np.stack([bim.act_left(alg.basis(i)) for i in range(n)])
-    rops = np.stack([bim.act_right(alg.basis(i)) for i in range(n)])
+    lops = np.stack([ref.act_left(alg, alg.basis(i)) for i in range(n)])
+    rops = np.stack([ref.act_right(alg, alg.basis(i)) for i in range(n)])
     eye_n, eye_nn = np.eye(n), np.eye(nn)
     t1 = np.einsum("ijk,pq->pijqk", alg.mult, eye_nn)
     t2 = np.einsum("ipq,jk->pijqk", lops, eye_n)
@@ -89,10 +95,9 @@ def test_commutator_derivations_live_in_the_space():
     bim = space.bim
     rng = np.random.default_rng(2)
     xi = rng.standard_normal(bim.dim) + 1j * rng.standard_normal(bim.dim)
-    d = commutator_derivation(bim, xi)
+    d = Derivation(bim, commutator_span(bim, np.eye(M2.dim), xi[:, None])[:, :, 0].T)
     assert d.leibniz_residual() < 1e-9
-    assert space.contains(d)
-    assert space.distance(d) < 1e-8
+    assert ref.distance(space, d.matrix) < 1e-8
 
 
 @pytest.mark.parametrize(
@@ -103,7 +108,7 @@ def test_commutator_derivations_live_in_the_space():
 def test_inner_derivations_exhaust_the_space(alg):
     full = derivation_space(alg)
     inner = inner_derivations(alg)
-    assert full.same_span(inner)
+    assert ref.same_span(full, inner)
 
 
 def test_linear_rank_counts_non_central_directions():
@@ -118,8 +123,7 @@ def test_central_vectors_of_diagonal_algebra():
     c3 = multimatrix([(1, 0.5), (1, 0.3), (1, 0.2)])
     q = central_vectors(c3, np.eye(3, dtype=complex))
     assert q.shape[1] == 3
-    bim = Bimodule(c3)
-    gram = q.conj().T @ (bim.gram @ q)
+    gram = q.conj().T @ (ref.gram(c3) @ q)
     assert np.max(np.abs(gram - np.eye(3))) < 1e-10
 
 
@@ -146,7 +150,7 @@ def test_vanishing_space_shortcut_matches(ctx_c2):
     cp = ctx_c2.cp
     space = derivation_space(cp.algebra, bim=ctx_c2.big)
     van = relative_derivations(space, cp.embed_group, check_subalgebra=False)
-    assert vanishing_space(ctx_c2).same_span(van)
+    assert ref.same_span(vanishing_space(ctx_c2), van)
 
 
 def test_extend_then_restrict_is_identity(ctx_c2):
@@ -155,11 +159,11 @@ def test_extend_then_restrict_is_identity(ctx_c2):
     for r in range(base_space.rank):
         d = base_space.derivation(r)
         for h in range(grp.order):
-            ext = extend_vanishing(ctx_c2, d, h)
+            ext = Derivation(ctx_c2.big, extend_vanishing(ctx_c2, d.matrix, h))
             assert ext.leibniz_residual() < 1e-9
             assert ext.restricted_norm(ctx_c2.cp.embed_group) < 1e-9
-            back = restrict_component(ctx_c2, ext, grp.identity, h)
-            assert np.max(np.abs(back.matrix - d.matrix)) < 1e-10
+            back = restrict_component(ctx_c2, ext.matrix, grp.identity, h)
+            assert np.max(np.abs(back - d.matrix)) < 1e-10
 
 
 def test_vanishing_derivations_reassemble_from_components(ctx_m2):
@@ -172,37 +176,38 @@ def test_vanishing_derivations_reassemble_from_components(ctx_m2):
 
 def test_scaling_conjugations_form_a_group_action(ctx_m2):
     space = derivation_space(ctx_m2.cp.algebra, bim=ctx_m2.big)
-    d = space.derivation(0)
+    d = space.basis[0]
     grp = ctx_m2.group
     ident = scaling_conjugation(ctx_m2, grp.identity, d)
-    assert np.max(np.abs(ident.matrix - d.matrix)) < 1e-12
+    assert np.max(np.abs(ident - d)) < 1e-12
     for g in range(grp.order):
         for h in range(grp.order):
             lhs = scaling_conjugation(ctx_m2, g, scaling_conjugation(ctx_m2, h, d))
             rhs = scaling_conjugation(ctx_m2, grp.mul(h, g), d)
-            assert np.max(np.abs(lhs.matrix - rhs.matrix)) < 1e-10
+            assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 def test_average_scaling_is_covariant_and_vanishes(ctx_m2):
     space = derivation_space(ctx_m2.cp.algebra, bim=ctx_m2.big)
-    for r in range(min(space.rank, 3)):
-        avg = average_scaling(ctx_m2, space.derivation(r))
+    avgs = average_scaling(ctx_m2, space.basis[:3])
+    assert covariance_defect(ctx_m2, avgs).max() < 1e-9
+    for avg in avgs:
+        avg = Derivation(ctx_m2.big, avg)
         assert avg.leibniz_residual() < 1e-9
-        assert covariance_defect(ctx_m2, avg) < 1e-9
         assert avg.restricted_norm(ctx_m2.cp.embed_group) < 1e-8
 
 
 def test_covariance_detects_both_directions(ctx_m2):
     base_space = derivation_space(ctx_m2.cp.base, bim=ctx_m2.base)
-    ext = extend_vanishing(ctx_m2, base_space.derivation(0), 1)
-    assert is_covariant(ctx_m2, ext)
+    ext = extend_vanishing(ctx_m2, base_space.basis[0], 1)
+    assert covariance_defect(ctx_m2, ext) <= 1e-8
     # an inner derivation by a group unitary is not covariant and does not
     # vanish on the group algebra
-    xi = ctx_m2.big.embed(ctx_m2.cp.u(1), ctx_m2.cp.algebra.unit)
-    d = commutator_derivation(ctx_m2.big, xi)
-    assert covariance_defect(ctx_m2, d) > 1e-3
+    big = ctx_m2.big
+    xi = big.embed(ctx_m2.cp.u(1), ctx_m2.cp.algebra.unit)
+    d = Derivation(big, commutator_span(big, np.eye(big.algebra.dim), xi[:, None])[:, :, 0].T)
+    assert covariance_defect(ctx_m2, d.matrix) > 1e-3
     assert d.restricted_norm(ctx_m2.cp.embed_group) > 1e-3
-    assert not is_covariant(ctx_m2, d)
 
 
 def test_coset_masks_partition_the_bimodule(ctx_m2):
@@ -210,40 +215,68 @@ def test_coset_masks_partition_the_bimodule(ctx_m2):
     total = np.zeros(ctx_m2.big.dim)
     for g in range(grp.order):
         for h in range(grp.order):
-            mask = ctx_m2.coset_mask(g, h)
-            assert set(np.unique(mask)) <= {0.0, 1.0}
+            left, right = ctx_m2.coset_mask(g, h)
+            mask = np.outer(left, right).ravel()
+            assert np.array_equal(mask, ref.coset_mask(ctx_m2, g, h))
             total = total + mask
     assert np.allclose(total, 1.0)
 
 
 def test_coset_projection_matrix_is_idempotent(ctx_c2):
-    proj = ctx_c2.coset_projection(1, 0)
-    m = proj.matrix
+    # the sector projection is the kron pair of its diagonal leg masks
+    left, right = ctx_c2.coset_mask(1, 0)
+    pair = (np.diag(left.astype(float)), np.diag(right.astype(float)))
+    m = np.kron(*pair)
     assert np.allclose(m @ m, m)
-    v = np.arange(ctx_c2.big.dim, dtype=complex)
-    assert np.allclose(proj.apply(v), m @ v)
+    v = np.arange(ctx_c2.big.dim, dtype=complex)[:, None]
+    assert np.allclose(ctx_c2.big.apply(pair, v), m @ v)
+    assert np.allclose(ctx_c2.big.apply(pair, ctx_c2.big.apply(pair, v)), m @ v)
 
 
 def test_central_projection_element_of_m2():
     blocks = [(2, 1.0)]
     bim = Bimodule(M2)
-    p, left_p = central_projection_element(M2, matrix_units(blocks), bim)
+    p, pairs = central_projection_element(M2, matrix_units(blocks), bim)
+    # the kron pairs sum to left multiplication by p
+    left_p = sum(np.kron(a, b) for a, b in pairs)
+    units = matrix_units(blocks)[0]
+    want = sum(ref.left_pair(M2, units[j, k], units[k, j]) / 2 for j in range(2) for k in range(2))
+    assert np.max(np.abs(left_p - want)) < 1e-12
     # left action agrees with the orthogonal projection onto central vectors
     q = central_vectors(M2, np.eye(4, dtype=complex), bim)
-    proj = q @ (q.conj().T @ bim.gram)
+    w = ref.gram(M2)
+    proj = q @ (q.conj().T @ w)
     assert np.max(np.abs(left_p - proj)) < 1e-10
     # idempotent, self-adjoint for the GNS form, trace 1/4
     assert np.max(np.abs(left_p @ left_p - left_p)) < 1e-10
-    w = bim.gram
     assert np.max(np.abs(w @ left_p - left_p.conj().T @ w)) < 1e-10
     trace_val = np.conj(bim.unit) @ (w @ p)
     assert abs(trace_val - 0.25) < 1e-12
 
 
+def test_central_projection_element_checks_the_matrix_units():
+    m2c_blocks = [(2, 0.6), (1, 0.4)]
+    alg = multimatrix(m2c_blocks)
+    units = matrix_units(m2c_blocks)
+    p, pairs = central_projection_element(alg, units)
+    assert len(pairs) == 5
+    swapped = [units[0].transpose(1, 0, 2), units[1]]  # e_jk <-> e_kj breaks e_jk e_kl = e_jl
+    mixed = [units[0][::-1], units[1]]  # e_11 <-> e_21 breaks the star relation
+    bad = {
+        "unit array must be square": [units[0][:, :1], units[1]],
+        "star does not transpose": mixed,
+        "units do not sum to the identity": [units[0]],
+        "matrix unit relations fail": swapped,
+    }
+    for message, case in bad.items():
+        with pytest.raises(UnitsInvalid, match=message):
+            central_projection_element(alg, case)
+
+
 def test_derivation_metric_and_coefficients():
     space = derivation_space(M2)
     d = space.derivation(1)
-    coef = space.coefficients(d)
+    coef = np.array([space.pair(d, b) for b in space.basis])
     rebuilt = np.einsum("r,rpj->pj", coef, space.basis)
     assert np.max(np.abs(rebuilt - d.matrix)) < 1e-9
 
@@ -251,7 +284,7 @@ def test_derivation_metric_and_coefficients():
 def test_zero_derivation_is_contained():
     space = derivation_space(M2)
     zero = Derivation(space.bim, np.zeros((space.bim.dim, M2.dim)))
-    assert space.contains(zero)
+    assert ref.distance(space, zero.matrix) <= 1e-8
     assert zero.leibniz_residual() == 0.0
 
 
@@ -300,3 +333,96 @@ def test_unstructured_basis_hits_the_dense_limit_at_dim_12():
     assert validate(alg).passed
     with pytest.raises(DenseLimitExceeded, match="exceeds the dense limit of 1600"):
         derivation_space(alg)
+
+
+# -- the kron-pair bimodule layer against the dense reference formulas ----------
+
+def _c3_s3():
+    c3 = multimatrix([(1, 1 / 3)] * 3, label="C^3")
+    s3 = symmetric_3()
+    # the elements of S3 are the permutations of (0, 1, 2), in table order
+    perms = [list(p) for p in itertools.permutations(range(3))]
+    return crossed_product(c3, permutation_action(s3, c3, perms))
+
+
+def _m2c_z2():
+    m2c = multimatrix([(2, 2 / 3), (1, 1 / 3)])
+    sign = np.array([1, 0, 0, -1, 1], dtype=complex)
+    return crossed_product(m2c, ad_action(cyclic(2), m2c, np.stack([m2c.unit, sign])))
+
+
+CROSSED = {
+    "C^2 x| Z/2": lambda: crossed_product(
+        multimatrix([(1, 0.5), (1, 0.5)]),
+        permutation_action(cyclic(2), multimatrix([(1, 0.5), (1, 0.5)]), [[0, 1], [1, 0]]),
+    ),
+    "M2+C x| Z/2 (ad)": _m2c_z2,
+    "C[Z/3] x| Z/3 (dual)": lambda: crossed_product(dual_action(3).algebra, dual_action(3)),
+    "C^3 x| S3": _c3_s3,
+}
+
+
+@pytest.fixture(scope="module", params=list(CROSSED))
+def crossed(request):
+    """A crossed product with derivations of A and of A x| G: the basis of
+    Der(A) and, for A x| G, a few basis elements plus a random combination
+    and a random matrix that is no derivation."""
+    ctx = CrossedContext(CROSSED[request.param]())
+    base = derivation_space(ctx.cp.base, bim=ctx.base).basis
+    space = derivation_space(ctx.cp.algebra, bim=ctx.big)
+    rng = np.random.default_rng(11)
+    mix = np.einsum("r,rpj->pj", rng.standard_normal(space.rank), space.basis)
+    noise = rng.standard_normal(space.basis.shape[1:]) + 1j * rng.standard_normal(space.basis.shape[1:])
+    big = np.concatenate([space.basis[:3], mix[None], noise[None]])
+    return ctx, base, big
+
+
+def test_extend_vanishing_matches_dense_reference(crossed):
+    ctx, base, _ = crossed
+    for h in range(ctx.group.order):
+        got = extend_vanishing(ctx, base, h)
+        for d, ext in zip(base, got):
+            assert np.max(np.abs(ext - ref.extend_vanishing(ctx, d, h))) < 1e-12
+
+
+def test_restrict_component_matches_dense_reference(crossed):
+    ctx, _, big = crossed
+    k = ctx.group.order
+    for g in range(k):
+        for h in range(k):
+            got = restrict_component(ctx, big, g, h)
+            for d, comp in zip(big, got):
+                assert np.max(np.abs(comp - ref.restrict_component(ctx, d, g, h))) < 1e-12
+
+
+def test_scaling_conjugation_matches_dense_reference(crossed):
+    ctx, _, big = crossed
+    for g in range(ctx.group.order):
+        got = scaling_conjugation(ctx, g, big)
+        for d, conj in zip(big, got):
+            assert np.max(np.abs(conj - ref.scaling_conjugation(ctx, g, d))) < 1e-12
+    defects = covariance_defect(ctx, big)
+    assert np.allclose(defects, [ref.covariance_defect(ctx, d) for d in big], rtol=0, atol=1e-12)
+
+
+def test_leibniz_residual_matches_dense_reference(crossed):
+    ctx, _, big = crossed
+    alg = ctx.cp.algebra
+    for d in big:
+        got = Derivation(ctx.big, d).leibniz_residual()
+        assert abs(got - ref.leibniz_residual(alg, d)) < 1e-12 * max(1.0, got)
+
+
+def test_commutator_span_matches_dense_reference(crossed):
+    ctx, _, _ = crossed
+    bim, alg = ctx.big, ctx.cp.algebra
+    rng = np.random.default_rng(12)
+    xs = rng.standard_normal((alg.dim, 3)) + 1j * rng.standard_normal((alg.dim, 3))
+    xis = rng.standard_normal((bim.dim, 2)) + 1j * rng.standard_normal((bim.dim, 2))
+    got = commutator_span(bim, xs, xis)
+    for x, block in zip(xs.T, got):
+        want = (ref.act_left(alg, x) - ref.act_right(alg, x)) @ xis
+        assert np.max(np.abs(block - want)) < 1e-12
+    # the derivation [., xi] is the span at the basis of A
+    inner = commutator_span(bim, np.eye(alg.dim), xis[:, :1])[:, :, 0].T
+    assert np.max(np.abs(inner - ref.commutator_derivation(alg, xis[:, 0]))) < 1e-12

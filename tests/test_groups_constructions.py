@@ -13,6 +13,7 @@ from steinlab import (
     ad_action,
     center_basis,
     characters,
+    commutator_span,
     crossed_product,
     cyclic,
     dihedral_4,
@@ -36,6 +37,8 @@ from steinlab import (
     trivial_action,
     validate_action,
 )
+
+import dense_reference as ref
 
 # -- groups ---------------------------------------------------------------------
 
@@ -321,8 +324,9 @@ def test_group_central_family_is_orthonormal_and_central():
     bim = Bimodule(ga)
     fam = group_central_family(g)
     assert fam.shape == (16, 4)
-    gram = fam.conj().T @ (bim.gram @ fam)
+    gram = fam.conj().T @ (ref.gram(ga) @ fam)
     assert np.max(np.abs(gram - np.eye(4))) < 1e-12
     for a in range(4):
         ua = ga.basis(a)
-        assert np.max(np.abs(bim.act_left(ua) @ fam - bim.act_right(ua) @ fam)) < 1e-12
+        assert np.max(np.abs(ref.act_left(ga, ua) @ fam - ref.act_right(ga, ua) @ fam)) < 1e-12
+    assert np.max(np.abs(commutator_span(bim, np.eye(4), fam))) < 1e-12

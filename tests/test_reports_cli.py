@@ -226,13 +226,76 @@ def test_cli_run_fails_at_tight_tolerance(tmp_path, capsys):
     )
     code = main(["run", path, "--tolerance", "1e-30", "--format", "json"])
     rows = json.loads(capsys.readouterr().out)["reports"][0]["rows"]
-    assert code == 1
     # the tolerance bounds |lhs - rhs| only; the closure test keeps its own
-    # threshold, so both sides are still computed
+    # threshold, so both sides are still computed, and a row fails exactly
+    # when its residual exceeds the tolerance (rounding may leave it at 0)
     assert [r["name"] for r in rows] == ["multimatrix_formula", "schreier_crossed"]
     for r in rows:
         assert all(isinstance(r[f], float) for f in ("lhs", "rhs", "residual"))
         assert r["note"] == ""
+        assert (r["status"] == "fail") == (r["residual"] > 1e-30)
+    assert (code == 1) == any(r["status"] == "fail" for r in rows)
+
+
+def test_cli_run_fails_on_a_residual_above_the_tolerance(tmp_path, capsys, monkeypatch):
+    # a deterministic residual of 2.2e-16: a fail at 1e-30, a pass at 1e-8
+    statement, _ = CHECKS["schreier_crossed"]
+    monkeypatch.setitem(
+        CHECKS, "schreier_crossed",
+        (statement, lambda rc: reports._cmp(1.0 + 2.0**-52, 1.0, rc.tol)),
+    )
+    path = write_spec(tmp_path, dict(C2_SPEC, checks=["schreier_crossed"]))
+    assert main(["run", path, "--tolerance", "1e-30", "--format", "json"]) == 1
+    row = json.loads(capsys.readouterr().out)["reports"][0]["rows"][0]
+    assert row["status"] == "fail"
+    assert row["residual"] == 2.0**-52
+    assert main(["run", path, "--tolerance", "1e-8", "--format", "json"]) == 0
+    capsys.readouterr()
+
+
+def test_cli_run_reports_a_trace_that_is_not_faithful(tmp_path, capsys):
+    # C^2 with the trace (1, 0): a tracial state with a zero Gram eigenvalue
+    def pairs(values):
+        arr = np.asarray(values, dtype=complex)
+        return np.stack([arr.real, arr.imag], axis=-1).tolist()
+
+    mult = np.zeros((2, 2, 2))
+    mult[0, 0, 0] = mult[1, 1, 1] = 1.0
+    spec = {
+        "label": "C^2, trace (1, 0)",
+        "algebra": {"dim": 2, "mult": pairs(mult), "star": pairs(np.eye(2)),
+                    "unit": pairs([1, 1]), "trace": pairs([1, 0])},
+        "group": "Z/2",
+    }
+    path = write_spec(tmp_path, spec)
+    assert main(["run", path, "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    rows = {r["name"]: r for r in json.loads(out)["reports"][0]["rows"]}
+    valid = rows["algebra_valid"]
+    assert valid["status"] == "fail"
+    assert valid["note"] == "trace not faithful: minimum Gram eigenvalue 0.000e+00"
+    assert rows["action_valid"]["status"] == "pass"
+    others = [r["status"] for name, r in rows.items() if name not in ("algebra_valid", "action_valid")]
+    assert others and set(others) == {"skipped"}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
+def test_cli_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tmp_path, capsys, monkeypatch, bad):
+    path = write_spec(tmp_path, dict(C2_SPEC, checks=["schreier_crossed"]))
+    for argv in (["run", path, f"--tolerance={bad}"], ["corpus", f"--tolerance={bad}"]):
+        assert main(argv) == 2
+        assert f"--tolerance={float(bad)!r} is not a finite number >= 0" in capsys.readouterr().err
+    monkeypatch.setenv("STEINLAB_TOL", bad)
+    for argv in (["run", path], ["corpus"]):
+        assert main(argv) == 2
+        assert f"STEINLAB_TOL={bad!r} is not a finite number >= 0" in capsys.readouterr().err
+    monkeypatch.delenv("STEINLAB_TOL")
+    spec_path = write_spec(tmp_path, dict(C2_SPEC, tolerance=float(bad)))
+    assert main(["run", spec_path]) == 2
+    assert f"tolerance={float(bad)!r} is not a finite number >= 0" in capsys.readouterr().err
+    with pytest.raises(SpecInvalid, match="not a finite number"):
+        ExperimentSpec.from_json(dict(C2_SPEC, tolerance=float(bad)))
 
 
 def test_cli_env_tolerance(tmp_path, capsys, monkeypatch):
