@@ -1,10 +1,11 @@
 """Rank decisions, nullspaces and metric orthonormalization.
 
 There is one rank cut, rank_split, shared by nullspace, batched_svd and
-gram_onb: singular values below max(scale * REL_CUT, ABS_CUT) count as
-zero, and the decision must be backed by a spectral gap of at least
-GAP_RATIO between the smallest kept and the largest dropped value,
-otherwise RankAmbiguous is raised. It is the only place that raises it.
+gram_onb: singular values up to rank_cut(scale) = max(scale * REL_CUT,
+ABS_CUT) count as zero, and the decision must be backed by a spectral
+gap of at least GAP_RATIO between the smallest kept and the largest
+dropped value, otherwise RankAmbiguous is raised. It is the only place
+that raises it.
 
 nullspace solves a matrix one connected block at a time. Up to a row and
 column permutation a matrix is block diagonal over the connected
@@ -15,13 +16,16 @@ column count, as the full SVD pads, so the union is the full matrix's
 padded spectrum; one rank_split on it, with the global scale, is the
 rank decision a full SVD makes, and each block contributes its right
 singular vectors below that single cut. batched_svd is that batching and
-cut on its own; vndim orthonormalizes spectral blocks with it.
+cut on its own; vndim orthonormalizes spectral blocks with it, and takes
+the rank of its block-diagonal coefficient matrix from the singular
+values alone.
 
 gram_onb orthonormalizes in a metric given by whitening factors, the
 upper Cholesky factor T (gram = T^H T) of each tensor leg, never by a
 Gram matrix: it whitens the vectors and takes one SVD through
 batched_svd (of the triangular factor of their QR, which has the same
-singular values and right singular vectors).
+singular values and right singular vectors), then re-orthonormalizes
+the result once by a Cholesky factor of its Gram.
 """
 
 from __future__ import annotations
@@ -56,6 +60,12 @@ class SparseSystem:
         return np.bincount(self.rows, prod.real, n) + 1j * np.bincount(self.rows, prod.imag, n)
 
 
+def rank_cut(scale: float) -> float:
+    """Largest singular value that counts as zero in a spectrum whose
+    largest value is scale."""
+    return max(scale * REL_CUT, ABS_CUT)
+
+
 def rank_split(svals: np.ndarray, scale: float | None = None) -> int:
     """Number of nonzero singular values in a descending array."""
     s = np.asarray(svals, dtype=float)
@@ -63,8 +73,7 @@ def rank_split(svals: np.ndarray, scale: float | None = None) -> int:
         return 0
     if scale is None:
         scale = s[0]
-    cut = max(scale * REL_CUT, ABS_CUT)
-    kept = int(np.sum(s > cut))
+    kept = int(np.sum(s > rank_cut(scale)))
     if 0 < kept < s.size:
         top_dropped = s[kept]
         if top_dropped > 0 and s[kept - 1] / top_dropped < GAP_RATIO:
@@ -176,28 +185,44 @@ def nullspace(mat: np.ndarray | SparseSystem, max_block: int | None = None) -> n
     return out
 
 
-def batched_svd(stacks: list[np.ndarray], all_right: bool = False) -> list[tuple]:
+def batched_svd(
+    stacks: list[np.ndarray], all_right: bool = False, vectors: bool = True
+) -> list[tuple]:
     """SVD of many blocks with one rank decision, as for their direct sum.
 
     stacks holds (count, rows, cols) arrays, one per block shape, each taken
     by one batched SVD. Every block's spectrum is zero-padded to its column
     count; one rank_split on the union, with the global scale, is the cut.
     Returns (u, s, vh, kept) per stack, kept[b, j] marking the singular
-    values of block b above the cut (a prefix of each padded spectrum).
+    values of block b above the cut (a prefix of each padded spectrum);
+    with vectors=False only the singular values are computed, and u and vh
+    are None.
     """
     svds = []
     for stack in stacks:
         _, r, c = stack.shape
-        # economy SVD only returns all right-singular vectors when r >= c
-        u, s, vh = np.linalg.svd(stack, full_matrices=all_right and r < c)
-        s = np.concatenate([s, np.zeros((s.shape[0], c - s.shape[1]))], axis=1)
+        if vectors:
+            # economy SVD only returns all right-singular vectors when r >= c
+            u, s, vh = np.linalg.svd(stack, full_matrices=all_right and r < c)
+        else:
+            u, s, vh = None, np.linalg.svd(stack, compute_uv=False), None
+        if s.shape[1] < c:
+            s = np.concatenate([s, np.zeros((s.shape[0], c - s.shape[1]))], axis=1)
         svds.append((u, s, vh))
-    union = np.concatenate([s.ravel() for _, s, _ in svds] + [np.zeros(0)])
-    order = np.argsort(-union, kind="stable")
-    kept = np.zeros(union.size, dtype=bool)
-    kept[order[: rank_split(union[order])]] = True
-    parts = np.split(kept, np.cumsum([s.size for _, s, _ in svds])[:-1])
-    return [(u, s, vh, part.reshape(s.shape)) for (u, s, vh), part in zip(svds, parts)]
+    union = np.sort(np.concatenate([s.ravel() for _, s, _ in svds] + [np.zeros(0)]))[::-1]
+    rank = rank_split(union)
+    # the kept values are the rank largest ones, all above the cut
+    floor = union[rank - 1] if rank else np.inf
+    return [(u, s, vh, s >= floor) for u, s, vh in svds]
+
+
+def _whiten(v: np.ndarray, factors: tuple) -> np.ndarray:
+    """(T_0 (x) .. (x) T_{m-1} (x) 1) v, one matmul per leading leg."""
+    w, lead = v, 1
+    for t in factors:
+        w = np.matmul(t, w.reshape(lead, t.shape[1], -1))
+        lead *= t.shape[0]
+    return w.reshape(v.shape)
 
 
 def gram_onb(vectors: np.ndarray, factors: tuple = ()) -> np.ndarray:
@@ -214,21 +239,26 @@ def gram_onb(vectors: np.ndarray, factors: tuple = ()) -> np.ndarray:
     One SVD W = U S Vh through batched_svd, rank r by rank_split's cut,
     gives Q = V Vh^H[:r] / s[:r], whose whitened image is U[:, :r]. The
     SVD is taken of the triangular factor of W's QR, which has the same
-    S and Vh.
+    S and Vh. Dividing by the smallest kept singular values amplifies
+    rounding, so Q is then re-orthonormalized once by the Cholesky factor
+    L of its metric Gram G = L L^H: Q L^-H has Gram I to rounding, and
+    spans the same columns, so the rank decision is unchanged.
     """
     v = np.asarray(vectors, dtype=complex)
     if v.ndim != 2:
         raise ValueError("expected a matrix of column vectors")
-    w, lead = v, 1
-    for t in factors:
-        w = np.matmul(t, w.reshape(lead, t.shape[1], -1))
-        lead *= t.shape[0]
     # the SVD of the small factor needs no W-sized buffers
-    tri = np.linalg.qr(w.reshape(v.shape), mode="r")
-    del w
-    _, s, vh, kept = batched_svd([tri[None]])[0]
+    s, vh, kept = batched_svd([np.linalg.qr(_whiten(v, factors), mode="r")[None]])[0][1:]
     r = int(kept.sum())
-    return v @ (vh[0, :r].conj().T / s[0, :r])
+    q = v @ (vh[0, :r].conj().T / s[0, :r])
+    return q @ _inverse_cholesky(q, factors)
+
+
+def _inverse_cholesky(q: np.ndarray, factors: tuple) -> np.ndarray:
+    """L^-H for the Cholesky factor L of the whitened Gram L L^H of the
+    columns of q."""
+    w = _whiten(q, factors)
+    return np.linalg.inv(np.linalg.cholesky(w.conj().T @ w).conj().T)
 
 
 def onb_transform(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -82,6 +82,12 @@ class Bimodule:
         t = self.algebra.onb_factor
         return self.apply((t, t), v)
 
+    @cached_property
+    def leibniz_system(self) -> SparseSystem:
+        """The Leibniz system of the algebra (see leibniz_system), built
+        once per bimodule: it depends only on the algebra."""
+        return leibniz_system(self)
+
 
 @dataclass(eq=False)
 class Derivation:
@@ -92,7 +98,7 @@ class Derivation:
         """Largest GNS norm of d(b_i b_j) - b_i . d(b_j) - d(b_i) . b_j over
         basis pairs: the rows of leibniz_system applied to d."""
         n = self.bim.algebra.dim
-        res = leibniz_system(self.bim).dot(self.matrix.ravel())
+        res = self.bim.leibniz_system.dot(self.matrix.ravel())
         norms = np.linalg.norm(self.bim.whiten(res.reshape(self.bim.dim, n * n)), axis=0)
         return float(norms.max())
 
@@ -102,13 +108,29 @@ class Derivation:
         return float(np.linalg.norm(img, axis=0).max(initial=0.0))
 
 
-def commutator_span(bim: Bimodule, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
+def commutator_span(bim: Bimodule, xs: np.ndarray, xis) -> np.ndarray:
     """x . xi - xi . x for every column x of xs (elements of A) and xi of
-    xis (vectors of L^2(N)), shape (len x, n^2, len xi): block k holds the
-    values at x_k of the inner derivations [., xi]. With xis the identity
-    it is the matrix of xi -> ([x_k, xi])_k."""
+    xis, shape (len x, n^2, len xi): block k holds the values at x_k of the
+    inner derivations [., xi].
+
+    xis is an (n^2, m) array of vectors of L^2(N), or a factor pair
+    (va, vb) of (n, n) matrices standing for the n^2 columns of
+    kron(va, vb), which is never formed: then x . xi - xi . x is
+    kron(left_mult(x) va, vb) - kron(va, right_mult(x) vb). With the pair
+    (1, 1) it is the matrix of xi -> ([x_k, xi])_k.
+    """
     alg = bim.algebra
-    xs, xis = np.asarray(xs, dtype=complex), np.asarray(xis, dtype=complex)
+    xs = np.asarray(xs, dtype=complex)
+    if isinstance(xis, tuple):
+        va, vb = (np.asarray(v, dtype=complex) for v in xis)
+        n = alg.dim
+        out = np.empty((xs.shape[1], n, n, n, n), dtype=complex)
+        for k, x in enumerate(xs.T):
+            legs_a = np.stack([alg.left_mult(x) @ va, va])
+            legs_b = np.stack([vb, -alg.right_mult(x) @ vb])
+            np.einsum("tai,tbj->abij", legs_a, legs_b, out=out[k])
+        return out.reshape(xs.shape[1], bim.dim, bim.dim)
+    xis = np.asarray(xis, dtype=complex)
     out = np.empty((xs.shape[1], *xis.shape), dtype=complex)
     for k, x in enumerate(xs.T):
         left = bim.apply((alg.left_mult(x), None), xis)
@@ -196,13 +218,13 @@ def derivation_space(alg: FDAlgebra, bim: Bimodule | None = None) -> DerivationS
     inner_derivation_module is the route for such algebras.
     """
     bim = bim or Bimodule(alg)
-    return _space_from_vecs(bim, nullspace(leibniz_system(bim), max_block=_DENSE_LIMIT))
+    return _space_from_vecs(bim, nullspace(bim.leibniz_system, max_block=_DENSE_LIMIT))
 
 
 def inner_derivations(alg: FDAlgebra, bim: Bimodule | None = None) -> DerivationSpace:
     """Span of the commutator derivations [., xi], xi in N."""
     bim = bim or Bimodule(alg)
-    span = commutator_span(bim, np.eye(alg.dim), np.eye(bim.dim))
+    span = commutator_span(bim, np.eye(alg.dim), (np.eye(alg.dim), np.eye(alg.dim)))
     # (argument, N, xi) to row-major derivation vecs (N, argument) per xi
     return _space_from_vecs(bim, span.transpose(1, 0, 2).reshape(-1, bim.dim))
 
@@ -210,7 +232,8 @@ def inner_derivations(alg: FDAlgebra, bim: Bimodule | None = None) -> Derivation
 def central_vectors(alg: FDAlgebra, sub_cols: np.ndarray, bim: Bimodule | None = None) -> np.ndarray:
     """GNS-orthonormal basis of {v in N : b . v = v . b for all b in the span}."""
     bim = bim or Bimodule(alg)
-    rows = commutator_span(bim, np.asarray(sub_cols), np.eye(bim.dim))
+    eye = np.eye(alg.dim)
+    rows = commutator_span(bim, np.asarray(sub_cols), (eye, eye))
     return gram_onb(nullspace(rows.reshape(-1, bim.dim)), (alg.onb_factor, alg.onb_factor))
 
 

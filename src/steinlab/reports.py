@@ -532,8 +532,10 @@ def _chk_coset_projections(rc: RunContext):
     def stray(op, f):
         return float(np.abs(op[gi[:, None] != f[gi][None, :]]).max(initial=0.0))
 
-    # orthogonal resolution of identity: one group index per basis vector
-    worst = float(np.abs((gi[:, None] == same).sum(axis=1) - 1).max())
+    # the masks are orthogonal projections in the GNS metric, whose Gram is
+    # kron(gram, gram), exactly when the Gram vanishes between different
+    # group indices: tau(u_g* b* b' u_h) = 0 for g != h
+    worst = stray(calg.gram, same)
     # translation p_{g,h} L(u_a (x) u_b°) = L(u_a (x) u_b°) p_{a^-1 g, h b^-1}:
     # left_mult(u_a) sends index c to ac, right_mult(u_b) sends c to cb
     lu, ru = ctx.u_mult

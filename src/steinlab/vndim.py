@@ -39,6 +39,24 @@ Then every right operator, two-leg ones included, is tested against the
 block-diagonal projector Q' Q'^H at CLOSURE_TOL, and the dimension is
 sum_ab |Q'_ab^H Omega_ab|^2. The rotation is unitary, so for a module
 this is the value of the dense projection.
+
+Block SVDs and certificate run per connected component of the incidence
+of blocks and span columns, read from the column norms of the rotated
+blocks. The smallest parts of columns are dropped while their total
+Frobenius norm stays below a tenth of the rank cut of the largest block
+column norm, which is at most the scale of every rank decision here; by
+Weyl's inequality that moves no singular value by more than a tenth of
+the cut, and every larger part is kept, down to the last nonzero. Up to
+permutations the rotated span is then block diagonal over the components
+(_linalg._column_components), and so is C: each block is orthonormalized
+over its component's columns only, the stacks batched by shape through
+batched_svd with one rank cut on the union of all block spectra (the cut
+nullspace relies on), and C is one stack per component shape. A span
+whose columns meet every block is one component, the unsplit
+computation; inner_derivation_module builds its span over the rotated
+basis, so that each column lies in one block (xi -> [x, xi] commutes
+with the right action) and a block's SVD has size_a * size_b columns
+instead of dim N.
 """
 
 from __future__ import annotations
@@ -50,7 +68,9 @@ import numpy as np
 
 # gram_onb is no longer called here; the name stays bound because
 # benchmark/tracing.py hooks steinlab.vndim.gram_onb
-from ._linalg import batched_svd, gram_onb, onb_transform, rank_split  # noqa: F401
+from ._linalg import (  # noqa: F401
+    _column_components, batched_svd, gram_onb, onb_transform, rank_cut,
+)
 from .derivations import Bimodule, CrossedContext, DerivationSpace, commutator_span
 from .errors import NotGenerating, NotRightClosed
 
@@ -125,22 +145,37 @@ def _leg_split(gram: np.ndarray, ops: list, rng: np.random.Generator) -> tuple:
     return u.conj().T @ t, ti @ u, classes
 
 
-def _class_blocks(vecs: np.ndarray, ncoords: int, legs: list) -> dict:
-    """Rotate stacked vectors and split them into spectral blocks, grouped
-    by class pair (alpha, beta): each value has shape
-    (count_a * count_b, ncoords * size_a * size_b, columns), block rows in
-    (coordinate, leg a, leg b) order."""
-    (ra, _, ca), (rb, _, cb) = legs
-    t = np.matmul(ra, vecs.reshape(ncoords, ra.shape[1], -1))
-    t = np.matmul(rb, t.reshape(ncoords, ra.shape[0], rb.shape[1], -1))
-    out = {}
-    for alpha, (sa, a, d) in enumerate(ca):
-        for beta, (sb, b, e) in enumerate(cb):
-            blk = t[:, sa : sa + a * d, sb : sb + b * e].reshape(ncoords, a, d, b, e, -1)
-            out[alpha, beta] = blk.transpose(1, 3, 0, 2, 4, 5).reshape(
-                a * b, ncoords * d * e, -1
-            )
-    return out
+def _rotate(vecs: np.ndarray, ncoords: int, legs: list) -> np.ndarray:
+    """Stacked vectors in the rotated coordinates of both legs, shape
+    (ncoords, n_a, n_b, columns). One coordinate is rotated at a time, so
+    that the temporaries stay one coordinate in size."""
+    ra, rb = legs[0][0], legs[1][0]
+    v = vecs.reshape(ncoords, ra.shape[0], rb.shape[0], -1)
+    t = np.empty(v.shape, dtype=complex)
+    for c in range(ncoords):
+        np.matmul(rb, np.matmul(ra, v[c].reshape(ra.shape[0], -1)).reshape(v.shape[1:]), out=t[c])
+    return t
+
+
+def _class_blocks(t: np.ndarray, legs: list) -> dict:
+    """Spectral blocks of rotated vectors, grouped by class pair
+    (alpha, beta): each value is a view of shape (ncoords, count_a, size_a,
+    count_b, size_b, columns) of t, one (cluster a, cluster b) block per
+    entry of the count axes."""
+    (_, _, ca), (_, _, cb) = legs
+    return {
+        (alpha, beta): t[:, sa : sa + a * d, sb : sb + b * e].reshape(len(t), a, d, b, e, -1)
+        for alpha, (sa, a, d) in enumerate(ca)
+        for beta, (sb, b, e) in enumerate(cb)
+    }
+
+
+def _block_stack(view: np.ndarray) -> np.ndarray:
+    """A class pair's blocks as one stack (count_a * count_b,
+    ncoords * size_a * size_b, columns), block rows in (coordinate, leg a,
+    leg b) order."""
+    k, a, d, b, e, cols = view.shape
+    return view.transpose(1, 3, 0, 2, 4, 5).reshape(a * b, k * d * e, cols)
 
 
 def _apply_leg(pieces: list, op: np.ndarray | None, leg: int, classes: list) -> list:
@@ -172,72 +207,174 @@ def _apply_leg(pieces: list, op: np.ndarray | None, leg: int, classes: list) -> 
 
 
 def _closure_residual(op: tuple, basis: dict, legs: list, ncoords: int) -> float:
-    """Relative Frobenius norm of (1 - P) T Q for the right operator T and
-    the block-diagonal basis Q of the span, P = Q Q^H."""
-    mats = [m if m is None else rot @ m @ inv for (rot, inv, _), m in zip(legs, op)]
+    """Relative Frobenius norm of (1 - P) T Q for the rotated right
+    operator T (one factor per leg, None for an identity leg) and the
+    block-diagonal basis Q of the span, P = Q Q^H; basis maps each class
+    pair to its (Q, Q^H) stacks."""
     rem2 = img2 = 0.0
-    for (alpha, beta), q in basis.items():
+    for (alpha, beta), (q, _) in basis.items():
+        if not q.size:  # no basis vectors here, so no image
+            continue
         (_, a, d), (_, b, e) = legs[0][2][alpha], legs[1][2][beta]
         pieces = [((alpha, beta), q.reshape(a, b, ncoords, d, e, -1))]
         for leg in (0, 1):
-            pieces = _apply_leg(pieces, mats[leg], leg, legs[leg][2])
+            pieces = _apply_leg(pieces, op[leg], leg, legs[leg][2])
         for key, img in pieces:
-            qt = basis[key]
+            qt, qth = basis[key]
             img = img.reshape(qt.shape[0], qt.shape[1], -1)
-            rem = img - qt @ (qt.conj().transpose(0, 2, 1) @ img)
+            rem = img - qt @ (qth @ img)
             rem2 += np.vdot(rem, rem).real
             img2 += np.vdot(img, img).real
     return float(np.sqrt(rem2) / max(1.0, np.sqrt(img2)))
 
 
-def vn_dimension(sub: ModuleSubspace) -> DimensionResult:
-    """Trace of the span projection against the trace vectors.
+def _rotated(ops: list, legs: list) -> list:
+    """The right operators in the rotated coordinates of the legs, each
+    leg's factors rotated together."""
+    out = [list(op) for op in ops]
+    for leg, (rot, inv, _) in enumerate(legs):
+        idx = [i for i, op in enumerate(ops) if op[leg] is not None]
+        if idx:
+            for i, m in zip(idx, rot @ np.array([ops[i][leg] for i in idx]) @ inv):
+                out[i][leg] = m
+    return out
 
-    Splits the span into spectral blocks of the right action, certifies
-    that the span is the sum of its block parts, and tests every right
-    operator against the block-diagonal projector (see the module
-    docstring). Raises NotRightClosed if the certificate fails or some
-    operator's image leaves the span by more than CLOSURE_TOL (relative).
-    Since right_ops is closed under adjoints, invariance under each
-    operator already gives invariance under its adjoint.
-    """
-    k = sub.ncoords
+
+def _legs(gram: tuple, right_ops: list) -> list:
+    """The leg splits vn_dimension uses for a module with this Gram pair
+    and these right operators: one _leg_split per tensor leg, drawn from
+    one fixed-seed generator, so the same inputs give the same rotation."""
     rng = np.random.default_rng(_CLUSTER_SEED)
-    legs = [
-        _leg_split(w, [op[leg] for op in sub.right_ops if op[1 - leg] is None], rng)
-        for leg, w in enumerate(sub.gram)
+    return [
+        _leg_split(w, [op[leg] for op in right_ops if op[1 - leg] is None], rng)
+        for leg, w in enumerate(gram)
     ]
 
-    blocks = _class_blocks(sub.span, k, legs)
-    keys = list(blocks)
-    basis, coef = {}, []
-    # popped, so that the blocks are freed once their SVDs are taken
-    for key, (u, s, vh, kept) in zip(keys, batched_svd([blocks.pop(c) for c in keys])):
-        width = u.shape[2]
-        rho = int(kept.sum(axis=1).max(initial=0))
-        basis[key] = u[:, :, :rho] * kept[:, None, :rho]
-        kept = kept[:, :width]
-        coef.append(s[:, :width][kept][:, None] * vh[kept])
-    # the span W lies in W' = sum of its block parts; W = W' exactly when
-    # the coefficients of W in the basis of W' have full row rank
-    coef = np.concatenate(coef)
-    rank = coef.shape[0]
-    span_rank = rank_split(np.linalg.svd(coef, compute_uv=False)) if coef.size else 0
+
+def _block_bases(t: np.ndarray, legs: list) -> tuple[dict, int]:
+    """Orthonormal bases of the block parts of the span and dim W'.
+
+    t is the rotated span (see _rotate). The incidence of blocks and span
+    columns is read from the column norms of the blocks; the smallest
+    parts are dropped while their total Frobenius norm stays below a tenth
+    of the rank cut, and the block SVDs and the W = W' certificate run per
+    connected component, batched by shape (see the module docstring).
+    Returns, per class pair, the bases (count, rows, rho), with zero
+    columns past each block's rank, beside their adjoints. Raises
+    NotRightClosed if the certificate fails.
+    """
+    k, na, nb, ncols = t.shape
+    blocks = _class_blocks(t, legs)
+    norms = np.sqrt(np.concatenate([
+        (np.einsum("kadber,kadber->abr", v.real, v.real)
+         + np.einsum("kadber,kadber->abr", v.imag, v.imag)).reshape(v.shape[1] * v.shape[3], ncols)
+        for v in blocks.values()
+    ]))
+    flat = norms.ravel()
+    order = np.argsort(flat, kind="stable")
+    # the largest singular value of the blocks and of the coefficients is
+    # at least the largest column norm of a block, so both rank cuts are at
+    # least rank_cut of it: the dropped parts move no singular value by
+    # more than a tenth of either cut (Weyl)
+    bound = rank_cut(flat.max(initial=0.0)) / 10
+    ndrop = np.searchsorted(np.cumsum(flat[order] ** 2), bound**2)
+    blk, col = np.divmod(order[ndrop:], ncols)
+
+    # a component is labelled by its smallest column, and ncols labels a
+    # block meeting no column; a component's columns are listed
+    # consecutively in increasing order, from start[label]
+    label = _column_components(blk, col, len(norms), ncols)
+    active = np.zeros(ncols, dtype=bool)
+    active[col] = True
+    active = np.flatnonzero(active)
+    comp_cols = active[np.argsort(label[active], kind="stable")]
+    size = np.bincount(label[active], minlength=ncols + 1)
+    start = np.cumsum(size) - size
+    block_comp = np.full(len(norms), ncols)
+    block_comp[blk] = label[col]
+
+    # each block restricted to its component's columns, gathered from t by
+    # flat index, one stack per class pair and component size
+    (_, _, ca), (_, _, cb) = legs
+    stacks, where, first = [], [], 0
+    for key in blocks:
+        (sa, a, d), (sb, b, e) = ca[key[0]], cb[key[1]]
+        comp = block_comp[first : first + a * b]
+        first += a * b
+        rows = ((np.arange(k)[:, None, None] * na + np.arange(d)[:, None]) * nb
+                + np.arange(e)).ravel() * ncols
+        for width in set(size[comp].tolist()) - {0}:
+            sel = np.flatnonzero(size[comp] == width)
+            ia, ib = np.divmod(sel, b)
+            at = ((sa + ia * d) * nb + sb + ib * e) * ncols
+            cols = comp_cols[start[comp[sel], None] + np.arange(width)]
+            stacks.append(t.ravel()[at[:, None, None] + rows[:, None] + cols[:, None, :]])
+            where.append((key, sel, comp[sel]))
+    shapes = {key: (v.shape[1] * v.shape[3], k * v.shape[2] * v.shape[4])
+              for key, v in blocks.items()}
+    # t is freed before the SVDs, the stacks once they are taken
+    del t, blocks
+    svds = batched_svd(stacks)
+    del stacks
+
+    rho = dict.fromkeys(shapes, 0)
+    for (key, *_), (*_, kept) in zip(where, svds):
+        rho[key] = max(rho[key], int(kept.sum(axis=1).max()))
+    basis = {key: np.zeros((*shape, rho[key]), dtype=complex) for key, shape in shapes.items()}
+    # rows S Vh of the coefficients of W in the basis of W', grouped by
+    # component size: the matrix is block diagonal over the components
+    coef = {}
+    for (key, sel, comp), (u, s, vh, kept) in zip(where, svds):
+        width = min(u.shape[2], rho[key])
+        basis[key][sel, :, :width] = u[:, :, :width] * kept[:, None, :width]
+        kept = kept[:, : vh.shape[1]]
+        vh *= s[:, : vh.shape[1], None]
+        coef.setdefault(vh.shape[2], []).append((vh[kept], comp[np.nonzero(kept)[0]]))
+    # one stack per component shape, each component's rows consecutive
+    cert, rank = [], 0
+    for parts in coef.values():
+        rows_c = np.concatenate([r for r, _ in parts])
+        owner = np.concatenate([o for _, o in parts])
+        order = np.argsort(owner, kind="stable")
+        height = np.bincount(owner, minlength=ncols + 1)
+        first = np.cumsum(height) - height
+        for h in set(height[owner].tolist()):
+            cert.append(rows_c[order[first[height == h, None] + np.arange(h)]])
+        rank += owner.size
+    # W = W' exactly when each component's coefficients have full row rank
+    span_rank = sum(int(kept.sum()) for *_, kept in batched_svd(cert, vectors=False))
     if span_rank != rank:
         raise NotRightClosed(
             f"span rank {span_rank} differs from the rank {rank} of its "
             "spectral blocks: the span is not the sum of its block parts"
         )
+    return {key: (q, q.conj().transpose(0, 2, 1)) for key, q in basis.items()}, rank
 
-    worst = max((_closure_residual(op, basis, legs, k) for op in sub.right_ops), default=0.0)
+
+def vn_dimension(sub: ModuleSubspace) -> DimensionResult:
+    """Trace of the span projection against the trace vectors.
+
+    Splits the span into spectral blocks of the right action, takes the
+    block SVDs and certifies that the span is the sum of its block parts,
+    per connected component of the blocks and span columns, and tests
+    every right operator against the block-diagonal projector (see the
+    module docstring). Raises NotRightClosed if the certificate fails or
+    some operator's image leaves the span by more than CLOSURE_TOL
+    (relative). Since right_ops is closed under adjoints, invariance under
+    each operator already gives invariance under its adjoint.
+    """
+    k = sub.ncoords
+    legs = _legs(sub.gram, sub.right_ops)
+    basis, rank = _block_bases(_rotate(sub.span, k, legs), legs)
+    worst = max((_closure_residual(op, basis, legs, k) for op in _rotated(sub.right_ops, legs)),
+                default=0.0)
     if worst > CLOSURE_TOL:
         raise NotRightClosed(f"commutant residual {worst:.3e} above {CLOSURE_TOL}")
 
-    omegas = _class_blocks(sub.trace_vectors, k, legs)
+    omegas = _class_blocks(_rotate(sub.trace_vectors, k, legs), legs)
     value = 0.0
-    for key, q in basis.items():
-        overlaps = q.conj().transpose(0, 2, 1) @ omegas[key]
-        value += float(np.sum(np.abs(overlaps) ** 2))
+    for key, (_, qh) in basis.items():
+        value += float(np.sum(np.abs(qh @ _block_stack(omegas[key])) ** 2))
     return DimensionResult(value, rank, worst)
 
 
@@ -268,11 +405,12 @@ def _with_stars(alg, gens: np.ndarray) -> list:
 def _right_ops(alg, xs: list) -> list:
     """Right multiplication on L^2(alg (x) alg^op) by x (x) 1 and 1 (x) x^op
     for each x, as kron factor pairs."""
-    ops = []
-    for x in xs:
-        ops.append((alg.right_mult(x), None))
-        ops.append((None, alg.left_mult(x)))
-    return ops
+    xs = np.reshape(xs, (-1, alg.dim))
+    # right_mult(x)[k, i] = sum_j mult[i, j, k] x_j, left_mult(x)[k, j] =
+    # sum_i x_i mult[i, j, k], for all x at once
+    rights = np.tensordot(alg.mult, xs, axes=(1, 1)).transpose(2, 1, 0)
+    lefts = np.tensordot(xs, alg.mult, axes=(1, 0)).transpose(0, 2, 1)
+    return [op for r, l in zip(rights, lefts) for op in ((r, None), (None, l))]
 
 
 def _block_traces(bim: Bimodule, k: int) -> np.ndarray:
@@ -313,7 +451,13 @@ def phi_x(space: DerivationSpace, gens: np.ndarray | None = None) -> ModuleSubsp
 def inner_derivation_module(alg, gens: np.ndarray) -> ModuleSubspace:
     """phi_X of the span of commutator derivations, built directly from
     kron-structured operators. Scales to algebras where the dense Leibniz
-    solve does not."""
+    solve does not.
+
+    xi runs over the rotated GNS-orthonormal basis of L^2(N) that
+    vn_dimension splits by (the inverse rotations of _legs); any basis of
+    L^2(N) spans the same module, and with this one each column lies in
+    one spectral block, since xi -> [x, xi] commutes with the right action.
+    """
     from .constructions import generates
 
     bim = Bimodule(alg)
@@ -321,11 +465,13 @@ def inner_derivation_module(alg, gens: np.ndarray) -> ModuleSubspace:
     if not generates(alg, list(gens.T)):
         raise NotGenerating("argument set does not generate the algebra")
     k = gens.shape[1]
-    # columns = phi_X([., xi_m]) for basis xi_m
-    span = commutator_span(bim, gens, np.eye(bim.dim)).reshape(k * bim.dim, bim.dim)
-    return ModuleSubspace((alg.gram, alg.gram), k, span,
-                          _right_ops(alg, _with_stars(alg, gens)),
-                          _block_traces(bim, k), label=f"inner({alg.label})")
+    gram = (alg.gram, alg.gram)
+    ops = _right_ops(alg, _with_stars(alg, gens))
+    (_, inv_a, _), (_, inv_b, _) = _legs(gram, ops)
+    # columns = phi_X([., xi]) for the rotated basis vectors xi
+    span = commutator_span(bim, gens, (inv_a, inv_b)).reshape(k * bim.dim, bim.dim)
+    return ModuleSubspace(gram, k, span, ops, _block_traces(bim, k),
+                          label=f"inner({alg.label})")
 
 
 def restrict_scalars(sub: ModuleSubspace, ctx: CrossedContext) -> ModuleSubspace:

@@ -426,3 +426,30 @@ def test_commutator_span_matches_dense_reference(crossed):
     # the derivation [., xi] is the span at the basis of A
     inner = commutator_span(bim, np.eye(alg.dim), xis[:, :1])[:, :, 0].T
     assert np.max(np.abs(inner - ref.commutator_derivation(alg, xis[:, 0]))) < 1e-12
+
+
+def test_commutator_span_of_a_kron_pair_matches_its_columns():
+    rng = np.random.default_rng(13)
+    for alg in (M2, multimatrix([(2, 0.6), (1, 0.4)])):
+        bim, n = Bimodule(alg), alg.dim
+        xs = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        va, vb = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in "ab")
+        got = commutator_span(bim, xs, (va, vb))
+        assert np.max(np.abs(got - commutator_span(bim, xs, np.kron(va, vb)))) < 1e-12
+
+
+def test_leibniz_residual_builds_the_system_once(monkeypatch):
+    import steinlab.derivations as derivations
+
+    built = []
+    build = derivations.leibniz_system
+    monkeypatch.setattr(derivations, "leibniz_system", lambda bim: built.append(bim) or build(bim))
+    bim = Bimodule(M2)
+    space = derivation_space(M2, bim)
+    noise = np.random.default_rng(14).standard_normal((bim.dim, M2.dim))
+    d = Derivation(bim, space.basis[0] + 0.1 * noise)
+    first, second = d.leibniz_residual(), d.leibniz_residual()
+    assert first == second > 0.0
+    # derivation_space and both residuals share one system
+    assert built == [bim]
+    assert bim.leibniz_system is bim.leibniz_system

@@ -169,3 +169,21 @@ def test_gram_onb_refuses_a_near_gap_at_the_cut():
     with pytest.raises(RankAmbiguous):
         gram_onb(np.linalg.solve(t, v), (t,))
     assert gram_onb(_with_spectrum(rng, 6, 3, [1.0, 1e-6, 1e-12])).shape[1] == 2
+
+
+def test_gram_onb_stays_orthonormal_on_widely_scaled_columns():
+    # V = [B, 1e3 i b_0]: a duplicate direction scaled by 1e3 makes the
+    # kept singular values spread widely; dividing by the smallest one
+    # alone left |Q^H G Q - I| at up to ~1e-11 on such inputs
+    worst = 0.0
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        g = _hpd(rng, n)
+        t = np.linalg.cholesky(g).conj().T
+        b = rng.standard_normal((n, int(rng.integers(1, n + 1))))
+        b = b + 1j * rng.standard_normal(b.shape)
+        q = gram_onb(np.column_stack([b, 1e3j * b[:, 0]]), (t,))
+        assert q.shape[1] == b.shape[1]
+        worst = max(worst, float(np.abs(q.conj().T @ g @ q - np.eye(q.shape[1])).max()))
+    assert worst <= 1e-14

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from steinlab import GroupAction, SpecInvalid, cyclic, multimatrix, reports
+from steinlab import CrossedContext, GroupAction, SpecInvalid, cyclic, multimatrix, reports
 from steinlab.cli import main
 from steinlab.reports import (
     CHECKS,
@@ -369,3 +369,40 @@ def test_cli_bad_input_exits_2(tmp_path, capsys):
     assert main(["run", str(bogus)]) == 2
     assert main(["run", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+
+
+# -- coset projection relations ------------------------------------------------------
+
+def _coset_row():
+    spec = ExperimentSpec.from_json(dict(C2_SPEC, checks=["coset_projection_relations"]))
+    return run(spec).row("coset_projection_relations")
+
+
+def test_coset_projection_row_checks_the_gram_across_group_indices(monkeypatch):
+    assert _coset_row().status == "pass"
+    cp_stage = RunContext.cp
+
+    def cp_with_coupled_gram(self):
+        cp = cp_stage.fget(self)
+        gram = cp.algebra.gram.copy()
+        # basis vectors 0 and 1 have group indices e and s
+        gram[0, 1] = gram[1, 0] = 1e-3
+        cp.algebra.__dict__["gram"] = gram
+        return cp
+
+    monkeypatch.setattr(RunContext, "cp", property(cp_with_coupled_gram))
+    row = _coset_row()
+    assert row.status == "fail"
+    assert row.residual >= 1e-3
+
+
+def test_coset_projection_row_fails_on_a_wrong_group_index(monkeypatch):
+    init = CrossedContext.__init__
+
+    def blocked_index(self, cp):
+        init(self, cp)
+        # b_i u_g sits at i * |G| + g; this labels by i instead
+        self.group_index = (np.arange(cp.algebra.dim) // cp.group.order) % cp.group.order
+
+    monkeypatch.setattr(CrossedContext, "__init__", blocked_index)
+    assert _coset_row().status == "fail"

@@ -28,6 +28,7 @@ from steinlab import (
     restrict_scalars,
     vn_dimension,
 )
+import steinlab.vndim as vndim
 from steinlab._linalg import gram_onb, onb_transform
 from steinlab.vndim import CLOSURE_TOL, _right_ops, _with_stars
 from test_derivations import rotated
@@ -325,3 +326,88 @@ def test_vn_dimension_is_deterministic():
     assert first.value == second.value
     assert first.rank == second.rank
     assert first.closure_residual == second.closure_residual
+
+
+# -- block-localized inner spans: SVDs and certificate per connected component ---
+
+INNER = {
+    "M2": [(2, 1.0)],
+    "M3": [(3, 1.0)],
+    "M4": [(4, 1.0)],
+    "M5": [(5, 1.0)],
+    "M6": [(6, 1.0)],
+    "M4+M2+C": [(4, 0.5), (2, 0.3), (1, 0.2)],
+}
+
+
+@pytest.mark.parametrize("name", list(INNER))
+def test_inner_module_matches_dense_projector(name):
+    sub = _inner(INNER[name])
+    got = vn_dimension(sub)
+    value, rank = dense_vn_dimension(sub)
+    assert got.rank == rank
+    assert abs(got.value - value) < 1e-10
+
+
+@pytest.mark.parametrize("name", ["M2+C", "M4", "M4+M2+C"])
+def test_inner_span_columns_lie_in_one_spectral_block(name):
+    blocks = {"M2+C": [(2, 0.6), (1, 0.4)], "M4": INNER["M4"], "M4+M2+C": INNER["M4+M2+C"]}
+    sub = _inner(blocks[name])
+    legs = vndim._legs(sub.gram, sub.right_ops)
+    views = vndim._class_blocks(vndim._rotate(sub.span, sub.ncoords, legs), legs)
+    norms = np.concatenate([
+        np.sqrt(np.sum(np.abs(v) ** 2, axis=(0, 2, 4))).reshape(-1, v.shape[-1])
+        for v in views.values()
+    ])
+    second = np.sort(norms, axis=0)[-2]
+    assert second.max() <= 1e-12 * norms.max()
+
+
+def _count_components(monkeypatch) -> list:
+    """Record the number of span components of each vn_dimension call."""
+    seen = []
+    label_columns = vndim._column_components
+
+    def spy(rows, cols, nrows, ncols):
+        label = label_columns(rows, cols, nrows, ncols)
+        seen.append(np.unique(label[cols]).size)
+        return label
+
+    monkeypatch.setattr(vndim, "_column_components", spy)
+    return seen
+
+
+@pytest.mark.parametrize("leak", [1e-14, 1e-6])
+def test_leak_between_blocks_is_dropped_or_merges_components(monkeypatch, leak):
+    # the same subspace, with some columns of the localized inner span
+    # mixed into columns that lie in other spectral blocks: a leak of
+    # 1e-14 is below a tenth of the rank cut and is dropped, one of 1e-6
+    # is not, and joins the blocks it touches into one component
+    seen = _count_components(monkeypatch)
+    sub = _inner([(3, 0.6), (1, 0.4)])
+    vn_dimension(sub)
+    rng = np.random.default_rng(5)
+    r = sub.span.shape[1]
+    mix = np.eye(r, dtype=complex)
+    mix[rng.permutation(r)[:6], rng.permutation(r)[:6]] += leak
+    leaky = ModuleSubspace(sub.gram, sub.ncoords, sub.span @ mix, sub.right_ops,
+                           sub.trace_vectors)
+    got = vn_dimension(leaky)
+    value, rank = dense_vn_dimension(leaky)
+    assert got.rank == rank
+    assert abs(got.value - value) < 1e-10
+    localized, mixed = seen
+    assert localized > 1
+    if leak < 1e-11:
+        assert mixed == localized
+    else:
+        assert mixed < localized
+
+
+def test_localized_span_missing_a_column_is_rejected():
+    sub = _inner([(3, 0.6), (1, 0.4)])
+    drop = int(np.argmax(np.linalg.norm(sub.span, axis=0)))
+    cut = ModuleSubspace(sub.gram, sub.ncoords, np.delete(sub.span, drop, axis=1),
+                         sub.right_ops, sub.trace_vectors)
+    with pytest.raises(NotRightClosed):
+        vn_dimension(cut)
