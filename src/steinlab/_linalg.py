@@ -54,10 +54,15 @@ class SparseSystem:
     vals: np.ndarray
 
     def dot(self, x: np.ndarray) -> np.ndarray:
-        """The matrix times the vector x."""
-        prod = self.vals * x[self.cols]
-        n = self.shape[0]
-        return np.bincount(self.rows, prod.real, n) + 1j * np.bincount(self.rows, prod.imag, n)
+        """The matrix times each vector of a stack x (..., ncols)."""
+        x = np.asarray(x)
+        flat = x.reshape(-1, self.shape[1])
+        n, size = self.shape[0], len(flat) * self.shape[0]
+        # one bincount for the whole stack: vector s owns rows s * n onwards
+        idx = (np.arange(len(flat))[:, None] * n + self.rows).ravel()
+        prod = (self.vals * flat[:, self.cols]).ravel()
+        out = np.bincount(idx, prod.real, size) + 1j * np.bincount(idx, prod.imag, size)
+        return out.reshape(*x.shape[:-1], n)
 
 
 def rank_cut(scale: float) -> float:

@@ -110,6 +110,16 @@ class ValidationReport:
         name = max(self.residuals, key=self.residuals.get)
         return name, self.residuals[name]
 
+    def faults(self) -> str:
+        """The failed conditions, "; "-joined; empty when none failed."""
+        axiom, worst = self.worst()
+        out = []
+        if not worst <= self.tol:
+            out.append(f"worst axiom: {axiom}")
+        if not self.gram_min_eig > self.tol:
+            out.append(f"trace not faithful: minimum Gram eigenvalue {self.gram_min_eig:.3e}")
+        return "; ".join(out)
+
 
 def validate(alg: FDAlgebra, tol: float = 1e-8) -> ValidationReport:
     """Check the axioms numerically: associativity, unit, involution,

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from . import reports
 from .derivations import derivation_space
-from .errors import SteinlabError
+from .algebra import validate
+from .errors import SpecInvalid, SteinlabError
 from .reports import ExperimentSpec, check_tolerance, parse_algebra
 from .vndim import as_fraction, phi_x, vn_dimension
 
@@ -102,12 +104,11 @@ def _cmd_dim(args) -> int:
     if isinstance(payload, dict) and "algebra" in payload:
         payload = payload["algebra"]
     alg, blocks = parse_algebra(payload)
+    rep = validate(alg)
+    if not rep.passed:
+        raise SpecInvalid(f"algebra: {rep.faults()}")
     result = vn_dimension(phi_x(derivation_space(alg)))
-    max_den = alg.dim * alg.dim
-    if blocks is not None:
-        max_den = 1
-        for n, _ in blocks:
-            max_den *= n * n
+    max_den = alg.dim * alg.dim if blocks is None else math.prod(n * n for n, _ in blocks)
     frac = as_fraction(result.value, max(max_den, 2))
     if args.format == "json":
         text = json.dumps(

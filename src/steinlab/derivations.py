@@ -89,23 +89,22 @@ class Bimodule:
         return leibniz_system(self)
 
 
-@dataclass(eq=False)
-class Derivation:
-    bim: Bimodule
-    matrix: np.ndarray  # (n^2, dim A)
+def leibniz_residual(bim: Bimodule, mats: np.ndarray) -> np.ndarray:
+    """Largest GNS norm of d(b_i b_j) - b_i . d(b_j) - d(b_i) . b_j over
+    basis pairs, for each derivation of a stack (..., n^2, n): the rows of
+    leibniz_system applied to it."""
+    mats = np.asarray(mats)
+    n = bim.algebra.dim
+    res = bim.leibniz_system.dot(mats.reshape(*mats.shape[:-2], bim.dim * n))
+    res = bim.whiten(res.reshape(*mats.shape[:-2], bim.dim, n * n))
+    return np.linalg.norm(res, axis=-2).max(axis=-1)
 
-    def leibniz_residual(self) -> float:
-        """Largest GNS norm of d(b_i b_j) - b_i . d(b_j) - d(b_i) . b_j over
-        basis pairs: the rows of leibniz_system applied to d."""
-        n = self.bim.algebra.dim
-        res = self.bim.leibniz_system.dot(self.matrix.ravel())
-        norms = np.linalg.norm(self.bim.whiten(res.reshape(self.bim.dim, n * n)), axis=0)
-        return float(norms.max())
 
-    def restricted_norm(self, cols: np.ndarray) -> float:
-        """Largest GNS image norm over the given argument vectors."""
-        img = self.bim.whiten(self.matrix @ cols)
-        return float(np.linalg.norm(img, axis=0).max(initial=0.0))
+def restricted_norm(bim: Bimodule, mats: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Largest GNS image norm over the argument vectors cols, for each
+    derivation of a stack (..., n^2, n)."""
+    img = bim.whiten(np.asarray(mats) @ cols)
+    return np.linalg.norm(img, axis=-2).max(axis=-1, initial=0.0)
 
 
 def commutator_span(bim: Bimodule, xs: np.ndarray, xis) -> np.ndarray:
@@ -187,12 +186,7 @@ class DerivationSpace:
     def rank(self) -> int:
         return self.basis.shape[0]
 
-    def derivation(self, r: int) -> Derivation:
-        return Derivation(self.bim, self.basis[r])
-
-    def pair(self, d1: Derivation | np.ndarray, d2: Derivation | np.ndarray) -> complex:
-        m1 = d1.matrix if isinstance(d1, Derivation) else d1
-        m2 = d2.matrix if isinstance(d2, Derivation) else d2
+    def pair(self, m1: np.ndarray, m2: np.ndarray) -> complex:
         # sum_j <d1(b_j), d2(b_j)>, linear in d1
         return complex(np.vdot(self.bim.whiten(m2), self.bim.whiten(m1)))
 

@@ -1,13 +1,16 @@
 """Declarative verification runner.
 
 An ExperimentSpec names an algebra, a finite group, and an action. run()
-executes a registry of checks against that triple in dependency order
-(validation, constructions, derivation spaces, dimensions, identities)
-and returns a VerificationReport with one row per check: pass/fail status,
-the two compared values, the residual, and a plain statement of the
-identity being tested. Rows whose hypotheses do not apply (non-abelian
-group for character checks, no designated subgroup, no matrix units) are
-reported as skipped, never as pass.
+executes the registered checks against that triple in report order and
+returns a VerificationReport with one row per check: status, the two
+compared values, the residual, and the statement being tested.
+
+A check is declared once, by @check(name, statement) on a function of the
+RunContext, which holds the pipeline stages the checks share (@stage:
+computed once, a failure stored and re-raised). The check returns what it
+compared, Compared(lhs, rhs, residual, note, holds), or raises Skip(note)
+when its hypotheses do not apply; run() alone sets the status, pass exactly
+when holds and residual <= tolerance.
 
 Reports are deterministic for a fixed seed; the JSON form omits wall-clock
 timings so repeated runs are byte-identical.
@@ -16,11 +19,13 @@ timings so repeated runs are byte-identical.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -48,7 +53,7 @@ from .constructions import (
 from .derivations import (
     Bimodule,
     CrossedContext,
-    Derivation,
+    DerivationSpace,
     average_scaling,
     central_projection_element,
     central_vectors,
@@ -57,11 +62,13 @@ from .derivations import (
     decompose_vanishing,
     derivation_space,
     extend_vanishing,
+    leibniz_residual,
     relative_derivations,
     restrict_component,
+    restricted_norm,
     scaling_conjugation,
 )
-from .errors import ActionInvalid, SpecInvalid, SteinlabError
+from .errors import SpecInvalid, SteinlabError
 from .groups import (
     FiniteGroup,
     Character,
@@ -75,7 +82,6 @@ from .groups import (
 from .vndim import (
     ModuleSubspace,
     as_fraction,
-    generating_set_independence_check,
     phi_x,
     restrict_scalars,
     vn_dimension,
@@ -117,8 +123,6 @@ def parse_group(obj) -> FiniteGroup:
                 raise SpecInvalid(f"unknown group name {obj!r}") from None
             factor = cyclic(n)
             built = factor if built is None else direct_product(built, factor)
-        if built is None:
-            raise SpecInvalid(f"unknown group name {obj!r}")
         return built
     if isinstance(obj, dict):
         try:
@@ -285,14 +289,82 @@ class VerificationReport:
         raise KeyError(name)
 
 
-# -- run context with memoized pipeline stages ---------------------------------
+# -- the check protocol ------------------------------------------------------------
+
+class Skip(Exception):
+    """Raised by a check whose hypotheses do not hold for the spec; run()
+    reports the row as skipped, with this note."""
+
+
+@dataclass
+class Compared:
+    """What a check compared. run() alone sets the status: pass exactly
+    when holds (a structural condition) is true and the residual, |lhs -
+    rhs| unless given, is at most the tolerance."""
+
+    lhs: float
+    rhs: float
+    residual: float | None = None
+    note: str = ""
+    holds: bool = True
+
+    def __post_init__(self):
+        if self.residual is None:
+            self.residual = abs(self.lhs - self.rhs)
+
+
+# name -> (statement, check function), in report order
+CHECKS: dict[str, tuple[str, Callable[["RunContext"], Compared]]] = {}
+
+
+def check(name: str, statement: str):
+    """Register the decorated function as the check name, which tests
+    statement; checks are reported in the order they are declared."""
+    def register(fn):
+        CHECKS[name] = (statement, fn)
+        return fn
+    return register
+
 
 # errors a check may raise; run() turns them into a failed row with a note
 _CHECK_ERRORS = (SteinlabError, np.linalg.LinAlgError, MemoryError)
+# the checks every other check depends on
+_FOUNDATION = ("algebra_valid", "action_valid")
+# a derivation counts as covariant, or as vanishing on C[G], when its
+# relative defect is at most this; fixed, independent of the report tolerance
+_ZERO_TOL = 1e-8
+
+
+def stage(fn):
+    """A memoized pipeline stage of RunContext, read as a property. A stage
+    that raises one of the errors run() reports is stored too and
+    re-raised, not recomputed, on every later lookup by a dependent check."""
+    key = fn.__name__
+
+    @functools.wraps(fn)
+    def get(self):
+        if key not in self._memo:
+            try:
+                self._memo[key] = fn(self)
+            except _CHECK_ERRORS as exc:
+                # the traceback would keep the failed stage's arrays alive
+                self._memo[key] = exc.with_traceback(None)
+        val = self._memo[key]
+        if isinstance(val, _CHECK_ERRORS):
+            raise val
+        return val
+
+    return property(get)
+
+
+def _dim(space: DerivationSpace, gens: np.ndarray | None = None) -> float:
+    """vn_dimension of phi_X(space), X the columns of gens (default the
+    basis of A)."""
+    return vn_dimension(phi_x(space, gens)).value
 
 
 class RunContext:
-    """Caches the expensive pipeline stages shared between checks."""
+    """The spec and the pipeline stages its checks share."""
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
@@ -303,97 +375,67 @@ class RunContext:
         self.rng = np.random.default_rng(spec.seed)
         self._memo: dict[str, object] = {}
 
-    def _get(self, key: str, fn):
-        """Memoized stage value. A stage that raises one of the errors run()
-        reports is stored too and re-raised, not recomputed, on every later
-        lookup by a dependent check."""
-        if key not in self._memo:
-            try:
-                self._memo[key] = fn()
-            except _CHECK_ERRORS as exc:
-                # the traceback would keep the failed stage's arrays alive
-                self._memo[key] = exc.with_traceback(None)
-        val = self._memo[key]
-        if isinstance(val, _CHECK_ERRORS):
-            raise val
-        return val
-
-    @property
+    @stage
     def cp(self):
-        return self._get("cp", lambda: crossed_product(self.alg, self.act))
+        return crossed_product(self.alg, self.act)
 
-    @property
+    @stage
     def ctx(self) -> CrossedContext:
-        return self._get("ctx", lambda: CrossedContext(self.cp))
+        return CrossedContext(self.cp)
 
-    @property
-    def space_a(self):
-        return self._get("space_a", lambda: derivation_space(self.alg))
+    @stage
+    def space_a(self) -> DerivationSpace:
+        return derivation_space(self.alg)
 
-    @property
+    @stage
     def dim_a(self) -> float:
-        return self._get("dim_a", lambda: vn_dimension(phi_x(self.space_a)).value)
+        return _dim(self.space_a)
 
-    @property
-    def space_m(self):
-        return self._get(
-            "space_m",
-            lambda: derivation_space(self.cp.algebra, bim=self.ctx.big),
-        )
+    @stage
+    def space_m(self) -> DerivationSpace:
+        return derivation_space(self.cp.algebra, bim=self.ctx.big)
 
-    @property
+    @stage
     def dim_m(self) -> float:
-        return self._get("dim_m", lambda: vn_dimension(phi_x(self.space_m)).value)
+        return _dim(self.space_m)
 
-    @property
-    def vanishing(self):
-        return self._get(
-            "vanishing",
-            lambda: relative_derivations(
-                self.space_m, self.cp.embed_group, check_subalgebra=False
-            ),
-        )
+    @stage
+    def vanishing(self) -> DerivationSpace:
+        return relative_derivations(self.space_m, self.cp.embed_group, check_subalgebra=False)
 
-    @property
+    @stage
     def dim_van_big(self) -> float:
-        return self._get(
-            "dim_van_big",
-            lambda: vn_dimension(phi_x(self.vanishing)).value,
-        )
+        return _dim(self.vanishing)
 
-    @property
+    @stage
     def dim_van_base(self) -> float:
-        return self._get(
-            "dim_van_base",
-            lambda: vn_dimension(
-                restrict_scalars(phi_x(self.vanishing), self.ctx)
-            ).value,
-        )
+        return vn_dimension(restrict_scalars(phi_x(self.vanishing), self.ctx)).value
 
-    @property
+    @stage
+    def extensions(self) -> np.ndarray:
+        """d^h for the first two base derivations d, (r, |G|, n^2, n)."""
+        base = self.space_a.basis[:2]
+        return np.stack([extend_vanishing(self.ctx, base, h) for h in range(self.grp.order)], axis=1)
+
+    @stage
     def blocks_a(self) -> list[tuple[int, float]]:
         if self.spec.blocks is not None:
             return self.spec.blocks
-        return self._get(
-            "blocks_a", lambda: multimatrix_decompose(self.alg, self.rng)
-        )
+        return multimatrix_decompose(self.alg, self.rng)
 
-    @property
+    @stage
     def blocks_m(self) -> list[tuple[int, float]]:
-        return self._get(
-            "blocks_m", lambda: multimatrix_decompose(self.cp.algebra, self.rng)
-        )
+        return multimatrix_decompose(self.cp.algebra, self.rng)
 
-    @property
+    @stage
     def chars(self) -> list[Character]:
-        return self._get("chars", lambda: characters(self.grp, self.rng))
+        return characters(self.grp, self.rng)
 
-    def action_is_trivial(self) -> bool:
-        eye = np.eye(self.alg.dim)
-        return all(
-            frob(self.act.matrices[g] - eye) <= 1e-12
-            for g in range(self.grp.order)
-        )
+    @stage
+    def scaled(self) -> list:
+        """The character-scaled components of the basis of A."""
+        xs = [self.alg.basis(i) for i in range(self.alg.dim)]
+        return scaled_generating_set(xs, self.act, self.chars)
 
 
 def _block_formula(blocks) -> float:
@@ -419,42 +461,42 @@ def _greedy_generators(alg: FDAlgebra) -> np.ndarray:
     return np.column_stack(chosen)
 
 
-# -- the checks -----------------------------------------------------------------
+# -- the checks, in report order ------------------------------------------------------
 
+@check("algebra_valid",
+       "multiplication is associative and unital, * is an antimultiplicative "
+       "involution, and tau is a faithful tracial state")
 def _chk_algebra_valid(rc: RunContext):
     rep = validate(rc.alg, rc.tol)
-    axiom, worst = rep.worst()
-    faults = []
-    if worst > rc.tol:
-        faults.append(f"worst axiom: {axiom}")
-    if not rep.gram_min_eig > rc.tol:
-        faults.append(f"trace not faithful: minimum Gram eigenvalue {rep.gram_min_eig:.3e}")
-    status = "pass" if rep.passed else "fail"
-    return status, worst, 0.0, worst, "; ".join(faults)
+    return Compared(rep.worst()[1], 0.0, note=rep.faults(), holds=rep.gram_min_eig > rc.tol)
 
 
+@check("action_valid",
+       "every alpha_g is a trace-preserving unital *-automorphism and "
+       "g -> alpha_g is a group homomorphism")
 def _chk_action_valid(rc: RunContext):
-    try:
-        res = validate_action(rc.act, float("inf"))
-    except ActionInvalid as exc:
-        return "fail", None, None, float("nan"), str(exc)
-    return _cmp(max(res.values()), 0.0, rc.tol)
+    return Compared(max(validate_action(rc.act, float("inf")).values()), 0.0)
 
 
+@check("group_algebra_dim", "dim Der(C[G]) = 1 - 1/|G|")
 def _chk_group_algebra_dim(rc: RunContext):
-    if rc.alg.dim != 1 or not rc.action_is_trivial():
-        return "skipped", None, None, None, "needs A = C with the trivial action"
-    k = rc.grp.order
-    lhs, rhs = rc.dim_m, 1.0 - 1.0 / k
-    return _cmp(lhs, rhs, rc.tol)
+    moved = np.linalg.norm(rc.act.matrices - np.eye(rc.alg.dim), axis=(1, 2))
+    if rc.alg.dim != 1 or not np.all(moved <= 1e-12):
+        raise Skip("needs A = C with the trivial action")
+    return Compared(rc.dim_m, 1.0 - 1.0 / rc.grp.order)
 
 
+@check("multimatrix_formula",
+       "dim Der(A) = 1 - sum_i alpha_i^2 / n_i^2 for A a direct sum of "
+       "matrix blocks M_{n_i} with trace weights alpha_i")
 def _chk_multimatrix_formula(rc: RunContext):
-    lhs = rc.dim_a
-    rhs = _block_formula(rc.blocks_a)
-    return _cmp(lhs, rhs, rc.tol)
+    return Compared(rc.dim_a, _block_formula(rc.blocks_a))
 
 
+@check("crossed_multimatrix",
+       "A x| G is a multi-matrix algebra whose weights sum to 1, whose block "
+       "sizes square-sum to dim(A) |G|, and whose derivation dimension obeys "
+       "its own block formula")
 def _chk_crossed_multimatrix(rc: RunContext):
     blocks = rc.blocks_m
     wsum = abs(sum(a for _, a in blocks) - 1.0)
@@ -462,23 +504,24 @@ def _chk_crossed_multimatrix(rc: RunContext):
     lhs = rc.dim_m
     rhs = _block_formula(blocks)
     shown = [(n, float(round(a, 9))) for n, a in blocks]
-    return _cmp(lhs, rhs, rc.tol, max(wsum, dsum, abs(lhs - rhs)), f"blocks {shown}")
+    return Compared(lhs, rhs, max(wsum, dsum, abs(lhs - rhs)), f"blocks {shown}")
 
 
+@check("schreier_crossed", "dim Der(A x| G) - 1 = (dim Der(A) - 1) / |G|")
 def _chk_schreier_crossed(rc: RunContext):
-    k = rc.grp.order
-    lhs = rc.dim_m
-    rhs = 1.0 + (rc.dim_a - 1.0) / k
-    return _cmp(lhs, rhs, rc.tol)
+    return Compared(rc.dim_m, 1.0 + (rc.dim_a - 1.0) / rc.grp.order)
 
 
+@check("schreier_vanishing",
+       "the derivations of A x| G vanishing on C[G] have dimension "
+       "|G| dim Der(A) over A (x) A°")
 def _chk_schreier_vanishing(rc: RunContext):
-    k = rc.grp.order
-    lhs = rc.dim_van_base
-    rhs = k * rc.dim_a
-    return _cmp(lhs, rhs, rc.tol)
+    return Compared(rc.dim_van_base, rc.grp.order * rc.dim_a)
 
 
+@check("index_scaling_full",
+       "restricting scalars from (A x| G) (x) (A x| G)° to A (x) A° "
+       "multiplies the dimension of the full module by |G|^2")
 def _chk_index_scaling_full(rc: RunContext):
     ctx = rc.ctx
     big = ctx.big
@@ -493,33 +536,33 @@ def _chk_index_scaling_full(rc: RunContext):
     )
     one = vn_dimension(full).value
     lhs = vn_dimension(restrict_scalars(full, ctx)).value
-    k = rc.grp.order
-    rhs = float(k * k)
-    return _cmp(lhs, rhs, rc.tol, max(abs(one - 1.0), abs(lhs - rhs)))
+    rhs = float(rc.grp.order**2)
+    return Compared(lhs, rhs, max(abs(one - 1.0), abs(lhs - rhs)))
 
 
+@check("index_scaling_vanishing",
+       "the vanishing-space dimension over A (x) A° is |G|^2 times its "
+       "dimension over (A x| G) (x) (A x| G)°")
 def _chk_index_scaling_vanishing(rc: RunContext):
-    k = rc.grp.order
-    lhs = rc.dim_van_base
-    rhs = k * k * rc.dim_van_big
-    return _cmp(lhs, rhs, rc.tol)
+    return Compared(rc.dim_van_base, rc.grp.order**2 * rc.dim_van_big)
 
 
+@check("subgroup_schreier",
+       "dim Der(A x| G) - 1 = (dim Der(A x| H) - 1) / [G:H] for H <= G")
 def _chk_subgroup_schreier(rc: RunContext):
     if rc.spec.subgroup is None:
-        return "skipped", None, None, None, "no subgroup designated"
+        raise Skip("no subgroup designated")
     sub, embedding = subgroup(rc.grp, rc.spec.subgroup)
-    act_h = GroupAction(
-        sub, rc.alg, rc.act.matrices[np.asarray(embedding, dtype=int)]
-    )
-    cp_h = crossed_product(rc.alg, act_h)
-    dim_h = vn_dimension(phi_x(derivation_space(cp_h.algebra))).value
+    act_h = GroupAction(sub, rc.alg, rc.act.matrices[np.asarray(embedding, dtype=int)])
+    dim_h = _dim(derivation_space(crossed_product(rc.alg, act_h).algebra))
     index = rc.grp.order // sub.order
-    lhs = rc.dim_m - 1.0
-    rhs = (dim_h - 1.0) / index
-    return _cmp(lhs, rhs, rc.tol, note=f"index {index}")
+    return Compared(rc.dim_m - 1.0, (dim_h - 1.0) / index, note=f"index {index}")
 
 
+@check("coset_projection_relations",
+       "the sector projections p_{g,h} resolve the identity, commute with "
+       "A (x) A°, satisfy p_{g,h} (u_a (x) u_b°) = (u_a (x) u_b°) "
+       "p_{a^-1 g, h b^-1}, and J p_{g,h} = p_{g^-1, h^-1} J")
 def _chk_coset_projections(rc: RunContext):
     """p_{g,h} is the pair of leg masks group index = g, group index = h, so
     each relation holds exactly when every leg operator involved maps the
@@ -546,19 +589,19 @@ def _chk_coset_projections(rc: RunContext):
     for j in range(rc.alg.dim):
         lifted = rc.cp.lift(rc.alg.basis(j))
         legs += [(calg.left_mult(lifted), same), (calg.right_mult(lifted), same)]
-    worst = max(worst, *(stray(op, f) for op, f in legs))
-    return _cmp(worst, 0.0, rc.tol)
+    return Compared(max(worst, *(stray(op, f) for op, f in legs)), 0.0)
 
 
+@check("covariance_equivalence",
+       "a derivation of A x| G is fixed by every scaling conjugation exactly "
+       "when it vanishes on C[G]")
 def _chk_covariance_equivalence(rc: RunContext):
-    ctx = rc.ctx
-    cp = rc.cp
+    ctx, cp = rc.ctx, rc.cp
     big = ctx.big
     n = cp.algebra.dim
     cases = [np.zeros((1, big.dim, n), dtype=complex), rc.space_m.basis]
     if rc.space_a.rank:
-        d = rc.space_a.basis[0]
-        cases.append(np.stack([extend_vanishing(ctx, d, h) for h in range(rc.grp.order)]))
+        cases.append(rc.extensions[0])
     # an inner derivation moved off the vanishing space: xi = u_s (x) 1°
     s = 1 if rc.grp.identity != 1 else 0
     xi = big.embed(cp.u(s), cp.algebra.unit)
@@ -566,95 +609,86 @@ def _chk_covariance_equivalence(rc: RunContext):
     mats = np.concatenate(cases)
     scale = np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2)))
     defect = covariance_defect(ctx, mats)
-    vanish = np.array([Derivation(big, m).restricted_norm(cp.embed_group) for m in mats]) / scale
-    cov, vanishes = defect <= rc.tol, vanish <= rc.tol
+    vanish = restricted_norm(big, mats, cp.embed_group) / scale
+    cov, vanishes = defect <= _ZERO_TOL, vanish <= _ZERO_TOL
     agree = int(np.sum(cov == vanishes))
     worst = max(float(defect[vanishes].max(initial=0.0)), float(vanish[cov].max(initial=0.0)))
-    residual = worst if agree == len(mats) else 1.0
-    status = "pass" if agree == len(mats) and residual <= rc.tol else "fail"
-    return status, float(agree), float(len(mats)), residual, (
-        f"{agree}/{len(mats)} cases agree in both directions"
-    )
-
-
-def _y_columns(rc: RunContext) -> np.ndarray:
-    """Arguments Y = (embedded A basis) + (group units) for the crossed
-    product pairing."""
-    cp = rc.cp
-    units = np.column_stack([cp.u(g) for g in range(rc.grp.order)])
-    return np.column_stack([cp.embed_base, units])
+    return Compared(agree, len(mats), worst, f"{agree}/{len(mats)} cases agree in both directions",
+                    holds=agree == len(mats))
 
 
 def _y_gram(big: Bimodule, ycols: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """<d_i, d_j>_Y = sum_y <d_i(y), d_j(y)> with the GNS inner product,
-    linear in d_i, for a stack of derivations."""
+    linear in d_i, for a stack of derivations (..., i, n^2, n)."""
     w = big.whiten(mats @ ycols)
-    return np.einsum("ipy,jpy->ij", w, w.conj())
+    return np.einsum("...ipy,...jpy->...ij", w, w.conj())
 
 
+@check("extension_orthogonality",
+       "the extensions {d^h}_h of a base derivation are pairwise orthogonal "
+       "in <.,.>_Y for Y = (A basis) + group units")
 def _chk_extension_orthogonality(rc: RunContext):
     if rc.space_a.rank == 0:
-        return "pass", 0.0, 0.0, 0.0, "no derivations on the base algebra"
-    ctx = rc.ctx
-    k = rc.grp.order
-    ycols = _y_columns(rc)
-    worst = 0.0
-    for d in rc.space_a.basis[:2]:
-        exts = np.stack([extend_vanishing(ctx, d, h) for h in range(k)])
-        gram = _y_gram(ctx.big, ycols, exts)
-        scale = max(1.0, float(np.max(np.abs(np.diag(gram)))))
-        off = gram - np.diag(np.diag(gram))
-        worst = max(worst, float(np.max(np.abs(off))) / scale)
-    return _cmp(worst, 0.0, rc.tol)
+        return Compared(0.0, 0.0, note="no derivations on the base algebra")
+    # Y = the embedded basis of A and the group units
+    ycols = np.column_stack([rc.cp.embed_base, rc.cp.embed_group])
+    gram = _y_gram(rc.ctx.big, ycols, rc.extensions)  # (r, |G|, |G|) per base derivation
+    scale = np.maximum(1.0, np.abs(np.diagonal(gram, axis1=1, axis2=2)).max(axis=1))
+    off = np.abs(gram * (1.0 - np.eye(rc.grp.order))).max(axis=(1, 2))
+    return Compared(float((off / scale).max()), 0.0)
 
 
 def _vanishing_worst(rc: RunContext, mats: np.ndarray) -> float:
     """Worst of the Leibniz residual, the relative norm on C[G] and the
     covariance defect over a stack of derivations of A x| G."""
-    worst = float(covariance_defect(rc.ctx, mats).max(initial=0.0))
-    for m in mats:
-        d = Derivation(rc.ctx.big, m)
-        scale = max(1.0, frob(m))
-        worst = max(worst, d.leibniz_residual(), d.restricted_norm(rc.cp.embed_group) / scale)
-    return worst
+    big = rc.ctx.big
+    scale = np.maximum(1.0, np.linalg.norm(mats, axis=(-2, -1)))
+    return float(max(
+        covariance_defect(rc.ctx, mats).max(initial=0.0),
+        leibniz_residual(big, mats).max(initial=0.0),
+        (restricted_norm(big, mats, rc.cp.embed_group) / scale).max(initial=0.0),
+    ))
 
 
+@check("extension_vanishing",
+       "each extension d^h satisfies the Leibniz rule, vanishes on C[G], and "
+       "is fixed by the scaling conjugations")
 def _chk_extension_vanishing(rc: RunContext):
     if rc.space_a.rank == 0:
-        return "pass", 0.0, 0.0, 0.0, "no derivations on the base algebra"
-    worst = 0.0
-    for d in rc.space_a.basis[:2]:
-        exts = np.stack([extend_vanishing(rc.ctx, d, h) for h in range(rc.grp.order)])
-        worst = max(worst, _vanishing_worst(rc, exts))
-    return _cmp(worst, 0.0, rc.tol)
+        return Compared(0.0, 0.0, note="no derivations on the base algebra")
+    return Compared(_vanishing_worst(rc, rc.extensions), 0.0)
 
 
+@check("round_trip_extend_restrict",
+       "restricting an extension returns the original derivation, and every "
+       "vanishing derivation is the sum of its re-extended components")
 def _chk_round_trip(rc: RunContext):
-    ctx = rc.ctx
-    grp = rc.grp
+    ctx, grp = rc.ctx, rc.grp
     base = rc.space_a.basis[:2]
     scale = np.maximum(1.0, np.linalg.norm(base, axis=(1, 2)))
     worst = 0.0
     for h in range(grp.order):
-        back = restrict_component(ctx, extend_vanishing(ctx, base, h), grp.identity, h)
+        back = restrict_component(ctx, rc.extensions[:, h], grp.identity, h)
         err = np.linalg.norm(back - base, axis=(1, 2)) / scale
         worst = max(worst, float(err.max(initial=0.0)))
-    dec = decompose_vanishing(ctx, rc.vanishing)
-    worst = max(worst, dec.worst_residual)
-    return _cmp(worst, 0.0, rc.tol)
+    worst = max(worst, decompose_vanishing(ctx, rc.vanishing).worst_residual)
+    return Compared(worst, 0.0)
 
 
+@check("central_projection_formula",
+       "p = sum_i n_i^-1 sum_{j,k} e^(i)_{jk} (x) (e^(i)_{kj})° left-acts as "
+       "the orthogonal projection onto the A-central vectors, and "
+       "(tau (x) tau)(p) = sum_i alpha_i^2 / n_i^2")
 def _chk_central_projection(rc: RunContext):
     """p is a self-adjoint idempotent of N, so left multiplication by it is
     an orthogonal projection on L^2(N); it is the projection onto the
     central vectors when it fixes their orthonormal basis q and its trace
     (its rank, a sum of products of leg traces) is their number."""
     if rc.spec.blocks is None:
-        return "skipped", None, None, None, "matrix units not supplied"
+        raise Skip("matrix units not supplied")
     alg = rc.alg
     bim = rc.space_a.bim
-    units = matrix_units(rc.spec.blocks)
-    p, left_p = central_projection_element(alg, units, bim)
+    p, left_p = central_projection_element(alg, matrix_units(rc.spec.blocks), bim)
     p = p[:, None]
     q = central_vectors(alg, np.eye(alg.dim, dtype=complex), bim)
 
@@ -669,9 +703,12 @@ def _chk_central_projection(rc: RunContext):
     )
     lhs = float(np.vdot(bim.whiten(bim.unit[:, None]), bim.whiten(p)).real)
     rhs = sum(a * a / (n * n) for n, a in rc.spec.blocks)
-    return _cmp(lhs, rhs, rc.tol, max(op_res, abs(lhs - rhs)))
+    return Compared(lhs, rhs, max(op_res, abs(lhs - rhs)))
 
 
+@check("central_family_orthonormal",
+       "the vectors |G|^-1/2 sum_k u_{kh} (x) (u_{k^-1})° are an orthonormal "
+       "basis of the C[G]-central vectors")
 def _chk_central_family(rc: RunContext):
     grp = rc.grp
     ga = group_algebra(grp)
@@ -683,26 +720,20 @@ def _chk_central_family(rc: RunContext):
     worst = max(worst, float(np.linalg.norm(comm, axis=(1, 2)).max()))
     central = central_vectors(ga, np.eye(ga.dim, dtype=complex), bim)
     resid = fam - central @ (bim.whiten(central).conj().T @ wfam)
-    worst = max(worst, frob(resid))
-    return _cmp(grp.order, central.shape[1], rc.tol, worst)
+    return Compared(grp.order, central.shape[1], max(worst, frob(resid)))
 
 
-def _scaled_y_columns(rc: RunContext) -> np.ndarray:
-    cp = rc.cp
-    xs = [rc.alg.basis(i) for i in range(rc.alg.dim)]
-    pairs = scaled_generating_set(xs, rc.act, rc.chars)
-    units = [cp.u(g) for g in range(rc.grp.order)]
-    return np.column_stack([cp.lift(y) for y, _ in pairs] + units)
-
-
+@check("scaling_unitary",
+       "each scaling conjugation V_g is unitary for <.,.>_Y built from a "
+       "character-scaled generating set plus the group units")
 def _chk_scaling_unitary(rc: RunContext):
     if not rc.grp.is_abelian:
-        return "skipped", None, None, None, "character scaling needs an abelian group"
-    ctx = rc.ctx
-    ycols = _scaled_y_columns(rc)
+        raise Skip("character scaling needs an abelian group")
+    ctx, cp = rc.ctx, rc.cp
+    ycols = np.column_stack([*(cp.lift(y) for y, _ in rc.scaled), cp.embed_group])
     rank = rc.space_m.rank
     if rank == 0:
-        return "pass", 0.0, 0.0, 0.0, "no derivations to conjugate"
+        return Compared(0.0, 0.0, note="no derivations to conjugate")
     coef = rc.rng.standard_normal(rank) + 1j * rc.rng.standard_normal(rank)
     mix = np.einsum("r,rpj->pj", coef, rc.space_m.basis)
     picks = np.concatenate([rc.space_m.basis[:3], mix[None]])
@@ -712,32 +743,35 @@ def _chk_scaling_unitary(rc: RunContext):
     for g in range(rc.grp.order):
         after = _y_gram(ctx.big, ycols, scaling_conjugation(ctx, g, picks))
         worst = max(worst, float(np.max(np.abs(after - before) / scale)))
-    return _cmp(worst, 0.0, rc.tol)
+    return Compared(worst, 0.0)
 
 
+@check("scaling_average_vanishes",
+       "the group average of the scaling conjugates of any derivation "
+       "vanishes on C[G]")
 def _chk_scaling_average(rc: RunContext):
-    avgs = average_scaling(rc.ctx, rc.space_m.basis[:4])
-    return _cmp(_vanishing_worst(rc, avgs), 0.0, rc.tol)
+    return Compared(_vanishing_worst(rc, average_scaling(rc.ctx, rc.space_m.basis[:4])), 0.0)
 
 
+@check("scaled_generators",
+       "character averaging maps a generating set to alpha-eigenvectors "
+       "generating the same subalgebra")
 def _chk_scaled_generators(rc: RunContext):
     if not rc.grp.is_abelian:
-        return "skipped", None, None, None, "character scaling needs an abelian group"
+        raise Skip("character scaling needs an abelian group")
     alg = rc.alg
     xs = [alg.basis(i) for i in range(alg.dim)]
-    pairs = scaled_generating_set(xs, rc.act, rc.chars)
-    worst = scaling_residual(pairs, rc.act)
+    pairs = rc.scaled
     orbit = [rc.act.apply(g, x) for x in xs for g in range(rc.grp.order)]
     before = subalgebra_generate(alg, xs + orbit)
     after = subalgebra_generate(alg, [y for y, _ in pairs])
-    same = span_equal(alg, before, after, rc.tol)
-    residual = worst if same else max(worst, 1.0)
-    status = "pass" if same and residual <= rc.tol else "fail"
-    return status, float(after.shape[1]), float(before.shape[1]), residual, (
-        f"{len(pairs)} scaled components"
-    )
+    return Compared(after.shape[1], before.shape[1], scaling_residual(pairs, rc.act),
+                    f"{len(pairs)} scaled components", holds=span_equal(alg, before, after))
 
 
+@check("generating_set_independence",
+       "the computed module dimension of the derivation space does not "
+       "depend on the generating set")
 def _chk_generating_independence(rc: RunContext):
     alg = rc.alg
     x1 = np.eye(alg.dim, dtype=complex)
@@ -747,133 +781,13 @@ def _chk_generating_independence(rc: RunContext):
         x2 = multimatrix_generators(rc.spec.blocks)
     else:
         x2 = _greedy_generators(alg)
-    rep = generating_set_independence_check(rc.space_a, x1, x2)
-    return _cmp(rep.dim_a, rep.dim_b, rc.tol, note=f"{x1.shape[1]} vs {x2.shape[1]} generators")
-
-
-CHECKS: dict[str, tuple[str, object]] = {
-    "algebra_valid": (
-        "multiplication is associative and unital, * is an antimultiplicative "
-        "involution, and tau is a faithful tracial state",
-        _chk_algebra_valid,
-    ),
-    "action_valid": (
-        "every alpha_g is a trace-preserving unital *-automorphism and "
-        "g -> alpha_g is a group homomorphism",
-        _chk_action_valid,
-    ),
-    "group_algebra_dim": (
-        "dim Der(C[G]) = 1 - 1/|G|",
-        _chk_group_algebra_dim,
-    ),
-    "multimatrix_formula": (
-        "dim Der(A) = 1 - sum_i alpha_i^2 / n_i^2 for A a direct sum of "
-        "matrix blocks M_{n_i} with trace weights alpha_i",
-        _chk_multimatrix_formula,
-    ),
-    "crossed_multimatrix": (
-        "A x| G is a multi-matrix algebra whose weights sum to 1, whose block "
-        "sizes square-sum to dim(A) |G|, and whose derivation dimension obeys "
-        "its own block formula",
-        _chk_crossed_multimatrix,
-    ),
-    "schreier_crossed": (
-        "dim Der(A x| G) - 1 = (dim Der(A) - 1) / |G|",
-        _chk_schreier_crossed,
-    ),
-    "schreier_vanishing": (
-        "the derivations of A x| G vanishing on C[G] have dimension "
-        "|G| dim Der(A) over A (x) A°",
-        _chk_schreier_vanishing,
-    ),
-    "index_scaling_full": (
-        "restricting scalars from (A x| G) (x) (A x| G)° to A (x) A° "
-        "multiplies the dimension of the full module by |G|^2",
-        _chk_index_scaling_full,
-    ),
-    "index_scaling_vanishing": (
-        "the vanishing-space dimension over A (x) A° is |G|^2 times its "
-        "dimension over (A x| G) (x) (A x| G)°",
-        _chk_index_scaling_vanishing,
-    ),
-    "subgroup_schreier": (
-        "dim Der(A x| G) - 1 = (dim Der(A x| H) - 1) / [G:H] for H <= G",
-        _chk_subgroup_schreier,
-    ),
-    "coset_projection_relations": (
-        "the sector projections p_{g,h} resolve the identity, commute with "
-        "A (x) A°, satisfy p_{g,h} (u_a (x) u_b°) = (u_a (x) u_b°) "
-        "p_{a^-1 g, h b^-1}, and J p_{g,h} = p_{g^-1, h^-1} J",
-        _chk_coset_projections,
-    ),
-    "covariance_equivalence": (
-        "a derivation of A x| G is fixed by every scaling conjugation exactly "
-        "when it vanishes on C[G]",
-        _chk_covariance_equivalence,
-    ),
-    "extension_orthogonality": (
-        "the extensions {d^h}_h of a base derivation are pairwise orthogonal "
-        "in <.,.>_Y for Y = (A basis) + group units",
-        _chk_extension_orthogonality,
-    ),
-    "extension_vanishing": (
-        "each extension d^h satisfies the Leibniz rule, vanishes on C[G], and "
-        "is fixed by the scaling conjugations",
-        _chk_extension_vanishing,
-    ),
-    "round_trip_extend_restrict": (
-        "restricting an extension returns the original derivation, and every "
-        "vanishing derivation is the sum of its re-extended components",
-        _chk_round_trip,
-    ),
-    "central_projection_formula": (
-        "p = sum_i n_i^-1 sum_{j,k} e^(i)_{jk} (x) (e^(i)_{kj})° left-acts as "
-        "the orthogonal projection onto the A-central vectors, and "
-        "(tau (x) tau)(p) = sum_i alpha_i^2 / n_i^2",
-        _chk_central_projection,
-    ),
-    "central_family_orthonormal": (
-        "the vectors |G|^-1/2 sum_k u_{kh} (x) (u_{k^-1})° are an orthonormal "
-        "basis of the C[G]-central vectors",
-        _chk_central_family,
-    ),
-    "scaling_unitary": (
-        "each scaling conjugation V_g is unitary for <.,.>_Y built from a "
-        "character-scaled generating set plus the group units",
-        _chk_scaling_unitary,
-    ),
-    "scaling_average_vanishes": (
-        "the group average of the scaling conjugates of any derivation "
-        "vanishes on C[G]",
-        _chk_scaling_average,
-    ),
-    "scaled_generators": (
-        "character averaging maps a generating set to alpha-eigenvectors "
-        "generating the same subalgebra",
-        _chk_scaled_generators,
-    ),
-    "generating_set_independence": (
-        "the computed module dimension of the derivation space does not "
-        "depend on the generating set",
-        _chk_generating_independence,
-    ),
-}
-
-
-def _cmp(lhs: float, rhs: float, tol: float, residual: float | None = None, note: str = ""):
-    """Row values (status, lhs, rhs, residual, note) of a comparison that
-    passes when the residual, |lhs - rhs| unless given, is at most tol."""
-    if residual is None:
-        residual = abs(lhs - rhs)
-    status = "pass" if residual <= tol else "fail"
-    return status, float(lhs), float(rhs), float(residual), note
+    return Compared(_dim(rc.space_a, x1), _dim(rc.space_a, x2),
+                    note=f"{x1.shape[1]} vs {x2.shape[1]} generators")
 
 
 def _fraction_bound(rc: RunContext) -> int:
     try:
-        prod = 1
-        for n, _ in rc.blocks_a:
-            prod *= n * n
+        prod = math.prod(n * n for n, _ in rc.blocks_a)
     except _CHECK_ERRORS:
         # blocks unknown (the algebra failed validation, say): a coarser bound
         prod = rc.alg.dim * rc.alg.dim
@@ -881,47 +795,42 @@ def _fraction_bound(rc: RunContext) -> int:
 
 
 def run(spec: ExperimentSpec) -> VerificationReport:
-    """Execute the requested checks (default: the whole registry) and
-    assemble the report. Validation failures short-circuit dependent checks
-    to skipped."""
+    """Execute the requested checks (default: the whole registry) in report
+    order and assemble the report. A failed foundation check turns every
+    later check into a skipped row."""
     rc = RunContext(spec)
-    if spec.checks is None:
-        selected = list(CHECKS)
-    else:
-        selected = [name for name in CHECKS if name in set(spec.checks)]
+    wanted = CHECKS if spec.checks is None else set(spec.checks)
     rows: list[CheckRow] = []
     foundation_ok = True
     max_den = None
-    for name in selected:
-        statement, fn = CHECKS[name]
-        if not foundation_ok and name not in ("algebra_valid", "action_valid"):
-            rows.append(
-                CheckRow(name, "skipped", statement, note="validation failed upstream")
-            )
+    for name, (statement, fn) in CHECKS.items():
+        if name not in wanted:
+            continue
+        row = CheckRow(name, "skipped", statement)
+        rows.append(row)
+        if not foundation_ok and name not in _FOUNDATION:
+            row.note = "validation failed upstream"
             continue
         t0 = time.perf_counter()
         try:
-            status, lhs, rhs, residual, note = fn(rc)
+            got = fn(rc)
+        except Skip as exc:
+            row.note = str(exc)
         except _CHECK_ERRORS as exc:
-            status, lhs, rhs, residual = "fail", None, None, None
-            note = f"{type(exc).__name__}: {exc}"
-        elapsed = time.perf_counter() - t0
-        row = CheckRow(
-            name, status, statement,
-            lhs=None if lhs is None else float(lhs),
-            rhs=None if rhs is None else float(rhs),
-            residual=None if residual is None else float(residual),
-            note=note, elapsed=elapsed,
-        )
-        if status == "pass" and row.lhs is not None and row.rhs is not None:
+            row.status, row.note = "fail", f"{type(exc).__name__}: {exc}"
+        else:
+            row.lhs, row.rhs, row.residual = float(got.lhs), float(got.rhs), float(got.residual)
+            row.note = got.note
+            row.status = "pass" if got.holds and row.residual <= spec.tolerance else "fail"
+        row.elapsed = time.perf_counter() - t0
+        if row.status == "pass":
             if max_den is None:
                 max_den = _fraction_bound(rc)
             fl = as_fraction(row.lhs, max_den)
             fr = as_fraction(row.rhs, max_den)
             row.lhs_fraction = None if fl is None else str(fl)
             row.rhs_fraction = None if fr is None else str(fr)
-        rows.append(row)
-        if name in ("algebra_valid", "action_valid") and status == "fail":
+        if name in _FOUNDATION and row.status == "fail":
             foundation_ok = False
     return VerificationReport(spec.label, spec.seed, spec.tolerance, rows)
 
@@ -941,16 +850,11 @@ def corpus_specs(seed: int = 0, tolerance: float = 1e-8) -> list[ExperimentSpec]
         )
 
     c1 = [(1, 1.0)]
-    for n in range(2, 7):
-        grp = cyclic(n)
-        alg = multimatrix(c1, label="C")
-        add(f"C | Z/{n} | trivial", alg, grp, trivial_action(grp, alg), blocks=c1)
     v4 = direct_product(cyclic(2), cyclic(2))
-    alg = multimatrix(c1, label="C")
-    add("C | Z/2xZ/2 | trivial", alg, v4, trivial_action(v4, alg), blocks=c1)
-    s3 = symmetric_3()
-    alg = multimatrix(c1, label="C")
-    add("C | S3 | trivial", alg, s3, trivial_action(s3, alg), blocks=c1)
+    named = [(f"Z/{n}", cyclic(n)) for n in range(2, 7)] + [("Z/2xZ/2", v4), ("S3", symmetric_3())]
+    for name, grp in named:
+        alg = multimatrix(c1, label="C")
+        add(f"C | {name} | trivial", alg, grp, trivial_action(grp, alg), blocks=c1)
 
     c2b = [(1, 0.5), (1, 0.5)]
     c2 = multimatrix(c2b, label="C^2")
@@ -996,19 +900,17 @@ def corpus_specs(seed: int = 0, tolerance: float = 1e-8) -> list[ExperimentSpec]
         add(f"C[Z/{n}] | Z/{n} | dual", act.algebra, act.group, act)
 
     z4 = cyclic(4)
-    c2_z4 = multimatrix(c2b, label="C^2")
     flip_through = [[0, 1] if g % 2 == 0 else [1, 0] for g in range(4)]
     add(
-        "C^2 | Z/4 | swap through Z/2", c2_z4, z4,
-        permutation_action(z4, c2_z4, flip_through), blocks=c2b, sub=[0, 2],
+        "C^2 | Z/4 | swap through Z/2", c2, z4,
+        permutation_action(z4, c2, flip_through), blocks=c2b, sub=[0, 2],
     )
 
-    c2_v4 = multimatrix(c2b, label="C^2")
     # (a, b) acts by swap^a; the subgroup {(0,0), (1,0)} realizes the swap
     perms_v4 = [[0, 1], [0, 1], [1, 0], [1, 0]]
     add(
-        "C^2 | Z/2xZ/2 | swap on first factor", c2_v4, v4,
-        permutation_action(v4, c2_v4, perms_v4), blocks=c2b, sub=[0, 2],
+        "C^2 | Z/2xZ/2 | swap on first factor", c2, v4,
+        permutation_action(v4, c2, perms_v4), blocks=c2b, sub=[0, 2],
     )
     return out
 
@@ -1020,17 +922,8 @@ def run_corpus(seed: int = 0, tolerance: float = 1e-8) -> list[VerificationRepor
 # -- serialization ---------------------------------------------------------------
 
 def _row_dict(row: CheckRow) -> dict:
-    return {
-        "name": row.name,
-        "status": row.status,
-        "statement": row.statement,
-        "lhs": row.lhs,
-        "rhs": row.rhs,
-        "residual": row.residual,
-        "lhs_fraction": row.lhs_fraction,
-        "rhs_fraction": row.rhs_fraction,
-        "note": row.note,
-    }
+    """Every field of the row but its timing, in declaration order."""
+    return {k: v for k, v in asdict(row).items() if k != "elapsed"}
 
 
 def report_dict(report: VerificationReport) -> dict:

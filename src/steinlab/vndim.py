@@ -3,9 +3,10 @@
 A ModuleSubspace is a span of vectors in a direct sum of k copies of
 L^2(N), N = A (x) A^op, together with the right action of a coefficient
 algebra N_0 (one block operator per element, acting diagonally across the
-copies) and the trace vectors Omega_b. The dimension is
-sum_b <P Omega_b, Omega_b> for the orthogonal projection P onto the
-span, valid once P commutes with the right action.
+copies) and a family omega_j of trace vectors of one copy, taken in every
+copy: Omega = I_k (x) omega. The dimension is sum_b <P Omega_b, Omega_b>
+for the orthogonal projection P onto the span, valid once P commutes with
+the right action.
 
 Every block-level matrix is a kron factor pair (a, b) standing for
 kron(a, b), one factor per tensor leg: the GNS Gram of one copy of L^2(N)
@@ -37,7 +38,8 @@ certified by the rank of the coefficients C = Q'^H span, which must be
 dim W' (gap-guarded, as every rank here), or NotRightClosed is raised.
 Then every right operator, two-leg ones included, is tested against the
 block-diagonal projector Q' Q'^H at CLOSURE_TOL, and the dimension is
-sum_ab |Q'_ab^H Omega_ab|^2. The rotation is unitary, so for a module
+sum_ab |Q'_ab^H Omega_ab|^2, with omega rotated once and read against
+the rows of each copy. The rotation is unitary, so for a module
 this is the value of the dense projection.
 
 Block SVDs and certificate run per connected component of the incidence
@@ -98,7 +100,9 @@ class ModuleSubspace:
     ncoords: int
     span: np.ndarray  # (ncoords * block_dim, r), raw coordinates
     right_ops: list  # (a, b) kron factor pairs, None for an identity leg
-    trace_vectors: np.ndarray  # (ncoords * block_dim, t)
+    # (block_dim, t): the family omega of one copy; the trace vectors are
+    # omega_j in each coordinate, I_ncoords (x) omega
+    trace_vectors: np.ndarray
     label: str = ""
 
     @property
@@ -371,10 +375,13 @@ def vn_dimension(sub: ModuleSubspace) -> DimensionResult:
     if worst > CLOSURE_TOL:
         raise NotRightClosed(f"commutant residual {worst:.3e} above {CLOSURE_TOL}")
 
-    omegas = _class_blocks(_rotate(sub.trace_vectors, k, legs), legs)
+    # omega is rotated once and read against the rows of every coordinate
+    omegas = _class_blocks(_rotate(sub.trace_vectors, 1, legs), legs)
     value = 0.0
     for key, (_, qh) in basis.items():
-        value += float(np.sum(np.abs(qh @ _block_stack(omegas[key])) ** 2))
+        count, rho, rows = qh.shape
+        overlaps = qh.reshape(count, rho, k, rows // k) @ _block_stack(omegas[key])[:, None]
+        value += float(np.sum(np.abs(overlaps) ** 2))
     return DimensionResult(value, rank, worst)
 
 
@@ -413,13 +420,6 @@ def _right_ops(alg, xs: list) -> list:
     return [op for r, l in zip(rights, lefts) for op in ((r, None), (None, l))]
 
 
-def _block_traces(bim: Bimodule, k: int) -> np.ndarray:
-    omegas = np.zeros((k * bim.dim, k), dtype=complex)
-    for c in range(k):
-        omegas[c * bim.dim : (c + 1) * bim.dim, c] = bim.unit
-    return omegas
-
-
 def phi_x(space: DerivationSpace, gens: np.ndarray | None = None) -> ModuleSubspace:
     """Image of a derivation space under d -> (d(x))_{x in X}.
 
@@ -434,16 +434,16 @@ def phi_x(space: DerivationSpace, gens: np.ndarray | None = None) -> ModuleSubsp
     gens = np.eye(alg.dim, dtype=complex) if gens is None else np.asarray(gens, dtype=complex)
     if not generates(alg, list(gens.T)):
         raise NotGenerating("argument set does not generate the algebra")
-    # block per argument x, derivations along columns
-    span = np.vstack(
-        [np.einsum("rpj,j->pr", space.basis, x) for x in gens.T]
-    )
+    # block per argument x, derivations along columns; written in this
+    # layout (order C), so the reshape copies nothing
+    k = gens.shape[1]
+    span = np.einsum("rpj,jx->xpr", space.basis, gens, order="C").reshape(k * bim.dim, space.rank)
     return ModuleSubspace(
         gram=(alg.gram, alg.gram),
-        ncoords=gens.shape[1],
+        ncoords=k,
         span=span,
         right_ops=_right_ops(alg, _with_stars(alg, gens)),
-        trace_vectors=_block_traces(bim, gens.shape[1]),
+        trace_vectors=bim.unit[:, None],
         label=f"phi_X({alg.label})",
     )
 
@@ -470,15 +470,14 @@ def inner_derivation_module(alg, gens: np.ndarray) -> ModuleSubspace:
     (_, inv_a, _), (_, inv_b, _) = _legs(gram, ops)
     # columns = phi_X([., xi]) for the rotated basis vectors xi
     span = commutator_span(bim, gens, (inv_a, inv_b)).reshape(k * bim.dim, bim.dim)
-    return ModuleSubspace(gram, k, span, ops, _block_traces(bim, k),
-                          label=f"inner({alg.label})")
+    return ModuleSubspace(gram, k, span, ops, bim.unit[:, None], label=f"inner({alg.label})")
 
 
 def restrict_scalars(sub: ModuleSubspace, ctx: CrossedContext) -> ModuleSubspace:
     """View a module over N_big = (A x| G) (x) (A x| G)^op as a module over
     N_0 = A (x) A^op; same span, right action through the inclusion (one
-    operator pair per basis element of A and its star), and one trace
-    vector u_g (x) u_h^op per original coordinate and sector."""
+    operator pair per basis element of A and its star), and the trace
+    vectors u_g (x) u_h^op, one per sector, in every coordinate."""
     cp = ctx.cp
     big = ctx.big
     if sub.block_dim != big.dim:
@@ -486,38 +485,7 @@ def restrict_scalars(sub: ModuleSubspace, ctx: CrossedContext) -> ModuleSubspace
     base = cp.base
     basis = np.eye(base.dim, dtype=complex)
     ops = _right_ops(cp.algebra, [cp.lift(x) for x in _with_stars(base, basis)])
-    k = ctx.group.order
-    traces = []
-    for c in range(sub.ncoords):
-        for g in range(k):
-            for h in range(k):
-                col = np.zeros(sub.ncoords * big.dim, dtype=complex)
-                col[c * big.dim : (c + 1) * big.dim] = big.embed(cp.u(g), cp.u(h))
-                traces.append(col)
-    return ModuleSubspace(
-        sub.gram,
-        sub.ncoords,
-        sub.span,
-        ops,
-        np.column_stack(traces),
-        label=sub.label + " over base",
-    )
-
-
-@dataclass
-class IndependenceReport:
-    dim_a: float
-    dim_b: float
-
-    @property
-    def delta(self) -> float:
-        return abs(self.dim_a - self.dim_b)
-
-
-def generating_set_independence_check(
-    space: DerivationSpace, gens_a: np.ndarray, gens_b: np.ndarray
-) -> IndependenceReport:
-    """Dimension of the same derivation space against two generating sets."""
-    da = vn_dimension(phi_x(space, gens_a))
-    db = vn_dimension(phi_x(space, gens_b))
-    return IndependenceReport(da.value, db.value)
+    us = cp.embed_group.T
+    traces = np.column_stack([big.embed(ug, uh) for ug in us for uh in us])
+    return ModuleSubspace(sub.gram, sub.ncoords, sub.span, ops, traces,
+                          label=sub.label + " over base")

@@ -151,7 +151,9 @@ def test_failed_stage_is_computed_once(monkeypatch):
 
     # recomputing every stage on every lookup gives the same rows
     calls.clear()
-    monkeypatch.setattr(RunContext, "_get", lambda self, key, fn: fn())
+    for name, attr in list(vars(RunContext).items()):
+        if isinstance(attr, property) and hasattr(attr.fget, "__wrapped__"):
+            monkeypatch.setattr(RunContext, name, property(attr.fget.__wrapped__))
     again = run(spec)
     assert calls[4] > 1
     assert [(r.name, r.status, r.note) for r in again.rows] == [
@@ -242,7 +244,7 @@ def test_cli_run_fails_on_a_residual_above_the_tolerance(tmp_path, capsys, monke
     statement, _ = CHECKS["schreier_crossed"]
     monkeypatch.setitem(
         CHECKS, "schreier_crossed",
-        (statement, lambda rc: reports._cmp(1.0 + 2.0**-52, 1.0, rc.tol)),
+        (statement, lambda rc: reports.Compared(1.0 + 2.0**-52, 1.0)),
     )
     path = write_spec(tmp_path, dict(C2_SPEC, checks=["schreier_crossed"]))
     assert main(["run", path, "--tolerance", "1e-30", "--format", "json"]) == 1
@@ -253,20 +255,33 @@ def test_cli_run_fails_on_a_residual_above_the_tolerance(tmp_path, capsys, monke
     capsys.readouterr()
 
 
-def test_cli_run_reports_a_trace_that_is_not_faithful(tmp_path, capsys):
-    # C^2 with the trace (1, 0): a tracial state with a zero Gram eigenvalue
+def test_a_structural_mismatch_fails_at_any_tolerance(tmp_path, capsys, monkeypatch):
+    # with every covariance defect read as 0, the derivations that do not
+    # vanish on C[G] count as covariant: the two sides disagree, which no
+    # tolerance can forgive
+    monkeypatch.setattr(reports, "covariance_defect", lambda ctx, mats: np.zeros(len(mats)))
+    path = write_spec(tmp_path, dict(C2_SPEC, checks=["covariance_equivalence"]))
+    assert main(["run", path, "--tolerance", "10", "--format", "json"]) == 1
+    row = json.loads(capsys.readouterr().out)["reports"][0]["rows"][0]
+    assert row["status"] == "fail"
+    assert row["lhs"] < row["rhs"]
+    assert row["residual"] <= 10
+
+
+def unfaithful_c2() -> dict:
+    """C^2 with the trace (1, 0): a tracial state with a zero Gram eigenvalue."""
     def pairs(values):
         arr = np.asarray(values, dtype=complex)
         return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
     mult = np.zeros((2, 2, 2))
     mult[0, 0, 0] = mult[1, 1, 1] = 1.0
-    spec = {
-        "label": "C^2, trace (1, 0)",
-        "algebra": {"dim": 2, "mult": pairs(mult), "star": pairs(np.eye(2)),
-                    "unit": pairs([1, 1]), "trace": pairs([1, 0])},
-        "group": "Z/2",
-    }
+    return {"dim": 2, "mult": pairs(mult), "star": pairs(np.eye(2)),
+            "unit": pairs([1, 1]), "trace": pairs([1, 0])}
+
+
+def test_cli_run_reports_a_trace_that_is_not_faithful(tmp_path, capsys):
+    spec = {"label": "C^2, trace (1, 0)", "algebra": unfaithful_c2(), "group": "Z/2"}
     path = write_spec(tmp_path, spec)
     assert main(["run", path, "--format", "json"]) == 1
     out, err = capsys.readouterr()
@@ -349,6 +364,15 @@ def test_cli_dim_above_the_dense_limit_exits_2(tmp_path, capsys):
     assert main(["dim", str(path)]) == 2
     err = capsys.readouterr().err
     assert "exceeds the dense limit of 1600" in err
+    assert "Traceback" not in err
+
+
+def test_cli_dim_rejects_an_invalid_algebra(tmp_path, capsys):
+    path = tmp_path / "unfaithful.json"
+    path.write_text(json.dumps(unfaithful_c2()))
+    assert main(["dim", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "algebra: trace not faithful: minimum Gram eigenvalue 0.000e+00" in err
     assert "Traceback" not in err
 
 

@@ -1,14 +1,61 @@
+import copy
 import importlib.util
+import json
 from pathlib import Path
+
+from steinlab import reports
+from steinlab.reports import ExperimentSpec
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def test_schreier_table_runs(capsys):
-    spec = importlib.util.spec_from_file_location("schreier_table", SCRIPTS / "schreier_table.py")
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_schreier_table_runs(capsys):
+    script = load("schreier_table")
     assert script.main() == 0
     last = capsys.readouterr().out.strip().splitlines()[-1]
     assert last.startswith("worst |lhs - rhs| = ")
     assert float(last.rpartition("=")[2]) < 1e-7
+
+
+def test_report_diff_flags_an_altered_row(tmp_path, capsys):
+    script = load("report_diff")
+    spec = ExperimentSpec.from_json({
+        "label": "swap",
+        "algebra": {"multimatrix": {"blocks": [[1, 0.5], [1, 0.5]]}},
+        "group": "Z/2",
+        "action": {"name": "permutation", "perms": [[0, 1], [1, 0]]},
+        "checks": ["algebra_valid", "schreier_crossed"],
+    })
+    payload = json.loads(reports.to_json([reports.run(spec)]))
+
+    def diff(new: dict) -> tuple[int, list[str]]:
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path, obj in zip(paths, (payload, new)):
+            path.write_text(json.dumps(obj))
+        code = script.main([str(p) for p in paths])
+        return code, capsys.readouterr().out.strip().splitlines()
+
+    code, out = diff(payload)
+    assert code == 0
+    assert out == ["max |d lhs| = 0.000e+00, max |d rhs| = 0.000e+00, max |d residual| = 0.000e+00"]
+
+    # a moved value is reported, not a mismatch
+    moved = copy.deepcopy(payload)
+    moved["reports"][0]["rows"][1]["residual"] += 2.0**-40
+    code, out = diff(moved)
+    assert code == 0
+    assert out == [f"max |d lhs| = 0.000e+00, max |d rhs| = 0.000e+00, max |d residual| = {2.0**-40:.3e}"]
+
+    # one altered row is a structural mismatch
+    altered = copy.deepcopy(payload)
+    altered["reports"][0]["rows"][1]["status"] = "fail"
+    code, out = diff(altered)
+    assert code == 1
+    assert out[0] == "swap / schreier_crossed: status 'pass' != 'fail'"
