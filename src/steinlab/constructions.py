@@ -271,10 +271,22 @@ class CrossedProduct:
     def lift(self, x: np.ndarray) -> np.ndarray:
         return self.embed_base @ x
 
-    def component(self, x: np.ndarray, g: int) -> np.ndarray:
-        """Coefficient a_g of x = sum_g a_g u_g, in base coordinates."""
-        k = self.group.order
-        return x.reshape(self.base.dim, k)[:, g].copy()
+    @cached_property
+    def group_index(self) -> np.ndarray:
+        """The group element g of each basis element b_i u_g."""
+        return np.arange(self.algebra.dim) % self.group.order
+
+    @cached_property
+    def u_mult(self) -> tuple[np.ndarray, np.ndarray]:
+        """(left_mult(u_g), right_mult(u_g)) for every g, each (|G|, n, n)."""
+        us = self.embed_group.T
+        return (np.stack([self.algebra.left_mult(u) for u in us]),
+                np.stack([self.algebra.right_mult(u) for u in us]))
+
+    def ad(self, g: int) -> np.ndarray:
+        """Coordinate matrix of x -> u_g x u_g^-1."""
+        lu, ru = self.u_mult
+        return lu[g] @ ru[self.group.inv(g)]
 
 
 def crossed_product(base: FDAlgebra, act: GroupAction) -> CrossedProduct:
@@ -477,7 +489,7 @@ def group_central_family(grp: FiniteGroup) -> np.ndarray:
 
     f_h = |G|^{-1/2} sum_k u_{kh} (x) (u_{k^-1})^op is an orthonormal family
     spanning the C[G]-central vectors, in the kron coordinates of
-    derivations.Bimodule.
+    L^2(N) that derivations uses.
     """
     k = grp.order
     out = np.zeros((k * k, k), dtype=complex)

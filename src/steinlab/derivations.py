@@ -6,26 +6,26 @@ x . v . y = (x (x) y^op) v.
 
 One convention throughout, the one vndim uses. A vector of L^2(N) has the
 coordinate of b_a (x) b_b^op at flat index a * n + b (n = dim A), so it is
-an (n, n) tensor with one axis per tensor leg. A derivation is the
-(n^2, m) matrix whose column j is d(x_j) for m arguments x_j, i.e. an
-(n, n, m) tensor; derivations are handled as stacks (r, n^2, m). Every
-operator on L^2(N) is a kron factor pair (a, b) standing for kron(a, b),
-one (n, n) factor per leg, None for an identity leg: x (x) y^op acts by
-(left_mult(x), right_mult(y)) on the left and by (right_mult(x),
-left_mult(y)) on the right, and the GNS metric is whitened by
-(T, T), T = A.onb_factor. Bimodule.apply contracts a pair into a stack leg
-by leg; no (n^2, n^2) operator matrix is formed.
+an (n, n) tensor with one axis per tensor leg, and x (x) y^op has the
+coordinates kron(x, y). A derivation is the (n^2, m) matrix whose column j
+is d(x_j) for m arguments x_j, i.e. an (n, n, m) tensor; derivations are
+handled as stacks (r, n^2, m). Every operator on L^2(N) is a kron factor
+pair (a, b) standing for kron(a, b), one (n, n) factor per leg, None for
+an identity leg: x (x) y^op acts by (left_mult(x), right_mult(y)) on the
+left and by (right_mult(x), left_mult(y)) on the right, and the GNS metric
+is whitened by (T, T), T = A.onb_factor. apply_pair contracts a pair into
+a stack leg by leg; no (n^2, n^2) operator matrix is formed.
 
-For crossed products A x| G the module carries extra structure: the coset
-sectors L^2(N)(u_g (x) u_h^op), a scaling conjugation by each group
-element, and extension/restriction maps moving derivations between A and
-A x| G. All of that lives in CrossedContext.
+Every function takes the FDAlgebra whose module it acts on, or, for the
+crossed-product maps, the CrossedProduct A x| G. Those act on the coset
+sectors L^2(N)(u_g (x) u_h^op), conjugate by the group elements, and move
+derivations between A and A x| G.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -40,74 +40,46 @@ from .errors import NotSubalgebra, UnitsInvalid
 _DENSE_LIMIT = 1600
 
 
-class Bimodule:
-    """L^2(A (x) A^op) with its two-sided A-action, in kron coordinates.
-
-    The element a (x) b^op sits at flat index a * dim + b, i.e. its
-    coordinate vector is kron(a, b).
-    Operators are kron factor pairs applied by apply; neither the
-    structure constants of A (x) A^op nor any operator matrix on it is
-    materialized.
-    """
-
-    def __init__(self, alg: FDAlgebra):
-        self.algebra = alg
-        self.dim = alg.dim * alg.dim
-
-    @cached_property
-    def unit(self) -> np.ndarray:
-        return np.kron(self.algebra.unit, self.algebra.unit)
-
-    def embed(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Coordinates of x (x) y^op."""
-        return np.kron(x, y)
-
-    def apply(self, pair: tuple, v: np.ndarray) -> np.ndarray:
-        """kron(a, b) for the factor pair (a, b), None an identity leg,
-        applied to a stack v of shape (..., n^2, m): the L^2(N) axis is
-        read as the two legs (n, n) and each factor contracts its leg."""
-        a, b = pair
-        n = self.algebra.dim
-        *lead, _, m = v.shape
-        t = v
-        if a is not None:
-            t = np.matmul(a, t.reshape(*lead, n, n * m))
-        if b is not None:
-            t = np.matmul(b, t.reshape(*lead, n, n, m))
-        return t.reshape(v.shape)
-
-    def whiten(self, v: np.ndarray) -> np.ndarray:
-        """A stack (..., n^2, m) in GNS-orthonormal coordinates, where the
-        GNS inner product of L^2(N) is the standard one."""
-        t = self.algebra.onb_factor
-        return self.apply((t, t), v)
-
-    @cached_property
-    def leibniz_system(self) -> SparseSystem:
-        """The Leibniz system of the algebra (see leibniz_system), built
-        once per bimodule: it depends only on the algebra."""
-        return leibniz_system(self)
+def apply_pair(pair: tuple, v: np.ndarray) -> np.ndarray:
+    """kron(a, b) for the factor pair (a, b), None an identity leg,
+    applied to a stack v of shape (..., n^2, m): the L^2(N) axis is read
+    as the two legs (n, n) and each factor contracts its leg."""
+    a, b = pair
+    *lead, nn, m = v.shape
+    n = math.isqrt(nn)
+    t = v
+    if a is not None:
+        t = np.matmul(a, t.reshape(*lead, n, n * m))
+    if b is not None:
+        t = np.matmul(b, t.reshape(*lead, n, n, m))
+    return t.reshape(v.shape)
 
 
-def leibniz_residual(bim: Bimodule, mats: np.ndarray) -> np.ndarray:
+def whiten(alg: FDAlgebra, v: np.ndarray) -> np.ndarray:
+    """A stack (..., n^2, m) in GNS-orthonormal coordinates, where the GNS
+    inner product of L^2(N) is the standard one."""
+    return apply_pair((alg.onb_factor, alg.onb_factor), v)
+
+
+def leibniz_residual(alg: FDAlgebra, mats: np.ndarray) -> np.ndarray:
     """Largest GNS norm of d(b_i b_j) - b_i . d(b_j) - d(b_i) . b_j over
     basis pairs, for each derivation of a stack (..., n^2, n): the rows of
     leibniz_system applied to it."""
     mats = np.asarray(mats)
-    n = bim.algebra.dim
-    res = bim.leibniz_system.dot(mats.reshape(*mats.shape[:-2], bim.dim * n))
-    res = bim.whiten(res.reshape(*mats.shape[:-2], bim.dim, n * n))
+    n = alg.dim
+    res = leibniz_system(alg).dot(mats.reshape(*mats.shape[:-2], n**3))
+    res = whiten(alg, res.reshape(*mats.shape[:-2], n * n, n * n))
     return np.linalg.norm(res, axis=-2).max(axis=-1)
 
 
-def restricted_norm(bim: Bimodule, mats: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def restricted_norm(alg: FDAlgebra, mats: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Largest GNS image norm over the argument vectors cols, for each
     derivation of a stack (..., n^2, n)."""
-    img = bim.whiten(np.asarray(mats) @ cols)
+    img = whiten(alg, np.asarray(mats) @ cols)
     return np.linalg.norm(img, axis=-2).max(axis=-1, initial=0.0)
 
 
-def commutator_span(bim: Bimodule, xs: np.ndarray, xis) -> np.ndarray:
+def commutator_span(alg: FDAlgebra, xs: np.ndarray, xis) -> np.ndarray:
     """x . xi - xi . x for every column x of xs (elements of A) and xi of
     xis, shape (len x, n^2, len xi): block k holds the values at x_k of the
     inner derivations [., xi].
@@ -118,26 +90,25 @@ def commutator_span(bim: Bimodule, xs: np.ndarray, xis) -> np.ndarray:
     kron(left_mult(x) va, vb) - kron(va, right_mult(x) vb). With the pair
     (1, 1) it is the matrix of xi -> ([x_k, xi])_k.
     """
-    alg = bim.algebra
     xs = np.asarray(xs, dtype=complex)
+    n = alg.dim
     if isinstance(xis, tuple):
         va, vb = (np.asarray(v, dtype=complex) for v in xis)
-        n = alg.dim
         out = np.empty((xs.shape[1], n, n, n, n), dtype=complex)
         for k, x in enumerate(xs.T):
             legs_a = np.stack([alg.left_mult(x) @ va, va])
             legs_b = np.stack([vb, -alg.right_mult(x) @ vb])
             np.einsum("tai,tbj->abij", legs_a, legs_b, out=out[k])
-        return out.reshape(xs.shape[1], bim.dim, bim.dim)
+        return out.reshape(xs.shape[1], n * n, n * n)
     xis = np.asarray(xis, dtype=complex)
     out = np.empty((xs.shape[1], *xis.shape), dtype=complex)
     for k, x in enumerate(xs.T):
-        left = bim.apply((alg.left_mult(x), None), xis)
-        np.subtract(left, bim.apply((None, alg.right_mult(x)), xis), out=out[k])
+        left = apply_pair((alg.left_mult(x), None), xis)
+        np.subtract(left, apply_pair((None, alg.right_mult(x)), xis), out=out[k])
     return out
 
 
-def leibniz_system(bim: Bimodule) -> SparseSystem:
+def leibniz_system(alg: FDAlgebra) -> SparseSystem:
     """Linear system whose kernel is the space of derivations.
 
     Unknown is the row-major vec of the (dim N, dim A) matrix D, entry
@@ -152,8 +123,8 @@ def leibniz_system(bim: Bimodule) -> SparseSystem:
     the three terms is a permutation pattern, so nullspace splits the
     system into many small blocks.
     """
-    alg = bim.algebra
-    n, nn = alg.dim, bim.dim
+    n = alg.dim
+    nn = n * n
     x, y, z = (ax[:, None, None] for ax in np.nonzero(alg.mult))
     v = alg.mult[x, y, z]
     a = np.arange(n)[:, None]  # free index on one tensor leg of N
@@ -176,66 +147,45 @@ def leibniz_system(bim: Bimodule) -> SparseSystem:
 
 @dataclass(eq=False)
 class DerivationSpace:
-    """Span of derivations with a basis orthonormal for <., .>_X, X the
-    basis of A: <d1, d2>_X = sum_j <d1(b_j), d2(b_j)>."""
+    """Span of derivations of algebra with a basis orthonormal for
+    <., .>_X, X the basis of A: <d1, d2>_X = sum_j <d1(b_j), d2(b_j)>."""
 
-    bim: Bimodule
+    algebra: FDAlgebra
     basis: np.ndarray  # (r, dim N, dim A)
 
     @property
     def rank(self) -> int:
         return self.basis.shape[0]
 
-    def pair(self, m1: np.ndarray, m2: np.ndarray) -> complex:
-        # sum_j <d1(b_j), d2(b_j)>, linear in d1
-        return complex(np.vdot(self.bim.whiten(m2), self.bim.whiten(m1)))
 
-
-def _space_from_vecs(bim: Bimodule, vecs: np.ndarray) -> DerivationSpace:
-    """Orthonormalize vec'd derivations for the <., .>_X metric.
-
-    On row-major vecs, indexed (leg a, leg b, argument), <., .>_X has Gram
-    matrix kron(gram, gram, 1): whitening factors (T, T) on the two legs of
-    N and none on the argument axis.
-    """
-    alg = bim.algebra
-    q = gram_onb(vecs, (alg.onb_factor, alg.onb_factor))
-    return DerivationSpace(bim, q.T.reshape(-1, bim.dim, alg.dim))
-
-
-def derivation_space(alg: FDAlgebra, bim: Bimodule | None = None) -> DerivationSpace:
+def derivation_space(alg: FDAlgebra) -> DerivationSpace:
     """All derivations of A, solved from the Leibniz system on every basis
     pair, with a basis orthonormal for <., .>_X, X the basis of A.
 
     The system is solved block by block; a connected block of more than
     _DENSE_LIMIT unknowns raises DenseLimitExceeded before any SVD, and
-    inner_derivation_module is the route for such algebras.
+    inner_derivation_module is the route for such algebras. On row-major
+    vecs, indexed (leg a, leg b, argument), <., .>_X has Gram matrix
+    kron(gram, gram, 1): whitening factors (T, T) on the two legs of N and
+    none on the argument axis.
     """
-    bim = bim or Bimodule(alg)
-    return _space_from_vecs(bim, nullspace(bim.leibniz_system, max_block=_DENSE_LIMIT))
+    vecs = nullspace(leibniz_system(alg), max_block=_DENSE_LIMIT)
+    q = gram_onb(vecs, (alg.onb_factor, alg.onb_factor))
+    return DerivationSpace(alg, q.T.reshape(-1, alg.dim**2, alg.dim))
 
 
-def inner_derivations(alg: FDAlgebra, bim: Bimodule | None = None) -> DerivationSpace:
-    """Span of the commutator derivations [., xi], xi in N."""
-    bim = bim or Bimodule(alg)
-    span = commutator_span(bim, np.eye(alg.dim), (np.eye(alg.dim), np.eye(alg.dim)))
-    # (argument, N, xi) to row-major derivation vecs (N, argument) per xi
-    return _space_from_vecs(bim, span.transpose(1, 0, 2).reshape(-1, bim.dim))
-
-
-def central_vectors(alg: FDAlgebra, sub_cols: np.ndarray, bim: Bimodule | None = None) -> np.ndarray:
+def central_vectors(alg: FDAlgebra, sub_cols: np.ndarray) -> np.ndarray:
     """GNS-orthonormal basis of {v in N : b . v = v . b for all b in the span}."""
-    bim = bim or Bimodule(alg)
     eye = np.eye(alg.dim)
-    rows = commutator_span(bim, np.asarray(sub_cols), (eye, eye))
-    return gram_onb(nullspace(rows.reshape(-1, bim.dim)), (alg.onb_factor, alg.onb_factor))
+    rows = commutator_span(alg, np.asarray(sub_cols), (eye, eye))
+    return gram_onb(nullspace(rows.reshape(-1, alg.dim**2)), (alg.onb_factor, alg.onb_factor))
 
 
 def relative_derivations(
     space: DerivationSpace, sub_cols: np.ndarray, check_subalgebra: bool = True
 ) -> DerivationSpace:
     """Subspace of derivations vanishing on a unital *-subalgebra."""
-    alg = space.bim.algebra
+    alg = space.algebra
     sub_cols = np.asarray(sub_cols, dtype=complex)
     if check_subalgebra:
         closure = subalgebra_generate(alg, list(sub_cols.T))
@@ -246,14 +196,12 @@ def relative_derivations(
     con = space.basis @ sub_cols
     combos = nullspace(con.reshape(space.rank, -1).T)
     basis = np.einsum("rm,rpj->mpj", combos, space.basis)
-    return DerivationSpace(space.bim, basis)
+    return DerivationSpace(alg, basis)
 
 
 # -- matrix-unit central projection -------------------------------------------
 
-def central_projection_element(
-    alg: FDAlgebra, units: list[np.ndarray], bim: Bimodule | None = None
-) -> tuple[np.ndarray, list]:
+def central_projection_element(alg: FDAlgebra, units: list[np.ndarray]) -> tuple[np.ndarray, list]:
     """Element p = sum_i n_i^-1 sum_jk e^(i)_jk (x) (e^(i)_kj)^op and its
     left multiplication on L^2(N), as a list of kron factor pairs whose
     sum it is (one per matrix unit).
@@ -263,7 +211,6 @@ def central_projection_element(
     Left multiplication by p is the orthogonal projection onto the vectors
     commuting with the span of the units.
     """
-    bim = bim or Bimodule(alg)
     tol = 1e-8
     if any(arr.shape[:2] != (arr.shape[0],) * 2 for arr in units):
         raise UnitsInvalid("unit array must be square in its first two axes")
@@ -286,83 +233,48 @@ def central_projection_element(
     prods = np.einsum("ai,bj,ijk->abk", flat, flat, alg.mult)
     if np.linalg.norm(prods - want, axis=2).max() > tol:
         raise UnitsInvalid("matrix unit relations fail")
-    p = np.zeros(bim.dim, dtype=complex)
+    p = np.zeros(alg.dim**2, dtype=complex)
     left = []
     for arr in units:
         n = arr.shape[0]
         for j in range(n):
             for k in range(n):
-                p += bim.embed(arr[j, k], arr[k, j]) / n
+                p += np.kron(arr[j, k], arr[k, j]) / n
                 left.append((alg.left_mult(arr[j, k]) / n, alg.right_mult(arr[k, j])))
     return p, left
-
-
-# -- crossed-product context ---------------------------------------------------
-
-class CrossedContext:
-    """Derivation-level structure of a crossed product A x| G.
-
-    The basis element b_i u_g of A x| G has group index g. The coset sector
-    L^2(N)(u_g (x) u_h^op) is spanned by the basis vectors whose left leg
-    has group index g and whose right leg has group index h, so a sector is
-    a pair of masks, one per leg.
-    """
-
-    def __init__(self, cp: CrossedProduct):
-        self.cp = cp
-        self.big = Bimodule(cp.algebra)
-        self.base = Bimodule(cp.base)
-        self.group = cp.group
-        self.group_index = np.arange(cp.algebra.dim) % self.group.order
-
-    def coset_mask(self, g: int, h: int) -> tuple[np.ndarray, np.ndarray]:
-        """Leg masks (left, right) of the sector L^2(N)(u_g (x) u_h^op)."""
-        return self.group_index == g, self.group_index == h
-
-    @cached_property
-    def u_mult(self) -> tuple[np.ndarray, np.ndarray]:
-        """(left_mult(u_g), right_mult(u_g)) for every g, each (|G|, n, n)."""
-        alg = self.cp.algebra
-        us = self.cp.embed_group.T
-        return np.stack([alg.left_mult(u) for u in us]), np.stack([alg.right_mult(u) for u in us])
-
-    def ad(self, g: int) -> np.ndarray:
-        """Coordinate matrix of x -> u_g x u_g^-1 on the crossed product."""
-        lu, ru = self.u_mult
-        return lu[g] @ ru[self.group.inv(g)]
 
 
 # -- scaling conjugation (covariance) -----------------------------------------
 #
 # These take stacks (..., n^2, n) of derivation matrices of A x| G.
 
-def scaling_conjugation(ctx: CrossedContext, g: int, mats: np.ndarray) -> np.ndarray:
+def scaling_conjugation(cp: CrossedProduct, g: int, mats: np.ndarray) -> np.ndarray:
     """The conjugated derivations x -> u_g* . d(u_g x u_g*) . u_g."""
-    lu, ru = ctx.u_mult
-    return ctx.big.apply((lu[ctx.group.inv(g)], ru[g]), mats) @ ctx.ad(g)
+    lu, ru = cp.u_mult
+    return apply_pair((lu[cp.group.inv(g)], ru[g]), mats) @ cp.ad(g)
 
 
-def average_scaling(ctx: CrossedContext, mats: np.ndarray) -> np.ndarray:
+def average_scaling(cp: CrossedProduct, mats: np.ndarray) -> np.ndarray:
     """Group average of the scaling conjugations; lands on the derivations
     vanishing on the copy of C[G]."""
-    k = ctx.group.order
-    return sum(scaling_conjugation(ctx, g, mats) for g in range(k)) / k
+    k = cp.group.order
+    return sum(scaling_conjugation(cp, g, mats) for g in range(k)) / k
 
 
-def covariance_defect(ctx: CrossedContext, mats: np.ndarray) -> np.ndarray:
+def covariance_defect(cp: CrossedProduct, mats: np.ndarray) -> np.ndarray:
     """Largest Frobenius deviation of each derivation from its scaling
     conjugates, relative to max(1, its Frobenius norm)."""
     mats = np.asarray(mats)
     worst = np.zeros(mats.shape[:-2])
-    for g in range(ctx.group.order):
-        dev = np.linalg.norm(scaling_conjugation(ctx, g, mats) - mats, axis=(-2, -1))
+    for g in range(cp.group.order):
+        dev = np.linalg.norm(scaling_conjugation(cp, g, mats) - mats, axis=(-2, -1))
         worst = np.maximum(worst, dev)
     return worst / np.maximum(1.0, np.linalg.norm(mats, axis=(-2, -1)))
 
 
 # -- extension and restriction --------------------------------------------------
 
-def extend_vanishing(ctx: CrossedContext, mats: np.ndarray, h: int) -> np.ndarray:
+def extend_vanishing(cp: CrossedProduct, mats: np.ndarray, h: int) -> np.ndarray:
     """Extensions of derivations of A (a stack (..., dim_A^2, dim_A)) to
     derivations of A x| G vanishing on C[G], landing in the sectors with
     right group index h.
@@ -373,9 +285,9 @@ def extend_vanishing(ctx: CrossedContext, mats: np.ndarray, h: int) -> np.ndarra
     and left_mult(u_h) right_mult(u_{g m}) restricted to the (e, e) sector,
     where A (x) A^op sits.
     """
-    cp, grp = ctx.cp, ctx.group
+    grp = cp.group
     k, nb, n = grp.order, cp.base.dim, cp.algebra.dim
-    lu, ru = ctx.u_mult
+    lu, ru = cp.u_mult
     left = lu[grp.inverse] @ cp.embed_base  # (g, n, nb)
     right = lu[h] @ ru[grp.table] @ cp.embed_base  # (g, m, n, nb)
     mats = np.asarray(mats)
@@ -386,55 +298,35 @@ def extend_vanishing(ctx: CrossedContext, mats: np.ndarray, h: int) -> np.ndarra
     return out.reshape(*lead, n * n, n)
 
 
-def restrict_component(ctx: CrossedContext, mats: np.ndarray, g: int, h: int) -> np.ndarray:
+def restrict_component(cp: CrossedProduct, mats: np.ndarray, g: int, h: int) -> np.ndarray:
     """Component D_{g,h} of derivations of A x| G (a stack (..., n^2, n)),
     as derivations of A.
 
-    Cuts d|_A to the (g, h) sector and pulls it back to the (e, e) sector,
-    i.e. to the standard A-bimodule, by right multiplication with
-    u_{g^-1} (x) (u_{h^-1})^op; its leg factors right_mult(u_{g^-1}) and
-    left_mult(u_{h^-1}) are applied restricted to the two sectors.
+    Cuts d|_A to the coset sector L^2(N)(u_g (x) u_h^op), the basis vectors
+    whose left leg has group index g and whose right leg has group index h,
+    and pulls it back to the (e, e) sector, i.e. to the standard
+    A-bimodule, by right multiplication with u_{g^-1} (x) (u_{h^-1})^op;
+    its leg factors right_mult(u_{g^-1}) and left_mult(u_{h^-1}) are
+    applied restricted to the two sectors.
     """
-    cp, grp = ctx.cp, ctx.group
+    grp = cp.group
     n, nb = cp.algebra.dim, cp.base.dim
-    rows, cols = ctx.coset_mask(g, h)
-    centre = ctx.group_index == grp.identity
-    lu, ru = ctx.u_mult
+    rows, cols = cp.group_index == g, cp.group_index == h
+    centre = cp.group_index == grp.identity
+    lu, ru = cp.u_mult
     pull = (ru[grp.inv(g)][np.ix_(centre, rows)], lu[grp.inv(h)][np.ix_(centre, cols)])
     mats = np.asarray(mats)
     lead = mats.shape[:-2]
     vals = (mats @ cp.embed_base).reshape(*lead, n, n, nb)
     cut = vals[..., rows, :, :][..., cols, :]
-    return ctx.base.apply(pull, cut.reshape(*lead, nb * nb, nb))
+    return apply_pair(pull, cut.reshape(*lead, nb * nb, nb))
 
 
-def vanishing_space(ctx: CrossedContext) -> DerivationSpace:
-    """Derivations of A x| G vanishing on the copy of C[G]."""
-    cp = ctx.cp
-    full = derivation_space(cp.algebra, bim=ctx.big)
-    return relative_derivations(full, cp.embed_group, check_subalgebra=False)
-
-
-@dataclass(eq=False)
-class VanishingDecomposition:
-    """Per-h components of derivations vanishing on C[G], with the
-    reassembly residual of each basis element."""
-
-    ctx: CrossedContext
-    space: DerivationSpace
-    components: np.ndarray  # (r, |G|, dim_A^2, dim_A): components[r, h] = D_h
-    residuals: np.ndarray
-
-    @property
-    def worst_residual(self) -> float:
-        return float(self.residuals.max()) if self.residuals.size else 0.0
-
-
-def decompose_vanishing(ctx: CrossedContext, space: DerivationSpace) -> VanishingDecomposition:
-    """Split each basis derivation D into components D_h := D_{e,h} and verify
-    D = sum_h (D_h)^h."""
-    e, k = ctx.group.identity, ctx.group.order
-    comps = np.stack([restrict_component(ctx, space.basis, e, h) for h in range(k)], axis=1)
-    back = sum(extend_vanishing(ctx, comps[:, h], h) for h in range(k))
-    residuals = np.linalg.norm(back - space.basis, axis=(1, 2))
-    return VanishingDecomposition(ctx, space, comps, residuals)
+def decompose_vanishing(cp: CrossedProduct, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split each derivation D of a stack (r, n^2, n) vanishing on C[G]
+    into its components D_h := D_{e,h}, (r, |G|, dim_A^2, dim_A), and return
+    them with the residual |D - sum_h (D_h)^h| of each derivation."""
+    e, k = cp.group.identity, cp.group.order
+    comps = np.stack([restrict_component(cp, mats, e, h) for h in range(k)], axis=1)
+    back = sum(extend_vanishing(cp, comps[:, h], h) for h in range(k))
+    return comps, np.linalg.norm(back - mats, axis=(1, 2))

@@ -12,8 +12,8 @@ compared, Compared(lhs, rhs, residual, note, holds), or raises Skip(note)
 when its hypotheses do not apply; run() alone sets the status, pass exactly
 when holds and residual <= tolerance.
 
-Reports are deterministic for a fixed seed; the JSON form omits wall-clock
-timings so repeated runs are byte-identical.
+Reports are deterministic for a fixed seed and carry no wall-clock
+timings, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import functools
 import io
 import json
 import math
-import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -51,9 +50,8 @@ from .constructions import (
     validate_action,
 )
 from .derivations import (
-    Bimodule,
-    CrossedContext,
     DerivationSpace,
+    apply_pair,
     average_scaling,
     central_projection_element,
     central_vectors,
@@ -67,6 +65,7 @@ from .derivations import (
     restrict_component,
     restricted_norm,
     scaling_conjugation,
+    whiten,
 )
 from .errors import SpecInvalid, SteinlabError
 from .groups import (
@@ -268,7 +267,6 @@ class CheckRow:
     lhs_fraction: str | None = None
     rhs_fraction: str | None = None
     note: str = ""
-    elapsed: float = 0.0
 
 
 @dataclass
@@ -380,10 +378,6 @@ class RunContext:
         return crossed_product(self.alg, self.act)
 
     @stage
-    def ctx(self) -> CrossedContext:
-        return CrossedContext(self.cp)
-
-    @stage
     def space_a(self) -> DerivationSpace:
         return derivation_space(self.alg)
 
@@ -393,7 +387,7 @@ class RunContext:
 
     @stage
     def space_m(self) -> DerivationSpace:
-        return derivation_space(self.cp.algebra, bim=self.ctx.big)
+        return derivation_space(self.cp.algebra)
 
     @stage
     def dim_m(self) -> float:
@@ -409,13 +403,13 @@ class RunContext:
 
     @stage
     def dim_van_base(self) -> float:
-        return vn_dimension(restrict_scalars(phi_x(self.vanishing), self.ctx)).value
+        return vn_dimension(restrict_scalars(phi_x(self.vanishing), self.cp)).value
 
     @stage
     def extensions(self) -> np.ndarray:
         """d^h for the first two base derivations d, (r, |G|, n^2, n)."""
         base = self.space_a.basis[:2]
-        return np.stack([extend_vanishing(self.ctx, base, h) for h in range(self.grp.order)], axis=1)
+        return np.stack([extend_vanishing(self.cp, base, h) for h in range(self.grp.order)], axis=1)
 
     @stage
     def blocks_a(self) -> list[tuple[int, float]]:
@@ -467,8 +461,10 @@ def _greedy_generators(alg: FDAlgebra) -> np.ndarray:
        "multiplication is associative and unital, * is an antimultiplicative "
        "involution, and tau is a faithful tracial state")
 def _chk_algebra_valid(rc: RunContext):
-    rep = validate(rc.alg, rc.tol)
-    return Compared(rep.worst()[1], 0.0, note=rep.faults(), holds=rep.gram_min_eig > rc.tol)
+    # faithfulness is decided at validate's own fixed cut, not the report
+    # tolerance; the axiom residual is compared by run()
+    rep = validate(rc.alg)
+    return Compared(rep.worst()[1], 0.0, note=rep.faults(), holds=rep.gram_min_eig > rep.tol)
 
 
 @check("action_valid",
@@ -523,19 +519,17 @@ def _chk_schreier_vanishing(rc: RunContext):
        "restricting scalars from (A x| G) (x) (A x| G)° to A (x) A° "
        "multiplies the dimension of the full module by |G|^2")
 def _chk_index_scaling_full(rc: RunContext):
-    ctx = rc.ctx
-    big = ctx.big
     calg = rc.cp.algebra
     full = ModuleSubspace(
         gram=(calg.gram, calg.gram),
         ncoords=1,
-        span=np.eye(big.dim, dtype=complex),
+        span=np.eye(calg.dim**2, dtype=complex),
         right_ops=[],
-        trace_vectors=big.unit.reshape(-1, 1),
+        trace_vectors=np.kron(calg.unit, calg.unit)[:, None],
         label="full ambient",
     )
     one = vn_dimension(full).value
-    lhs = vn_dimension(restrict_scalars(full, ctx)).value
+    lhs = vn_dimension(restrict_scalars(full, rc.cp)).value
     rhs = float(rc.grp.order**2)
     return Compared(lhs, rhs, max(abs(one - 1.0), abs(lhs - rhs)))
 
@@ -568,8 +562,8 @@ def _chk_coset_projections(rc: RunContext):
     each relation holds exactly when every leg operator involved maps the
     basis vectors of group index c into those of one group index f(c): the
     check is the largest entry of the operator outside that pattern."""
-    ctx, grp, calg = rc.ctx, rc.grp, rc.cp.algebra
-    gi = ctx.group_index
+    grp, calg = rc.grp, rc.cp.algebra
+    gi = rc.cp.group_index
     same = np.arange(grp.order)
 
     def stray(op, f):
@@ -581,7 +575,7 @@ def _chk_coset_projections(rc: RunContext):
     worst = stray(calg.gram, same)
     # translation p_{g,h} L(u_a (x) u_b°) = L(u_a (x) u_b°) p_{a^-1 g, h b^-1}:
     # left_mult(u_a) sends index c to ac, right_mult(u_b) sends c to cb
-    lu, ru = ctx.u_mult
+    lu, ru = rc.cp.u_mult
     legs = [(lu[a], grp.table[a]) for a in same] + [(ru[b], grp.table[:, b]) for b in same]
     # conjugation swaps the sector indices, J p_{g,h} = p_{g^-1,h^-1} J, on both legs
     legs.append((calg.star, grp.inverse))
@@ -596,20 +590,20 @@ def _chk_coset_projections(rc: RunContext):
        "a derivation of A x| G is fixed by every scaling conjugation exactly "
        "when it vanishes on C[G]")
 def _chk_covariance_equivalence(rc: RunContext):
-    ctx, cp = rc.ctx, rc.cp
-    big = ctx.big
-    n = cp.algebra.dim
-    cases = [np.zeros((1, big.dim, n), dtype=complex), rc.space_m.basis]
+    cp = rc.cp
+    calg = cp.algebra
+    n = calg.dim
+    cases = [np.zeros((1, n * n, n), dtype=complex), rc.space_m.basis]
     if rc.space_a.rank:
         cases.append(rc.extensions[0])
     # an inner derivation moved off the vanishing space: xi = u_s (x) 1°
     s = 1 if rc.grp.identity != 1 else 0
-    xi = big.embed(cp.u(s), cp.algebra.unit)
-    cases.append(commutator_span(big, np.eye(n), xi[:, None])[:, :, 0].T[None])
+    xi = np.kron(cp.u(s), calg.unit)
+    cases.append(commutator_span(calg, np.eye(n), xi[:, None])[:, :, 0].T[None])
     mats = np.concatenate(cases)
     scale = np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2)))
-    defect = covariance_defect(ctx, mats)
-    vanish = restricted_norm(big, mats, cp.embed_group) / scale
+    defect = covariance_defect(cp, mats)
+    vanish = restricted_norm(calg, mats, cp.embed_group) / scale
     cov, vanishes = defect <= _ZERO_TOL, vanish <= _ZERO_TOL
     agree = int(np.sum(cov == vanishes))
     worst = max(float(defect[vanishes].max(initial=0.0)), float(vanish[cov].max(initial=0.0)))
@@ -617,10 +611,10 @@ def _chk_covariance_equivalence(rc: RunContext):
                     holds=agree == len(mats))
 
 
-def _y_gram(big: Bimodule, ycols: np.ndarray, mats: np.ndarray) -> np.ndarray:
+def _y_gram(alg: FDAlgebra, ycols: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """<d_i, d_j>_Y = sum_y <d_i(y), d_j(y)> with the GNS inner product,
-    linear in d_i, for a stack of derivations (..., i, n^2, n)."""
-    w = big.whiten(mats @ ycols)
+    linear in d_i, for a stack of derivations (..., i, n^2, n) of alg."""
+    w = whiten(alg, mats @ ycols)
     return np.einsum("...ipy,...jpy->...ij", w, w.conj())
 
 
@@ -632,7 +626,7 @@ def _chk_extension_orthogonality(rc: RunContext):
         return Compared(0.0, 0.0, note="no derivations on the base algebra")
     # Y = the embedded basis of A and the group units
     ycols = np.column_stack([rc.cp.embed_base, rc.cp.embed_group])
-    gram = _y_gram(rc.ctx.big, ycols, rc.extensions)  # (r, |G|, |G|) per base derivation
+    gram = _y_gram(rc.cp.algebra, ycols, rc.extensions)  # (r, |G|, |G|) per base derivation
     scale = np.maximum(1.0, np.abs(np.diagonal(gram, axis1=1, axis2=2)).max(axis=1))
     off = np.abs(gram * (1.0 - np.eye(rc.grp.order))).max(axis=(1, 2))
     return Compared(float((off / scale).max()), 0.0)
@@ -641,12 +635,12 @@ def _chk_extension_orthogonality(rc: RunContext):
 def _vanishing_worst(rc: RunContext, mats: np.ndarray) -> float:
     """Worst of the Leibniz residual, the relative norm on C[G] and the
     covariance defect over a stack of derivations of A x| G."""
-    big = rc.ctx.big
+    calg = rc.cp.algebra
     scale = np.maximum(1.0, np.linalg.norm(mats, axis=(-2, -1)))
     return float(max(
-        covariance_defect(rc.ctx, mats).max(initial=0.0),
-        leibniz_residual(big, mats).max(initial=0.0),
-        (restricted_norm(big, mats, rc.cp.embed_group) / scale).max(initial=0.0),
+        covariance_defect(rc.cp, mats).max(initial=0.0),
+        leibniz_residual(calg, mats).max(initial=0.0),
+        (restricted_norm(calg, mats, rc.cp.embed_group) / scale).max(initial=0.0),
     ))
 
 
@@ -663,15 +657,16 @@ def _chk_extension_vanishing(rc: RunContext):
        "restricting an extension returns the original derivation, and every "
        "vanishing derivation is the sum of its re-extended components")
 def _chk_round_trip(rc: RunContext):
-    ctx, grp = rc.ctx, rc.grp
+    grp = rc.grp
     base = rc.space_a.basis[:2]
     scale = np.maximum(1.0, np.linalg.norm(base, axis=(1, 2)))
     worst = 0.0
     for h in range(grp.order):
-        back = restrict_component(ctx, rc.extensions[:, h], grp.identity, h)
+        back = restrict_component(rc.cp, rc.extensions[:, h], grp.identity, h)
         err = np.linalg.norm(back - base, axis=(1, 2)) / scale
         worst = max(worst, float(err.max(initial=0.0)))
-    worst = max(worst, decompose_vanishing(ctx, rc.vanishing).worst_residual)
+    _, residuals = decompose_vanishing(rc.cp, rc.vanishing.basis)
+    worst = max(worst, float(residuals.max(initial=0.0)))
     return Compared(worst, 0.0)
 
 
@@ -687,21 +682,21 @@ def _chk_central_projection(rc: RunContext):
     if rc.spec.blocks is None:
         raise Skip("matrix units not supplied")
     alg = rc.alg
-    bim = rc.space_a.bim
-    p, left_p = central_projection_element(alg, matrix_units(rc.spec.blocks), bim)
+    p, left_p = central_projection_element(alg, matrix_units(rc.spec.blocks))
     p = p[:, None]
-    q = central_vectors(alg, np.eye(alg.dim, dtype=complex), bim)
+    q = central_vectors(alg, np.eye(alg.dim, dtype=complex))
 
     def left(v):
-        return sum(bim.apply(pair, v) for pair in left_p)
+        return sum(apply_pair(pair, v) for pair in left_p)
 
     op_res = max(
-        frob(bim.whiten(left(p) - p)),
-        frob(bim.whiten(bim.apply((alg.star, alg.star), p.conj()) - p)),
-        frob(bim.whiten(left(q) - q)),
+        frob(whiten(alg, left(p) - p)),
+        frob(whiten(alg, apply_pair((alg.star, alg.star), p.conj()) - p)),
+        frob(whiten(alg, left(q) - q)),
         abs(sum(np.trace(a) * np.trace(b) for a, b in left_p) - q.shape[1]),
     )
-    lhs = float(np.vdot(bim.whiten(bim.unit[:, None]), bim.whiten(p)).real)
+    unit = np.kron(alg.unit, alg.unit)[:, None]
+    lhs = float(np.vdot(whiten(alg, unit), whiten(alg, p)).real)
     rhs = sum(a * a / (n * n) for n, a in rc.spec.blocks)
     return Compared(lhs, rhs, max(op_res, abs(lhs - rhs)))
 
@@ -712,14 +707,13 @@ def _chk_central_projection(rc: RunContext):
 def _chk_central_family(rc: RunContext):
     grp = rc.grp
     ga = group_algebra(grp)
-    bim = Bimodule(ga)
     fam = group_central_family(grp)
-    wfam = bim.whiten(fam)
+    wfam = whiten(ga, fam)
     worst = float(np.max(np.abs(wfam.conj().T @ wfam - np.eye(grp.order))))
-    comm = commutator_span(bim, np.eye(ga.dim), fam)
+    comm = commutator_span(ga, np.eye(ga.dim), fam)
     worst = max(worst, float(np.linalg.norm(comm, axis=(1, 2)).max()))
-    central = central_vectors(ga, np.eye(ga.dim, dtype=complex), bim)
-    resid = fam - central @ (bim.whiten(central).conj().T @ wfam)
+    central = central_vectors(ga, np.eye(ga.dim, dtype=complex))
+    resid = fam - central @ (whiten(ga, central).conj().T @ wfam)
     return Compared(grp.order, central.shape[1], max(worst, frob(resid)))
 
 
@@ -729,7 +723,7 @@ def _chk_central_family(rc: RunContext):
 def _chk_scaling_unitary(rc: RunContext):
     if not rc.grp.is_abelian:
         raise Skip("character scaling needs an abelian group")
-    ctx, cp = rc.ctx, rc.cp
+    cp = rc.cp
     ycols = np.column_stack([*(cp.lift(y) for y, _ in rc.scaled), cp.embed_group])
     rank = rc.space_m.rank
     if rank == 0:
@@ -737,11 +731,11 @@ def _chk_scaling_unitary(rc: RunContext):
     coef = rc.rng.standard_normal(rank) + 1j * rc.rng.standard_normal(rank)
     mix = np.einsum("r,rpj->pj", coef, rc.space_m.basis)
     picks = np.concatenate([rc.space_m.basis[:3], mix[None]])
-    before = _y_gram(ctx.big, ycols, picks)
+    before = _y_gram(cp.algebra, ycols, picks)
     scale = np.maximum(1.0, np.abs(before))
     worst = 0.0
     for g in range(rc.grp.order):
-        after = _y_gram(ctx.big, ycols, scaling_conjugation(ctx, g, picks))
+        after = _y_gram(cp.algebra, ycols, scaling_conjugation(cp, g, picks))
         worst = max(worst, float(np.max(np.abs(after - before) / scale)))
     return Compared(worst, 0.0)
 
@@ -750,7 +744,7 @@ def _chk_scaling_unitary(rc: RunContext):
        "the group average of the scaling conjugates of any derivation "
        "vanishes on C[G]")
 def _chk_scaling_average(rc: RunContext):
-    return Compared(_vanishing_worst(rc, average_scaling(rc.ctx, rc.space_m.basis[:4])), 0.0)
+    return Compared(_vanishing_worst(rc, average_scaling(rc.cp, rc.space_m.basis[:4])), 0.0)
 
 
 @check("scaled_generators",
@@ -773,16 +767,16 @@ def _chk_scaled_generators(rc: RunContext):
        "the computed module dimension of the derivation space does not "
        "depend on the generating set")
 def _chk_generating_independence(rc: RunContext):
+    # the first set is the basis of A, the one dim_a takes
     alg = rc.alg
-    x1 = np.eye(alg.dim, dtype=complex)
     if rc.spec.alt_generators is not None:
         x2 = rc.spec.alt_generators
     elif rc.spec.blocks is not None and alg.dim > 1:
         x2 = multimatrix_generators(rc.spec.blocks)
     else:
         x2 = _greedy_generators(alg)
-    return Compared(_dim(rc.space_a, x1), _dim(rc.space_a, x2),
-                    note=f"{x1.shape[1]} vs {x2.shape[1]} generators")
+    return Compared(rc.dim_a, _dim(rc.space_a, x2),
+                    note=f"{alg.dim} vs {x2.shape[1]} generators")
 
 
 def _fraction_bound(rc: RunContext) -> int:
@@ -811,7 +805,6 @@ def run(spec: ExperimentSpec) -> VerificationReport:
         if not foundation_ok and name not in _FOUNDATION:
             row.note = "validation failed upstream"
             continue
-        t0 = time.perf_counter()
         try:
             got = fn(rc)
         except Skip as exc:
@@ -822,7 +815,6 @@ def run(spec: ExperimentSpec) -> VerificationReport:
             row.lhs, row.rhs, row.residual = float(got.lhs), float(got.rhs), float(got.residual)
             row.note = got.note
             row.status = "pass" if got.holds and row.residual <= spec.tolerance else "fail"
-        row.elapsed = time.perf_counter() - t0
         if row.status == "pass":
             if max_den is None:
                 max_den = _fraction_bound(rc)
@@ -921,18 +913,13 @@ def run_corpus(seed: int = 0, tolerance: float = 1e-8) -> list[VerificationRepor
 
 # -- serialization ---------------------------------------------------------------
 
-def _row_dict(row: CheckRow) -> dict:
-    """Every field of the row but its timing, in declaration order."""
-    return {k: v for k, v in asdict(row).items() if k != "elapsed"}
-
-
 def report_dict(report: VerificationReport) -> dict:
     return {
         "label": report.label,
         "seed": report.seed,
         "tolerance": report.tolerance,
         "passed": report.passed,
-        "rows": [_row_dict(r) for r in report.rows],
+        "rows": [asdict(r) for r in report.rows],
     }
 
 
@@ -956,15 +943,15 @@ def to_markdown(reports: list[VerificationReport]) -> str:
             f"{'all checks pass' if rep.passed else 'FAILURES PRESENT'}"
         )
         lines.append("")
-        lines.append("| check | status | lhs | rhs | residual | time (s) | note |")
-        lines.append("|---|---|---|---|---|---|---|")
+        lines.append("| check | status | lhs | rhs | residual | note |")
+        lines.append("|---|---|---|---|---|---|")
         for r in rep.rows:
             frac = ""
             if r.lhs_fraction and r.rhs_fraction and r.lhs_fraction == r.rhs_fraction:
                 frac = f" (= {r.lhs_fraction})"
             lines.append(
                 f"| {r.name} | {r.status} | {_fmt(r.lhs)}{frac} | {_fmt(r.rhs)} "
-                f"| {_fmt(r.residual)} | {r.elapsed:.3f} | {r.note} |"
+                f"| {_fmt(r.residual)} | {r.note} |"
             )
         lines.append("")
     return "\n".join(lines)

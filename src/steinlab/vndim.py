@@ -73,7 +73,8 @@ import numpy as np
 from ._linalg import (  # noqa: F401
     _column_components, batched_svd, gram_onb, onb_transform, rank_cut,
 )
-from .derivations import Bimodule, CrossedContext, DerivationSpace, commutator_span
+from .constructions import CrossedProduct
+from .derivations import DerivationSpace, commutator_span
 from .errors import NotGenerating, NotRightClosed
 
 # largest relative residual of a right operator's image off the span that
@@ -429,21 +430,20 @@ def phi_x(space: DerivationSpace, gens: np.ndarray | None = None) -> ModuleSubsp
     """
     from .constructions import generates
 
-    bim = space.bim
-    alg = bim.algebra
+    alg = space.algebra
     gens = np.eye(alg.dim, dtype=complex) if gens is None else np.asarray(gens, dtype=complex)
     if not generates(alg, list(gens.T)):
         raise NotGenerating("argument set does not generate the algebra")
     # block per argument x, derivations along columns; written in this
     # layout (order C), so the reshape copies nothing
     k = gens.shape[1]
-    span = np.einsum("rpj,jx->xpr", space.basis, gens, order="C").reshape(k * bim.dim, space.rank)
+    span = np.einsum("rpj,jx->xpr", space.basis, gens, order="C").reshape(k * alg.dim**2, space.rank)
     return ModuleSubspace(
         gram=(alg.gram, alg.gram),
         ncoords=k,
         span=span,
         right_ops=_right_ops(alg, _with_stars(alg, gens)),
-        trace_vectors=bim.unit[:, None],
+        trace_vectors=np.kron(alg.unit, alg.unit)[:, None],
         label=f"phi_X({alg.label})",
     )
 
@@ -460,7 +460,6 @@ def inner_derivation_module(alg, gens: np.ndarray) -> ModuleSubspace:
     """
     from .constructions import generates
 
-    bim = Bimodule(alg)
     gens = np.asarray(gens, dtype=complex)
     if not generates(alg, list(gens.T)):
         raise NotGenerating("argument set does not generate the algebra")
@@ -469,23 +468,22 @@ def inner_derivation_module(alg, gens: np.ndarray) -> ModuleSubspace:
     ops = _right_ops(alg, _with_stars(alg, gens))
     (_, inv_a, _), (_, inv_b, _) = _legs(gram, ops)
     # columns = phi_X([., xi]) for the rotated basis vectors xi
-    span = commutator_span(bim, gens, (inv_a, inv_b)).reshape(k * bim.dim, bim.dim)
-    return ModuleSubspace(gram, k, span, ops, bim.unit[:, None], label=f"inner({alg.label})")
+    span = commutator_span(alg, gens, (inv_a, inv_b)).reshape(k * alg.dim**2, alg.dim**2)
+    unit = np.kron(alg.unit, alg.unit)[:, None]
+    return ModuleSubspace(gram, k, span, ops, unit, label=f"inner({alg.label})")
 
 
-def restrict_scalars(sub: ModuleSubspace, ctx: CrossedContext) -> ModuleSubspace:
+def restrict_scalars(sub: ModuleSubspace, cp: CrossedProduct) -> ModuleSubspace:
     """View a module over N_big = (A x| G) (x) (A x| G)^op as a module over
     N_0 = A (x) A^op; same span, right action through the inclusion (one
     operator pair per basis element of A and its star), and the trace
     vectors u_g (x) u_h^op, one per sector, in every coordinate."""
-    cp = ctx.cp
-    big = ctx.big
-    if sub.block_dim != big.dim:
+    if sub.block_dim != cp.algebra.dim**2:
         raise ValueError("module is not over the crossed-product bimodule")
     base = cp.base
     basis = np.eye(base.dim, dtype=complex)
     ops = _right_ops(cp.algebra, [cp.lift(x) for x in _with_stars(base, basis)])
     us = cp.embed_group.T
-    traces = np.column_stack([big.embed(ug, uh) for ug in us for uh in us])
+    traces = np.column_stack([np.kron(ug, uh) for ug in us for uh in us])
     return ModuleSubspace(sub.gram, sub.ncoords, sub.span, ops, traces,
                           label=sub.label + " over base")

@@ -68,28 +68,28 @@ def commutator_derivation(alg, xi):
     )
 
 
-def _center_index(ctx):
+def _center_index(cp):
     """Big-module indices of the (e, e) sector, in base kron order."""
-    nb, k, n = ctx.cp.base.dim, ctx.group.order, ctx.cp.algebra.dim
-    e = ctx.group.identity
+    nb, k, n = cp.base.dim, cp.group.order, cp.algebra.dim
+    e = cp.group.identity
     ii, jj = np.meshgrid(np.arange(nb), np.arange(nb), indexing="ij")
     return ((ii * k + e) * n + (jj * k + e)).reshape(-1)
 
 
-def coset_mask(ctx, g, h):
+def coset_mask(cp, g, h):
     """0/1 selector of the sector L^2(N)(u_g (x) u_h^op) on the big module."""
-    n, k = ctx.cp.algebra.dim, ctx.group.order
+    n, k = cp.algebra.dim, cp.group.order
     idx = np.arange(n * n)
     return (((idx // n) % k == g) & (idx % k == h)).astype(float)
 
 
-def extend_vanishing(ctx, mat, h):
+def extend_vanishing(cp, mat, h):
     """On b u_m: sum_g (u_{g^-1} (x) (u_{g m})^op) . d(alpha_g(b)), pushed
     right by u_e (x) u_h^op."""
-    cp, grp = ctx.cp, ctx.group
+    grp = cp.group
     calg = cp.algebra
     k, nb = grp.order, cp.base.dim
-    centre = _center_index(ctx)
+    centre = _center_index(cp)
     cols = np.zeros((calg.dim**2, calg.dim), dtype=complex)
     push = right_pair(calg, cp.u(grp.identity), cp.u(h))
     for j in range(nb):
@@ -104,12 +104,12 @@ def extend_vanishing(ctx, mat, h):
     return cols
 
 
-def restrict_component(ctx, mat, g, h):
+def restrict_component(cp, mat, g, h):
     """d|_A cut to the (g, h) sector and pulled back to the (e, e) sector."""
-    cp, grp = ctx.cp, ctx.group
-    mask = coset_mask(ctx, g, h)
+    grp = cp.group
+    mask = coset_mask(cp, g, h)
     pull = right_pair(cp.algebra, cp.u(grp.inv(g)), cp.u(grp.inv(h)))
-    centre = _center_index(ctx)
+    centre = _center_index(cp)
     cols = np.zeros((cp.base.dim**2, cp.base.dim), dtype=complex)
     for j in range(cp.base.dim):
         xi = mat @ cp.lift(cp.base.basis(j))
@@ -117,31 +117,32 @@ def restrict_component(ctx, mat, g, h):
     return cols
 
 
-def scaling_conjugation(ctx, g, mat):
+def scaling_conjugation(cp, g, mat):
     """x -> u_g* . d(u_g x u_g*) . u_g."""
-    cp, grp = ctx.cp, ctx.group
-    return left_pair(cp.algebra, cp.u(grp.inv(g)), cp.u(g)) @ mat @ ctx.ad(g)
+    grp = cp.group
+    return left_pair(cp.algebra, cp.u(grp.inv(g)), cp.u(g)) @ mat @ cp.ad(g)
 
 
-def covariance_defect(ctx, mat) -> float:
+def covariance_defect(cp, mat) -> float:
     scale = max(1.0, np.linalg.norm(mat))
     return max(
-        np.linalg.norm(scaling_conjugation(ctx, g, mat) - mat) for g in range(ctx.group.order)
+        np.linalg.norm(scaling_conjugation(cp, g, mat) - mat) for g in range(cp.group.order)
     ) / scale
 
 
-# -- spans of derivations, through the public pairing --------------------------
+# -- spans of derivations, in the <., .>_X pairing ------------------------------
+
+def pair(alg, m1, m2) -> complex:
+    """<d1, d2>_X = sum_j <d1(b_j), d2(b_j)> for derivation matrices of
+    alg, X its basis; linear in d1."""
+    return complex(np.trace(m2.conj().T @ gram(alg) @ m1))
+
 
 def distance(space, mat) -> float:
     """<., .>_X distance from a derivation matrix to the span of an
     orthonormal derivation space."""
-    coef = np.array([space.pair(mat, b) for b in space.basis])
+    alg = space.algebra
+    coef = np.array([pair(alg, mat, b) for b in space.basis])
     rem = mat - np.einsum("r,rpj->pj", coef, space.basis)
-    return float(np.sqrt(max(space.pair(rem, rem).real, 0.0)))
+    return float(np.sqrt(max(pair(alg, rem, rem).real, 0.0)))
 
-
-def same_span(a, b, tol: float = 1e-8) -> bool:
-    if a.rank != b.rank:
-        return False
-    worst = max([distance(a, m) for m in b.basis] + [distance(b, m) for m in a.basis], default=0.0)
-    return worst <= tol

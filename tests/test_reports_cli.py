@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from steinlab import CrossedContext, GroupAction, SpecInvalid, cyclic, multimatrix, reports
+from steinlab import CrossedProduct, GroupAction, SpecInvalid, cyclic, multimatrix, reports
 from steinlab.cli import main
 from steinlab.reports import (
     CHECKS,
@@ -137,7 +138,7 @@ def test_invalid_action_short_circuits():
 def test_failed_stage_is_computed_once(monkeypatch):
     calls = {}
 
-    def failing_space(alg, bim=None):
+    def failing_space(alg):
         calls[alg.dim] = calls.get(alg.dim, 0) + 1
         raise MemoryError(f"dim {alg.dim} too large")
 
@@ -259,7 +260,7 @@ def test_a_structural_mismatch_fails_at_any_tolerance(tmp_path, capsys, monkeypa
     # with every covariance defect read as 0, the derivations that do not
     # vanish on C[G] count as covariant: the two sides disagree, which no
     # tolerance can forgive
-    monkeypatch.setattr(reports, "covariance_defect", lambda ctx, mats: np.zeros(len(mats)))
+    monkeypatch.setattr(reports, "covariance_defect", lambda cp, mats: np.zeros(len(mats)))
     path = write_spec(tmp_path, dict(C2_SPEC, checks=["covariance_equivalence"]))
     assert main(["run", path, "--tolerance", "10", "--format", "json"]) == 1
     row = json.loads(capsys.readouterr().out)["reports"][0]["rows"][0]
@@ -293,6 +294,22 @@ def test_cli_run_reports_a_trace_that_is_not_faithful(tmp_path, capsys):
     assert rows["action_valid"]["status"] == "pass"
     others = [r["status"] for name, r in rows.items() if name not in ("algebra_valid", "action_valid")]
     assert others and set(others) == {"skipped"}
+
+
+def test_faithfulness_does_not_move_with_the_report_tolerance(tmp_path, capsys):
+    # a loose tolerance is no cut on the Gram spectrum: M2 x| V4 has minimum
+    # Gram eigenvalue 1/2 and still validates at tolerance 10 ...
+    example = Path(__file__).resolve().parent.parent / "examples" / "m2_v4_pauli.json"
+    assert main(["run", str(example), "--tolerance", "10", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["reports"][0]["rows"]
+    assert rows[0]["name"] == "algebra_valid" and rows[0]["status"] == "pass"
+    assert all(r["note"] != "validation failed upstream" for r in rows)
+    # ... and a trace with a zero Gram eigenvalue still fails there
+    spec = {"label": "C^2, trace (1, 0)", "algebra": unfaithful_c2(), "group": "Z/2"}
+    assert main(["run", write_spec(tmp_path, spec), "--tolerance", "10", "--format", "json"]) == 1
+    rows = {r["name"]: r for r in json.loads(capsys.readouterr().out)["reports"][0]["rows"]}
+    assert rows["algebra_valid"]["status"] == "fail"
+    assert rows["algebra_valid"]["note"] == "trace not faithful: minimum Gram eigenvalue 0.000e+00"
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
@@ -421,12 +438,9 @@ def test_coset_projection_row_checks_the_gram_across_group_indices(monkeypatch):
 
 
 def test_coset_projection_row_fails_on_a_wrong_group_index(monkeypatch):
-    init = CrossedContext.__init__
-
-    def blocked_index(self, cp):
-        init(self, cp)
+    def blocked_index(cp):
         # b_i u_g sits at i * |G| + g; this labels by i instead
-        self.group_index = (np.arange(cp.algebra.dim) // cp.group.order) % cp.group.order
+        return (np.arange(cp.algebra.dim) // cp.group.order) % cp.group.order
 
-    monkeypatch.setattr(CrossedContext, "__init__", blocked_index)
+    monkeypatch.setattr(CrossedProduct, "group_index", property(blocked_index))
     assert _coset_row().status == "fail"

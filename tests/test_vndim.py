@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steinlab import (
-    Bimodule,
-    CrossedContext,
     DerivationSpace,
     ModuleSubspace,
     NotGenerating,
@@ -34,13 +32,12 @@ from test_derivations import rotated
 
 
 def full_ambient(alg) -> ModuleSubspace:
-    bim = Bimodule(alg)
     return ModuleSubspace(
         gram=(alg.gram, alg.gram),
         ncoords=1,
-        span=np.eye(bim.dim, dtype=complex),
+        span=np.eye(alg.dim**2, dtype=complex),
         right_ops=[],
-        trace_vectors=bim.unit.reshape(-1, 1),
+        trace_vectors=np.kron(alg.unit, alg.unit).reshape(-1, 1),
     )
 
 
@@ -100,9 +97,8 @@ def test_gens_must_generate():
 
 def test_non_invariant_span_is_rejected():
     alg = multimatrix([(2, 1.0)])
-    bim = Bimodule(alg)
     # one single vector cannot be a right submodule of L^2(M2 (x) M2^op)
-    vec = bim.embed(alg.basis(1), alg.unit).reshape(-1, 1)
+    vec = np.kron(alg.basis(1), alg.unit).reshape(-1, 1)
     ops = [
         (alg.right_mult(alg.basis(i)), alg.left_mult(alg.basis(j)))
         for i in range(4)
@@ -113,7 +109,7 @@ def test_non_invariant_span_is_rejected():
         ncoords=1,
         span=vec,
         right_ops=ops,
-        trace_vectors=bim.unit.reshape(-1, 1),
+        trace_vectors=np.kron(alg.unit, alg.unit).reshape(-1, 1),
     )
     with pytest.raises(NotRightClosed):
         vn_dimension(sub)
@@ -123,7 +119,7 @@ def test_non_invariant_span_is_rejected():
 def test_phi_x_of_one_derivation_is_not_right_closed(blocks):
     # the generator right operators alone must reject a non-module span
     space = derivation_space(multimatrix(blocks))
-    cut = DerivationSpace(space.bim, space.basis[:1])
+    cut = DerivationSpace(space.algebra, space.basis[:1])
     with pytest.raises(NotRightClosed):
         vn_dimension(phi_x(cut))
 
@@ -131,10 +127,10 @@ def test_phi_x_of_one_derivation_is_not_right_closed(blocks):
 def test_restrict_scalars_multiplies_by_group_order_squared():
     c2 = multimatrix([(1, 0.5), (1, 0.5)])
     act = permutation_action(cyclic(2), c2, [[0, 1], [1, 0]])
-    ctx = CrossedContext(crossed_product(c2, act))
-    amb = full_ambient(ctx.cp.algebra)
+    cp = crossed_product(c2, act)
+    amb = full_ambient(cp.algebra)
     assert abs(vn_dimension(amb).value - 1.0) < 1e-10
-    down = restrict_scalars(amb, ctx)
+    down = restrict_scalars(amb, cp)
     assert abs(vn_dimension(down).value - 4.0) < 1e-9
 
 
@@ -142,8 +138,8 @@ def test_restrict_scalars_multiplies_by_group_order_squared():
 def test_restrict_scalars_rejects_non_invariant_spans(legs):
     c2 = multimatrix([(1, 0.5), (1, 0.5)])
     act = permutation_action(cyclic(2), c2, [[0, 1], [1, 0]])
-    ctx = CrossedContext(crossed_product(c2, act))
-    calg = ctx.cp.algebra
+    cp = crossed_product(c2, act)
+    calg = cp.algebra
     one = calg.unit.reshape(-1, 1)
     eye = np.eye(calg.dim, dtype=complex)
     # 1 (x) 1 is cyclic, not invariant, for the right action of C^2 (x) C^2;
@@ -155,10 +151,10 @@ def test_restrict_scalars_rejects_non_invariant_spans(legs):
         ncoords=1,
         span=span,
         right_ops=[],
-        trace_vectors=ctx.big.unit.reshape(-1, 1),
+        trace_vectors=np.kron(calg.unit, calg.unit).reshape(-1, 1),
     )
     with pytest.raises(NotRightClosed):
-        vn_dimension(restrict_scalars(sub, ctx))
+        vn_dimension(restrict_scalars(sub, cp))
 
 
 def test_independence_of_generating_set():
@@ -232,9 +228,9 @@ def _crossed(name):
     if name == "C2 x| Z/2":
         c2 = multimatrix([(1, 0.5), (1, 0.5)])
         act = permutation_action(cyclic(2), c2, [[0, 1], [1, 0]])
-        return CrossedContext(crossed_product(c2, act))
+        return crossed_product(c2, act)
     act = dual_action(3)
-    return CrossedContext(crossed_product(act.algebra, act))
+    return crossed_product(act.algebra, act)
 
 
 def _with_two_leg_ops(sub: ModuleSubspace) -> ModuleSubspace:
@@ -262,7 +258,7 @@ def _sum_of_blocks(leg: int):
     else:
         ops = [(None, alg.left_mult(e12)), (None, alg.left_mult(e21))]
         span = np.kron(eye, np.array([[1, 0], [0, 1], [1, 0], [0, 1]], dtype=complex))
-    unit = Bimodule(alg).unit.reshape(-1, 1)
+    unit = np.kron(alg.unit, alg.unit).reshape(-1, 1)
     return ModuleSubspace((alg.gram, alg.gram), 1, span, ops, unit)
 
 
@@ -275,12 +271,12 @@ MODULES = {
     "phi_x M2+C rotated": lambda: phi_x(derivation_space(
         rotated(multimatrix([(2, 0.6), (1, 0.4)]), np.random.default_rng(4)))),
     "full C2 x| Z/2 over C2": lambda: restrict_scalars(
-        full_ambient(_crossed("C2 x| Z/2").cp.algebra), _crossed("C2 x| Z/2")),
+        full_ambient(_crossed("C2 x| Z/2").algebra), _crossed("C2 x| Z/2")),
     "phi_x C2 x| Z/2 over C2": lambda: restrict_scalars(
-        phi_x(derivation_space(_crossed("C2 x| Z/2").cp.algebra)), _crossed("C2 x| Z/2")),
-    "phi_x C[Z/3] x| Z/3": lambda: phi_x(derivation_space(_crossed("dual").cp.algebra)),
+        phi_x(derivation_space(_crossed("C2 x| Z/2").algebra)), _crossed("C2 x| Z/2")),
+    "phi_x C[Z/3] x| Z/3": lambda: phi_x(derivation_space(_crossed("dual").algebra)),
     "phi_x C[Z/3] x| Z/3 over C[Z/3]": lambda: restrict_scalars(
-        phi_x(derivation_space(_crossed("dual").cp.algebra)), _crossed("dual")),
+        phi_x(derivation_space(_crossed("dual").algebra)), _crossed("dual")),
     # sums of block parts that are not right submodules
     "E (x) N, leg-a operators": lambda: _sum_of_blocks(0),
     "N (x) E, leg-b operators": lambda: _sum_of_blocks(1),
@@ -312,10 +308,9 @@ def test_rank_certificate_rejects_a_cyclic_vector(blocks):
     # all of L^2(C2 (x) C2^op), which every operator leaves invariant, so
     # only the rank certificate can reject this span
     alg = multimatrix(blocks)
-    bim = Bimodule(alg)
+    unit = np.kron(alg.unit, alg.unit).reshape(-1, 1)
     ops = _right_ops(alg, _with_stars(alg, multimatrix_generators(blocks)))
-    sub = ModuleSubspace((alg.gram, alg.gram), 1, bim.unit.reshape(-1, 1), ops,
-                         bim.unit.reshape(-1, 1))
+    sub = ModuleSubspace((alg.gram, alg.gram), 1, unit, ops, unit)
     with pytest.raises(NotRightClosed, match=r"span rank 1 differs from the rank \d+"):
         vn_dimension(sub)
 
