@@ -1,0 +1,8 @@
+"""python -m steinlab: the steinlab command line (see steinlab.cli)."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -42,23 +42,44 @@ sum_ab |Q'_ab^H Omega_ab|^2, with omega rotated once and read against
 the rows of each copy. The rotation is unitary, so for a module
 this is the value of the dense projection.
 
-Block SVDs and certificate run per connected component of the incidence
-of blocks and span columns, read from the column norms of the rotated
-blocks. The smallest parts of columns are dropped while their total
-Frobenius norm stays below a tenth of the rank cut of the largest block
-column norm, which is at most the scale of every rank decision here; by
-Weyl's inequality that moves no singular value by more than a tenth of
-the cut, and every larger part is kept, down to the last nonzero. Up to
+vn_dimension takes the span from the module as its blocks in the rotated
+coordinates (spectral_blocks), then runs one computation on them: block
+SVDs, certificate, closure test and trace readout. The block SVDs and the
+certificate run per connected component of the incidence of blocks and
+span columns. A module holding a raw span (ModuleSubspace: phi_x,
+restrict_scalars) is rotated and its blocks gathered (_gather): the
+incidence is read from the column norms of the rotated blocks, and the
+smallest parts of columns are dropped while their total Frobenius norm
+stays below a tenth of the rank cut of the largest block column norm,
+which is at most the scale of every rank decision here; by Weyl's
+inequality that moves no singular value by more than a tenth of the cut,
+and every larger part is kept, down to the last nonzero. Up to
 permutations the rotated span is then block diagonal over the components
 (_linalg._column_components), and so is C: each block is orthonormalized
 over its component's columns only, the stacks batched by shape through
 batched_svd with one rank cut on the union of all block spectra (the cut
 nullspace relies on), and C is one stack per component shape. A span
 whose columns meet every block is one component, the unsplit
-computation; inner_derivation_module builds its span over the rotated
-basis, so that each column lies in one block (xi -> [x, xi] commutes
-with the right action) and a block's SVD has size_a * size_b columns
-instead of dim N.
+computation.
+
+inner_derivation_module (an InnerModule) builds its blocks directly and
+never forms the span. Its columns are phi_X([., xi]) for xi = e_i (x) e_j
+in the rotated GNS-orthonormal bases of the legs; in these coordinates the
+column of argument x_c is kron(A_c e_i, e_j) - kron(e_i, B_c e_j), with
+A_c = rot_a left_mult(x_c) rot_a^-1 and B_c = rot_b right_mult(x_c)
+rot_b^-1. Left and right multiplication commute, so A_c and B_c commute
+with the legs' random self-adjoint right operators and are block diagonal
+over the leg clusters up to rounding; the column then lies in block
+(a, b) of its clusters, which is the stack over c of
+kron(A_c|_a, 1) - kron(1, B_c|_b), of shape (k size_a size_b,
+size_a size_b), and each block is one component. What the blocks leave
+out, the parts of A_c and B_c off the cluster diagonal, has total
+Frobenius norm sum_c (n_b |A_c^off|^2 + n_a |B_c^off|^2) over all
+columns; the builder certifies it below the drop bound above and raises
+NotRightClosed otherwise (a split degenerate eigenspace fails here), then
+drops the smallest block columns within what is left of the bound, as
+_gather does. M6 is 36 blocks of 108 x 36 (2 MB) where its span was
+80 MB.
 """
 
 from __future__ import annotations
@@ -73,8 +94,9 @@ import numpy as np
 from ._linalg import (  # noqa: F401
     _column_components, batched_svd, gram_onb, onb_transform, rank_cut,
 )
+from .algebra import FDAlgebra
 from .constructions import CrossedProduct
-from .derivations import DerivationSpace, commutator_span
+from .derivations import DerivationSpace
 from .errors import NotGenerating, NotRightClosed
 
 # largest relative residual of a right operator's image off the span that
@@ -109,6 +131,37 @@ class ModuleSubspace:
     @property
     def block_dim(self) -> int:
         return self.gram[0].shape[0] * self.gram[1].shape[0]
+
+    def spectral_blocks(self) -> tuple[list, tuple]:
+        """(legs, blocks): the leg splits of _legs and the span's blocks in
+        their rotated coordinates, gathered from the rotated span (_gather)."""
+        legs = _legs(self.gram, self.right_ops)
+        return legs, _gather(_rotate(self.span, self.ncoords, legs), legs)
+
+
+@dataclass(eq=False)
+class InnerModule:
+    """phi_X of the span of commutator derivations, X the columns of gens,
+    held as its blocks in the rotated coordinates of legs (see
+    inner_derivation_module); the span itself is never formed."""
+
+    algebra: FDAlgebra
+    gens: np.ndarray  # (dim A, ncoords), the argument set X
+    right_ops: list  # as in ModuleSubspace
+    legs: list  # the leg splits of _legs for gram and right_ops
+    blocks: tuple  # as _gather returns them
+    label: str = ""
+
+    @property
+    def ncoords(self) -> int:
+        return self.gens.shape[1]
+
+    @property
+    def trace_vectors(self) -> np.ndarray:
+        return np.kron(self.algebra.unit, self.algebra.unit)[:, None]
+
+    def spectral_blocks(self) -> tuple[list, tuple]:
+        return self.legs, self.blocks
 
 
 @dataclass
@@ -256,17 +309,29 @@ def _legs(gram: tuple, right_ops: list) -> list:
     ]
 
 
-def _block_bases(t: np.ndarray, legs: list) -> tuple[dict, int]:
-    """Orthonormal bases of the block parts of the span and dim W'.
+def _drop_bound(norms: np.ndarray) -> float:
+    """Largest total Frobenius norm of block column parts that may be
+    dropped: the largest singular value of the blocks and of the
+    coefficients is at least the largest column norm of a block, so both
+    rank cuts are at least rank_cut of it, and parts this small move no
+    singular value by more than a tenth of either cut (Weyl)."""
+    return rank_cut(norms.max(initial=0.0)) / 10
+
+
+def _gather(t: np.ndarray, legs: list) -> tuple:
+    """Stage 1: the spectral blocks of a rotated span, per connected
+    component.
 
     t is the rotated span (see _rotate). The incidence of blocks and span
     columns is read from the column norms of the blocks; the smallest
-    parts are dropped while their total Frobenius norm stays below a tenth
-    of the rank cut, and the block SVDs and the W = W' certificate run per
-    connected component, batched by shape (see the module docstring).
-    Returns, per class pair, the bases (count, rows, rho), with zero
-    columns past each block's rank, beside their adjoints. Raises
-    NotRightClosed if the certificate fails.
+    parts are dropped while their total Frobenius norm stays below
+    _drop_bound, and each block is gathered over its component's columns
+    (see the module docstring). Returns (stacks, where, shapes, nlabels):
+    stacks holds (count, rows, width) arrays, one per class pair and
+    component width, blocks in the pair's order and block rows in
+    (coordinate, leg a, leg b) order; where[i] is (class pair, indices of
+    the blocks of stacks[i] within the pair, their component labels), the
+    labels below nlabels; shapes maps every class pair to (count, rows).
     """
     k, na, nb, ncols = t.shape
     blocks = _class_blocks(t, legs)
@@ -277,12 +342,7 @@ def _block_bases(t: np.ndarray, legs: list) -> tuple[dict, int]:
     ]))
     flat = norms.ravel()
     order = np.argsort(flat, kind="stable")
-    # the largest singular value of the blocks and of the coefficients is
-    # at least the largest column norm of a block, so both rank cuts are at
-    # least rank_cut of it: the dropped parts move no singular value by
-    # more than a tenth of either cut (Weyl)
-    bound = rank_cut(flat.max(initial=0.0)) / 10
-    ndrop = np.searchsorted(np.cumsum(flat[order] ** 2), bound**2)
+    ndrop = np.searchsorted(np.cumsum(flat[order] ** 2), _drop_bound(flat) ** 2)
     blk, col = np.divmod(order[ndrop:], ncols)
 
     # a component is labelled by its smallest column, and ncols labels a
@@ -317,11 +377,21 @@ def _block_bases(t: np.ndarray, legs: list) -> tuple[dict, int]:
             where.append((key, sel, comp[sel]))
     shapes = {key: (v.shape[1] * v.shape[3], k * v.shape[2] * v.shape[4])
               for key, v in blocks.items()}
-    # t is freed before the SVDs, the stacks once they are taken
-    del t, blocks
-    svds = batched_svd(stacks)
-    del stacks
+    return stacks, where, shapes, ncols + 1
 
+
+def _block_bases(stacks: list, where: list, shapes: dict, nlabels: int) -> tuple[dict, int]:
+    """Stage 2: orthonormal bases of the block parts of the span and
+    dim W'.
+
+    Takes the blocks as _gather returns them: the block SVDs are batched
+    by shape with one rank cut, and the W = W' certificate runs per
+    connected component (see the module docstring). Returns, per class
+    pair, the bases (count, rows, rho), with zero columns past each
+    block's rank, beside their adjoints. Raises NotRightClosed if the
+    certificate fails.
+    """
+    svds = batched_svd(stacks)
     rho = dict.fromkeys(shapes, 0)
     for (key, *_), (*_, kept) in zip(where, svds):
         rho[key] = max(rho[key], int(kept.sum(axis=1).max()))
@@ -335,13 +405,14 @@ def _block_bases(t: np.ndarray, legs: list) -> tuple[dict, int]:
         kept = kept[:, : vh.shape[1]]
         vh *= s[:, : vh.shape[1], None]
         coef.setdefault(vh.shape[2], []).append((vh[kept], comp[np.nonzero(kept)[0]]))
+    del svds  # the left singular vectors are copied into basis
     # one stack per component shape, each component's rows consecutive
     cert, rank = [], 0
     for parts in coef.values():
         rows_c = np.concatenate([r for r, _ in parts])
         owner = np.concatenate([o for _, o in parts])
         order = np.argsort(owner, kind="stable")
-        height = np.bincount(owner, minlength=ncols + 1)
+        height = np.bincount(owner, minlength=nlabels)
         first = np.cumsum(height) - height
         for h in set(height[owner].tolist()):
             cert.append(rows_c[order[first[height == h, None] + np.arange(h)]])
@@ -356,21 +427,22 @@ def _block_bases(t: np.ndarray, legs: list) -> tuple[dict, int]:
     return {key: (q, q.conj().transpose(0, 2, 1)) for key, q in basis.items()}, rank
 
 
-def vn_dimension(sub: ModuleSubspace) -> DimensionResult:
+def vn_dimension(sub: ModuleSubspace | InnerModule) -> DimensionResult:
     """Trace of the span projection against the trace vectors.
 
-    Splits the span into spectral blocks of the right action, takes the
-    block SVDs and certifies that the span is the sum of its block parts,
-    per connected component of the blocks and span columns, and tests
-    every right operator against the block-diagonal projector (see the
-    module docstring). Raises NotRightClosed if the certificate fails or
-    some operator's image leaves the span by more than CLOSURE_TOL
-    (relative). Since right_ops is closed under adjoints, invariance under
-    each operator already gives invariance under its adjoint.
+    Takes the span's spectral blocks for the right action from the module
+    (spectral_blocks), takes the block SVDs and certifies that the span is
+    the sum of its block parts, per connected component of the blocks and
+    span columns, and tests every right operator against the
+    block-diagonal projector (see the module docstring). Raises
+    NotRightClosed if the certificate fails or some operator's image
+    leaves the span by more than CLOSURE_TOL (relative). Since right_ops
+    is closed under adjoints, invariance under each operator already gives
+    invariance under its adjoint.
     """
     k = sub.ncoords
-    legs = _legs(sub.gram, sub.right_ops)
-    basis, rank = _block_bases(_rotate(sub.span, k, legs), legs)
+    legs, blocks = sub.spectral_blocks()
+    basis, rank = _block_bases(*blocks)
     worst = max((_closure_residual(op, basis, legs, k) for op in _rotated(sub.right_ops, legs)),
                 default=0.0)
     if worst > CLOSURE_TOL:
@@ -448,36 +520,103 @@ def phi_x(space: DerivationSpace, gens: np.ndarray | None = None) -> ModuleSubsp
     )
 
 
-def inner_derivation_module(alg, gens: np.ndarray) -> ModuleSubspace:
-    """phi_X of the span of commutator derivations, built directly from
-    kron-structured operators. Scales to algebras where the dense Leibniz
-    solve does not.
+def _cluster_diagonal(mats: np.ndarray, classes: list) -> tuple[list, float]:
+    """The blocks of a stack of rotated one-leg matrices on the diagonal
+    of the leg's clusters, one (m, count, size, size) array per class, and
+    the squared Frobenius norm of everything off them."""
+    sizes = [d for _, a, d in classes for _ in range(a)]
+    cluster = np.repeat(np.arange(len(sizes)), sizes)
+    off = mats[:, cluster[:, None] != cluster]
+    diag = [np.einsum("maiaj->maij", mats[:, s : s + a * d, s : s + a * d].reshape(-1, a, d, a, d))
+            for s, a, d in classes]
+    return diag, float(np.vdot(off, off).real)
 
-    xi runs over the rotated GNS-orthonormal basis of L^2(N) that
-    vn_dimension splits by (the inverse rotations of _legs); any basis of
-    L^2(N) spans the same module, and with this one each column lies in
-    one spectral block, since xi -> [x, xi] commutes with the right action.
+
+def _inner_blocks(alg, gens: np.ndarray, legs: list) -> tuple:
+    """The rotated spectral blocks of the inner module, as _gather returns
+    them, built from the rotated multiplications (see the module
+    docstring). Raises NotRightClosed if the parts off the cluster
+    diagonal, which the blocks leave out, exceed _drop_bound."""
+    (rot_a, inv_a, ca), (rot_b, inv_b, cb) = legs
+    k, n = gens.shape[1], alg.dim
+    # left_mult(x) on leg a and right_mult(x) on leg b for every argument x,
+    # as in _right_ops
+    lefts = np.tensordot(gens.T, alg.mult, axes=(1, 0)).transpose(0, 2, 1)
+    rights = np.tensordot(alg.mult, gens, axes=(1, 0)).transpose(2, 1, 0)
+    diag_a, off_a = _cluster_diagonal(rot_a @ lefts @ inv_a, ca)
+    diag_b, off_b = _cluster_diagonal(rot_b @ rights @ inv_b, cb)
+    # off-cluster entry (i', i) of A_c sits in column e_i (x) e_j for every j
+    leak2 = n * (off_a + off_b)
+
+    # block (a, b), column e_i (x) e_j, row (c, i', j'):
+    # A_c[i', i] delta(j', j) - delta(i', i) B_c[j', j]
+    stacks = {}
+    for alpha, (_, a, d) in enumerate(ca):
+        for beta, (_, b, e) in enumerate(cb):
+            term_a = np.einsum("kaxy,zw->akxzyw", diag_a[alpha], np.eye(e))
+            term_b = np.einsum("kbzw,xy->bkxzyw", diag_b[beta], np.eye(d))
+            stacks[alpha, beta] = (term_a[:, None] - term_b[None]).reshape(a * b, k * d * e, d * e)
+    flat = np.concatenate([np.linalg.norm(v, axis=1).ravel() for v in stacks.values()])
+    bound = _drop_bound(flat)
+    if leak2 > bound**2:
+        raise NotRightClosed(
+            f"the inner span leaks {np.sqrt(leak2):.3e} out of its spectral blocks, "
+            f"above the drop bound {bound:.3e}"
+        )
+    # then the smallest block columns, as _gather drops them
+    order = np.argsort(flat, kind="stable")
+    kept = np.ones(flat.size, dtype=bool)
+    kept[order[: np.searchsorted(leak2 + np.cumsum(flat[order] ** 2), bound**2)]] = False
+
+    # each block with its kept columns is one component
+    out, where, first, nblocks = [], [], 0, 0
+    for key, v in stacks.items():
+        keep = kept[first : first + v.shape[0] * v.shape[2]].reshape(v.shape[0], v.shape[2])
+        labels = nblocks + np.arange(v.shape[0])
+        first += keep.size
+        nblocks += v.shape[0]
+        widths = keep.sum(axis=1)
+        for width in set(widths.tolist()) - {0}:
+            sel = np.flatnonzero(widths == width)
+            cols = np.nonzero(keep[sel])[1].reshape(len(sel), width)
+            out.append(np.take_along_axis(v[sel], cols[:, None, :], axis=2))
+            where.append((key, sel, labels[sel]))
+    shapes = {key: v.shape[:2] for key, v in stacks.items()}
+    return out, where, shapes, nblocks
+
+
+def inner_derivation_module(alg, gens: np.ndarray) -> InnerModule:
+    """phi_X of the span of commutator derivations, built block by block
+    in the rotated coordinates vn_dimension splits by. Scales to algebras
+    where the dense Leibniz solve does not.
+
+    The columns are phi_X([., xi]) for xi in the rotated GNS-orthonormal
+    basis of L^2(N) (the inverse rotations of _legs); any basis of L^2(N)
+    spans the same module, and with this one each column lies in one
+    spectral block, since xi -> [x, xi] commutes with the right action.
+    Raises NotRightClosed if the columns leak out of their blocks by more
+    than the drop bound.
     """
     from .constructions import generates
 
     gens = np.asarray(gens, dtype=complex)
     if not generates(alg, list(gens.T)):
         raise NotGenerating("argument set does not generate the algebra")
-    k = gens.shape[1]
-    gram = (alg.gram, alg.gram)
     ops = _right_ops(alg, _with_stars(alg, gens))
-    (_, inv_a, _), (_, inv_b, _) = _legs(gram, ops)
-    # columns = phi_X([., xi]) for the rotated basis vectors xi
-    span = commutator_span(alg, gens, (inv_a, inv_b)).reshape(k * alg.dim**2, alg.dim**2)
-    unit = np.kron(alg.unit, alg.unit)[:, None]
-    return ModuleSubspace(gram, k, span, ops, unit, label=f"inner({alg.label})")
+    legs = _legs((alg.gram, alg.gram), ops)
+    return InnerModule(alg, gens, ops, legs, _inner_blocks(alg, gens, legs),
+                       label=f"inner({alg.label})")
 
 
 def restrict_scalars(sub: ModuleSubspace, cp: CrossedProduct) -> ModuleSubspace:
     """View a module over N_big = (A x| G) (x) (A x| G)^op as a module over
     N_0 = A (x) A^op; same span, right action through the inclusion (one
     operator pair per basis element of A and its star), and the trace
-    vectors u_g (x) u_h^op, one per sector, in every coordinate."""
+    vectors u_g (x) u_h^op, one per sector, in every coordinate. The
+    module must hold its span (an InnerModule holds only the blocks of
+    its own right action)."""
+    if not isinstance(sub, ModuleSubspace):
+        raise TypeError("restrict_scalars needs a ModuleSubspace, which holds its span")
     if sub.block_dim != cp.algebra.dim**2:
         raise ValueError("module is not over the crossed-product bimodule")
     base = cp.base

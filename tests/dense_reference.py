@@ -146,3 +146,22 @@ def distance(space, mat) -> float:
     rem = mat - np.einsum("r,rpj->pj", coef, space.basis)
     return float(np.sqrt(max(pair(alg, rem, rem).real, 0.0)))
 
+
+# -- the inner-derivation module as one raw span ----------------------------------
+
+def inner_module(alg, gens):
+    """phi_X of the commutator derivations as a dense ModuleSubspace: the
+    raw span, shape (k n^2, n^2), of the columns phi_X([., xi]) for xi in
+    the rotated basis vn_dimension splits by. vn_dimension gathers from it
+    the blocks that inner_derivation_module builds directly."""
+    from steinlab.derivations import commutator_span
+    from steinlab.vndim import ModuleSubspace, _legs, _right_ops, _with_stars
+
+    gens = np.asarray(gens, dtype=complex)
+    k, n = gens.shape[1], alg.dim
+    gram = (alg.gram, alg.gram)
+    ops = _right_ops(alg, _with_stars(alg, gens))
+    (_, inv_a, _), (_, inv_b, _) = _legs(gram, ops)
+    span = commutator_span(alg, gens, (inv_a, inv_b)).reshape(k * n * n, n * n)
+    unit = np.kron(alg.unit, alg.unit)[:, None]
+    return ModuleSubspace(gram, k, span, ops, unit, label=f"inner({alg.label})")

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -367,6 +370,19 @@ def test_cli_dim(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit):
         main(["dim", str(alg_path), "--tolerance", "1e-8"])
     capsys.readouterr()
+
+
+def test_python_m_steinlab_runs_the_command_line(tmp_path):
+    # the module entry point, from a source checkout without installing
+    alg_path = tmp_path / "alg.json"
+    alg_path.write_text(json.dumps({"multimatrix": {"blocks": [[1, 0.5], [1, 0.5]]}}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-m", "steinlab", "dim", str(alg_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "1/2" in done.stdout
 
 
 def test_cli_dim_above_the_dense_limit_exits_2(tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from steinlab import (
     DerivationSpace,
+    InnerModule,
     ModuleSubspace,
     NotGenerating,
     NotRightClosed,
@@ -29,6 +30,7 @@ import steinlab.vndim as vndim
 from steinlab._linalg import gram_onb, onb_transform
 from steinlab.vndim import CLOSURE_TOL, _right_ops, _with_stars
 from test_derivations import rotated
+import dense_reference
 
 
 def full_ambient(alg) -> ModuleSubspace:
@@ -202,7 +204,10 @@ def _apply(op: tuple, vecs: np.ndarray, shape: tuple) -> np.ndarray:
 
 def dense_vn_dimension(sub: ModuleSubspace):
     """Reference: orthonormalize the whole span by one SVD and test
-    every right operator against the dense projector onto it."""
+    every right operator against the dense projector onto it. An inner
+    module is read through its raw span (dense_reference.inner_module)."""
+    if isinstance(sub, InnerModule):
+        sub = dense_reference.inner_module(sub.algebra, sub.gens)
     (ta, tai), (tb, tbi) = onb_transform(sub.gram[0]), onb_transform(sub.gram[1])
     shape = (sub.ncoords, ta.shape[0], tb.shape[0])
     q = gram_onb(_apply((ta, tb), sub.span, shape))
@@ -222,6 +227,10 @@ def dense_vn_dimension(sub: ModuleSubspace):
 
 def _inner(blocks):
     return inner_derivation_module(multimatrix(blocks), multimatrix_generators(blocks))
+
+
+def _raw_inner(blocks):
+    return dense_reference.inner_module(multimatrix(blocks), multimatrix_generators(blocks))
 
 
 def _crossed(name):
@@ -267,7 +276,7 @@ MODULES = {
     "inner M3": lambda: _inner([(3, 1.0)]),
     "inner M4": lambda: _inner([(4, 1.0)]),
     "inner M4+M2+C": lambda: _inner([(4, 0.5), (2, 0.3), (1, 0.2)]),
-    "inner M2+C, two-leg ops": lambda: _with_two_leg_ops(_inner([(2, 0.6), (1, 0.4)])),
+    "inner M2+C, two-leg ops": lambda: _with_two_leg_ops(_raw_inner([(2, 0.6), (1, 0.4)])),
     "phi_x M2+C rotated": lambda: phi_x(derivation_space(
         rotated(multimatrix([(2, 0.6), (1, 0.4)]), np.random.default_rng(4)))),
     "full C2 x| Z/2 over C2": lambda: restrict_scalars(
@@ -347,7 +356,7 @@ def test_inner_module_matches_dense_projector(name):
 @pytest.mark.parametrize("name", ["M2+C", "M4", "M4+M2+C"])
 def test_inner_span_columns_lie_in_one_spectral_block(name):
     blocks = {"M2+C": [(2, 0.6), (1, 0.4)], "M4": INNER["M4"], "M4+M2+C": INNER["M4+M2+C"]}
-    sub = _inner(blocks[name])
+    sub = _raw_inner(blocks[name])
     legs = vndim._legs(sub.gram, sub.right_ops)
     views = vndim._class_blocks(vndim._rotate(sub.span, sub.ncoords, legs), legs)
     norms = np.concatenate([
@@ -379,7 +388,7 @@ def test_leak_between_blocks_is_dropped_or_merges_components(monkeypatch, leak):
     # 1e-14 is below a tenth of the rank cut and is dropped, one of 1e-6
     # is not, and joins the blocks it touches into one component
     seen = _count_components(monkeypatch)
-    sub = _inner([(3, 0.6), (1, 0.4)])
+    sub = _raw_inner([(3, 0.6), (1, 0.4)])
     vn_dimension(sub)
     rng = np.random.default_rng(5)
     r = sub.span.shape[1]
@@ -400,9 +409,51 @@ def test_leak_between_blocks_is_dropped_or_merges_components(monkeypatch, leak):
 
 
 def test_localized_span_missing_a_column_is_rejected():
-    sub = _inner([(3, 0.6), (1, 0.4)])
+    sub = _raw_inner([(3, 0.6), (1, 0.4)])
     drop = int(np.argmax(np.linalg.norm(sub.span, axis=0)))
     cut = ModuleSubspace(sub.gram, sub.ncoords, np.delete(sub.span, drop, axis=1),
                          sub.right_ops, sub.trace_vectors)
     with pytest.raises(NotRightClosed):
         vn_dimension(cut)
+
+
+# -- inner modules built directly in the rotated spectral blocks -----------------
+
+def _keyed(blocks) -> dict:
+    stacks, where, _, _ = blocks
+    return {(key, tuple(sel.tolist())): stack for stack, (key, sel, _) in zip(stacks, where)}
+
+
+@pytest.mark.parametrize("name", ["M2", "M3", "M4", "M5", "M4+M2+C", "M3+M3+C"])
+def test_inner_blocks_equal_the_blocks_gathered_from_the_raw_span(name):
+    blocks = {**INNER, "M3+M3+C": [(3, 0.4), (3, 0.35), (1, 0.25)]}[name]
+    legs, direct = _inner(blocks).spectral_blocks()
+    raw_legs, gathered = _raw_inner(blocks).spectral_blocks()
+    for (rot, _, classes), (raw_rot, _, raw_classes) in zip(legs, raw_legs):
+        assert np.array_equal(rot, raw_rot) and classes == raw_classes
+    got, want = _keyed(direct), _keyed(gathered)
+    assert got.keys() == want.keys()
+    for key, stack in want.items():
+        assert got[key].shape == stack.shape
+        assert np.max(np.abs(got[key] - stack)) < 1e-13
+    assert direct[2] == gathered[2]
+    basis, rank = vndim._block_bases(*direct)
+    raw_basis, raw_rank = vndim._block_bases(*gathered)
+    assert rank == raw_rank
+    assert {key: q.shape for key, (q, _) in basis.items()} == {
+        key: q.shape for key, (q, _) in raw_basis.items()}
+
+
+def test_split_degenerate_eigenspaces_leak_out_of_the_inner_blocks(monkeypatch):
+    # with no cluster gap the multiplicity-3 eigenspaces of the right
+    # action on M3 are cut apart, no longer spectral projections, and
+    # left multiplication leaks across the cuts
+    monkeypatch.setattr(vndim, "CLUSTER_GAP", 0.0)
+    leak = r"leaks \S+ out of its spectral blocks, above the drop bound"
+    with pytest.raises(NotRightClosed, match=leak):
+        vn_dimension(_inner([(3, 1.0)]))
+
+
+def test_inner_module_of_m8():
+    got = vn_dimension(_inner([(8, 1.0)]))
+    assert abs(got.value - (1.0 - 1.0 / 64)) < 1e-10
