@@ -11,7 +11,6 @@ import sys
 import numpy as np
 
 from steinlab import (
-    DenseLimitExceeded,
     ad_action,
     as_fraction,
     crossed_product,
@@ -19,31 +18,19 @@ from steinlab import (
     derivation_space,
     dual_action,
     group_algebra,
-    inner_derivation_module,
     multimatrix,
     multimatrix_decompose,
     permutation_action,
     phi_x,
-    subalgebra_generate,
     symmetric_3,
     trivial_action,
     vn_dimension,
 )
 
 
-def dim_der(alg, gens=None) -> float:
-    """Dimension of the derivation space from the solved Leibniz kernel; the
-    generator-indexed inner-derivation module only when the solver's dense
-    limit refuses the algebra."""
-    try:
-        return vn_dimension(phi_x(derivation_space(alg))).value
-    except DenseLimitExceeded:
-        pass
-    if gens is None:
-        raise ValueError("need explicit generators above the dense limit")
-    if subalgebra_generate(alg, list(gens.T)).shape[1] != alg.dim:
-        raise ValueError("columns do not generate the algebra")
-    return vn_dimension(inner_derivation_module(alg, gens)).value
+def dim_der(alg) -> float:
+    """Dimension of the derivation space from the solved Leibniz kernel."""
+    return vn_dimension(phi_x(derivation_space(alg))).value
 
 
 def instances():
@@ -80,8 +67,7 @@ def main() -> int:
     worst = 0.0
     for alg, act, name in instances():
         cp = crossed_product(alg, act)
-        gens = np.column_stack([cp.embed_base, cp.embed_group])
-        lhs = dim_der(cp.algebra, gens)
+        lhs = dim_der(cp.algebra)
         rhs = 1.0 + (dim_der(alg) - 1.0) / act.group.order
         worst = max(worst, abs(lhs - rhs))
         frac = as_fraction(lhs, 4 * act.group.order**2 * alg.dim**2)

@@ -20,12 +20,13 @@ cut on its own; vndim orthonormalizes spectral blocks with it, and takes
 the rank of its block-diagonal coefficient matrix from the singular
 values alone.
 
-gram_onb orthonormalizes in a metric given by whitening factors, the
-upper Cholesky factor T (gram = T^H T) of each tensor leg, never by a
-Gram matrix: it whitens the vectors and takes one SVD through
-batched_svd (of the triangular factor of their QR, which has the same
-singular values and right singular vectors), then re-orthonormalizes
-the result once by a Cholesky factor of its Gram.
+A kernel wanted orthonormal in a metric gram = T^H T is solved for the
+whitened unknown w = T x; T^-1 maps nullspace's orthonormal columns to
+metric-orthonormal ones, with no second pass. gram_onb, for given spans,
+whitens them by T and takes one SVD through batched_svd (of the triangular
+factor of their QR, which has the same singular values and right singular
+vectors), then re-orthonormalizes the result once by a Cholesky factor of
+its Gram.
 """
 
 from __future__ import annotations
@@ -221,25 +222,13 @@ def batched_svd(
     return [(u, s, vh, s >= floor) for u, s, vh in svds]
 
 
-def _whiten(v: np.ndarray, factors: tuple) -> np.ndarray:
-    """(T_0 (x) .. (x) T_{m-1} (x) 1) v, one matmul per leading leg."""
-    w, lead = v, 1
-    for t in factors:
-        w = np.matmul(t, w.reshape(lead, t.shape[1], -1))
-        lead *= t.shape[0]
-    return w.reshape(v.shape)
-
-
-def gram_onb(vectors: np.ndarray, factors: tuple = ()) -> np.ndarray:
+def gram_onb(vectors: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray:
     """Columns orthonormal in a metric and spanning the input columns.
 
-    The metric is given by whitening factors, one per leading tensor leg:
-    with the rows of vectors indexed (leg 0, .., leg m-1, rest), the Gram
-    matrix is kron(T_0^H T_0, .., T_{m-1}^H T_{m-1}, 1), so that the
-    whitened W = (T_0 (x) .. (x) T_{m-1} (x) 1) V carries the metric as the
-    standard inner product. () is the standard inner product, (T,) the GNS
-    metric of an algebra A (T = A.onb_factor) and (T, T) that of
-    N = A (x) A^op, with a trailing argument axis left alone.
+    The metric is given by its whitening factor T, the upper Cholesky
+    factor of its Gram matrix (gram = T^H T), so that W = T V carries the
+    metric as the standard inner product: None is the standard inner
+    product and A.onb_factor the GNS metric of an algebra A.
 
     One SVD W = U S Vh through batched_svd, rank r by rank_split's cut,
     gives Q = V Vh^H[:r] / s[:r], whose whitened image is U[:, :r]. The
@@ -253,17 +242,12 @@ def gram_onb(vectors: np.ndarray, factors: tuple = ()) -> np.ndarray:
     if v.ndim != 2:
         raise ValueError("expected a matrix of column vectors")
     # the SVD of the small factor needs no W-sized buffers
-    s, vh, kept = batched_svd([np.linalg.qr(_whiten(v, factors), mode="r")[None]])[0][1:]
+    w = v if factor is None else factor @ v
+    s, vh, kept = batched_svd([np.linalg.qr(w, mode="r")[None]])[0][1:]
     r = int(kept.sum())
     q = v @ (vh[0, :r].conj().T / s[0, :r])
-    return q @ _inverse_cholesky(q, factors)
-
-
-def _inverse_cholesky(q: np.ndarray, factors: tuple) -> np.ndarray:
-    """L^-H for the Cholesky factor L of the whitened Gram L L^H of the
-    columns of q."""
-    w = _whiten(q, factors)
-    return np.linalg.inv(np.linalg.cholesky(w.conj().T @ w).conj().T)
+    w = q if factor is None else factor @ q
+    return q @ np.linalg.inv(np.linalg.cholesky(w.conj().T @ w).conj().T)
 
 
 def onb_transform(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -94,8 +94,13 @@ class FDAlgebra:
     @cached_property
     def onb_factor(self) -> np.ndarray:
         """Upper-triangular T with gram = T^H T: x -> T x maps coordinates
-        to GNS-orthonormal ones, and whitens the metric for gram_onb."""
+        to GNS-orthonormal ones; diagonal when the basis is GNS-orthogonal."""
         return onb_transform(self.gram)[0]
+
+    @cached_property
+    def onb_inverse(self) -> np.ndarray:
+        """T^-1, from GNS-orthonormal coordinates back to basis ones."""
+        return np.linalg.inv(self.onb_factor)
 
 
 @dataclass

@@ -6,7 +6,9 @@ Three subcommands:
   steinlab corpus               run the built-in experiment battery
   steinlab dim <algebra.json>   derivation-space dimension of one algebra
 
-The exit code is 0 exactly when every executed check passed. The pass/fail
+The exit code is 0 exactly when every executed check passed, and 2, with
+a one-line "steinlab:" message, on input it cannot read: a file missing or
+not valid JSON, or a spec or algebra that does not parse. The pass/fail
 tolerance of run and corpus is 1e-8, overridable by the STEINLAB_TOL
 environment variable and then by --tolerance; dim has no pass/fail.
 """
@@ -67,9 +69,18 @@ def _finish(reps: list, fmt: str, out: str | None) -> int:
     return 0 if all(rep.passed for rep in reps) else 1
 
 
+def _load(path: str):
+    """The JSON document in the file; one that does not parse raises
+    SpecInvalid."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise SpecInvalid(f"{path}: not valid JSON: {exc}") from None
+
+
 def _cmd_run(args) -> int:
-    with open(args.spec) as fh:
-        payload = json.load(fh)
+    payload = _load(args.spec)
     if isinstance(payload, dict) and "experiments" in payload:
         objs = payload["experiments"]
     elif isinstance(payload, list):
@@ -99,8 +110,7 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_dim(args) -> int:
-    with open(args.algebra) as fh:
-        payload = json.load(fh)
+    payload = _load(args.algebra)
     if isinstance(payload, dict) and "algebra" in payload:
         payload = payload["algebra"]
     alg, blocks = parse_algebra(payload)

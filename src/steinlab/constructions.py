@@ -330,12 +330,12 @@ def crossed_product(base: FDAlgebra, act: GroupAction) -> CrossedProduct:
 # -- block decomposition -----------------------------------------------------
 
 def center_basis(alg: FDAlgebra) -> np.ndarray:
-    """GNS-orthonormal basis (columns) of the center."""
-    rows = []
-    for i in range(alg.dim):
-        e = alg.basis(i)
-        rows.append(alg.left_mult(e) - alg.right_mult(e))
-    return gram_onb(nullspace(np.vstack(rows)), (alg.onb_factor,))
+    """GNS-orthonormal basis (columns) of the center: the kernel of the
+    commutators with the basis, solved for the GNS-orthonormal coordinates
+    w = T z, T = alg.onb_factor, so that T^-1 maps its orthonormal basis
+    to a GNS-orthonormal one."""
+    rows = np.vstack([alg.left_mult(e) - alg.right_mult(e) for e in np.eye(alg.dim)])
+    return alg.onb_inverse @ nullspace(rows @ alg.onb_inverse)
 
 
 def multimatrix_decompose(
@@ -415,10 +415,9 @@ def subalgebra_generate(alg: FDAlgebra, gens: list[np.ndarray]) -> np.ndarray:
     letters = [np.asarray(g, dtype=complex) for g in gens]
     letters += [alg.star_of(g) for g in letters]
     lefts = [alg.left_mult(x) for x in letters]
-    metric = (alg.onb_factor,)
-    cur = gram_onb(np.column_stack([alg.unit] + letters), metric)
+    cur = gram_onb(np.column_stack([alg.unit] + letters), alg.onb_factor)
     while cur.shape[1] < alg.dim:
-        grown = gram_onb(np.hstack([cur] + [m @ cur for m in lefts]), metric)
+        grown = gram_onb(np.hstack([cur] + [m @ cur for m in lefts]), alg.onb_factor)
         if grown.shape[1] == cur.shape[1]:
             break
         cur = grown
@@ -431,8 +430,8 @@ def generates(alg: FDAlgebra, gens: list[np.ndarray]) -> bool:
 
 def span_equal(alg: FDAlgebra, a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> bool:
     """Whether two column spans coincide, compared in the GNS geometry."""
-    qa = gram_onb(a, (alg.onb_factor,))
-    qb = gram_onb(b, (alg.onb_factor,))
+    qa = gram_onb(a, alg.onb_factor)
+    qb = gram_onb(b, alg.onb_factor)
     if qa.shape[1] != qb.shape[1]:
         return False
     g = alg.gram

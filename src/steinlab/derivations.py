@@ -14,7 +14,8 @@ pair (a, b) standing for kron(a, b), one (n, n) factor per leg, None for
 an identity leg: x (x) y^op acts by (left_mult(x), right_mult(y)) on the
 left and by (right_mult(x), left_mult(y)) on the right, and the GNS metric
 is whitened by (T, T), T = A.onb_factor. apply_pair contracts a pair into
-a stack leg by leg; no (n^2, n^2) operator matrix is formed.
+a stack leg by leg; no (n^2, n^2) operator matrix is formed. Kernels are
+solved for whitened values and mapped back by (T^-1, T^-1).
 
 Every function takes the FDAlgebra whose module it acts on, or, for the
 crossed-product maps, the CrossedProduct A x| G. Those act on the coset
@@ -29,7 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import SparseSystem, frob, gram_onb, nullspace
+# gram_onb is no longer called here; the name stays bound because
+# benchmark/tracing.py hooks steinlab.derivations.gram_onb
+from ._linalg import SparseSystem, frob, gram_onb, nullspace  # noqa: F401
 from .algebra import FDAlgebra
 from .constructions import CrossedProduct, subalgebra_generate, span_equal
 from .errors import NotSubalgebra, UnitsInvalid
@@ -64,12 +67,11 @@ def whiten(alg: FDAlgebra, v: np.ndarray) -> np.ndarray:
 def leibniz_residual(alg: FDAlgebra, mats: np.ndarray) -> np.ndarray:
     """Largest GNS norm of d(b_i b_j) - b_i . d(b_j) - d(b_i) . b_j over
     basis pairs, for each derivation of a stack (..., n^2, n): the rows of
-    leibniz_system applied to it."""
+    leibniz_system applied to its whitened values."""
     mats = np.asarray(mats)
     n = alg.dim
-    res = leibniz_system(alg).dot(mats.reshape(*mats.shape[:-2], n**3))
-    res = whiten(alg, res.reshape(*mats.shape[:-2], n * n, n * n))
-    return np.linalg.norm(res, axis=-2).max(axis=-1)
+    res = leibniz_system(alg).dot(whiten(alg, mats).reshape(*mats.shape[:-2], n**3))
+    return np.linalg.norm(res.reshape(*mats.shape[:-2], n * n, n * n), axis=-2).max(axis=-1)
 
 
 def restricted_norm(alg: FDAlgebra, mats: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -109,40 +111,45 @@ def commutator_span(alg: FDAlgebra, xs: np.ndarray, xis) -> np.ndarray:
 
 
 def leibniz_system(alg: FDAlgebra) -> SparseSystem:
-    """Linear system whose kernel is the space of derivations.
+    """Linear system whose kernel is the space of derivations, in
+    GNS-orthonormal leg coordinates.
 
-    Unknown is the row-major vec of the (dim N, dim A) matrix D, entry
-    D[q, k] at q * dim A + k. Equation (p, i, j), at row
-    (p * dim A + i) * dim A + j, is component p of
-    d(b_i b_j) - b_i . d(b_j) - d(b_i) . b_j = 0.
+    Unknown is the row-major vec of the (dim N, dim A) matrix (T (x) T) D,
+    T = alg.onb_factor, entry at q * dim A + k. Equation (p, i, j), at row
+    (p * dim A + i) * dim A + j, is component p of (T (x) T) applied to
+    d(b_i b_j) - b_i . d(b_j) - d(b_i) . b_j = 0, so <., .>_X is the
+    standard inner product of unknowns and a row norm is a GNS norm.
 
-    The entries come straight from the nonzeros mult[x, y, z] of the
-    structure constants: left_mult(b_x)[z, y] and right_mult(b_y)[z, x]
-    both equal mult[x, y, z], and the bimodule actions are krons of these
-    with the identity. In a monomial basis (matrix units, b u_g) each of
-    the three terms is a permutation pattern, so nullspace splits the
-    system into many small blocks.
+    left_mult(b_x)[z, y] and right_mult(b_y)[z, x] both equal
+    mult[x, y, z]; the bimodule actions are krons with the identity of
+    T left_mult(b_x) T^-1 and T right_mult(b_y) T^-1. When T is diagonal,
+    as in a monomial basis (matrix units, b u_g), these keep the zero
+    pattern of mult, each term is a permutation pattern, and nullspace
+    splits the system into many small blocks.
     """
     n = alg.dim
-    nn = n * n
-    x, y, z = (ax[:, None, None] for ax in np.nonzero(alg.mult))
-    v = alg.mult[x, y, z]
+    t, t_inv = alg.onb_factor, alg.onb_inverse
+    # the whitened operators, indexed [x, y, z] as mult is; entries sit on
+    # the union of the three nonzero patterns
+    lw = (t @ alg.mult.transpose(0, 2, 1) @ t_inv).transpose(0, 2, 1)
+    rw = (t @ alg.mult.transpose(1, 2, 0) @ t_inv).transpose(2, 0, 1)
+    x, y, z = (ax[:, None, None] for ax in np.nonzero((alg.mult != 0) | (lw != 0) | (rw != 0)))
     a = np.arange(n)[:, None]  # free index on one tensor leg of N
     b = np.arange(n)  # free index on A
     p = a * n + b  # every index of N
     terms = [
         # d(b_x b_y) = sum_z mult[x, y, z] d(b_z): row (p, x, y), column (p, z)
-        ((p * n + x) * n + y, p * n + z, v),
-        # b_x . d(b_b), through left_mult(b_x) (x) 1: row (za, x, b), column (ya, b)
-        (((z * n + a) * n + x) * n + b, (y * n + a) * n + b, -v),
-        # d(b_b) . b_y, through 1 (x) right_mult(b_y): row (az, b, y), column (ax, b)
-        (((a * n + z) * n + b) * n + y, (a * n + x) * n + b, -v),
+        ((p * n + x) * n + y, p * n + z, alg.mult[x, y, z]),
+        # b_x . d(b_b), through T left_mult(b_x) T^-1 (x) 1: row (za, x, b), column (ya, b)
+        (((z * n + a) * n + x) * n + b, (y * n + a) * n + b, -lw[x, y, z]),
+        # d(b_b) . b_y, through 1 (x) T right_mult(b_y) T^-1: row (az, b, y), column (ax, b)
+        (((a * n + z) * n + b) * n + y, (a * n + x) * n + b, -rw[x, y, z]),
     ]
     rows, cols, vals = (
-        np.concatenate([np.broadcast_to(t, (v.size, n, n)).ravel() for t in parts])
+        np.concatenate([np.broadcast_to(e, (x.size, n, n)).ravel() for e in parts])
         for parts in zip(*terms)
     )
-    return SparseSystem((nn * n * n, nn * n), rows, cols, vals)
+    return SparseSystem((n**4, n**3), rows, cols, vals)
 
 
 @dataclass(eq=False)
@@ -164,21 +171,22 @@ def derivation_space(alg: FDAlgebra) -> DerivationSpace:
 
     The system is solved block by block; a connected block of more than
     _DENSE_LIMIT unknowns raises DenseLimitExceeded before any SVD, and
-    inner_derivation_module is the route for such algebras. On row-major
-    vecs, indexed (leg a, leg b, argument), <., .>_X has Gram matrix
-    kron(gram, gram, 1): whitening factors (T, T) on the two legs of N and
-    none on the argument axis.
+    inner_derivation_module is the route for such algebras. The unknowns
+    are whitened, so nullspace's orthonormal kernel basis, mapped back by
+    (T^-1, T^-1) on the legs of N, is orthonormal for <., .>_X.
     """
+    n = alg.dim
     vecs = nullspace(leibniz_system(alg), max_block=_DENSE_LIMIT)
-    q = gram_onb(vecs, (alg.onb_factor, alg.onb_factor))
-    return DerivationSpace(alg, q.T.reshape(-1, alg.dim**2, alg.dim))
+    back = (alg.onb_inverse, alg.onb_inverse)
+    return DerivationSpace(alg, apply_pair(back, vecs.T.reshape(-1, n * n, n)))
 
 
 def central_vectors(alg: FDAlgebra, sub_cols: np.ndarray) -> np.ndarray:
-    """GNS-orthonormal basis of {v in N : b . v = v . b for all b in the span}."""
-    eye = np.eye(alg.dim)
-    rows = commutator_span(alg, np.asarray(sub_cols), (eye, eye))
-    return gram_onb(nullspace(rows.reshape(-1, alg.dim**2)), (alg.onb_factor, alg.onb_factor))
+    """GNS-orthonormal basis of {v in N : b . v = v . b for all b in the span},
+    solved for w = (T (x) T) v: the commutators of kron(T^-1, T^-1)."""
+    back = (alg.onb_inverse, alg.onb_inverse)
+    rows = commutator_span(alg, np.asarray(sub_cols), back)
+    return apply_pair(back, nullspace(rows.reshape(-1, alg.dim**2)))
 
 
 def relative_derivations(

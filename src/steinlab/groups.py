@@ -24,6 +24,8 @@ class FiniteGroup:
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
         n = self.order
+        if n < 1:
+            raise GroupInvalid(f"group order {n} is below 1")
         if t.shape != (n, n):
             raise GroupInvalid(f"table shape {t.shape}, expected {(n, n)}")
         if t.min() < 0 or t.max() >= n:

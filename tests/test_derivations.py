@@ -32,6 +32,7 @@ from steinlab import (
     scaling_conjugation,
     symmetric_3,
     trivial_action,
+    SteinlabError,
     UnitsInvalid,
     validate,
     vn_dimension,
@@ -43,15 +44,22 @@ import dense_reference as ref
 M2 = multimatrix([(2, 1.0)], label="M2")
 
 
+def in_basis(alg: FDAlgebra, s: np.ndarray, label: str = "") -> FDAlgebra:
+    """The same algebra in the basis b'_i = sum_a s[a, i] b_a, s invertible."""
+    sinv = np.linalg.inv(s)
+    mult = np.einsum("ai,bj,abc,kc->ijk", s, s, alg.mult, sinv)
+    star = sinv @ alg.star @ np.conj(s)
+    return FDAlgebra(alg.dim, mult, star, sinv @ alg.unit, alg.trace @ s, label=label)
+
+
+def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+
+
 def rotated(alg: FDAlgebra, rng: np.random.Generator) -> FDAlgebra:
     """The same algebra in a random unitary change of basis, so that the
     structure constants have no zero pattern."""
-    n = alg.dim
-    s, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    sinv = s.conj().T
-    mult = np.einsum("ai,bj,abc,kc->ijk", s, s, alg.mult, sinv)
-    star = sinv @ alg.star @ np.conj(s)
-    return FDAlgebra(n, mult, star, sinv @ alg.unit, alg.trace @ s, label=alg.label + " rotated")
+    return in_basis(alg, random_unitary(rng, alg.dim), label=alg.label + " rotated")
 
 
 def einsum_leibniz_system(alg: FDAlgebra) -> np.ndarray:
@@ -295,10 +303,16 @@ SMALL = pytest.mark.parametrize(
 
 @SMALL
 def test_sparse_leibniz_system_matches_einsum_formula(alg):
+    # the system is in GNS-orthonormal leg coordinates: the raw formula
+    # with (T (x) T) on the legs of N of its rows and (T^-1 (x) T^-1) on
+    # those of its unknowns, the argument axes left alone
     sys_ = leibniz_system(alg)
     dense = np.zeros(sys_.shape, dtype=complex)
     np.add.at(dense, (sys_.rows, sys_.cols), sys_.vals)
-    assert np.max(np.abs(dense - einsum_leibniz_system(alg))) < 1e-13
+    n = alg.dim
+    tt = np.kron(alg.onb_factor, alg.onb_factor)
+    want = np.kron(tt, np.eye(n * n)) @ einsum_leibniz_system(alg) @ np.kron(np.linalg.inv(tt), np.eye(n))
+    assert np.max(np.abs(dense - want)) < 1e-13
 
 
 @SMALL
@@ -314,6 +328,29 @@ def test_derivation_space_above_dim_11_in_matrix_units():
     assert alg.dim == 14
     value = vn_dimension(phi_x(derivation_space(alg))).value
     assert abs(value - (1 - sum(a * a / (n * n) for n, a in blocks))) < 1e-10
+
+
+def test_a_rescaled_basis_vector_leaves_the_dimension():
+    # b_1 -> 1e-6 b_1 in M2+C: the GNS Gram spans 1e-12, which the kernel,
+    # solved in GNS-orthonormal coordinates, never sees
+    alg = in_basis(multimatrix([(2, 0.5), (1, 0.5)]), np.diag([1, 1e-6, 1, 1, 1]).astype(complex))
+    value = vn_dimension(phi_x(derivation_space(alg))).value
+    assert abs(value - 0.6875) < 1e-10
+
+
+@pytest.mark.parametrize("cond", [1e2, 3e2])
+def test_a_non_unitary_basis_change_gives_the_dimension_or_a_typed_error(cond):
+    # S = U diag(1 .. 1/cond) V: a dimension that is returned must be right
+    base = multimatrix([(2, 0.75), (1, 0.25)])
+    for seed in range(100, 112):
+        rng = np.random.default_rng(seed)
+        u, v = random_unitary(rng, 5), random_unitary(rng, 5)
+        alg = in_basis(base, u @ np.diag(np.logspace(0, -np.log10(cond), 5)) @ v)
+        try:
+            value = vn_dimension(phi_x(derivation_space(alg))).value
+        except SteinlabError:
+            continue
+        assert abs(value - 0.796875) < 1e-10, (seed, value)
 
 
 def test_unstructured_basis_hits_the_dense_limit_at_dim_12():

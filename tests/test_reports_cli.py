@@ -262,14 +262,15 @@ def test_cli_run_fails_on_a_residual_above_the_tolerance(tmp_path, capsys, monke
 def test_a_structural_mismatch_fails_at_any_tolerance(tmp_path, capsys, monkeypatch):
     # with every covariance defect read as 0, the derivations that do not
     # vanish on C[G] count as covariant: the two sides disagree, which no
-    # tolerance can forgive
+    # tolerance can forgive; the residual, at least the count gap |lhs -
+    # rhs|, is within the tolerance, so the failed condition fails the row
     monkeypatch.setattr(reports, "covariance_defect", lambda cp, mats: np.zeros(len(mats)))
     path = write_spec(tmp_path, dict(C2_SPEC, checks=["covariance_equivalence"]))
-    assert main(["run", path, "--tolerance", "10", "--format", "json"]) == 1
+    assert main(["run", path, "--tolerance", "1e6", "--format", "json"]) == 1
     row = json.loads(capsys.readouterr().out)["reports"][0]["rows"][0]
     assert row["status"] == "fail"
     assert row["lhs"] < row["rhs"]
-    assert row["residual"] <= 10
+    assert row["rhs"] - row["lhs"] <= row["residual"] <= 1e6
 
 
 def unfaithful_c2() -> dict:
@@ -419,6 +420,26 @@ def test_cli_dim_rejects_seed(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text", [
+    ("run", '{"label": "cut short", '),
+    ("dim", ""),
+    ("run", json.dumps(dict(C2_SPEC, seed="seven"))),
+    ("run", json.dumps(dict(C2_SPEC, seed=1.5))),
+    ("run", json.dumps(dict(C2_SPEC, subgroup=[0, "one"]))),
+    ("run", json.dumps(dict(C2_SPEC, subgroup=[0, 2]))),
+    ("run", json.dumps(dict(C2_SPEC, subgroup=1))),
+    ("run", json.dumps(dict(C2_SPEC, group="Z/0", action="trivial"))),
+], ids=["run-json", "dim-json", "seed-word", "seed-fraction", "subgroup-word",
+        "subgroup-range", "subgroup-not-list", "order-0"])
+def test_cli_malformed_input_exits_2_with_one_line(tmp_path, capsys, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("steinlab: ") and err.count("\n") == 1
+
+
 def test_cli_bad_input_exits_2(tmp_path, capsys):
     bogus = tmp_path / "bad.json"
     bogus.write_text(json.dumps({"algebra": {"multimatrix": {"blocks": []}},
@@ -460,3 +481,25 @@ def test_coset_projection_row_fails_on_a_wrong_group_index(monkeypatch):
 
     monkeypatch.setattr(CrossedProduct, "group_index", property(blocked_index))
     assert _coset_row().status == "fail"
+
+
+# -- central family -------------------------------------------------------------------
+
+def test_central_family_row_fails_when_the_counts_differ(monkeypatch):
+    # one more GNS-orthonormal vector, orthogonal to the central ones: the
+    # family still lies in their span, so only lhs != rhs can fail the row
+    central_vectors = reports.central_vectors
+
+    def one_more(alg, sub_cols):
+        q = central_vectors(alg, sub_cols)
+        t = np.kron(alg.onb_factor, alg.onb_factor)
+        w = np.linalg.qr(t @ q, mode="complete")[0][:, q.shape[1]]
+        return np.column_stack([q, np.linalg.solve(t, w)])
+
+    spec = ExperimentSpec.from_json(dict(C2_SPEC, checks=["central_family_orthonormal"]))
+    assert run(spec).row("central_family_orthonormal").status == "pass"
+    monkeypatch.setattr(reports, "central_vectors", one_more)
+    row = run(spec).row("central_family_orthonormal")
+    assert (row.lhs, row.rhs) == (2.0, 3.0)
+    assert row.status == "fail"
+    assert row.residual == 1.0
