@@ -119,13 +119,23 @@ def _positions(block: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return pos
 
 
-def nullspace(mat: np.ndarray | SparseSystem, max_block: int | None = None) -> np.ndarray:
+def _dense_bytes(nrow_b: np.ndarray, ncol_b: np.ndarray) -> int:
+    """Bytes nullspace allocates for blocks of these shapes: the densified
+    blocks and their SVD factors with every right singular vector, U of
+    rows x min(rows, cols) and Vh of cols x cols (complex), and the
+    spectrum zero-padded to cols (real)."""
+    r, c = nrow_b.astype(np.int64), ncol_b.astype(np.int64)
+    return int(np.sum(16 * (r * c + r * np.minimum(r, c) + c * c) + 8 * c))
+
+
+def nullspace(mat: np.ndarray | SparseSystem, max_bytes: int | None = None) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel, by SVD with the shared cut.
 
     mat is a dense array, whose exact zeros give the block structure, or a
     SparseSystem. Blocks are solved one SVD per shape-batch and share one
-    rank decision (see the module docstring). A block with more than
-    max_block columns raises DenseLimitExceeded before any SVD runs.
+    rank decision (see the module docstring). If the densified blocks and
+    their SVD factors need more than max_bytes (_dense_bytes, from the
+    block shapes), DenseLimitExceeded is raised before they are allocated.
     """
     if isinstance(mat, SparseSystem):
         nrows, ncols = mat.shape
@@ -141,16 +151,16 @@ def nullspace(mat: np.ndarray | SparseSystem, max_block: int | None = None) -> n
         _column_components(rows, cols, nrows, ncols), return_inverse=True
     )
     ncol_b = np.bincount(col_block)
-    if max_block is not None and ncol_b.max() > max_block:
-        raise DenseLimitExceeded(
-            f"connected block of {ncol_b.max()} unknowns exceeds the dense "
-            f"limit of {max_block}"
-        )
     entry_block = col_block[cols]
     row_block = np.full(nrows, -1)
     row_block[rows] = entry_block
     active = np.flatnonzero(row_block >= 0)
     nrow_b = np.bincount(row_block[active], minlength=ncol_b.size)
+    if max_bytes is not None and (need := _dense_bytes(nrow_b, ncol_b)) > max_bytes:
+        raise DenseLimitExceeded(
+            f"{ncol_b.size} connected blocks of up to {ncol_b.max()} unknowns need "
+            f"{need} bytes, which exceeds the dense limit of {max_bytes} bytes"
+        )
     row_pos = np.zeros(nrows, dtype=int)
     row_pos[active] = _positions(row_block[active], nrow_b)
     col_pos = _positions(col_block, ncol_b)

@@ -37,10 +37,11 @@ from .algebra import FDAlgebra
 from .constructions import CrossedProduct, subalgebra_generate, span_equal
 from .errors import NotSubalgebra, UnitsInvalid
 
-# most unknowns in one connected block of the Leibniz system that the dense
-# per-block SVD takes on; a basis with no zero structure is a single block of
-# dim^3 unknowns and reaches it at dim 12, matrix-unit bases stay far below
-_DENSE_LIMIT = 1600
+# most bytes the dense per-block SVDs of the Leibniz system may allocate
+# (densified blocks and SVD factors, _linalg._dense_bytes); a basis with no
+# zero structure is a single dim^4 x dim^3 block, 0.61 GiB at dim 11 and
+# 1.11 GiB at dim 12, matrix-unit bases of that size stay far below
+_DENSE_LIMIT = 1 << 30
 
 
 def apply_pair(pair: tuple, v: np.ndarray) -> np.ndarray:
@@ -169,14 +170,15 @@ def derivation_space(alg: FDAlgebra) -> DerivationSpace:
     """All derivations of A, solved from the Leibniz system on every basis
     pair, with a basis orthonormal for <., .>_X, X the basis of A.
 
-    The system is solved block by block; a connected block of more than
-    _DENSE_LIMIT unknowns raises DenseLimitExceeded before any SVD, and
-    inner_derivation_module is the route for such algebras. The unknowns
-    are whitened, so nullspace's orthonormal kernel basis, mapped back by
-    (T^-1, T^-1) on the legs of N, is orthonormal for <., .>_X.
+    The system is solved block by block; blocks whose dense SVDs would
+    allocate more than _DENSE_LIMIT bytes raise DenseLimitExceeded before
+    any of it is allocated, and inner_derivation_module is the route for
+    such algebras. The unknowns are whitened, so nullspace's orthonormal
+    kernel basis, mapped back by (T^-1, T^-1) on the legs of N, is
+    orthonormal for <., .>_X.
     """
     n = alg.dim
-    vecs = nullspace(leibniz_system(alg), max_block=_DENSE_LIMIT)
+    vecs = nullspace(leibniz_system(alg), max_bytes=_DENSE_LIMIT)
     back = (alg.onb_inverse, alg.onb_inverse)
     return DerivationSpace(alg, apply_pair(back, vecs.T.reshape(-1, n * n, n)))
 

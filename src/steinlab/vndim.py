@@ -36,11 +36,45 @@ on the union of the block spectra), giving an orthonormal basis Q' of
 W' = sum_ab P_ab W, which contains W. A module has W = W'; this is
 certified by the rank of the coefficients C = Q'^H span, which must be
 dim W' (gap-guarded, as every rank here), or NotRightClosed is raised.
-Then every right operator, two-leg ones included, is tested against the
-block-diagonal projector Q' Q'^H at CLOSURE_TOL, and the dimension is
+Then the closure test below runs against the block-diagonal projector
+P = Q' Q'^H at CLOSURE_TOL, and the dimension is
 sum_ab |Q'_ab^H Omega_ab|^2, with omega rotated once and read against
 the rows of each copy. The rotation is unitary, so for a module
 this is the value of the dense projection.
+
+The closure test applies random combinations, not every operator. With
+Q = Q' and M_j = (1 - P) T_j Q for operators T_1 .. T_m, the residual of
+T(t) = sum_j t_j T_j is sum_j t_j M_j, and for iid t_j of unit variance
+E |sum_j t_j M_j|^2 = sum_j |M_j|^2 (Frobenius norms; Hutchinson, Comm.
+Statist. Simul. Comput. 18, 1989): W is invariant under every T_j
+exactly when the expected residual is zero. So for each leg one
+combination sum_j t_j a_j of the leg's one-leg operators is tested, t
+iid standard complex Gaussian (E |t_j|^2 = 1) drawn from _CLOSURE_SEED,
+in CLOSURE_DRAWS = 2 independent draws, and every two-leg operator on
+its own: at most 4 applications plus one per two-leg operator, against
+one per right operator if each were tested alone. The largest residual
+is kept. The seed
+is not _CLUSTER_SEED: the blocks are spectral subspaces of the cluster
+combination sum_j t_j (a_j + a_j^*), so a span of block parts passes
+against that combination by construction, and a test on it would prove
+nothing.
+
+The chance of a miss. Let a_i have relative residual
+rho = |M_i| / max(1, |a_i Q|) > CLOSURE_TOL, and let one draw read its
+combination's residual against CLOSURE_TOL s, s = max(1, |T(t) Q|).
+Fix every t_j but t_i: the residual is t_i M_i + C for a fixed C, and
+its norm is at least |t_i |M_i| + <u, C>|, u = M_i / |M_i|. The density
+of a standard complex Gaussian is at most 1/pi, so a disc of radius r
+has probability at most r^2, and, taking the scale s as given, the draw
+misses a_i with probability at most
+(CLOSURE_TOL / rho)^2 (s / max(1, |a_i Q|))^2. Since
+E |T(t) Q|^2 = sum_j |T_j Q|^2, the ratio of scales is about sqrt(m)
+for m operators of one size, and the bound is about m (CLOSURE_TOL /
+rho)^2: 1e-8 m at rho = 1e-4, but 0.09 for m = 9 at rho = 10
+CLOSURE_TOL. The draws are independent and a miss of their maximum
+needs both to miss, so two draws square the bound (0.008 there), at the
+cost of two applications per leg. The seed is fixed, so the same
+module always gets the same verdict.
 
 vn_dimension takes the span from the module as its blocks in the rotated
 coordinates (spectral_blocks), then runs one computation on them: block
@@ -108,6 +142,11 @@ CLOSURE_TOL = 1e-8
 # about 1e-16 / CLUSTER_GAP, far below the rank cuts
 CLUSTER_GAP = 1e-3
 _CLUSTER_SEED = 0
+# random operator combinations per leg that the closure test applies, from a
+# seed of their own: the blocks pass the cluster split's combination by
+# construction
+CLOSURE_DRAWS = 2
+_CLOSURE_SEED = 1
 
 
 @dataclass(eq=False)
@@ -168,6 +207,8 @@ class InnerModule:
 class DimensionResult:
     value: float
     rank: int
+    # largest relative residual (1 - P) T Q over the closure test's
+    # operators T, not over each right operator
     closure_residual: float
 
     def __float__(self) -> float:
@@ -286,15 +327,24 @@ def _closure_residual(op: tuple, basis: dict, legs: list, ncoords: int) -> float
     return float(np.sqrt(rem2) / max(1.0, np.sqrt(img2)))
 
 
-def _rotated(ops: list, legs: list) -> list:
-    """The right operators in the rotated coordinates of the legs, each
-    leg's factors rotated together."""
-    out = [list(op) for op in ops]
-    for leg, (rot, inv, _) in enumerate(legs):
-        idx = [i for i, op in enumerate(ops) if op[leg] is not None]
-        if idx:
-            for i, m in zip(idx, rot @ np.array([ops[i][leg] for i in idx]) @ inv):
-                out[i][leg] = m
+def _test_ops(ops: list, legs: list) -> list:
+    """The operators the closure test applies, in the rotated coordinates
+    of the legs: for each of CLOSURE_DRAWS draws and each leg, one
+    combination sum_j t_j a_j of the leg's one-leg operators a_j, t iid
+    standard complex Gaussian from _CLOSURE_SEED; then every two-leg
+    operator on its own (see the module docstring)."""
+    rng = np.random.default_rng(_CLOSURE_SEED)
+    mats = [np.array([op[leg] for op in ops if op[1 - leg] is None]) for leg in (0, 1)]
+    out = []
+    for _ in range(CLOSURE_DRAWS):
+        for leg, (rot, inv, _) in enumerate(legs):
+            if len(mats[leg]):
+                x, y = rng.standard_normal((2, len(mats[leg])))
+                t = (x + 1j * y) / np.sqrt(2)
+                comb = rot @ np.tensordot(t, mats[leg], axes=1) @ inv
+                out.append((comb, None) if leg == 0 else (None, comb))
+    (ra, ia, _), (rb, ib, _) = legs
+    out += [(ra @ a @ ia, rb @ b @ ib) for a, b in ops if a is not None and b is not None]
     return out
 
 
@@ -433,17 +483,19 @@ def vn_dimension(sub: ModuleSubspace | InnerModule) -> DimensionResult:
     Takes the span's spectral blocks for the right action from the module
     (spectral_blocks), takes the block SVDs and certifies that the span is
     the sum of its block parts, per connected component of the blocks and
-    span columns, and tests every right operator against the
-    block-diagonal projector (see the module docstring). Raises
-    NotRightClosed if the certificate fails or some operator's image
-    leaves the span by more than CLOSURE_TOL (relative). Since right_ops
-    is closed under adjoints, invariance under each operator already gives
-    invariance under its adjoint.
+    span columns, and tests the operators of _test_ops, random
+    combinations of each leg's operators and every two-leg operator,
+    against the block-diagonal projector (see the module docstring).
+    Raises NotRightClosed if the certificate fails or some test
+    operator's image leaves the span by more than CLOSURE_TOL (relative);
+    the result's closure_residual is the largest of these residuals.
+    Since right_ops is closed under adjoints, invariance under each
+    operator already gives invariance under its adjoint.
     """
     k = sub.ncoords
     legs, blocks = sub.spectral_blocks()
     basis, rank = _block_bases(*blocks)
-    worst = max((_closure_residual(op, basis, legs, k) for op in _rotated(sub.right_ops, legs)),
+    worst = max((_closure_residual(op, basis, legs, k) for op in _test_ops(sub.right_ops, legs)),
                 default=0.0)
     if worst > CLOSURE_TOL:
         raise NotRightClosed(f"commutant residual {worst:.3e} above {CLOSURE_TOL}")

@@ -357,7 +357,7 @@ def test_unstructured_basis_hits_the_dense_limit_at_dim_12():
     alg = rotated(multimatrix([(3, 0.4), (1, 0.3), (1, 0.2), (1, 0.1)]), np.random.default_rng(9))
     assert alg.dim == 12
     assert validate(alg).passed
-    with pytest.raises(DenseLimitExceeded, match="exceeds the dense limit of 1600"):
+    with pytest.raises(DenseLimitExceeded, match="exceeds the dense limit of 1073741824 bytes"):
         derivation_space(alg)
 
 

@@ -104,9 +104,10 @@ def test_max_block_guard_runs_on_the_largest_block():
     m = _shuffled_block_diagonal(
         rng, [_with_spectrum(rng, 2, 2, [1.0]), _with_spectrum(rng, 3, 3, [1.0, 1.0])]
     )
-    assert nullspace(m, max_block=3).shape[1] == 2
-    with pytest.raises(DenseLimitExceeded, match="3 unknowns exceeds the dense limit of 2"):
-        nullspace(m, max_block=2)
+    assert nullspace(m, max_bytes=664).shape[1] == 2
+    with pytest.raises(DenseLimitExceeded, match="up to 3 unknowns need 664 bytes, which "
+                                                 "exceeds the dense limit of 663 bytes"):
+        nullspace(m, max_bytes=663)
 
 
 def _hpd(rng, n: int) -> np.ndarray:

@@ -397,7 +397,7 @@ def test_cli_dim_above_the_dense_limit_exits_2(tmp_path, capsys):
     path.write_text(json.dumps({"dim": alg.dim, **fields}))
     assert main(["dim", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "exceeds the dense limit of 1600" in err
+    assert "exceeds the dense limit of 1073741824 bytes" in err
     assert "Traceback" not in err
 
 

@@ -1,3 +1,5 @@
+import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +26,7 @@ from steinlab import (
     permutation_action,
     phi_x,
     restrict_scalars,
+    symmetric_3,
     vn_dimension,
 )
 import steinlab.vndim as vndim
@@ -332,6 +335,52 @@ def test_vn_dimension_is_deterministic():
     assert first.closure_residual == second.closure_residual
 
 
+# -- the closure test: random operator combinations per leg ----------------------
+
+def _all_but_one(leg: int, odd: int) -> tuple[ModuleSubspace, ModuleSubspace]:
+    """(module, control) on L^2 = C^4 (x) C^4 with three right operators per
+    leg, all diagonal with distinct entries but the one at position odd on
+    leg, a small antisymmetric O. W = span(e_i (x) e_j, i, j < 2) is
+    invariant under every diagonal operator and not under O. O + O^* = 0
+    adds nothing to the cluster combination sum t_j (a_j + a_j^*), so the
+    blocks are the lines e_i (x) e_j, W is a sum of blocks and passes the
+    rank certificate; only the closure test can see O. The control is the
+    same span without O."""
+    rng = np.random.default_rng(11)
+    mats = [[np.diag(rng.standard_normal(4)).astype(complex) for _ in range(3)] for _ in (0, 1)]
+    a = rng.standard_normal((4, 4))
+    mats[leg][odd] = 1e-4 * (a - a.T).astype(complex)
+    ops = [(m, None) for m in mats[0]] + [(None, m) for m in mats[1]]
+    odd_op = ops[3 * leg + odd]
+    eye = np.eye(4, dtype=complex)
+    span = np.kron(eye[:, :2], eye[:, :2])
+    unit = np.kron(eye[:, :1], eye[:, :1])
+    module = ModuleSubspace((eye, eye), 1, span, ops, unit)
+    control = ModuleSubspace((eye, eye), 1, span, [op for op in ops if op is not odd_op], unit)
+    return module, control
+
+
+@pytest.mark.parametrize("odd", [0, 1, 2], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("leg", [0, 1], ids=["leg a", "leg b"])
+def test_closure_test_sees_the_one_operator_that_breaks_invariance(leg, odd):
+    module, control = _all_but_one(leg, odd)
+    assert vn_dimension(control).closure_residual < 1e-12
+    with pytest.raises(NotRightClosed, match="commutant residual"):
+        vn_dimension(module)
+
+
+def test_closure_test_applies_two_combinations_per_leg_and_each_two_leg_operator(monkeypatch):
+    sub = MODULES["inner M2+C, two-leg ops"]()
+    two_leg = sum(a is not None and b is not None for a, b in sub.right_ops)
+    applied = []
+    residual = vndim._closure_residual
+    monkeypatch.setattr(vndim, "_closure_residual",
+                        lambda op, *args: applied.append(op) or residual(op, *args))
+    vn_dimension(sub)
+    assert two_leg == 4
+    assert len(applied) == 2 * vndim.CLOSURE_DRAWS + two_leg
+
+
 # -- block-localized inner spans: SVDs and certificate per connected component ---
 
 INNER = {
@@ -457,3 +506,22 @@ def test_split_degenerate_eigenspaces_leak_out_of_the_inner_blocks(monkeypatch):
 def test_inner_module_of_m8():
     got = vn_dimension(_inner([(8, 1.0)]))
     assert abs(got.value - (1.0 - 1.0 / 64)) < 1e-10
+
+
+def test_m3_crossed_by_s3_through_the_inner_path():
+    # S3 acting on M3 by conjugation with its permutation unitaries:
+    # M3 x| S3 = M3 (x) C[S3] = M3 + M3 + M6 with weights 1/6, 1/6, 2/3,
+    # so dim Der = 1 - 1/54; the generators and the six u_g give 18 right
+    # operators
+    m3 = multimatrix([(3, 1.0)])
+    us = np.zeros((6, 9), dtype=complex)
+    for g, p in enumerate(itertools.permutations(range(3))):
+        us[g, [p[i] * 3 + i for i in range(3)]] = 1.0
+    cp = crossed_product(m3, ad_action(symmetric_3(), m3, us))
+    gens = np.column_stack([cp.lift(x) for x in multimatrix_generators([(3, 1.0)]).T]
+                           + [cp.u(g) for g in range(6)])
+    start = time.perf_counter()
+    value = vn_dimension(inner_derivation_module(cp.algebra, gens)).value
+    elapsed = time.perf_counter() - start
+    assert abs(value - (1 - 1 / 54)) < 1e-10
+    assert elapsed < 3.0
