@@ -260,15 +260,5 @@ def gram_onb(vectors: np.ndarray, factor: np.ndarray | None = None) -> np.ndarra
     return q @ np.linalg.inv(np.linalg.cholesky(w.conj().T @ w).conj().T)
 
 
-def onb_transform(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(T, T_inv) with T mapping raw coordinates to orthonormal ones.
-
-    gram = L L^H by Cholesky; T = L^H, so that <x, y>_gram = <Tx, Ty>_std.
-    """
-    chol = np.linalg.cholesky(np.asarray(gram, dtype=complex))
-    t = chol.conj().T
-    return t, np.linalg.inv(t)
-
-
 def frob(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(m).ravel()))

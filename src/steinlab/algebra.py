@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import frob, onb_transform
+from ._linalg import frob
 from .errors import ShapeMismatch
 
 
@@ -94,8 +94,9 @@ class FDAlgebra:
     @cached_property
     def onb_factor(self) -> np.ndarray:
         """Upper-triangular T with gram = T^H T: x -> T x maps coordinates
-        to GNS-orthonormal ones; diagonal when the basis is GNS-orthogonal."""
-        return onb_transform(self.gram)[0]
+        to GNS-orthonormal ones; diagonal when the basis is GNS-orthogonal.
+        T = L^H for the Cholesky factor gram = L L^H."""
+        return np.linalg.cholesky(self.gram).conj().T
 
     @cached_property
     def onb_inverse(self) -> np.ndarray:

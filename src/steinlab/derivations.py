@@ -82,27 +82,13 @@ def restricted_norm(alg: FDAlgebra, mats: np.ndarray, cols: np.ndarray) -> np.nd
     return np.linalg.norm(img, axis=-2).max(axis=-1, initial=0.0)
 
 
-def commutator_span(alg: FDAlgebra, xs: np.ndarray, xis) -> np.ndarray:
+def commutator_span(alg: FDAlgebra, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
     """x . xi - xi . x for every column x of xs (elements of A) and xi of
-    xis, shape (len x, n^2, len xi): block k holds the values at x_k of the
-    inner derivations [., xi].
-
-    xis is an (n^2, m) array of vectors of L^2(N), or a factor pair
-    (va, vb) of (n, n) matrices standing for the n^2 columns of
-    kron(va, vb), which is never formed: then x . xi - xi . x is
-    kron(left_mult(x) va, vb) - kron(va, right_mult(x) vb). With the pair
-    (1, 1) it is the matrix of xi -> ([x_k, xi])_k.
+    xis (vectors of L^2(N), shape (n^2, m)), shape (len x, n^2, m): block k
+    holds the values at x_k of the inner derivations [., xi]. With xis the
+    identity it is the matrix of xi -> ([x_k, xi])_k.
     """
     xs = np.asarray(xs, dtype=complex)
-    n = alg.dim
-    if isinstance(xis, tuple):
-        va, vb = (np.asarray(v, dtype=complex) for v in xis)
-        out = np.empty((xs.shape[1], n, n, n, n), dtype=complex)
-        for k, x in enumerate(xs.T):
-            legs_a = np.stack([alg.left_mult(x) @ va, va])
-            legs_b = np.stack([vb, -alg.right_mult(x) @ vb])
-            np.einsum("tai,tbj->abij", legs_a, legs_b, out=out[k])
-        return out.reshape(xs.shape[1], n * n, n * n)
     xis = np.asarray(xis, dtype=complex)
     out = np.empty((xs.shape[1], *xis.shape), dtype=complex)
     for k, x in enumerate(xs.T):
@@ -187,7 +173,7 @@ def central_vectors(alg: FDAlgebra, sub_cols: np.ndarray) -> np.ndarray:
     """GNS-orthonormal basis of {v in N : b . v = v . b for all b in the span},
     solved for w = (T (x) T) v: the commutators of kron(T^-1, T^-1)."""
     back = (alg.onb_inverse, alg.onb_inverse)
-    rows = commutator_span(alg, np.asarray(sub_cols), back)
+    rows = commutator_span(alg, np.asarray(sub_cols), np.kron(*back))
     return apply_pair(back, nullspace(rows.reshape(-1, alg.dim**2)))
 
 

@@ -168,6 +168,26 @@ def parse_algebra(obj) -> tuple[FDAlgebra, list[tuple[int, float]] | None]:
     return alg, None
 
 
+def _action_field(obj: dict, key: str) -> object:
+    if key not in obj:
+        raise SpecInvalid(f"action {obj.get('name')!r}: missing field {key!r}")
+    return obj[key]
+
+
+def _perms(obj, grp: FiniteGroup, alg: FDAlgebra) -> np.ndarray:
+    """One permutation image list per group element, entries in 0..dim A - 1."""
+    try:
+        perms = np.asarray(obj)
+    except ValueError:
+        perms = None
+    want = (grp.order, alg.dim)
+    if perms is None or perms.dtype.kind not in "iu" or perms.shape != want:
+        raise SpecInvalid(f"action.perms: expected {want[0]} lists of {want[1]} integers")
+    if np.any((perms < 0) | (perms >= alg.dim)):
+        raise SpecInvalid(f"action.perms: entries must lie in 0..{alg.dim - 1}")
+    return perms
+
+
 def parse_action(obj, grp: FiniteGroup, alg: FDAlgebra) -> GroupAction:
     """Named generators ("trivial", permutation, ad, dual) or raw matrices."""
     try:
@@ -177,9 +197,13 @@ def parse_action(obj, grp: FiniteGroup, alg: FDAlgebra) -> GroupAction:
             mats = _complex_array(obj["matrices"], "action.matrices")
             return GroupAction(grp, alg, mats)
         if isinstance(obj, dict) and obj.get("name") == "permutation":
-            return permutation_action(grp, alg, np.asarray(obj["perms"], dtype=int))
+            return permutation_action(grp, alg, _perms(_action_field(obj, "perms"), grp, alg))
         if isinstance(obj, dict) and obj.get("name") == "ad":
-            us = _complex_array(obj["unitaries"], "action.unitaries")
+            us = _complex_array(_action_field(obj, "unitaries"), "action.unitaries")
+            if us.shape != (grp.order, alg.dim):
+                raise SpecInvalid(
+                    f"action.unitaries: shape {us.shape}, expected {(grp.order, alg.dim)}"
+                )
             return ad_action(grp, alg, us)
         if isinstance(obj, dict) and obj.get("name") == "dual":
             if alg.dim != grp.order:
@@ -243,6 +267,8 @@ class ExperimentSpec:
         act = parse_action(obj.get("action", "trivial"), grp, alg)
         checks = obj.get("checks")
         if checks is not None:
+            if not (isinstance(checks, list) and all(isinstance(c, str) for c in checks)):
+                raise SpecInvalid("checks must be a list of check names")
             unknown = [c for c in checks if c not in CHECKS]
             if unknown:
                 raise SpecInvalid(f"unknown checks: {unknown}")
@@ -256,9 +282,12 @@ class ExperimentSpec:
                 raise SpecInvalid(f"subgroup elements {outside} are outside 0..{grp.order - 1}")
         alt = obj.get("alt_generators")
         if alt is not None:
-            alt = np.column_stack(
-                [_complex_array(v, "alt_generators") for v in alt]
-            )
+            if not (isinstance(alt, list) and alt):
+                raise SpecInvalid("alt_generators must be a non-empty list of elements of A")
+            alt = [_complex_array(v, "alt_generators") for v in alt]
+            if any(v.shape != (alg.dim,) for v in alt):
+                raise SpecInvalid(f"alt_generators: each element needs {alg.dim} [re, im] pairs")
+            alt = np.column_stack(alt)
         return cls(
             label=str(obj.get("label", alg.label or "experiment")),
             algebra=alg,
@@ -540,12 +569,11 @@ def _chk_schreier_vanishing(rc: RunContext):
 def _chk_index_scaling_full(rc: RunContext):
     calg = rc.cp.algebra
     full = ModuleSubspace(
-        gram=(calg.gram, calg.gram),
+        algebra=calg,
         ncoords=1,
         span=np.eye(calg.dim**2, dtype=complex),
         right_ops=[],
         trace_vectors=np.kron(calg.unit, calg.unit)[:, None],
-        label="full ambient",
     )
     one = vn_dimension(full).value
     lhs = vn_dimension(restrict_scalars(full, rc.cp)).value

@@ -9,10 +9,11 @@ for the orthogonal projection P onto the span, valid once P commutes with
 the right action.
 
 Every block-level matrix is a kron factor pair (a, b) standing for
-kron(a, b), one factor per tensor leg: the GNS Gram of one copy of L^2(N)
-is kron(wa, wb), and the right operators are R(x (x) 1) = (right_mult(x),
-None) and R(1 (x) y^op) = (None, left_mult(y)), None marking the identity
-leg; a pair with both factors set is a two-leg operator.
+kron(a, b), one factor per tensor leg: the right operators are
+R(x (x) 1) = (right_mult(x), None) and R(1 (x) y^op) = (None,
+left_mult(y)), None marking the identity leg; a pair with both factors
+set is a two-leg operator. Both legs are L^2(A) for the module's
+algebra A, whose onb_factor gives the GNS-orthonormal coordinates.
 
 The right operators need only come from a generating set of N_0 closed
 under *. By von Neumann's bicommutant theorem the commutant of a
@@ -110,10 +111,10 @@ size_a size_b), and each block is one component. What the blocks leave
 out, the parts of A_c and B_c off the cluster diagonal, has total
 Frobenius norm sum_c (n_b |A_c^off|^2 + n_a |B_c^off|^2) over all
 columns; the builder certifies it below the drop bound above and raises
-NotRightClosed otherwise (a split degenerate eigenspace fails here), then
-drops the smallest block columns within what is left of the bound, as
-_gather does. M6 is 36 blocks of 108 x 36 (2 MB) where its span was
-80 MB.
+NotRightClosed otherwise (a split degenerate eigenspace fails here). The
+blocks keep every column: the shared rank cut discards the exact-zero
+ones, such as central xi. M6 is 36 blocks of 108 x 36 (2 MB) where its
+span was 80 MB.
 """
 
 from __future__ import annotations
@@ -125,9 +126,7 @@ import numpy as np
 
 # gram_onb is no longer called here; the name stays bound because
 # benchmark/tracing.py hooks steinlab.vndim.gram_onb
-from ._linalg import (  # noqa: F401
-    _column_components, batched_svd, gram_onb, onb_transform, rank_cut,
-)
+from ._linalg import _column_components, batched_svd, gram_onb, rank_cut  # noqa: F401
 from .algebra import FDAlgebra
 from .constructions import CrossedProduct
 from .derivations import DerivationSpace
@@ -158,23 +157,18 @@ class ModuleSubspace:
     *-closed generating set gives such a list).
     """
 
-    gram: tuple  # (wa, wb): GNS Gram of one copy of L^2(N) is kron(wa, wb)
+    algebra: FDAlgebra  # A, with N = A (x) A^op
     ncoords: int
-    span: np.ndarray  # (ncoords * block_dim, r), raw coordinates
+    span: np.ndarray  # (ncoords * dim A^2, r), raw coordinates
     right_ops: list  # (a, b) kron factor pairs, None for an identity leg
-    # (block_dim, t): the family omega of one copy; the trace vectors are
+    # (dim A^2, t): the family omega of one copy; the trace vectors are
     # omega_j in each coordinate, I_ncoords (x) omega
     trace_vectors: np.ndarray
-    label: str = ""
-
-    @property
-    def block_dim(self) -> int:
-        return self.gram[0].shape[0] * self.gram[1].shape[0]
 
     def spectral_blocks(self) -> tuple[list, tuple]:
         """(legs, blocks): the leg splits of _legs and the span's blocks in
         their rotated coordinates, gathered from the rotated span (_gather)."""
-        legs = _legs(self.gram, self.right_ops)
+        legs = _legs(self.algebra, self.right_ops)
         return legs, _gather(_rotate(self.span, self.ncoords, legs), legs)
 
 
@@ -187,9 +181,8 @@ class InnerModule:
     algebra: FDAlgebra
     gens: np.ndarray  # (dim A, ncoords), the argument set X
     right_ops: list  # as in ModuleSubspace
-    legs: list  # the leg splits of _legs for gram and right_ops
+    legs: list  # the leg splits of _legs for algebra and right_ops
     blocks: tuple  # as _gather returns them
-    label: str = ""
 
     @property
     def ncoords(self) -> int:
@@ -215,15 +208,14 @@ class DimensionResult:
         return self.value
 
 
-def _leg_split(gram: np.ndarray, ops: list, rng: np.random.Generator) -> tuple:
-    """(rot, inv, classes) for one tensor leg: rot maps raw coordinates
-    (Gram matrix gram) to orthonormal ones in the eigenbasis of a random
+def _leg_split(alg: FDAlgebra, ops: list, rng: np.random.Generator) -> tuple:
+    """(rot, inv, classes) for one tensor leg L^2(alg): rot maps basis
+    coordinates to GNS-orthonormal ones in the eigenbasis of a random
     self-adjoint combination of the leg's operators, inv = rot^-1, and
     classes lists (start, count, size) per cluster size, the clusters of
     one size consecutive. Eigenvalues closer than CLUSTER_GAP * (spectral
     radius) share a cluster."""
-    t, ti = onb_transform(gram)
-    n = gram.shape[0]
+    t, ti, n = alg.onb_factor, alg.onb_inverse, alg.dim
     if not ops:
         return t, ti, [(0, 1, n)]
     comb = rng.standard_normal(len(ops)) @ np.array(ops).reshape(len(ops), -1)
@@ -348,14 +340,14 @@ def _test_ops(ops: list, legs: list) -> list:
     return out
 
 
-def _legs(gram: tuple, right_ops: list) -> list:
-    """The leg splits vn_dimension uses for a module with this Gram pair
-    and these right operators: one _leg_split per tensor leg, drawn from
+def _legs(alg: FDAlgebra, right_ops: list) -> list:
+    """The leg splits vn_dimension uses for a module over alg (x) alg^op
+    with these right operators: one _leg_split per tensor leg, drawn from
     one fixed-seed generator, so the same inputs give the same rotation."""
     rng = np.random.default_rng(_CLUSTER_SEED)
     return [
-        _leg_split(w, [op[leg] for op in right_ops if op[1 - leg] is None], rng)
-        for leg, w in enumerate(gram)
+        _leg_split(alg, [op[leg] for op in right_ops if op[1 - leg] is None], rng)
+        for leg in (0, 1)
     ]
 
 
@@ -563,12 +555,11 @@ def phi_x(space: DerivationSpace, gens: np.ndarray | None = None) -> ModuleSubsp
     k = gens.shape[1]
     span = np.einsum("rpj,jx->xpr", space.basis, gens, order="C").reshape(k * alg.dim**2, space.rank)
     return ModuleSubspace(
-        gram=(alg.gram, alg.gram),
+        algebra=alg,
         ncoords=k,
         span=span,
         right_ops=_right_ops(alg, _with_stars(alg, gens)),
         trace_vectors=np.kron(alg.unit, alg.unit)[:, None],
-        label=f"phi_X({alg.label})",
     )
 
 
@@ -615,26 +606,14 @@ def _inner_blocks(alg, gens: np.ndarray, legs: list) -> tuple:
             f"the inner span leaks {np.sqrt(leak2):.3e} out of its spectral blocks, "
             f"above the drop bound {bound:.3e}"
         )
-    # then the smallest block columns, as _gather drops them
-    order = np.argsort(flat, kind="stable")
-    kept = np.ones(flat.size, dtype=bool)
-    kept[order[: np.searchsorted(leak2 + np.cumsum(flat[order] ** 2), bound**2)]] = False
-
-    # each block with its kept columns is one component
-    out, where, first, nblocks = [], [], 0, 0
+    # one stack per class pair, each block its own component
+    where, nblocks = [], 0
     for key, v in stacks.items():
-        keep = kept[first : first + v.shape[0] * v.shape[2]].reshape(v.shape[0], v.shape[2])
-        labels = nblocks + np.arange(v.shape[0])
-        first += keep.size
+        sel = np.arange(v.shape[0])
+        where.append((key, sel, nblocks + sel))
         nblocks += v.shape[0]
-        widths = keep.sum(axis=1)
-        for width in set(widths.tolist()) - {0}:
-            sel = np.flatnonzero(widths == width)
-            cols = np.nonzero(keep[sel])[1].reshape(len(sel), width)
-            out.append(np.take_along_axis(v[sel], cols[:, None, :], axis=2))
-            where.append((key, sel, labels[sel]))
     shapes = {key: v.shape[:2] for key, v in stacks.items()}
-    return out, where, shapes, nblocks
+    return list(stacks.values()), where, shapes, nblocks
 
 
 def inner_derivation_module(alg, gens: np.ndarray) -> InnerModule:
@@ -655,9 +634,8 @@ def inner_derivation_module(alg, gens: np.ndarray) -> InnerModule:
     if not generates(alg, list(gens.T)):
         raise NotGenerating("argument set does not generate the algebra")
     ops = _right_ops(alg, _with_stars(alg, gens))
-    legs = _legs((alg.gram, alg.gram), ops)
-    return InnerModule(alg, gens, ops, legs, _inner_blocks(alg, gens, legs),
-                       label=f"inner({alg.label})")
+    legs = _legs(alg, ops)
+    return InnerModule(alg, gens, ops, legs, _inner_blocks(alg, gens, legs))
 
 
 def restrict_scalars(sub: ModuleSubspace, cp: CrossedProduct) -> ModuleSubspace:
@@ -669,12 +647,11 @@ def restrict_scalars(sub: ModuleSubspace, cp: CrossedProduct) -> ModuleSubspace:
     its own right action)."""
     if not isinstance(sub, ModuleSubspace):
         raise TypeError("restrict_scalars needs a ModuleSubspace, which holds its span")
-    if sub.block_dim != cp.algebra.dim**2:
+    if sub.algebra.dim != cp.algebra.dim:
         raise ValueError("module is not over the crossed-product bimodule")
     base = cp.base
     basis = np.eye(base.dim, dtype=complex)
     ops = _right_ops(cp.algebra, [cp.lift(x) for x in _with_stars(base, basis)])
     us = cp.embed_group.T
     traces = np.column_stack([np.kron(ug, uh) for ug in us for uh in us])
-    return ModuleSubspace(sub.gram, sub.ncoords, sub.span, ops, traces,
-                          label=sub.label + " over base")
+    return ModuleSubspace(sub.algebra, sub.ncoords, sub.span, ops, traces)

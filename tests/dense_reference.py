@@ -159,9 +159,8 @@ def inner_module(alg, gens):
 
     gens = np.asarray(gens, dtype=complex)
     k, n = gens.shape[1], alg.dim
-    gram = (alg.gram, alg.gram)
     ops = _right_ops(alg, _with_stars(alg, gens))
-    (_, inv_a, _), (_, inv_b, _) = _legs(gram, ops)
-    span = commutator_span(alg, gens, (inv_a, inv_b)).reshape(k * n * n, n * n)
+    (_, inv_a, _), (_, inv_b, _) = _legs(alg, ops)
+    span = commutator_span(alg, gens, np.kron(inv_a, inv_b)).reshape(k * n * n, n * n)
     unit = np.kron(alg.unit, alg.unit)[:, None]
-    return ModuleSubspace(gram, k, span, ops, unit, label=f"inner({alg.label})")
+    return ModuleSubspace(alg, k, span, ops, unit)

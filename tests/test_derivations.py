@@ -463,14 +463,3 @@ def test_commutator_span_matches_dense_reference(crossed):
     # the derivation [., xi] is the span at the basis of A
     inner = commutator_span(alg, np.eye(alg.dim), xis[:, :1])[:, :, 0].T
     assert np.max(np.abs(inner - ref.commutator_derivation(alg, xis[:, 0]))) < 1e-12
-
-
-def test_commutator_span_of_a_kron_pair_matches_its_columns():
-    rng = np.random.default_rng(13)
-    for alg in (M2, multimatrix([(2, 0.6), (1, 0.4)])):
-        n = alg.dim
-        xs = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
-        va, vb = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in "ab")
-        got = commutator_span(alg, xs, (va, vb))
-        assert np.max(np.abs(got - commutator_span(alg, xs, np.kron(va, vb)))) < 1e-12
-

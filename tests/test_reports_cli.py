@@ -429,8 +429,19 @@ def test_cli_dim_rejects_seed(tmp_path, capsys):
     ("run", json.dumps(dict(C2_SPEC, subgroup=[0, 2]))),
     ("run", json.dumps(dict(C2_SPEC, subgroup=1))),
     ("run", json.dumps(dict(C2_SPEC, group="Z/0", action="trivial"))),
+    ("run", json.dumps(dict(C2_SPEC, action={"name": "permutation"}))),
+    ("run", json.dumps(dict(C2_SPEC, action={"name": "permutation", "perms": [[0]]}))),
+    ("run", json.dumps(dict(C2_SPEC, action={"name": "permutation", "perms": "ab"}))),
+    ("run", json.dumps(dict(C2_SPEC, action={"name": "permutation", "perms": [[0, 1], [2, 0]]}))),
+    ("run", json.dumps(dict(C2_SPEC, action={"name": "ad"}))),
+    ("run", json.dumps(dict(C2_SPEC, action={"name": "ad", "unitaries": [[[1, 0]]]}))),
+    ("run", json.dumps(dict(C2_SPEC, alt_generators=[[[1, 0]]]))),
+    ("run", json.dumps(dict(C2_SPEC, checks=5))),
+    ("run", json.dumps(dict(C2_SPEC, checks="schreier_crossed"))),
 ], ids=["run-json", "dim-json", "seed-word", "seed-fraction", "subgroup-word",
-        "subgroup-range", "subgroup-not-list", "order-0"])
+        "subgroup-range", "subgroup-not-list", "order-0", "perms-missing",
+        "perms-short", "perms-string", "perms-range", "unitaries-missing", "unitaries-shape",
+        "alt-generators-length", "checks-number", "checks-string"])
 def test_cli_malformed_input_exits_2_with_one_line(tmp_path, capsys, command, text):
     path = tmp_path / "input.json"
     path.write_text(text)

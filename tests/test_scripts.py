@@ -7,6 +7,7 @@ from steinlab import reports
 from steinlab.reports import ExperimentSpec
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def load(name: str):
@@ -59,3 +60,14 @@ def test_report_diff_flags_an_altered_row(tmp_path, capsys):
     code, out = diff(altered)
     assert code == 1
     assert out[0] == "swap / schreier_crossed: status 'pass' != 'fail'"
+
+
+def test_corpus_matches_the_golden_report():
+    # golden/corpus_seed0.json is `steinlab corpus --seed 0 --format json`
+    # of an earlier revision: the same verdicts, and values moved by
+    # rounding at most
+    golden = json.loads((GOLDEN / "corpus_seed0.json").read_text())
+    new = json.loads(reports.to_json(reports.run_corpus(seed=0)))
+    faults, worst = load("report_diff").compare(golden, new)
+    assert faults == []
+    assert max(worst.values()) <= 1e-12
