@@ -23,10 +23,11 @@ values alone.
 A kernel wanted orthonormal in a metric gram = T^H T is solved for the
 whitened unknown w = T x; T^-1 maps nullspace's orthonormal columns to
 metric-orthonormal ones, with no second pass. gram_onb, for given spans,
-whitens them by T and takes one SVD through batched_svd (of the triangular
-factor of their QR, which has the same singular values and right singular
-vectors), then re-orthonormalizes the result once by a Cholesky factor of
-its Gram.
+whitens them by T and takes one SVD through batched_svd; T^-1 maps its
+kept left singular vectors to metric-orthonormal ones in the same way.
+
+nullspace refuses, with DenseLimitExceeded, blocks whose dense SVDs would
+allocate more than DENSE_LIMIT bytes, before allocating them.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ from .errors import DenseLimitExceeded, RankAmbiguous
 REL_CUT = 1e-10
 ABS_CUT = 1e-10
 GAP_RATIO = 10.0
+# most bytes the dense per-block SVDs of one nullspace call may allocate
+# (densified blocks and SVD factors, _dense_bytes); a Leibniz system with
+# no zero structure is a single dim^4 x dim^3 block, 0.61 GiB at dim 11
+# and 1.11 GiB at dim 12, matrix-unit bases of that size stay far below
+DENSE_LIMIT = 1 << 30
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,14 +134,15 @@ def _dense_bytes(nrow_b: np.ndarray, ncol_b: np.ndarray) -> int:
     return int(np.sum(16 * (r * c + r * np.minimum(r, c) + c * c) + 8 * c))
 
 
-def nullspace(mat: np.ndarray | SparseSystem, max_bytes: int | None = None) -> np.ndarray:
+def nullspace(mat: np.ndarray | SparseSystem) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel, by SVD with the shared cut.
 
     mat is a dense array, whose exact zeros give the block structure, or a
     SparseSystem. Blocks are solved one SVD per shape-batch and share one
     rank decision (see the module docstring). If the densified blocks and
-    their SVD factors need more than max_bytes (_dense_bytes, from the
-    block shapes), DenseLimitExceeded is raised before they are allocated.
+    their SVD factors need more than DENSE_LIMIT bytes (_dense_bytes, from
+    the block shapes), DenseLimitExceeded is raised before they are
+    allocated.
     """
     if isinstance(mat, SparseSystem):
         nrows, ncols = mat.shape
@@ -156,10 +163,10 @@ def nullspace(mat: np.ndarray | SparseSystem, max_bytes: int | None = None) -> n
     row_block[rows] = entry_block
     active = np.flatnonzero(row_block >= 0)
     nrow_b = np.bincount(row_block[active], minlength=ncol_b.size)
-    if max_bytes is not None and (need := _dense_bytes(nrow_b, ncol_b)) > max_bytes:
+    if (need := _dense_bytes(nrow_b, ncol_b)) > DENSE_LIMIT:
         raise DenseLimitExceeded(
             f"{ncol_b.size} connected blocks of up to {ncol_b.max()} unknowns need "
-            f"{need} bytes, which exceeds the dense limit of {max_bytes} bytes"
+            f"{need} bytes, which exceeds the dense limit of {DENSE_LIMIT} bytes"
         )
     row_pos = np.zeros(nrows, dtype=int)
     row_pos[active] = _positions(row_block[active], nrow_b)
@@ -240,24 +247,18 @@ def gram_onb(vectors: np.ndarray, factor: np.ndarray | None = None) -> np.ndarra
     metric as the standard inner product: None is the standard inner
     product and A.onb_factor the GNS metric of an algebra A.
 
-    One SVD W = U S Vh through batched_svd, rank r by rank_split's cut,
-    gives Q = V Vh^H[:r] / s[:r], whose whitened image is U[:, :r]. The
-    SVD is taken of the triangular factor of W's QR, which has the same
-    S and Vh. Dividing by the smallest kept singular values amplifies
-    rounding, so Q is then re-orthonormalized once by the Cholesky factor
-    L of its metric Gram G = L L^H: Q L^-H has Gram I to rounding, and
-    spans the same columns, so the rank decision is unchanged.
+    One SVD W = U S Vh through batched_svd, rank r by rank_split's cut:
+    U[:, :r] is an orthonormal basis of the whitened span, and
+    Q = T^-1 U[:, :r] has metric Gram U^H U = I and spans the input
+    columns.
     """
     v = np.asarray(vectors, dtype=complex)
     if v.ndim != 2:
         raise ValueError("expected a matrix of column vectors")
-    # the SVD of the small factor needs no W-sized buffers
     w = v if factor is None else factor @ v
-    s, vh, kept = batched_svd([np.linalg.qr(w, mode="r")[None]])[0][1:]
-    r = int(kept.sum())
-    q = v @ (vh[0, :r].conj().T / s[0, :r])
-    w = q if factor is None else factor @ q
-    return q @ np.linalg.inv(np.linalg.cholesky(w.conj().T @ w).conj().T)
+    u, _, _, kept = batched_svd([w[None]])[0]
+    u = u[0, :, : int(kept.sum())]
+    return u if factor is None else np.linalg.solve(factor, u)
 
 
 def frob(m: np.ndarray) -> float:

@@ -37,12 +37,6 @@ from .algebra import FDAlgebra
 from .constructions import CrossedProduct, subalgebra_generate, span_equal
 from .errors import NotSubalgebra, UnitsInvalid
 
-# most bytes the dense per-block SVDs of the Leibniz system may allocate
-# (densified blocks and SVD factors, _linalg._dense_bytes); a basis with no
-# zero structure is a single dim^4 x dim^3 block, 0.61 GiB at dim 11 and
-# 1.11 GiB at dim 12, matrix-unit bases of that size stay far below
-_DENSE_LIMIT = 1 << 30
-
 
 def apply_pair(pair: tuple, v: np.ndarray) -> np.ndarray:
     """kron(a, b) for the factor pair (a, b), None an identity leg,
@@ -157,14 +151,14 @@ def derivation_space(alg: FDAlgebra) -> DerivationSpace:
     pair, with a basis orthonormal for <., .>_X, X the basis of A.
 
     The system is solved block by block; blocks whose dense SVDs would
-    allocate more than _DENSE_LIMIT bytes raise DenseLimitExceeded before
-    any of it is allocated, and inner_derivation_module is the route for
-    such algebras. The unknowns are whitened, so nullspace's orthonormal
-    kernel basis, mapped back by (T^-1, T^-1) on the legs of N, is
-    orthonormal for <., .>_X.
+    allocate more than _linalg.DENSE_LIMIT bytes raise DenseLimitExceeded
+    before any of it is allocated, and inner_derivation_module is the
+    route for such algebras. The unknowns are whitened, so nullspace's
+    orthonormal kernel basis, mapped back by (T^-1, T^-1) on the legs of
+    N, is orthonormal for <., .>_X.
     """
     n = alg.dim
-    vecs = nullspace(leibniz_system(alg), max_bytes=_DENSE_LIMIT)
+    vecs = nullspace(leibniz_system(alg))
     back = (alg.onb_inverse, alg.onb_inverse)
     return DerivationSpace(alg, apply_pair(back, vecs.T.reshape(-1, n * n, n)))
 

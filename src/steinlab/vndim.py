@@ -8,18 +8,17 @@ copy: Omega = I_k (x) omega. The dimension is sum_b <P Omega_b, Omega_b>
 for the orthogonal projection P onto the span, valid once P commutes with
 the right action.
 
-Every block-level matrix is a kron factor pair (a, b) standing for
-kron(a, b), one factor per tensor leg: the right operators are
-R(x (x) 1) = (right_mult(x), None) and R(1 (x) y^op) = (None,
-left_mult(y)), None marking the identity leg; a pair with both factors
-set is a two-leg operator. Both legs are L^2(A) for the module's
+Each right operator acts on one tensor leg and is stored as (leg,
+matrix): R(x (x) 1) = (0, right_mult(x)) on leg a and R(1 (x) y^op) =
+(1, left_mult(y)) on leg b. Both legs are L^2(A) for the module's
 algebra A, whose onb_factor gives the GNS-orthonormal coordinates.
 
 The right operators need only come from a generating set of N_0 closed
 under *. By von Neumann's bicommutant theorem the commutant of a
 self-adjoint set of operators is the commutant of the *-algebra it
 generates, so P commutes with all of R(N_0) exactly when it commutes with
-the generators' operators.
+the generators' operators, and the one-leg operators of a *-closed
+generating set of A generate R(N_0).
 
 vn_dimension never forms P densely. A projection commuting with the right
 action commutes with every spectral projection of a self-adjoint element
@@ -51,14 +50,12 @@ Statist. Simul. Comput. 18, 1989): W is invariant under every T_j
 exactly when the expected residual is zero. So for each leg one
 combination sum_j t_j a_j of the leg's one-leg operators is tested, t
 iid standard complex Gaussian (E |t_j|^2 = 1) drawn from _CLOSURE_SEED,
-in CLOSURE_DRAWS = 2 independent draws, and every two-leg operator on
-its own: at most 4 applications plus one per two-leg operator, against
+in CLOSURE_DRAWS = 2 independent draws: at most 4 applications, against
 one per right operator if each were tested alone. The largest residual
-is kept. The seed
-is not _CLUSTER_SEED: the blocks are spectral subspaces of the cluster
-combination sum_j t_j (a_j + a_j^*), so a span of block parts passes
-against that combination by construction, and a test on it would prove
-nothing.
+is kept. The seed is not _CLUSTER_SEED: the blocks are spectral subspaces
+of the cluster combination sum_j t_j (a_j + a_j^*), so a span of block
+parts passes against that combination by construction, and a test on it
+would prove nothing.
 
 The chance of a miss. Let a_i have relative residual
 rho = |M_i| / max(1, |a_i Q|) > CLOSURE_TOL, and let one draw read its
@@ -154,16 +151,24 @@ class ModuleSubspace:
 
     right_ops is closed under adjoints as a span: the GNS adjoint of each
     operator lies in the span of the list (R(m)* = R(m*) for a trace, so a
-    *-closed generating set gives such a list).
+    *-closed generating set gives such a list). Raises ValueError unless
+    every right operator is (0 or 1, a (dim A, dim A) matrix).
     """
 
     algebra: FDAlgebra  # A, with N = A (x) A^op
     ncoords: int
     span: np.ndarray  # (ncoords * dim A^2, r), raw coordinates
-    right_ops: list  # (a, b) kron factor pairs, None for an identity leg
+    right_ops: list  # (leg, matrix) one-leg operators, leg 0 or 1
     # (dim A^2, t): the family omega of one copy; the trace vectors are
     # omega_j in each coordinate, I_ncoords (x) omega
     trace_vectors: np.ndarray
+
+    def __post_init__(self):
+        n = self.algebra.dim
+        for op in self.right_ops:
+            leg, mat = op if isinstance(op, tuple) and len(op) == 2 else (None, None)
+            if not (isinstance(leg, int) and leg in (0, 1) and np.shape(mat) == (n, n)):
+                raise ValueError(f"a right operator is (leg 0 or 1, a ({n}, {n}) matrix)")
 
     def spectral_blocks(self) -> tuple[list, tuple]:
         """(legs, blocks): the leg splits of _legs and the span's blocks in
@@ -269,74 +274,57 @@ def _block_stack(view: np.ndarray) -> np.ndarray:
     return view.transpose(1, 3, 0, 2, 4, 5).reshape(a * b, k * d * e, cols)
 
 
-def _apply_leg(pieces: list, op: np.ndarray | None, leg: int, classes: list) -> list:
-    """Apply a rotated operator on one leg to vectors grouped by class pair.
+def _closure_residual(op: tuple, basis: dict, legs: list, ncoords: int) -> float:
+    """Relative Frobenius norm of (1 - P) T Q for the rotated one-leg right
+    operator op = (leg, T) and the block-diagonal basis Q of the span,
+    P = Q Q^H; basis maps each class pair to its (Q, Q^H) stacks.
 
-    Each piece is ((alpha, beta), t) with t of shape (count_a, count_b,
-    ncoords, size_a, size_b, columns), one entry per cluster pair. The
-    image of a piece splits over the target classes of that leg; the
-    source cluster is folded into the columns.
+    The image of a source class pair splits over the target classes of the
+    leg, one at a time; the source cluster is folded into the columns.
     """
-    if op is None:
-        return pieces
-    out = []
-    for key, t in pieces:
+    leg, mat = op
+    classes = legs[leg][2]
+    rem2 = img2 = 0.0
+    for key, (q, _) in basis.items():
+        if not q.size:  # no basis vectors here, so no image
+            continue
+        (_, a, d), (_, b, e) = legs[0][2][key[0]], legs[1][2][key[1]]
+        # (count, other count, ncoords, size, other size, columns), this leg first
+        t = q.reshape(a, b, ncoords, d, e, -1)
         if leg:
             t = t.transpose(1, 0, 2, 4, 3, 5)
         s, a, d = classes[key[leg]]
         _, b, k, _, e, cols = t.shape
         t = t.transpose(0, 3, 1, 2, 4, 5).reshape(a, d, b * k * e * cols)
         for c2, (s2, a2, d2) in enumerate(classes):
-            m = op[s2 : s2 + a2 * d2, s : s + a * d].reshape(a2 * d2, a, d)
+            m = mat[s2 : s2 + a2 * d2, s : s + a * d].reshape(a2 * d2, a, d)
             img = np.matmul(m.transpose(1, 0, 2), t).reshape(a, a2, d2, b, k, e, cols)
             img = img.transpose(1, 3, 4, 2, 5, 0, 6).reshape(a2, b, k, d2, e, a * cols)
             if leg:
-                out.append(((key[0], c2), img.transpose(1, 0, 2, 4, 3, 5)))
-            else:
-                out.append(((c2, key[1]), img))
-    return out
-
-
-def _closure_residual(op: tuple, basis: dict, legs: list, ncoords: int) -> float:
-    """Relative Frobenius norm of (1 - P) T Q for the rotated right
-    operator T (one factor per leg, None for an identity leg) and the
-    block-diagonal basis Q of the span, P = Q Q^H; basis maps each class
-    pair to its (Q, Q^H) stacks."""
-    rem2 = img2 = 0.0
-    for (alpha, beta), (q, _) in basis.items():
-        if not q.size:  # no basis vectors here, so no image
-            continue
-        (_, a, d), (_, b, e) = legs[0][2][alpha], legs[1][2][beta]
-        pieces = [((alpha, beta), q.reshape(a, b, ncoords, d, e, -1))]
-        for leg in (0, 1):
-            pieces = _apply_leg(pieces, op[leg], leg, legs[leg][2])
-        for key, img in pieces:
-            qt, qth = basis[key]
+                img = img.transpose(1, 0, 2, 4, 3, 5)
+            qt, qth = basis[(c2, key[1]) if leg == 0 else (key[0], c2)]
             img = img.reshape(qt.shape[0], qt.shape[1], -1)
-            rem = img - qt @ (qth @ img)
-            rem2 += np.vdot(rem, rem).real
             img2 += np.vdot(img, img).real
+            img -= qt @ (qth @ img)
+            rem2 += np.vdot(img, img).real
     return float(np.sqrt(rem2) / max(1.0, np.sqrt(img2)))
 
 
 def _test_ops(ops: list, legs: list) -> list:
-    """The operators the closure test applies, in the rotated coordinates
-    of the legs: for each of CLOSURE_DRAWS draws and each leg, one
-    combination sum_j t_j a_j of the leg's one-leg operators a_j, t iid
-    standard complex Gaussian from _CLOSURE_SEED; then every two-leg
-    operator on its own (see the module docstring)."""
+    """The operators the closure test applies, as (leg, matrix) in the
+    rotated coordinates of the legs: for each of CLOSURE_DRAWS draws and
+    each leg, one combination sum_j t_j a_j of the leg's operators a_j,
+    t iid standard complex Gaussian from _CLOSURE_SEED (see the module
+    docstring)."""
     rng = np.random.default_rng(_CLOSURE_SEED)
-    mats = [np.array([op[leg] for op in ops if op[1 - leg] is None]) for leg in (0, 1)]
+    mats = [np.array([m for l, m in ops if l == leg]) for leg in (0, 1)]
     out = []
     for _ in range(CLOSURE_DRAWS):
         for leg, (rot, inv, _) in enumerate(legs):
             if len(mats[leg]):
                 x, y = rng.standard_normal((2, len(mats[leg])))
                 t = (x + 1j * y) / np.sqrt(2)
-                comb = rot @ np.tensordot(t, mats[leg], axes=1) @ inv
-                out.append((comb, None) if leg == 0 else (None, comb))
-    (ra, ia, _), (rb, ib, _) = legs
-    out += [(ra @ a @ ia, rb @ b @ ib) for a, b in ops if a is not None and b is not None]
+                out.append((leg, rot @ np.tensordot(t, mats[leg], axes=1) @ inv))
     return out
 
 
@@ -345,10 +333,7 @@ def _legs(alg: FDAlgebra, right_ops: list) -> list:
     with these right operators: one _leg_split per tensor leg, drawn from
     one fixed-seed generator, so the same inputs give the same rotation."""
     rng = np.random.default_rng(_CLUSTER_SEED)
-    return [
-        _leg_split(alg, [op[leg] for op in right_ops if op[1 - leg] is None], rng)
-        for leg in (0, 1)
-    ]
+    return [_leg_split(alg, [m for l, m in right_ops if l == leg], rng) for leg in (0, 1)]
 
 
 def _drop_bound(norms: np.ndarray) -> float:
@@ -476,8 +461,8 @@ def vn_dimension(sub: ModuleSubspace | InnerModule) -> DimensionResult:
     (spectral_blocks), takes the block SVDs and certifies that the span is
     the sum of its block parts, per connected component of the blocks and
     span columns, and tests the operators of _test_ops, random
-    combinations of each leg's operators and every two-leg operator,
-    against the block-diagonal projector (see the module docstring).
+    combinations of each leg's operators, against the block-diagonal
+    projector (see the module docstring).
     Raises NotRightClosed if the certificate fails or some test
     operator's image leaves the span by more than CLOSURE_TOL (relative);
     the result's closure_residual is the largest of these residuals.
@@ -528,13 +513,13 @@ def _with_stars(alg, gens: np.ndarray) -> list:
 
 def _right_ops(alg, xs: list) -> list:
     """Right multiplication on L^2(alg (x) alg^op) by x (x) 1 and 1 (x) x^op
-    for each x, as kron factor pairs."""
+    for each x, as (0, right_mult(x)) and (1, left_mult(x))."""
     xs = np.reshape(xs, (-1, alg.dim))
     # right_mult(x)[k, i] = sum_j mult[i, j, k] x_j, left_mult(x)[k, j] =
     # sum_i x_i mult[i, j, k], for all x at once
     rights = np.tensordot(alg.mult, xs, axes=(1, 1)).transpose(2, 1, 0)
     lefts = np.tensordot(xs, alg.mult, axes=(1, 0)).transpose(0, 2, 1)
-    return [op for r, l in zip(rights, lefts) for op in ((r, None), (None, l))]
+    return [op for r, l in zip(rights, lefts) for op in ((0, r), (1, l))]
 
 
 def phi_x(space: DerivationSpace, gens: np.ndarray | None = None) -> ModuleSubspace:
@@ -542,14 +527,18 @@ def phi_x(space: DerivationSpace, gens: np.ndarray | None = None) -> ModuleSubsp
 
     X (columns of gens, the basis of A by default) must generate the
     algebra, so that the map is injective and the dimension does not depend
-    on the choice. X and its stars also supply the right operators.
+    on the choice; a given X is checked, the basis spans A. X and its stars
+    also supply the right operators.
     """
     from .constructions import generates
 
     alg = space.algebra
-    gens = np.eye(alg.dim, dtype=complex) if gens is None else np.asarray(gens, dtype=complex)
-    if not generates(alg, list(gens.T)):
-        raise NotGenerating("argument set does not generate the algebra")
+    if gens is None:
+        gens = np.eye(alg.dim, dtype=complex)
+    else:
+        gens = np.asarray(gens, dtype=complex)
+        if not generates(alg, list(gens.T)):
+            raise NotGenerating("argument set does not generate the algebra")
     # block per argument x, derivations along columns; written in this
     # layout (order C), so the reshape copies nothing
     k = gens.shape[1]

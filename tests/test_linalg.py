@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steinlab import DenseLimitExceeded, RankAmbiguous
+from steinlab import _linalg
 from steinlab._linalg import SparseSystem, gram_onb, nullspace, rank_split
 
 
@@ -99,15 +100,17 @@ def test_empty_system_kernel_is_everything():
     assert np.array_equal(nullspace(sparse), np.eye(3))
 
 
-def test_max_block_guard_runs_on_the_largest_block():
+def test_max_block_guard_runs_on_the_largest_block(monkeypatch):
     rng = np.random.default_rng(5)
     m = _shuffled_block_diagonal(
         rng, [_with_spectrum(rng, 2, 2, [1.0]), _with_spectrum(rng, 3, 3, [1.0, 1.0])]
     )
-    assert nullspace(m, max_bytes=664).shape[1] == 2
+    monkeypatch.setattr(_linalg, "DENSE_LIMIT", 664)
+    assert nullspace(m).shape[1] == 2
+    monkeypatch.setattr(_linalg, "DENSE_LIMIT", 663)
     with pytest.raises(DenseLimitExceeded, match="up to 3 unknowns need 664 bytes, which "
                                                  "exceeds the dense limit of 663 bytes"):
-        nullspace(m, max_bytes=663)
+        nullspace(m)
 
 
 def _hpd(rng, n: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -104,20 +105,27 @@ def test_non_invariant_span_is_rejected():
     alg = multimatrix([(2, 1.0)])
     # one single vector cannot be a right submodule of L^2(M2 (x) M2^op)
     vec = np.kron(alg.basis(1), alg.unit).reshape(-1, 1)
-    ops = [
-        (alg.right_mult(alg.basis(i)), alg.left_mult(alg.basis(j)))
-        for i in range(4)
-        for j in range(4)
-    ]
     sub = ModuleSubspace(
         algebra=alg,
         ncoords=1,
         span=vec,
-        right_ops=ops,
+        right_ops=_right_ops(alg, list(np.eye(4))),
         trace_vectors=np.kron(alg.unit, alg.unit).reshape(-1, 1),
     )
     with pytest.raises(NotRightClosed):
         vn_dimension(sub)
+
+
+@pytest.mark.parametrize("op", ["(m, None)", "(None, m)", "(a, b)", "(2, m)", "wrong shape"])
+def test_module_subspace_takes_only_one_leg_operators(op):
+    alg = multimatrix([(2, 1.0)])
+    m = alg.right_mult(alg.basis(1))
+    bad = {"(m, None)": (m, None), "(None, m)": (None, m), "(a, b)": (m, m), "(2, m)": (2, m),
+           "wrong shape": (0, np.eye(3, dtype=complex))}[op]
+    unit = np.kron(alg.unit, alg.unit).reshape(-1, 1)
+    assert ModuleSubspace(alg, 1, unit, [(0, m), (1, m)], unit).right_ops
+    with pytest.raises(ValueError, match="a right operator is"):
+        ModuleSubspace(alg, 1, unit, [(0, m), bad], unit)
 
 
 @pytest.mark.parametrize("blocks", [[(2, 1.0)], [(2, 0.5), (1, 0.5)]])
@@ -229,8 +237,8 @@ def dense_vn_dimension(sub: ModuleSubspace):
     shape = (sub.ncoords, sub.algebra.dim, sub.algebra.dim)
     q = gram_onb(_apply((t, t), sub.span, shape))
     worst = 0.0
-    for a, b in sub.right_ops:
-        op = (None if a is None else t @ a @ ti, None if b is None else t @ b @ ti)
+    for leg, m in sub.right_ops:
+        op = (t @ m @ ti, None) if leg == 0 else (None, t @ m @ ti)
         img = _apply(op, q, shape)
         rem = img - q @ (q.conj().T @ img)
         worst = max(worst, np.linalg.norm(rem) / max(1.0, np.linalg.norm(img)))
@@ -259,16 +267,6 @@ def _crossed(name):
     return crossed_product(act.algebra, act)
 
 
-def _with_two_leg_ops(sub: ModuleSubspace) -> ModuleSubspace:
-    # products of one leg-a and one leg-b operator are right operators too;
-    # they are closure-tested but do not shape the blocks
-    legs_a = [a for a, b in sub.right_ops if b is None]
-    legs_b = [b for a, b in sub.right_ops if a is None]
-    extra = [(a, b) for a in legs_a[:2] for b in legs_b[:2]]
-    return ModuleSubspace(sub.algebra, sub.ncoords, sub.span, sub.right_ops + extra,
-                          sub.trace_vectors)
-
-
 def _sum_of_blocks(leg: int):
     # right operators of one leg only, R(e12) and R(e21) (or L(e12), L(e21)
     # on leg b): every random self-adjoint combination of them is a multiple
@@ -279,10 +277,10 @@ def _sum_of_blocks(leg: int):
     e12, e21 = alg.basis(1), alg.basis(2)
     eye = np.eye(4, dtype=complex)
     if leg == 0:
-        ops = [(alg.right_mult(e12), None), (alg.right_mult(e21), None)]
+        ops = [(0, alg.right_mult(e12)), (0, alg.right_mult(e21))]
         span = np.kron(np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=complex), eye)
     else:
-        ops = [(None, alg.left_mult(e12)), (None, alg.left_mult(e21))]
+        ops = [(1, alg.left_mult(e12)), (1, alg.left_mult(e21))]
         span = np.kron(eye, np.array([[1, 0], [0, 1], [1, 0], [0, 1]], dtype=complex))
     unit = np.kron(alg.unit, alg.unit).reshape(-1, 1)
     return ModuleSubspace(alg, 1, span, ops, unit)
@@ -293,7 +291,7 @@ MODULES = {
     "inner M3": lambda: _inner([(3, 1.0)]),
     "inner M4": lambda: _inner([(4, 1.0)]),
     "inner M4+M2+C": lambda: _inner([(4, 0.5), (2, 0.3), (1, 0.2)]),
-    "inner M2+C, two-leg ops": lambda: _with_two_leg_ops(_raw_inner([(2, 0.6), (1, 0.4)])),
+    "inner M2+C, raw span": lambda: _raw_inner([(2, 0.6), (1, 0.4)]),
     "phi_x M2+C rotated": lambda: phi_x(derivation_space(
         rotated(multimatrix([(2, 0.6), (1, 0.4)]), np.random.default_rng(4)))),
     "full C2 x| Z/2 over C2": lambda: restrict_scalars(
@@ -365,7 +363,7 @@ def _all_but_one(leg: int, odd: int) -> tuple[ModuleSubspace, ModuleSubspace]:
     mats = [[np.diag(rng.standard_normal(4)).astype(complex) for _ in range(3)] for _ in (0, 1)]
     a = rng.standard_normal((4, 4))
     mats[leg][odd] = 1e-4 * (a - a.T).astype(complex)
-    ops = [(m, None) for m in mats[0]] + [(None, m) for m in mats[1]]
+    ops = [(side, m) for side in (0, 1) for m in mats[side]]
     odd_op = ops[3 * leg + odd]
     eye = np.eye(4, dtype=complex)
     span = np.kron(eye[:, :2], eye[:, :2])
@@ -385,16 +383,14 @@ def test_closure_test_sees_the_one_operator_that_breaks_invariance(leg, odd):
         vn_dimension(module)
 
 
-def test_closure_test_applies_two_combinations_per_leg_and_each_two_leg_operator(monkeypatch):
-    sub = MODULES["inner M2+C, two-leg ops"]()
-    two_leg = sum(a is not None and b is not None for a, b in sub.right_ops)
+def test_closure_test_applies_two_combinations_per_leg(monkeypatch):
+    sub = MODULES["inner M2+C, raw span"]()
     applied = []
     residual = vndim._closure_residual
     monkeypatch.setattr(vndim, "_closure_residual",
                         lambda op, *args: applied.append(op) or residual(op, *args))
     vn_dimension(sub)
-    assert two_leg == 4
-    assert len(applied) == 2 * vndim.CLOSURE_DRAWS + two_leg
+    assert len(applied) == 2 * vndim.CLOSURE_DRAWS
 
 
 # -- block-localized inner spans: SVDs and certificate per connected component ---
@@ -514,8 +510,14 @@ def test_split_degenerate_eigenspaces_leak_out_of_the_inner_blocks(monkeypatch):
 
 
 def test_inner_module_of_m8():
-    got = vn_dimension(_inner([(8, 1.0)]))
+    tracemalloc.start()
+    try:
+        got = vn_dimension(_inner([(8, 1.0)]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert abs(got.value - (1.0 - 1.0 / 64)) < 1e-10
+    assert peak < 300 * 2**20
 
 
 def test_m3_crossed_by_s3_through_the_inner_path():
