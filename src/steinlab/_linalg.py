@@ -28,6 +28,10 @@ kept left singular vectors to metric-orthonormal ones in the same way.
 
 nullspace refuses, with DenseLimitExceeded, blocks whose dense SVDs would
 allocate more than DENSE_LIMIT bytes, before allocating them.
+
+vndim's leg blocks, Artin-Wedderburn blocks and characters are found by
+spectral_split: the eigenvectors of m + m^H, m a random combination drawn
+from SPLIT_SEED, in clusters split at gaps above CLUSTER_GAP.
 """
 
 from __future__ import annotations
@@ -46,6 +50,13 @@ GAP_RATIO = 10.0
 # no zero structure is a single dim^4 x dim^3 block, 0.61 GiB at dim 11
 # and 1.11 GiB at dim 12, matrix-unit bases of that size stay far below
 DENSE_LIMIT = 1 << 30
+# eigenvalues of a random hermitian combination closer than this fraction
+# of its spectral radius share a cluster; merging only coarsens the split,
+# and the gap keeps each cluster's eigenvectors accurate to about
+# 1e-16 / CLUSTER_GAP, far below the rank cuts
+CLUSTER_GAP = 1e-3
+# seed of the random combinations that spectral_split is applied to
+SPLIT_SEED = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,6 +270,15 @@ def gram_onb(vectors: np.ndarray, factor: np.ndarray | None = None) -> np.ndarra
     u, _, _, kept = batched_svd([w[None]])[0]
     u = u[0, :, : int(kept.sum())]
     return u if factor is None else np.linalg.solve(factor, u)
+
+
+def spectral_split(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """(vec, bounds): the eigenvectors of m + m^H by ascending eigenvalue,
+    cluster i being vec[:, bounds[i]:bounds[i + 1]]; an eigenvalue gap above
+    CLUSTER_GAP * (spectral radius) starts a new cluster."""
+    lam, vec = np.linalg.eigh(m + m.conj().T)
+    cuts = np.flatnonzero(lam[1:] - lam[:-1] > CLUSTER_GAP * np.abs(lam).max()) + 1
+    return vec, [0, *cuts.tolist(), len(lam)]
 
 
 def frob(m: np.ndarray) -> float:

@@ -9,8 +9,8 @@ Three subcommands:
 The exit code is 0 exactly when every executed check passed, and 2, with
 a one-line "steinlab:" message, on input it cannot read: a file missing or
 not valid JSON, or a spec or algebra that does not parse. The pass/fail
-tolerance of run and corpus is 1e-8, overridable by the STEINLAB_TOL
-environment variable and then by --tolerance; dim has no pass/fail.
+tolerance of run and corpus is --tolerance, else a spec's "tolerance", else
+1e-8; dim has no pass/fail.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import reports
@@ -32,20 +31,19 @@ _FORMATS = {"json": reports.to_json, "csv": reports.to_csv, "md": reports.to_mar
 
 
 def _tolerance(args) -> float:
-    """The --tolerance flag, else STEINLAB_TOL, else 1e-8; a value that is
-    not a finite number >= 0 raises SpecInvalid."""
-    if args.tolerance is not None:
-        return check_tolerance(args.tolerance, "--tolerance")
-    env = os.environ.get("STEINLAB_TOL")
-    return 1e-8 if env is None else check_tolerance(env, "STEINLAB_TOL")
+    """The --tolerance flag, else 1e-8; a value that is not a finite
+    number >= 0 raises SpecInvalid."""
+    if args.tolerance is None:
+        return 1e-8
+    return check_tolerance(args.tolerance, "--tolerance")
 
 
 def _add_checks(p: argparse.ArgumentParser) -> None:
     """Options of the subcommands that run checks (run and corpus)."""
     p.add_argument("--tolerance", type=float, default=None,
-                   help="pass/fail tolerance (default 1e-8, or STEINLAB_TOL)")
+                   help="pass/fail tolerance (default: the spec's tolerance, else 1e-8)")
     p.add_argument("--seed", type=int, default=None,
-                   help="seed for the randomized probes")
+                   help="seed of the scaling_unitary probe (default: the spec's seed, else 0)")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

@@ -8,7 +8,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import GroupInvalid, NotAbelian, NotSubgroup
+from ._linalg import SPLIT_SEED, spectral_split
+from .errors import GroupInvalid, NotAbelian, NotSubgroup, RankAmbiguous
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,24 +159,24 @@ def regular_representation(g: FiniteGroup) -> np.ndarray:
     return lam
 
 
-def characters(g: FiniteGroup, rng: np.random.Generator | None = None) -> list[Character]:
+def characters(g: FiniteGroup) -> list[Character]:
     """All characters of an abelian group.
 
-    Simultaneously diagonalizes the regular representation: a random
-    Hermitian combination of the lam[g] has the character vectors as
-    eigenvectors; collisions trigger a retry with fresh coefficients.
+    Simultaneously diagonalizes the regular representation: one
+    spectral_split of a random combination sum_g c_g lam[g], c drawn from
+    SPLIT_SEED, has the character vectors as eigenvectors; a draw that does
+    not give |G| clusters is retried, at most 20 times, and then
+    RankAmbiguous is raised.
     """
     if not g.is_abelian:
         raise NotAbelian(f"{g.label or 'group'} is not abelian")
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(SPLIT_SEED)
     n = g.order
     lam = regular_representation(g)
     for _ in range(20):
         coef = rng.normal(size=n) + 1j * rng.normal(size=n)
-        coef = coef + np.conj(coef[g.inverse])  # makes the combination Hermitian
-        m = np.einsum("g,gij->ij", coef, lam)
-        vals, vecs = np.linalg.eigh(m)
-        if n > 1 and np.min(np.diff(np.sort(vals))) < 1e-6 * max(1.0, np.max(np.abs(vals))):
+        vecs, bounds = spectral_split(np.einsum("g,gij->ij", coef, lam))
+        if len(bounds) - 1 != n:
             continue
         chars = []
         for k in range(n):
@@ -186,4 +187,4 @@ def characters(g: FiniteGroup, rng: np.random.Generator | None = None) -> list[C
         # deterministic order, independent of the random coefficients
         chars.sort(key=lambda c: tuple((np.round(c, 8) + 0.0).view(float)))
         return [Character(g, c) for c in chars]
-    raise NotAbelian("failed to separate characters after 20 retries")
+    raise RankAmbiguous("no clear spectral gap between the characters after 20 draws")

@@ -26,10 +26,11 @@ of it (Lueck, L^2-Invariants, ch. 1). So each leg is rotated into the
 eigenbasis of a fixed-seed random self-adjoint combination
 sum_j t_j (a_j + a_j^*) of its one-leg operators, in GNS-orthonormal
 coordinates, and L^2(N)^k splits into blocks C^k (x) E_a (x) E_b of
-eigenvalue clusters E_a, E_b. Eigenvalues closer than CLUSTER_GAP (relative)
-share a cluster: a union of eigenspaces is still a spectral projection, so
-merging only coarsens the blocks, while a split degenerate eigenspace would
-not be one.
+eigenvalue clusters E_a, E_b, found by _linalg.spectral_split from
+SPLIT_SEED. Eigenvalues closer than _linalg.CLUSTER_GAP (relative) share a
+cluster: a union of eigenspaces is still a spectral projection, so merging
+only coarsens the blocks, while a split degenerate eigenspace would not
+be one.
 
 The span W is orthonormalized block by block (batched SVDs, one rank cut
 on the union of the block spectra), giving an orthonormal basis Q' of
@@ -52,7 +53,7 @@ combination sum_j t_j a_j of the leg's one-leg operators is tested, t
 iid standard complex Gaussian (E |t_j|^2 = 1) drawn from _CLOSURE_SEED,
 in CLOSURE_DRAWS = 2 independent draws: at most 4 applications, against
 one per right operator if each were tested alone. The largest residual
-is kept. The seed is not _CLUSTER_SEED: the blocks are spectral subspaces
+is kept. The seed is not SPLIT_SEED: the blocks are spectral subspaces
 of the cluster combination sum_j t_j (a_j + a_j^*), so a span of block
 parts passes against that combination by construction, and a test on it
 would prove nothing.
@@ -123,7 +124,9 @@ import numpy as np
 
 # gram_onb is no longer called here; the name stays bound because
 # benchmark/tracing.py hooks steinlab.vndim.gram_onb
-from ._linalg import _column_components, batched_svd, gram_onb, rank_cut  # noqa: F401
+from ._linalg import (  # noqa: F401
+    SPLIT_SEED, _column_components, batched_svd, gram_onb, rank_cut, spectral_split,
+)
 from .algebra import FDAlgebra
 from .constructions import CrossedProduct
 from .derivations import DerivationSpace
@@ -132,12 +135,6 @@ from .errors import NotGenerating, NotRightClosed
 # largest relative residual of a right operator's image off the span that
 # still counts as right-closed; fixed, independent of any report tolerance
 CLOSURE_TOL = 1e-8
-# eigenvalues of a leg's random self-adjoint right operator closer than this
-# fraction of its spectral radius share a cluster; merging only coarsens
-# the blocks, and the gap keeps each cluster's eigenvectors accurate to
-# about 1e-16 / CLUSTER_GAP, far below the rank cuts
-CLUSTER_GAP = 1e-3
-_CLUSTER_SEED = 0
 # random operator combinations per leg that the closure test applies, from a
 # seed of their own: the blocks pass the cluster split's combination by
 # construction
@@ -218,16 +215,12 @@ def _leg_split(alg: FDAlgebra, ops: list, rng: np.random.Generator) -> tuple:
     coordinates to GNS-orthonormal ones in the eigenbasis of a random
     self-adjoint combination of the leg's operators, inv = rot^-1, and
     classes lists (start, count, size) per cluster size, the clusters of
-    one size consecutive. Eigenvalues closer than CLUSTER_GAP * (spectral
-    radius) share a cluster."""
+    one size consecutive, by spectral_split."""
     t, ti, n = alg.onb_factor, alg.onb_inverse, alg.dim
     if not ops:
         return t, ti, [(0, 1, n)]
     comb = rng.standard_normal(len(ops)) @ np.array(ops).reshape(len(ops), -1)
-    m = t @ comb.reshape(n, n) @ ti
-    lam, vec = np.linalg.eigh(m + m.conj().T)
-    cuts = np.flatnonzero(lam[1:] - lam[:-1] > CLUSTER_GAP * np.abs(lam).max()) + 1
-    bounds = [0, *cuts.tolist(), n]
+    vec, bounds = spectral_split(t @ comb.reshape(n, n) @ ti)
     clusters = sorted(zip(bounds[:-1], bounds[1:]), key=lambda c: c[1] - c[0])
     u = vec[:, [i for lo, hi in clusters for i in range(lo, hi)]]
     classes, start = [], 0
@@ -332,7 +325,7 @@ def _legs(alg: FDAlgebra, right_ops: list) -> list:
     """The leg splits vn_dimension uses for a module over alg (x) alg^op
     with these right operators: one _leg_split per tensor leg, drawn from
     one fixed-seed generator, so the same inputs give the same rotation."""
-    rng = np.random.default_rng(_CLUSTER_SEED)
+    rng = np.random.default_rng(SPLIT_SEED)
     return [_leg_split(alg, [m for l, m in right_ops if l == leg], rng) for leg in (0, 1)]
 
 

@@ -8,7 +8,9 @@ from steinlab import (
     GroupAction,
     GroupInvalid,
     NotAbelian,
+    NotSemisimple,
     NotSubgroup,
+    RankAmbiguous,
     ad_action,
     center_basis,
     characters,
@@ -34,8 +36,12 @@ from steinlab import (
     subgroup,
     symmetric_3,
     trivial_action,
+    validate,
     validate_action,
 )
+
+from steinlab import _linalg, constructions
+from test_derivations import in_basis, random_unitary, rotated
 
 import dense_reference as ref
 
@@ -90,7 +96,7 @@ def test_characters_are_orthonormal(factors):
     g = cyclic(factors[0])
     for n in factors[1:]:
         g = direct_product(g, cyclic(n))
-    chars = characters(g, np.random.default_rng(0))
+    chars = characters(g)
     assert len(chars) == g.order
     mat = np.array([[chi(a) for a in range(g.order)] for chi in chars])
     gram = mat @ mat.conj().T / g.order
@@ -270,27 +276,80 @@ def test_center_of_matrix_block_is_scalars():
 )
 def test_decompose_recovers_blocks(blocks):
     alg = multimatrix(blocks)
-    found = multimatrix_decompose(alg, np.random.default_rng(11))
+    found = multimatrix_decompose(alg)
     want = sorted(blocks, key=lambda b: (b[0], b[1]), reverse=True)
     assert [n for n, _ in found] == [n for n, _ in want]
     assert np.allclose([a for _, a in found], [a for _, a in want], atol=1e-9)
+
+
+@pytest.mark.parametrize("cond", [1e2, 3e2, 1e3])
+def test_decompose_under_a_non_unitary_basis_change_is_right_or_refuses(cond):
+    # S = U diag(1 .. 1/cond) V: returned blocks must be right, never a
+    # weight off by more than 1e-9; at cond 3e2 every draw must be answered
+    base = multimatrix([(2, 0.75), (1, 0.25)])
+    right = valid = 0
+    for seed in range(100, 112):
+        rng = np.random.default_rng(seed)
+        u, v = random_unitary(rng, 5), random_unitary(rng, 5)
+        alg = in_basis(base, u @ np.diag(np.logspace(0, -np.log10(cond), 5)) @ v)
+        if not validate(alg).passed:
+            continue
+        valid += 1
+        try:
+            found = multimatrix_decompose(alg)
+        except NotSemisimple:
+            continue
+        assert [n for n, _ in found] == [2, 1], (seed, found)
+        assert np.allclose([a for _, a in found], [0.75, 0.25], rtol=0, atol=1e-9), (seed, found)
+        right += 1
+    assert valid == 12
+    if cond <= 3e2:
+        assert right == 12
+
+
+def test_decompose_certifies_each_central_idempotent(monkeypatch):
+    # eigenvectors moved by 1e-6 give idempotents off by about as much: the
+    # certificate refuses them instead of returning their traces
+    split = constructions.spectral_split
+
+    def moved(m):
+        vec, bounds = split(m)
+        return vec + 1e-6 * np.random.default_rng(0).standard_normal(vec.shape), bounds
+
+    monkeypatch.setattr(constructions, "spectral_split", moved)
+    with pytest.raises(NotSemisimple, match="central idempotent residual"):
+        multimatrix_decompose(multimatrix([(2, 0.75), (1, 0.25)]))
+
+
+def test_split_without_a_clear_gap_raises(monkeypatch):
+    # no gap exceeds ten spectral radii, so every draw is one cluster
+    monkeypatch.setattr(_linalg, "CLUSTER_GAP", 10.0)
+    with pytest.raises(NotSemisimple, match="no draw split the center into 2 clusters"):
+        multimatrix_decompose(multimatrix([(2, 0.75), (1, 0.25)]))
+    with pytest.raises(RankAmbiguous, match="no clear spectral gap"):
+        characters(cyclic(3))
+
+
+def test_decompose_is_deterministic():
+    alg = rotated(multimatrix([(2, 0.5), (1, 0.3), (1, 0.2)]), np.random.default_rng(4))
+    assert multimatrix_decompose(alg) == multimatrix_decompose(alg)
 
 
 def test_crossed_c2_by_flip_is_m2(cp_m2):
     c2 = multimatrix([(1, 0.5), (1, 0.5)])
     act = permutation_action(cyclic(2), c2, [[0, 1], [1, 0]])
     cp = crossed_product(c2, act)
-    blocks = multimatrix_decompose(cp.algebra, np.random.default_rng(0))
+    blocks = multimatrix_decompose(cp.algebra)
     assert blocks == [(2, pytest.approx(1.0))]
     # while the fixed-point crossed product stays a direct sum
-    blocks2 = multimatrix_decompose(cp_m2.algebra, np.random.default_rng(0))
+    blocks2 = multimatrix_decompose(cp_m2.algebra)
     assert [n for n, _ in blocks2] == [2, 2]
 
 
 def test_dual_crossed_product_is_full_matrix_algebra():
     act = dual_action(3)
     cp = crossed_product(act.algebra, act)
-    blocks = multimatrix_decompose(cp.algebra, np.random.default_rng(0))
+    blocks = multimatrix_decompose(cp.algebra)
     assert blocks == [(3, pytest.approx(1.0))]
 
 

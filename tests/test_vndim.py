@@ -31,6 +31,7 @@ from steinlab import (
     vn_dimension,
 )
 import steinlab.vndim as vndim
+from steinlab import _linalg
 from steinlab._linalg import gram_onb
 from steinlab.vndim import CLOSURE_TOL, _right_ops, _with_stars
 from test_derivations import rotated
@@ -503,7 +504,7 @@ def test_split_degenerate_eigenspaces_leak_out_of_the_inner_blocks(monkeypatch):
     # with no cluster gap the multiplicity-3 eigenspaces of the right
     # action on M3 are cut apart, no longer spectral projections, and
     # left multiplication leaks across the cuts
-    monkeypatch.setattr(vndim, "CLUSTER_GAP", 0.0)
+    monkeypatch.setattr(_linalg, "CLUSTER_GAP", 0.0)
     leak = r"leaks \S+ out of its spectral blocks, above the drop bound"
     with pytest.raises(NotRightClosed, match=leak):
         vn_dimension(_inner([(3, 1.0)]))
