@@ -20,14 +20,21 @@ cut on its own; vndim orthonormalizes spectral blocks with it, and takes
 the rank of its block-diagonal coefficient matrix from the singular
 values alone.
 
+nullspace returns the kernel as it solves it, by block (BlockKernel): per
+batch of blocks of one shape and kernel dimension, the blocks' columns and
+their orthonormal local kernel vectors. No (columns, kernel) array is
+formed unless a caller asks for one with dense(); derivations keeps the
+Leibniz kernel this way, and vndim reads dimensions from it.
+
 A kernel wanted orthonormal in a metric gram = T^H T is solved for the
 whitened unknown w = T x; T^-1 maps nullspace's orthonormal columns to
 metric-orthonormal ones, with no second pass. gram_onb, for given spans,
 whitens them by T and takes one SVD through batched_svd; T^-1 maps its
 kept left singular vectors to metric-orthonormal ones in the same way.
 
-nullspace refuses, with DenseLimitExceeded, blocks whose dense SVDs would
-allocate more than DENSE_LIMIT bytes, before allocating them.
+nullspace refuses, with DenseLimitExceeded, blocks whose dense SVDs and
+returned kernel vectors would allocate more than DENSE_LIMIT bytes,
+before allocating them.
 
 vndim's leg blocks, Artin-Wedderburn blocks and characters are found by
 spectral_split: the eigenvectors of m + m^H, m a random combination drawn
@@ -46,9 +53,10 @@ REL_CUT = 1e-10
 ABS_CUT = 1e-10
 GAP_RATIO = 10.0
 # most bytes the dense per-block SVDs of one nullspace call may allocate
-# (densified blocks and SVD factors, _dense_bytes); a Leibniz system with
-# no zero structure is a single dim^4 x dim^3 block, 0.61 GiB at dim 11
-# and 1.11 GiB at dim 12, matrix-unit bases of that size stay far below
+# (densified blocks, SVD factors and kernel vectors, _dense_bytes); a
+# Leibniz system with no zero structure is a single dim^4 x dim^3 block,
+# 0.63 GiB at dim 11 and 1.16 GiB at dim 12, matrix-unit bases of that
+# size stay far below
 DENSE_LIMIT = 1 << 30
 # eigenvalues of a random hermitian combination closer than this fraction
 # of its spectral radius share a cluster; merging only coarsens the split,
@@ -139,21 +147,48 @@ def _positions(block: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _dense_bytes(nrow_b: np.ndarray, ncol_b: np.ndarray) -> int:
     """Bytes nullspace allocates for blocks of these shapes: the densified
     blocks and their SVD factors with every right singular vector, U of
-    rows x min(rows, cols) and Vh of cols x cols (complex), and the
-    spectrum zero-padded to cols (real)."""
+    rows x min(rows, cols) and Vh of cols x cols (complex), the spectrum
+    zero-padded to cols (real), and the returned kernel vectors, at most
+    cols x cols per block (complex)."""
     r, c = nrow_b.astype(np.int64), ncol_b.astype(np.int64)
-    return int(np.sum(16 * (r * c + r * np.minimum(r, c) + c * c) + 8 * c))
+    return int(np.sum(16 * (r * c + r * np.minimum(r, c) + 2 * c * c) + 8 * c))
 
 
-def nullspace(mat: np.ndarray | SparseSystem) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel, by SVD with the shared cut.
+class BlockKernel:
+    """An orthonormal kernel basis of ncols unknowns, kept by block.
+
+    parts holds (cols, vecs, first) per batch of blocks of one shape and
+    one kernel dimension k: cols (m, c) the columns of m blocks, vecs
+    (m, c, k) each block's orthonormal kernel vectors on its columns, and
+    first (m,) the column of dense() holding each block's first vector.
+    Blocks with no kernel are left out.
+    """
+
+    def __init__(self, ncols: int, parts: tuple):
+        self.ncols, self.parts = ncols, parts
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.ncols, sum(vecs.shape[0] * vecs.shape[2] for _, vecs, _ in self.parts)
+
+    def dense(self) -> np.ndarray:
+        """The kernel basis as the columns of one (ncols, kernel) array."""
+        out = np.zeros(self.shape, dtype=complex)
+        for cols, vecs, first in self.parts:
+            out[cols[:, :, None], first[:, None, None] + np.arange(vecs.shape[2])] = vecs
+        return out
+
+
+def nullspace(mat: np.ndarray | SparseSystem) -> BlockKernel:
+    """Orthonormal basis of the kernel, by SVD with the shared cut, kept by
+    block (BlockKernel; its dense() is the basis as columns).
 
     mat is a dense array, whose exact zeros give the block structure, or a
     SparseSystem. Blocks are solved one SVD per shape-batch and share one
-    rank decision (see the module docstring). If the densified blocks and
-    their SVD factors need more than DENSE_LIMIT bytes (_dense_bytes, from
-    the block shapes), DenseLimitExceeded is raised before they are
-    allocated.
+    rank decision (see the module docstring). If the densified blocks,
+    their SVD factors and the kernel vectors need more than DENSE_LIMIT
+    bytes (_dense_bytes, from the block shapes), DenseLimitExceeded is
+    raised before they are allocated.
     """
     if isinstance(mat, SparseSystem):
         nrows, ncols = mat.shape
@@ -207,16 +242,19 @@ def nullspace(mat: np.ndarray | SparseSystem) -> np.ndarray:
         stacks.append(buf[start : start + ids.size * r * c].reshape(ids.size, r, c))
         block_ids.append(ids)
 
-    batches = batched_svd(stacks, all_right=True)
-    out = np.zeros((ncols, ncols - sum(int(kept.sum()) for *_, kept in batches)), dtype=complex)
-    k = 0
-    for ids, (_, s, vh, kept) in zip(block_ids, batches):
-        # kept values are a prefix of each block's descending spectrum
-        owner, _ = np.nonzero(~kept)
-        gcols = block_cols[col_start[ids[owner], None] + np.arange(s.shape[1])]
-        out[gcols, np.arange(k, k + owner.size)[:, None]] = vh[~kept].conj()
-        k += owner.size
-    return out
+    parts, k = [], 0
+    for ids, (_, s, vh, kept) in zip(block_ids, batched_svd(stacks, all_right=True)):
+        # kept values are a prefix of each block's descending spectrum, so
+        # the kernel is spanned by the last rows of vh
+        c = s.shape[1]
+        null = c - kept.sum(axis=1)
+        first = k + np.cumsum(null) - null
+        k += int(null.sum())
+        gcols = block_cols[col_start[ids, None] + np.arange(c)]
+        for dim in np.unique(null[null > 0]):
+            sel = np.flatnonzero(null == dim)
+            parts.append((gcols[sel], vh[sel, c - dim :].conj().transpose(0, 2, 1), first[sel]))
+    return BlockKernel(ncols, tuple(parts))
 
 
 def batched_svd(

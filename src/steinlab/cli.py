@@ -125,6 +125,8 @@ def _cmd_dim(args) -> int:
                 "dimension": result.value,
                 "fraction": None if frac is None else str(frac),
                 "rank": result.rank,
+                "closure_residual": result.closure_residual,
+                "route": result.route,
             },
             indent=2,
         )

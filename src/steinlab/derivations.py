@@ -15,7 +15,13 @@ an identity leg: x (x) y^op acts by (left_mult(x), right_mult(y)) on the
 left and by (right_mult(x), left_mult(y)) on the right, and the GNS metric
 is whitened by (T, T), T = A.onb_factor. apply_pair contracts a pair into
 a stack leg by leg; no (n^2, n^2) operator matrix is formed. Kernels are
-solved for whitened values and mapped back by (T^-1, T^-1).
+solved for whitened values and mapped back by (T^-1, T^-1). A space that
+derivation_space solves keeps its kernel as nullspace returns it, by
+Leibniz block, and maps it back only when a caller reads its basis:
+vndim reads the dimension of phi_X, X the basis, from the kernel itself.
+derivation_space first certifies that the algebra is exact
+(algebra.certify_exact), since that readout backs no number for an
+inexact one.
 
 Every function takes the FDAlgebra whose module it acts on, or, for the
 crossed-product maps, the CrossedProduct A x| G. Those act on the coset
@@ -26,14 +32,13 @@ derivations between A and A x| G.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 # gram_onb is no longer called here; the name stays bound because
 # benchmark/tracing.py hooks steinlab.derivations.gram_onb
-from ._linalg import SparseSystem, frob, gram_onb, nullspace  # noqa: F401
-from .algebra import FDAlgebra
+from ._linalg import BlockKernel, SparseSystem, frob, gram_onb, nullspace  # noqa: F401
+from .algebra import FDAlgebra, certify_exact
 from .constructions import CrossedProduct, subalgebra_generate, span_equal
 from .errors import NotSubalgebra, UnitsInvalid
 
@@ -133,34 +138,58 @@ def leibniz_system(alg: FDAlgebra) -> SparseSystem:
     return SparseSystem((n**4, n**3), rows, cols, vals)
 
 
-@dataclass(eq=False)
 class DerivationSpace:
     """Span of derivations of algebra with a basis orthonormal for
-    <., .>_X, X the basis of A: <d1, d2>_X = sum_j <d1(b_j), d2(b_j)>."""
+    <., .>_X, X the basis of A: <d1, d2>_X = sum_j <d1(b_j), d2(b_j)>.
 
-    algebra: FDAlgebra
-    basis: np.ndarray  # (r, dim N, dim A)
+    A space that derivation_space solves holds kernel, the whitened
+    Leibniz kernel by block, and forms basis, (r, dim N, dim A) in raw
+    coordinates, only when it is read (kernel_basis), once; a space given
+    a basis holds no kernel.
+    """
+
+    def __init__(self, algebra: FDAlgebra, basis: np.ndarray | None = None,
+                 kernel: BlockKernel | None = None):
+        self.algebra = algebra
+        self.kernel = kernel
+        self._basis = basis
+
+    @property
+    def basis(self) -> np.ndarray:
+        if self._basis is None:
+            self._basis = kernel_basis(self.algebra, self.kernel)
+        return self._basis
 
     @property
     def rank(self) -> int:
-        return self.basis.shape[0]
+        return self.kernel.shape[1] if self._basis is None else self._basis.shape[0]
+
+
+def kernel_basis(alg: FDAlgebra, kernel: BlockKernel) -> np.ndarray:
+    """The derivations (r, dim N, dim A) of a kernel of leibniz_system, in
+    raw coordinates: the whitened values mapped back by (T^-1, T^-1)."""
+    n = alg.dim
+    back = (alg.onb_inverse, alg.onb_inverse)
+    return apply_pair(back, kernel.dense().T.reshape(-1, n * n, n))
 
 
 def derivation_space(alg: FDAlgebra) -> DerivationSpace:
     """All derivations of A, solved from the Leibniz system on every basis
     pair, with a basis orthonormal for <., .>_X, X the basis of A.
 
-    The system is solved block by block; blocks whose dense SVDs would
-    allocate more than _linalg.DENSE_LIMIT bytes raise DenseLimitExceeded
-    before any of it is allocated, and inner_derivation_module is the
-    route for such algebras. The unknowns are whitened, so nullspace's
-    orthonormal kernel basis, mapped back by (T^-1, T^-1) on the legs of
-    N, is orthonormal for <., .>_X.
+    Raises InexactAlgebra unless A passes algebra.certify_exact: for an
+    inexact algebra the solve would return the derivations of a nearby
+    wrong one. The system is solved block by block; blocks whose dense
+    SVDs would allocate more than _linalg.DENSE_LIMIT bytes raise
+    DenseLimitExceeded before any of it is allocated, and
+    inner_derivation_module is the route for such algebras. The unknowns
+    are whitened, so nullspace's orthonormal kernel, mapped back by
+    (T^-1, T^-1) on the legs of N, is orthonormal for <., .>_X. The space
+    keeps that kernel by block and maps it back only when its basis is
+    read.
     """
-    n = alg.dim
-    vecs = nullspace(leibniz_system(alg))
-    back = (alg.onb_inverse, alg.onb_inverse)
-    return DerivationSpace(alg, apply_pair(back, vecs.T.reshape(-1, n * n, n)))
+    certify_exact(alg)
+    return DerivationSpace(alg, kernel=nullspace(leibniz_system(alg)))
 
 
 def central_vectors(alg: FDAlgebra, sub_cols: np.ndarray) -> np.ndarray:
@@ -168,7 +197,7 @@ def central_vectors(alg: FDAlgebra, sub_cols: np.ndarray) -> np.ndarray:
     solved for w = (T (x) T) v: the commutators of kron(T^-1, T^-1)."""
     back = (alg.onb_inverse, alg.onb_inverse)
     rows = commutator_span(alg, np.asarray(sub_cols), np.kron(*back))
-    return apply_pair(back, nullspace(rows.reshape(-1, alg.dim**2)))
+    return apply_pair(back, nullspace(rows.reshape(-1, alg.dim**2)).dense())
 
 
 def relative_derivations(
@@ -184,7 +213,7 @@ def relative_derivations(
     if space.rank == 0:
         return space
     con = space.basis @ sub_cols
-    combos = nullspace(con.reshape(space.rank, -1).T)
+    combos = nullspace(con.reshape(space.rank, -1).T).dense()
     basis = np.einsum("rm,rpj->mpj", combos, space.basis)
     return DerivationSpace(alg, basis)
 

@@ -56,6 +56,11 @@ class RankAmbiguous(SteinlabError):
     """Numerical rank decision has no clear spectral gap."""
 
 
+class InexactAlgebra(SteinlabError):
+    """Structure constants miss the axioms in GNS-orthonormal coordinates by
+    more than the exactness bound."""
+
+
 class DenseLimitExceeded(SteinlabError):
     """A connected block of a linear system is too large for the dense solver."""
 

@@ -20,9 +20,38 @@ generates, so P commutes with all of R(N_0) exactly when it commutes with
 the generators' operators, and the one-leg operators of a *-closed
 generating set of A generate R(N_0).
 
-vn_dimension never forms P densely. A projection commuting with the right
-action commutes with every spectral projection of a self-adjoint element
-of it (Lueck, L^2-Invariants, ch. 1). So each leg is rotated into the
+vn_dimension takes one of two routes, named in DimensionResult.route.
+phi_X(Der A) with X the basis of A, for a DerivationSpace that holds its
+whitened Leibniz kernel (derivation_space), is a KernelModule and takes
+the kernel route. Every other module takes the spectral route: X other
+than the basis, whose span mixes the kernel columns; a given span, such as
+the identity or one of restrict_scalars; a space built from a dense
+basis, such as relative_derivations'; and an InnerModule, whose span is
+not given orthonormal and whose only block structure, in a non-monomial
+basis, is the spectral split.
+
+The kernel route. Copy k of phi_X(d) is d(b_k), and in GNS-orthonormal
+coordinates that is column k of the whitened unknown of leibniz_system,
+unknown (a * n + b) * n + k being leg a, leg b and copy k. So the
+whitened span of phi_X is the Leibniz kernel itself, which nullspace
+returns orthonormal and by block: P = Q Q^H is block diagonal over the
+kernel blocks, with no rotation, no block SVD and no rank certificate,
+since the span is its own orthonormal basis. The dimension is
+sum_k |Q^H Omega_k|^2, summed per block and vector. The closure test
+applies the combinations of _test_ops, with the legs in GNS-orthonormal
+coordinates (T, T^-1) in place of a rotation, to each part's blocks
+laid out by fibers (the n unknowns that differ only on the operator's
+leg), gathers the image of each source block onto every target block it
+meets, in full, and subtracts Q_t Q_t^H of it there; its residual is the
+spectral route's relative norm, over all parts at once.
+This readout is backed only for an exact algebra: the kernel of an
+inexact one is the exact kernel of a nearby wrong algebra, orthonormal
+and right-closed to rounding, which no test here can refuse. So
+derivation_space certifies exactness first (algebra.certify_exact).
+
+The spectral route never forms P densely. A projection commuting with
+the right action commutes with every spectral projection of a
+self-adjoint element of it (Lueck, L^2-Invariants, ch. 1). So each leg is rotated into the
 eigenbasis of a fixed-seed random self-adjoint combination
 sum_j t_j (a_j + a_j^*) of its one-leg operators, in GNS-orthonormal
 coordinates, and L^2(N)^k splits into blocks C^k (x) E_a (x) E_b of
@@ -75,8 +104,8 @@ needs both to miss, so two draws square the bound (0.008 there), at the
 cost of two applications per leg. The seed is fixed, so the same
 module always gets the same verdict.
 
-vn_dimension takes the span from the module as its blocks in the rotated
-coordinates (spectral_blocks), then runs one computation on them: block
+The spectral route takes the span from the module as its blocks in the
+rotated coordinates (spectral_blocks), then runs one computation on them: block
 SVDs, certificate, closure test and trace readout. The block SVDs and the
 certificate run per connected component of the incidence of blocks and
 span columns. A module holding a raw span (ModuleSubspace: phi_x,
@@ -119,13 +148,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 # gram_onb is no longer called here; the name stays bound because
 # benchmark/tracing.py hooks steinlab.vndim.gram_onb
 from ._linalg import (  # noqa: F401
-    SPLIT_SEED, _column_components, batched_svd, gram_onb, rank_cut, spectral_split,
+    SPLIT_SEED, BlockKernel, _column_components, batched_svd, gram_onb, rank_cut, spectral_split,
 )
 from .algebra import FDAlgebra
 from .constructions import CrossedProduct
@@ -198,6 +228,32 @@ class InnerModule:
         return self.legs, self.blocks
 
 
+class KernelModule:
+    """phi_X of a derivation space that holds its whitened Leibniz kernel,
+    X the basis of A, read by vn_dimension from the kernel blocks (see the
+    module docstring). right_ops is as in ModuleSubspace; the span, as
+    ModuleSubspace holds it, is formed only when read."""
+
+    def __init__(self, space: DerivationSpace, right_ops: list):
+        self.space, self.right_ops = space, right_ops
+
+    @property
+    def algebra(self) -> FDAlgebra:
+        return self.space.algebra
+
+    @property
+    def ncoords(self) -> int:
+        return self.algebra.dim
+
+    @property
+    def trace_vectors(self) -> np.ndarray:
+        return np.kron(self.algebra.unit, self.algebra.unit)[:, None]
+
+    @cached_property
+    def span(self) -> np.ndarray:
+        return _phi_span(self.space, np.eye(self.ncoords, dtype=complex))
+
+
 @dataclass
 class DimensionResult:
     value: float
@@ -205,6 +261,7 @@ class DimensionResult:
     # largest relative residual (1 - P) T Q over the closure test's
     # operators T, not over each right operator
     closure_residual: float
+    route: str  # "kernel" or "spectral", see the module docstring
 
     def __float__(self) -> float:
         return self.value
@@ -447,13 +504,15 @@ def _block_bases(stacks: list, where: list, shapes: dict, nlabels: int) -> tuple
     return {key: (q, q.conj().transpose(0, 2, 1)) for key, q in basis.items()}, rank
 
 
-def vn_dimension(sub: ModuleSubspace | InnerModule) -> DimensionResult:
+def vn_dimension(sub: ModuleSubspace | InnerModule | KernelModule) -> DimensionResult:
     """Trace of the span projection against the trace vectors.
 
-    Takes the span's spectral blocks for the right action from the module
+    A KernelModule is read from its kernel blocks (_kernel_dimension).
+    Every other module takes the spectral route: it takes the span's
+    spectral blocks for the right action from the module
     (spectral_blocks), takes the block SVDs and certifies that the span is
     the sum of its block parts, per connected component of the blocks and
-    span columns, and tests the operators of _test_ops, random
+    span columns. Both routes test the operators of _test_ops, random
     combinations of each leg's operators, against the block-diagonal
     projector (see the module docstring).
     Raises NotRightClosed if the certificate fails or some test
@@ -462,6 +521,8 @@ def vn_dimension(sub: ModuleSubspace | InnerModule) -> DimensionResult:
     Since right_ops is closed under adjoints, invariance under each
     operator already gives invariance under its adjoint.
     """
+    if isinstance(sub, KernelModule):
+        return _kernel_dimension(sub)
     k = sub.ncoords
     legs, blocks = sub.spectral_blocks()
     basis, rank = _block_bases(*blocks)
@@ -477,7 +538,101 @@ def vn_dimension(sub: ModuleSubspace | InnerModule) -> DimensionResult:
         count, rho, rows = qh.shape
         overlaps = qh.reshape(count, rho, k, rows // k) @ _block_stack(omegas[key])[:, None]
         value += float(np.sum(np.abs(overlaps) ** 2))
-    return DimensionResult(value, rank, worst)
+    return DimensionResult(value, rank, worst, "spectral")
+
+
+def _kernel_index(kernel: BlockKernel) -> tuple:
+    """(part, block, pos): for each unknown, the part of its kernel block
+    (-1 for an unknown in no kernel block), the block's index within the
+    part and the unknown's position among the block's columns."""
+    part, block, pos = (np.full(kernel.ncols, -1) for _ in range(3))
+    for p, (cols, _, _) in enumerate(kernel.parts):
+        part[cols] = p
+        block[cols] = np.arange(len(cols))[:, None]
+        pos[cols] = np.arange(cols.shape[1])
+    return part, block, pos
+
+
+def _kernel_fibers(kernel: BlockKernel, n: int, stride: int) -> list:
+    """The kernel blocks laid out by the fibers of one leg, whose index in
+    an unknown has stride stride: a fiber is the n unknowns of one block's
+    columns that differ only on that leg. Per part, (slot, x, src, at):
+    column j of block b sits at leg index x[b, j] of the block's fiber
+    slot[b, j], fibers numbered across the part, and, for every entry of
+    the (n, fibers) layout in row-major order, at is its unknown and src
+    its block."""
+    out = []
+    for cols, _, _ in kernel.parts:
+        m, c = cols.shape
+        x = cols // stride % n
+        key, slot = np.unique(np.arange(m)[:, None] * kernel.ncols + cols - x * stride,
+                              return_inverse=True)
+        src, start = np.divmod(key, kernel.ncols)
+        at = (start + (np.arange(n) * stride)[:, None]).ravel()
+        out.append((slot.reshape(m, c), x, np.tile(src, n), at))
+    return out
+
+
+def _kernel_residual(mat: np.ndarray, kernel: BlockKernel, fibers: list,
+                     index: tuple) -> tuple[float, float]:
+    """(|T Q|^2, |(1 - P) T Q|^2) for a whitened one-leg operator T = mat
+    and the kernel basis Q, P = Q Q^H, from the kernel blocks (fibers as
+    _kernel_fibers returns them for T's leg, index as _kernel_index).
+
+    T acts on the leg axis of each part's fiber layout. The image of a
+    source block is gathered onto each target block it meets, by target
+    part, and Q_t Q_t^H of it subtracted there; entries in no kernel block
+    are left whole.
+    """
+    part, block, pos = index
+    n = len(mat)
+    img2 = rem2 = 0.0
+    for (_, vecs, _), (slot, x, src, at) in zip(kernel.parts, fibers):
+        k = vecs.shape[2]
+        z = np.zeros((n, len(src) // n, k), dtype=complex)
+        z[x, slot] = vecs
+        y = (mat @ z.reshape(n, -1)).reshape(-1, k)
+        img2 += np.vdot(y, y).real
+        hit = np.flatnonzero(np.any(y != 0, axis=1))
+        y, src_h, at_h = y[hit], src[hit], at[hit]
+        rest = part[at_h] < 0
+        rem2 += np.vdot(y[rest], y[rest]).real
+        for target in np.unique(part[at_h[~rest]]):
+            sel = np.flatnonzero(part[at_h] == target)
+            tcols, tvecs, _ = kernel.parts[target]
+            pairs, pair = np.unique(src_h[sel] * len(tcols) + block[at_h[sel]],
+                                    return_inverse=True)
+            img = np.zeros((pairs.size, tcols.shape[1], k), dtype=complex)
+            img[pair.ravel(), pos[at_h[sel]]] = y[sel]
+            q = tvecs[pairs % len(tcols)]
+            img -= q @ (q.conj().transpose(0, 2, 1) @ img)
+            rem2 += np.vdot(img, img).real
+    return img2, rem2
+
+
+def _kernel_dimension(sub: KernelModule) -> DimensionResult:
+    """vn_dimension of phi_X(Der A), X the basis, from the whitened kernel
+    (see the module docstring)."""
+    alg, kernel = sub.algebra, sub.space.kernel
+    n, t = alg.dim, alg.onb_factor
+    index = _kernel_index(kernel)
+    fibers = [_kernel_fibers(kernel, n, stride) for stride in (n * n, n)]
+    worst = 0.0
+    for leg, mat in _test_ops(sub.right_ops, [(t, alg.onb_inverse, None)] * 2):
+        img2, rem2 = _kernel_residual(mat, kernel, fibers[leg], index)
+        worst = max(worst, float(np.sqrt(rem2) / max(1.0, np.sqrt(img2))))
+    if worst > CLOSURE_TOL:
+        raise NotRightClosed(f"commutant residual {worst:.3e} above {CLOSURE_TOL}")
+    # <Q_v, Omega_k> for Omega_k = omega in copy k, per block and vector
+    omega = np.kron(t @ alg.unit, t @ alg.unit)
+    value = 0.0
+    for cols, vecs, _ in kernel.parts:
+        m, c, k = vecs.shape
+        q, arg = np.divmod(cols, n)
+        prod = (vecs.conj() * omega[q][..., None]).ravel()
+        idx = ((np.arange(m)[:, None] * n + arg)[..., None] * k + np.arange(k)).ravel()
+        value += float(np.sum(np.bincount(idx, prod.real) ** 2 + np.bincount(idx, prod.imag) ** 2))
+    return DimensionResult(value, kernel.shape[1], worst, "kernel")
 
 
 def as_fraction(x: float, max_den: int, tol: float = 1e-6) -> Fraction | None:
@@ -515,31 +670,39 @@ def _right_ops(alg, xs: list) -> list:
     return [op for r, l in zip(rights, lefts) for op in ((0, r), (1, l))]
 
 
-def phi_x(space: DerivationSpace, gens: np.ndarray | None = None) -> ModuleSubspace:
+def _phi_span(space: DerivationSpace, gens: np.ndarray) -> np.ndarray:
+    """The span of phi_X(space), (ncoords * dim A^2, rank): block per
+    argument x, derivations along columns; written in this layout
+    (order C), so the reshape copies nothing."""
+    k, n = gens.shape[1], space.algebra.dim
+    return np.einsum("rpj,jx->xpr", space.basis, gens, order="C").reshape(k * n * n, space.rank)
+
+
+def phi_x(space: DerivationSpace, gens: np.ndarray | None = None) -> ModuleSubspace | KernelModule:
     """Image of a derivation space under d -> (d(x))_{x in X}.
 
     X (columns of gens, the basis of A by default) must generate the
     algebra, so that the map is injective and the dimension does not depend
     on the choice; a given X is checked, the basis spans A. X and its stars
-    also supply the right operators.
+    also supply the right operators. With X the basis, a space that holds
+    its kernel (derivation_space) gives a KernelModule, every other a
+    ModuleSubspace.
     """
     from .constructions import generates
 
     alg = space.algebra
     if gens is None:
         gens = np.eye(alg.dim, dtype=complex)
+        if space.kernel is not None:
+            return KernelModule(space, _right_ops(alg, _with_stars(alg, gens)))
     else:
         gens = np.asarray(gens, dtype=complex)
         if not generates(alg, list(gens.T)):
             raise NotGenerating("argument set does not generate the algebra")
-    # block per argument x, derivations along columns; written in this
-    # layout (order C), so the reshape copies nothing
-    k = gens.shape[1]
-    span = np.einsum("rpj,jx->xpr", space.basis, gens, order="C").reshape(k * alg.dim**2, space.rank)
     return ModuleSubspace(
         algebra=alg,
-        ncoords=k,
-        span=span,
+        ncoords=gens.shape[1],
+        span=_phi_span(space, gens),
         right_ops=_right_ops(alg, _with_stars(alg, gens)),
         trace_vectors=np.kron(alg.unit, alg.unit)[:, None],
     )
@@ -620,14 +783,14 @@ def inner_derivation_module(alg, gens: np.ndarray) -> InnerModule:
     return InnerModule(alg, gens, ops, legs, _inner_blocks(alg, gens, legs))
 
 
-def restrict_scalars(sub: ModuleSubspace, cp: CrossedProduct) -> ModuleSubspace:
+def restrict_scalars(sub: ModuleSubspace | KernelModule, cp: CrossedProduct) -> ModuleSubspace:
     """View a module over N_big = (A x| G) (x) (A x| G)^op as a module over
     N_0 = A (x) A^op; same span, right action through the inclusion (one
     operator pair per basis element of A and its star), and the trace
     vectors u_g (x) u_h^op, one per sector, in every coordinate. The
-    module must hold its span (an InnerModule holds only the blocks of
-    its own right action)."""
-    if not isinstance(sub, ModuleSubspace):
+    module must hold its span or form it (a KernelModule); an InnerModule
+    holds only the blocks of its own right action."""
+    if not isinstance(sub, (ModuleSubspace, KernelModule)):
         raise TypeError("restrict_scalars needs a ModuleSubspace, which holds its span")
     if sub.algebra.dim != cp.algebra.dim:
         raise ValueError("module is not over the crossed-product bimodule")

@@ -1,16 +1,27 @@
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from steinlab import (
+    ExperimentSpec,
     FDAlgebra,
     WeightsNotNormalized,
+    corpus_specs,
+    crossed_product,
     cyclic,
     group_algebra,
     multimatrix,
     symmetric_3,
     validate,
 )
+from steinlab.algebra import EXACT_BOUND, certify_exact
+
+ROOT = Path(__file__).resolve().parent.parent
 
 M2C = multimatrix([(2, 2 / 3), (1, 1 / 3)], label="M2+C")
 
@@ -129,3 +140,34 @@ def test_gram_matches_trace_pairing():
         for j in range(M2C.dim):
             want = M2C.tr(M2C.mul(M2C.star_of(M2C.basis(i)), M2C.basis(j)))
             assert abs(M2C.gram[i, j] - want) < 1e-12
+
+
+def _shipped_algebras() -> dict:
+    """Every corpus algebra and crossed product, both examples' algebras and
+    crossed products, and the dense_ladder inputs of the benchmark at
+    seeds 0-9."""
+    specs = corpus_specs(seed=0) + [
+        ExperimentSpec.from_json(json.loads(path.read_text()))
+        for path in sorted((ROOT / "examples").glob("*.json"))
+    ]
+    out = {}
+    for spec in specs:
+        out[spec.label] = spec.algebra
+        out[spec.label + " crossed"] = crossed_product(spec.algebra, spec.action).algebra
+    name = "benchmark_workloads"
+    found = importlib.util.spec_from_file_location(name, ROOT / "benchmark" / "workloads.py")
+    workloads = sys.modules.setdefault(name, importlib.util.module_from_spec(found))
+    found.loader.exec_module(workloads)
+    for seed in range(10):
+        for label, spec in workloads.dense_inputs(seed).items():
+            out[f"dense_ladder {seed} {label}"] = workloads._dense_algebra(spec)
+    return out
+
+
+def test_every_shipped_algebra_passes_the_exactness_certificate():
+    algs = _shipped_algebras()
+    assert len(algs) == 2 * 19 + 30
+    for label, alg in algs.items():
+        certify_exact(alg)
+        # far inside the bound: these are exact to rounding
+        assert max(alg.onb_residuals.values()) < EXACT_BOUND / 1000, label

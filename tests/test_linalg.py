@@ -72,7 +72,7 @@ def test_block_kernel_matches_full_svd(shapes, extra_rows, extra_cols, seed):
     ref = full_svd_kernel(m)
     assert ref.shape[1] == m.shape[1] - rank
     for arg in (m, _as_sparse(rng, m)):
-        ker = nullspace(arg)
+        ker = nullspace(arg).dense()
         assert ker.shape == ref.shape
         assert np.max(np.abs(ker.conj().T @ ker - np.eye(ker.shape[1])), initial=0.0) < 1e-10
         assert np.max(np.abs(_projector(ker) - _projector(ref)), initial=0.0) < 1e-10
@@ -95,9 +95,9 @@ def test_gap_guard_spans_blocks():
 
 def test_empty_system_kernel_is_everything():
     ker = nullspace(np.zeros((0, 4)))
-    assert np.array_equal(ker, np.eye(4))
+    assert np.array_equal(ker.dense(), np.eye(4))
     sparse = SparseSystem((5, 3), np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
-    assert np.array_equal(nullspace(sparse), np.eye(3))
+    assert np.array_equal(nullspace(sparse).dense(), np.eye(3))
 
 
 def test_max_block_guard_runs_on_the_largest_block(monkeypatch):
@@ -105,12 +105,37 @@ def test_max_block_guard_runs_on_the_largest_block(monkeypatch):
     m = _shuffled_block_diagonal(
         rng, [_with_spectrum(rng, 2, 2, [1.0]), _with_spectrum(rng, 3, 3, [1.0, 1.0])]
     )
-    monkeypatch.setattr(_linalg, "DENSE_LIMIT", 664)
+    monkeypatch.setattr(_linalg, "DENSE_LIMIT", 872)
     assert nullspace(m).shape[1] == 2
-    monkeypatch.setattr(_linalg, "DENSE_LIMIT", 663)
-    with pytest.raises(DenseLimitExceeded, match="up to 3 unknowns need 664 bytes, which "
-                                                 "exceeds the dense limit of 663 bytes"):
+    monkeypatch.setattr(_linalg, "DENSE_LIMIT", 871)
+    with pytest.raises(DenseLimitExceeded, match="up to 3 unknowns need 872 bytes, which "
+                                                 "exceeds the dense limit of 871 bytes"):
         nullspace(m)
+
+
+def test_guard_counts_the_returned_kernel_vectors(monkeypatch):
+    # four unknowns with no equation: four 0 x 1 blocks, each with a padded
+    # spectrum (8 bytes), a 1 x 1 Vh (16) and one returned vector (16)
+    monkeypatch.setattr(_linalg, "DENSE_LIMIT", 160)
+    assert nullspace(np.zeros((0, 4))).shape == (4, 4)
+    monkeypatch.setattr(_linalg, "DENSE_LIMIT", 159)
+    with pytest.raises(DenseLimitExceeded, match="need 160 bytes"):
+        nullspace(np.zeros((0, 4)))
+
+
+def test_block_kernel_keeps_the_column_order_of_its_blocks():
+    # two 2 x 3 blocks of one shape with kernels of dimension 1 and 2 are
+    # kept in two parts, but dense() lists the kernel block by block
+    rng = np.random.default_rng(8)
+    m = np.zeros((4, 6), dtype=complex)
+    m[:2, :3] = _with_spectrum(rng, 2, 3, [1.0, 0.5])
+    m[2:, 3:] = _with_spectrum(rng, 2, 3, [1.0])
+    ker = nullspace(m)
+    assert [vecs.shape for _, vecs, _ in ker.parts] == [(1, 3, 1), (1, 3, 2)]
+    dense = ker.dense()
+    assert np.all(dense[3:, 0] == 0) and np.all(dense[:3, 1:] == 0)
+    assert np.max(np.abs(dense.conj().T @ dense - np.eye(3))) < 1e-12
+    assert np.max(np.abs(m @ dense)) < 1e-12
 
 
 def _hpd(rng, n: int) -> np.ndarray:

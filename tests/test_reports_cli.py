@@ -375,6 +375,16 @@ def test_cli_dim(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_dim_json_shows_the_route_and_the_closure_residual(tmp_path, capsys):
+    alg_path = tmp_path / "alg.json"
+    alg_path.write_text(json.dumps({"multimatrix": {"blocks": [[2, 0.5], [1, 0.5]]}}))
+    assert main(["dim", str(alg_path), "--format", "json"]) == 0
+    parsed = json.loads(capsys.readouterr().out)
+    assert parsed["route"] == "kernel"
+    assert 0.0 <= parsed["closure_residual"] < 1e-12
+    assert abs(parsed["dimension"] - 0.6875) < 1e-12
+
+
 def test_python_m_steinlab_runs_the_command_line(tmp_path):
     # the module entry point, from a source checkout without installing
     alg_path = tmp_path / "alg.json"

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from steinlab import (
     DerivationSpace,
     InnerModule,
+    KernelModule,
     ModuleSubspace,
     NotGenerating,
     NotRightClosed,
@@ -30,9 +31,10 @@ from steinlab import (
     symmetric_3,
     vn_dimension,
 )
+import steinlab.derivations as derivations
 import steinlab.vndim as vndim
-from steinlab import _linalg
-from steinlab._linalg import gram_onb
+from steinlab import _linalg, reports
+from steinlab._linalg import BlockKernel, gram_onb
 from steinlab.vndim import CLOSURE_TOL, _right_ops, _with_stars
 from test_derivations import rotated
 import dense_reference
@@ -538,3 +540,93 @@ def test_m3_crossed_by_s3_through_the_inner_path():
     elapsed = time.perf_counter() - start
     assert abs(value - (1 - 1 / 54)) < 1e-10
     assert elapsed < 3.0
+
+
+# -- the kernel route: phi_X(Der A), X the basis, read from the Leibniz kernel ---
+
+def _spectral(sub: KernelModule) -> ModuleSubspace:
+    """The same module as a ModuleSubspace holding its dense span, which
+    vn_dimension reads by the spectral route."""
+    return ModuleSubspace(sub.algebra, sub.ncoords, sub.span, sub.right_ops, sub.trace_vectors)
+
+
+def _corpus_algebras() -> dict:
+    out = {}
+    for spec in reports.corpus_specs(seed=0):
+        out[spec.label] = spec.algebra
+        out[spec.label + " crossed"] = crossed_product(spec.algebra, spec.action).algebra
+    return out
+
+
+@pytest.mark.parametrize("name", list(_corpus_algebras()))
+def test_kernel_route_matches_the_spectral_route(name):
+    sub = phi_x(derivation_space(_corpus_algebras()[name]))
+    assert isinstance(sub, KernelModule)
+    got, want = vn_dimension(sub), vn_dimension(_spectral(sub))
+    assert (got.route, want.route) == ("kernel", "spectral")
+    assert got.rank == want.rank
+    assert abs(got.value - want.value) < 1e-12
+    assert got.closure_residual < 1e-12
+
+
+@pytest.mark.parametrize("blocks", [[(2, 1.0)], [(2, 0.5), (1, 0.5)]], ids=["M2", "M2+C"])
+def test_kernel_module_missing_one_block_is_not_right_closed(blocks):
+    # the parts of a matrix-unit kernel group blocks of one shape, which
+    # the right action permutes, so one block of a part is left out
+    alg = multimatrix(blocks)
+    kernel = derivation_space(alg).kernel
+    for i, (cols, vecs, first) in enumerate(kernel.parts):
+        parts = list(kernel.parts)
+        parts[i] = (cols[1:], vecs[1:], first[1:])
+        sub = phi_x(DerivationSpace(alg, kernel=BlockKernel(kernel.ncols, tuple(parts))))
+        with pytest.raises(NotRightClosed, match="commutant residual"):
+            vn_dimension(sub)
+
+
+def test_kernel_route_never_forms_the_derivation_basis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the derivation basis was formed")
+
+    monkeypatch.setattr(derivations, "kernel_basis", refuse)
+    for blocks in ([(2, 0.5), (1, 0.5)], [(3, 0.6), (1, 0.4)]):
+        res = vn_dimension(phi_x(derivation_space(multimatrix(blocks))))
+        assert res.route == "kernel"
+        assert abs(res.value - (1 - sum(a * a / (n * n) for n, a in blocks))) < 1e-12
+    # a space given a dense basis, and an argument set other than the
+    # basis, take the spectral route
+    space = derivation_space(multimatrix([(2, 1.0)]))
+    with pytest.raises(AssertionError, match="basis was formed"):
+        phi_x(space, np.eye(4, dtype=complex))
+
+
+@pytest.mark.parametrize("drop", [False, True], ids=["closed", "one block left out"])
+def test_kernel_closure_residual_is_the_dense_projection_residual(drop):
+    # |(1 - P) T Q| and |T Q| from the blocks against the dense kernel basis,
+    # for each operator the closure test applies
+    alg = multimatrix([(2, 0.5), (1, 0.5)])
+    kernel = derivation_space(alg).kernel
+    if drop:
+        cols, vecs, first = kernel.parts[1]
+        kernel = BlockKernel(kernel.ncols, (kernel.parts[0], (cols[1:], vecs[1:], first[1:]),
+                                            *kernel.parts[2:]))
+    n, t = alg.dim, alg.onb_factor
+    # the kernel basis as columns, block by block (dense() needs the
+    # column offsets that leaving a block out breaks)
+    dense = np.zeros((kernel.ncols, kernel.shape[1]), dtype=complex)
+    col = 0
+    for cols, vecs, _ in kernel.parts:
+        for b in range(len(cols)):
+            dense[cols[b], col : col + vecs.shape[2]] = vecs[b]
+            col += vecs.shape[2]
+    index = vndim._kernel_index(kernel)
+    ops = vndim._test_ops(phi_x(derivation_space(alg)).right_ops, [(t, alg.onb_inverse, None)] * 2)
+    for leg, mat in ops:
+        fibers = vndim._kernel_fibers(kernel, n, n * n if leg == 0 else n)
+        img2, rem2 = vndim._kernel_residual(mat, kernel, fibers, index)
+        v = dense.reshape(n, n, n, -1)
+        img = np.einsum("xa,abkr->xbkr", mat, v) if leg == 0 else np.einsum("yb,abkr->aykr", mat, v)
+        img = img.reshape(kernel.ncols, -1)
+        rem = img - dense @ (dense.conj().T @ img)
+        assert abs(np.sqrt(img2) - np.linalg.norm(img)) < 1e-12
+        assert abs(np.sqrt(rem2) - np.linalg.norm(rem)) < 1e-12
+        assert (np.linalg.norm(rem) > 1e-3) == drop
