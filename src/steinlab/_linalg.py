@@ -20,11 +20,24 @@ cut on its own; vndim orthonormalizes spectral blocks with it, and takes
 the rank of its block-diagonal coefficient matrix from the singular
 values alone.
 
+nullspace reads no left singular vectors. A tall block B (rows > cols)
+has the singular values and right singular vectors of the R of its QR,
+B = QR, since B^H B = R^H R (the R-SVD; Chan, An improved algorithm for
+computing the singular value decomposition, ACM TOMS 8, 1982; Golub &
+Van Loan 5.4). So nullspace takes a tall block's spectrum and kernel
+from the SVD of its cols x cols R, np.linalg.qr(mode="r"), and never
+forms its rows x cols U; a one-column block's singular value is its
+norm. The padded spectra and the single cut are the same as for a
+direct SVD.
+
 nullspace returns the kernel as it solves it, by block (BlockKernel): per
-batch of blocks of one shape and kernel dimension, the blocks' columns and
-their orthonormal local kernel vectors. No (columns, kernel) array is
-formed unless a caller asks for one with dense(); derivations keeps the
-Leibniz kernel this way, and vndim reads dimensions from it.
+group of blocks of one column count and kernel dimension, the blocks'
+columns and their orthonormal local kernel vectors. The group is keyed by
+(columns, kernel dimension), not by block shape, so that blocks with one
+set of columns but different row counts share a part. No (columns,
+kernel) array is formed unless a caller asks for one with dense();
+derivations keeps the Leibniz kernel this way, and vndim reads
+dimensions from it.
 
 A kernel wanted orthonormal in a metric gram = T^H T is solved for the
 whitened unknown w = T x; T^-1 maps nullspace's orthonormal columns to
@@ -34,7 +47,18 @@ kept left singular vectors to metric-orthonormal ones in the same way.
 
 nullspace refuses, with DenseLimitExceeded, blocks whose dense SVDs and
 returned kernel vectors would allocate more than DENSE_LIMIT bytes,
-before allocating them.
+before allocating them. _dense_bytes counts, in 16-byte complex entries
+for an r x c block:
+    r c + 2 c^2         the densified block, Vh and the kernel vectors
+                        (k <= c of them), kept to the end of the call;
+    + r^2               U, for a block with r <= c;
+    + r c + 3 c^2       for a tall block, qr's working copy, R, the U of
+                        R and the chunk's Vh, counted only for the largest
+                        chunk of QR_CHUNK bytes, since the chunks are
+                        taken one after another;
+plus 8 c bytes for the spectrum. A tall block thus keeps r c + 2 c^2
+entries where a direct SVD would also keep its r x c U. A one-column
+block, whose norm needs none of this, is counted the same way.
 
 vndim's leg blocks, Artin-Wedderburn blocks and characters are found by
 spectral_split: the eigenvectors of m + m^H, m a random combination drawn
@@ -53,11 +77,16 @@ REL_CUT = 1e-10
 ABS_CUT = 1e-10
 GAP_RATIO = 10.0
 # most bytes the dense per-block SVDs of one nullspace call may allocate
-# (densified blocks, SVD factors and kernel vectors, _dense_bytes); a
-# Leibniz system with no zero structure is a single dim^4 x dim^3 block,
-# 0.63 GiB at dim 11 and 1.16 GiB at dim 12, matrix-unit bases of that
-# size stay far below
+# (densified blocks, SVD factors and kernel vectors, _dense_bytes); the
+# Leibniz system of an algebra with no zero structure, cut to the rows of
+# a two-element generating set, is one 2 dim^3 x dim^3 block: 0.40 GiB at
+# dim 12, 0.65 GiB at dim 13, 1.01 GiB at dim 14 (refused), 1.53 GiB at
+# dim 15 and 2.25 GiB at dim 16; matrix-unit bases of that size stay far
+# below, and M3 x| S3 (dim 54) needs 759 MiB
 DENSE_LIMIT = 1 << 30
+# most working bytes (_qr_bytes) of the tall blocks that nullspace takes
+# through one QR at a time; the stack is cut into chunks of this size
+QR_CHUNK = 1 << 26
 # eigenvalues of a random hermitian combination closer than this fraction
 # of its spectral radius share a cluster; merging only coarsens the split,
 # and the gap keeps each cluster's eigenvectors accurate to about
@@ -144,24 +173,41 @@ def _positions(block: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _dense_bytes(nrow_b: np.ndarray, ncol_b: np.ndarray) -> int:
-    """Bytes nullspace allocates for blocks of these shapes: the densified
-    blocks and their SVD factors with every right singular vector, U of
-    rows x min(rows, cols) and Vh of cols x cols (complex), the spectrum
-    zero-padded to cols (real), and the returned kernel vectors, at most
-    cols x cols per block (complex)."""
-    r, c = nrow_b.astype(np.int64), ncol_b.astype(np.int64)
-    return int(np.sum(16 * (r * c + r * np.minimum(r, c) + 2 * c * c) + 8 * c))
+def _dense_bytes(nrow: np.ndarray, ncol: np.ndarray, count: np.ndarray) -> int:
+    """Bytes nullspace allocates for count[i] blocks of shape nrow[i] x
+    ncol[i] (see the module docstring): for every block the densified
+    block, Vh of cols x cols and the returned kernel vectors, at most
+    cols x cols (complex), and the spectrum, cols values (real); for a
+    block with rows <= cols the U of its SVD, rows x rows (complex); and
+    the largest QR chunk of tall blocks (_qr_step, _qr_bytes)."""
+    r, c, count = (np.asarray(a, dtype=np.int64) for a in (nrow, ncol, count))
+    tall = r > c
+    total = int(np.sum(count * (16 * (r * c + 2 * c * c + np.where(tall, 0, r * r)) + 8 * c)))
+    if tall.any():
+        total += int(np.max((np.minimum(count, _qr_step(r, c)) * _qr_bytes(r, c))[tall]))
+    return total
+
+
+def _qr_bytes(r, c):
+    """Working bytes of one tall rows x cols block on the QR path: qr's copy
+    of the block, then R, the U of R and its Vh (complex)."""
+    return 16 * (r * c + 3 * c * c)
+
+
+def _qr_step(r, c):
+    """Blocks per QR chunk of a stack of tall rows x cols blocks: as many as
+    QR_CHUNK bytes hold, at least one."""
+    return np.maximum(1, QR_CHUNK // _qr_bytes(r, c))
 
 
 class BlockKernel:
     """An orthonormal kernel basis of ncols unknowns, kept by block.
 
-    parts holds (cols, vecs, first) per batch of blocks of one shape and
-    one kernel dimension k: cols (m, c) the columns of m blocks, vecs
-    (m, c, k) each block's orthonormal kernel vectors on its columns, and
-    first (m,) the column of dense() holding each block's first vector.
-    Blocks with no kernel are left out.
+    parts holds (cols, vecs, first) per group of blocks with c columns and
+    kernel dimension k, one group per (c, k): cols (m, c) the columns of m
+    blocks, vecs (m, c, k) each block's orthonormal kernel vectors on its
+    columns, and first (m,) the column of dense() holding each block's
+    first vector. Blocks with no kernel are left out.
     """
 
     def __init__(self, ncols: int, parts: tuple):
@@ -184,11 +230,12 @@ def nullspace(mat: np.ndarray | SparseSystem) -> BlockKernel:
     block (BlockKernel; its dense() is the basis as columns).
 
     mat is a dense array, whose exact zeros give the block structure, or a
-    SparseSystem. Blocks are solved one SVD per shape-batch and share one
-    rank decision (see the module docstring). If the densified blocks,
-    their SVD factors and the kernel vectors need more than DENSE_LIMIT
-    bytes (_dense_bytes, from the block shapes), DenseLimitExceeded is
-    raised before they are allocated.
+    SparseSystem. Blocks are solved one SVD per shape-batch, a tall block
+    by the SVD of its QR factor R, and share one rank decision (see the
+    module docstring). If the densified blocks, their SVD factors and the
+    kernel vectors need more than DENSE_LIMIT bytes (_dense_bytes, from
+    the block shapes), DenseLimitExceeded is raised before they are
+    allocated.
     """
     if isinstance(mat, SparseSystem):
         nrows, ncols = mat.shape
@@ -209,7 +256,11 @@ def nullspace(mat: np.ndarray | SparseSystem) -> BlockKernel:
     row_block[rows] = entry_block
     active = np.flatnonzero(row_block >= 0)
     nrow_b = np.bincount(row_block[active], minlength=ncol_b.size)
-    if (need := _dense_bytes(nrow_b, ncol_b)) > DENSE_LIMIT:
+    # blocks grouped by shape: group j is blocks slot[at[j] : at[j] + count[j]]
+    shape_key = nrow_b * (ncols + 1) + ncol_b
+    slot = np.argsort(shape_key, kind="stable")
+    _, at, count = np.unique(shape_key[slot], return_index=True, return_counts=True)
+    if (need := _dense_bytes(nrow_b[slot[at]], ncol_b[slot[at]], count)) > DENSE_LIMIT:
         raise DenseLimitExceeded(
             f"{ncol_b.size} connected blocks of up to {ncol_b.max()} unknowns need "
             f"{need} bytes, which exceeds the dense limit of {DENSE_LIMIT} bytes"
@@ -223,8 +274,6 @@ def nullspace(mat: np.ndarray | SparseSystem) -> BlockKernel:
     # every block densified row-major into one flat buffer, blocks of one
     # shape side by side so that each shape is a (count, rows, cols) view
     size = nrow_b * ncol_b
-    shape_key = nrow_b * (ncols + 1) + ncol_b
-    slot = np.argsort(shape_key, kind="stable")
     offset = np.empty_like(size)
     offset[slot] = np.cumsum(size[slot]) - size[slot]
     buf = np.zeros(int(size.sum()), dtype=complex)
@@ -235,14 +284,16 @@ def nullspace(mat: np.ndarray | SparseSystem) -> BlockKernel:
     )
 
     stacks, block_ids = [], []
-    for key in np.unique(shape_key):
-        ids = np.flatnonzero(shape_key == key)
+    for j, num in zip(at, count):
+        ids = slot[j : j + num]
         r, c = int(nrow_b[ids[0]]), int(ncol_b[ids[0]])
         start = offset[ids[0]]
-        stacks.append(buf[start : start + ids.size * r * c].reshape(ids.size, r, c))
+        stacks.append(buf[start : start + num * r * c].reshape(num, r, c))
         block_ids.append(ids)
 
-    parts, k = [], 0
+    # parts keyed by (columns, kernel dimension): blocks of one column count
+    # but different row counts solve in different stacks and share a part
+    parts, k = {}, 0
     for ids, (_, s, vh, kept) in zip(block_ids, batched_svd(stacks, all_right=True)):
         # kept values are a prefix of each block's descending spectrum, so
         # the kernel is spanned by the last rows of vh
@@ -253,8 +304,12 @@ def nullspace(mat: np.ndarray | SparseSystem) -> BlockKernel:
         gcols = block_cols[col_start[ids, None] + np.arange(c)]
         for dim in np.unique(null[null > 0]):
             sel = np.flatnonzero(null == dim)
-            parts.append((gcols[sel], vh[sel, c - dim :].conj().transpose(0, 2, 1), first[sel]))
-    return BlockKernel(ncols, tuple(parts))
+            part = (gcols[sel], vh[sel, c - dim :].conj().transpose(0, 2, 1), first[sel])
+            parts.setdefault((c, int(dim)), []).append(part)
+    return BlockKernel(ncols, tuple(
+        tuple(a[0] if len(a) == 1 else np.concatenate(a) for a in zip(*same))
+        for same in parts.values()
+    ))
 
 
 def batched_svd(
@@ -268,14 +323,28 @@ def batched_svd(
     Returns (u, s, vh, kept) per stack, kept[b, j] marking the singular
     values of block b above the cut (a prefix of each padded spectrum);
     with vectors=False only the singular values are computed, and u and vh
-    are None.
+    are None. With all_right=True vh holds every right singular vector and
+    u is None: a tall stack (rows > cols) is then taken by the SVD of the
+    R of its QR, which has the block's singular values and right singular
+    vectors, QR_CHUNK bytes of blocks at a time (_qr_step), and a
+    one-column block's singular value is its norm, with right vector 1.
     """
     svds = []
     for stack in stacks:
-        _, r, c = stack.shape
-        if vectors:
-            # economy SVD only returns all right-singular vectors when r >= c
-            u, s, vh = np.linalg.svd(stack, full_matrices=all_right and r < c)
+        m, r, c = stack.shape
+        if all_right and c == 1:
+            u, s, vh = None, np.linalg.norm(stack, axis=1), np.ones((m, 1, 1), dtype=complex)
+        elif all_right and r > c:
+            u, s, vh = None, np.empty((m, c)), np.empty((m, c, c), dtype=complex)
+            step = int(_qr_step(r, c))
+            for i in range(0, m, step):
+                _, s[i : i + step], vh[i : i + step] = np.linalg.svd(
+                    np.linalg.qr(stack[i : i + step], mode="r"))
+        elif vectors:
+            # full_matrices gives a wide block all its right singular vectors
+            u, s, vh = np.linalg.svd(stack, full_matrices=all_right)
+            if all_right:
+                u = None
         else:
             u, s, vh = None, np.linalg.svd(stack, compute_uv=False), None
         if s.shape[1] < c:

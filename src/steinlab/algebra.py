@@ -27,8 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import frob
-from .errors import InexactAlgebra, ShapeMismatch
+from ._linalg import frob, rank_split
+from .errors import InexactAlgebra, RankAmbiguous, ShapeMismatch
 
 # largest axiom residual in GNS-orthonormal coordinates (onb_residuals) of
 # an algebra whose derivations are computed; see the module docstring
@@ -119,6 +119,53 @@ class FDAlgebra:
         return np.linalg.inv(self.onb_factor)
 
     @cached_property
+    def generating_indices(self) -> np.ndarray:
+        """Basis indices S whose words, the products of one or more b_s with
+        s in S (the empty word, 1, left out), span A.
+
+        S is chosen greedily over the basis: the next index is the first
+        after the last one chosen whose basis element is not in the span of
+        the words in S, and that span is then closed under left
+        multiplication by the letters b_s, which adds every word. Spans are
+        kept GNS-orthonormal (whitened by T = onb_factor) and each letter is
+        scaled to unit norm. Which basis elements lie in the span is one
+        rank_split decision on their distances to it, and each closure step
+        one rank_split on the singular values of what it adds (_new_span),
+        all with the gap guard. Every basis element ends in S or in the
+        span, so the words span A.
+        """
+        n, t = self.dim, self.onb_factor
+        # whitened basis directions
+        dirs = t / np.linalg.norm(t, axis=0)
+        chosen, letters = [], []
+        span = np.zeros((n, 0), dtype=complex)
+        while span.shape[1] < n:
+            start = chosen[-1] + 1 if chosen else 0
+            rest = dirs[:, start:]
+            dist = np.linalg.norm(rest - span @ (span.conj().T @ rest), axis=0)
+            top = np.sort(dist)[::-1]
+            outside = rank_split(top)
+            if not outside:
+                raise RankAmbiguous(
+                    f"{self.label or 'algebra'}: every basis element lies in a span of "
+                    f"rank {span.shape[1]} < {n}"
+                )
+            i = start + int(np.flatnonzero(dist >= top[outside - 1])[0])
+            chosen.append(i)
+            # T left_mult(b_i) T^-1, left_mult(b_i) = mult[i]^T
+            left = t @ self.mult[i].T @ self.onb_inverse
+            letters.append(left / np.linalg.norm(left))
+            # words b_i w for the words w so far, then every letter times
+            # each new direction until no direction is new
+            new = _new_span(span, np.column_stack([dirs[:, i], letters[-1] @ span]))
+            while new.shape[1]:
+                span = np.hstack([span, new])
+                if span.shape[1] == n:
+                    break
+                new = _new_span(span, np.hstack([m @ new for m in letters]))
+        return np.array(chosen)
+
+    @cached_property
     def onb_residuals(self) -> dict[str, float]:
         """Frobenius norms of the axiom residuals over all basis pairs and
         triples, in GNS-orthonormal coordinates (x -> onb_factor x):
@@ -144,6 +191,16 @@ class FDAlgebra:
             "trace_unit": abs(complex(tau @ u) - 1.0),
             "trace_cyclic": frob(pairs - pairs.T),
         }
+
+
+def _new_span(span: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning what the columns of cand add to the
+    orthonormal columns of span: their part off span (projected twice, so
+    that it stays orthogonal), cut by rank_split."""
+    for _ in range(2):
+        cand = cand - span @ (span.conj().T @ cand)
+    u, s, _ = np.linalg.svd(cand, full_matrices=False)
+    return u[:, : rank_split(s)]
 
 
 def certify_exact(alg: FDAlgebra) -> None:

@@ -15,7 +15,9 @@ an identity leg: x (x) y^op acts by (left_mult(x), right_mult(y)) on the
 left and by (right_mult(x), left_mult(y)) on the right, and the GNS metric
 is whitened by (T, T), T = A.onb_factor. apply_pair contracts a pair into
 a stack leg by leg; no (n^2, n^2) operator matrix is formed. Kernels are
-solved for whitened values and mapped back by (T^-1, T^-1). A space that
+solved for whitened values and mapped back by (T^-1, T^-1).
+derivation_space builds the Leibniz equations only for the arguments of a
+generating set, which have the same kernel (see leibniz_system). A space that
 derivation_space solves keeps its kernel as nullspace returns it, by
 Leibniz block, and maps it back only when a caller reads its basis:
 vndim reads the dimension of phi_X, X the basis, from the kernel itself.
@@ -96,46 +98,76 @@ def commutator_span(alg: FDAlgebra, xs: np.ndarray, xis: np.ndarray) -> np.ndarr
     return out
 
 
-def leibniz_system(alg: FDAlgebra) -> SparseSystem:
+def leibniz_system(alg: FDAlgebra, rows: np.ndarray | None = None) -> SparseSystem:
     """Linear system whose kernel is the space of derivations, in
     GNS-orthonormal leg coordinates.
 
     Unknown is the row-major vec of the (dim N, dim A) matrix (T (x) T) D,
-    T = alg.onb_factor, entry at q * dim A + k. Equation (p, i, j), at row
-    (p * dim A + i) * dim A + j, is component p of (T (x) T) applied to
+    T = alg.onb_factor, entry at q * dim A + k. Equation (p, i, j) is
+    component p of (T (x) T) applied to
     d(b_i b_j) - b_i . d(b_j) - d(b_i) . b_j = 0, so <., .>_X is the
     standard inner product of unknowns and a row norm is a GNS norm.
+
+    rows lists the basis indices i whose equations are built, S, all of
+    them by default; equation (p, i, j) with i = rows[s] is at row
+    (p * |S| + s) * dim A + j. When the words in S (products of one or
+    more elements b_s, s in S) span A, as for alg.generating_indices, the
+    kernel is the same as the full system's. For a fixed linear d, the x
+    with d(xy) = x . d(y) + d(x) . y for every y form a subspace L, and L
+    is closed under products: for x1, x2 in L and every y,
+        d(x1 x2 y) = x1 . d(x2 y) + d(x1) . x2 y
+                   = x1 x2 . d(y) + (x1 . d(x2) + d(x1) . x2) . y
+                   = x1 x2 . d(y) + d(x1 x2) . y,
+    by the rule for x1 at x2 y, then for x2 at y and the bimodule laws,
+    and last for x1 at x2. So S in L puts every word in S in L, hence
+    L = A: no equation is needed for the unit or for the stars of S.
 
     left_mult(b_x)[z, y] and right_mult(b_y)[z, x] both equal
     mult[x, y, z]; the bimodule actions are krons with the identity of
     T left_mult(b_x) T^-1 and T right_mult(b_y) T^-1. When T is diagonal,
     as in a monomial basis (matrix units, b u_g), these keep the zero
     pattern of mult, each term is a permutation pattern, and nullspace
-    splits the system into many small blocks.
+    splits the system into many small blocks; rows that are basis indices
+    keep that pattern.
     """
     n = alg.dim
+    sel = np.arange(n) if rows is None else np.asarray(rows)
+    m = sel.size
     t, t_inv = alg.onb_factor, alg.onb_inverse
     # the whitened operators, indexed [x, y, z] as mult is; entries sit on
     # the union of the three nonzero patterns
     lw = (t @ alg.mult.transpose(0, 2, 1) @ t_inv).transpose(0, 2, 1)
     rw = (t @ alg.mult.transpose(1, 2, 0) @ t_inv).transpose(2, 0, 1)
-    x, y, z = (ax[:, None, None] for ax in np.nonzero((alg.mult != 0) | (lw != 0) | (rw != 0)))
+    pattern = (alg.mult != 0) | (lw != 0) | (rw != 0)
+    # every triple, and the triples with x = sel[r]
+    x, y, z = (ax[:, None, None] for ax in np.nonzero(pattern))
+    r, yr, zr = (x, y, z) if rows is None else (
+        ax[:, None, None] for ax in np.nonzero(pattern[sel]))
+    xr = sel[r]
     a = np.arange(n)[:, None]  # free index on one tensor leg of N
     b = np.arange(n)  # free index on A
     p = a * n + b  # every index of N
+    one, three = (r.size, n, n), (x.size, n, m)
     terms = [
         # d(b_x b_y) = sum_z mult[x, y, z] d(b_z): row (p, x, y), column (p, z)
-        ((p * n + x) * n + y, p * n + z, alg.mult[x, y, z]),
+        (one, (p * m + r) * n + yr, p * n + zr, alg.mult[xr, yr, zr]),
         # b_x . d(b_b), through T left_mult(b_x) T^-1 (x) 1: row (za, x, b), column (ya, b)
-        (((z * n + a) * n + x) * n + b, (y * n + a) * n + b, -lw[x, y, z]),
-        # d(b_b) . b_y, through 1 (x) T right_mult(b_y) T^-1: row (az, b, y), column (ax, b)
-        (((a * n + z) * n + b) * n + y, (a * n + x) * n + b, -rw[x, y, z]),
+        (one, ((zr * n + a) * m + r) * n + b, (yr * n + a) * n + b, -lw[xr, yr, zr]),
+        # d(b_i) . b_y for every i in sel, through 1 (x) T right_mult(b_y) T^-1:
+        # row (az, i, y), column (ax, i)
+        (three, ((a * n + z) * m + np.arange(m)) * n + y, (a * n + x) * n + sel, -rw[x, y, z]),
     ]
-    rows, cols, vals = (
-        np.concatenate([np.broadcast_to(e, (x.size, n, n)).ravel() for e in parts])
-        for parts in zip(*terms)
-    )
-    return SparseSystem((n**4, n**3), rows, cols, vals)
+    # each term broadcast into its slice of the entry arrays
+    size = sum(math.prod(term[0]) for term in terms)
+    at, cols = np.empty(size, dtype=int), np.empty(size, dtype=int)
+    vals = np.empty(size, dtype=complex)
+    start = 0
+    for shape, *parts in terms:
+        stop = start + math.prod(shape)
+        for out, part in zip((at, cols, vals), parts):
+            out[start:stop].reshape(shape)[...] = part
+        start = stop
+    return SparseSystem((n * n * m * n, n**3), at, cols, vals)
 
 
 class DerivationSpace:
@@ -174,8 +206,14 @@ def kernel_basis(alg: FDAlgebra, kernel: BlockKernel) -> np.ndarray:
 
 
 def derivation_space(alg: FDAlgebra) -> DerivationSpace:
-    """All derivations of A, solved from the Leibniz system on every basis
-    pair, with a basis orthonormal for <., .>_X, X the basis of A.
+    """All derivations of A, solved from the Leibniz system on the rows of
+    a generating set, with a basis orthonormal for <., .>_X, X the basis
+    of A.
+
+    The rows are the equations d(b_i b_j) = b_i . d(b_j) + d(b_i) . b_j
+    for i in S = alg.generating_indices and every j. The words in S span
+    A, and the x satisfying the rule for every y form a subalgebra (proof
+    in leibniz_system), so these rows have the kernel of the full system.
 
     Raises InexactAlgebra unless A passes algebra.certify_exact: for an
     inexact algebra the solve would return the derivations of a nearby
@@ -189,7 +227,7 @@ def derivation_space(alg: FDAlgebra) -> DerivationSpace:
     read.
     """
     certify_exact(alg)
-    return DerivationSpace(alg, kernel=nullspace(leibniz_system(alg)))
+    return DerivationSpace(alg, kernel=nullspace(leibniz_system(alg, alg.generating_indices)))
 
 
 def central_vectors(alg: FDAlgebra, sub_cols: np.ndarray) -> np.ndarray:

@@ -39,9 +39,12 @@ from steinlab import (
     validate,
     vn_dimension,
 )
+from steinlab import _linalg, algebra as algebra_module
+from steinlab._linalg import nullspace
 from steinlab.derivations import leibniz_system
 
 import dense_reference as ref
+from test_algebra import _shipped_algebras
 
 M2 = multimatrix([(2, 1.0)], label="M2")
 
@@ -318,6 +321,20 @@ def test_sparse_leibniz_system_matches_einsum_formula(alg):
 
 
 @SMALL
+def test_cut_leibniz_system_is_the_full_one_on_the_rows_of_s(alg):
+    # equation (p, i, j) with i = rows[s] sits at row (p * |S| + s) * n + j
+    n, rows = alg.dim, alg.generating_indices
+    full, cut = leibniz_system(alg), leibniz_system(alg, rows)
+    assert cut.shape == (n * n * rows.size * n, n**3)
+    dense_full = np.zeros(full.shape, dtype=complex)
+    np.add.at(dense_full, (full.rows, full.cols), full.vals)
+    dense_cut = np.zeros(cut.shape, dtype=complex)
+    np.add.at(dense_cut, (cut.rows, cut.cols), cut.vals)
+    want = dense_full.reshape(n * n, n, n, n**3)[:, rows].reshape(cut.shape)
+    assert np.array_equal(dense_cut, want)
+
+
+@SMALL
 def test_derivation_basis_is_orthonormal_for_the_pairing(alg):
     space = derivation_space(alg)
     gram = np.array([[ref.pair(alg, d1, d2) for d2 in space.basis] for d1 in space.basis])
@@ -395,12 +412,93 @@ def test_an_inexact_algebra_is_refused():
         derivation_space(moved)
 
 
-def test_unstructured_basis_hits_the_dense_limit_at_dim_12():
-    alg = rotated(multimatrix([(3, 0.4), (1, 0.3), (1, 0.2), (1, 0.1)]), np.random.default_rng(9))
-    assert alg.dim == 12
+def test_unstructured_basis_hits_the_dense_limit_at_dim_16():
+    # with no zero structure the Leibniz rows of a two-element generating
+    # set are one 8192 x 4096 block, 2.25 GiB on the QR path
+    alg = rotated(multimatrix([(4, 1.0)]), np.random.default_rng(9))
+    assert alg.dim == 16
     assert validate(alg).passed
     with pytest.raises(DenseLimitExceeded, match="exceeds the dense limit of 1073741824 bytes"):
         derivation_space(alg)
+
+
+# -- the Leibniz rows of a generating set ----------------------------------------
+
+def test_cut_rows_give_the_full_kernel_on_every_shipped_algebra():
+    # every corpus algebra and crossed product, both examples and the
+    # dense_ladder inputs at seeds 0-9
+    for label, alg in _shipped_algebras().items():
+        full = nullspace(leibniz_system(alg)).dense()
+        cut = nullspace(leibniz_system(alg, alg.generating_indices)).dense()
+        assert cut.shape == full.shape, label
+        # with equal ranks ||P_full - P_cut||_2 = ||(1 - P_full) Q_cut||_2,
+        # at most its Frobenius norm
+        assert np.linalg.norm(cut - full @ (full.conj().T @ cut)) <= 1e-12, label
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [
+        crossed_product(dual_action(3).algebra, dual_action(3)).algebra,
+        rotated(multimatrix([(2, 0.6), (1, 0.4)]), np.random.default_rng(4)),
+        multimatrix([(1, 0.5), (1, 0.5)]),
+    ],
+    ids=["C[Z/3] x| Z/3 (dual)", "M2+C rotated", "C+C"],
+)
+def test_dropping_the_last_generating_index_enlarges_the_kernel(alg):
+    rows = alg.generating_indices
+    full = nullspace(leibniz_system(alg, rows)).shape[1]
+    assert nullspace(leibniz_system(alg)).shape[1] == full
+    assert nullspace(leibniz_system(alg, rows[:-1])).shape[1] > full
+
+
+def test_generating_indices_of_matrix_units_are_computed_once(monkeypatch):
+    alg = multimatrix([(3, 0.5), (2, 0.3), (1, 0.2)])
+    calls = []
+    grow = algebra_module._new_span
+    monkeypatch.setattr(algebra_module, "_new_span", lambda *a: calls.append(1) or grow(*a))
+    rows = alg.generating_indices
+    assert calls
+    assert rows.dtype.kind == "i" and np.all(np.diff(rows) > 0)
+    assert 0 <= rows[0] and rows[-1] < alg.dim and rows.size < alg.dim
+    # the words in S span A: a product of two matrix units is a matrix
+    # unit or 0, so the words are the units reached from S by left
+    # multiplication
+    words = set(rows.tolist())
+    while True:
+        grown = words | {int(np.flatnonzero(alg.mult[x, w])[0])
+                         for x in rows for w in words if alg.mult[x, w].any()}
+        if grown == words:
+            break
+        words = grown
+    assert words == set(range(alg.dim))
+    done = len(calls)
+    derivation_space(alg)
+    assert alg.generating_indices is rows and len(calls) == done
+
+
+def test_a_rotated_basis_is_generated_by_two_elements():
+    for seed in range(3):
+        alg = rotated(multimatrix([(2, 0.5), (1, 0.3), (1, 0.2)]), np.random.default_rng(seed))
+        assert alg.generating_indices.tolist() == [0, 1]
+
+
+def test_former_dim_12_limit_case_fits_the_guard(monkeypatch):
+    # the rotated dim-12 algebra that exceeded the dense limit with every
+    # row is one 3456 x 1728 block on the rows of its two generators,
+    # 144 * 1728^2 complex entries' worth (0.40 GiB); only the guard runs
+    alg = rotated(multimatrix([(3, 0.4), (1, 0.3), (1, 0.2), (1, 0.1)]), np.random.default_rng(9))
+    need, count = [], _linalg._dense_bytes
+
+    def stop(*shapes):
+        need.append(count(*shapes))
+        raise DenseLimitExceeded("stopped after the guard")
+
+    monkeypatch.setattr(_linalg, "_dense_bytes", stop)
+    with pytest.raises(DenseLimitExceeded, match="stopped after the guard"):
+        derivation_space(alg)
+    assert need == [16 * 9 * 1728**2 + 8 * 1728]
+    assert need[0] < _linalg.DENSE_LIMIT
 
 
 # -- the kron-pair bimodule layer against the dense reference formulas ----------

@@ -214,3 +214,82 @@ def test_gram_onb_stays_orthonormal_on_widely_scaled_columns():
         assert q.shape[1] == b.shape[1]
         worst = max(worst, float(np.abs(q.conj().T @ g @ q - np.eye(q.shape[1])).max()))
     assert worst <= 1e-14
+
+
+# -- tall blocks: the SVD of the QR factor R ----------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(2, 6), st.integers(1, 4), st.floats(0.0, 1.0)),
+        min_size=1,
+        max_size=5,
+    ),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_tall_block_kernel_matches_full_svd(shapes, chunked, seed):
+    # blocks of c columns and 2-6 more rows, each with a planted kernel;
+    # chunked takes every QR one block at a time
+    with pytest.MonkeyPatch.context() as mp:
+        if chunked:
+            mp.setattr(_linalg, "QR_CHUNK", 1)
+        _check_tall_kernel(shapes, seed)
+
+
+def _check_tall_kernel(shapes, seed):
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for extra, c, frac in shapes:
+        r = c + extra
+        blocks.append(_with_spectrum(rng, r, c, rng.uniform(0.5, 2.0, int(round(frac * c)))))
+        # a second block of the same shape, so that stacks hold several
+        blocks.append(_with_spectrum(rng, r, c, rng.uniform(0.5, 2.0, int(round(frac * c)))))
+    m = _shuffled_block_diagonal(rng, blocks)
+    ref = full_svd_kernel(m)
+    for arg in (m, _as_sparse(rng, m)):
+        ker = nullspace(arg).dense()
+        assert ker.shape == ref.shape
+        assert np.max(np.abs(ker.conj().T @ ker - np.eye(ker.shape[1])), initial=0.0) < 1e-10
+        assert np.max(np.abs(_projector(ker) - _projector(ref)), initial=0.0) < 1e-10
+
+
+def test_gap_guard_spans_tall_blocks():
+    # as test_gap_guard_spans_blocks, with both blocks tall: the kept 2e-10
+    # and the dropped 5e-11 of different blocks are only 4x apart
+    rng = np.random.default_rng(3)
+    a = _with_spectrum(rng, 5, 2, [1.0, 2e-10])
+    b = _with_spectrum(rng, 4, 2, [0.5, 5e-11])
+    assert nullspace(a).shape[1] == 0
+    assert nullspace(b).shape[1] == 1
+    with pytest.raises(RankAmbiguous):
+        nullspace(_shuffled_block_diagonal(rng, [a, b]))
+
+
+def test_guard_counts_a_tall_block(monkeypatch):
+    # one 3 x 2 block: the block, Vh and the kernel vectors, 3*2 + 2*4
+    # complex entries, its spectrum (2 reals), and the QR chunk: qr's copy,
+    # R, the U of R and Vh, 3*2 + 3*4 complex entries
+    m = _with_spectrum(np.random.default_rng(6), 3, 2, [1.0])
+    assert 16 * (6 + 8) + 8 * 2 + 16 * (6 + 12) == 528
+    monkeypatch.setattr(_linalg, "DENSE_LIMIT", 528)
+    assert nullspace(m).shape[1] == 1
+    monkeypatch.setattr(_linalg, "DENSE_LIMIT", 527)
+    with pytest.raises(DenseLimitExceeded, match="up to 2 unknowns need 528 bytes"):
+        nullspace(m)
+
+
+def test_kernel_parts_are_keyed_by_columns_and_kernel_dimension():
+    # 3 x 2 and 4 x 2 blocks with one kernel vector each solve in two
+    # stacks but share one part; dense() keeps the blocks' order
+    rng = np.random.default_rng(9)
+    m = np.zeros((7, 4), dtype=complex)
+    m[:3, :2] = _with_spectrum(rng, 3, 2, [1.0])
+    m[3:, 2:] = _with_spectrum(rng, 4, 2, [1.0])
+    ker = nullspace(m)
+    assert len(ker.parts) == 1
+    cols, vecs, first = ker.parts[0]
+    assert vecs.shape == (2, 2, 1)
+    dense = ker.dense()
+    assert np.all(dense[2:, 0] == 0) and np.all(dense[:2, 1] == 0)
+    assert np.max(np.abs(m @ dense)) < 1e-12

@@ -399,7 +399,7 @@ def test_python_m_steinlab_runs_the_command_line(tmp_path):
 
 
 def test_cli_dim_above_the_dense_limit_exits_2(tmp_path, capsys):
-    alg = rotated(multimatrix([(3, 0.4), (1, 0.3), (1, 0.2), (1, 0.1)]), np.random.default_rng(9))
+    alg = rotated(multimatrix([(4, 1.0)]), np.random.default_rng(9))
 
     def pairs(a):
         return np.stack([a.real, a.imag], axis=-1).tolist()

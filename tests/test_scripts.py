@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 from steinlab import reports
+from steinlab.constructions import validate_action
 from steinlab.reports import ExperimentSpec
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -71,3 +72,13 @@ def test_corpus_matches_the_golden_report():
     faults, worst = load("report_diff").compare(golden, new)
     assert faults == []
     assert max(worst.values()) <= 1e-12
+
+
+def test_m3_s3_ceiling_checks_its_bounds():
+    script = load("m3_s3_ceiling")
+    cp = script.m3_s3()
+    assert cp.algebra.dim == 54
+    assert max(validate_action(cp.action).values()) == 0.0
+    assert script.failures(1 - 1 / 54, 10.0, 10**9) == []
+    missed = script.failures(1 - 1 / 54 + 1e-9, 60.0, 2 * 10**9)
+    assert [line.split()[0] for line in missed] == ["value", "took", "max"]
