@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from steinlab.cli import main
+from test_scripts import GOLDEN, load
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
@@ -26,7 +27,13 @@ CASES = {
 def test_example_spec_passes_with_its_closed_forms(name, capsys):
     dim_a, order, index, skipped = CASES[name]
     assert main(["run", str(EXAMPLES / name), "--format", "json"]) == 0
-    rows = {r["name"]: r for r in json.loads(capsys.readouterr().out)["reports"][0]["rows"]}
+    report = json.loads(capsys.readouterr().out)
+    # golden/<name> is `steinlab run examples/<name> --format json` of an
+    # earlier revision: the same verdicts, and values moved by rounding at most
+    faults, worst = load("report_diff").compare(json.loads((GOLDEN / name).read_text()), report)
+    assert faults == []
+    assert max(worst.values()) <= 1e-12
+    rows = {r["name"]: r for r in report["reports"][0]["rows"]}
     assert {n for n, r in rows.items() if r["status"] == "skipped"} == skipped
     assert all(r["status"] == "pass" for n, r in rows.items() if n not in skipped)
     # Schreier: dim Der(A x| G) = 1 + (dim Der(A) - 1) / |G|
