@@ -1,11 +1,11 @@
 """Rank decisions, nullspaces and metric orthonormalization.
 
-There is one rank cut, rank_split, shared by nullspace, batched_svd and
-gram_onb: singular values up to rank_cut(scale) = max(scale * REL_CUT,
-ABS_CUT) count as zero, and the decision must be backed by a spectral
-gap of at least GAP_RATIO between the smallest kept and the largest
-dropped value, otherwise RankAmbiguous is raised. It is the only place
-that raises it.
+There is one rank cut, rank_split, shared by nullspace, span_basis,
+batched_svd and gram_onb: singular values up to rank_cut(scale) =
+max(scale * REL_CUT, ABS_CUT) count as zero, and the decision must be
+backed by a spectral gap of at least GAP_RATIO between the smallest kept
+and the largest dropped value, otherwise RankAmbiguous is raised. It is
+the only place that raises it.
 
 nullspace solves a matrix one connected block at a time. Up to a row and
 column permutation a matrix is block diagonal over the connected
@@ -16,9 +16,8 @@ column count, as the full SVD pads, so the union is the full matrix's
 padded spectrum; one rank_split on it, with the global scale, is the
 rank decision a full SVD makes, and each block contributes its right
 singular vectors below that single cut. batched_svd is that batching and
-cut on its own; vndim orthonormalizes spectral blocks with it, and takes
-the rank of its block-diagonal coefficient matrix from the singular
-values alone.
+cut on its own; vndim orthonormalizes the inner module's spectral blocks
+with it.
 
 nullspace reads no left singular vectors. A tall block B (rows > cols)
 has the singular values and right singular vectors of the R of its QR,
@@ -39,26 +38,37 @@ kernel) array is formed unless a caller asks for one with dense();
 derivations keeps the Leibniz kernel this way, and vndim reads
 dimensions from it.
 
+span_basis returns an orthonormal basis of a column span the same way.
+The column span of a matrix V is the row space of V^H, and the row space
+of a block-diagonal matrix is the direct sum of its blocks' row spaces,
+each spanned by the block's right singular vectors above the cut. So
+span_basis runs nullspace's code on V^H, blocks, byte guard, densifying
+and single cut included, and keeps the right singular vectors above the
+cut instead of those below it.
+
 A kernel wanted orthonormal in a metric gram = T^H T is solved for the
 whitened unknown w = T x; T^-1 maps nullspace's orthonormal columns to
 metric-orthonormal ones, with no second pass. gram_onb, for given spans,
 whitens them by T and takes one SVD through batched_svd; T^-1 maps its
 kept left singular vectors to metric-orthonormal ones in the same way.
 
-nullspace refuses, with DenseLimitExceeded, blocks whose dense SVDs and
-returned kernel vectors would allocate more than DENSE_LIMIT bytes,
-before allocating them. _dense_bytes counts, in 16-byte complex entries
-for an r x c block:
-    r c + 2 c^2         the densified block, Vh and the kernel vectors
-                        (k <= c of them), kept to the end of the call;
+nullspace and span_basis refuse, with DenseLimitExceeded, blocks whose
+dense SVDs and returned vectors would allocate more than DENSE_LIMIT
+bytes, before allocating them. _dense_bytes counts, in 16-byte complex
+entries for an r x c block, with m = c for nullspace and m = min(r, c)
+for span_basis:
+    r c + 2 m c         the densified block, Vh (all c right singular
+                        vectors for a kernel, the m of the thin SVD for a
+                        span) and the returned vectors (at most m of
+                        them), kept to the end of the call;
     + r^2               U, for a block with r <= c;
     + r c + 3 c^2       for a tall block, qr's working copy, R, the U of
                         R and the chunk's Vh, counted only for the largest
                         chunk of QR_CHUNK bytes, since the chunks are
                         taken one after another;
-plus 8 c bytes for the spectrum. A tall block thus keeps r c + 2 c^2
-entries where a direct SVD would also keep its r x c U. A one-column
-block, whose norm needs none of this, is counted the same way.
+plus 8 c bytes for the spectrum. A tall block (m = c) thus keeps
+r c + 2 c^2 entries where a direct SVD would also keep its r x c U. A
+one-column block, whose norm needs none of this, is counted the same way.
 
 vndim's leg blocks, Artin-Wedderburn blocks and characters are found by
 spectral_split: the eigenvectors of m + m^H, m a random combination drawn
@@ -76,8 +86,8 @@ from .errors import DenseLimitExceeded, RankAmbiguous
 REL_CUT = 1e-10
 ABS_CUT = 1e-10
 GAP_RATIO = 10.0
-# most bytes the dense per-block SVDs of one nullspace call may allocate
-# (densified blocks, SVD factors and kernel vectors, _dense_bytes); the
+# most bytes the dense per-block SVDs of one nullspace or span_basis call
+# may allocate (densified blocks, SVD factors and vectors, _dense_bytes); the
 # Leibniz system of an algebra with no zero structure, cut to the rows of
 # a two-element generating set, is one 2 dim^3 x dim^3 block: 0.40 GiB at
 # dim 12, 0.65 GiB at dim 13, 1.01 GiB at dim 14 (refused), 1.53 GiB at
@@ -173,16 +183,18 @@ def _positions(block: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _dense_bytes(nrow: np.ndarray, ncol: np.ndarray, count: np.ndarray) -> int:
-    """Bytes nullspace allocates for count[i] blocks of shape nrow[i] x
+def _dense_bytes(nrow: np.ndarray, ncol: np.ndarray, count: np.ndarray, span: bool) -> int:
+    """Bytes _block_vectors allocates for count[i] blocks of shape nrow[i] x
     ncol[i] (see the module docstring): for every block the densified
-    block, Vh of cols x cols and the returned kernel vectors, at most
-    cols x cols (complex), and the spectrum, cols values (real); for a
-    block with rows <= cols the U of its SVD, rows x rows (complex); and
-    the largest QR chunk of tall blocks (_qr_step, _qr_bytes)."""
+    block, rows x cols, and Vh and the returned vectors, each at most
+    m x cols, m = cols for a kernel and min(rows, cols) for a span (all
+    complex), and the spectrum, cols values (real); for a block with
+    rows <= cols the U of its SVD, rows x rows (complex); and the largest
+    QR chunk of tall blocks (_qr_step, _qr_bytes)."""
     r, c, count = (np.asarray(a, dtype=np.int64) for a in (nrow, ncol, count))
     tall = r > c
-    total = int(np.sum(count * (16 * (r * c + 2 * c * c + np.where(tall, 0, r * r)) + 8 * c)))
+    m = np.minimum(r, c) if span else c
+    total = int(np.sum(count * (16 * (r * c + 2 * m * c + np.where(tall, 0, r * r)) + 8 * c)))
     if tall.any():
         total += int(np.max((np.minimum(count, _qr_step(r, c)) * _qr_bytes(r, c))[tall]))
     return total
@@ -237,6 +249,24 @@ def nullspace(mat: np.ndarray | SparseSystem) -> BlockKernel:
     the block shapes), DenseLimitExceeded is raised before they are
     allocated.
     """
+    return _block_vectors(mat, span=False)
+
+
+def span_basis(mat: np.ndarray) -> BlockKernel:
+    """Orthonormal basis of the column span of mat, kept by connected
+    block (BlockKernel, one unknown per row of mat).
+
+    The span is the row space of mat^H, which nullspace's machinery splits
+    into the same blocks, guards and solves with the same cut; a block
+    keeps its right singular vectors above the cut, where nullspace keeps
+    those below it (see the module docstring).
+    """
+    return _block_vectors(np.asarray(mat, dtype=complex).conj().T, span=True)
+
+
+def _block_vectors(mat: np.ndarray | SparseSystem, span: bool) -> BlockKernel:
+    """The right singular vectors of each connected block of mat below the
+    shared cut (its kernel), or above it with span=True (its row space)."""
     if isinstance(mat, SparseSystem):
         nrows, ncols = mat.shape
         rows, cols, vals = mat.rows, mat.cols, mat.vals
@@ -260,7 +290,7 @@ def nullspace(mat: np.ndarray | SparseSystem) -> BlockKernel:
     shape_key = nrow_b * (ncols + 1) + ncol_b
     slot = np.argsort(shape_key, kind="stable")
     _, at, count = np.unique(shape_key[slot], return_index=True, return_counts=True)
-    if (need := _dense_bytes(nrow_b[slot[at]], ncol_b[slot[at]], count)) > DENSE_LIMIT:
+    if (need := _dense_bytes(nrow_b[slot[at]], ncol_b[slot[at]], count, span)) > DENSE_LIMIT:
         raise DenseLimitExceeded(
             f"{ncol_b.size} connected blocks of up to {ncol_b.max()} unknowns need "
             f"{need} bytes, which exceeds the dense limit of {DENSE_LIMIT} bytes"
@@ -294,59 +324,55 @@ def nullspace(mat: np.ndarray | SparseSystem) -> BlockKernel:
     # parts keyed by (columns, kernel dimension): blocks of one column count
     # but different row counts solve in different stacks and share a part
     parts, k = {}, 0
-    for ids, (_, s, vh, kept) in zip(block_ids, batched_svd(stacks, all_right=True)):
+    for ids, (_, s, vh, kept) in zip(block_ids, batched_svd(stacks, right=True, full=not span)):
         # kept values are a prefix of each block's descending spectrum, so
-        # the kernel is spanned by the last rows of vh
+        # the row space is spanned by the first rows of vh, the kernel by
+        # the last
         c = s.shape[1]
-        null = c - kept.sum(axis=1)
-        first = k + np.cumsum(null) - null
-        k += int(null.sum())
+        num = kept.sum(axis=1) if span else c - kept.sum(axis=1)
+        first = k + np.cumsum(num) - num
+        k += int(num.sum())
         gcols = block_cols[col_start[ids, None] + np.arange(c)]
-        for dim in np.unique(null[null > 0]):
-            sel = np.flatnonzero(null == dim)
-            part = (gcols[sel], vh[sel, c - dim :].conj().transpose(0, 2, 1), first[sel])
-            parts.setdefault((c, int(dim)), []).append(part)
+        for dim in np.unique(num[num > 0]):
+            sel = np.flatnonzero(num == dim)
+            vecs = vh[sel, :dim] if span else vh[sel, c - dim :]
+            parts.setdefault((c, int(dim)), []).append(
+                (gcols[sel], vecs.conj().transpose(0, 2, 1), first[sel]))
     return BlockKernel(ncols, tuple(
         tuple(a[0] if len(a) == 1 else np.concatenate(a) for a in zip(*same))
         for same in parts.values()
     ))
 
 
-def batched_svd(
-    stacks: list[np.ndarray], all_right: bool = False, vectors: bool = True
-) -> list[tuple]:
+def batched_svd(stacks: list[np.ndarray], right: bool = False, full: bool = False) -> list[tuple]:
     """SVD of many blocks with one rank decision, as for their direct sum.
 
     stacks holds (count, rows, cols) arrays, one per block shape, each taken
     by one batched SVD. Every block's spectrum is zero-padded to its column
     count; one rank_split on the union, with the global scale, is the cut.
     Returns (u, s, vh, kept) per stack, kept[b, j] marking the singular
-    values of block b above the cut (a prefix of each padded spectrum);
-    with vectors=False only the singular values are computed, and u and vh
-    are None. With all_right=True vh holds every right singular vector and
-    u is None: a tall stack (rows > cols) is then taken by the SVD of the
-    R of its QR, which has the block's singular values and right singular
-    vectors, QR_CHUNK bytes of blocks at a time (_qr_step), and a
-    one-column block's singular value is its norm, with right vector 1.
+    values of block b above the cut (a prefix of each padded spectrum).
+    With right=True u is None: a tall stack (rows > cols) is then taken by
+    the SVD of the R of its QR, which has the block's singular values and
+    right singular vectors, QR_CHUNK bytes of blocks at a time (_qr_step),
+    and a one-column block's singular value is its norm, with right vector
+    1. With full=True a wide block gets every right singular vector.
     """
     svds = []
     for stack in stacks:
         m, r, c = stack.shape
-        if all_right and c == 1:
+        if right and c == 1:
             u, s, vh = None, np.linalg.norm(stack, axis=1), np.ones((m, 1, 1), dtype=complex)
-        elif all_right and r > c:
+        elif right and r > c:
             u, s, vh = None, np.empty((m, c)), np.empty((m, c, c), dtype=complex)
             step = int(_qr_step(r, c))
             for i in range(0, m, step):
                 _, s[i : i + step], vh[i : i + step] = np.linalg.svd(
                     np.linalg.qr(stack[i : i + step], mode="r"))
-        elif vectors:
-            # full_matrices gives a wide block all its right singular vectors
-            u, s, vh = np.linalg.svd(stack, full_matrices=all_right)
-            if all_right:
-                u = None
         else:
-            u, s, vh = None, np.linalg.svd(stack, compute_uv=False), None
+            u, s, vh = np.linalg.svd(stack, full_matrices=full)
+            if right:
+                u = None
         if s.shape[1] < c:
             s = np.concatenate([s, np.zeros((s.shape[0], c - s.shape[1]))], axis=1)
         svds.append((u, s, vh))

@@ -83,6 +83,7 @@ from .groups import (
 from .vndim import (
     ModuleSubspace,
     as_fraction,
+    full_module,
     phi_x,
     restrict_scalars,
     vn_dimension,
@@ -447,12 +448,18 @@ class RunContext:
         return relative_derivations(self.space_m, self.cp.embed_group, check_subalgebra=False)
 
     @stage
+    def van_module(self) -> ModuleSubspace:
+        """phi_X of the vanishing space, X the basis: dim_van_big reads it
+        and dim_van_base restricts its scalars."""
+        return phi_x(self.vanishing)
+
+    @stage
     def dim_van_big(self) -> float:
-        return _dim(self.vanishing)
+        return vn_dimension(self.van_module).value
 
     @stage
     def dim_van_base(self) -> float:
-        return vn_dimension(restrict_scalars(phi_x(self.vanishing), self.cp)).value
+        return vn_dimension(restrict_scalars(self.van_module, self.cp)).value
 
     @stage
     def extensions(self) -> np.ndarray:
@@ -568,14 +575,7 @@ def _chk_schreier_vanishing(rc: RunContext):
        "restricting scalars from (A x| G) (x) (A x| G)° to A (x) A° "
        "multiplies the dimension of the full module by |G|^2")
 def _chk_index_scaling_full(rc: RunContext):
-    calg = rc.cp.algebra
-    full = ModuleSubspace(
-        algebra=calg,
-        ncoords=1,
-        span=np.eye(calg.dim**2, dtype=complex),
-        right_ops=[],
-        trace_vectors=np.kron(calg.unit, calg.unit)[:, None],
-    )
+    full = full_module(rc.cp.algebra)
     one = vn_dimension(full).value
     lhs = vn_dimension(restrict_scalars(full, rc.cp)).value
     rhs = float(rc.grp.order**2)

@@ -1,12 +1,12 @@
 """von Neumann dimension of right submodules of L^2(N)^k.
 
-A ModuleSubspace is a span of vectors in a direct sum of k copies of
-L^2(N), N = A (x) A^op, together with the right action of a coefficient
-algebra N_0 (one block operator per element, acting diagonally across the
+A module is a subspace of a direct sum of k copies of L^2(N),
+N = A (x) A^op, together with the right action of a coefficient algebra
+N_0 (one block operator per element, acting diagonally across the
 copies) and a family omega_j of trace vectors of one copy, taken in every
 copy: Omega = I_k (x) omega. The dimension is sum_b <P Omega_b, Omega_b>
-for the orthogonal projection P onto the span, valid once P commutes with
-the right action.
+for the orthogonal projection P onto the subspace, valid once P commutes
+with the right action.
 
 Each right operator acts on one tensor leg and is stored as (leg,
 matrix): R(x (x) 1) = (0, right_mult(x)) on leg a and R(1 (x) y^op) =
@@ -20,72 +20,79 @@ generates, so P commutes with all of R(N_0) exactly when it commutes with
 the generators' operators, and the one-leg operators of a *-closed
 generating set of A generate R(N_0).
 
-vn_dimension takes one of two routes, named in DimensionResult.route.
-phi_X(Der A) with X the basis of A, for a DerivationSpace that holds its
-whitened Leibniz kernel (derivation_space), is a KernelModule and takes
-the kernel route. Every other module takes the spectral route: X other
-than the basis, whose span mixes the kernel columns; a given span, such as
-the identity or one of restrict_scalars; a space built from a dense
-basis, such as relative_derivations'; and an InnerModule, whose span is
-not given orthonormal and whose only block structure, in a non-monomial
-basis, is the spectral split.
+vn_dimension takes one of two routes, named in DimensionResult.route. A
+ModuleSubspace takes the kernel route: it holds the subspace as one
+GNS-orthonormal basis kept by connected block (a _linalg.BlockKernel),
+and the dimension is read from those blocks. An InnerModule takes the
+spectral route: its span is not given orthonormal, and in a non-monomial
+basis the spectral split of the right action is its only block
+structure.
 
-The kernel route. Copy k of phi_X(d) is d(b_k), and in GNS-orthonormal
-coordinates that is column k of the whitened unknown of leibniz_system,
-unknown (a * n + b) * n + k being leg a, leg b and copy k. So the
-whitened span of phi_X is the Leibniz kernel itself, which nullspace
-returns orthonormal and by block: P = Q Q^H is block diagonal over the
-kernel blocks, with no rotation, no block SVD and no rank certificate,
-since the span is its own orthonormal basis. The dimension is
-sum_k |Q^H Omega_k|^2, summed per block and vector. The closure test
-applies the combinations of _test_ops, with the legs in GNS-orthonormal
-coordinates (T, T^-1) in place of a rotation, to each part's blocks
-laid out by fibers (the n unknowns that differ only on the operator's
-leg), gathers the image of each source block onto every target block it
-meets, in full, and subtracts Q_t Q_t^H of it there; its residual is the
-spectral route's relative norm, over all parts at once.
-This readout is backed only for an exact algebra: the kernel of an
-inexact one is the exact kernel of a nearby wrong algebra, orthonormal
-and right-closed to rounding, which no test here can refuse. So
-derivation_space certifies exactness first (algebra.certify_exact).
+One basis for every span. A ModuleSubspace's basis is in GNS-orthonormal
+coordinates, unknown (a * n + b) * k + c being leg a, leg b and copy c,
+the layout of the unknown of leibniz_system. Copy c of phi_X(d) is
+d(x_c), so for X the basis of A the whitened span of phi_X is the
+Leibniz kernel itself, which nullspace returns orthonormal and by block:
+phi_x wraps it as it is. Every other span is whitened once and
+orthonormalized by span_basis, which keeps it by the connected blocks of
+its nonzero pattern: phi_X for X other than the basis (formed from the
+whitened kernel when the space holds one), phi_X of a space given a dense
+basis, such as relative_derivations', and a span given in raw
+coordinates (ModuleSubspace.from_span). restrict_scalars keeps the basis
+and changes only the right action and the trace vectors, and L^2(N)
+itself (full_module) is the whitened standard basis, dim A^2 blocks of
+one unknown each.
+
+The kernel route. P = Q Q^H is block diagonal over the basis blocks,
+with no rotation, no block SVD and no rank certificate, since the basis
+is orthonormal. The dimension is sum_{c,j} |Q^H Omega_{c,j}|^2,
+Omega_{c,j} = omega_j in copy c, summed per block and vector. The closure
+test applies the combinations of _test_ops, with the legs in
+GNS-orthonormal coordinates (T, T^-1) in place of a rotation, to each
+part's blocks laid out by fibers (the n unknowns that differ only on the
+operator's leg), gathers the image of each source block onto every target
+block it meets, in full, and subtracts Q_t Q_t^H of it there; its
+residual is the relative norm below, over all parts at once. A subspace
+that is not right-closed fails this test; no other certificate is needed,
+since Q spans the subspace itself.
+The readout of a Leibniz kernel is backed only for an exact algebra: the
+kernel of an inexact one is the exact kernel of a nearby wrong algebra,
+orthonormal and right-closed to rounding, which no test here can refuse.
+So derivation_space certifies exactness first (algebra.certify_exact).
 
 The spectral route never forms P densely. A projection commuting with
 the right action commutes with every spectral projection of a
-self-adjoint element of it (Lueck, L^2-Invariants, ch. 1). So each leg is rotated into the
-eigenbasis of a fixed-seed random self-adjoint combination
-sum_j t_j (a_j + a_j^*) of its one-leg operators, in GNS-orthonormal
-coordinates, and L^2(N)^k splits into blocks C^k (x) E_a (x) E_b of
-eigenvalue clusters E_a, E_b, found by _linalg.spectral_split from
-SPLIT_SEED. Eigenvalues closer than _linalg.CLUSTER_GAP (relative) share a
-cluster: a union of eigenspaces is still a spectral projection, so merging
-only coarsens the blocks, while a split degenerate eigenspace would not
-be one.
-
-The span W is orthonormalized block by block (batched SVDs, one rank cut
-on the union of the block spectra), giving an orthonormal basis Q' of
-W' = sum_ab P_ab W, which contains W. A module has W = W'; this is
-certified by the rank of the coefficients C = Q'^H span, which must be
-dim W' (gap-guarded, as every rank here), or NotRightClosed is raised.
-Then the closure test below runs against the block-diagonal projector
-P = Q' Q'^H at CLOSURE_TOL, and the dimension is
-sum_ab |Q'_ab^H Omega_ab|^2, with omega rotated once and read against
-the rows of each copy. The rotation is unitary, so for a module
-this is the value of the dense projection.
+self-adjoint element of it (Lueck, L^2-Invariants, ch. 1). So each leg is
+rotated into the eigenbasis of a fixed-seed random self-adjoint
+combination sum_j t_j (a_j + a_j^*) of its one-leg operators, in
+GNS-orthonormal coordinates, and L^2(N)^k splits into blocks
+C^k (x) E_a (x) E_b of eigenvalue clusters E_a, E_b, found by
+_linalg.spectral_split from SPLIT_SEED. Eigenvalues closer than
+_linalg.CLUSTER_GAP (relative) share a cluster: a union of eigenspaces is
+still a spectral projection, so merging only coarsens the blocks, while a
+split degenerate eigenspace would not be one. The blocks are
+orthonormalized by batched SVDs with one rank cut on the union of the
+block spectra (_block_bases), giving an orthonormal basis Q of the span,
+since each of its columns lies in one block (below). Then the closure
+test below runs against the block-diagonal projector P = Q Q^H at
+CLOSURE_TOL, and the dimension is sum_ab |Q_ab^H Omega_ab|^2, with omega
+rotated once and read against the rows of each copy. The rotation is
+unitary, so for a module this is the value of the dense projection.
 
 The closure test applies random combinations, not every operator. With
-Q = Q' and M_j = (1 - P) T_j Q for operators T_1 .. T_m, the residual of
+M_j = (1 - P) T_j Q for operators T_1 .. T_m, the residual of
 T(t) = sum_j t_j T_j is sum_j t_j M_j, and for iid t_j of unit variance
 E |sum_j t_j M_j|^2 = sum_j |M_j|^2 (Frobenius norms; Hutchinson, Comm.
-Statist. Simul. Comput. 18, 1989): W is invariant under every T_j
+Statist. Simul. Comput. 18, 1989): the span is invariant under every T_j
 exactly when the expected residual is zero. So for each leg one
 combination sum_j t_j a_j of the leg's one-leg operators is tested, t
 iid standard complex Gaussian (E |t_j|^2 = 1) drawn from _CLOSURE_SEED,
 in CLOSURE_DRAWS = 2 independent draws: at most 4 applications, against
 one per right operator if each were tested alone. The largest residual
-is kept. The seed is not SPLIT_SEED: the blocks are spectral subspaces
-of the cluster combination sum_j t_j (a_j + a_j^*), so a span of block
-parts passes against that combination by construction, and a test on it
-would prove nothing.
+is kept. The seed is not SPLIT_SEED: the spectral blocks are spectral
+subspaces of the cluster combination sum_j t_j (a_j + a_j^*), so a span
+of block parts passes against that combination by construction, and a
+test on it would prove nothing.
 
 The chance of a miss. Let a_i have relative residual
 rho = |M_i| / max(1, |a_i Q|) > CLOSURE_TOL, and let one draw read its
@@ -104,26 +111,6 @@ needs both to miss, so two draws square the bound (0.008 there), at the
 cost of two applications per leg. The seed is fixed, so the same
 module always gets the same verdict.
 
-The spectral route takes the span from the module as its blocks in the
-rotated coordinates (spectral_blocks), then runs one computation on them: block
-SVDs, certificate, closure test and trace readout. The block SVDs and the
-certificate run per connected component of the incidence of blocks and
-span columns. A module holding a raw span (ModuleSubspace: phi_x,
-restrict_scalars) is rotated and its blocks gathered (_gather): the
-incidence is read from the column norms of the rotated blocks, and the
-smallest parts of columns are dropped while their total Frobenius norm
-stays below a tenth of the rank cut of the largest block column norm,
-which is at most the scale of every rank decision here; by Weyl's
-inequality that moves no singular value by more than a tenth of the cut,
-and every larger part is kept, down to the last nonzero. Up to
-permutations the rotated span is then block diagonal over the components
-(_linalg._column_components), and so is C: each block is orthonormalized
-over its component's columns only, the stacks batched by shape through
-batched_svd with one rank cut on the union of all block spectra (the cut
-nullspace relies on), and C is one stack per component shape. A span
-whose columns meet every block is one component, the unsplit
-computation.
-
 inner_derivation_module (an InnerModule) builds its blocks directly and
 never forms the span. Its columns are phi_X([., xi]) for xi = e_i (x) e_j
 in the rotated GNS-orthonormal bases of the legs; in these coordinates the
@@ -134,32 +121,33 @@ with the legs' random self-adjoint right operators and are block diagonal
 over the leg clusters up to rounding; the column then lies in block
 (a, b) of its clusters, which is the stack over c of
 kron(A_c|_a, 1) - kron(1, B_c|_b), of shape (k size_a size_b,
-size_a size_b), and each block is one component. What the blocks leave
-out, the parts of A_c and B_c off the cluster diagonal, has total
-Frobenius norm sum_c (n_b |A_c^off|^2 + n_a |B_c^off|^2) over all
-columns; the builder certifies it below the drop bound above and raises
-NotRightClosed otherwise (a split degenerate eigenspace fails here). The
-blocks keep every column: the shared rank cut discards the exact-zero
-ones, such as central xi. M6 is 36 blocks of 108 x 36 (2 MB) where its
-span was 80 MB.
+size_a size_b). What the blocks leave out, the parts of A_c and B_c off
+the cluster diagonal, has total Frobenius norm
+sum_c (n_b |A_c^off|^2 + n_a |B_c^off|^2) over all columns; the builder
+certifies it below _drop_bound, a tenth of the rank cut of the largest
+block column norm, and raises NotRightClosed otherwise (a split
+degenerate eigenspace fails here). By Weyl's inequality what is left out
+then moves no singular value by more than a tenth of the cut. The blocks
+keep every column: the shared rank cut discards the exact-zero ones, such
+as central xi. M6 is 36 blocks of 108 x 36 (2 MB) where its span was
+80 MB.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 # gram_onb is no longer called here; the name stays bound because
 # benchmark/tracing.py hooks steinlab.vndim.gram_onb
 from ._linalg import (  # noqa: F401
-    SPLIT_SEED, BlockKernel, _column_components, batched_svd, gram_onb, rank_cut, spectral_split,
+    SPLIT_SEED, BlockKernel, batched_svd, gram_onb, rank_cut, span_basis, spectral_split,
 )
 from .algebra import FDAlgebra
 from .constructions import CrossedProduct
-from .derivations import DerivationSpace
+from .derivations import DerivationSpace, apply_pair, whiten
 from .errors import NotGenerating, NotRightClosed
 
 # largest relative residual of a right operator's image off the span that
@@ -174,20 +162,24 @@ _CLOSURE_SEED = 1
 
 @dataclass(eq=False)
 class ModuleSubspace:
-    """Span of vectors in L^2(N)^ncoords with a right action.
+    """Subspace of L^2(N)^ncoords with a right action, held by a
+    GNS-orthonormal basis kept by block.
 
-    right_ops is closed under adjoints as a span: the GNS adjoint of each
-    operator lies in the span of the list (R(m)* = R(m*) for a trace, so a
-    *-closed generating set gives such a list). Raises ValueError unless
-    every right operator is (0 or 1, a (dim A, dim A) matrix).
+    basis has ncoords * dim A^2 unknowns in GNS-orthonormal coordinates,
+    unknown (a * dim A + b) * ncoords + c being leg a, leg b and copy c
+    (see the module docstring). right_ops is closed under adjoints as a
+    span: the GNS adjoint of each operator lies in the span of the list
+    (R(m)* = R(m*) for a trace, so a *-closed generating set gives such a
+    list). Raises ValueError unless every right operator is (0 or 1, a
+    (dim A, dim A) matrix).
     """
 
     algebra: FDAlgebra  # A, with N = A (x) A^op
     ncoords: int
-    span: np.ndarray  # (ncoords * dim A^2, r), raw coordinates
+    basis: BlockKernel
     right_ops: list  # (leg, matrix) one-leg operators, leg 0 or 1
-    # (dim A^2, t): the family omega of one copy; the trace vectors are
-    # omega_j in each coordinate, I_ncoords (x) omega
+    # (dim A^2, t): the family omega of one copy, raw coordinates; the
+    # trace vectors are omega_j in each coordinate, I_ncoords (x) omega
     trace_vectors: np.ndarray
 
     def __post_init__(self):
@@ -197,11 +189,24 @@ class ModuleSubspace:
             if not (isinstance(leg, int) and leg in (0, 1) and np.shape(mat) == (n, n)):
                 raise ValueError(f"a right operator is (leg 0 or 1, a ({n}, {n}) matrix)")
 
-    def spectral_blocks(self) -> tuple[list, tuple]:
-        """(legs, blocks): the leg splits of _legs and the span's blocks in
-        their rotated coordinates, gathered from the rotated span (_gather)."""
-        legs = _legs(self.algebra, self.right_ops)
-        return legs, _gather(_rotate(self.span, self.ncoords, legs), legs)
+    @classmethod
+    def from_span(cls, algebra: FDAlgebra, ncoords: int, span: np.ndarray, right_ops: list,
+                  trace_vectors: np.ndarray) -> ModuleSubspace:
+        """The module spanned by the columns of span, (ncoords * dim A^2, r)
+        in raw coordinates with copy c at rows c * dim A^2 onwards: whitened,
+        laid out as the basis is and orthonormalized by block (span_basis)."""
+        nn, r = algebra.dim**2, np.shape(span)[1]
+        w = whiten(algebra, np.reshape(span, (ncoords, nn, r)))
+        basis = span_basis(w.transpose(1, 0, 2).reshape(nn * ncoords, r))
+        return cls(algebra, ncoords, basis, right_ops, trace_vectors)
+
+    @property
+    def span(self) -> np.ndarray:
+        """The basis in from_span's raw layout, formed when read."""
+        (nk, r), n = self.basis.shape, self.algebra.dim
+        q = self.basis.dense().reshape(n * n, self.ncoords, r).transpose(1, 0, 2)
+        back = (self.algebra.onb_inverse, self.algebra.onb_inverse)
+        return apply_pair(back, q).reshape(nk, r)
 
 
 @dataclass(eq=False)
@@ -214,44 +219,11 @@ class InnerModule:
     gens: np.ndarray  # (dim A, ncoords), the argument set X
     right_ops: list  # as in ModuleSubspace
     legs: list  # the leg splits of _legs for algebra and right_ops
-    blocks: tuple  # as _gather returns them
+    blocks: dict  # class pair -> stack of its blocks, as _inner_blocks returns
 
     @property
     def ncoords(self) -> int:
         return self.gens.shape[1]
-
-    @property
-    def trace_vectors(self) -> np.ndarray:
-        return np.kron(self.algebra.unit, self.algebra.unit)[:, None]
-
-    def spectral_blocks(self) -> tuple[list, tuple]:
-        return self.legs, self.blocks
-
-
-class KernelModule:
-    """phi_X of a derivation space that holds its whitened Leibniz kernel,
-    X the basis of A, read by vn_dimension from the kernel blocks (see the
-    module docstring). right_ops is as in ModuleSubspace; the span, as
-    ModuleSubspace holds it, is formed only when read."""
-
-    def __init__(self, space: DerivationSpace, right_ops: list):
-        self.space, self.right_ops = space, right_ops
-
-    @property
-    def algebra(self) -> FDAlgebra:
-        return self.space.algebra
-
-    @property
-    def ncoords(self) -> int:
-        return self.algebra.dim
-
-    @property
-    def trace_vectors(self) -> np.ndarray:
-        return np.kron(self.algebra.unit, self.algebra.unit)[:, None]
-
-    @cached_property
-    def span(self) -> np.ndarray:
-        return _phi_span(self.space, np.eye(self.ncoords, dtype=complex))
 
 
 @dataclass
@@ -289,18 +261,6 @@ def _leg_split(alg: FDAlgebra, ops: list, rng: np.random.Generator) -> tuple:
             classes.append((start, 1, size))
         start += size
     return u.conj().T @ t, ti @ u, classes
-
-
-def _rotate(vecs: np.ndarray, ncoords: int, legs: list) -> np.ndarray:
-    """Stacked vectors in the rotated coordinates of both legs, shape
-    (ncoords, n_a, n_b, columns). One coordinate is rotated at a time, so
-    that the temporaries stay one coordinate in size."""
-    ra, rb = legs[0][0], legs[1][0]
-    v = vecs.reshape(ncoords, ra.shape[0], rb.shape[0], -1)
-    t = np.empty(v.shape, dtype=complex)
-    for c in range(ncoords):
-        np.matmul(rb, np.matmul(ra, v[c].reshape(ra.shape[0], -1)).reshape(v.shape[1:]), out=t[c])
-    return t
 
 
 def _class_blocks(t: np.ndarray, legs: list) -> dict:
@@ -387,152 +347,59 @@ def _legs(alg: FDAlgebra, right_ops: list) -> list:
 
 
 def _drop_bound(norms: np.ndarray) -> float:
-    """Largest total Frobenius norm of block column parts that may be
-    dropped: the largest singular value of the blocks and of the
-    coefficients is at least the largest column norm of a block, so both
-    rank cuts are at least rank_cut of it, and parts this small move no
-    singular value by more than a tenth of either cut (Weyl)."""
+    """Largest total Frobenius norm of block column parts that may be left
+    out of the blocks: the largest singular value of the blocks is at
+    least the largest column norm of a block, so the rank cut is at least
+    rank_cut of it, and parts this small move no singular value by more
+    than a tenth of the cut (Weyl)."""
     return rank_cut(norms.max(initial=0.0)) / 10
 
 
-def _gather(t: np.ndarray, legs: list) -> tuple:
-    """Stage 1: the spectral blocks of a rotated span, per connected
-    component.
+def _block_bases(stacks: dict) -> tuple[dict, int]:
+    """Orthonormal bases of the inner module's blocks and their total rank.
 
-    t is the rotated span (see _rotate). The incidence of blocks and span
-    columns is read from the column norms of the blocks; the smallest
-    parts are dropped while their total Frobenius norm stays below
-    _drop_bound, and each block is gathered over its component's columns
-    (see the module docstring). Returns (stacks, where, shapes, nlabels):
-    stacks holds (count, rows, width) arrays, one per class pair and
-    component width, blocks in the pair's order and block rows in
-    (coordinate, leg a, leg b) order; where[i] is (class pair, indices of
-    the blocks of stacks[i] within the pair, their component labels), the
-    labels below nlabels; shapes maps every class pair to (count, rows).
+    stacks maps each class pair to its blocks (count, rows, columns), as
+    _inner_blocks returns them; the block SVDs are batched by shape with one
+    rank cut. Returns, per class pair, the bases (count, rows, rho), with
+    zero columns past each block's rank, beside their adjoints.
     """
-    k, na, nb, ncols = t.shape
-    blocks = _class_blocks(t, legs)
-    norms = np.sqrt(np.concatenate([
-        (np.einsum("kadber,kadber->abr", v.real, v.real)
-         + np.einsum("kadber,kadber->abr", v.imag, v.imag)).reshape(v.shape[1] * v.shape[3], ncols)
-        for v in blocks.values()
-    ]))
-    flat = norms.ravel()
-    order = np.argsort(flat, kind="stable")
-    ndrop = np.searchsorted(np.cumsum(flat[order] ** 2), _drop_bound(flat) ** 2)
-    blk, col = np.divmod(order[ndrop:], ncols)
-
-    # a component is labelled by its smallest column, and ncols labels a
-    # block meeting no column; a component's columns are listed
-    # consecutively in increasing order, from start[label]
-    label = _column_components(blk, col, len(norms), ncols)
-    active = np.zeros(ncols, dtype=bool)
-    active[col] = True
-    active = np.flatnonzero(active)
-    comp_cols = active[np.argsort(label[active], kind="stable")]
-    size = np.bincount(label[active], minlength=ncols + 1)
-    start = np.cumsum(size) - size
-    block_comp = np.full(len(norms), ncols)
-    block_comp[blk] = label[col]
-
-    # each block restricted to its component's columns, gathered from t by
-    # flat index, one stack per class pair and component size
-    (_, _, ca), (_, _, cb) = legs
-    stacks, where, first = [], [], 0
-    for key in blocks:
-        (sa, a, d), (sb, b, e) = ca[key[0]], cb[key[1]]
-        comp = block_comp[first : first + a * b]
-        first += a * b
-        rows = ((np.arange(k)[:, None, None] * na + np.arange(d)[:, None]) * nb
-                + np.arange(e)).ravel() * ncols
-        for width in set(size[comp].tolist()) - {0}:
-            sel = np.flatnonzero(size[comp] == width)
-            ia, ib = np.divmod(sel, b)
-            at = ((sa + ia * d) * nb + sb + ib * e) * ncols
-            cols = comp_cols[start[comp[sel], None] + np.arange(width)]
-            stacks.append(t.ravel()[at[:, None, None] + rows[:, None] + cols[:, None, :]])
-            where.append((key, sel, comp[sel]))
-    shapes = {key: (v.shape[1] * v.shape[3], k * v.shape[2] * v.shape[4])
-              for key, v in blocks.items()}
-    return stacks, where, shapes, ncols + 1
+    basis, rank = {}, 0
+    for key, (u, _, _, kept) in zip(stacks, batched_svd(list(stacks.values()))):
+        rho = int(kept.sum(axis=1).max())
+        q = u[:, :, :rho] * kept[:, None, :rho]
+        basis[key] = (q, q.conj().transpose(0, 2, 1))
+        rank += int(kept.sum())
+    return basis, rank
 
 
-def _block_bases(stacks: list, where: list, shapes: dict, nlabels: int) -> tuple[dict, int]:
-    """Stage 2: orthonormal bases of the block parts of the span and
-    dim W'.
-
-    Takes the blocks as _gather returns them: the block SVDs are batched
-    by shape with one rank cut, and the W = W' certificate runs per
-    connected component (see the module docstring). Returns, per class
-    pair, the bases (count, rows, rho), with zero columns past each
-    block's rank, beside their adjoints. Raises NotRightClosed if the
-    certificate fails.
-    """
-    svds = batched_svd(stacks)
-    rho = dict.fromkeys(shapes, 0)
-    for (key, *_), (*_, kept) in zip(where, svds):
-        rho[key] = max(rho[key], int(kept.sum(axis=1).max()))
-    basis = {key: np.zeros((*shape, rho[key]), dtype=complex) for key, shape in shapes.items()}
-    # rows S Vh of the coefficients of W in the basis of W', grouped by
-    # component size: the matrix is block diagonal over the components
-    coef = {}
-    for (key, sel, comp), (u, s, vh, kept) in zip(where, svds):
-        width = min(u.shape[2], rho[key])
-        basis[key][sel, :, :width] = u[:, :, :width] * kept[:, None, :width]
-        kept = kept[:, : vh.shape[1]]
-        vh *= s[:, : vh.shape[1], None]
-        coef.setdefault(vh.shape[2], []).append((vh[kept], comp[np.nonzero(kept)[0]]))
-    del svds  # the left singular vectors are copied into basis
-    # one stack per component shape, each component's rows consecutive
-    cert, rank = [], 0
-    for parts in coef.values():
-        rows_c = np.concatenate([r for r, _ in parts])
-        owner = np.concatenate([o for _, o in parts])
-        order = np.argsort(owner, kind="stable")
-        height = np.bincount(owner, minlength=nlabels)
-        first = np.cumsum(height) - height
-        for h in set(height[owner].tolist()):
-            cert.append(rows_c[order[first[height == h, None] + np.arange(h)]])
-        rank += owner.size
-    # W = W' exactly when each component's coefficients have full row rank
-    span_rank = sum(int(kept.sum()) for *_, kept in batched_svd(cert, vectors=False))
-    if span_rank != rank:
-        raise NotRightClosed(
-            f"span rank {span_rank} differs from the rank {rank} of its "
-            "spectral blocks: the span is not the sum of its block parts"
-        )
-    return {key: (q, q.conj().transpose(0, 2, 1)) for key, q in basis.items()}, rank
-
-
-def vn_dimension(sub: ModuleSubspace | InnerModule | KernelModule) -> DimensionResult:
+def vn_dimension(sub: ModuleSubspace | InnerModule) -> DimensionResult:
     """Trace of the span projection against the trace vectors.
 
-    A KernelModule is read from its kernel blocks (_kernel_dimension).
-    Every other module takes the spectral route: it takes the span's
-    spectral blocks for the right action from the module
-    (spectral_blocks), takes the block SVDs and certifies that the span is
-    the sum of its block parts, per connected component of the blocks and
-    span columns. Both routes test the operators of _test_ops, random
-    combinations of each leg's operators, against the block-diagonal
-    projector (see the module docstring).
-    Raises NotRightClosed if the certificate fails or some test
-    operator's image leaves the span by more than CLOSURE_TOL (relative);
-    the result's closure_residual is the largest of these residuals.
-    Since right_ops is closed under adjoints, invariance under each
-    operator already gives invariance under its adjoint.
+    A ModuleSubspace is read from its basis blocks (_kernel_dimension). An
+    InnerModule takes the spectral route: the SVDs of its spectral blocks
+    give the block-diagonal basis. Both routes test the operators of
+    _test_ops, random combinations of each leg's operators, against the
+    block-diagonal projector (see the module docstring).
+    Raises NotRightClosed if some test operator's image leaves the span by
+    more than CLOSURE_TOL (relative); the result's closure_residual is the
+    largest of these residuals. Since right_ops is closed under adjoints,
+    invariance under each operator already gives invariance under its
+    adjoint.
     """
-    if isinstance(sub, KernelModule):
+    if not isinstance(sub, InnerModule):
         return _kernel_dimension(sub)
-    k = sub.ncoords
-    legs, blocks = sub.spectral_blocks()
-    basis, rank = _block_bases(*blocks)
+    k, legs = sub.ncoords, sub.legs
+    basis, rank = _block_bases(sub.blocks)
     worst = max((_closure_residual(op, basis, legs, k) for op in _test_ops(sub.right_ops, legs)),
                 default=0.0)
     if worst > CLOSURE_TOL:
         raise NotRightClosed(f"commutant residual {worst:.3e} above {CLOSURE_TOL}")
 
-    # omega is rotated once and read against the rows of every coordinate
-    omegas = _class_blocks(_rotate(sub.trace_vectors, 1, legs), legs)
+    # omega = 1 (x) 1 is rotated once, leg by leg, and read against the rows
+    # of every coordinate
+    (rot_a, _, _), (rot_b, _, _) = legs
+    omega = np.kron(sub.algebra.unit, sub.algebra.unit).reshape(len(rot_a), len(rot_b))
+    omegas = _class_blocks(np.matmul(rot_b, (rot_a @ omega)[..., None])[None], legs)
     value = 0.0
     for key, (_, qh) in basis.items():
         count, rho, rows = qh.shape
@@ -610,27 +477,29 @@ def _kernel_residual(mat: np.ndarray, kernel: BlockKernel, fibers: list,
     return img2, rem2
 
 
-def _kernel_dimension(sub: KernelModule) -> DimensionResult:
-    """vn_dimension of phi_X(Der A), X the basis, from the whitened kernel
-    (see the module docstring)."""
-    alg, kernel = sub.algebra, sub.space.kernel
+def _kernel_dimension(sub: ModuleSubspace) -> DimensionResult:
+    """vn_dimension of a ModuleSubspace from its basis blocks (see the
+    module docstring)."""
+    alg, kernel, k = sub.algebra, sub.basis, sub.ncoords
     n, t = alg.dim, alg.onb_factor
     index = _kernel_index(kernel)
-    fibers = [_kernel_fibers(kernel, n, stride) for stride in (n * n, n)]
+    fibers = [_kernel_fibers(kernel, n, stride) for stride in (n * k, k)]
     worst = 0.0
     for leg, mat in _test_ops(sub.right_ops, [(t, alg.onb_inverse, None)] * 2):
         img2, rem2 = _kernel_residual(mat, kernel, fibers[leg], index)
         worst = max(worst, float(np.sqrt(rem2) / max(1.0, np.sqrt(img2))))
     if worst > CLOSURE_TOL:
         raise NotRightClosed(f"commutant residual {worst:.3e} above {CLOSURE_TOL}")
-    # <Q_v, Omega_k> for Omega_k = omega in copy k, per block and vector
-    omega = np.kron(t @ alg.unit, t @ alg.unit)
-    value = 0.0
+    # <Q_v, Omega_cj> for Omega_cj = omega_j in copy c, per block, copy,
+    # vector and trace vector
+    omega = whiten(alg, sub.trace_vectors)
+    value, nt = 0.0, omega.shape[1]
     for cols, vecs, _ in kernel.parts:
-        m, c, k = vecs.shape
-        q, arg = np.divmod(cols, n)
-        prod = (vecs.conj() * omega[q][..., None]).ravel()
-        idx = ((np.arange(m)[:, None] * n + arg)[..., None] * k + np.arange(k)).ravel()
+        m, c, d = vecs.shape
+        q, copy = np.divmod(cols, k)
+        prod = (vecs.conj()[..., None] * omega[q][:, :, None]).ravel()
+        idx = (((np.arange(m)[:, None] * k + copy)[..., None, None] * d
+                + np.arange(d)[:, None]) * nt + np.arange(nt)).ravel()
         value += float(np.sum(np.bincount(idx, prod.real) ** 2 + np.bincount(idx, prod.imag) ** 2))
     return DimensionResult(value, kernel.shape[1], worst, "kernel")
 
@@ -671,41 +540,40 @@ def _right_ops(alg, xs: list) -> list:
 
 
 def _phi_span(space: DerivationSpace, gens: np.ndarray) -> np.ndarray:
-    """The span of phi_X(space), (ncoords * dim A^2, rank): block per
-    argument x, derivations along columns; written in this layout
-    (order C), so the reshape copies nothing."""
-    k, n = gens.shape[1], space.algebra.dim
-    return np.einsum("rpj,jx->xpr", space.basis, gens, order="C").reshape(k * n * n, space.rank)
+    """The whitened span of phi_X(space), (dim A^2 * ncoords, rank) in the
+    layout of ModuleSubspace.basis, from the whitened kernel when the space
+    holds one."""
+    n, r = space.algebra.dim, space.rank
+    if space.kernel is not None:
+        w = space.kernel.dense().reshape(n * n, n, r)
+    else:
+        w = whiten(space.algebra, space.basis).transpose(1, 2, 0)
+    return np.einsum("qir,ic->qcr", w, gens, optimize=True).reshape(n * n * gens.shape[1], r)
 
 
-def phi_x(space: DerivationSpace, gens: np.ndarray | None = None) -> ModuleSubspace | KernelModule:
+def phi_x(space: DerivationSpace, gens: np.ndarray | None = None) -> ModuleSubspace:
     """Image of a derivation space under d -> (d(x))_{x in X}.
 
     X (columns of gens, the basis of A by default) must generate the
     algebra, so that the map is injective and the dimension does not depend
     on the choice; a given X is checked, the basis spans A. X and its stars
     also supply the right operators. With X the basis, a space that holds
-    its kernel (derivation_space) gives a KernelModule, every other a
-    ModuleSubspace.
+    its kernel (derivation_space) gives that kernel as the module's basis;
+    every other span is orthonormalized by span_basis.
     """
     from .constructions import generates
 
     alg = space.algebra
     if gens is None:
-        gens = np.eye(alg.dim, dtype=complex)
-        if space.kernel is not None:
-            return KernelModule(space, _right_ops(alg, _with_stars(alg, gens)))
+        gens, basis = np.eye(alg.dim, dtype=complex), space.kernel
     else:
-        gens = np.asarray(gens, dtype=complex)
+        gens, basis = np.asarray(gens, dtype=complex), None
         if not generates(alg, list(gens.T)):
             raise NotGenerating("argument set does not generate the algebra")
-    return ModuleSubspace(
-        algebra=alg,
-        ncoords=gens.shape[1],
-        span=_phi_span(space, gens),
-        right_ops=_right_ops(alg, _with_stars(alg, gens)),
-        trace_vectors=np.kron(alg.unit, alg.unit)[:, None],
-    )
+    if basis is None:
+        basis = span_basis(_phi_span(space, gens))
+    return ModuleSubspace(alg, gens.shape[1], basis, _right_ops(alg, _with_stars(alg, gens)),
+                          np.kron(alg.unit, alg.unit)[:, None])
 
 
 def _cluster_diagonal(mats: np.ndarray, classes: list) -> tuple[list, float]:
@@ -720,11 +588,11 @@ def _cluster_diagonal(mats: np.ndarray, classes: list) -> tuple[list, float]:
     return diag, float(np.vdot(off, off).real)
 
 
-def _inner_blocks(alg, gens: np.ndarray, legs: list) -> tuple:
-    """The rotated spectral blocks of the inner module, as _gather returns
-    them, built from the rotated multiplications (see the module
-    docstring). Raises NotRightClosed if the parts off the cluster
-    diagonal, which the blocks leave out, exceed _drop_bound."""
+def _inner_blocks(alg, gens: np.ndarray, legs: list) -> dict:
+    """The rotated spectral blocks of the inner module, one stack (count,
+    rows, columns) per class pair, built from the rotated multiplications
+    (see the module docstring). Raises NotRightClosed if the parts off the
+    cluster diagonal, which the blocks leave out, exceed _drop_bound."""
     (rot_a, inv_a, ca), (rot_b, inv_b, cb) = legs
     k, n = gens.shape[1], alg.dim
     # left_mult(x) on leg a and right_mult(x) on leg b for every argument x,
@@ -751,14 +619,7 @@ def _inner_blocks(alg, gens: np.ndarray, legs: list) -> tuple:
             f"the inner span leaks {np.sqrt(leak2):.3e} out of its spectral blocks, "
             f"above the drop bound {bound:.3e}"
         )
-    # one stack per class pair, each block its own component
-    where, nblocks = [], 0
-    for key, v in stacks.items():
-        sel = np.arange(v.shape[0])
-        where.append((key, sel, nblocks + sel))
-        nblocks += v.shape[0]
-    shapes = {key: v.shape[:2] for key, v in stacks.items()}
-    return list(stacks.values()), where, shapes, nblocks
+    return stacks
 
 
 def inner_derivation_module(alg, gens: np.ndarray) -> InnerModule:
@@ -783,15 +644,15 @@ def inner_derivation_module(alg, gens: np.ndarray) -> InnerModule:
     return InnerModule(alg, gens, ops, legs, _inner_blocks(alg, gens, legs))
 
 
-def restrict_scalars(sub: ModuleSubspace | KernelModule, cp: CrossedProduct) -> ModuleSubspace:
+def restrict_scalars(sub: ModuleSubspace, cp: CrossedProduct) -> ModuleSubspace:
     """View a module over N_big = (A x| G) (x) (A x| G)^op as a module over
-    N_0 = A (x) A^op; same span, right action through the inclusion (one
+    N_0 = A (x) A^op; same basis, right action through the inclusion (one
     operator pair per basis element of A and its star), and the trace
-    vectors u_g (x) u_h^op, one per sector, in every coordinate. The
-    module must hold its span or form it (a KernelModule); an InnerModule
-    holds only the blocks of its own right action."""
-    if not isinstance(sub, (ModuleSubspace, KernelModule)):
-        raise TypeError("restrict_scalars needs a ModuleSubspace, which holds its span")
+    vectors u_g (x) u_h^op, one per sector, in every coordinate. An
+    InnerModule holds only the blocks of its own right action and is
+    refused."""
+    if not isinstance(sub, ModuleSubspace):
+        raise TypeError("restrict_scalars needs a ModuleSubspace, which holds its basis")
     if sub.algebra.dim != cp.algebra.dim:
         raise ValueError("module is not over the crossed-product bimodule")
     base = cp.base
@@ -799,4 +660,13 @@ def restrict_scalars(sub: ModuleSubspace | KernelModule, cp: CrossedProduct) -> 
     ops = _right_ops(cp.algebra, [cp.lift(x) for x in _with_stars(base, basis)])
     us = cp.embed_group.T
     traces = np.column_stack([np.kron(ug, uh) for ug in us for uh in us])
-    return ModuleSubspace(sub.algebra, sub.ncoords, sub.span, ops, traces)
+    return ModuleSubspace(sub.algebra, sub.ncoords, sub.basis, ops, traces)
+
+
+def full_module(alg: FDAlgebra) -> ModuleSubspace:
+    """L^2(alg (x) alg^op) itself with no right operators: the whitened
+    standard basis, dim A^2 blocks of one unknown with vector 1."""
+    nn = alg.dim**2
+    ones = np.ones((nn, 1, 1), dtype=complex)
+    basis = BlockKernel(nn, ((np.arange(nn)[:, None], ones, np.arange(nn)),))
+    return ModuleSubspace(alg, 1, basis, [], np.kron(alg.unit, alg.unit)[:, None])

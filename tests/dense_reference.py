@@ -149,18 +149,25 @@ def distance(space, mat) -> float:
 
 # -- the inner-derivation module as one raw span ----------------------------------
 
-def inner_module(alg, gens):
-    """phi_X of the commutator derivations as a dense ModuleSubspace: the
-    raw span, shape (k n^2, n^2), of the columns phi_X([., xi]) for xi in
-    the rotated basis vn_dimension splits by. vn_dimension gathers from it
-    the blocks that inner_derivation_module builds directly."""
+def inner_span(alg, gens):
+    """The raw span, shape (k n^2, n^2), of the columns phi_X([., xi]) for
+    xi in the rotated basis whose spectral blocks inner_derivation_module
+    builds directly."""
     from steinlab.derivations import commutator_span
-    from steinlab.vndim import ModuleSubspace, _legs, _right_ops, _with_stars
+    from steinlab.vndim import _legs, _right_ops, _with_stars
 
     gens = np.asarray(gens, dtype=complex)
     k, n = gens.shape[1], alg.dim
+    (_, inv_a, _), (_, inv_b, _) = _legs(alg, _right_ops(alg, _with_stars(alg, gens)))
+    return commutator_span(alg, gens, np.kron(inv_a, inv_b)).reshape(k * n * n, n * n)
+
+
+def inner_module(alg, gens):
+    """phi_X of the commutator derivations as a ModuleSubspace formed from
+    its raw span (inner_span)."""
+    from steinlab.vndim import ModuleSubspace, _right_ops, _with_stars
+
+    gens = np.asarray(gens, dtype=complex)
     ops = _right_ops(alg, _with_stars(alg, gens))
-    (_, inv_a, _), (_, inv_b, _) = _legs(alg, ops)
-    span = commutator_span(alg, gens, np.kron(inv_a, inv_b)).reshape(k * n * n, n * n)
     unit = np.kron(alg.unit, alg.unit)[:, None]
-    return ModuleSubspace(alg, k, span, ops, unit)
+    return ModuleSubspace.from_span(alg, gens.shape[1], inner_span(alg, gens), ops, unit)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from steinlab import DenseLimitExceeded, RankAmbiguous
 from steinlab import _linalg
-from steinlab._linalg import SparseSystem, gram_onb, nullspace, rank_split
+from steinlab._linalg import SparseSystem, gram_onb, nullspace, rank_split, span_basis
 
 
 def full_svd_kernel(m: np.ndarray) -> np.ndarray:
@@ -293,3 +293,64 @@ def test_kernel_parts_are_keyed_by_columns_and_kernel_dimension():
     dense = ker.dense()
     assert np.all(dense[2:, 0] == 0) and np.all(dense[:2, 1] == 0)
     assert np.max(np.abs(m @ dense)) < 1e-12
+
+
+# -- span_basis: the row space of the conjugate transpose, by block -------------
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 5), st.integers(1, 5), st.floats(0.0, 1.0)),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(0, 2),
+    st.integers(0, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_span_basis_matches_gram_onb(shapes, extra_rows, extra_cols, seed):
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for r, c, frac in shapes:
+        k = int(round(frac * min(r, c)))
+        blocks.append(_with_spectrum(rng, r, c, rng.uniform(0.5, 2.0, k)))
+    m = _shuffled_block_diagonal(rng, blocks, extra_rows, extra_cols)
+    ref = gram_onb(m)
+    got = span_basis(m)
+    assert got.shape == (m.shape[0], ref.shape[1])
+    q = got.dense()
+    assert np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1])), initial=0.0) < 1e-12
+    assert np.max(np.abs(_projector(q) - _projector(ref)), initial=0.0) < 1e-12
+
+
+def test_span_basis_refuses_a_near_gap_across_blocks():
+    # as test_gap_guard_spans_blocks: kept 2e-10 and dropped 5e-11 of
+    # different blocks are only 4x apart, below GAP_RATIO
+    rng = np.random.default_rng(3)
+    a = _with_spectrum(rng, 3, 2, [1.0, 2e-10])
+    b = _with_spectrum(rng, 2, 2, [0.5, 5e-11])
+    assert span_basis(a).shape[1] == 2
+    assert span_basis(b).shape[1] == 1
+    m = _shuffled_block_diagonal(rng, [a, b])
+    with pytest.raises(RankAmbiguous):
+        gram_onb(m)
+    with pytest.raises(RankAmbiguous):
+        span_basis(m)
+
+
+def test_span_basis_guard_counts_a_block_before_allocating(monkeypatch):
+    # a span of two vectors on three unknowns is one 2 x 3 block of its
+    # conjugate transpose: the block, the thin Vh and the returned vectors,
+    # 3 * 2 * 3 complex entries, U of 2 * 2, and its spectrum (3 reals)
+    m = _with_spectrum(np.random.default_rng(6), 3, 2, [1.0, 0.5])
+    assert 16 * (3 * 6 + 4) + 8 * 3 == 376
+    monkeypatch.setattr(_linalg, "DENSE_LIMIT", 376)
+    assert span_basis(m).shape == (3, 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an SVD ran")
+
+    monkeypatch.setattr(_linalg, "batched_svd", refuse)
+    monkeypatch.setattr(_linalg, "DENSE_LIMIT", 375)
+    with pytest.raises(DenseLimitExceeded, match="up to 3 unknowns need 376 bytes"):
+        span_basis(m)

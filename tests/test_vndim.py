@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from steinlab import (
     DerivationSpace,
     InnerModule,
-    KernelModule,
     ModuleSubspace,
     NotGenerating,
     NotRightClosed,
@@ -21,12 +20,14 @@ from steinlab import (
     cyclic,
     derivation_space,
     dual_action,
+    full_module,
     group_algebra,
     inner_derivation_module,
     multimatrix,
     multimatrix_generators,
     permutation_action,
     phi_x,
+    relative_derivations,
     restrict_scalars,
     symmetric_3,
     vn_dimension,
@@ -40,19 +41,9 @@ from test_derivations import rotated
 import dense_reference
 
 
-def full_ambient(alg) -> ModuleSubspace:
-    return ModuleSubspace(
-        algebra=alg,
-        ncoords=1,
-        span=np.eye(alg.dim**2, dtype=complex),
-        right_ops=[],
-        trace_vectors=np.kron(alg.unit, alg.unit).reshape(-1, 1),
-    )
-
-
 def test_full_module_has_dimension_one():
     for alg in (multimatrix([(2, 1.0)]), group_algebra(cyclic(3))):
-        res = vn_dimension(full_ambient(alg))
+        res = vn_dimension(full_module(alg))
         assert abs(res.value - 1.0) < 1e-10
         assert res.closure_residual < 1e-10
 
@@ -108,7 +99,7 @@ def test_non_invariant_span_is_rejected():
     alg = multimatrix([(2, 1.0)])
     # one single vector cannot be a right submodule of L^2(M2 (x) M2^op)
     vec = np.kron(alg.basis(1), alg.unit).reshape(-1, 1)
-    sub = ModuleSubspace(
+    sub = ModuleSubspace.from_span(
         algebra=alg,
         ncoords=1,
         span=vec,
@@ -126,9 +117,9 @@ def test_module_subspace_takes_only_one_leg_operators(op):
     bad = {"(m, None)": (m, None), "(None, m)": (None, m), "(a, b)": (m, m), "(2, m)": (2, m),
            "wrong shape": (0, np.eye(3, dtype=complex))}[op]
     unit = np.kron(alg.unit, alg.unit).reshape(-1, 1)
-    assert ModuleSubspace(alg, 1, unit, [(0, m), (1, m)], unit).right_ops
+    assert ModuleSubspace.from_span(alg, 1, unit, [(0, m), (1, m)], unit).right_ops
     with pytest.raises(ValueError, match="a right operator is"):
-        ModuleSubspace(alg, 1, unit, [(0, m), bad], unit)
+        ModuleSubspace.from_span(alg, 1, unit, [(0, m), bad], unit)
 
 
 @pytest.mark.parametrize("blocks", [[(2, 1.0)], [(2, 0.5), (1, 0.5)]])
@@ -144,7 +135,7 @@ def test_restrict_scalars_multiplies_by_group_order_squared():
     c2 = multimatrix([(1, 0.5), (1, 0.5)])
     act = permutation_action(cyclic(2), c2, [[0, 1], [1, 0]])
     cp = crossed_product(c2, act)
-    amb = full_ambient(cp.algebra)
+    amb = full_module(cp.algebra)
     assert abs(vn_dimension(amb).value - 1.0) < 1e-10
     down = restrict_scalars(amb, cp)
     assert abs(vn_dimension(down).value - 4.0) < 1e-9
@@ -154,14 +145,14 @@ def test_restrict_scalars_refuses_an_inner_module():
     # an inner module holds only the blocks of its own right action
     cp = _crossed("C2 x| Z/2")
     gens = np.column_stack([cp.lift(cp.base.basis(0)), cp.u(1)])
-    with pytest.raises(TypeError, match="holds its span"):
+    with pytest.raises(TypeError, match="holds its basis"):
         restrict_scalars(inner_derivation_module(cp.algebra, gens), cp)
 
 
 def test_restrict_scalars_refuses_a_module_over_the_base():
     cp = _crossed("C2 x| Z/2")
     with pytest.raises(ValueError, match="not over the crossed-product bimodule"):
-        restrict_scalars(full_ambient(cp.base), cp)
+        restrict_scalars(full_module(cp.base), cp)
 
 
 @pytest.mark.parametrize("legs", ["1 (x) 1", "N (x) 1", "1 (x) N"])
@@ -176,7 +167,7 @@ def test_restrict_scalars_rejects_non_invariant_spans(legs):
     # the other two are invariant for one tensor leg only
     span = {"1 (x) 1": np.kron(one, one), "N (x) 1": np.kron(eye, one),
             "1 (x) N": np.kron(one, eye)}[legs]
-    sub = ModuleSubspace(
+    sub = ModuleSubspace.from_span(
         algebra=calg,
         ncoords=1,
         span=span,
@@ -230,15 +221,20 @@ def _apply(op: tuple, vecs: np.ndarray, shape: tuple) -> np.ndarray:
     return t.reshape(vecs.shape)
 
 
-def dense_vn_dimension(sub: ModuleSubspace):
+def dense_vn_dimension(sub: ModuleSubspace | InnerModule):
     """Reference: orthonormalize the whole span by one SVD and test
     every right operator against the dense projector onto it. An inner
-    module is read through its raw span (dense_reference.inner_module)."""
+    module is read through its raw span (dense_reference.inner_span), a
+    ModuleSubspace through its basis in raw coordinates (span)."""
+    alg, k = sub.algebra, sub.ncoords
     if isinstance(sub, InnerModule):
-        sub = dense_reference.inner_module(sub.algebra, sub.gens)
-    t, ti = sub.algebra.onb_factor, sub.algebra.onb_inverse
-    shape = (sub.ncoords, sub.algebra.dim, sub.algebra.dim)
-    q = gram_onb(_apply((t, t), sub.span, shape))
+        span = dense_reference.inner_span(alg, sub.gens)
+        omega = np.kron(alg.unit, alg.unit)[:, None]
+    else:
+        span, omega = sub.span, sub.trace_vectors
+    t, ti = alg.onb_factor, alg.onb_inverse
+    shape = (k, alg.dim, alg.dim)
+    q = gram_onb(_apply((t, t), span, shape))
     worst = 0.0
     for leg, m in sub.right_ops:
         op = (t @ m @ ti, None) if leg == 0 else (None, t @ m @ ti)
@@ -248,8 +244,7 @@ def dense_vn_dimension(sub: ModuleSubspace):
     if worst > CLOSURE_TOL:
         raise NotRightClosed(f"commutant residual {worst:.3e}")
     # the trace vectors are omega in every coordinate, I_k (x) omega
-    omegas = np.kron(np.eye(sub.ncoords), sub.trace_vectors)
-    overlaps = q.conj().T @ _apply((t, t), omegas, shape)
+    overlaps = q.conj().T @ _apply((t, t), np.kron(np.eye(k), omega), shape)
     return float(np.sum(np.abs(overlaps) ** 2)), q.shape[1]
 
 
@@ -274,8 +269,8 @@ def _sum_of_blocks(leg: int):
     # right operators of one leg only, R(e12) and R(e21) (or L(e12), L(e21)
     # on leg b): every random self-adjoint combination of them is a multiple
     # of R(sigma_x), so E = {x : x sigma_x = x} (or sigma_x x = x) is a sum of
-    # clusters and the span E (x) N (or N (x) E) passes the rank certificate;
-    # R(e12) does not preserve it, which only the closure test can see
+    # clusters and the span E (x) N (or N (x) E) a sum of spectral blocks;
+    # R(e12) does not preserve it, which the closure test sees
     alg = multimatrix([(2, 1.0)])
     e12, e21 = alg.basis(1), alg.basis(2)
     eye = np.eye(4, dtype=complex)
@@ -286,7 +281,13 @@ def _sum_of_blocks(leg: int):
         ops = [(1, alg.left_mult(e12)), (1, alg.left_mult(e21))]
         span = np.kron(eye, np.array([[1, 0], [0, 1], [1, 0], [0, 1]], dtype=complex))
     unit = np.kron(alg.unit, alg.unit).reshape(-1, 1)
-    return ModuleSubspace(alg, 1, span, ops, unit)
+    return ModuleSubspace.from_span(alg, 1, span, ops, unit)
+
+
+def _vanishing(name):
+    """phi_X of the derivations of A x| G vanishing on C[G], X the basis."""
+    cp = _crossed(name)
+    return phi_x(relative_derivations(derivation_space(cp.algebra), cp.embed_group))
 
 
 MODULES = {
@@ -298,12 +299,22 @@ MODULES = {
     "phi_x M2+C rotated": lambda: phi_x(derivation_space(
         rotated(multimatrix([(2, 0.6), (1, 0.4)]), np.random.default_rng(4)))),
     "full C2 x| Z/2 over C2": lambda: restrict_scalars(
-        full_ambient(_crossed("C2 x| Z/2").algebra), _crossed("C2 x| Z/2")),
+        full_module(_crossed("C2 x| Z/2").algebra), _crossed("C2 x| Z/2")),
     "phi_x C2 x| Z/2 over C2": lambda: restrict_scalars(
         phi_x(derivation_space(_crossed("C2 x| Z/2").algebra)), _crossed("C2 x| Z/2")),
     "phi_x C[Z/3] x| Z/3": lambda: phi_x(derivation_space(_crossed("dual").algebra)),
     "phi_x C[Z/3] x| Z/3 over C[Z/3]": lambda: restrict_scalars(
         phi_x(derivation_space(_crossed("dual").algebra)), _crossed("dual")),
+    "phi_x M2+C over its generators": lambda: phi_x(
+        derivation_space(multimatrix([(2, 0.6), (1, 0.4)])),
+        multimatrix_generators([(2, 0.6), (1, 0.4)])),
+    # the derivations vanishing on C[G], over both coefficient algebras
+    "vanishing C2 x| Z/2": lambda: _vanishing("C2 x| Z/2"),
+    "vanishing C2 x| Z/2 over C2": lambda: restrict_scalars(
+        _vanishing("C2 x| Z/2"), _crossed("C2 x| Z/2")),
+    "vanishing C[Z/3] x| Z/3": lambda: _vanishing("dual"),
+    "vanishing C[Z/3] x| Z/3 over C[Z/3]": lambda: restrict_scalars(
+        _vanishing("dual"), _crossed("dual")),
     # sums of block parts that are not right submodules
     "E (x) N, leg-a operators": lambda: _sum_of_blocks(0),
     "N (x) E, leg-b operators": lambda: _sum_of_blocks(1),
@@ -315,6 +326,22 @@ def _outcome(fn, sub):
         return fn(sub)
     except SteinlabError as exc:
         return type(exc)
+
+
+def test_phi_x_basis_spans_the_raw_phi_span():
+    # the basis phi_x whitens and orthonormalizes by block, against one
+    # orthonormalization of phi_X's span formed from the raw derivations
+    blocks = [(2, 0.6), (1, 0.4)]
+    cp = _crossed("dual")
+    vanishing = relative_derivations(derivation_space(cp.algebra), cp.embed_group)
+    for space, gens in ((derivation_space(multimatrix(blocks)), multimatrix_generators(blocks)),
+                        (vanishing, np.eye(cp.algebra.dim, dtype=complex))):
+        n, k, t = space.algebra.dim, gens.shape[1], space.algebra.onb_factor
+        raw = np.einsum("rpj,jx->xpr", space.basis, gens).reshape(k * n * n, space.rank)
+        want = gram_onb(_apply((t, t), raw, (k, n, n)))
+        got = _apply((t, t), phi_x(space, gens).span, (k, n, n))
+        assert got.shape == want.shape
+        assert np.max(np.abs(got @ got.conj().T - want @ want.conj().T)) < 1e-12
 
 
 @pytest.mark.parametrize("name", list(MODULES))
@@ -331,14 +358,14 @@ def test_block_split_matches_dense_projector(name):
 
 @pytest.mark.parametrize("blocks", [[(2, 1.0)], [(1, 0.5), (1, 0.5)]], ids=["M2", "C2"])
 def test_rank_certificate_rejects_a_cyclic_vector(blocks):
-    # the block parts of 1 (x) 1 span more than 1 (x) 1; for C2 they span
-    # all of L^2(C2 (x) C2^op), which every operator leaves invariant, so
-    # only the rank certificate can reject this span
+    # 1 (x) 1 is cyclic for the right action, not invariant: its spectral
+    # block parts span more than it, and for C2 all of L^2(C2 (x) C2^op);
+    # the closure test against the span itself rejects it
     alg = multimatrix(blocks)
     unit = np.kron(alg.unit, alg.unit).reshape(-1, 1)
     ops = _right_ops(alg, _with_stars(alg, multimatrix_generators(blocks)))
-    sub = ModuleSubspace(alg, 1, unit, ops, unit)
-    with pytest.raises(NotRightClosed, match=r"span rank 1 differs from the rank \d+"):
+    sub = ModuleSubspace.from_span(alg, 1, unit, ops, unit)
+    with pytest.raises(NotRightClosed, match="commutant residual"):
         vn_dimension(sub)
 
 
@@ -359,9 +386,8 @@ def _all_but_one(leg: int, odd: int) -> tuple[ModuleSubspace, ModuleSubspace]:
     invariant under every diagonal operator and not under O. The module
     is over C[Z/4], whose basis is GNS-orthonormal. O + O^* = 0
     adds nothing to the cluster combination sum t_j (a_j + a_j^*), so the
-    blocks are the lines e_i (x) e_j, W is a sum of blocks and passes the
-    rank certificate; only the closure test can see O. The control is the
-    same span without O."""
+    spectral blocks are the lines e_i (x) e_j and W is a sum of them; only
+    the closure test can see O. The control is the same span without O."""
     rng = np.random.default_rng(11)
     mats = [[np.diag(rng.standard_normal(4)).astype(complex) for _ in range(3)] for _ in (0, 1)]
     a = rng.standard_normal((4, 4))
@@ -372,8 +398,8 @@ def _all_but_one(leg: int, odd: int) -> tuple[ModuleSubspace, ModuleSubspace]:
     span = np.kron(eye[:, :2], eye[:, :2])
     unit = np.kron(eye[:, :1], eye[:, :1])
     alg = group_algebra(cyclic(4))
-    module = ModuleSubspace(alg, 1, span, ops, unit)
-    control = ModuleSubspace(alg, 1, span, [op for op in ops if op is not odd_op], unit)
+    module = ModuleSubspace.from_span(alg, 1, span, ops, unit)
+    control = ModuleSubspace.from_span(alg, 1, span, [op for op in ops if op is not odd_op], unit)
     return module, control
 
 
@@ -389,14 +415,14 @@ def test_closure_test_sees_the_one_operator_that_breaks_invariance(leg, odd):
 def test_closure_test_applies_two_combinations_per_leg(monkeypatch):
     sub = MODULES["inner M2+C, raw span"]()
     applied = []
-    residual = vndim._closure_residual
-    monkeypatch.setattr(vndim, "_closure_residual",
+    residual = vndim._kernel_residual
+    monkeypatch.setattr(vndim, "_kernel_residual",
                         lambda op, *args: applied.append(op) or residual(op, *args))
     vn_dimension(sub)
     assert len(applied) == 2 * vndim.CLOSURE_DRAWS
 
 
-# -- block-localized inner spans: SVDs and certificate per connected component ---
+# -- block-localized inner spans against the dense projector ---------------------
 
 INNER = {
     "M2": [(2, 1.0)],
@@ -417,12 +443,26 @@ def test_inner_module_matches_dense_projector(name):
     assert abs(got.value - value) < 1e-10
 
 
+def _raw_span(blocks):
+    """The raw inner span of _raw_inner, its algebra and argument set."""
+    alg, gens = multimatrix(blocks), multimatrix_generators(blocks)
+    return dense_reference.inner_span(alg, gens), alg, gens
+
+
+def _rotated(span: np.ndarray, legs: list, ncoords: int) -> np.ndarray:
+    """A raw span in the rotated coordinates of both legs, shape
+    (ncoords, n_a, n_b, columns)."""
+    (rot_a, _, _), (rot_b, _, _) = legs
+    n = len(rot_a)
+    return np.einsum("ai,bj,kijr->kabr", rot_a, rot_b, span.reshape(ncoords, n, n, -1))
+
+
 @pytest.mark.parametrize("name", ["M2+C", "M4", "M4+M2+C"])
 def test_inner_span_columns_lie_in_one_spectral_block(name):
     blocks = {"M2+C": [(2, 0.6), (1, 0.4)], "M4": INNER["M4"], "M4+M2+C": INNER["M4+M2+C"]}
-    sub = _raw_inner(blocks[name])
-    legs = vndim._legs(sub.algebra, sub.right_ops)
-    views = vndim._class_blocks(vndim._rotate(sub.span, sub.ncoords, legs), legs)
+    sub = _inner(blocks[name])
+    span = _raw_span(blocks[name])[0]
+    views = vndim._class_blocks(_rotated(span, sub.legs, sub.ncoords), sub.legs)
     norms = np.concatenate([
         np.sqrt(np.sum(np.abs(v) ** 2, axis=(0, 2, 4))).reshape(-1, v.shape[-1])
         for v in views.values()
@@ -431,52 +471,30 @@ def test_inner_span_columns_lie_in_one_spectral_block(name):
     assert second.max() <= 1e-12 * norms.max()
 
 
-def _count_components(monkeypatch) -> list:
-    """Record the number of span components of each vn_dimension call."""
-    seen = []
-    label_columns = vndim._column_components
-
-    def spy(rows, cols, nrows, ncols):
-        label = label_columns(rows, cols, nrows, ncols)
-        seen.append(np.unique(label[cols]).size)
-        return label
-
-    monkeypatch.setattr(vndim, "_column_components", spy)
-    return seen
-
-
 @pytest.mark.parametrize("leak", [1e-14, 1e-6])
-def test_leak_between_blocks_is_dropped_or_merges_components(monkeypatch, leak):
+def test_leak_between_blocks_is_dropped_or_merges_components(leak):
     # the same subspace, with some columns of the localized inner span
-    # mixed into columns that lie in other spectral blocks: a leak of
-    # 1e-14 is below a tenth of the rank cut and is dropped, one of 1e-6
-    # is not, and joins the blocks it touches into one component
-    seen = _count_components(monkeypatch)
-    sub = _raw_inner([(3, 0.6), (1, 0.4)])
-    vn_dimension(sub)
+    # mixed into columns that lie in other spectral blocks
+    span, alg, gens = _raw_span([(3, 0.6), (1, 0.4)])
+    sub = dense_reference.inner_module(alg, gens)
     rng = np.random.default_rng(5)
-    r = sub.span.shape[1]
+    r = span.shape[1]
     mix = np.eye(r, dtype=complex)
     mix[rng.permutation(r)[:6], rng.permutation(r)[:6]] += leak
-    leaky = ModuleSubspace(sub.algebra, sub.ncoords, sub.span @ mix, sub.right_ops,
-                           sub.trace_vectors)
+    leaky = ModuleSubspace.from_span(alg, sub.ncoords, span @ mix, sub.right_ops,
+                                     sub.trace_vectors)
     got = vn_dimension(leaky)
     value, rank = dense_vn_dimension(leaky)
     assert got.rank == rank
     assert abs(got.value - value) < 1e-10
-    localized, mixed = seen
-    assert localized > 1
-    if leak < 1e-11:
-        assert mixed == localized
-    else:
-        assert mixed < localized
 
 
 def test_localized_span_missing_a_column_is_rejected():
-    sub = _raw_inner([(3, 0.6), (1, 0.4)])
-    drop = int(np.argmax(np.linalg.norm(sub.span, axis=0)))
-    cut = ModuleSubspace(sub.algebra, sub.ncoords, np.delete(sub.span, drop, axis=1),
-                         sub.right_ops, sub.trace_vectors)
+    span, alg, gens = _raw_span([(3, 0.6), (1, 0.4)])
+    sub = dense_reference.inner_module(alg, gens)
+    drop = int(np.argmax(np.linalg.norm(span, axis=0)))
+    cut = ModuleSubspace.from_span(alg, sub.ncoords, np.delete(span, drop, axis=1),
+                                   sub.right_ops, sub.trace_vectors)
     with pytest.raises(NotRightClosed):
         vn_dimension(cut)
 
@@ -485,21 +503,22 @@ def test_localized_span_missing_a_column_is_rejected():
 
 @pytest.mark.parametrize("name", ["M2", "M3", "M4", "M5", "M4+M2+C", "M3+M3+C"])
 def test_inner_blocks_equal_the_blocks_gathered_from_the_raw_span(name):
-    # the direct stacks keep block columns that the gather drops as below
-    # its drop bound, so the blocks are compared by the projectors onto them
+    # the projectors onto the direct blocks, placed on the block diagonal,
+    # against the dense projector of the raw span in the same coordinates
     blocks = {**INNER, "M3+M3+C": [(3, 0.4), (3, 0.35), (1, 0.25)]}[name]
-    legs, direct = _inner(blocks).spectral_blocks()
-    raw_legs, gathered = _raw_inner(blocks).spectral_blocks()
-    for (rot, _, classes), (raw_rot, _, raw_classes) in zip(legs, raw_legs):
-        assert np.array_equal(rot, raw_rot) and classes == raw_classes
-    assert direct[2] == gathered[2]
-    basis, rank = vndim._block_bases(*direct)
-    raw_basis, raw_rank = vndim._block_bases(*gathered)
-    assert rank == raw_rank
-    assert basis.keys() == raw_basis.keys()
-    for key, (q, qh) in basis.items():
-        raw_q, raw_qh = raw_basis[key]
-        assert np.max(np.abs(q @ qh - raw_q @ raw_qh), initial=0.0) < 1e-13
+    sub = _inner(blocks)
+    span, alg, _ = _raw_span(blocks)
+    k, nn = sub.ncoords, alg.dim**2
+    q = gram_onb(_rotated(span, sub.legs, k).reshape(k * nn, -1))
+    basis, rank = vndim._block_bases(sub.blocks)
+    assert rank == q.shape[1]
+    # each block's rows as indices into the rotated coordinates
+    rows = vndim._class_blocks(np.arange(k * nn).reshape(k, alg.dim, alg.dim, 1), sub.legs)
+    got = np.zeros((k * nn, k * nn), dtype=complex)
+    for key, (qb, qbh) in basis.items():
+        for idx, proj in zip(vndim._block_stack(rows[key])[..., 0], qb @ qbh):
+            got[np.ix_(idx, idx)] = proj
+    assert np.max(np.abs(got - q @ q.conj().T)) < 1e-13
 
 
 def test_split_degenerate_eigenspaces_leak_out_of_the_inner_blocks(monkeypatch):
@@ -544,12 +563,6 @@ def test_m3_crossed_by_s3_through_the_inner_path():
 
 # -- the kernel route: phi_X(Der A), X the basis, read from the Leibniz kernel ---
 
-def _spectral(sub: KernelModule) -> ModuleSubspace:
-    """The same module as a ModuleSubspace holding its dense span, which
-    vn_dimension reads by the spectral route."""
-    return ModuleSubspace(sub.algebra, sub.ncoords, sub.span, sub.right_ops, sub.trace_vectors)
-
-
 def _corpus_algebras() -> dict:
     out = {}
     for spec in reports.corpus_specs(seed=0):
@@ -560,12 +573,14 @@ def _corpus_algebras() -> dict:
 
 @pytest.mark.parametrize("name", list(_corpus_algebras()))
 def test_kernel_route_matches_the_spectral_route(name):
-    sub = phi_x(derivation_space(_corpus_algebras()[name]))
-    assert isinstance(sub, KernelModule)
-    got, want = vn_dimension(sub), vn_dimension(_spectral(sub))
-    assert (got.route, want.route) == ("kernel", "spectral")
-    assert got.rank == want.rank
-    assert abs(got.value - want.value) < 1e-12
+    space = derivation_space(_corpus_algebras()[name])
+    sub = phi_x(space)
+    assert sub.basis is space.kernel
+    got = vn_dimension(sub)
+    value, rank = dense_vn_dimension(sub)
+    assert got.route == "kernel"
+    assert got.rank == rank
+    assert abs(got.value - value) < 1e-12
     assert got.closure_residual < 1e-12
 
 
@@ -592,11 +607,12 @@ def test_kernel_route_never_forms_the_derivation_basis(monkeypatch):
         res = vn_dimension(phi_x(derivation_space(multimatrix(blocks))))
         assert res.route == "kernel"
         assert abs(res.value - (1 - sum(a * a / (n * n) for n, a in blocks))) < 1e-12
-    # a space given a dense basis, and an argument set other than the
-    # basis, take the spectral route
+    # an argument set other than the basis is read from the whitened
+    # kernel too
     space = derivation_space(multimatrix([(2, 1.0)]))
-    with pytest.raises(AssertionError, match="basis was formed"):
-        phi_x(space, np.eye(4, dtype=complex))
+    res = vn_dimension(phi_x(space, multimatrix_generators([(2, 1.0)])))
+    assert res.route == "kernel"
+    assert abs(res.value - 0.75) < 1e-12
 
 
 @pytest.mark.parametrize("drop", [False, True], ids=["closed", "one block left out"])
