@@ -321,7 +321,7 @@ def _block_vectors(mat: np.ndarray | SparseSystem, span: bool) -> BlockKernel:
         stacks.append(buf[start : start + num * r * c].reshape(num, r, c))
         block_ids.append(ids)
 
-    # parts keyed by (columns, kernel dimension): blocks of one column count
+    # parts keyed by (columns, vectors per block): blocks of one column count
     # but different row counts solve in different stacks and share a part
     parts, k = {}, 0
     for ids, (_, s, vh, kept) in zip(block_ids, batched_svd(stacks, right=True, full=not span)):
