@@ -8,9 +8,11 @@ An algebra is a basis b_0 .. b_{n-1} together with
 
 The GNS inner product is <x, y> = tau(y* x), linear in the first slot.
 
-certify_exact bounds the axiom residuals in GNS-orthonormal coordinates
-(onb_residuals) by EXACT_BOUND. validate's bound is on raw coordinates,
-where a badly conditioned basis hides an inexact algebra: M2+C under a
+One routine, axiom_residuals, computes the axiom residuals of given
+structure constants. certify_exact bounds them in GNS-orthonormal
+coordinates (onb_residuals) by EXACT_BOUND; validate bounds them on the
+raw constants by VALID_TOL. Raw coordinates are where a badly
+conditioned basis hides an inexact algebra: M2+C under a
 non-unitary basis change of condition number 3e2 validates at 1e-8, but
 its whitened associativity residual is 1.1e-10 to 7.3e-10 (seeds
 100-111), and the kernel readout of vndim returns its dimension up to
@@ -33,6 +35,9 @@ from .errors import InexactAlgebra, RankAmbiguous, ShapeMismatch
 # largest axiom residual in GNS-orthonormal coordinates (onb_residuals) of
 # an algebra whose derivations are computed; see the module docstring
 EXACT_BOUND = 5e-11
+# bound of validate on each raw-coordinate residual and below the smallest
+# Gram eigenvalue
+VALID_TOL = 1e-8
 
 
 def _carr(a) -> np.ndarray:
@@ -167,30 +172,36 @@ class FDAlgebra:
 
     @cached_property
     def onb_residuals(self) -> dict[str, float]:
-        """Frobenius norms of the axiom residuals over all basis pairs and
-        triples, in GNS-orthonormal coordinates (x -> onb_factor x):
-        associativity, the unit, the star's antimultiplicativity and
-        involutivity, and the trace's unit value and trace property."""
+        """axiom_residuals in GNS-orthonormal coordinates
+        (x -> onb_factor x)."""
         t, ti, n = self.onb_factor, self.onb_inverse, self.dim
         # c[i, j, k] = sum_abp ti[a, i] ti[b, j] mult[a, b, p] t[k, p]
         c = np.matmul(ti.T, (ti.T @ self.mult.reshape(n, n * n)).reshape(n, n, n)) @ t.T
-        u, tau = t @ self.unit, self.trace @ ti
-        s = t @ self.star @ np.conj(ti)
-        eye = np.eye(n)
-        # (b_i b_j) b_k, indexed (i, j, k, q), against b_i (b_j b_k)
-        left = (c.reshape(n * n, n) @ c.reshape(n, n * n)).reshape(n, n, n, n)
-        right = np.tensordot(c, c, axes=(2, 1)).transpose(2, 0, 1, 3)
-        pairs = c @ tau
-        return {
-            "associativity": frob(left - right),
-            "unit": max(frob(u @ c.transpose(1, 0, 2) - eye), frob(u @ c - eye)),
-            # (b_i b_j)* against b_j* b_i*
-            "involution": frob(np.conj(c) @ s.T - np.matmul(
-                s.T, (s.T @ c.reshape(n, n * n)).reshape(n, n, n)).transpose(1, 0, 2)),
-            "involutive": frob(s @ np.conj(s) - eye),
-            "trace_unit": abs(complex(tau @ u) - 1.0),
-            "trace_cyclic": frob(pairs - pairs.T),
-        }
+        return axiom_residuals(c, t @ self.star @ np.conj(ti), t @ self.unit, self.trace @ ti)
+
+
+def axiom_residuals(c: np.ndarray, s: np.ndarray, u: np.ndarray,
+                    tau: np.ndarray) -> dict[str, float]:
+    """Frobenius norms of the axiom residuals over all basis pairs and
+    triples of the algebra with structure constants c, star s, unit u and
+    trace tau: associativity, the unit, the star's antimultiplicativity
+    and involutivity, and the trace's unit value and trace property."""
+    n = len(u)
+    eye = np.eye(n)
+    # (b_i b_j) b_k, indexed (i, j, k, q), against b_i (b_j b_k)
+    left = (c.reshape(n * n, n) @ c.reshape(n, n * n)).reshape(n, n, n, n)
+    right = np.tensordot(c, c, axes=(2, 1)).transpose(2, 0, 1, 3)
+    pairs = c @ tau
+    return {
+        "associativity": frob(left - right),
+        "unit": max(frob(u @ c.transpose(1, 0, 2) - eye), frob(u @ c - eye)),
+        # (b_i b_j)* against b_j* b_i*
+        "involution": frob(np.conj(c) @ s.T - np.matmul(
+            s.T, (s.T @ c.reshape(n, n * n)).reshape(n, n, n)).transpose(1, 0, 2)),
+        "involutive": frob(s @ np.conj(s) - eye),
+        "trace_unit": abs(complex(tau @ u) - 1.0),
+        "trace_cyclic": frob(pairs - pairs.T),
+    }
 
 
 def _new_span(span: np.ndarray, cand: np.ndarray) -> np.ndarray:
@@ -217,7 +228,6 @@ def certify_exact(alg: FDAlgebra) -> None:
 @dataclass
 class ValidationReport:
     label: str
-    tol: float
     residuals: dict[str, float]
     gram_min_eig: float
     passed: bool
@@ -230,45 +240,25 @@ class ValidationReport:
         """The failed conditions, "; "-joined; empty when none failed."""
         axiom, worst = self.worst()
         out = []
-        if not worst <= self.tol:
+        if not worst <= VALID_TOL:
             out.append(f"worst axiom: {axiom}")
-        if not self.gram_min_eig > self.tol:
+        if not self.gram_min_eig > VALID_TOL:
             out.append(f"trace not faithful: minimum Gram eigenvalue {self.gram_min_eig:.3e}")
         return "; ".join(out)
 
 
-def validate(alg: FDAlgebra, tol: float = 1e-8) -> ValidationReport:
-    """Check the axioms numerically: associativity, unit, involution,
-    tracial state, and faithfulness (Gram positive definite)."""
-    c, s, u, t = alg.mult, alg.star, alg.unit, alg.trace
-    n = alg.dim
-    res: dict[str, float] = {}
-
-    left = np.einsum("ijp,pkq->ijkq", c, c)
-    right = np.einsum("jkp,ipq->ijkq", c, c)
-    res["associativity"] = frob(left - right)
-
-    eye = np.eye(n)
-    res["unit"] = max(
-        frob(np.einsum("a,aik->ik", u, c) - eye),
-        frob(np.einsum("a,iak->ik", u, c) - eye),
-    )
-
-    # (ab)* = b* a* on basis pairs, and ** = id
-    lhs = np.einsum("kl,ijl->ijk", s, np.conj(c))
-    rhs = np.einsum("aj,bi,abk->ijk", s, s, c)
-    res["involution"] = frob(lhs - rhs)
-    res["involutive"] = frob(s @ np.conj(s) - eye)
-
-    res["trace_unit"] = abs(complex(t @ u) - 1.0)
-    pairs = np.einsum("ijk,k->ij", c, t)
-    res["trace_cyclic"] = frob(pairs - pairs.T)
+def validate(alg: FDAlgebra) -> ValidationReport:
+    """Check the axioms numerically on the raw structure constants
+    (axiom_residuals), the trace's hermiticity and faithfulness (Gram
+    positive definite), each against VALID_TOL."""
+    s, t = alg.star, alg.trace
+    res = axiom_residuals(alg.mult, s, alg.unit, t)
     # tau(x*) = conj(tau(x)) keeps the state hermitian
     res["trace_hermitian"] = frob(np.conj(s.T @ t) - t)
 
-    g = np.einsum("ai,ajk,k->ij", s, c, t)
+    g = np.einsum("ai,ajk,k->ij", s, alg.mult, t)
     res["gram_hermitian"] = frob(g - g.conj().T)
     mineig = float(np.linalg.eigvalsh(0.5 * (g + g.conj().T)).min())
 
-    passed = all(v <= tol for v in res.values()) and mineig > tol
-    return ValidationReport(alg.label, tol, res, mineig, passed)
+    passed = all(v <= VALID_TOL for v in res.values()) and mineig > VALID_TOL
+    return ValidationReport(alg.label, res, mineig, passed)

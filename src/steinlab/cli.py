@@ -24,7 +24,7 @@ from . import reports
 from .derivations import derivation_space
 from .algebra import validate
 from .errors import SpecInvalid, SteinlabError
-from .reports import ExperimentSpec, check_tolerance, parse_algebra
+from .reports import ExperimentSpec, check_seed, check_tolerance, parse_algebra
 from .vndim import as_fraction, phi_x, vn_dimension
 
 _FORMATS = {"json": reports.to_json, "csv": reports.to_csv, "md": reports.to_markdown}
@@ -102,7 +102,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_corpus(args) -> int:
     tol = _tolerance(args)
-    seed = args.seed if args.seed is not None else 0
+    seed = 0 if args.seed is None else check_seed(args.seed, "--seed")
     reps = reports.run_corpus(seed=seed, tolerance=tol)
     return _finish(reps, args.format, args.out)
 

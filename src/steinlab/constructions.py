@@ -23,6 +23,11 @@ from .errors import (
 )
 from .groups import Character, FiniteGroup, characters, cyclic
 
+# largest relative GNS distance of one span from another that span_equal
+# still counts as equal
+SPAN_TOL = 1e-8
+# GNS norm at or below which scaled_generating_set drops a Fourier component
+PRUNE_TOL = 1e-10
 
 # -- multimatrix algebras ----------------------------------------------------
 
@@ -411,15 +416,16 @@ def generates(alg: FDAlgebra, gens: list[np.ndarray]) -> bool:
     return subalgebra_generate(alg, gens).shape[1] == alg.dim
 
 
-def span_equal(alg: FDAlgebra, a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> bool:
-    """Whether two column spans coincide, compared in the GNS geometry."""
+def span_equal(alg: FDAlgebra, a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two column spans coincide, compared in the GNS geometry:
+    the same rank, and b off the span of a by at most SPAN_TOL relative."""
     qa = gram_onb(a, alg.onb_factor)
     qb = gram_onb(b, alg.onb_factor)
     if qa.shape[1] != qb.shape[1]:
         return False
     g = alg.gram
     proj = qa @ (qa.conj().T @ (g @ qb))
-    return frob(proj - qb) <= tol * max(1.0, frob(qb))
+    return frob(proj - qb) <= SPAN_TOL * max(1.0, frob(qb))
 
 
 # -- scaled generating sets --------------------------------------------------
@@ -428,12 +434,11 @@ def scaled_generating_set(
     xs: list[np.ndarray],
     act: GroupAction,
     chars: list[Character] | None = None,
-    prune_tol: float = 1e-10,
 ) -> list[tuple[np.ndarray, Character]]:
     """Fourier components y_{x,chi} = |G|^-1 sum_g conj(chi(g)) alpha_g(x).
 
     Each returned y satisfies alpha_h(y) = chi(h) y; zero components are
-    pruned at prune_tol in GNS norm. The original x is the sum of its
+    pruned at PRUNE_TOL in GNS norm. The original x is the sum of its
     components, so generation is preserved.
     """
     grp, alg = act.group, act.algebra
@@ -448,7 +453,7 @@ def scaled_generating_set(
         orbit = np.stack([act.apply(g, x) for g in range(k)])
         for chi in chars:
             y = np.einsum("g,gi->i", np.conj(chi.values), orbit) / k
-            if alg.norm(y) <= prune_tol:
+            if alg.norm(y) <= PRUNE_TOL:
                 continue
             out.append((y, chi))
     return out

@@ -17,10 +17,13 @@ is whitened by (T, T), T = A.onb_factor. apply_pair contracts a pair into
 a stack leg by leg; no (n^2, n^2) operator matrix is formed. Kernels are
 solved for whitened values and mapped back by (T^-1, T^-1).
 derivation_space builds the Leibniz equations only for the arguments of a
-generating set, which have the same kernel (see leibniz_system). A space that
-derivation_space solves keeps its kernel as nullspace returns it, by
-Leibniz block, and maps it back only when a caller reads its basis:
-vndim reads the dimension of phi_X, X the basis, from the kernel itself.
+generating set, which have the same kernel (see leibniz_system). A
+DerivationSpace has one representation: its whitened orthonormal basis in
+the unknowns of leibniz_system, kept by block (a BlockKernel), as
+nullspace returns it for derivation_space and as span_basis keeps it for
+relative_derivations, which solves its constraints on that kernel. It is
+mapped back to raw coordinates only when a caller reads the basis: vndim
+reads the dimension of phi_X, X the basis, from the kernel itself.
 derivation_space first certifies that the algebra is exact
 (algebra.certify_exact), since that readout backs no number for an
 inexact one.
@@ -34,12 +37,15 @@ derivations between A and A x| G.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
 # gram_onb is no longer called here; the name stays bound because
 # benchmark/tracing.py hooks steinlab.derivations.gram_onb
-from ._linalg import BlockKernel, SparseSystem, frob, gram_onb, nullspace  # noqa: F401
+from ._linalg import (  # noqa: F401
+    BlockKernel, SparseSystem, frob, gram_onb, nullspace, span_basis,
+)
 from .algebra import FDAlgebra, certify_exact
 from .constructions import CrossedProduct, subalgebra_generate, span_equal
 from .errors import NotSubalgebra, UnitsInvalid
@@ -174,27 +180,22 @@ class DerivationSpace:
     """Span of derivations of algebra with a basis orthonormal for
     <., .>_X, X the basis of A: <d1, d2>_X = sum_j <d1(b_j), d2(b_j)>.
 
-    A space that derivation_space solves holds kernel, the whitened
-    Leibniz kernel by block, and forms basis, (r, dim N, dim A) in raw
-    coordinates, only when it is read (kernel_basis), once; a space given
-    a basis holds no kernel.
+    kernel holds that basis whitened, in the unknowns of leibniz_system,
+    by block (a BlockKernel); basis, (r, dim N, dim A) in raw coordinates,
+    is formed from it only when it is read (kernel_basis), once.
     """
 
-    def __init__(self, algebra: FDAlgebra, basis: np.ndarray | None = None,
-                 kernel: BlockKernel | None = None):
+    def __init__(self, algebra: FDAlgebra, kernel: BlockKernel):
         self.algebra = algebra
         self.kernel = kernel
-        self._basis = basis
 
-    @property
+    @cached_property
     def basis(self) -> np.ndarray:
-        if self._basis is None:
-            self._basis = kernel_basis(self.algebra, self.kernel)
-        return self._basis
+        return kernel_basis(self.algebra, self.kernel)
 
     @property
     def rank(self) -> int:
-        return self.kernel.shape[1] if self._basis is None else self._basis.shape[0]
+        return self.kernel.shape[1]
 
 
 def kernel_basis(alg: FDAlgebra, kernel: BlockKernel) -> np.ndarray:
@@ -227,7 +228,7 @@ def derivation_space(alg: FDAlgebra) -> DerivationSpace:
     read.
     """
     certify_exact(alg)
-    return DerivationSpace(alg, kernel=nullspace(leibniz_system(alg, alg.generating_indices)))
+    return DerivationSpace(alg, nullspace(leibniz_system(alg, alg.generating_indices)))
 
 
 def central_vectors(alg: FDAlgebra, sub_cols: np.ndarray) -> np.ndarray:
@@ -241,7 +242,16 @@ def central_vectors(alg: FDAlgebra, sub_cols: np.ndarray) -> np.ndarray:
 def relative_derivations(
     space: DerivationSpace, sub_cols: np.ndarray, check_subalgebra: bool = True
 ) -> DerivationSpace:
-    """Subspace of derivations vanishing on a unital *-subalgebra."""
+    """Subspace of derivations vanishing on a unital *-subalgebra, solved
+    on the whitened kernel.
+
+    With w_r the whitened kernel vectors as (dim N, dim A) matrices, the
+    whitened value of d = sum_r c_r d_r at s is sum_r c_r w_r s, so the
+    constraints d(s) = 0 for the columns s of sub_cols are linear in c;
+    nullspace solves them per group of kernel blocks that they couple.
+    Orthonormal combinations of an orthonormal basis are orthonormal, and
+    span_basis keeps them by block.
+    """
     alg = space.algebra
     sub_cols = np.asarray(sub_cols, dtype=complex)
     if check_subalgebra:
@@ -250,10 +260,11 @@ def relative_derivations(
             raise NotSubalgebra("span is not a unital *-subalgebra")
     if space.rank == 0:
         return space
-    con = space.basis @ sub_cols
-    combos = nullspace(con.reshape(space.rank, -1).T).dense()
-    basis = np.einsum("rm,rpj->mpj", combos, space.basis)
-    return DerivationSpace(alg, basis)
+    n, r = alg.dim, space.rank
+    w = space.kernel.dense()
+    con = sub_cols.T @ w.reshape(n * n, n, r)  # (dim N, sub, r)
+    combos = nullspace(con.reshape(-1, r)).dense()
+    return DerivationSpace(alg, span_basis(w @ combos))
 
 
 # -- matrix-unit central projection -------------------------------------------

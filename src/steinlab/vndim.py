@@ -32,16 +32,15 @@ One basis for every span. A ModuleSubspace's basis is in GNS-orthonormal
 coordinates, unknown (a * n + b) * k + c being leg a, leg b and copy c,
 the layout of the unknown of leibniz_system. Copy c of phi_X(d) is
 d(x_c), so for X the basis of A the whitened span of phi_X is the
-Leibniz kernel itself, which nullspace returns orthonormal and by block:
-phi_x wraps it as it is. Every other span is whitened once and
-orthonormalized by span_basis, which keeps it by the connected blocks of
-its nonzero pattern: phi_X for X other than the basis (formed from the
-whitened kernel when the space holds one), phi_X of a space given a dense
-basis, such as relative_derivations', and a span given in raw
-coordinates (ModuleSubspace.from_span). restrict_scalars keeps the basis
-and changes only the right action and the trace vectors, and L^2(N)
-itself (full_module) is the whitened standard basis, dim A^2 blocks of
-one unknown each.
+space's whitened kernel itself, orthonormal and by block, for every
+DerivationSpace (derivation_space's and relative_derivations'): phi_x
+wraps it as it is. Every other span is whitened once and orthonormalized
+by span_basis, which keeps it by the connected blocks of its nonzero
+pattern: phi_X for X other than the basis, formed from the whitened
+kernel, and a span given in raw coordinates (ModuleSubspace.from_span).
+restrict_scalars keeps the basis and changes only the right action and
+the trace vectors, and L^2(N) itself (full_module) is the whitened
+standard basis, dim A^2 blocks of one unknown each.
 
 The kernel route. P = Q Q^H is block diagonal over the basis blocks,
 with no rotation, no block SVD and no rank certificate, since the basis
@@ -158,6 +157,8 @@ CLOSURE_TOL = 1e-8
 # construction
 CLOSURE_DRAWS = 2
 _CLOSURE_SEED = 1
+# largest distance of a value from the fraction that as_fraction shows for it
+FRACTION_TOL = 1e-6
 
 
 @dataclass(eq=False)
@@ -504,10 +505,11 @@ def _kernel_dimension(sub: ModuleSubspace) -> DimensionResult:
     return DimensionResult(value, kernel.shape[1], worst, "kernel")
 
 
-def as_fraction(x: float, max_den: int, tol: float = 1e-6) -> Fraction | None:
-    """Nearest p/q with q <= max_den if within tol, for report cosmetics."""
+def as_fraction(x: float, max_den: int) -> Fraction | None:
+    """Nearest p/q with q <= max_den if within FRACTION_TOL, for report
+    cosmetics."""
     frac = Fraction(x).limit_denominator(max_den)
-    if abs(float(frac) - x) <= tol:
+    if abs(float(frac) - x) <= FRACTION_TOL:
         return frac
     return None
 
@@ -541,13 +543,9 @@ def _right_ops(alg, xs: list) -> list:
 
 def _phi_span(space: DerivationSpace, gens: np.ndarray) -> np.ndarray:
     """The whitened span of phi_X(space), (dim A^2 * ncoords, rank) in the
-    layout of ModuleSubspace.basis, from the whitened kernel when the space
-    holds one."""
+    layout of ModuleSubspace.basis, from the whitened kernel."""
     n, r = space.algebra.dim, space.rank
-    if space.kernel is not None:
-        w = space.kernel.dense().reshape(n * n, n, r)
-    else:
-        w = whiten(space.algebra, space.basis).transpose(1, 2, 0)
+    w = space.kernel.dense().reshape(n * n, n, r)
     return np.einsum("qir,ic->qcr", w, gens, optimize=True).reshape(n * n * gens.shape[1], r)
 
 
@@ -557,9 +555,10 @@ def phi_x(space: DerivationSpace, gens: np.ndarray | None = None) -> ModuleSubsp
     X (columns of gens, the basis of A by default) must generate the
     algebra, so that the map is injective and the dimension does not depend
     on the choice; a given X is checked, the basis spans A. X and its stars
-    also supply the right operators. With X the basis, a space that holds
-    its kernel (derivation_space) gives that kernel as the module's basis;
-    every other span is orthonormalized by span_basis.
+    also supply the right operators. With X the basis, the space's whitened
+    kernel is the module's basis as it is; for any other X, phi_X's
+    whitened span is formed from the kernel and orthonormalized by
+    span_basis.
     """
     from .constructions import generates
 
@@ -567,10 +566,9 @@ def phi_x(space: DerivationSpace, gens: np.ndarray | None = None) -> ModuleSubsp
     if gens is None:
         gens, basis = np.eye(alg.dim, dtype=complex), space.kernel
     else:
-        gens, basis = np.asarray(gens, dtype=complex), None
+        gens = np.asarray(gens, dtype=complex)
         if not generates(alg, list(gens.T)):
             raise NotGenerating("argument set does not generate the algebra")
-    if basis is None:
         basis = span_basis(_phi_span(space, gens))
     return ModuleSubspace(alg, gens.shape[1], basis, _right_ops(alg, _with_stars(alg, gens)),
                           np.kron(alg.unit, alg.unit)[:, None])

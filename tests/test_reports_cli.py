@@ -437,6 +437,7 @@ def test_cli_dim_rejects_seed(tmp_path, capsys):
     ("dim", ""),
     ("run", json.dumps(dict(C2_SPEC, seed="seven"))),
     ("run", json.dumps(dict(C2_SPEC, seed=1.5))),
+    ("run", json.dumps(dict(C2_SPEC, seed=-5))),
     ("run", json.dumps(dict(C2_SPEC, subgroup=[0, "one"]))),
     ("run", json.dumps(dict(C2_SPEC, subgroup=[0, 2]))),
     ("run", json.dumps(dict(C2_SPEC, subgroup=1))),
@@ -450,7 +451,7 @@ def test_cli_dim_rejects_seed(tmp_path, capsys):
     ("run", json.dumps(dict(C2_SPEC, alt_generators=[[[1, 0]]]))),
     ("run", json.dumps(dict(C2_SPEC, checks=5))),
     ("run", json.dumps(dict(C2_SPEC, checks="schreier_crossed"))),
-], ids=["run-json", "dim-json", "seed-word", "seed-fraction", "subgroup-word",
+], ids=["run-json", "dim-json", "seed-word", "seed-fraction", "seed-negative", "subgroup-word",
         "subgroup-range", "subgroup-not-list", "order-0", "perms-missing",
         "perms-short", "perms-string", "perms-range", "unitaries-missing", "unitaries-shape",
         "alt-generators-length", "checks-number", "checks-string"])
@@ -461,6 +462,26 @@ def test_cli_malformed_input_exits_2_with_one_line(tmp_path, capsys, command, te
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("steinlab: ") and err.count("\n") == 1
+
+
+def test_cli_corpus_rejects_a_negative_seed(capsys):
+    # corpus --seed never goes through a spec's from_json
+    assert main(["corpus", "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "steinlab: --seed=-1 is negative\n"
+
+
+@pytest.mark.parametrize("blocks", [[[2, 1.0]], [[1, 1.0]]], ids=["M2", "C"])
+def test_cli_runs_a_spec_over_the_trivial_group(tmp_path, capsys, blocks):
+    # Z/1 has no u_s other than 1, so covariance_equivalence leaves out the
+    # inner derivation moved off the vanishing space
+    path = tmp_path / "z1.json"
+    path.write_text(json.dumps({"algebra": {"multimatrix": {"blocks": blocks}}, "group": "Z/1"}))
+    assert main(["run", str(path), "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["reports"][0]["rows"]
+    assert {row["status"] for row in rows} <= {"pass", "skipped"}
+    assert next(r for r in rows if r["name"] == "covariance_equivalence")["status"] == "pass"
 
 
 def test_cli_bad_input_exits_2(tmp_path, capsys):

@@ -82,3 +82,31 @@ def test_m3_s3_ceiling_checks_its_bounds():
     assert script.failures(1 - 1 / 54, 10.0, 10**9) == []
     missed = script.failures(1 - 1 / 54 + 1e-9, 60.0, 2 * 10**9)
     assert [line.split()[0] for line in missed] == ["value", "took", "max"]
+
+
+def test_code_lines_leaves_out_docstrings_comments_and_blank_lines(tmp_path, capsys):
+    source = '''"""Module docstring,
+over two lines."""
+
+import math  # a comment after code counts
+
+
+# a comment alone
+class A:
+    """Class docstring."""
+
+    x = """a string that is
+not a docstring"""
+
+    def f(self, y):
+        """Function docstring."""
+        return math.sqrt(
+            y)
+'''
+    path = tmp_path / "mod.py"
+    path.write_text(source)
+    script = load("code_lines")
+    # import, class, x (two lines), def, return (two lines)
+    assert script.code_lines(source) == 7
+    assert script.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["     7  mod.py", "     7  total"]

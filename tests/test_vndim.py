@@ -35,9 +35,9 @@ from steinlab import (
 import steinlab.derivations as derivations
 import steinlab.vndim as vndim
 from steinlab import _linalg, reports
-from steinlab._linalg import BlockKernel, gram_onb
+from steinlab._linalg import BlockKernel, gram_onb, span_basis
 from steinlab.vndim import CLOSURE_TOL, _right_ops, _with_stars
-from test_derivations import rotated
+from test_derivations import in_basis, random_unitary, rotated
 import dense_reference
 
 
@@ -126,7 +126,7 @@ def test_module_subspace_takes_only_one_leg_operators(op):
 def test_phi_x_of_one_derivation_is_not_right_closed(blocks):
     # the generator right operators alone must reject a non-module span
     space = derivation_space(multimatrix(blocks))
-    cut = DerivationSpace(space.algebra, space.basis[:1])
+    cut = DerivationSpace(space.algebra, span_basis(space.kernel.dense()[:, :1]))
     with pytest.raises(NotRightClosed):
         vn_dimension(phi_x(cut))
 
@@ -613,6 +613,42 @@ def test_kernel_route_never_forms_the_derivation_basis(monkeypatch):
     res = vn_dimension(phi_x(space, multimatrix_generators([(2, 1.0)])))
     assert res.route == "kernel"
     assert abs(res.value - 0.75) < 1e-12
+
+
+def test_vanishing_space_is_read_without_forming_a_derivation_basis(monkeypatch):
+    # relative_derivations solves on the whitened kernel, and its result is
+    # again a kernel by block: dim_van_big = dim Der(A) / |G| and
+    # dim_van_base = |G| dim Der(A), here with dim Der(A) = 1/2 and 2/3
+    def refuse(*args):
+        raise AssertionError("the derivation basis was formed")
+
+    monkeypatch.setattr(derivations, "kernel_basis", refuse)
+    for name, dim_a in (("C2 x| Z/2", 0.5), ("dual", 2 / 3)):
+        cp = _crossed(name)
+        k = cp.group.order
+        sub = phi_x(relative_derivations(derivation_space(cp.algebra), cp.embed_group))
+        big = vn_dimension(sub)
+        assert big.route == "kernel"
+        assert abs(big.value - dim_a / k) < 1e-12
+        assert abs(vn_dimension(restrict_scalars(sub, cp)).value - k * dim_a) < 1e-12
+
+
+@pytest.mark.parametrize("cond", [1.0, 10.0, 100.0])
+def test_vanishing_dimension_does_not_depend_on_the_basis(cond):
+    # the derivations of M2+C vanishing on its center, spanned by 1 and
+    # e11 + e22, under S = U diag(1 .. 1/cond) V
+    base = multimatrix([(2, 0.6), (1, 0.4)])
+    centre = np.zeros((5, 2), dtype=complex)
+    centre[:, 0] = base.unit
+    centre[[0, 3], 1] = 1.0
+    rng = np.random.default_rng(3)
+    u, v = random_unitary(rng, 5), random_unitary(rng, 5)
+    s = u @ np.diag(np.logspace(0, -np.log10(cond), 5)) @ v
+    alg = in_basis(base, s)
+    got = vn_dimension(phi_x(relative_derivations(derivation_space(alg), np.linalg.solve(s, centre))))
+    want = vn_dimension(phi_x(relative_derivations(derivation_space(base), centre)))
+    assert abs(want.value - 0.27) < 1e-12
+    assert abs(got.value - 0.27) < 1e-10
 
 
 @pytest.mark.parametrize("drop", [False, True], ids=["closed", "one block left out"])
