@@ -521,6 +521,44 @@ def test_inner_blocks_equal_the_blocks_gathered_from_the_raw_span(name):
     assert np.max(np.abs(got - q @ q.conj().T)) < 1e-13
 
 
+@pytest.mark.parametrize("drop", [False, True], ids=["closed", "one column left out"])
+@pytest.mark.parametrize("name", ["M4+M2+C", "M3+M3+C"])
+def test_spectral_closure_residual_is_the_dense_projection_residual(name, drop):
+    # |(1 - P) T Q| / max(1, |T Q|) from the block bases against the dense
+    # basis in the rotated coordinates, for each operator the closure test
+    # applies, on both legs; both algebras have several classes and several
+    # clusters per class
+    blocks = {**INNER, "M3+M3+C": [(3, 0.4), (3, 0.35), (1, 0.25)]}[name]
+    sub = _inner(blocks)
+    k, n = sub.ncoords, sub.algebra.dim
+    basis, _ = vndim._block_bases(sub.blocks)
+    if drop:
+        key = max(basis, key=lambda c: basis[c][0].shape[2])
+        q = basis[key][0].copy()
+        q[0, :, 0] = 0.0
+        basis[key] = (q, q.conj().transpose(0, 2, 1))
+    # each block's columns placed on its rows of the rotated coordinates
+    rows = vndim._class_blocks(np.arange(k * n * n).reshape(k, n, n, 1), sub.legs)
+    cols = []
+    for key, (qb, _) in basis.items():
+        for idx, block in zip(vndim._block_stack(rows[key])[..., 0], qb):
+            col = np.zeros((k * n * n, block.shape[1]), dtype=complex)
+            col[idx] = block
+            cols.append(col)
+    dense = np.concatenate(cols, axis=1)
+    ops = vndim._test_ops(sub.right_ops, sub.legs)
+    assert sorted({leg for leg, _ in ops}) == [0, 1]
+    for leg, mat in ops:
+        v = dense.reshape(k, n, n, -1)
+        img = np.einsum("xa,kabr->kxbr", mat, v) if leg == 0 else np.einsum("yb,kabr->kayr", mat, v)
+        img = img.reshape(k * n * n, -1)
+        rem = img - dense @ (dense.conj().T @ img)
+        want = np.linalg.norm(rem) / max(1.0, np.linalg.norm(img))
+        got = vndim._closure_residual((leg, mat), basis, sub.legs, k)
+        assert abs(got - want) < 1e-12
+        assert (got > 1e-3) == drop
+
+
 def test_split_degenerate_eigenspaces_leak_out_of_the_inner_blocks(monkeypatch):
     # with no cluster gap the multiplicity-3 eigenspaces of the right
     # action on M3 are cut apart, no longer spectral projections, and
