@@ -74,9 +74,11 @@ orthonormalized by batched SVDs with one rank cut on the union of the
 block spectra (_block_bases), giving an orthonormal basis Q of the span,
 since each of its columns lies in one block (below). Then the closure
 test below runs against the block-diagonal projector P = Q Q^H at
-CLOSURE_TOL, and the dimension is sum_ab |Q_ab^H Omega_ab|^2, with omega
-rotated once and read against the rows of each copy. The rotation is
-unitary, so for a module this is the value of the dense projection.
+CLOSURE_TOL, projecting the image of each source class pair onto one
+target cluster's slab of blocks at a time (_closure_residual), and the
+dimension is sum_ab |Q_ab^H Omega_ab|^2, with omega rotated once and
+read against the rows of each copy. The rotation is unitary, so for a
+module this is the value of the dense projection.
 
 The closure test applies random combinations, not every operator. With
 M_j = (1 - P) T_j Q for operators T_1 .. T_m, the residual of
@@ -290,8 +292,11 @@ def _closure_residual(op: tuple, basis: dict, legs: list, ncoords: int) -> float
     operator op = (leg, T) and the block-diagonal basis Q of the span,
     P = Q Q^H; basis maps each class pair to its (Q, Q^H) stacks.
 
-    The image of a source class pair splits over the target classes of the
-    leg, one at a time; the source cluster is folded into the columns.
+    The image of a source class pair is projected one target cluster at a
+    time: that cluster's rows of T are applied to every source cluster at
+    once, the source cluster folded into the columns, and the image lies in
+    the cluster's slab of target blocks, one per cluster of the other leg,
+    whose projection is subtracted there. So each step holds one slab.
     """
     leg, mat = op
     classes = legs[leg][2]
@@ -307,17 +312,20 @@ def _closure_residual(op: tuple, basis: dict, legs: list, ncoords: int) -> float
         s, a, d = classes[key[leg]]
         _, b, k, _, e, cols = t.shape
         t = t.transpose(0, 3, 1, 2, 4, 5).reshape(a, d, b * k * e * cols)
+        # the image's rows in the target blocks' (ncoords, leg a, leg b) order
+        order = (2, 3, 4, 1, 0, 5) if leg else (2, 3, 1, 4, 0, 5)
         for c2, (s2, a2, d2) in enumerate(classes):
-            m = mat[s2 : s2 + a2 * d2, s : s + a * d].reshape(a2 * d2, a, d)
-            img = np.matmul(m.transpose(1, 0, 2), t).reshape(a, a2, d2, b, k, e, cols)
-            img = img.transpose(1, 3, 4, 2, 5, 0, 6).reshape(a2, b, k, d2, e, a * cols)
-            if leg:
-                img = img.transpose(1, 0, 2, 4, 3, 5)
             qt, qth = basis[(c2, key[1]) if leg == 0 else (key[0], c2)]
-            img = img.reshape(qt.shape[0], qt.shape[1], -1)
-            img2 += np.vdot(img, img).real
-            img -= qt @ (qth @ img)
-            rem2 += np.vdot(img, img).real
+            for i2 in range(a2):
+                lo = s2 + i2 * d2
+                m = mat[lo : lo + d2, s : s + a * d].reshape(d2, a, d)
+                img = np.matmul(m.transpose(1, 0, 2), t).reshape(a, d2, b, k, e, cols)
+                img = img.transpose(order).reshape(b, k * d2 * e, a * cols)
+                # the target blocks are stored leg a major
+                slab = slice(i2 * b, (i2 + 1) * b) if leg == 0 else slice(i2, None, a2)
+                img2 += np.vdot(img, img).real
+                img -= qt[slab] @ (qth[slab] @ img)
+                rem2 += np.vdot(img, img).real
     return float(np.sqrt(rem2) / max(1.0, np.sqrt(img2)))
 
 
@@ -516,6 +524,20 @@ def as_fraction(x: float, max_den: int) -> Fraction | None:
 
 # -- builders -----------------------------------------------------------------
 
+def _argument_set(alg, gens) -> np.ndarray:
+    """gens as a complex (dim A, k) array, one argument per column. Raises
+    ValueError unless it is one with finite entries, and NotGenerating if
+    its columns do not generate alg."""
+    from .constructions import generates
+
+    gens = np.asarray(gens, dtype=complex)
+    if gens.ndim != 2 or gens.shape[0] != alg.dim or not np.isfinite(gens).all():
+        raise ValueError(f"gens must be a finite ({alg.dim}, k) array, one argument per column")
+    if not generates(alg, list(gens.T)):
+        raise NotGenerating("argument set does not generate the algebra")
+    return gens
+
+
 def _with_stars(alg, gens: np.ndarray) -> list:
     """The columns of gens and their stars; repeats (a set already
     containing its stars) are skipped."""
@@ -554,21 +576,17 @@ def phi_x(space: DerivationSpace, gens: np.ndarray | None = None) -> ModuleSubsp
 
     X (columns of gens, the basis of A by default) must generate the
     algebra, so that the map is injective and the dimension does not depend
-    on the choice; a given X is checked, the basis spans A. X and its stars
-    also supply the right operators. With X the basis, the space's whitened
-    kernel is the module's basis as it is; for any other X, phi_X's
-    whitened span is formed from the kernel and orthonormalized by
-    span_basis.
+    on the choice; a given X is checked (_argument_set), the basis spans A.
+    X and its stars also supply the right operators. With X the basis, the
+    space's whitened kernel is the module's basis as it is; for any other
+    X, phi_X's whitened span is formed from the kernel and orthonormalized
+    by span_basis.
     """
-    from .constructions import generates
-
     alg = space.algebra
     if gens is None:
         gens, basis = np.eye(alg.dim, dtype=complex), space.kernel
     else:
-        gens = np.asarray(gens, dtype=complex)
-        if not generates(alg, list(gens.T)):
-            raise NotGenerating("argument set does not generate the algebra")
+        gens = _argument_set(alg, gens)
         basis = span_basis(_phi_span(space, gens))
     return ModuleSubspace(alg, gens.shape[1], basis, _right_ops(alg, _with_stars(alg, gens)),
                           np.kron(alg.unit, alg.unit)[:, None])
@@ -629,14 +647,11 @@ def inner_derivation_module(alg, gens: np.ndarray) -> InnerModule:
     basis of L^2(N) (the inverse rotations of _legs); any basis of L^2(N)
     spans the same module, and with this one each column lies in one
     spectral block, since xi -> [x, xi] commutes with the right action.
-    Raises NotRightClosed if the columns leak out of their blocks by more
-    than the drop bound.
+    gens is checked as phi_x checks it (_argument_set). Raises
+    NotRightClosed if the columns leak out of their blocks by more than the
+    drop bound.
     """
-    from .constructions import generates
-
-    gens = np.asarray(gens, dtype=complex)
-    if not generates(alg, list(gens.T)):
-        raise NotGenerating("argument set does not generate the algebra")
+    gens = _argument_set(alg, gens)
     ops = _right_ops(alg, _with_stars(alg, gens))
     legs = _legs(alg, ops)
     return InnerModule(alg, gens, ops, legs, _inner_blocks(alg, gens, legs))

@@ -84,6 +84,14 @@ def test_m3_s3_ceiling_checks_its_bounds():
     assert [line.split()[0] for line in missed] == ["value", "took", "max"]
 
 
+def test_m8_inner_ceiling_checks_its_bounds():
+    script = load("m8_inner_ceiling")
+    assert script.failures(1 - 1 / 64, 1.0, 140 * 10**6) == []
+    assert script.failures(1 - 1 / 64 + 1e-11, 19.9, 199 * 10**6) == []
+    missed = script.failures(1 - 1 / 64 + 1e-9, 20.0, 200 * 10**6)
+    assert [line.split()[0] for line in missed] == ["value", "took", "max"]
+
+
 def test_code_lines_leaves_out_docstrings_comments_and_blank_lines(tmp_path, capsys):
     source = '''"""Module docstring,
 over two lines."""

@@ -95,6 +95,43 @@ def test_gens_must_generate():
         phi_x(derivation_space(alg), alg.unit.reshape(-1, 1))
 
 
+def test_inner_gens_must_generate():
+    alg = multimatrix([(2, 1.0)])
+    with pytest.raises(NotGenerating):
+        inner_derivation_module(alg, alg.unit.reshape(-1, 1))
+
+
+def _with_entry(gens: np.ndarray, x: complex) -> np.ndarray:
+    gens = gens.copy()
+    gens[1, 0] = x
+    return gens
+
+
+ARGUMENT_SET_BUILDERS = {
+    "phi_x": lambda alg, gens: phi_x(derivation_space(alg), gens),
+    "inner_derivation_module": inner_derivation_module,
+}
+
+
+MALFORMED_GENS = {
+    "1-D": lambda gens: gens[:, 0],
+    "rows other than dim A": lambda gens: np.ones((5, 3)),
+    "NaN entry": lambda gens: _with_entry(gens, np.nan),
+    "inf entry": lambda gens: _with_entry(gens, np.inf),
+}
+
+
+# no RuntimeWarning either: the argument set is refused before any arithmetic
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", list(MALFORMED_GENS))
+@pytest.mark.parametrize("build", list(ARGUMENT_SET_BUILDERS))
+def test_malformed_gens_are_refused(build, case):
+    alg = multimatrix([(2, 1.0)])
+    gens = MALFORMED_GENS[case](multimatrix_generators([(2, 1.0)]))
+    with pytest.raises(ValueError, match=r"gens must be a finite \(4, k\) array"):
+        ARGUMENT_SET_BUILDERS[build](alg, gens)
+
+
 def test_non_invariant_span_is_rejected():
     alg = multimatrix([(2, 1.0)])
     # one single vector cannot be a right submodule of L^2(M2 (x) M2^op)
@@ -570,6 +607,8 @@ def test_split_degenerate_eigenspaces_leak_out_of_the_inner_blocks(monkeypatch):
 
 
 def test_inner_module_of_m8():
+    # 150 MiB is the inner path's memory goal, met because the closure test
+    # holds one target cluster's slab of blocks at a time
     tracemalloc.start()
     try:
         got = vn_dimension(_inner([(8, 1.0)]))
@@ -577,7 +616,7 @@ def test_inner_module_of_m8():
     finally:
         tracemalloc.stop()
     assert abs(got.value - (1.0 - 1.0 / 64)) < 1e-10
-    assert peak < 300 * 2**20
+    assert peak < 150 * 2**20
 
 
 def test_m3_crossed_by_s3_through_the_inner_path():
