@@ -16,8 +16,9 @@ column count, as the full SVD pads, so the union is the full matrix's
 padded spectrum; one rank_split on it, with the global scale, is the
 rank decision a full SVD makes, and each block contributes its right
 singular vectors below that single cut. batched_svd is that batching and
-cut on its own; vndim orthonormalizes the inner module's spectral blocks
-with it.
+cut on its own, and shared_cut the cut alone: vndim takes the SVDs of the
+inner module's spectral blocks a chunk at a time as it builds them, and
+cuts their spectra with it.
 
 nullspace reads no left singular vectors. A tall block B (rows > cols)
 has the singular values and right singular vectors of the R of its QR,
@@ -218,8 +219,8 @@ class BlockKernel:
     parts holds (cols, vecs, first) per group of blocks with c columns and
     kernel dimension k, one group per (c, k): cols (m, c) the columns of m
     blocks, vecs (m, c, k) each block's orthonormal kernel vectors on its
-    columns, and first (m,) the column of dense() holding each block's
-    first vector. Blocks with no kernel are left out.
+    columns, and first (m,), increasing, the column of dense() holding each
+    block's first vector. Blocks with no kernel are left out.
     """
 
     def __init__(self, ncols: int, parts: tuple):
@@ -234,6 +235,24 @@ class BlockKernel:
         out = np.zeros(self.shape, dtype=complex)
         for cols, vecs, first in self.parts:
             out[cols[:, :, None], first[:, None, None] + np.arange(vecs.shape[2])] = vecs
+        return out
+
+    def vectors(self, idx=slice(None)) -> np.ndarray:
+        """Columns idx of dense(), idx any numpy index of them (all by
+        default), as the rows of a (count, ncols) array. Each is read from
+        the block that holds it, through the blocks' first columns, and no
+        other column is formed."""
+        want = np.arange(self.shape[1])[idx].reshape(-1)
+        out = np.zeros((want.size, self.ncols), dtype=complex)
+        for cols, vecs, first in self.parts:
+            if not len(first):
+                continue
+            # the block of this part whose first column is the last one at
+            # or before each wanted column, and the column's place in it
+            at = np.maximum(np.searchsorted(first, want, side="right") - 1, 0)
+            pos = want - first[at]
+            hit = np.flatnonzero((pos >= 0) & (pos < vecs.shape[2]))
+            out[hit[:, None], cols[at[hit]]] = vecs[at[hit], :, pos[hit]]
         return out
 
 
@@ -376,11 +395,19 @@ def batched_svd(stacks: list[np.ndarray], right: bool = False, full: bool = Fals
         if s.shape[1] < c:
             s = np.concatenate([s, np.zeros((s.shape[0], c - s.shape[1]))], axis=1)
         svds.append((u, s, vh))
-    union = np.sort(np.concatenate([s.ravel() for _, s, _ in svds] + [np.zeros(0)]))[::-1]
+    kept = shared_cut([s for _, s, _ in svds])
+    return [(u, s, vh, k) for (u, s, vh), k in zip(svds, kept)]
+
+
+def shared_cut(spectra: list[np.ndarray]) -> list[np.ndarray]:
+    """The one rank decision of batched_svd on given spectra, (count,
+    values) arrays of blocks' padded spectra: one rank_split on their
+    union, with the global scale. Returns the kept mask of each array."""
+    union = np.sort(np.concatenate([s.ravel() for s in spectra] + [np.zeros(0)]))[::-1]
     rank = rank_split(union)
     # the kept values are the rank largest ones, all above the cut
     floor = union[rank - 1] if rank else np.inf
-    return [(u, s, vh, s >= floor) for u, s, vh in svds]
+    return [s >= floor for s in spectra]
 
 
 def gram_onb(vectors: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray:

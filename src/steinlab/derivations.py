@@ -182,7 +182,8 @@ class DerivationSpace:
 
     kernel holds that basis whitened, in the unknowns of leibniz_system,
     by block (a BlockKernel); basis, (r, dim N, dim A) in raw coordinates,
-    is formed from it only when it is read (kernel_basis), once.
+    is formed from it only when it is read (kernel_basis), once, and
+    columns reads a few of its derivations without forming it.
     """
 
     def __init__(self, algebra: FDAlgebra, kernel: BlockKernel):
@@ -193,17 +194,27 @@ class DerivationSpace:
     def basis(self) -> np.ndarray:
         return kernel_basis(self.algebra, self.kernel)
 
+    def columns(self, idx) -> np.ndarray:
+        """basis[idx], for idx any numpy index of the derivations, read
+        from the kernel blocks that hold them; basis is neither formed nor
+        cached."""
+        return kernel_basis(self.algebra, self.kernel, idx)
+
     @property
     def rank(self) -> int:
         return self.kernel.shape[1]
 
 
-def kernel_basis(alg: FDAlgebra, kernel: BlockKernel) -> np.ndarray:
-    """The derivations (r, dim N, dim A) of a kernel of leibniz_system, in
-    raw coordinates: the whitened values mapped back by (T^-1, T^-1)."""
+def kernel_basis(alg: FDAlgebra, kernel: BlockKernel, idx=slice(None)) -> np.ndarray:
+    """The derivations idx (all by default) of a kernel of leibniz_system,
+    (count, dim N, dim A) in raw coordinates: the whitened values, read by
+    BlockKernel.vectors, mapped back by (T^-1, T^-1). Each derivation is
+    contiguous, so it is mapped back by the same products whichever others
+    are read with it."""
     n = alg.dim
     back = (alg.onb_inverse, alg.onb_inverse)
-    return apply_pair(back, kernel.dense().T.reshape(-1, n * n, n))
+    w = kernel.vectors(idx)
+    return apply_pair(back, w.reshape(len(w), n * n, n))
 
 
 def derivation_space(alg: FDAlgebra) -> DerivationSpace:

@@ -466,7 +466,7 @@ class RunContext:
     @stage
     def extensions(self) -> np.ndarray:
         """d^h for the first two base derivations d, (r, |G|, n^2, n)."""
-        base = self.space_a.basis[:2]
+        base = self.space_a.columns(slice(2))
         return np.stack([extend_vanishing(self.cp, base, h) for h in range(self.grp.order)], axis=1)
 
     @stage
@@ -710,7 +710,7 @@ def _chk_extension_vanishing(rc: RunContext):
        "vanishing derivation is the sum of its re-extended components")
 def _chk_round_trip(rc: RunContext):
     grp = rc.grp
-    base = rc.space_a.basis[:2]
+    base = rc.space_a.columns(slice(2))
     scale = np.maximum(1.0, np.linalg.norm(base, axis=(1, 2)))
     worst = 0.0
     for h in range(grp.order):
@@ -797,7 +797,8 @@ def _chk_scaling_unitary(rc: RunContext):
        "the group average of the scaling conjugates of any derivation "
        "vanishes on C[G]")
 def _chk_scaling_average(rc: RunContext):
-    return Compared(_vanishing_worst(rc, average_scaling(rc.cp, rc.space_m.basis[:4])), 0.0)
+    averaged = average_scaling(rc.cp, rc.space_m.columns(slice(4)))
+    return Compared(_vanishing_worst(rc, averaged), 0.0)
 
 
 @check("scaled_generators",

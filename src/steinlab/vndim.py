@@ -24,9 +24,9 @@ vn_dimension takes one of two routes, named in DimensionResult.route. A
 ModuleSubspace takes the kernel route: it holds the subspace as one
 GNS-orthonormal basis kept by connected block (a _linalg.BlockKernel),
 and the dimension is read from those blocks. An InnerModule takes the
-spectral route: its span is not given orthonormal, and in a non-monomial
-basis the spectral split of the right action is its only block
-structure.
+spectral route: it holds an orthonormal basis of its span by spectral
+block of the right action, in rotated leg coordinates, since in a
+non-monomial basis the spectral split is its only block structure.
 
 One basis for every span. A ModuleSubspace's basis is in GNS-orthonormal
 coordinates, unknown (a * n + b) * k + c being leg a, leg b and copy c,
@@ -69,16 +69,16 @@ C^k (x) E_a (x) E_b of eigenvalue clusters E_a, E_b, found by
 _linalg.spectral_split from SPLIT_SEED. Eigenvalues closer than
 _linalg.CLUSTER_GAP (relative) share a cluster: a union of eigenspaces is
 still a spectral projection, so merging only coarsens the blocks, while a
-split degenerate eigenspace would not be one. The blocks are
-orthonormalized by batched SVDs with one rank cut on the union of the
-block spectra (_block_bases), giving an orthonormal basis Q of the span,
-since each of its columns lies in one block (below). Then the closure
-test below runs against the block-diagonal projector P = Q Q^H at
-CLOSURE_TOL, projecting the image of each source class pair onto one
-target cluster's slab of blocks at a time (_closure_residual), and the
-dimension is sum_ab |Q_ab^H Omega_ab|^2, with omega rotated once and
-read against the rows of each copy. The rotation is unitary, so for a
-module this is the value of the dense projection.
+split degenerate eigenspace would not be one. An InnerModule holds an
+orthonormal basis Q of its span by block, since each of its columns lies
+in one block (below). vn_dimension runs the closure test below against
+the block-diagonal projector P = Q Q^H at CLOSURE_TOL, applying each
+(target cluster, source cluster) block of an operator to the source
+cluster's blocks, whose image is laid out as the target cluster's slab
+of blocks and projected there (_closure_residual). The dimension is
+sum_ab |Q_ab^H Omega_ab|^2, with omega rotated once and read against the
+rows of each copy. The rotation is unitary, so for a module this is the
+value of the dense projection.
 
 The closure test applies random combinations, not every operator. With
 M_j = (1 - P) T_j Q for operators T_1 .. T_m, the residual of
@@ -130,8 +130,20 @@ block column norm, and raises NotRightClosed otherwise (a split
 degenerate eigenspace fails here). By Weyl's inequality what is left out
 then moves no singular value by more than a tenth of the cut. The blocks
 keep every column: the shared rank cut discards the exact-zero ones, such
-as central xi. M6 is 36 blocks of 108 x 36 (2 MB) where its span was
-80 MB.
+as central xi.
+
+What an InnerModule holds. The builder makes one leg a cluster's row of
+blocks of a class pair at a time and takes the row's batched SVD at
+once, keeping only the left singular vectors; the blocks themselves are
+never held together. One rank cut on the union of all the block spectra,
+as batched_svd makes it (_linalg.shared_cut), then zeroes the dropped
+columns in place, and each class pair keeps the columns up to its
+largest block rank, in the same buffer. So the module holds one
+orthonormal basis by block, as a ModuleSubspace does, and its rank; the
+blocks' vectors take as much room as the blocks. M6 is 36 blocks of
+108 x 36, 2.1 MiB, where its span was 80 MB; M8 is 64 blocks of
+192 x 64, 12 MiB. Under tracemalloc, building and reading M6 peaks at
+about 4.2 MiB and M8 at about 20 MiB.
 """
 
 from __future__ import annotations
@@ -144,7 +156,7 @@ import numpy as np
 # gram_onb is no longer called here; the name stays bound because
 # benchmark/tracing.py hooks steinlab.vndim.gram_onb
 from ._linalg import (  # noqa: F401
-    SPLIT_SEED, BlockKernel, batched_svd, gram_onb, rank_cut, span_basis, spectral_split,
+    SPLIT_SEED, BlockKernel, gram_onb, rank_cut, shared_cut, span_basis, spectral_split,
 )
 from .algebra import FDAlgebra
 from .constructions import CrossedProduct
@@ -215,14 +227,18 @@ class ModuleSubspace:
 @dataclass(eq=False)
 class InnerModule:
     """phi_X of the span of commutator derivations, X the columns of gens,
-    held as its blocks in the rotated coordinates of legs (see
-    inner_derivation_module); the span itself is never formed."""
+    held as one orthonormal basis by spectral block in the rotated
+    coordinates of the legs, and its rank (see inner_derivation_module);
+    the span itself is never formed."""
 
     algebra: FDAlgebra
     gens: np.ndarray  # (dim A, ncoords), the argument set X
     right_ops: list  # as in ModuleSubspace
     legs: list  # the leg splits of _legs for algebra and right_ops
-    blocks: dict  # class pair -> stack of its blocks, as _inner_blocks returns
+    # class pair -> the bases (count, rows, rho) of its blocks, leg a
+    # major, zero columns past each block's rank
+    basis: dict
+    rank: int
 
     @property
     def ncoords(self) -> int:
@@ -290,42 +306,43 @@ def _block_stack(view: np.ndarray) -> np.ndarray:
 def _closure_residual(op: tuple, basis: dict, legs: list, ncoords: int) -> float:
     """Relative Frobenius norm of (1 - P) T Q for the rotated one-leg right
     operator op = (leg, T) and the block-diagonal basis Q of the span,
-    P = Q Q^H; basis maps each class pair to its (Q, Q^H) stacks.
+    P = Q Q^H; basis maps each class pair to its stack of block bases.
 
-    The image of a source class pair is projected one target cluster at a
-    time: that cluster's rows of T are applied to every source cluster at
-    once, the source cluster folded into the columns, and the image lies in
-    the cluster's slab of target blocks, one per cluster of the other leg,
-    whose projection is subtracted there. So each step holds one slab.
+    T is applied one (target cluster, source cluster) block at a time, to
+    the source cluster's blocks of one class pair, one per cluster of the
+    other leg. Contracting the operator's leg of each block's rows lays
+    the image out as the target cluster's slab of blocks, whose projection
+    is subtracted there; the slab's adjoint is formed once per source
+    class pair and target cluster. So each step holds one slab and one
+    source cluster's image.
     """
     leg, mat = op
     classes = legs[leg][2]
     rem2 = img2 = 0.0
-    for key, (q, _) in basis.items():
+    for key, q in basis.items():
         if not q.size:  # no basis vectors here, so no image
             continue
         (_, a, d), (_, b, e) = legs[0][2][key[0]], legs[1][2][key[1]]
-        # (count, other count, ncoords, size, other size, columns), this leg first
-        t = q.reshape(a, b, ncoords, d, e, -1)
-        if leg:
-            t = t.transpose(1, 0, 2, 4, 3, 5)
-        s, a, d = classes[key[leg]]
-        _, b, k, _, e, cols = t.shape
-        t = t.transpose(0, 3, 1, 2, 4, 5).reshape(a, d, b * k * e * cols)
-        # the image's rows in the target blocks' (ncoords, leg a, leg b) order
-        order = (2, 3, 4, 1, 0, 5) if leg else (2, 3, 1, 4, 0, 5)
+        s, _, size = classes[key[leg]]
+        rho = q.shape[2]
+        # each source cluster's blocks as views, the operator's leg on the
+        # axis a cluster block of T contracts; blocks are stored leg a major
+        if leg == 0:
+            srcs = [q[i * b : (i + 1) * b].reshape(b, ncoords, d, e * rho) for i in range(a)]
+        else:
+            srcs = [q[i::b].reshape(a, ncoords * d, e, rho) for i in range(b)]
         for c2, (s2, a2, d2) in enumerate(classes):
-            qt, qth = basis[(c2, key[1]) if leg == 0 else (key[0], c2)]
+            target = basis[(c2, key[1]) if leg == 0 else (key[0], c2)]
             for i2 in range(a2):
-                lo = s2 + i2 * d2
-                m = mat[lo : lo + d2, s : s + a * d].reshape(d2, a, d)
-                img = np.matmul(m.transpose(1, 0, 2), t).reshape(a, d2, b, k, e, cols)
-                img = img.transpose(order).reshape(b, k * d2 * e, a * cols)
-                # the target blocks are stored leg a major
-                slab = slice(i2 * b, (i2 + 1) * b) if leg == 0 else slice(i2, None, a2)
-                img2 += np.vdot(img, img).real
-                img -= qt[slab] @ (qth[slab] @ img)
-                rem2 += np.vdot(img, img).real
+                slab = target[i2 * b : (i2 + 1) * b] if leg == 0 else target[i2::a2]
+                adj = slab.conj().transpose(0, 2, 1)
+                rows = mat[s2 + i2 * d2 : s2 + (i2 + 1) * d2]
+                for i, src in enumerate(srcs):
+                    img = np.matmul(rows[:, s + i * size : s + (i + 1) * size], src)
+                    img = img.reshape(len(src), -1, rho)
+                    img2 += np.vdot(img, img).real
+                    img -= slab @ (adj @ img)
+                    rem2 += np.vdot(img, img).real
     return float(np.sqrt(rem2) / max(1.0, np.sqrt(img2)))
 
 
@@ -355,40 +372,36 @@ def _legs(alg: FDAlgebra, right_ops: list) -> list:
     return [_leg_split(alg, [m for l, m in right_ops if l == leg], rng) for leg in (0, 1)]
 
 
-def _drop_bound(norms: np.ndarray) -> float:
+def _drop_bound(top: float) -> float:
     """Largest total Frobenius norm of block column parts that may be left
-    out of the blocks: the largest singular value of the blocks is at
-    least the largest column norm of a block, so the rank cut is at least
-    rank_cut of it, and parts this small move no singular value by more
-    than a tenth of the cut (Weyl)."""
-    return rank_cut(norms.max(initial=0.0)) / 10
+    out of the blocks, top being the largest column norm of a block: the
+    largest singular value of the blocks is at least top, so the rank cut
+    is at least rank_cut of it, and parts this small move no singular
+    value by more than a tenth of the cut (Weyl)."""
+    return rank_cut(top) / 10
 
 
-def _block_bases(stacks: dict) -> tuple[dict, int]:
-    """Orthonormal bases of the inner module's blocks and their total rank.
-
-    stacks maps each class pair to its blocks (count, rows, columns), as
-    _inner_blocks returns them; the block SVDs are batched by shape with one
-    rank cut. Returns, per class pair, the bases (count, rows, rho), with
-    zero columns past each block's rank, beside their adjoints.
-    """
-    basis, rank = {}, 0
-    for key, (u, _, _, kept) in zip(stacks, batched_svd(list(stacks.values()))):
-        rho = int(kept.sum(axis=1).max())
-        q = u[:, :, :rho] * kept[:, None, :rho]
-        basis[key] = (q, q.conj().transpose(0, 2, 1))
-        rank += int(kept.sum())
-    return basis, rank
+def _leading_columns(u: np.ndarray, rho: int) -> np.ndarray:
+    """u[:, :, :rho] as a contiguous stack in u's own buffer. Each block
+    moves down into the room of the columns left out, never onto a later
+    block, so no second copy of the stack is held."""
+    count, rows, width = u.shape
+    if rho == width:
+        return u
+    out = u.reshape(-1)[: count * rows * rho].reshape(count, rows, rho)
+    for j in range(count):
+        out[j] = u[j, :, :rho]
+    return out
 
 
 def vn_dimension(sub: ModuleSubspace | InnerModule) -> DimensionResult:
     """Trace of the span projection against the trace vectors.
 
     A ModuleSubspace is read from its basis blocks (_kernel_dimension). An
-    InnerModule takes the spectral route: the SVDs of its spectral blocks
-    give the block-diagonal basis. Both routes test the operators of
-    _test_ops, random combinations of each leg's operators, against the
-    block-diagonal projector (see the module docstring).
+    InnerModule takes the spectral route, which reads the block-diagonal
+    basis the module holds and makes no SVD. Both routes test the
+    operators of _test_ops, random combinations of each leg's operators,
+    against the block-diagonal projector (see the module docstring).
     Raises NotRightClosed if some test operator's image leaves the span by
     more than CLOSURE_TOL (relative); the result's closure_residual is the
     largest of these residuals. Since right_ops is closed under adjoints,
@@ -398,23 +411,26 @@ def vn_dimension(sub: ModuleSubspace | InnerModule) -> DimensionResult:
     if not isinstance(sub, InnerModule):
         return _kernel_dimension(sub)
     k, legs = sub.ncoords, sub.legs
-    basis, rank = _block_bases(sub.blocks)
-    worst = max((_closure_residual(op, basis, legs, k) for op in _test_ops(sub.right_ops, legs)),
-                default=0.0)
+    ops = _test_ops(sub.right_ops, legs)
+    worst = max((_closure_residual(op, sub.basis, legs, k) for op in ops), default=0.0)
     if worst > CLOSURE_TOL:
         raise NotRightClosed(f"commutant residual {worst:.3e} above {CLOSURE_TOL}")
 
     # omega = 1 (x) 1 is rotated once, leg by leg, and read against the rows
-    # of every coordinate
-    (rot_a, _, _), (rot_b, _, _) = legs
+    # of every coordinate, one leg a cluster's blocks at a time
+    (rot_a, _, _), (rot_b, _, cb) = legs
     omega = np.kron(sub.algebra.unit, sub.algebra.unit).reshape(len(rot_a), len(rot_b))
     omegas = _class_blocks(np.matmul(rot_b, (rot_a @ omega)[..., None])[None], legs)
     value = 0.0
-    for key, (_, qh) in basis.items():
-        count, rho, rows = qh.shape
-        overlaps = qh.reshape(count, rho, k, rows // k) @ _block_stack(omegas[key])[:, None]
+    for key, q in sub.basis.items():
+        (count, rows, rho), b = q.shape, cb[key[1]][1]
+        w = _block_stack(omegas[key])[:, None]
+        overlaps = np.empty((count, rho, k, 1), dtype=complex)
+        for lo in range(0, count, b):
+            qh = q[lo : lo + b].conj().transpose(0, 2, 1).reshape(b, rho, k, rows // k)
+            np.matmul(qh, w[lo : lo + b], out=overlaps[lo : lo + b])
         value += float(np.sum(np.abs(overlaps) ** 2))
-    return DimensionResult(value, rank, worst, "spectral")
+    return DimensionResult(value, sub.rank, worst, "spectral")
 
 
 def _kernel_index(kernel: BlockKernel) -> tuple:
@@ -604,11 +620,17 @@ def _cluster_diagonal(mats: np.ndarray, classes: list) -> tuple[list, float]:
     return diag, float(np.vdot(off, off).real)
 
 
-def _inner_blocks(alg, gens: np.ndarray, legs: list) -> dict:
-    """The rotated spectral blocks of the inner module, one stack (count,
-    rows, columns) per class pair, built from the rotated multiplications
-    (see the module docstring). Raises NotRightClosed if the parts off the
-    cluster diagonal, which the blocks leave out, exceed _drop_bound."""
+def _inner_basis(alg, gens: np.ndarray, legs: list) -> tuple[dict, int]:
+    """The orthonormal basis of the inner module by rotated spectral block,
+    as InnerModule.basis holds it, and its rank.
+
+    The blocks are built from the rotated multiplications (see the module
+    docstring) one leg a cluster's row of them at a time, and each row is
+    taken by its SVD at once; only the left singular vectors are kept. One
+    cut on the union of the spectra (shared_cut) then zeroes the dropped
+    columns in place. Raises NotRightClosed if the parts off the cluster
+    diagonal, which the blocks leave out, exceed _drop_bound.
+    """
     (rot_a, inv_a, ca), (rot_b, inv_b, cb) = legs
     k, n = gens.shape[1], alg.dim
     # left_mult(x) on leg a and right_mult(x) on leg b for every argument x,
@@ -622,26 +644,37 @@ def _inner_blocks(alg, gens: np.ndarray, legs: list) -> dict:
 
     # block (a, b), column e_i (x) e_j, row (c, i', j'):
     # A_c[i', i] delta(j', j) - delta(i', i) B_c[j', j]
-    stacks = {}
+    bases, spectra, top = {}, {}, 0.0
     for alpha, (_, a, d) in enumerate(ca):
         for beta, (_, b, e) in enumerate(cb):
-            term_a = np.einsum("kaxy,zw->akxzyw", diag_a[alpha], np.eye(e))
             term_b = np.einsum("kbzw,xy->bkxzyw", diag_b[beta], np.eye(d))
-            stacks[alpha, beta] = (term_a[:, None] - term_b[None]).reshape(a * b, k * d * e, d * e)
-    flat = np.concatenate([np.linalg.norm(v, axis=1).ravel() for v in stacks.values()])
-    bound = _drop_bound(flat)
+            u = bases[alpha, beta] = np.empty((a * b, k * d * e, d * e), dtype=complex)
+            s = spectra[alpha, beta] = np.empty((a * b, d * e))
+            for i in range(a):
+                term_a = np.einsum("kxy,zw->kxzyw", diag_a[alpha][:, i], np.eye(e))
+                row = (term_a - term_b).reshape(b, k * d * e, d * e)
+                top = max(top, float(np.linalg.norm(row, axis=1).max()))
+                u[i * b : (i + 1) * b], s[i * b : (i + 1) * b], _ = np.linalg.svd(
+                    row, full_matrices=False)
+    bound = _drop_bound(top)
     if leak2 > bound**2:
         raise NotRightClosed(
             f"the inner span leaks {np.sqrt(leak2):.3e} out of its spectral blocks, "
             f"above the drop bound {bound:.3e}"
         )
-    return stacks
+    rank = 0
+    for key, kept in zip(spectra, shared_cut(list(spectra.values()))):
+        np.multiply(bases[key], kept[:, None, :], out=bases[key])
+        bases[key] = _leading_columns(bases[key], int(kept.sum(axis=1).max()))
+        rank += int(kept.sum())
+    return bases, rank
 
 
 def inner_derivation_module(alg, gens: np.ndarray) -> InnerModule:
-    """phi_X of the span of commutator derivations, built block by block
-    in the rotated coordinates vn_dimension splits by. Scales to algebras
-    where the dense Leibniz solve does not.
+    """phi_X of the span of commutator derivations, held as an orthonormal
+    basis by block in the rotated coordinates vn_dimension splits by
+    (_inner_basis). Scales to algebras where the dense Leibniz solve does
+    not.
 
     The columns are phi_X([., xi]) for xi in the rotated GNS-orthonormal
     basis of L^2(N) (the inverse rotations of _legs); any basis of L^2(N)
@@ -654,7 +687,7 @@ def inner_derivation_module(alg, gens: np.ndarray) -> InnerModule:
     gens = _argument_set(alg, gens)
     ops = _right_ops(alg, _with_stars(alg, gens))
     legs = _legs(alg, ops)
-    return InnerModule(alg, gens, ops, legs, _inner_blocks(alg, gens, legs))
+    return InnerModule(alg, gens, ops, legs, *_inner_basis(alg, gens, legs))
 
 
 def restrict_scalars(sub: ModuleSubspace, cp: CrossedProduct) -> ModuleSubspace:
@@ -662,8 +695,8 @@ def restrict_scalars(sub: ModuleSubspace, cp: CrossedProduct) -> ModuleSubspace:
     N_0 = A (x) A^op; same basis, right action through the inclusion (one
     operator pair per basis element of A and its star), and the trace
     vectors u_g (x) u_h^op, one per sector, in every coordinate. An
-    InnerModule holds only the blocks of its own right action and is
-    refused."""
+    InnerModule holds its basis only in the blocks of its own right action
+    and is refused."""
     if not isinstance(sub, ModuleSubspace):
         raise TypeError("restrict_scalars needs a ModuleSubspace, which holds its basis")
     if sub.algebra.dim != cp.algebra.dim:

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -171,3 +172,18 @@ def test_every_shipped_algebra_passes_the_exactness_certificate():
         certify_exact(alg)
         # far inside the bound: these are exact to rounding
         assert max(alg.onb_residuals.values()) < EXACT_BOUND / 1000, label
+
+
+def test_exactness_certificate_streams_the_associativity_residual():
+    # the associativity residual is summed one i-slab of n^3 entries at a
+    # time: M6 (n = 36) holds about 0.7 MiB per slab, where the three whole
+    # n^4 arrays were 78 MiB
+    alg = multimatrix([(6, 1.0)])
+    tracemalloc.start()
+    try:
+        certify_exact(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert alg.onb_residuals["associativity"] < EXACT_BOUND
+    assert peak < 10 * 2**20

@@ -543,6 +543,18 @@ def crossed(request):
     return cp, base, big
 
 
+@pytest.mark.parametrize("name", ["C^3 x| S3", "M2+C x| Z/2 (ad)"])
+def test_columns_read_the_basis_without_forming_it(name):
+    # a few derivations read from their kernel blocks are exactly those of
+    # the whole basis, and the basis is neither formed nor cached
+    space = derivation_space(CROSSED[name]().algebra)
+    picks = [slice(2), slice(4), [space.rank - 1, 0, 3], [5], slice(None)]
+    got = [space.columns(idx) for idx in picks]
+    assert "basis" not in vars(space)
+    for idx, cols in zip(picks, got):
+        assert np.array_equal(cols, space.basis[idx])
+
+
 def test_extend_vanishing_matches_dense_reference(crossed):
     cp, base, _ = crossed
     for h in range(cp.group.order):

@@ -547,12 +547,13 @@ def test_inner_blocks_equal_the_blocks_gathered_from_the_raw_span(name):
     span, alg, _ = _raw_span(blocks)
     k, nn = sub.ncoords, alg.dim**2
     q = gram_onb(_rotated(span, sub.legs, k).reshape(k * nn, -1))
-    basis, rank = vndim._block_bases(sub.blocks)
+    basis, rank = sub.basis, sub.rank
     assert rank == q.shape[1]
     # each block's rows as indices into the rotated coordinates
     rows = vndim._class_blocks(np.arange(k * nn).reshape(k, alg.dim, alg.dim, 1), sub.legs)
     got = np.zeros((k * nn, k * nn), dtype=complex)
-    for key, (qb, qbh) in basis.items():
+    for key, qb in basis.items():
+        qbh = qb.conj().transpose(0, 2, 1)
         for idx, proj in zip(vndim._block_stack(rows[key])[..., 0], qb @ qbh):
             got[np.ix_(idx, idx)] = proj
     assert np.max(np.abs(got - q @ q.conj().T)) < 1e-13
@@ -568,16 +569,16 @@ def test_spectral_closure_residual_is_the_dense_projection_residual(name, drop):
     blocks = {**INNER, "M3+M3+C": [(3, 0.4), (3, 0.35), (1, 0.25)]}[name]
     sub = _inner(blocks)
     k, n = sub.ncoords, sub.algebra.dim
-    basis, _ = vndim._block_bases(sub.blocks)
+    basis = dict(sub.basis)
     if drop:
-        key = max(basis, key=lambda c: basis[c][0].shape[2])
-        q = basis[key][0].copy()
+        key = max(basis, key=lambda c: basis[c].shape[2])
+        q = basis[key].copy()
         q[0, :, 0] = 0.0
-        basis[key] = (q, q.conj().transpose(0, 2, 1))
+        basis[key] = q
     # each block's columns placed on its rows of the rotated coordinates
     rows = vndim._class_blocks(np.arange(k * n * n).reshape(k, n, n, 1), sub.legs)
     cols = []
-    for key, (qb, _) in basis.items():
+    for key, qb in basis.items():
         for idx, block in zip(vndim._block_stack(rows[key])[..., 0], qb):
             col = np.zeros((k * n * n, block.shape[1]), dtype=complex)
             col[idx] = block
@@ -606,17 +607,33 @@ def test_split_degenerate_eigenspaces_leak_out_of_the_inner_blocks(monkeypatch):
         vn_dimension(_inner([(3, 1.0)]))
 
 
-def test_inner_module_of_m8():
-    # 150 MiB is the inner path's memory goal, met because the closure test
-    # holds one target cluster's slab of blocks at a time
+def _inner_peak(n: int) -> tuple[float, int]:
+    """dim Der(M_n) through the inner path, and its tracemalloc peak."""
+    alg, gens = multimatrix([(n, 1.0)]), multimatrix_generators([(n, 1.0)])
     tracemalloc.start()
     try:
-        got = vn_dimension(_inner([(8, 1.0)]))
+        got = vn_dimension(inner_derivation_module(alg, gens))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert abs(got.value - (1.0 - 1.0 / 64)) < 1e-10
-    assert peak < 150 * 2**20
+    return got.value, peak
+
+
+def test_inner_module_of_m6_holds_little_more_than_its_basis():
+    # M6's block bases are 36 blocks of 108 x 36, 2.1 MiB, built and cut a
+    # row of 6 blocks at a time and tested one slab at a time
+    value, peak = _inner_peak(6)
+    assert abs(value - (1.0 - 1.0 / 36)) < 1e-10
+    assert peak < 6 * 2**20
+
+
+def test_inner_module_of_m8():
+    # M8's block bases are 64 blocks of 192 x 64, 12 MiB, held once; the
+    # build holds one row of 8 blocks beside them and the closure test one
+    # slab
+    value, peak = _inner_peak(8)
+    assert abs(value - (1.0 - 1.0 / 64)) < 1e-10
+    assert peak < 32 * 2**20
 
 
 def test_m3_crossed_by_s3_through_the_inner_path():
