@@ -1,11 +1,11 @@
 """Rank decisions, nullspaces and metric orthonormalization.
 
 There is one rank cut, rank_split, shared by nullspace, span_basis,
-batched_svd and gram_onb: singular values up to rank_cut(scale) =
-max(scale * REL_CUT, ABS_CUT) count as zero, and the decision must be
-backed by a spectral gap of at least GAP_RATIO between the smallest kept
-and the largest dropped value, otherwise RankAmbiguous is raised. It is
-the only place that raises it.
+batched_svd, gram_onb and the span closure algebra.close_span: singular
+values up to rank_cut(scale) = max(scale * REL_CUT, ABS_CUT) count as
+zero, and the decision must be backed by a spectral gap of at least
+GAP_RATIO between the smallest kept and the largest dropped value,
+otherwise RankAmbiguous is raised. It is the only place that raises it.
 
 nullspace solves a matrix one connected block at a time. Up to a row and
 column permutation a matrix is block diagonal over the connected
@@ -52,6 +52,9 @@ whitened unknown w = T x; T^-1 maps nullspace's orthonormal columns to
 metric-orthonormal ones, with no second pass. gram_onb, for given spans,
 whitens them by T and takes one SVD through batched_svd; T^-1 maps its
 kept left singular vectors to metric-orthonormal ones in the same way.
+No program code calls gram_onb: it is the tests' reference for
+span_basis and the module spans, and benchmark/tracing.py hooks its name
+through the imports that derivations and vndim keep of it.
 
 nullspace and span_basis refuse, with DenseLimitExceeded, blocks whose
 dense SVDs and returned vectors would allocate more than DENSE_LIMIT

@@ -125,50 +125,47 @@ class FDAlgebra:
 
     @cached_property
     def generating_indices(self) -> np.ndarray:
-        """Basis indices S whose words, the products of one or more b_s with
-        s in S (the empty word, 1, left out), span A.
+        """Basis indices S, sorted, whose words, the products of one or more
+        b_s with s in S (the empty word, 1, left out), span A.
 
-        S is chosen greedily over the basis: the next index is the first
-        after the last one chosen whose basis element is not in the span of
-        the words in S, and that span is then closed under left
-        multiplication by the letters b_s, which adds every word. Spans are
-        kept GNS-orthonormal (whitened by T = onb_factor) and each letter is
-        scaled to unit norm. Which basis elements lie in the span is one
-        rank_split decision on their distances to it, and each closure step
-        one rank_split on the singular values of what it adds (_new_span),
-        all with the gap guard. Every basis element ends in S or in the
-        span, so the words span A.
+        S is chosen greedily over the basis, walked in index order with the
+        basis elements parallel to the unit last, so that the unit joins S
+        only when the other words do not reach it: the next index is the
+        first in the walk after the last one chosen whose basis element is
+        not in the span of the words in S, and close_span then adds it and
+        closes the span under left multiplication by the letters b_s, which
+        adds every word. Spans are kept GNS-orthonormal (whitened by
+        T = onb_factor) and each letter is scaled to unit norm. Which basis
+        elements lie in a span, the unit's or the words', is one rank_split
+        decision on their distances to it, and each closure step one
+        rank_split on the singular values of what it adds (_new_span), all
+        with the gap guard. Every basis element ends in S or in the span,
+        so the words span A.
         """
         n, t = self.dim, self.onb_factor
-        # whitened basis directions
+        # whitened basis directions and unit
         dirs = t / np.linalg.norm(t, axis=0)
+        one = t @ self.unit
+        walk = np.argsort(~_outside((one / np.linalg.norm(one))[:, None], dirs), kind="stable")
         chosen, letters = [], []
         span = np.zeros((n, 0), dtype=complex)
+        pos = 0
         while span.shape[1] < n:
-            start = chosen[-1] + 1 if chosen else 0
-            rest = dirs[:, start:]
-            dist = np.linalg.norm(rest - span @ (span.conj().T @ rest), axis=0)
-            top = np.sort(dist)[::-1]
-            outside = rank_split(top)
-            if not outside:
+            outside = _outside(span, dirs[:, walk[pos:]])
+            if not outside.any():
                 raise RankAmbiguous(
                     f"{self.label or 'algebra'}: every basis element lies in a span of "
                     f"rank {span.shape[1]} < {n}"
                 )
-            i = start + int(np.flatnonzero(dist >= top[outside - 1])[0])
+            pos += int(np.argmax(outside)) + 1
+            i = walk[pos - 1]
             chosen.append(i)
             # T left_mult(b_i) T^-1, left_mult(b_i) = mult[i]^T
             left = t @ self.mult[i].T @ self.onb_inverse
             letters.append(left / np.linalg.norm(left))
-            # words b_i w for the words w so far, then every letter times
-            # each new direction until no direction is new
-            new = _new_span(span, np.column_stack([dirs[:, i], letters[-1] @ span]))
-            while new.shape[1]:
-                span = np.hstack([span, new])
-                if span.shape[1] == n:
-                    break
-                new = _new_span(span, np.hstack([m @ new for m in letters]))
-        return np.array(chosen)
+            # the words b_i w for the words w so far, closed under the letters
+            span = close_span(span, letters, np.column_stack([dirs[:, i], letters[-1] @ span]))
+        return np.sort(chosen)
 
     @cached_property
     def onb_residuals(self) -> dict[str, float]:
@@ -217,6 +214,32 @@ def _new_span(span: np.ndarray, cand: np.ndarray) -> np.ndarray:
         cand = cand - span @ (span.conj().T @ cand)
     u, s, _ = np.linalg.svd(cand, full_matrices=False)
     return u[:, : rank_split(s)]
+
+
+def close_span(span: np.ndarray, letters: list[np.ndarray], cand: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the orthonormal columns of span, what
+    the columns of cand add to them, and every product of the matrices
+    letters with those: the smallest span holding both that is closed
+    under left multiplication by the letters. Each step multiplies only
+    the directions the last step added and keeps what they add
+    (_new_span); span itself comes first, unchanged."""
+    n = span.shape[0]
+    new = _new_span(span, cand)
+    while new.shape[1]:
+        span = np.hstack([span, new])
+        if span.shape[1] == n or not letters:
+            break
+        new = _new_span(span, np.hstack([m @ new for m in letters]))
+    return span
+
+
+def _outside(span: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Which unit columns of dirs lie off the span of the orthonormal
+    columns span: one rank_split on their distances to it."""
+    dist = np.linalg.norm(dirs - span @ (span.conj().T @ dirs), axis=0)
+    top = np.sort(dist)[::-1]
+    kept = rank_split(top)
+    return dist >= top[kept - 1] if kept else np.zeros(dist.shape, dtype=bool)
 
 
 def certify_exact(alg: FDAlgebra) -> None:

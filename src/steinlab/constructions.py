@@ -13,8 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import SPLIT_SEED, frob, gram_onb, nullspace, spectral_split
-from .algebra import FDAlgebra
+from ._linalg import SPLIT_SEED, frob, nullspace, spectral_split
+from .algebra import FDAlgebra, close_span
 from .errors import (
     ActionInvalid,
     NotAbelian,
@@ -396,20 +396,20 @@ def subalgebra_generate(alg: FDAlgebra, gens: list[np.ndarray]) -> np.ndarray:
     by gens: the span of 1 and the letters (gens and their stars) closed
     under left multiplication by the letters.
 
-    Each round adds the products of the letters with the current span, so
-    the words grow by one letter per round; once the rank stops growing the
-    span contains every word and is closed under products and under *.
+    The closure is algebra.close_span in GNS-orthonormal coordinates
+    (whitened by T = alg.onb_factor), from the whitened 1 and letters,
+    each letter scaled to unit norm and zero letters dropped; T^-1 maps
+    its orthonormal columns to GNS-orthonormal ones. The closed span
+    contains every word in the letters, so it is closed under products,
+    and under * since the letters are.
     """
+    t, ti = alg.onb_factor, alg.onb_inverse
     letters = [np.asarray(g, dtype=complex) for g in gens]
     letters += [alg.star_of(g) for g in letters]
-    lefts = [alg.left_mult(x) for x in letters]
-    cur = gram_onb(np.column_stack([alg.unit] + letters), alg.onb_factor)
-    while cur.shape[1] < alg.dim:
-        grown = gram_onb(np.hstack([cur] + [m @ cur for m in lefts]), alg.onb_factor)
-        if grown.shape[1] == cur.shape[1]:
-            break
-        cur = grown
-    return cur
+    letters = [g / size for g in letters if (size := alg.norm(g))]
+    lefts = [t @ alg.left_mult(g) @ ti for g in letters]
+    empty = np.zeros((alg.dim, 0), dtype=complex)
+    return ti @ close_span(empty, lefts, t @ np.column_stack([alg.unit] + letters))
 
 
 def generates(alg: FDAlgebra, gens: list[np.ndarray]) -> bool:
@@ -417,15 +417,16 @@ def generates(alg: FDAlgebra, gens: list[np.ndarray]) -> bool:
 
 
 def span_equal(alg: FDAlgebra, a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two column spans coincide, compared in the GNS geometry:
-    the same rank, and b off the span of a by at most SPAN_TOL relative."""
-    qa = gram_onb(a, alg.onb_factor)
-    qb = gram_onb(b, alg.onb_factor)
+    """Whether two column spans coincide, compared in the GNS geometry: the
+    orthonormal bases of the whitened spans (close_span with no letters,
+    so _new_span's rank rule) have the same rank, and that of b is off
+    that of a by at most SPAN_TOL relative."""
+    empty = np.zeros((alg.dim, 0), dtype=complex)
+    qa = close_span(empty, [], alg.onb_factor @ a)
+    qb = close_span(empty, [], alg.onb_factor @ b)
     if qa.shape[1] != qb.shape[1]:
         return False
-    g = alg.gram
-    proj = qa @ (qa.conj().T @ (g @ qb))
-    return frob(proj - qb) <= SPAN_TOL * max(1.0, frob(qb))
+    return frob(qa @ (qa.conj().T @ qb) - qb) <= SPAN_TOL * max(1.0, frob(qb))
 
 
 # -- scaled generating sets --------------------------------------------------

@@ -41,8 +41,8 @@ from functools import cached_property
 
 import numpy as np
 
-# gram_onb is no longer called here; the name stays bound because
-# benchmark/tracing.py hooks steinlab.derivations.gram_onb
+# no program code calls gram_onb; the name stays bound only because
+# benchmark/tracing.py hooks steinlab.derivations.gram_onb, and goes with that hook
 from ._linalg import (  # noqa: F401
     BlockKernel, SparseSystem, frob, gram_onb, nullspace, span_basis,
 )

@@ -494,25 +494,6 @@ def _block_formula(blocks) -> float:
     return 1.0 - sum(a * a / (n * n) for n, a in blocks)
 
 
-def _greedy_generators(alg: FDAlgebra) -> np.ndarray:
-    """A small deterministic generating set: walk the basis, keeping the
-    elements that enlarge the generated subalgebra."""
-    chosen: list[np.ndarray] = []
-    rank = subalgebra_generate(alg, []).shape[1]
-    for i in range(alg.dim):
-        if rank == alg.dim:
-            break
-        grown = subalgebra_generate(alg, chosen + [alg.basis(i)])
-        if grown.shape[1] > rank:
-            chosen.append(alg.basis(i))
-            rank = grown.shape[1]
-    if not chosen:
-        # Nothing enlarges the unital closure, so any scalar works; use a
-        # rescaled unit so the set differs from the plain basis.
-        return 0.5 * alg.unit.reshape(-1, 1)
-    return np.column_stack(chosen)
-
-
 # -- the checks, in report order ------------------------------------------------------
 
 @check("algebra_valid",
@@ -828,7 +809,13 @@ def _chk_generating_independence(rc: RunContext):
     elif rc.spec.blocks is not None and alg.dim > 1:
         x2 = multimatrix_generators(rc.spec.blocks)
     else:
-        x2 = _greedy_generators(alg)
+        # the generating basis elements other than multiples of the unit;
+        # with none left, any scalar works, and a rescaled unit keeps the
+        # set apart from the plain basis
+        one = alg.unit[:, None]
+        keep = [i for i in alg.generating_indices
+                if not span_equal(alg, one, alg.basis(i)[:, None])]
+        x2 = np.eye(alg.dim, dtype=complex)[:, keep] if keep else 0.5 * one
     return Compared(rc.dim_a, _dim(rc.space_a, x2),
                     note=f"{alg.dim} vs {x2.shape[1]} generators")
 

@@ -57,7 +57,9 @@ since Q spans the subspace itself.
 The readout of a Leibniz kernel is backed only for an exact algebra: the
 kernel of an inexact one is the exact kernel of a nearby wrong algebra,
 orthonormal and right-closed to rounding, which no test here can refuse.
-So derivation_space certifies exactness first (algebra.certify_exact).
+So derivation_space certifies exactness first (algebra.certify_exact),
+and so does inner_derivation_module, whose blocks no test here can
+refuse either.
 
 The spectral route never forms P densely. A projection commuting with
 the right action commutes with every spectral projection of a
@@ -153,12 +155,12 @@ from fractions import Fraction
 
 import numpy as np
 
-# gram_onb is no longer called here; the name stays bound because
-# benchmark/tracing.py hooks steinlab.vndim.gram_onb
+# no program code calls gram_onb; the name stays bound only because
+# benchmark/tracing.py hooks steinlab.vndim.gram_onb, and goes with that hook
 from ._linalg import (  # noqa: F401
     SPLIT_SEED, BlockKernel, gram_onb, rank_cut, shared_cut, span_basis, spectral_split,
 )
-from .algebra import FDAlgebra
+from .algebra import FDAlgebra, certify_exact
 from .constructions import CrossedProduct
 from .derivations import DerivationSpace, apply_pair, whiten
 from .errors import NotGenerating, NotRightClosed
@@ -681,9 +683,11 @@ def inner_derivation_module(alg, gens: np.ndarray) -> InnerModule:
     spans the same module, and with this one each column lies in one
     spectral block, since xi -> [x, xi] commutes with the right action.
     gens is checked as phi_x checks it (_argument_set). Raises
+    InexactAlgebra unless alg passes algebra.certify_exact, and
     NotRightClosed if the columns leak out of their blocks by more than the
     drop bound.
     """
+    certify_exact(alg)
     gens = _argument_set(alg, gens)
     ops = _right_ops(alg, _with_stars(alg, gens))
     legs = _legs(alg, ops)

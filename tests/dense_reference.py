@@ -1,4 +1,5 @@
-"""Dense reference formulas for the bimodule layer.
+"""Dense reference formulas for the bimodule layer, and the generated
+subalgebra by whole-span rounds.
 
 Every operator on L^2(N), N = A (x) A^op, is written out here as an
 (n^2, n^2) np.kron matrix and applied one column, one group element at a
@@ -10,6 +11,8 @@ never forms these matrices.
 from __future__ import annotations
 
 import numpy as np
+
+from steinlab._linalg import gram_onb
 
 
 def act_left(alg, x):
@@ -171,3 +174,22 @@ def inner_module(alg, gens):
     ops = _right_ops(alg, _with_stars(alg, gens))
     unit = np.kron(alg.unit, alg.unit)[:, None]
     return ModuleSubspace.from_span(alg, gens.shape[1], inner_span(alg, gens), ops, unit)
+
+
+# -- the generated subalgebra by whole-span rounds --------------------------------
+
+def subalgebra_generate(alg, gens):
+    """GNS-orthonormal basis (columns) of the unital *-subalgebra generated
+    by gens, as the package grew it before algebra.close_span: each round
+    orthonormalizes (gram_onb) the span together with every letter (gens
+    and their stars) times the whole span, until the rank stops growing."""
+    letters = [np.asarray(g, dtype=complex) for g in gens]
+    letters += [alg.star_of(g) for g in letters]
+    lefts = [alg.left_mult(x) for x in letters]
+    cur = gram_onb(np.column_stack([alg.unit] + letters), alg.onb_factor)
+    while cur.shape[1] < alg.dim:
+        grown = gram_onb(np.hstack([cur] + [m @ cur for m in lefts]), alg.onb_factor)
+        if grown.shape[1] == cur.shape[1]:
+            break
+        cur = grown
+    return cur

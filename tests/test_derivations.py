@@ -23,6 +23,7 @@ from steinlab import (
     dual_action,
     extend_vanishing,
     group_algebra,
+    inner_derivation_module,
     leibniz_residual,
     matrix_units,
     multimatrix,
@@ -403,13 +404,16 @@ def test_dimension_under_a_basis_change_is_right_or_refused(raw, log_cond, seed)
 
 def test_an_inexact_algebra_is_refused():
     # structure constants moved by 1e-10 still validate at 1e-8, but miss
-    # associativity in GNS-orthonormal coordinates above the exactness bound
+    # associativity in GNS-orthonormal coordinates above the exactness
+    # bound; the kernel route and the inner path both refuse them
     alg = multimatrix([(2, 0.75), (1, 0.25)])
     noise = 1e-10 * np.random.default_rng(3).standard_normal(alg.mult.shape)
     moved = FDAlgebra(alg.dim, alg.mult + noise, alg.star, alg.unit, alg.trace)
     assert validate(moved).passed
     with pytest.raises(InexactAlgebra, match="residual .* exceeds the exactness bound 5e-11"):
         derivation_space(moved)
+    with pytest.raises(InexactAlgebra, match="residual .* exceeds the exactness bound 5e-11"):
+        inner_derivation_module(moved, np.eye(alg.dim))
 
 
 def test_unstructured_basis_hits_the_dense_limit_at_dim_16():
@@ -475,6 +479,17 @@ def test_generating_indices_of_matrix_units_are_computed_once(monkeypatch):
     done = len(calls)
     derivation_space(alg)
     assert alg.generating_indices is rows and len(calls) == done
+
+
+def test_the_unit_is_left_out_of_S_when_the_other_words_reach_it():
+    # u_1 generates C[Z/n], the unit included, so S is u_1 alone; in
+    # C[Z/3] x| Z/3 it is u_1 and b_1 u_e
+    dual = dual_action(3)
+    assert crossed_product(dual.algebra, dual).algebra.generating_indices.tolist() == [1, 3]
+    c = multimatrix([(1, 1.0)])
+    for n in range(2, 7):
+        cp = crossed_product(c, trivial_action(cyclic(n), c))
+        assert cp.algebra.generating_indices.tolist() == [1], n
 
 
 def test_a_rotated_basis_is_generated_by_two_elements():

@@ -41,6 +41,7 @@ from steinlab import (
 )
 
 from steinlab import _linalg, constructions
+from test_algebra import _shipped_algebras
 from test_derivations import in_basis, random_unitary, rotated
 
 import dense_reference as ref
@@ -162,6 +163,23 @@ def test_multimatrix_generators_generate():
     assert gens.shape[0] == alg.dim
     assert generates(alg, list(gens.T))
     assert not generates(alg, [alg.unit])
+
+
+def test_span_closure_matches_the_whole_span_rounds():
+    # every corpus algebra and crossed product, both examples and the
+    # dense_ladder inputs at seeds 0-9; gens the first one, two and three
+    # basis elements, each set also with a zero element added
+    for label, alg in _shipped_algebras().items():
+        for k in (1, 2, 3):
+            gens = [alg.basis(i) for i in range(min(k, alg.dim))]
+            for extra in ([], [np.zeros(alg.dim, dtype=complex)]):
+                got = subalgebra_generate(alg, gens + extra)
+                want = ref.subalgebra_generate(alg, gens + extra)
+                assert got.shape[1] == want.shape[1], (label, k, len(extra))
+                assert np.allclose(got.conj().T @ alg.gram @ got, np.eye(got.shape[1]),
+                                   atol=1e-10), label
+                assert span_equal(alg, got, want), (label, k, len(extra))
+                assert generates(alg, gens + extra) == (want.shape[1] == alg.dim), label
 
 
 def test_subalgebra_generate_and_span_equal():

@@ -8,7 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from steinlab import CrossedProduct, GroupAction, SpecInvalid, cyclic, multimatrix, reports
+from steinlab import (
+    CrossedProduct,
+    GroupAction,
+    SpecInvalid,
+    cyclic,
+    dihedral_4,
+    group_algebra,
+    multimatrix,
+    reports,
+    symmetric_3,
+    trivial_action,
+)
 from steinlab.cli import main
 from steinlab.reports import (
     CHECKS,
@@ -205,6 +216,37 @@ def test_corpus_reports_all_pass(corpus_reports):
     for rep in corpus_reports:
         failing = [r.name for r in rep.rows if r.status == "fail"]
         assert not failing, f"{rep.label}: {failing}"
+
+
+# the generator count of generating_set_independence and its dimensions
+# (lhs with the basis, rhs with the fallback set) on every spec that takes
+# the fallback: no alt_generators and no multimatrix blocks past C
+FALLBACK_ROWS = {
+    **{f"C | {g} | trivial": ("1 vs 1 generators", 0.0)
+       for g in ("Z/2", "Z/3", "Z/4", "Z/5", "Z/6", "Z/2xZ/2", "S3")},
+    "C[Z/2] | Z/2 | trivial": ("2 vs 1 generators", 1 / 2),
+    "C[Z/2] | Z/2 | dual": ("2 vs 1 generators", 1 / 2),
+    "C[Z/3] | Z/3 | dual": ("3 vs 1 generators", 2 / 3),
+    "C[S3] | Z/2 | trivial": ("6 vs 2 generators", 5 / 6),
+    "C[D4] | Z/2 | trivial": ("8 vs 2 generators", 7 / 8),
+}
+
+
+def test_fallback_generating_sets_keep_their_counts(corpus_reports):
+    rows = {rep.label: row for rep in corpus_reports for row in rep.rows
+            if row.name == "generating_set_independence"}
+    fallback = [s.label for s in corpus_specs(seed=7)
+                if s.alt_generators is None and (s.blocks is None or s.algebra.dim == 1)]
+    assert len(fallback) == 10 and set(fallback) < set(FALLBACK_ROWS)
+    for name, grp in (("S3", symmetric_3()), ("D4", dihedral_4())):
+        alg, z2 = group_algebra(grp), cyclic(2)
+        spec = ExperimentSpec(f"C[{name}] | Z/2 | trivial", alg, z2, trivial_action(z2, alg),
+                              checks=["generating_set_independence"])
+        rows[spec.label] = run(spec).rows[0]
+    for label, (note, value) in FALLBACK_ROWS.items():
+        row = rows[label]
+        assert (row.status, row.note) == ("pass", note), label
+        assert abs(row.lhs - value) <= 1e-12 and abs(row.rhs - value) <= 1e-12, label
 
 
 def test_json_round_trip_and_stability(corpus_reports):
