@@ -37,9 +37,14 @@ columns and their orthonormal local kernel vectors. The group is keyed by
 set of columns but different row counts share a part. No (columns,
 kernel) array is formed unless a caller asks for one with dense();
 derivations keeps the Leibniz kernel this way, and vndim reads
-dimensions from it.
+dimensions from it. sparse() holds the same kernel as the SparseSystem of
+its block entries, which sparse_product multiplies entry by entry, and
+slabs() lists its columns one part at a time, in slices whose dense
+columns and one transform of them fit QR_CHUNK bytes, for callers that
+read a few at a time.
 
-span_basis returns an orthonormal basis of a column span the same way.
+span_basis returns an orthonormal basis of a column span, given densely
+or as a SparseSystem, the same way.
 The column span of a matrix V is the row space of V^H, and the row space
 of a block-diagonal matrix is the direct sum of its blocks' row spaces,
 each spanned by the block's right singular vectors above the cut. So
@@ -99,7 +104,9 @@ GAP_RATIO = 10.0
 # below, and M3 x| S3 (dim 54) needs 759 MiB
 DENSE_LIMIT = 1 << 30
 # most working bytes (_qr_bytes) of the tall blocks that nullspace takes
-# through one QR at a time; the stack is cut into chunks of this size
+# through one QR at a time; the stack is cut into chunks of this size. The
+# same budget bounds the dense kernel columns of one BlockKernel.slabs()
+# slice and the Leibniz rows of one slab of derivations.leibniz_residual
 QR_CHUNK = 1 << 26
 # eigenvalues of a random hermitian combination closer than this fraction
 # of its spectral radius share a cluster; merging only coarsens the split,
@@ -122,16 +129,21 @@ class SparseSystem:
     cols: np.ndarray
     vals: np.ndarray
 
-    def dot(self, x: np.ndarray) -> np.ndarray:
-        """The matrix times each vector of a stack x (..., ncols)."""
-        x = np.asarray(x)
-        flat = x.reshape(-1, self.shape[1])
-        n, size = self.shape[0], len(flat) * self.shape[0]
-        # one bincount for the whole stack: vector s owns rows s * n onwards
-        idx = (np.arange(len(flat))[:, None] * n + self.rows).ravel()
-        prod = (self.vals * flat[:, self.cols]).ravel()
-        out = np.bincount(idx, prod.real, size) + 1j * np.bincount(idx, prod.imag, size)
-        return out.reshape(*x.shape[:-1], n)
+
+def sparse_product(a: SparseSystem, b: SparseSystem) -> SparseSystem:
+    """The matrix product a b: one entry for each entry of a and each entry
+    of b in the row that is its column, products that are exactly zero
+    left out, so that the entries at one position sum to the product."""
+    order = np.argsort(b.rows, kind="stable")
+    rows, cols, vals = b.rows[order], b.cols[order], b.vals[order]
+    start = np.searchsorted(rows, a.cols, side="left")
+    count = np.searchsorted(rows, a.cols, side="right") - start
+    # entry e of a meets entries start[e] .. start[e] + count[e] - 1 of b
+    at = np.repeat(np.arange(a.cols.size), count)
+    pos = start[at] + np.arange(at.size) - np.repeat(np.cumsum(count) - count, count)
+    prod = a.vals[at] * vals[pos]
+    keep = prod != 0
+    return SparseSystem((a.shape[0], b.shape[1]), a.rows[at][keep], cols[pos][keep], prod[keep])
 
 
 def rank_cut(scale: float) -> float:
@@ -240,6 +252,29 @@ class BlockKernel:
             out[cols[:, :, None], first[:, None, None] + np.arange(vecs.shape[2])] = vecs
         return out
 
+    def sparse(self) -> SparseSystem:
+        """dense() as a SparseSystem of its blocks' entries."""
+        rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+        vals = [np.zeros(0, dtype=complex)]
+        for block_cols, vecs, first in self.parts:
+            at = first[:, None, None] + np.arange(vecs.shape[2])
+            rows.append(np.broadcast_to(block_cols[:, :, None], vecs.shape).ravel())
+            cols.append(np.broadcast_to(at, vecs.shape).ravel())
+            vals.append(vecs.ravel())
+        return SparseSystem(self.shape, *map(np.concatenate, (rows, cols, vals)))
+
+    def slabs(self):
+        """The columns of dense(), one part at a time, as arrays of column
+        indices. A part is cut into slices whose working set fits QR_CHUNK
+        bytes: the slice's columns as dense vectors and one transform of
+        them (a caller maps each slice to its own stack and conjugates or
+        reshapes it), two complex copies of ncols entries per column."""
+        step = max(1, QR_CHUNK // (2 * 16 * self.ncols))
+        for _, vecs, first in self.parts:
+            idx = (first[:, None] + np.arange(vecs.shape[2])).ravel()
+            for i in range(0, idx.size, step):
+                yield idx[i : i + step]
+
     def vectors(self, idx=slice(None)) -> np.ndarray:
         """Columns idx of dense(), idx any numpy index of them (all by
         default), as the rows of a (count, ncols) array. Each is read from
@@ -274,15 +309,19 @@ def nullspace(mat: np.ndarray | SparseSystem) -> BlockKernel:
     return _block_vectors(mat, span=False)
 
 
-def span_basis(mat: np.ndarray) -> BlockKernel:
-    """Orthonormal basis of the column span of mat, kept by connected
-    block (BlockKernel, one unknown per row of mat).
+def span_basis(mat: np.ndarray | SparseSystem) -> BlockKernel:
+    """Orthonormal basis of the column span of mat, a dense array or a
+    SparseSystem, kept by connected block (BlockKernel, one unknown per
+    row of mat).
 
     The span is the row space of mat^H, which nullspace's machinery splits
     into the same blocks, guards and solves with the same cut; a block
     keeps its right singular vectors above the cut, where nullspace keeps
     those below it (see the module docstring).
     """
+    if isinstance(mat, SparseSystem):
+        return _block_vectors(
+            SparseSystem(mat.shape[::-1], mat.cols, mat.rows, mat.vals.conj()), span=True)
     return _block_vectors(np.asarray(mat, dtype=complex).conj().T, span=True)
 
 
@@ -446,3 +485,11 @@ def spectral_split(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 def frob(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(m).ravel()))
+
+
+def stack_frob(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack (..., rows, cols), read as
+    real pairs in one pass, with no squared copy."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    v = m.view(float).reshape(*m.shape[:-2], 2 * m.shape[-2] * m.shape[-1])
+    return np.sqrt(np.einsum("...i,...i->...", v, v))

@@ -14,8 +14,11 @@ pair (a, b) standing for kron(a, b), one (n, n) factor per leg, None for
 an identity leg: x (x) y^op acts by (left_mult(x), right_mult(y)) on the
 left and by (right_mult(x), left_mult(y)) on the right, and the GNS metric
 is whitened by (T, T), T = A.onb_factor. apply_pair contracts a pair into
-a stack leg by leg; no (n^2, n^2) operator matrix is formed. Kernels are
-solved for whitened values and mapped back by (T^-1, T^-1).
+a stack leg by leg; no (n^2, n^2) operator matrix is formed. When both
+factors have one nonzero entry per row, as in a monomial basis (matrix
+units, b u_g), the pair is one monomial map of the n^2 rows, applied as
+a gather and a scaling. Kernels are solved for whitened values and mapped
+back by (T^-1, T^-1).
 derivation_space builds the Leibniz equations only for the arguments of a
 generating set, which have the same kernel (see leibniz_system). A
 DerivationSpace has one representation: its whitened orthonormal basis in
@@ -32,6 +35,16 @@ Every function takes the FDAlgebra whose module it acts on, or, for the
 crossed-product maps, the CrossedProduct A x| G. Those act on the coset
 sectors L^2(N)(u_g (x) u_h^op), conjugate by the group elements, and move
 derivations between A and A x| G.
+
+Covariance. The scaling conjugation sigma_g(d) = u_g* . d(u_g . u_g*) . u_g
+is a right action of G: sigma_g sigma_h = sigma_hg. So the derivations
+fixed by sigma_g for every g of a generating set are fixed by every word
+in it, which is every element of G, and covariance_defect takes its
+maximum over FiniteGroup.generators only (2 conjugations for S3 and D4,
+not 6 and 8). Its zero set is that of the maximum over all of G; a
+nonzero value may be smaller. In the b u_g basis of a permutation or Ad
+action by monomial unitaries, sigma_g is one monomial map of the entries
+of a derivation, applied as one gather.
 """
 
 from __future__ import annotations
@@ -44,20 +57,55 @@ import numpy as np
 # no program code calls gram_onb; the name stays bound only because
 # benchmark/tracing.py hooks steinlab.derivations.gram_onb, and goes with that hook
 from ._linalg import (  # noqa: F401
-    BlockKernel, SparseSystem, frob, gram_onb, nullspace, span_basis,
+    QR_CHUNK, BlockKernel, SparseSystem, frob, gram_onb, nullspace, span_basis, sparse_product,
+    stack_frob,
 )
 from .algebra import FDAlgebra, certify_exact
 from .constructions import CrossedProduct, subalgebra_generate, span_equal
 from .errors import NotSubalgebra, UnitsInvalid
 
 
+def _monomial(*factors: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """kron of the factors as one monomial map, (src, val) with the one
+    nonzero entry of row i at column src[i], of value val[i]; None when a
+    factor has a row with another count of nonzero entries."""
+    src, val = np.zeros(1, dtype=int), np.ones(1)
+    for f in factors:
+        nz = f != 0
+        if not (np.count_nonzero(nz, axis=1) == 1).all():
+            return None
+        col = nz.argmax(axis=1)
+        src = (src[:, None] * f.shape[1] + col).ravel()
+        val = (val[:, None] * f[np.arange(len(f)), col]).ravel()
+    return src, val
+
+
+def _remap(v: np.ndarray, src: np.ndarray, val: np.ndarray, axis: int) -> np.ndarray:
+    """The monomial map out[..., i, ...] = val[i] v[..., src[i], ...] along
+    axis of v, a copy, by one gather (none when src is the identity) and
+    one scaling (none when val is all ones): each entry is the one nonzero
+    product of the matmul it stands for, without its sum of exact zeros."""
+    scale = None if (val == 1).all() else val.reshape(-1, *[1] * (-1 - axis))
+    if (src == np.arange(src.size)).all():
+        return v.copy() if scale is None else v * scale
+    out = np.take(v, src, axis=axis).astype(np.result_type(v, val), copy=False)
+    if scale is not None:
+        out *= scale
+    return out
+
+
 def apply_pair(pair: tuple, v: np.ndarray) -> np.ndarray:
     """kron(a, b) for the factor pair (a, b), None an identity leg,
     applied to a stack v of shape (..., n^2, m): the L^2(N) axis is read
-    as the two legs (n, n) and each factor contracts its leg."""
+    as the two legs (n, n) and each factor contracts its leg. When both
+    legs are monomial, as the leg factors of a monomial basis (matrix
+    units, b u_g) are, kron(a, b) is one monomial map of the n^2 rows."""
     a, b = pair
     *lead, nn, m = v.shape
     n = math.isqrt(nn)
+    mono = _monomial(*(np.eye(n) if f is None else f for f in pair))
+    if mono is not None:
+        return _remap(v, *mono, -2)
     t = v
     if a is not None:
         t = np.matmul(a, t.reshape(*lead, n, n * m))
@@ -75,11 +123,33 @@ def whiten(alg: FDAlgebra, v: np.ndarray) -> np.ndarray:
 def leibniz_residual(alg: FDAlgebra, mats: np.ndarray) -> np.ndarray:
     """Largest GNS norm of d(b_i b_j) - b_i . d(b_j) - d(b_i) . b_j over
     basis pairs, for each derivation of a stack (..., n^2, n): the rows of
-    leibniz_system applied to its whitened values."""
+    leibniz_system applied to its whitened values.
+
+    The rows are built for a slab of basis indices i at a time, each slab
+    of about QR_CHUNK bytes: its entries (32 bytes each), their copy sorted
+    by row, and one derivation's products with them (48 bytes each). Each
+    derivation's rows are then sums over consecutive entries."""
     mats = np.asarray(mats)
     n = alg.dim
-    res = leibniz_system(alg).dot(whiten(alg, mats).reshape(*mats.shape[:-2], n**3))
-    return np.linalg.norm(res.reshape(*mats.shape[:-2], n * n, n * n), axis=-2).max(axis=-1)
+    w = whiten(alg, mats).reshape(-1, n**3)
+    # entries of the rows (., i, .): n^2 for each of two terms per triple
+    # (i, y, z) of the pattern, and n per triple for the third
+    pattern = _whitened_mult(alg)[2]
+    entries = n * (2 * n * np.count_nonzero(pattern, axis=(1, 2)) + np.count_nonzero(pattern))
+    slab = np.cumsum(entries) * (2 * 32 + 48) // QR_CHUNK
+    worst = np.zeros(len(w))
+    for rows in np.split(np.arange(n), np.flatnonzero(np.diff(slab)) + 1):
+        system = leibniz_system(alg, rows)
+        order = np.argsort(system.rows, kind="stable")
+        at, cols, vals = system.rows[order], system.cols[order], system.vals[order]
+        first = np.flatnonzero(np.r_[True, at[1:] != at[:-1]])
+        # row (p * |rows| + s) * n + j: the norm runs over p for each (s, j)
+        pair = at[first] % (rows.size * n)
+        for k, x in enumerate(w):
+            res = np.add.reduceat(vals * x[cols], first)
+            sq = np.bincount(pair, (res * res.conj()).real, rows.size * n)
+            worst[k] = max(worst[k], np.sqrt(sq.max()))
+    return worst.reshape(mats.shape[:-2])
 
 
 def restricted_norm(alg: FDAlgebra, mats: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -139,12 +209,7 @@ def leibniz_system(alg: FDAlgebra, rows: np.ndarray | None = None) -> SparseSyst
     n = alg.dim
     sel = np.arange(n) if rows is None else np.asarray(rows)
     m = sel.size
-    t, t_inv = alg.onb_factor, alg.onb_inverse
-    # the whitened operators, indexed [x, y, z] as mult is; entries sit on
-    # the union of the three nonzero patterns
-    lw = (t @ alg.mult.transpose(0, 2, 1) @ t_inv).transpose(0, 2, 1)
-    rw = (t @ alg.mult.transpose(1, 2, 0) @ t_inv).transpose(2, 0, 1)
-    pattern = (alg.mult != 0) | (lw != 0) | (rw != 0)
+    lw, rw, pattern = _whitened_mult(alg)
     # every triple, and the triples with x = sel[r]
     x, y, z = (ax[:, None, None] for ax in np.nonzero(pattern))
     r, yr, zr = (x, y, z) if rows is None else (
@@ -174,6 +239,16 @@ def leibniz_system(alg: FDAlgebra, rows: np.ndarray | None = None) -> SparseSyst
             out[start:stop].reshape(shape)[...] = part
         start = stop
     return SparseSystem((n * n * m * n, n**3), at, cols, vals)
+
+
+def _whitened_mult(alg: FDAlgebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The whitened operators T left_mult(b_x) T^-1 and T right_mult(b_y)
+    T^-1 of leibniz_system, indexed [x, y, z] as mult is, and the union of
+    their nonzero patterns with mult's, on which its entries sit."""
+    t, t_inv = alg.onb_factor, alg.onb_inverse
+    lw = (t @ alg.mult.transpose(0, 2, 1) @ t_inv).transpose(0, 2, 1)
+    rw = (t @ alg.mult.transpose(1, 2, 0) @ t_inv).transpose(2, 0, 1)
+    return lw, rw, (alg.mult != 0) | (lw != 0) | (rw != 0)
 
 
 class DerivationSpace:
@@ -261,7 +336,9 @@ def relative_derivations(
     constraints d(s) = 0 for the columns s of sub_cols are linear in c;
     nullspace solves them per group of kernel blocks that they couple.
     Orthonormal combinations of an orthonormal basis are orthonormal, and
-    span_basis keeps them by block.
+    span_basis keeps them by block. The kernel, the constraints and the
+    combinations are all held by their block entries (SparseSystem), so
+    no (unknowns, rank) array is formed.
     """
     alg = space.algebra
     sub_cols = np.asarray(sub_cols, dtype=complex)
@@ -271,11 +348,16 @@ def relative_derivations(
             raise NotSubalgebra("span is not a unital *-subalgebra")
     if space.rank == 0:
         return space
-    n, r = alg.dim, space.rank
-    w = space.kernel.dense()
-    con = sub_cols.T @ w.reshape(n * n, n, r)  # (dim N, sub, r)
-    combos = nullspace(con.reshape(-1, r)).dense()
-    return DerivationSpace(alg, span_basis(w @ combos))
+    n, m = alg.dim, sub_cols.shape[1]
+    w = space.kernel.sparse()
+    # (1 (x) sub_cols^T) on the unknowns q * n + k: the value at each s,
+    # in the row (q, s) of a (dim N, sub) constraint matrix
+    k, s = np.nonzero(sub_cols)
+    q = np.arange(n * n)[:, None]
+    at = SparseSystem((n * n * m, n**3), (q * m + s).ravel(), (q * n + k).ravel(),
+                      np.tile(sub_cols[k, s], n * n))
+    combos = nullspace(sparse_product(at, w))
+    return DerivationSpace(alg, span_basis(sparse_product(w, combos.sparse())))
 
 
 # -- matrix-unit central projection -------------------------------------------
@@ -330,7 +412,16 @@ def central_projection_element(alg: FDAlgebra, units: list[np.ndarray]) -> tuple
 def scaling_conjugation(cp: CrossedProduct, g: int, mats: np.ndarray) -> np.ndarray:
     """The conjugated derivations x -> u_g* . d(u_g x u_g*) . u_g."""
     lu, ru = cp.u_mult
-    return apply_pair((lu[cp.group.inv(g)], ru[g]), mats) @ cp.ad(g)
+    pair, ad = (lu[cp.group.inv(g)], ru[g]), cp.ad(g)
+    mats = np.asarray(mats)
+    # the value's two legs and the argument, x -> ad(g) x: in the b u_g
+    # basis of a permutation or Ad action all three are monomial, and the
+    # conjugation is one monomial map of the (n, n, n) entries
+    mono = _monomial(*pair, ad.T)
+    if mono is None:
+        return apply_pair(pair, mats) @ ad
+    flat = mats.reshape(*mats.shape[:-2], mats.shape[-2] * mats.shape[-1])
+    return _remap(flat, *mono, -1).reshape(mats.shape)
 
 
 def average_scaling(cp: CrossedProduct, mats: np.ndarray) -> np.ndarray:
@@ -342,13 +433,17 @@ def average_scaling(cp: CrossedProduct, mats: np.ndarray) -> np.ndarray:
 
 def covariance_defect(cp: CrossedProduct, mats: np.ndarray) -> np.ndarray:
     """Largest Frobenius deviation of each derivation from its scaling
-    conjugates, relative to max(1, its Frobenius norm)."""
+    conjugates by the group's generators, relative to max(1, its Frobenius
+    norm). The conjugations compose as sigma_g sigma_h = sigma_hg, so a
+    derivation fixed by the generators is fixed by every element, and the
+    zero set is that of the maximum over all of G."""
     mats = np.asarray(mats)
     worst = np.zeros(mats.shape[:-2])
-    for g in range(cp.group.order):
-        dev = np.linalg.norm(scaling_conjugation(cp, g, mats) - mats, axis=(-2, -1))
-        worst = np.maximum(worst, dev)
-    return worst / np.maximum(1.0, np.linalg.norm(mats, axis=(-2, -1)))
+    for g in cp.group.generators:
+        dev = scaling_conjugation(cp, g, mats)
+        dev -= mats
+        worst = np.maximum(worst, stack_frob(dev))
+    return worst / np.maximum(1.0, stack_frob(mats))
 
 
 # -- extension and restriction --------------------------------------------------

@@ -60,6 +60,25 @@ class FiniteGroup:
         return inv
 
     @cached_property
+    def generators(self) -> list[int]:
+        """A generating set, chosen greedily: each element, in order, that
+        the subgroup generated by the earlier picks lacks. Empty for the
+        trivial group."""
+        picks, reached = [], {self.identity}
+        for a in range(self.order):
+            if a in reached:
+                continue
+            picks.append(a)
+            # close under right multiplication by the picks: in a finite
+            # group the products of the picks are the generated subgroup
+            frontier = list(reached)
+            while frontier:
+                new = {int(self.table[x, p]) for x in frontier for p in picks} - reached
+                reached |= new
+                frontier = list(new)
+        return picks
+
+    @cached_property
     def is_abelian(self) -> bool:
         return bool((self.table == self.table.T).all())
 

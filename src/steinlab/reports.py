@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -30,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._linalg import frob
+from ._linalg import frob, stack_frob
 from .algebra import VALID_TOL, FDAlgebra, validate
 from .constructions import (
     GroupAction,
@@ -624,7 +625,7 @@ def _chk_covariance_equivalence(rc: RunContext):
     cp = rc.cp
     calg = cp.algebra
     n = calg.dim
-    cases = [np.zeros((1, n * n, n), dtype=complex), rc.space_m.basis]
+    cases = [np.zeros((1, n * n, n), dtype=complex)]
     if rc.space_a.rank:
         cases.append(rc.extensions[0])
     # an inner derivation moved off the vanishing space: xi = u_s (x) 1°,
@@ -633,15 +634,20 @@ def _chk_covariance_equivalence(rc: RunContext):
         s = 1 if rc.grp.identity != 1 else 0
         xi = np.kron(cp.u(s), calg.unit)
         cases.append(commutator_span(calg, np.eye(n), xi[:, None])[:, :, 0].T[None])
-    mats = np.concatenate(cases)
-    scale = np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2)))
-    defect = covariance_defect(cp, mats)
-    vanish = restricted_norm(calg, mats, cp.embed_group) / scale
+    # and the derivation space, one kernel part at a time
+    space = rc.space_m
+    defect, vanish = [], []
+    for mats in itertools.chain(cases, (space.columns(idx) for idx in space.kernel.slabs())):
+        scale = np.maximum(1.0, stack_frob(mats))
+        defect.append(covariance_defect(cp, mats))
+        vanish.append(restricted_norm(calg, mats, cp.embed_group) / scale)
+    defect, vanish = np.concatenate(defect), np.concatenate(vanish)
     cov, vanishes = defect <= _ZERO_TOL, vanish <= _ZERO_TOL
     agree = int(np.sum(cov == vanishes))
     worst = max(float(defect[vanishes].max(initial=0.0)), float(vanish[cov].max(initial=0.0)))
-    return Compared(agree, len(mats), worst, f"{agree}/{len(mats)} cases agree in both directions",
-                    holds=agree == len(mats))
+    return Compared(agree, len(defect), worst,
+                    f"{agree}/{len(defect)} cases agree in both directions",
+                    holds=agree == len(defect))
 
 
 def _y_gram(alg: FDAlgebra, ycols: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -698,8 +704,10 @@ def _chk_round_trip(rc: RunContext):
         back = restrict_component(rc.cp, rc.extensions[:, h], grp.identity, h)
         err = np.linalg.norm(back - base, axis=(1, 2)) / scale
         worst = max(worst, float(err.max(initial=0.0)))
-    _, residuals = decompose_vanishing(rc.cp, rc.vanishing.basis)
-    worst = max(worst, float(residuals.max(initial=0.0)))
+    van = rc.vanishing
+    for idx in van.kernel.slabs():
+        _, residuals = decompose_vanishing(rc.cp, van.columns(idx))
+        worst = max(worst, float(residuals.max(initial=0.0)))
     return Compared(worst, 0.0)
 
 
@@ -758,13 +766,13 @@ def _chk_scaling_unitary(rc: RunContext):
         raise Skip("character scaling needs an abelian group")
     cp = rc.cp
     ycols = np.column_stack([*(cp.lift(y) for y, _ in rc.scaled), cp.embed_group])
-    rank = rc.space_m.rank
-    if rank == 0:
+    space = rc.space_m
+    if space.rank == 0:
         return Compared(0.0, 0.0, note="no derivations to conjugate")
     rng = np.random.default_rng(rc.spec.seed)
-    coef = rng.standard_normal(rank) + 1j * rng.standard_normal(rank)
-    mix = np.einsum("r,rpj->pj", coef, rc.space_m.basis)
-    picks = np.concatenate([rc.space_m.basis[:3], mix[None]])
+    coef = rng.standard_normal(space.rank) + 1j * rng.standard_normal(space.rank)
+    mix = sum(np.einsum("r,rpj->pj", coef[idx], space.columns(idx)) for idx in space.kernel.slabs())
+    picks = np.concatenate([space.columns(slice(3)), mix[None]])
     before = _y_gram(cp.algebra, ycols, picks)
     scale = np.maximum(1.0, np.abs(before))
     worst = 0.0

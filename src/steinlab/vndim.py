@@ -709,7 +709,8 @@ def restrict_scalars(sub: ModuleSubspace, cp: CrossedProduct) -> ModuleSubspace:
     basis = np.eye(base.dim, dtype=complex)
     ops = _right_ops(cp.algebra, [cp.lift(x) for x in _with_stars(base, basis)])
     us = cp.embed_group.T
-    traces = np.column_stack([np.kron(ug, uh) for ug in us for uh in us])
+    # kron(u_g, u_h) in column g |G| + h
+    traces = np.einsum("ga,hb->abgh", us, us).reshape(cp.algebra.dim**2, -1)
     return ModuleSubspace(sub.algebra, sub.ncoords, sub.basis, ops, traces)
 
 

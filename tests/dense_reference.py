@@ -127,9 +127,12 @@ def scaling_conjugation(cp, g, mat):
 
 
 def covariance_defect(cp, mat) -> float:
+    """Largest deviation of mat from its scaling conjugates by the group's
+    generators, as the package takes it, relative to max(1, its norm)."""
     scale = max(1.0, np.linalg.norm(mat))
     return max(
-        np.linalg.norm(scaling_conjugation(cp, g, mat) - mat) for g in range(cp.group.order)
+        (np.linalg.norm(scaling_conjugation(cp, g, mat) - mat) for g in cp.group.generators),
+        default=0.0,
     ) / scale
 
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from steinlab import (
     crossed_product,
     cyclic,
     decompose_vanishing,
+    dihedral_4,
     derivation_space,
     dual_action,
     extend_vanishing,
@@ -42,7 +44,8 @@ from steinlab import (
 )
 from steinlab import _linalg, algebra as algebra_module
 from steinlab._linalg import nullspace
-from steinlab.derivations import leibniz_system
+from steinlab import derivations
+from steinlab.derivations import leibniz_system, whiten
 
 import dense_reference as ref
 from test_algebra import _shipped_algebras
@@ -155,6 +158,46 @@ def test_relative_derivations_vanish_on_the_subalgebra(cp_m2):
     assert np.all(leibniz_residual(van.algebra, van.basis) < 1e-9)
 
 
+def test_relative_derivations_hold_no_dense_kernel():
+    # C^3 x| S3: 306 derivations on 5832 unknowns, 27 MiB as one dense
+    # kernel, which the constraints, the combinations and the result never
+    # form
+    cp = _c3_s3()
+    space = derivation_space(cp.algebra)
+    dense = 16 * space.kernel.shape[0] * space.kernel.shape[1]
+    tracemalloc.start()
+    try:
+        van = relative_derivations(space, cp.embed_group, check_subalgebra=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert van.rank == 36
+    assert peak < 4 * 2**20 < dense / 6
+    assert np.all(restricted_norm(van.algebra, van.basis, cp.embed_group) < 1e-9)
+
+
+def test_leibniz_residual_in_slabs_is_the_whole_system_residual(monkeypatch):
+    # the whole system's rows applied densely, and a budget of one row of
+    # basis indices per slab: each row is the same sum in the same order
+    cp = _c3_s3()
+    alg = cp.algebra
+    mats = np.concatenate([derivation_space(alg).columns(slice(2)),
+                           np.random.default_rng(15).standard_normal((2, 18 * 18, 18)) + 0j])
+    system = leibniz_system(alg)
+    want = []
+    for x in whiten(alg, mats).reshape(4, 18**3):
+        prod = system.vals * x[system.cols]
+        rows = sum(part * np.bincount(system.rows, f(prod), system.shape[0])
+                   for part, f in ((1, np.real), (1j, np.imag)))
+        want.append(np.linalg.norm(rows.reshape(18 * 18, 18 * 18), axis=0).max())
+    got = leibniz_residual(alg, mats)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+    monkeypatch.setattr(derivations, "QR_CHUNK", 1)
+    assert np.array_equal(leibniz_residual(alg, mats), got)
+    assert np.array_equal(leibniz_residual(alg, mats[1:3].reshape(2, 1, 18 * 18, 18)),
+                          got[1:3, None])
+
+
 def test_extend_then_restrict_is_identity(cp_c2):
     base_space = derivation_space(cp_c2.base)
     grp = cp_c2.group
@@ -236,6 +279,22 @@ def test_coset_projection_matrix_is_idempotent(cp_c2):
     v = np.arange(cp_c2.algebra.dim**2, dtype=complex)[:, None]
     assert np.allclose(apply_pair(pair, v), m @ v)
     assert np.allclose(apply_pair(pair, apply_pair(pair, v)), m @ v)
+
+
+def test_apply_pair_is_the_kron_matmul_for_monomial_and_dense_factors():
+    # monomial legs (a gather) are the matmul exactly; a dense leg is matmul
+    rng = np.random.default_rng(16)
+    phase = np.diag([1j, 2.0, -0.5])[[2, 0, 1]]
+    perm = np.eye(3)[[1, 2, 0]]
+    dense = rng.standard_normal((3, 3))
+    for v in (rng.standard_normal((2, 9, 4)), rng.standard_normal((9, 4)) + 1j):
+        for pair in [(phase, perm), (phase, None), (None, perm), (perm, phase), (dense, perm)]:
+            want = np.kron(*(np.eye(3) if f is None else f for f in pair)) @ v
+            got = apply_pair(pair, v)
+            assert got.shape == v.shape and got.dtype == want.dtype
+            if dense is not pair[0]:
+                assert np.array_equal(got, want)
+            assert np.max(np.abs(got - want)) < 1e-14
 
 
 def test_central_projection_element_of_m2():
@@ -532,6 +591,21 @@ def _m2c_z2():
     return crossed_product(m2c, ad_action(cyclic(2), m2c, np.stack([m2c.unit, sign])))
 
 
+def _m2_hadamard():
+    # Ad of the Hadamard matrix mixes the matrix units, so no scaling
+    # conjugation of the crossed product is monomial
+    hadamard = np.array([1, 1, 1, -1], dtype=complex) / np.sqrt(2)
+    return crossed_product(M2, ad_action(cyclic(2), M2, np.stack([M2.unit, hadamard])))
+
+
+def _c4_d4():
+    # D4 on the vertices of the square: r^a s^b sends q to a +- q mod 4
+    c4 = multimatrix([(1, 0.25)] * 4)
+    perms = [[(a + (q if b == 0 else -q)) % 4 for q in range(4)]
+             for b in range(2) for a in range(4)]
+    return crossed_product(c4, permutation_action(dihedral_4(), c4, perms))
+
+
 CROSSED = {
     "C^2 x| Z/2": lambda: crossed_product(
         multimatrix([(1, 0.5), (1, 0.5)]),
@@ -540,6 +614,7 @@ CROSSED = {
     "M2+C x| Z/2 (ad)": _m2c_z2,
     "C[Z/3] x| Z/3 (dual)": lambda: crossed_product(dual_action(3).algebra, dual_action(3)),
     "C^3 x| S3": _c3_s3,
+    "M2 x| Z/2 (Ad Hadamard)": _m2_hadamard,
 }
 
 
@@ -596,6 +671,40 @@ def test_scaling_conjugation_matches_dense_reference(crossed):
             assert np.max(np.abs(conj - ref.scaling_conjugation(cp, g, d))) < 1e-12
     defects = covariance_defect(cp, big)
     assert np.allclose(defects, [ref.covariance_defect(cp, d) for d in big], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", [*CROSSED, "C^4 x| D4"])
+def test_covariance_over_the_generators_has_the_zero_set_over_every_element(name):
+    # sigma_g sigma_h = sigma_hg, so the generators fix exactly what G fixes
+    cp = _c4_d4() if name == "C^4 x| D4" else CROSSED[name]()
+    k = cp.group.order
+    space = derivation_space(cp.algebra)
+    rng = np.random.default_rng(13)
+    mix = np.einsum("r,rpj->pj", rng.standard_normal(min(space.rank, 40)),
+                    space.columns(slice(40)))
+    shape = mix.shape
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # extensions of base derivations vanish on C[G], so they are fixed
+    base = derivation_space(cp.base).columns(slice(2))
+    fixed = np.concatenate([extend_vanishing(cp, base, h) for h in range(k)])
+    mats = np.concatenate([space.columns(slice(4)), mix[None], fixed, noise[None]])
+    over_gens = covariance_defect(cp, mats)
+    # every element, through the conjugation checked against the dense
+    # reference on CROSSED
+    scale = np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2)))
+    over_all = np.max([np.linalg.norm(scaling_conjugation(cp, g, mats) - mats, axis=(1, 2))
+                       for g in range(k)], axis=0) / scale
+    assert np.array_equal(over_gens <= 1e-8, over_all <= 1e-8)
+    assert over_gens[-1] > 1e-3
+    assert (covariance_defect(cp, fixed) <= 1e-8).all()
+
+
+def test_covariance_over_the_trivial_group_is_zero():
+    # Z/1 has no generators, and its one conjugation is the identity
+    cp = crossed_product(M2, trivial_action(cyclic(1), M2))
+    assert cp.group.generators == []
+    mats = np.random.default_rng(14).standard_normal((3, 16, 4)) + 0j
+    assert np.array_equal(covariance_defect(cp, mats), np.zeros(3))
 
 
 def test_leibniz_residual_matches_dense_reference(crossed):

@@ -77,6 +77,35 @@ def test_direct_product_order_and_commutativity():
     assert all(v4.mul(a, a) == v4.identity for a in range(4))
 
 
+SHIPPED_GROUPS = {
+    **{f"Z/{n}": (lambda n=n: cyclic(n)) for n in range(1, 7)},
+    "Z/2xZ/2": lambda: direct_product(cyclic(2), cyclic(2)),
+    "S3": symmetric_3,
+    "D4": dihedral_4,
+    "S3xZ/2": lambda: direct_product(symmetric_3(), cyclic(2)),
+}
+
+
+@pytest.mark.parametrize("name", list(SHIPPED_GROUPS))
+def test_generators_generate_the_group_the_same_way_every_time(name):
+    grp = SHIPPED_GROUPS[name]()
+    gens = grp.generators
+    assert gens == SHIPPED_GROUPS[name]().generators == grp.generators
+    # the words in the picks, grown one letter at a time
+    reached = {grp.identity}
+    while True:
+        grown = reached | {grp.mul(x, g) for x in reached for g in gens}
+        if grown == reached:
+            break
+        reached = grown
+    assert reached == set(range(grp.order))
+    want = {"Z/1": 0, "Z/2xZ/2": 2, "S3": 2, "D4": 2}
+    if name in want:
+        assert len(gens) == want[name]
+    elif name.startswith("Z/"):
+        assert len(gens) == 1
+
+
 def test_bad_table_rejected():
     with pytest.raises(GroupInvalid):
         FiniteGroup(2, np.array([[0, 1], [1, 1]]))

@@ -354,3 +354,50 @@ def test_span_basis_guard_counts_a_block_before_allocating(monkeypatch):
     monkeypatch.setattr(_linalg, "DENSE_LIMIT", 375)
     with pytest.raises(DenseLimitExceeded, match="up to 3 unknowns need 376 bytes"):
         span_basis(m)
+
+
+def _dense(system: SparseSystem) -> np.ndarray:
+    out = np.zeros(system.shape, dtype=complex)
+    np.add.at(out, (system.rows, system.cols), system.vals)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_product_and_span_basis_of_sparse_entries(seed):
+    rng = np.random.default_rng(seed)
+    blocks = [_with_spectrum(rng, r, c, rng.uniform(0.5, 2.0, min(r, c) - 1))
+              for r, c in [(3, 4), (5, 2), (2, 2), (4, 6)]]
+    m = _shuffled_block_diagonal(rng, blocks, 1, 2)
+    a, b = _as_sparse(rng, m), _as_sparse(rng, m.conj().T)
+    # the product's entries sum to the dense product; no zero entry is kept
+    prod = _linalg.sparse_product(a, b)
+    assert prod.shape == (m.shape[0], m.shape[0])
+    assert np.max(np.abs(_dense(prod) - m @ m.conj().T)) < 1e-12
+    assert (prod.vals != 0).all()
+    # the kernel held by its entries is dense(), and the span basis of a
+    # sparse matrix is that of the dense one, block for block
+    for kernel in (nullspace(m), span_basis(m)):
+        assert np.array_equal(_dense(kernel.sparse()), kernel.dense())
+    got, want = span_basis(a), span_basis(m)
+    assert got.shape == want.shape
+    assert np.max(np.abs(_projector(got.dense()) - _projector(want.dense()))) < 1e-12
+
+
+def test_slabs_read_each_kernel_column_once_within_the_byte_budget(monkeypatch):
+    rng = np.random.default_rng(5)
+    m = _shuffled_block_diagonal(rng, [_with_spectrum(rng, 2, 6, [1.0]) for _ in range(5)]
+                                 + [_with_spectrum(rng, 1, 3, [1.0]) for _ in range(4)])
+    kernel = nullspace(m)
+    assert len(kernel.parts) == 2
+    for step in (1, 3, 100):
+        # step dense columns of ncols complex entries, and one transform of
+        # them, fit the budget
+        monkeypatch.setattr(_linalg, "QR_CHUNK", step * 2 * 16 * kernel.ncols)
+        slabs = list(kernel.slabs())
+        assert all(0 < idx.size <= step for idx in slabs)
+        # each slab lies in one part
+        parts = [set((first[:, None] + np.arange(vecs.shape[2])).ravel())
+                 for _, vecs, first in kernel.parts]
+        assert all(any(set(idx) <= part for part in parts) for idx in slabs)
+        assert np.array_equal(np.sort(np.concatenate(slabs)), np.arange(kernel.shape[1]))
+    assert len(slabs) == 2

@@ -589,3 +589,21 @@ def test_central_family_row_fails_when_the_counts_differ(monkeypatch):
     assert (row.lhs, row.rhs) == (2.0, 3.0)
     assert row.status == "fail"
     assert row.residual == 1.0
+
+
+@pytest.mark.parametrize("source", ["examples/c3_s3.json", "M2+C | Z/2 | ad(diag(1,-1)+1)"])
+def test_no_check_forms_a_whole_derivation_space(monkeypatch, source):
+    # every check reads its spaces by kernel part or by a few columns; an
+    # AssertionError is no error a row reports, so a read would end the run
+    def refuse(self):
+        raise AssertionError("a check read DerivationSpace.basis")
+
+    monkeypatch.setattr(reports.DerivationSpace, "basis", property(refuse))
+    if source.endswith(".json"):
+        path = Path(__file__).resolve().parent.parent / source
+        spec = ExperimentSpec.from_json(json.loads(path.read_text()))
+    else:
+        spec = next(s for s in corpus_specs() if s.label == source)
+    rows = run(spec).rows
+    assert len(rows) == len(CHECKS)
+    assert {row.status for row in rows} <= {"pass", "skipped"}

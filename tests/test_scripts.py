@@ -84,6 +84,19 @@ def test_m3_s3_ceiling_checks_its_bounds():
     assert [line.split()[0] for line in missed] == ["value", "took", "max"]
 
 
+def test_c4_d4_battery_checks_its_bounds():
+    script = load("c4_d4_battery")
+    spec = script.c4_d4_spec()
+    assert (spec.algebra.dim, spec.group.order) == (4, 8)
+    assert max(validate_action(spec.action).values()) == 0.0
+    rows = ["pass"] * 18 + ["skipped"] * 3
+    assert script.failures(rows, 4.0, 340 * 10**6) == []
+    assert script.failures(rows, 19.9, 499 * 10**6) == []
+    missed = script.failures(rows[1:] + ["fail"], 20.0, 500 * 10**6)
+    assert [line.split()[0] for line in missed] == ["rows", "took", "max"]
+    assert script.failures(rows[:-1], 1.0, 10**6) != []
+
+
 def test_m8_inner_ceiling_checks_its_bounds():
     script = load("m8_inner_ceiling")
     assert script.failures(1 - 1 / 64, 1.0, 72 * 10**6) == []

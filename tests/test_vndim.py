@@ -178,6 +178,16 @@ def test_restrict_scalars_multiplies_by_group_order_squared():
     assert abs(vn_dimension(down).value - 4.0) < 1e-9
 
 
+def test_restrict_scalars_trace_vectors_are_the_sector_units():
+    # kron(u_g, u_h), one column per pair in g-major order, on every corpus
+    # crossed product
+    for spec in reports.corpus_specs():
+        cp = crossed_product(spec.algebra, spec.action)
+        us = cp.embed_group.T
+        want = np.column_stack([np.kron(ug, uh) for ug in us for uh in us])
+        assert np.array_equal(restrict_scalars(full_module(cp.algebra), cp).trace_vectors, want)
+
+
 def test_restrict_scalars_refuses_an_inner_module():
     # an inner module holds only the blocks of its own right action
     cp = _crossed("C2 x| Z/2")
