@@ -15,11 +15,12 @@ MAX_SECONDS and the process's maximum RSS stays under MAX_RSS_BYTES,
 which tracemalloc does not see.
 """
 
-import resource
 import sys
 import time
 
 from steinlab import inner_derivation_module, multimatrix, multimatrix_generators, vn_dimension
+
+from _bounds import finish, limits_missed, max_rss, value_missed
 
 TOL = 1e-10
 MAX_SECONDS = 20.0
@@ -30,16 +31,10 @@ EXPECTED = 1 - 1 / 64
 BLOCKS = [(8, 1.0)]
 
 
-def failures(value: float, seconds: float, max_rss: int) -> list[str]:
+def failures(value: float, seconds: float, rss: int) -> list[str]:
     """The bounds a run missed, one line each."""
-    out = []
-    if not abs(value - EXPECTED) <= TOL:
-        out.append(f"value {value!r} misses 1 - 1/64 by {abs(value - EXPECTED):.3e} > {TOL:g}")
-    if not seconds < MAX_SECONDS:
-        out.append(f"took {seconds:.1f} s, not under {MAX_SECONDS:g} s")
-    if not max_rss < MAX_RSS_BYTES:
-        out.append(f"max RSS {max_rss / 1e6:.0f} MB, not under {MAX_RSS_BYTES / 1e6:g} MB")
-    return out
+    return (value_missed(value, EXPECTED, TOL, "1 - 1/64")
+            + limits_missed(seconds, MAX_SECONDS, rss, MAX_RSS_BYTES))
 
 
 def main() -> int:
@@ -47,14 +42,10 @@ def main() -> int:
     start = time.perf_counter()
     value = vn_dimension(inner_derivation_module(alg, gens)).value
     seconds = time.perf_counter() - start
-    # ru_maxrss is in KiB on Linux
-    max_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-    print(f"M8: dim Der = {value!r}, |error| = {abs(value - EXPECTED):.3e}, "
-          f"{seconds:.1f} s, max RSS {max_rss / 1e6:.0f} MB")
-    missed = failures(value, seconds, max_rss)
-    for line in missed:
-        print(line)
-    return 1 if missed else 0
+    rss = max_rss()
+    summary = (f"M8: dim Der = {value!r}, |error| = {abs(value - EXPECTED):.3e}, "
+               f"{seconds:.1f} s, max RSS {rss / 1e6:.0f} MB")
+    return finish(summary, failures(value, seconds, rss))
 
 
 if __name__ == "__main__":

@@ -34,14 +34,14 @@ nullspace returns the kernel as it solves it, by block (BlockKernel): per
 group of blocks of one column count and kernel dimension, the blocks'
 columns and their orthonormal local kernel vectors. The group is keyed by
 (columns, kernel dimension), not by block shape, so that blocks with one
-set of columns but different row counts share a part. No (columns,
-kernel) array is formed unless a caller asks for one with dense();
-derivations keeps the Leibniz kernel this way, and vndim reads
-dimensions from it. sparse() holds the same kernel as the SparseSystem of
-its block entries, which sparse_product multiplies entry by entry, and
-slabs() lists its columns one part at a time, in slices whose dense
-columns and one transform of them fit QR_CHUNK bytes, for callers that
-read a few at a time.
+set of columns but different row counts share a part. derivations keeps
+the Leibniz kernel this way, and vndim reads dimensions from it. It has
+one dense read, vectors(), which forms the kernel vectors asked for, all
+by default, as the rows of one array. sparse() holds the same kernel as
+the SparseSystem of its block entries, which sparse_product multiplies
+entry by entry, and slabs() lists its vectors one part at a time, in
+slices whose dense vectors and one transform of them fit QR_CHUNK bytes,
+for callers that read a few at a time.
 
 span_basis returns an orthonormal basis of a column span, given densely
 or as a SparseSystem, the same way.
@@ -55,8 +55,9 @@ cut instead of those below it.
 A kernel wanted orthonormal in a metric gram = T^H T is solved for the
 whitened unknown w = T x; T^-1 maps nullspace's orthonormal columns to
 metric-orthonormal ones, with no second pass. gram_onb, for given spans,
-whitens them by T and takes one SVD through batched_svd; T^-1 maps its
-kept left singular vectors to metric-orthonormal ones in the same way.
+whitens them by T and takes one SVD of its own, cut by rank_split; T^-1
+maps its kept left singular vectors to metric-orthonormal ones in the same
+way.
 No program code calls gram_onb: it is the tests' reference for
 span_basis and the module spans, and benchmark/tracing.py hooks its name
 through the imports that derivations and vndim keep of it.
@@ -234,8 +235,9 @@ class BlockKernel:
     parts holds (cols, vecs, first) per group of blocks with c columns and
     kernel dimension k, one group per (c, k): cols (m, c) the columns of m
     blocks, vecs (m, c, k) each block's orthonormal kernel vectors on its
-    columns, and first (m,), increasing, the column of dense() holding each
-    block's first vector. Blocks with no kernel are left out.
+    columns, and first (m,), increasing, the index of each block's first
+    vector among all of them, the order vectors() lists them in. Blocks
+    with no kernel are left out.
     """
 
     def __init__(self, ncols: int, parts: tuple):
@@ -245,15 +247,9 @@ class BlockKernel:
     def shape(self) -> tuple[int, int]:
         return self.ncols, sum(vecs.shape[0] * vecs.shape[2] for _, vecs, _ in self.parts)
 
-    def dense(self) -> np.ndarray:
-        """The kernel basis as the columns of one (ncols, kernel) array."""
-        out = np.zeros(self.shape, dtype=complex)
-        for cols, vecs, first in self.parts:
-            out[cols[:, :, None], first[:, None, None] + np.arange(vecs.shape[2])] = vecs
-        return out
-
     def sparse(self) -> SparseSystem:
-        """dense() as a SparseSystem of its blocks' entries."""
+        """The kernel basis as the columns of a SparseSystem of its blocks'
+        entries, (ncols, kernel)."""
         rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
         vals = [np.zeros(0, dtype=complex)]
         for block_cols, vecs, first in self.parts:
@@ -264,11 +260,11 @@ class BlockKernel:
         return SparseSystem(self.shape, *map(np.concatenate, (rows, cols, vals)))
 
     def slabs(self):
-        """The columns of dense(), one part at a time, as arrays of column
+        """The kernel vectors, one part at a time, as arrays of their
         indices. A part is cut into slices whose working set fits QR_CHUNK
-        bytes: the slice's columns as dense vectors and one transform of
-        them (a caller maps each slice to its own stack and conjugates or
-        reshapes it), two complex copies of ncols entries per column."""
+        bytes: the slice's vectors, dense, and one transform of them (a
+        caller maps each slice to its own stack and conjugates or reshapes
+        it), two complex copies of ncols entries per vector."""
         step = max(1, QR_CHUNK // (2 * 16 * self.ncols))
         for _, vecs, first in self.parts:
             idx = (first[:, None] + np.arange(vecs.shape[2])).ravel()
@@ -276,10 +272,11 @@ class BlockKernel:
                 yield idx[i : i + step]
 
     def vectors(self, idx=slice(None)) -> np.ndarray:
-        """Columns idx of dense(), idx any numpy index of them (all by
-        default), as the rows of a (count, ncols) array. Each is read from
-        the block that holds it, through the blocks' first columns, and no
-        other column is formed."""
+        """The kernel vectors idx, any numpy index of them (all by
+        default), as the rows of a (count, ncols) array; vectors().T is the
+        kernel basis as columns. Each is read from the block that holds it,
+        through the blocks' first vectors, and no other vector is
+        formed."""
         want = np.arange(self.shape[1])[idx].reshape(-1)
         out = np.zeros((want.size, self.ncols), dtype=complex)
         for cols, vecs, first in self.parts:
@@ -296,7 +293,7 @@ class BlockKernel:
 
 def nullspace(mat: np.ndarray | SparseSystem) -> BlockKernel:
     """Orthonormal basis of the kernel, by SVD with the shared cut, kept by
-    block (BlockKernel; its dense() is the basis as columns).
+    block (BlockKernel; its vectors().T is the basis as columns).
 
     mat is a dense array, whose exact zeros give the block structure, or a
     SparseSystem. Blocks are solved one SVD per shape-batch, a tall block
@@ -385,7 +382,7 @@ def _block_vectors(mat: np.ndarray | SparseSystem, span: bool) -> BlockKernel:
     # parts keyed by (columns, vectors per block): blocks of one column count
     # but different row counts solve in different stacks and share a part
     parts, k = {}, 0
-    for ids, (_, s, vh, kept) in zip(block_ids, batched_svd(stacks, right=True, full=not span)):
+    for ids, (s, vh, kept) in zip(block_ids, batched_svd(stacks, full=not span)):
         # kept values are a prefix of each block's descending spectrum, so
         # the row space is spanned by the first rows of vh, the kernel by
         # the last
@@ -405,40 +402,39 @@ def _block_vectors(mat: np.ndarray | SparseSystem, span: bool) -> BlockKernel:
     ))
 
 
-def batched_svd(stacks: list[np.ndarray], right: bool = False, full: bool = False) -> list[tuple]:
-    """SVD of many blocks with one rank decision, as for their direct sum.
+def batched_svd(stacks: list[np.ndarray], full: bool = False) -> list[tuple]:
+    """Right singular vectors of many blocks with one rank decision, as for
+    their direct sum.
 
     stacks holds (count, rows, cols) arrays, one per block shape, each taken
     by one batched SVD. Every block's spectrum is zero-padded to its column
     count; one rank_split on the union, with the global scale, is the cut.
-    Returns (u, s, vh, kept) per stack, kept[b, j] marking the singular
-    values of block b above the cut (a prefix of each padded spectrum).
-    With right=True u is None: a tall stack (rows > cols) is then taken by
-    the SVD of the R of its QR, which has the block's singular values and
-    right singular vectors, QR_CHUNK bytes of blocks at a time (_qr_step),
-    and a one-column block's singular value is its norm, with right vector
-    1. With full=True a wide block gets every right singular vector.
+    Returns (s, vh, kept) per stack, kept[b, j] marking the singular values
+    of block b above the cut (a prefix of each padded spectrum). No left
+    singular vectors are formed: a tall stack (rows > cols) is taken by the
+    SVD of the R of its QR, which has the block's singular values and right
+    singular vectors, QR_CHUNK bytes of blocks at a time (_qr_step), and a
+    one-column block's singular value is its norm, with right vector 1.
+    With full=True a wide block gets every right singular vector.
     """
     svds = []
     for stack in stacks:
         m, r, c = stack.shape
-        if right and c == 1:
-            u, s, vh = None, np.linalg.norm(stack, axis=1), np.ones((m, 1, 1), dtype=complex)
-        elif right and r > c:
-            u, s, vh = None, np.empty((m, c)), np.empty((m, c, c), dtype=complex)
+        if c == 1:
+            s, vh = np.linalg.norm(stack, axis=1), np.ones((m, 1, 1), dtype=complex)
+        elif r > c:
+            s, vh = np.empty((m, c)), np.empty((m, c, c), dtype=complex)
             step = int(_qr_step(r, c))
             for i in range(0, m, step):
                 _, s[i : i + step], vh[i : i + step] = np.linalg.svd(
                     np.linalg.qr(stack[i : i + step], mode="r"))
         else:
-            u, s, vh = np.linalg.svd(stack, full_matrices=full)
-            if right:
-                u = None
+            s, vh = np.linalg.svd(stack, full_matrices=full)[1:]
         if s.shape[1] < c:
             s = np.concatenate([s, np.zeros((s.shape[0], c - s.shape[1]))], axis=1)
-        svds.append((u, s, vh))
-    kept = shared_cut([s for _, s, _ in svds])
-    return [(u, s, vh, k) for (u, s, vh), k in zip(svds, kept)]
+        svds.append((s, vh))
+    kept = shared_cut([s for s, _ in svds])
+    return [(s, vh, k) for (s, vh), k in zip(svds, kept)]
 
 
 def shared_cut(spectra: list[np.ndarray]) -> list[np.ndarray]:
@@ -460,17 +456,17 @@ def gram_onb(vectors: np.ndarray, factor: np.ndarray | None = None) -> np.ndarra
     metric as the standard inner product: None is the standard inner
     product and A.onb_factor the GNS metric of an algebra A.
 
-    One SVD W = U S Vh through batched_svd, rank r by rank_split's cut:
-    U[:, :r] is an orthonormal basis of the whitened span, and
-    Q = T^-1 U[:, :r] has metric Gram U^H U = I and spans the input
-    columns.
+    One SVD W = U S Vh, rank r by rank_split: U[:, :r] is an orthonormal
+    basis of the whitened span, and Q = T^-1 U[:, :r] has metric Gram
+    U^H U = I and spans the input columns. This is batched_svd's cut for
+    one block: zero-padding one spectrum does not change its rank.
     """
     v = np.asarray(vectors, dtype=complex)
     if v.ndim != 2:
         raise ValueError("expected a matrix of column vectors")
     w = v if factor is None else factor @ v
-    u, _, _, kept = batched_svd([w[None]])[0]
-    u = u[0, :, : int(kept.sum())]
+    u, s, _ = np.linalg.svd(w, full_matrices=False)
+    u = u[:, : rank_split(s)]
     return u if factor is None else np.linalg.solve(factor, u)
 
 

@@ -341,7 +341,7 @@ def center_basis(alg: FDAlgebra) -> np.ndarray:
     w = T z, T = alg.onb_factor, so that T^-1 maps its orthonormal basis
     to a GNS-orthonormal one."""
     rows = np.vstack([alg.left_mult(e) - alg.right_mult(e) for e in np.eye(alg.dim)])
-    return alg.onb_inverse @ nullspace(rows @ alg.onb_inverse).dense()
+    return alg.onb_inverse @ nullspace(rows @ alg.onb_inverse).vectors().T
 
 
 def multimatrix_decompose(alg: FDAlgebra) -> list[tuple[int, float]]:

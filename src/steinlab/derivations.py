@@ -9,16 +9,20 @@ coordinate of b_a (x) b_b^op at flat index a * n + b (n = dim A), so it is
 an (n, n) tensor with one axis per tensor leg, and x (x) y^op has the
 coordinates kron(x, y). A derivation is the (n^2, m) matrix whose column j
 is d(x_j) for m arguments x_j, i.e. an (n, n, m) tensor; derivations are
-handled as stacks (r, n^2, m). Every operator on L^2(N) is a kron factor
-pair (a, b) standing for kron(a, b), one (n, n) factor per leg, None for
-an identity leg: x (x) y^op acts by (left_mult(x), right_mult(y)) on the
-left and by (right_mult(x), left_mult(y)) on the right, and the GNS metric
-is whitened by (T, T), T = A.onb_factor. apply_pair contracts a pair into
-a stack leg by leg; no (n^2, n^2) operator matrix is formed. When both
-factors have one nonzero entry per row, as in a monomial basis (matrix
-units, b u_g), the pair is one monomial map of the n^2 rows, applied as
-a gather and a scaling. Kernels are solved for whitened values and mapped
-back by (T^-1, T^-1).
+handled as stacks (r, n^2, m). Every map of derivations is one factor
+triple (a, b, c), standing for d -> kron(a, b) d c, or a pair (a, b)
+with no c, applied by apply_pair: a and b act on the two tensor legs, None
+for an identity leg, and c right-multiplies the argument axis. x (x) y^op
+acts by (left_mult(x), right_mult(y)) on the left and by (right_mult(x),
+left_mult(y)) on the right, and the GNS metric is whitened by (T, T),
+T = A.onb_factor. A leg factor may be rectangular, taking the legs of one
+algebra to another's, as the crossed-product maps between A and A x| G
+do; no (n^2, n^2) operator matrix is formed. When every factor has at
+most one nonzero entry in each row (c in each column), as in a monomial
+basis (matrix units, b u_g), the map is one gather and one scaling, of
+the n^2 rows for a pair and of the entries for a triple; a zero row, such
+as a row of a leg factor outside the sector it reaches, maps to 0.
+Kernels are solved for whitened values and mapped back by (T^-1, T^-1).
 derivation_space builds the Leibniz equations only for the arguments of a
 generating set, which have the same kernel (see leibniz_system). A
 DerivationSpace has one representation: its whitened orthonormal basis in
@@ -26,7 +30,10 @@ the unknowns of leibniz_system, kept by block (a BlockKernel), as
 nullspace returns it for derivation_space and as span_basis keeps it for
 relative_derivations, which solves its constraints on that kernel. It is
 mapped back to raw coordinates only when a caller reads the basis: vndim
-reads the dimension of phi_X, X the basis, from the kernel itself.
+reads the dimension of phi_X, X the basis, from the kernel itself. The
+values at an argument set X are one sparse map, argument_map, the
+(1 (x) X^T) of the unknowns: applied to the kernel's entries, it gives
+relative_derivations its constraints and vndim phi_X for X not the basis.
 derivation_space first certifies that the algebra is exact
 (algebra.certify_exact), since that readout backs no number for an
 inexact one.
@@ -34,7 +41,8 @@ inexact one.
 Every function takes the FDAlgebra whose module it acts on, or, for the
 crossed-product maps, the CrossedProduct A x| G. Those act on the coset
 sectors L^2(N)(u_g (x) u_h^op), conjugate by the group elements, and move
-derivations between A and A x| G.
+derivations between A and A x| G, each through factor triples of
+left_mult(u_g), right_mult(u_g), the embedding of A and the action.
 
 Covariance. The scaling conjugation sigma_g(d) = u_g* . d(u_g . u_g*) . u_g
 is a right action of G: sigma_g sigma_h = sigma_hg. So the derivations
@@ -67,12 +75,13 @@ from .errors import NotSubalgebra, UnitsInvalid
 
 def _monomial(*factors: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """kron of the factors as one monomial map, (src, val) with the one
-    nonzero entry of row i at column src[i], of value val[i]; None when a
-    factor has a row with another count of nonzero entries."""
+    nonzero entry of row i at column src[i], of value val[i]; a zero row
+    has val[i] = 0, so it maps to 0. None when a factor has a row with more
+    than one nonzero entry."""
     src, val = np.zeros(1, dtype=int), np.ones(1)
     for f in factors:
         nz = f != 0
-        if not (np.count_nonzero(nz, axis=1) == 1).all():
+        if (np.count_nonzero(nz, axis=1) > 1).any():
             return None
         col = nz.argmax(axis=1)
         src = (src[:, None] * f.shape[1] + col).ravel()
@@ -86,7 +95,7 @@ def _remap(v: np.ndarray, src: np.ndarray, val: np.ndarray, axis: int) -> np.nda
     one scaling (none when val is all ones): each entry is the one nonzero
     product of the matmul it stands for, without its sum of exact zeros."""
     scale = None if (val == 1).all() else val.reshape(-1, *[1] * (-1 - axis))
-    if (src == np.arange(src.size)).all():
+    if src.size == v.shape[axis] and (src == np.arange(src.size)).all():
         return v.copy() if scale is None else v * scale
     out = np.take(v, src, axis=axis).astype(np.result_type(v, val), copy=False)
     if scale is not None:
@@ -94,24 +103,34 @@ def _remap(v: np.ndarray, src: np.ndarray, val: np.ndarray, axis: int) -> np.nda
     return out
 
 
-def apply_pair(pair: tuple, v: np.ndarray) -> np.ndarray:
-    """kron(a, b) for the factor pair (a, b), None an identity leg,
-    applied to a stack v of shape (..., n^2, m): the L^2(N) axis is read
-    as the two legs (n, n) and each factor contracts its leg. When both
-    legs are monomial, as the leg factors of a monomial basis (matrix
-    units, b u_g) are, kron(a, b) is one monomial map of the n^2 rows."""
-    a, b = pair
+def apply_pair(factors: tuple, v: np.ndarray) -> np.ndarray:
+    """kron(a, b) v c for the factors (a, b) or (a, b, c), None an identity
+    leg, applied to a stack v of shape (..., n1 n2, m): the L^2 axis is
+    read as the two legs (n1, n2), a (p1, n1) and b (p2, n2) contract
+    their legs and may be rectangular, and c (m, m') right-multiplies the
+    argument axis; the result is (..., p1 p2, m'). When every factor is
+    monomial (at most one nonzero entry in each row of a, b and c^T; a zero
+    row maps to 0), as the factors of a monomial basis (matrix units,
+    b u_g) are, the map is one gather and one scaling: of the p1 p2 rows
+    with no c, of the entries with one."""
+    a, b, c = (*factors, None)[:3]
     *lead, nn, m = v.shape
-    n = math.isqrt(nn)
-    mono = _monomial(*(np.eye(n) if f is None else f for f in pair))
-    if mono is not None:
+    n1 = a.shape[1] if a is not None else nn // b.shape[1] if b is not None else math.isqrt(nn)
+    n2 = nn // n1
+    legs = [np.eye(k) if f is None else f for f, k in ((a, n1), (b, n2))]
+    p1, rows = len(legs[0]), len(legs[0]) * len(legs[1])
+    mono = _monomial(*legs) if c is None else _monomial(*legs, c.T)
+    if mono is not None and c is None:
         return _remap(v, *mono, -2)
+    if mono is not None:
+        return _remap(v.reshape(*lead, nn * m), *mono, -1).reshape(*lead, rows, c.shape[1])
     t = v
     if a is not None:
-        t = np.matmul(a, t.reshape(*lead, n, n * m))
+        t = np.matmul(a, t.reshape(*lead, n1, n2 * m))
     if b is not None:
-        t = np.matmul(b, t.reshape(*lead, n, n, m))
-    return t.reshape(v.shape)
+        t = np.matmul(b, t.reshape(*lead, p1, n2, m))
+    t = t.reshape(*lead, rows, m)
+    return t if c is None else t @ c
 
 
 def whiten(alg: FDAlgebra, v: np.ndarray) -> np.ndarray:
@@ -322,7 +341,7 @@ def central_vectors(alg: FDAlgebra, sub_cols: np.ndarray) -> np.ndarray:
     solved for w = (T (x) T) v: the commutators of kron(T^-1, T^-1)."""
     back = (alg.onb_inverse, alg.onb_inverse)
     rows = commutator_span(alg, np.asarray(sub_cols), np.kron(*back))
-    return apply_pair(back, nullspace(rows.reshape(-1, alg.dim**2)).dense())
+    return apply_pair(back, nullspace(rows.reshape(-1, alg.dim**2)).vectors().T)
 
 
 def relative_derivations(
@@ -333,8 +352,9 @@ def relative_derivations(
 
     With w_r the whitened kernel vectors as (dim N, dim A) matrices, the
     whitened value of d = sum_r c_r d_r at s is sum_r c_r w_r s, so the
-    constraints d(s) = 0 for the columns s of sub_cols are linear in c;
-    nullspace solves them per group of kernel blocks that they couple.
+    constraints d(s) = 0 for the columns s of sub_cols, argument_map on
+    the kernel's entries, are linear in c; nullspace solves them per group
+    of kernel blocks that they couple.
     Orthonormal combinations of an orthonormal basis are orthonormal, and
     span_basis keeps them by block. The kernel, the constraints and the
     combinations are all held by their block entries (SparseSystem), so
@@ -348,16 +368,22 @@ def relative_derivations(
             raise NotSubalgebra("span is not a unital *-subalgebra")
     if space.rank == 0:
         return space
-    n, m = alg.dim, sub_cols.shape[1]
     w = space.kernel.sparse()
-    # (1 (x) sub_cols^T) on the unknowns q * n + k: the value at each s,
-    # in the row (q, s) of a (dim N, sub) constraint matrix
-    k, s = np.nonzero(sub_cols)
-    q = np.arange(n * n)[:, None]
-    at = SparseSystem((n * n * m, n**3), (q * m + s).ravel(), (q * n + k).ravel(),
-                      np.tile(sub_cols[k, s], n * n))
-    combos = nullspace(sparse_product(at, w))
+    combos = nullspace(sparse_product(argument_map(alg, sub_cols), w))
     return DerivationSpace(alg, span_basis(sparse_product(w, combos.sparse())))
+
+
+def argument_map(alg: FDAlgebra, cols: np.ndarray) -> SparseSystem:
+    """(1 (x) cols^T) on the unknowns of leibniz_system, q * dim A + k for
+    the vector q of L^2(N) and the argument k, as a SparseSystem: it maps a
+    whitened derivation to its whitened values at the columns s of cols,
+    in row q * |cols| + s, the layout of phi_X and of the constraints
+    d(s) = 0."""
+    n, m = alg.dim, cols.shape[1]
+    k, s = np.nonzero(cols)
+    q = np.arange(n * n)[:, None]
+    return SparseSystem((n * n * m, n**3), (q * m + s).ravel(), (q * n + k).ravel(),
+                        np.tile(cols[k, s], n * n))
 
 
 # -- matrix-unit central projection -------------------------------------------
@@ -410,18 +436,12 @@ def central_projection_element(alg: FDAlgebra, units: list[np.ndarray]) -> tuple
 # These take stacks (..., n^2, n) of derivation matrices of A x| G.
 
 def scaling_conjugation(cp: CrossedProduct, g: int, mats: np.ndarray) -> np.ndarray:
-    """The conjugated derivations x -> u_g* . d(u_g x u_g*) . u_g."""
+    """The conjugated derivations x -> u_g* . d(u_g x u_g*) . u_g: the
+    value's two legs and the argument, x -> ad(g) x, as one factor triple.
+    In the b u_g basis of a permutation or Ad action all three are
+    monomial, and the conjugation is one monomial map of the entries."""
     lu, ru = cp.u_mult
-    pair, ad = (lu[cp.group.inv(g)], ru[g]), cp.ad(g)
-    mats = np.asarray(mats)
-    # the value's two legs and the argument, x -> ad(g) x: in the b u_g
-    # basis of a permutation or Ad action all three are monomial, and the
-    # conjugation is one monomial map of the (n, n, n) entries
-    mono = _monomial(*pair, ad.T)
-    if mono is None:
-        return apply_pair(pair, mats) @ ad
-    flat = mats.reshape(*mats.shape[:-2], mats.shape[-2] * mats.shape[-1])
-    return _remap(flat, *mono, -1).reshape(mats.shape)
+    return apply_pair((lu[cp.group.inv(g)], ru[g], cp.ad(g)), np.asarray(mats))
 
 
 def average_scaling(cp: CrossedProduct, mats: np.ndarray) -> np.ndarray:
@@ -454,46 +474,46 @@ def extend_vanishing(cp: CrossedProduct, mats: np.ndarray, h: int) -> np.ndarray
     right group index h.
 
     On b u_m the value is sum_g (u_{g^-1} (x) (u_{g m})^op) . d(alpha_g(b)),
-    pushed right by u_e (x) u_h^op: one contraction for every argument
-    b_j u_m at once, summed over g, with the leg factors left_mult(u_{g^-1})
-    and left_mult(u_h) right_mult(u_{g m}) restricted to the (e, e) sector,
-    where A (x) A^op sits.
+    pushed right by u_e (x) u_h^op. On b u_e that is the sum over g of the
+    factor triples (left_mult(u_{g^-1}) E, left_mult(u_h) right_mult(u_g) E,
+    alpha_g), E the embedding of A, whose left legs lie in the disjoint
+    sectors g^-1. Since right_mult(u_{g m}) = right_mult(u_m) right_mult(u_g),
+    the value on b u_m is right_mult(u_m), which takes b_i u_l to b_i u_{l m},
+    on the right leg of the value on b u_e: for every m at once, one leg
+    factor on the right leg's group index and the argument, row (l m, j, m)
+    taking (l, j).
     """
     grp = cp.group
     k, nb, n = grp.order, cp.base.dim, cp.algebra.dim
     lu, ru = cp.u_mult
-    left = lu[grp.inverse] @ cp.embed_base  # (g, n, nb)
-    right = lu[h] @ ru[grp.table] @ cp.embed_base  # (g, m, n, nb)
+    e = cp.embed_base
     mats = np.asarray(mats)
+    at_e = sum(apply_pair((lu[grp.inv(g)] @ e, lu[h] @ ru[g] @ e, alpha), mats)
+               for g, alpha in enumerate(cp.action.matrices))
+    l, m, j = np.ix_(range(k), range(k), range(nb))
+    expand = np.zeros((k, nb, k, k, nb))
+    expand[grp.table[l, m], j, m, l, j] = 1
     lead = mats.shape[:-2]
-    # d(alpha_g(b_j)) on both base legs: (..., g, i, i', j)
-    vals = (mats[..., None, :, :] @ cp.action.matrices).reshape(*lead, k, nb, nb, nb)
-    out = np.einsum("gpi,gmqk,...gikj->...pqjm", left, right, vals, optimize=True)
-    return out.reshape(*lead, n * n, n)
+    return apply_pair((None, expand.reshape(k * nb * k, k * nb)),
+                      at_e.reshape(*lead, n * n * nb, 1)).reshape(*lead, n * n, n)
 
 
 def restrict_component(cp: CrossedProduct, mats: np.ndarray, g: int, h: int) -> np.ndarray:
     """Component D_{g,h} of derivations of A x| G (a stack (..., n^2, n)),
     as derivations of A.
 
-    Cuts d|_A to the coset sector L^2(N)(u_g (x) u_h^op), the basis vectors
-    whose left leg has group index g and whose right leg has group index h,
-    and pulls it back to the (e, e) sector, i.e. to the standard
-    A-bimodule, by right multiplication with u_{g^-1} (x) (u_{h^-1})^op;
-    its leg factors right_mult(u_{g^-1}) and left_mult(u_{h^-1}) are
-    applied restricted to the two sectors.
+    Takes d|_A on the coset sector L^2(N)(u_g (x) u_h^op), the basis
+    vectors whose left leg has group index g and whose right leg has group
+    index h, and pulls it back to the (e, e) sector, i.e. to the standard
+    A-bimodule, by right multiplication with u_{g^-1} (x) (u_{h^-1})^op:
+    one factor triple, the rows of the (e, e) sector of right_mult(u_{g^-1})
+    and left_mult(u_{h^-1}), which reach it from sectors g and h only, and
+    the embedding of A on the argument.
     """
-    grp = cp.group
-    n, nb = cp.algebra.dim, cp.base.dim
-    rows, cols = cp.group_index == g, cp.group_index == h
-    centre = cp.group_index == grp.identity
+    centre = cp.group_index == cp.group.identity
     lu, ru = cp.u_mult
-    pull = (ru[grp.inv(g)][np.ix_(centre, rows)], lu[grp.inv(h)][np.ix_(centre, cols)])
-    mats = np.asarray(mats)
-    lead = mats.shape[:-2]
-    vals = (mats @ cp.embed_base).reshape(*lead, n, n, nb)
-    cut = vals[..., rows, :, :][..., cols, :]
-    return apply_pair(pull, cut.reshape(*lead, nb * nb, nb))
+    pull = (ru[cp.group.inv(g)][centre], lu[cp.group.inv(h)][centre], cp.embed_base)
+    return apply_pair(pull, np.asarray(mats))
 
 
 def decompose_vanishing(cp: CrossedProduct, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -502,5 +522,9 @@ def decompose_vanishing(cp: CrossedProduct, mats: np.ndarray) -> tuple[np.ndarra
     them with the residual |D - sum_h (D_h)^h| of each derivation."""
     e, k = cp.group.identity, cp.group.order
     comps = np.stack([restrict_component(cp, mats, e, h) for h in range(k)], axis=1)
-    back = sum(extend_vanishing(cp, comps[:, h], h) for h in range(k))
-    return comps, np.linalg.norm(back - mats, axis=(1, 2))
+    # summed in place: the extensions are as large as the stack itself
+    back = extend_vanishing(cp, comps[:, 0], 0)
+    for h in range(1, k):
+        back += extend_vanishing(cp, comps[:, h], h)
+    back -= mats
+    return comps, np.linalg.norm(back, axis=(1, 2))

@@ -36,8 +36,10 @@ space's whitened kernel itself, orthonormal and by block, for every
 DerivationSpace (derivation_space's and relative_derivations'): phi_x
 wraps it as it is. Every other span is whitened once and orthonormalized
 by span_basis, which keeps it by the connected blocks of its nonzero
-pattern: phi_X for X other than the basis, formed from the whitened
-kernel, and a span given in raw coordinates (ModuleSubspace.from_span).
+pattern: phi_X for X other than the basis, read through the argument map
+on the kernel entries (derivations.argument_map times the kernel's
+SparseSystem, so no dense kernel is formed), and a span given in raw
+coordinates (ModuleSubspace.from_span).
 restrict_scalars keeps the basis and changes only the right action and
 the trace vectors, and L^2(N) itself (full_module) is the whitened
 standard basis, dim A^2 blocks of one unknown each.
@@ -158,11 +160,12 @@ import numpy as np
 # no program code calls gram_onb; the name stays bound only because
 # benchmark/tracing.py hooks steinlab.vndim.gram_onb, and goes with that hook
 from ._linalg import (  # noqa: F401
-    SPLIT_SEED, BlockKernel, gram_onb, rank_cut, shared_cut, span_basis, spectral_split,
+    SPLIT_SEED, BlockKernel, gram_onb, rank_cut, shared_cut, span_basis, sparse_product,
+    spectral_split,
 )
 from .algebra import FDAlgebra, certify_exact
 from .constructions import CrossedProduct
-from .derivations import DerivationSpace, apply_pair, whiten
+from .derivations import DerivationSpace, apply_pair, argument_map, whiten
 from .errors import NotGenerating, NotRightClosed
 
 # largest relative residual of a right operator's image off the span that
@@ -221,7 +224,7 @@ class ModuleSubspace:
     def span(self) -> np.ndarray:
         """The basis in from_span's raw layout, formed when read."""
         (nk, r), n = self.basis.shape, self.algebra.dim
-        q = self.basis.dense().reshape(n * n, self.ncoords, r).transpose(1, 0, 2)
+        q = self.basis.vectors().T.reshape(n * n, self.ncoords, r).transpose(1, 0, 2)
         back = (self.algebra.onb_inverse, self.algebra.onb_inverse)
         return apply_pair(back, q).reshape(nk, r)
 
@@ -581,14 +584,6 @@ def _right_ops(alg, xs: list) -> list:
     return [op for r, l in zip(rights, lefts) for op in ((0, r), (1, l))]
 
 
-def _phi_span(space: DerivationSpace, gens: np.ndarray) -> np.ndarray:
-    """The whitened span of phi_X(space), (dim A^2 * ncoords, rank) in the
-    layout of ModuleSubspace.basis, from the whitened kernel."""
-    n, r = space.algebra.dim, space.rank
-    w = space.kernel.dense().reshape(n * n, n, r)
-    return np.einsum("qir,ic->qcr", w, gens, optimize=True).reshape(n * n * gens.shape[1], r)
-
-
 def phi_x(space: DerivationSpace, gens: np.ndarray | None = None) -> ModuleSubspace:
     """Image of a derivation space under d -> (d(x))_{x in X}.
 
@@ -597,15 +592,15 @@ def phi_x(space: DerivationSpace, gens: np.ndarray | None = None) -> ModuleSubsp
     on the choice; a given X is checked (_argument_set), the basis spans A.
     X and its stars also supply the right operators. With X the basis, the
     space's whitened kernel is the module's basis as it is; for any other
-    X, phi_X's whitened span is formed from the kernel and orthonormalized
-    by span_basis.
+    X, phi_X's whitened span is derivations.argument_map applied to the
+    kernel's entries, orthonormalized by span_basis.
     """
     alg = space.algebra
     if gens is None:
         gens, basis = np.eye(alg.dim, dtype=complex), space.kernel
     else:
         gens = _argument_set(alg, gens)
-        basis = span_basis(_phi_span(space, gens))
+        basis = span_basis(sparse_product(argument_map(alg, gens), space.kernel.sparse()))
     return ModuleSubspace(alg, gens.shape[1], basis, _right_ops(alg, _with_stars(alg, gens)),
                           np.kron(alg.unit, alg.unit)[:, None])
 

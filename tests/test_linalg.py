@@ -72,7 +72,7 @@ def test_block_kernel_matches_full_svd(shapes, extra_rows, extra_cols, seed):
     ref = full_svd_kernel(m)
     assert ref.shape[1] == m.shape[1] - rank
     for arg in (m, _as_sparse(rng, m)):
-        ker = nullspace(arg).dense()
+        ker = nullspace(arg).vectors().T
         assert ker.shape == ref.shape
         assert np.max(np.abs(ker.conj().T @ ker - np.eye(ker.shape[1])), initial=0.0) < 1e-10
         assert np.max(np.abs(_projector(ker) - _projector(ref)), initial=0.0) < 1e-10
@@ -95,9 +95,9 @@ def test_gap_guard_spans_blocks():
 
 def test_empty_system_kernel_is_everything():
     ker = nullspace(np.zeros((0, 4)))
-    assert np.array_equal(ker.dense(), np.eye(4))
+    assert np.array_equal(ker.vectors().T, np.eye(4))
     sparse = SparseSystem((5, 3), np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
-    assert np.array_equal(nullspace(sparse).dense(), np.eye(3))
+    assert np.array_equal(nullspace(sparse).vectors().T, np.eye(3))
 
 
 def test_max_block_guard_runs_on_the_largest_block(monkeypatch):
@@ -125,14 +125,14 @@ def test_guard_counts_the_returned_kernel_vectors(monkeypatch):
 
 def test_block_kernel_keeps_the_column_order_of_its_blocks():
     # two 2 x 3 blocks of one shape with kernels of dimension 1 and 2 are
-    # kept in two parts, but dense() lists the kernel block by block
+    # kept in two parts, but vectors() lists the kernel block by block
     rng = np.random.default_rng(8)
     m = np.zeros((4, 6), dtype=complex)
     m[:2, :3] = _with_spectrum(rng, 2, 3, [1.0, 0.5])
     m[2:, 3:] = _with_spectrum(rng, 2, 3, [1.0])
     ker = nullspace(m)
     assert [vecs.shape for _, vecs, _ in ker.parts] == [(1, 3, 1), (1, 3, 2)]
-    dense = ker.dense()
+    dense = ker.vectors().T
     assert np.all(dense[3:, 0] == 0) and np.all(dense[:3, 1:] == 0)
     assert np.max(np.abs(dense.conj().T @ dense - np.eye(3))) < 1e-12
     assert np.max(np.abs(m @ dense)) < 1e-12
@@ -248,7 +248,7 @@ def _check_tall_kernel(shapes, seed):
     m = _shuffled_block_diagonal(rng, blocks)
     ref = full_svd_kernel(m)
     for arg in (m, _as_sparse(rng, m)):
-        ker = nullspace(arg).dense()
+        ker = nullspace(arg).vectors().T
         assert ker.shape == ref.shape
         assert np.max(np.abs(ker.conj().T @ ker - np.eye(ker.shape[1])), initial=0.0) < 1e-10
         assert np.max(np.abs(_projector(ker) - _projector(ref)), initial=0.0) < 1e-10
@@ -281,7 +281,7 @@ def test_guard_counts_a_tall_block(monkeypatch):
 
 def test_kernel_parts_are_keyed_by_columns_and_kernel_dimension():
     # 3 x 2 and 4 x 2 blocks with one kernel vector each solve in two
-    # stacks but share one part; dense() keeps the blocks' order
+    # stacks but share one part; vectors() keeps the blocks' order
     rng = np.random.default_rng(9)
     m = np.zeros((7, 4), dtype=complex)
     m[:3, :2] = _with_spectrum(rng, 3, 2, [1.0])
@@ -290,7 +290,7 @@ def test_kernel_parts_are_keyed_by_columns_and_kernel_dimension():
     assert len(ker.parts) == 1
     cols, vecs, first = ker.parts[0]
     assert vecs.shape == (2, 2, 1)
-    dense = ker.dense()
+    dense = ker.vectors().T
     assert np.all(dense[2:, 0] == 0) and np.all(dense[:2, 1] == 0)
     assert np.max(np.abs(m @ dense)) < 1e-12
 
@@ -318,7 +318,7 @@ def test_span_basis_matches_gram_onb(shapes, extra_rows, extra_cols, seed):
     ref = gram_onb(m)
     got = span_basis(m)
     assert got.shape == (m.shape[0], ref.shape[1])
-    q = got.dense()
+    q = got.vectors().T
     assert np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1])), initial=0.0) < 1e-12
     assert np.max(np.abs(_projector(q) - _projector(ref)), initial=0.0) < 1e-12
 
@@ -374,13 +374,13 @@ def test_sparse_product_and_span_basis_of_sparse_entries(seed):
     assert prod.shape == (m.shape[0], m.shape[0])
     assert np.max(np.abs(_dense(prod) - m @ m.conj().T)) < 1e-12
     assert (prod.vals != 0).all()
-    # the kernel held by its entries is dense(), and the span basis of a
+    # the kernel held by its entries is vectors().T, and the span basis of a
     # sparse matrix is that of the dense one, block for block
     for kernel in (nullspace(m), span_basis(m)):
-        assert np.array_equal(_dense(kernel.sparse()), kernel.dense())
+        assert np.array_equal(_dense(kernel.sparse()), kernel.vectors().T)
     got, want = span_basis(a), span_basis(m)
     assert got.shape == want.shape
-    assert np.max(np.abs(_projector(got.dense()) - _projector(want.dense()))) < 1e-12
+    assert np.max(np.abs(_projector(got.vectors().T) - _projector(want.vectors().T))) < 1e-12
 
 
 def test_slabs_read_each_kernel_column_once_within_the_byte_budget(monkeypatch):

@@ -1,6 +1,7 @@
 import copy
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 from steinlab import reports
@@ -12,6 +13,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def load(name: str):
+    # the scripts import their shared helpers from their own directory, as
+    # it is when they run
+    if str(SCRIPTS) not in sys.path:
+        sys.path.append(str(SCRIPTS))
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
@@ -79,9 +84,11 @@ def test_m3_s3_ceiling_checks_its_bounds():
     cp = script.m3_s3()
     assert cp.algebra.dim == 54
     assert max(validate_action(cp.action).values()) == 0.0
-    assert script.failures(1 - 1 / 54, 10.0, 10**9) == []
-    missed = script.failures(1 - 1 / 54 + 1e-9, 60.0, 2 * 10**9)
+    exact = {"the basis": 1 - 1 / 54, "the generators": 1 - 1 / 54}
+    assert script.failures(exact, 10.0, 10**9) == []
+    missed = script.failures({**exact, "the generators": 1 - 1 / 54 + 1e-9}, 60.0, 2 * 10**9)
     assert [line.split()[0] for line in missed] == ["value", "took", "max"]
+    assert "at X the generators" in missed[0]
 
 
 def test_c4_d4_battery_checks_its_bounds():
@@ -95,6 +102,12 @@ def test_c4_d4_battery_checks_its_bounds():
     missed = script.failures(rows[1:] + ["fail"], 20.0, 500 * 10**6)
     assert [line.split()[0] for line in missed] == ["rows", "took", "max"]
     assert script.failures(rows[:-1], 1.0, 10**6) != []
+    # the M3 x| S3 battery, with the bounds of the M3 x| S3 ceiling
+    spec = script.SPECS["m3_s3"]()
+    assert (spec.algebra.dim, spec.group.order, spec.subgroup) == (9, 6, [0, 3, 4])
+    assert script.failures(rows, 51.0, 928 * 10**6, "m3_s3") == []
+    missed = script.failures(rows[1:] + ["fail"], 60.0, 2 * 10**9, "m3_s3")
+    assert [line.split()[0] for line in missed] == ["rows", "took", "max"]
 
 
 def test_m8_inner_ceiling_checks_its_bounds():

@@ -163,7 +163,7 @@ def test_module_subspace_takes_only_one_leg_operators(op):
 def test_phi_x_of_one_derivation_is_not_right_closed(blocks):
     # the generator right operators alone must reject a non-module span
     space = derivation_space(multimatrix(blocks))
-    cut = DerivationSpace(space.algebra, span_basis(space.kernel.dense()[:, :1]))
+    cut = DerivationSpace(space.algebra, span_basis(space.kernel.vectors().T[:, :1]))
     with pytest.raises(NotRightClosed):
         vn_dimension(phi_x(cut))
 
@@ -766,7 +766,7 @@ def test_kernel_closure_residual_is_the_dense_projection_residual(drop):
         kernel = BlockKernel(kernel.ncols, (kernel.parts[0], (cols[1:], vecs[1:], first[1:]),
                                             *kernel.parts[2:]))
     n, t = alg.dim, alg.onb_factor
-    # the kernel basis as columns, block by block (dense() needs the
+    # the kernel basis as columns, block by block (vectors() needs the
     # column offsets that leaving a block out breaks)
     dense = np.zeros((kernel.ncols, kernel.shape[1]), dtype=complex)
     col = 0
