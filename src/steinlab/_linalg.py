@@ -80,9 +80,13 @@ plus 8 c bytes for the spectrum. A tall block (m = c) thus keeps
 r c + 2 c^2 entries where a direct SVD would also keep its r x c U. A
 one-column block, whose norm needs none of this, is counted the same way.
 
-vndim's leg blocks, Artin-Wedderburn blocks and characters are found by
-spectral_split: the eigenvectors of m + m^H, m a random combination drawn
-from SPLIT_SEED, in clusters split at gaps above CLUSTER_GAP.
+vndim's leg blocks and the minimal central projections of
+constructions.central_projections, which give the Artin-Wedderburn blocks
+and the characters of an abelian group, are found by spectral_split: the
+eigenvectors of m + m^H, m a random combination of given matrices drawn
+from SPLIT_SEED, in clusters split at gaps above CLUSTER_GAP. A caller that
+knows how many clusters there must be names the count, and a draw that
+misses it is redrawn, at most SPLIT_DRAWS draws in all.
 """
 
 from __future__ import annotations
@@ -116,6 +120,8 @@ QR_CHUNK = 1 << 26
 CLUSTER_GAP = 1e-3
 # seed of the random combinations that spectral_split is applied to
 SPLIT_SEED = 0
+# most draws spectral_split makes for a wanted cluster count
+SPLIT_DRAWS = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -470,13 +476,29 @@ def gram_onb(vectors: np.ndarray, factor: np.ndarray | None = None) -> np.ndarra
     return u if factor is None else np.linalg.solve(factor, u)
 
 
-def spectral_split(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def spectral_split(mats: np.ndarray, want: int | None = None) -> tuple[np.ndarray, list[int]]:
     """(vec, bounds): the eigenvectors of m + m^H by ascending eigenvalue,
-    cluster i being vec[:, bounds[i]:bounds[i + 1]]; an eigenvalue gap above
-    CLUSTER_GAP * (spectral radius) starts a new cluster."""
-    lam, vec = np.linalg.eigh(m + m.conj().T)
-    cuts = np.flatnonzero(lam[1:] - lam[:-1] > CLUSTER_GAP * np.abs(lam).max()) + 1
-    return vec, [0, *cuts.tolist(), len(lam)]
+    m = sum_j t_j mats[j] for a stack mats (count, n, n) and t iid standard
+    complex Gaussian drawn from SPLIT_SEED; cluster i is
+    vec[:, bounds[i]:bounds[i + 1]], and an eigenvalue gap above
+    CLUSTER_GAP * (spectral radius) starts a new cluster.
+
+    With want, a draw that gives another number of clusters is redrawn, at
+    most SPLIT_DRAWS draws in all, and RankAmbiguous is raised if none
+    gives want.
+    """
+    mats = np.asarray(mats)
+    rng = np.random.default_rng(SPLIT_SEED)
+    for _ in range(1 if want is None else SPLIT_DRAWS):
+        t = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
+        m = np.tensordot(t, mats, axes=1)
+        lam, vec = np.linalg.eigh(m + m.conj().T)
+        cuts = np.flatnonzero(lam[1:] - lam[:-1] > CLUSTER_GAP * np.abs(lam).max()) + 1
+        bounds = [0, *cuts.tolist(), len(lam)]
+        if want is None or len(bounds) - 1 == want:
+            return vec, bounds
+    raise RankAmbiguous(
+        f"no clear spectral gap: {SPLIT_DRAWS} draws split into other than {want} clusters")
 
 
 def frob(m: np.ndarray) -> float:

@@ -20,12 +20,13 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import reports
-from .derivations import derivation_space
 from .algebra import validate
 from .errors import SpecInvalid, SteinlabError
 from .reports import ExperimentSpec, check_seed, check_tolerance, parse_algebra
-from .vndim import as_fraction, phi_x, vn_dimension
+from .vndim import as_fraction, inner_derivation_module, vn_dimension
 
 _FORMATS = {"json": reports.to_json, "csv": reports.to_csv, "md": reports.to_markdown}
 
@@ -115,7 +116,11 @@ def _cmd_dim(args) -> int:
     rep = validate(alg)
     if not rep.passed:
         raise SpecInvalid(f"algebra: {rep.faults()}")
-    result = vn_dimension(phi_x(derivation_space(alg)))
+    # every derivation of a finite-dimensional C*-algebra into L^2(N) is
+    # inner (H^1 = 0), so phi_S of the commutator derivations, S the
+    # generating basis elements, is phi_S(Der A)
+    gens = np.eye(alg.dim, dtype=complex)[:, alg.generating_indices]
+    result = vn_dimension(inner_derivation_module(alg, gens))
     max_den = alg.dim * alg.dim if blocks is None else math.prod(n * n for n, _ in blocks)
     frac = as_fraction(result.value, max(max_den, 2))
     if args.format == "json":

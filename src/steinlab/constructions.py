@@ -13,15 +13,15 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import SPLIT_SEED, frob, nullspace, spectral_split
-from .algebra import FDAlgebra, close_span
+from ._linalg import frob, nullspace, spectral_split
+from .algebra import FDAlgebra, certify_exact, close_span
 from .errors import (
     ActionInvalid,
     NotAbelian,
     NotSemisimple,
     WeightsNotNormalized,
 )
-from .groups import Character, FiniteGroup, characters, cyclic
+from .groups import Character, FiniteGroup, cyclic
 
 # largest relative GNS distance of one span from another that span_equal
 # still counts as equal
@@ -344,49 +344,78 @@ def center_basis(alg: FDAlgebra) -> np.ndarray:
     return alg.onb_inverse @ nullspace(rows @ alg.onb_inverse).vectors().T
 
 
-def multimatrix_decompose(alg: FDAlgebra) -> list[tuple[int, float]]:
-    """Recover the block structure [(n_i, alpha_i), ...] sorted descending.
+def central_projections(alg: FDAlgebra) -> list[tuple[int, np.ndarray]]:
+    """The minimal central projections of alg, [(n_i, p_i), ...], n_i^2
+    the dimension of the block p_i A, in the order of the split.
 
-    A self-adjoint central s = z + z^* (z random in the center, from
-    SPLIT_SEED) acts on each block p_i A, of dimension n_i^2, by one
-    eigenvalue; so one spectral_split of L(s) in the GNS-orthonormal
-    coordinates T = alg.onb_factor has one cluster per block, else it is
-    redrawn (at most 20 draws). Each cluster's projection P_i gives
-    p_i = T^-1 P_i T 1, certified by |p_i^2 - p_i| <= 1e-8 (GNS norm), and
-    alpha_i = tau(3 p_i^2 - 2 p_i^3): one McWeeny purification step (Rev.
-    Mod. Phys. 32, 1960) leaves the error of the trace second order in the
-    residual, where tau(p_i)'s is first order. NotSemisimple is raised for
-    a failed draw, a non-square cluster or a failed certificate.
+    A self-adjoint central s = z + z^* (z a random combination of the
+    center's basis) acts on each block p_i A by one eigenvalue; so one
+    spectral_split of L(s) in the GNS-orthonormal coordinates
+    T = alg.onb_factor, asked for one cluster per dimension of the center,
+    has one cluster per block. Each cluster's projection P_i gives
+    p_i = T^-1 P_i T 1, certified by |p_i^2 - p_i| <= 1e-8 (GNS norm).
+
+    Raises InexactAlgebra unless alg passes algebra.certify_exact, since
+    an inexact algebra's idempotents are those of a nearby wrong one;
+    RankAmbiguous if no draw splits the center; NotSemisimple for a
+    non-square cluster or a failed certificate.
     """
+    certify_exact(alg)
     z_basis = center_basis(alg)
-    d = z_basis.shape[1]
-    if d == 0:
+    if z_basis.shape[1] == 0:
         raise NotSemisimple("trivial center")
     t, ti = alg.onb_factor, alg.onb_inverse
     one = t @ alg.unit
-    rng = np.random.default_rng(SPLIT_SEED)
-    for _ in range(20):
-        z = z_basis @ (rng.normal(size=d) + 1j * rng.normal(size=d))
-        # spectral_split adds the adjoint, T L(z^*) T^-1
-        vec, bounds = spectral_split(t @ alg.left_mult(z) @ ti)
-        if len(bounds) - 1 == d:
-            break
-    else:
-        raise NotSemisimple(f"no draw split the center into {d} clusters")
-
-    blocks = []
+    # spectral_split adds the adjoints, T L(z^*) T^-1
+    lefts = np.stack([t @ alg.left_mult(z) @ ti for z in z_basis.T])
+    vec, bounds = spectral_split(lefts, want=z_basis.shape[1])
+    out = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         ni = math.isqrt(hi - lo)
         if ni * ni != hi - lo:
             raise NotSemisimple(f"block of linear dimension {hi - lo} is not square")
         v = vec[:, lo:hi]
         p = ti @ (v @ (v.conj().T @ one))
-        p2 = alg.mul(p, p)
-        if (resid := alg.norm(p2 - p)) > 1e-8:
+        if (resid := alg.norm(alg.mul(p, p) - p)) > 1e-8:
             raise NotSemisimple(f"central idempotent residual {resid:.3e}")
+        out.append((ni, p))
+    return out
+
+
+def multimatrix_decompose(alg: FDAlgebra) -> list[tuple[int, float]]:
+    """Recover the block structure [(n_i, alpha_i), ...] sorted descending,
+    from the minimal central projections p_i (central_projections):
+    alpha_i = tau(3 p_i^2 - 2 p_i^3). One McWeeny purification step (Rev.
+    Mod. Phys. 32, 1960) leaves the error of the trace second order in the
+    idempotent residual, where tau(p_i)'s is first order."""
+    blocks = []
+    for ni, p in central_projections(alg):
+        p2 = alg.mul(p, p)
         blocks.append((ni, float(alg.tr(3 * p2 - 2 * alg.mul(p2, p)).real)))
     blocks.sort(key=lambda b: (b[0], b[1]), reverse=True)
     return blocks
+
+
+def characters(g: FiniteGroup) -> list[Character]:
+    """All characters of an abelian group.
+
+    The minimal central projections of C[G] are p_chi =
+    |G|^-1 sum_h conj(chi(h)) u_h, one per character (Serre, Linear
+    Representations of Finite Groups, 6.3), and u_h p_chi = chi(h) p_chi;
+    so chi(h) is read off central_projections(group_algebra(g)) as the
+    Rayleigh quotient <u_h p, p> / <p, p>. The characters are sorted by
+    their rounded values, an order that does not depend on the split.
+    """
+    if not g.is_abelian:
+        raise NotAbelian(f"{g.label or 'group'} is not abelian")
+    alg = group_algebra(g)
+    chars = []
+    for _, p in central_projections(alg):
+        # <x, p> = q x for the row q = conj(p) gram; u_h p = mult[h]^T p
+        q = np.conj(p) @ alg.gram
+        chars.append(np.tensordot(alg.mult, p, axes=(1, 0)) @ q / (q @ p))
+    chars.sort(key=lambda c: tuple((np.round(c, 8) + 0.0).view(float)))
+    return [Character(g, c) for c in chars]
 
 
 # -- generated subalgebras ---------------------------------------------------

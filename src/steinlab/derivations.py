@@ -29,7 +29,7 @@ DerivationSpace has one representation: its whitened orthonormal basis in
 the unknowns of leibniz_system, kept by block (a BlockKernel), as
 nullspace returns it for derivation_space and as span_basis keeps it for
 relative_derivations, which solves its constraints on that kernel. It is
-mapped back to raw coordinates only when a caller reads the basis: vndim
+mapped back to raw coordinates only for the columns a caller reads: vndim
 reads the dimension of phi_X, X the basis, from the kernel itself. The
 values at an argument set X are one sparse map, argument_map, the
 (1 (x) X^T) of the unknowns: applied to the kernel's entries, it gives
@@ -58,7 +58,6 @@ of a derivation, applied as one gather.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -275,23 +274,17 @@ class DerivationSpace:
     <., .>_X, X the basis of A: <d1, d2>_X = sum_j <d1(b_j), d2(b_j)>.
 
     kernel holds that basis whitened, in the unknowns of leibniz_system,
-    by block (a BlockKernel); basis, (r, dim N, dim A) in raw coordinates,
-    is formed from it only when it is read (kernel_basis), once, and
-    columns reads a few of its derivations without forming it.
+    by block (a BlockKernel); columns reads derivations of it in raw
+    coordinates, (count, dim N, dim A), from the blocks that hold them.
     """
 
     def __init__(self, algebra: FDAlgebra, kernel: BlockKernel):
         self.algebra = algebra
         self.kernel = kernel
 
-    @cached_property
-    def basis(self) -> np.ndarray:
-        return kernel_basis(self.algebra, self.kernel)
-
     def columns(self, idx) -> np.ndarray:
-        """basis[idx], for idx any numpy index of the derivations, read
-        from the kernel blocks that hold them; basis is neither formed nor
-        cached."""
+        """The derivations idx of the basis, for idx any numpy index of
+        them (kernel_basis); nothing is cached."""
         return kernel_basis(self.algebra, self.kernel, idx)
 
     @property
@@ -329,8 +322,7 @@ def derivation_space(alg: FDAlgebra) -> DerivationSpace:
     inner_derivation_module is the route for such algebras. The unknowns
     are whitened, so nullspace's orthonormal kernel, mapped back by
     (T^-1, T^-1) on the legs of N, is orthonormal for <., .>_X. The space
-    keeps that kernel by block and maps it back only when its basis is
-    read.
+    keeps that kernel by block and maps back only the columns read.
     """
     certify_exact(alg)
     return DerivationSpace(alg, nullspace(leibniz_system(alg, alg.generating_indices)))
@@ -477,7 +469,9 @@ def extend_vanishing(cp: CrossedProduct, mats: np.ndarray, h: int) -> np.ndarray
     pushed right by u_e (x) u_h^op. On b u_e that is the sum over g of the
     factor triples (left_mult(u_{g^-1}) E, left_mult(u_h) right_mult(u_g) E,
     alpha_g), E the embedding of A, whose left legs lie in the disjoint
-    sectors g^-1. Since right_mult(u_{g m}) = right_mult(u_m) right_mult(u_g),
+    sectors g^-1: each triple is applied with its left leg cut to the rows
+    of sector g^-1 and fills those rows, the only ones it reaches.
+    Since right_mult(u_{g m}) = right_mult(u_m) right_mult(u_g),
     the value on b u_m is right_mult(u_m), which takes b_i u_l to b_i u_{l m},
     on the right leg of the value on b u_e: for every m at once, one leg
     factor on the right leg's group index and the argument, row (l m, j, m)
@@ -488,12 +482,16 @@ def extend_vanishing(cp: CrossedProduct, mats: np.ndarray, h: int) -> np.ndarray
     lu, ru = cp.u_mult
     e = cp.embed_base
     mats = np.asarray(mats)
-    at_e = sum(apply_pair((lu[grp.inv(g)] @ e, lu[h] @ ru[g] @ e, alpha), mats)
-               for g, alpha in enumerate(cp.action.matrices))
+    lead = mats.shape[:-2]
+    # the left leg b_i u_l at row i |G| + l: sector l is at_e[..., l, :, :]
+    at_e = np.empty((*lead, nb, k, n, nb), dtype=complex)
+    for g, alpha in enumerate(cp.action.matrices):
+        gi = grp.inv(g)
+        triple = ((lu[gi] @ e)[gi::k], lu[h] @ ru[g] @ e, alpha)
+        at_e[..., gi, :, :] = apply_pair(triple, mats).reshape(*lead, nb, n, nb)
     l, m, j = np.ix_(range(k), range(k), range(nb))
     expand = np.zeros((k, nb, k, k, nb))
     expand[grp.table[l, m], j, m, l, j] = 1
-    lead = mats.shape[:-2]
     return apply_pair((None, expand.reshape(k * nb * k, k * nb)),
                       at_e.reshape(*lead, n * n * nb, 1)).reshape(*lead, n * n, n)
 

@@ -1,4 +1,5 @@
-"""Finite groups as multiplication tables, plus characters of abelian ones."""
+"""Finite groups as multiplication tables, and the Character type of abelian
+ones (constructions.characters finds them)."""
 
 from __future__ import annotations
 
@@ -8,8 +9,7 @@ from itertools import permutations
 
 import numpy as np
 
-from ._linalg import SPLIT_SEED, spectral_split
-from .errors import GroupInvalid, NotAbelian, NotSubgroup, RankAmbiguous
+from .errors import GroupInvalid, NotSubgroup
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,44 +166,3 @@ class Character:
 
     def __call__(self, g: int) -> complex:
         return complex(self.values[g])
-
-
-def regular_representation(g: FiniteGroup) -> np.ndarray:
-    """Permutation matrices lam[g] with lam[g] delta_h = delta_{gh}."""
-    n = g.order
-    lam = np.zeros((n, n, n), dtype=complex)
-    for a in range(n):
-        for h in range(n):
-            lam[a, g.mul(a, h), h] = 1.0
-    return lam
-
-
-def characters(g: FiniteGroup) -> list[Character]:
-    """All characters of an abelian group.
-
-    Simultaneously diagonalizes the regular representation: one
-    spectral_split of a random combination sum_g c_g lam[g], c drawn from
-    SPLIT_SEED, has the character vectors as eigenvectors; a draw that does
-    not give |G| clusters is retried, at most 20 times, and then
-    RankAmbiguous is raised.
-    """
-    if not g.is_abelian:
-        raise NotAbelian(f"{g.label or 'group'} is not abelian")
-    rng = np.random.default_rng(SPLIT_SEED)
-    n = g.order
-    lam = regular_representation(g)
-    for _ in range(20):
-        coef = rng.normal(size=n) + 1j * rng.normal(size=n)
-        vecs, bounds = spectral_split(np.einsum("g,gij->ij", coef, lam))
-        if len(bounds) - 1 != n:
-            continue
-        chars = []
-        for k in range(n):
-            v = vecs[:, k]
-            chi = np.array([np.vdot(v, lam[a] @ v) for a in range(n)])
-            chi = chi / chi[g.identity]
-            chars.append(chi)
-        # deterministic order, independent of the random coefficients
-        chars.sort(key=lambda c: tuple((np.round(c, 8) + 0.0).view(float)))
-        return [Character(g, c) for c in chars]
-    raise RankAmbiguous("no clear spectral gap between the characters after 20 draws")

@@ -36,6 +36,7 @@ from .algebra import VALID_TOL, FDAlgebra, validate
 from .constructions import (
     GroupAction,
     ad_action,
+    characters,
     crossed_product,
     dual_action,
     group_algebra,
@@ -74,7 +75,6 @@ from .errors import SpecInvalid, SteinlabError
 from .groups import (
     FiniteGroup,
     Character,
-    characters,
     cyclic,
     dihedral_4,
     direct_product,

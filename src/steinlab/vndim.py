@@ -34,12 +34,11 @@ the layout of the unknown of leibniz_system. Copy c of phi_X(d) is
 d(x_c), so for X the basis of A the whitened span of phi_X is the
 space's whitened kernel itself, orthonormal and by block, for every
 DerivationSpace (derivation_space's and relative_derivations'): phi_x
-wraps it as it is. Every other span is whitened once and orthonormalized
-by span_basis, which keeps it by the connected blocks of its nonzero
-pattern: phi_X for X other than the basis, read through the argument map
-on the kernel entries (derivations.argument_map times the kernel's
-SparseSystem, so no dense kernel is formed), and a span given in raw
-coordinates (ModuleSubspace.from_span).
+wraps it as it is. For X other than the basis, phi_X is read through
+the argument map on the kernel entries (derivations.argument_map times
+the kernel's SparseSystem, so no dense kernel is formed) and
+orthonormalized by span_basis, which keeps it by the connected blocks of
+its nonzero pattern.
 restrict_scalars keeps the basis and changes only the right action and
 the trace vectors, and L^2(N) itself (full_module) is the whitened
 standard basis, dim A^2 blocks of one unknown each.
@@ -160,12 +159,11 @@ import numpy as np
 # no program code calls gram_onb; the name stays bound only because
 # benchmark/tracing.py hooks steinlab.vndim.gram_onb, and goes with that hook
 from ._linalg import (  # noqa: F401
-    SPLIT_SEED, BlockKernel, gram_onb, rank_cut, shared_cut, span_basis, sparse_product,
-    spectral_split,
+    BlockKernel, gram_onb, rank_cut, shared_cut, span_basis, sparse_product, spectral_split,
 )
 from .algebra import FDAlgebra, certify_exact
 from .constructions import CrossedProduct
-from .derivations import DerivationSpace, apply_pair, argument_map, whiten
+from .derivations import DerivationSpace, argument_map, whiten
 from .errors import NotGenerating, NotRightClosed
 
 # largest relative residual of a right operator's image off the span that
@@ -209,25 +207,6 @@ class ModuleSubspace:
             if not (isinstance(leg, int) and leg in (0, 1) and np.shape(mat) == (n, n)):
                 raise ValueError(f"a right operator is (leg 0 or 1, a ({n}, {n}) matrix)")
 
-    @classmethod
-    def from_span(cls, algebra: FDAlgebra, ncoords: int, span: np.ndarray, right_ops: list,
-                  trace_vectors: np.ndarray) -> ModuleSubspace:
-        """The module spanned by the columns of span, (ncoords * dim A^2, r)
-        in raw coordinates with copy c at rows c * dim A^2 onwards: whitened,
-        laid out as the basis is and orthonormalized by block (span_basis)."""
-        nn, r = algebra.dim**2, np.shape(span)[1]
-        w = whiten(algebra, np.reshape(span, (ncoords, nn, r)))
-        basis = span_basis(w.transpose(1, 0, 2).reshape(nn * ncoords, r))
-        return cls(algebra, ncoords, basis, right_ops, trace_vectors)
-
-    @property
-    def span(self) -> np.ndarray:
-        """The basis in from_span's raw layout, formed when read."""
-        (nk, r), n = self.basis.shape, self.algebra.dim
-        q = self.basis.vectors().T.reshape(n * n, self.ncoords, r).transpose(1, 0, 2)
-        back = (self.algebra.onb_inverse, self.algebra.onb_inverse)
-        return apply_pair(back, q).reshape(nk, r)
-
 
 @dataclass(eq=False)
 class InnerModule:
@@ -263,7 +242,7 @@ class DimensionResult:
         return self.value
 
 
-def _leg_split(alg: FDAlgebra, ops: list, rng: np.random.Generator) -> tuple:
+def _leg_split(alg: FDAlgebra, ops: list) -> tuple:
     """(rot, inv, classes) for one tensor leg L^2(alg): rot maps basis
     coordinates to GNS-orthonormal ones in the eigenbasis of a random
     self-adjoint combination of the leg's operators, inv = rot^-1, and
@@ -272,8 +251,7 @@ def _leg_split(alg: FDAlgebra, ops: list, rng: np.random.Generator) -> tuple:
     t, ti, n = alg.onb_factor, alg.onb_inverse, alg.dim
     if not ops:
         return t, ti, [(0, 1, n)]
-    comb = rng.standard_normal(len(ops)) @ np.array(ops).reshape(len(ops), -1)
-    vec, bounds = spectral_split(t @ comb.reshape(n, n) @ ti)
+    vec, bounds = spectral_split(t @ np.array(ops) @ ti)
     clusters = sorted(zip(bounds[:-1], bounds[1:]), key=lambda c: c[1] - c[0])
     u = vec[:, [i for lo, hi in clusters for i in range(lo, hi)]]
     classes, start = [], 0
@@ -371,10 +349,9 @@ def _test_ops(ops: list, legs: list) -> list:
 
 def _legs(alg: FDAlgebra, right_ops: list) -> list:
     """The leg splits vn_dimension uses for a module over alg (x) alg^op
-    with these right operators: one _leg_split per tensor leg, drawn from
-    one fixed-seed generator, so the same inputs give the same rotation."""
-    rng = np.random.default_rng(SPLIT_SEED)
-    return [_leg_split(alg, [m for l, m in right_ops if l == leg], rng) for leg in (0, 1)]
+    with these right operators: one _leg_split per tensor leg, each drawn
+    from _linalg.SPLIT_SEED, so the same inputs give the same rotation."""
+    return [_leg_split(alg, [m for l, m in right_ops if l == leg]) for leg in (0, 1)]
 
 
 def _drop_bound(top: float) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from steinlab._linalg import gram_onb
+from steinlab._linalg import gram_onb, span_basis
 
 
 def act_left(alg, x):
@@ -147,10 +147,36 @@ def pair(alg, m1, m2) -> complex:
 def distance(space, mat) -> float:
     """<., .>_X distance from a derivation matrix to the span of an
     orthonormal derivation space."""
-    alg = space.algebra
-    coef = np.array([pair(alg, mat, b) for b in space.basis])
-    rem = mat - np.einsum("r,rpj->pj", coef, space.basis)
+    alg, basis = space.algebra, space.columns(slice(None))
+    coef = np.array([pair(alg, mat, b) for b in basis])
+    rem = mat - np.einsum("r,rpj->pj", coef, basis)
     return float(np.sqrt(max(pair(alg, rem, rem).real, 0.0)))
+
+
+# -- modules from raw spans --------------------------------------------------------
+
+def module_from_span(algebra, ncoords, span, right_ops, trace_vectors):
+    """The ModuleSubspace spanned by the columns of span, (ncoords * dim A^2,
+    r) in raw coordinates with copy c at rows c * dim A^2 onwards: whitened,
+    laid out as a module's basis is and orthonormalized by block
+    (span_basis)."""
+    from steinlab.derivations import whiten
+    from steinlab.vndim import ModuleSubspace
+
+    nn, r = algebra.dim**2, np.shape(span)[1]
+    w = whiten(algebra, np.reshape(span, (ncoords, nn, r)))
+    basis = span_basis(w.transpose(1, 0, 2).reshape(nn * ncoords, r))
+    return ModuleSubspace(algebra, ncoords, basis, right_ops, trace_vectors)
+
+
+def module_span(sub):
+    """The basis of a ModuleSubspace in module_from_span's raw layout."""
+    from steinlab.derivations import apply_pair
+
+    (nk, r), n = sub.basis.shape, sub.algebra.dim
+    q = sub.basis.vectors().T.reshape(n * n, sub.ncoords, r).transpose(1, 0, 2)
+    back = (sub.algebra.onb_inverse, sub.algebra.onb_inverse)
+    return apply_pair(back, q).reshape(nk, r)
 
 
 # -- the inner-derivation module as one raw span ----------------------------------
@@ -171,12 +197,12 @@ def inner_span(alg, gens):
 def inner_module(alg, gens):
     """phi_X of the commutator derivations as a ModuleSubspace formed from
     its raw span (inner_span)."""
-    from steinlab.vndim import ModuleSubspace, _right_ops, _with_stars
+    from steinlab.vndim import _right_ops, _with_stars
 
     gens = np.asarray(gens, dtype=complex)
     ops = _right_ops(alg, _with_stars(alg, gens))
     unit = np.kron(alg.unit, alg.unit)[:, None]
-    return ModuleSubspace.from_span(alg, gens.shape[1], inner_span(alg, gens), ops, unit)
+    return module_from_span(alg, gens.shape[1], inner_span(alg, gens), ops, unit)
 
 
 # -- the generated subalgebra by whole-span rounds --------------------------------

@@ -422,7 +422,7 @@ def test_cli_dim_json_shows_the_route_and_the_closure_residual(tmp_path, capsys)
     alg_path.write_text(json.dumps({"multimatrix": {"blocks": [[2, 0.5], [1, 0.5]]}}))
     assert main(["dim", str(alg_path), "--format", "json"]) == 0
     parsed = json.loads(capsys.readouterr().out)
-    assert parsed["route"] == "kernel"
+    assert parsed["route"] == "spectral"
     assert 0.0 <= parsed["closure_residual"] < 1e-12
     assert abs(parsed["dimension"] - 0.6875) < 1e-12
 
@@ -440,7 +440,9 @@ def test_python_m_steinlab_runs_the_command_line(tmp_path):
     assert "1/2" in done.stdout
 
 
-def test_cli_dim_above_the_dense_limit_exits_2(tmp_path, capsys):
+def test_cli_dim_of_rotated_m4_needs_no_leibniz_system(tmp_path, capsys):
+    # the Leibniz system of M4 in a basis with no zero structure is one
+    # block past the dense limit; dim reads the inner module instead
     alg = rotated(multimatrix([(4, 1.0)]), np.random.default_rng(9))
 
     def pairs(a):
@@ -449,10 +451,13 @@ def test_cli_dim_above_the_dense_limit_exits_2(tmp_path, capsys):
     path = tmp_path / "rotated.json"
     fields = {f: pairs(getattr(alg, f)) for f in ("mult", "star", "unit", "trace")}
     path.write_text(json.dumps({"dim": alg.dim, **fields}))
-    assert main(["dim", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "exceeds the dense limit of 1073741824 bytes" in err
-    assert "Traceback" not in err
+    assert main(["dim", str(path)]) == 0
+    assert "(= 15/16)" in capsys.readouterr().out
+    assert main(["dim", str(path), "--format", "json"]) == 0
+    parsed = json.loads(capsys.readouterr().out)
+    assert parsed["route"] == "spectral"
+    assert parsed["rank"] == 4**4 - 4**2
+    assert abs(parsed["dimension"] - 15 / 16) < 1e-12
 
 
 def test_cli_dim_rejects_an_invalid_algebra(tmp_path, capsys):
@@ -465,7 +470,7 @@ def test_cli_dim_rejects_an_invalid_algebra(tmp_path, capsys):
 
 
 def test_cli_dim_rejects_seed(tmp_path, capsys):
-    # dim uses no randomness, so it takes no --seed
+    # dim draws only from fixed seeds, so it takes no --seed
     alg_path = tmp_path / "m2.json"
     alg_path.write_text(json.dumps({"multimatrix": {"blocks": [[2, 1.0]]}}))
     with pytest.raises(SystemExit) as exc:
@@ -594,11 +599,16 @@ def test_central_family_row_fails_when_the_counts_differ(monkeypatch):
 @pytest.mark.parametrize("source", ["examples/c3_s3.json", "M2+C | Z/2 | ad(diag(1,-1)+1)"])
 def test_no_check_forms_a_whole_derivation_space(monkeypatch, source):
     # every check reads its spaces by kernel part or by a few columns; an
-    # AssertionError is no error a row reports, so a read would end the run
-    def refuse(self):
-        raise AssertionError("a check read DerivationSpace.basis")
+    # AssertionError is no error a row reports, so a read of the whole
+    # space at once would end the run
+    columns = reports.DerivationSpace.columns
 
-    monkeypatch.setattr(reports.DerivationSpace, "basis", property(refuse))
+    def refuse_whole(self, idx):
+        if isinstance(idx, slice) and idx == slice(None):
+            raise AssertionError("a check read a whole DerivationSpace")
+        return columns(self, idx)
+
+    monkeypatch.setattr(reports.DerivationSpace, "columns", refuse_whole)
     if source.endswith(".json"):
         path = Path(__file__).resolve().parent.parent / source
         spec = ExperimentSpec.from_json(json.loads(path.read_text()))
