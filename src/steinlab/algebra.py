@@ -96,14 +96,16 @@ class FDAlgebra:
         return e
 
     # -- multiplication operators -------------------------------------------
+    # the only code that turns mult into operators: each takes one element
+    # (dim,) or a stack (..., dim) and returns (dim, dim) or (..., dim, dim)
 
     def left_mult(self, m: np.ndarray) -> np.ndarray:
-        """Matrix of x -> m x."""
-        return np.tensordot(m, self.mult, axes=(0, 0)).T
+        """Matrix of x -> m x: [..., k, j] = sum_i m[..., i] mult[i, j, k]."""
+        return np.swapaxes(np.tensordot(m, self.mult, axes=(-1, 0)), -1, -2)
 
     def right_mult(self, m: np.ndarray) -> np.ndarray:
-        """Matrix of x -> x m."""
-        return np.tensordot(self.mult, m, axes=(1, 0)).T
+        """Matrix of x -> x m: [..., k, i] = sum_j m[..., j] mult[i, j, k]."""
+        return np.swapaxes(np.tensordot(m, self.mult, axes=(-1, 1)), -1, -2)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -160,8 +162,7 @@ class FDAlgebra:
             pos += int(np.argmax(outside)) + 1
             i = walk[pos - 1]
             chosen.append(i)
-            # T left_mult(b_i) T^-1, left_mult(b_i) = mult[i]^T
-            left = t @ self.mult[i].T @ self.onb_inverse
+            left = t @ self.left_mult(self.basis(i)) @ self.onb_inverse
             letters.append(left / np.linalg.norm(left))
             # the words b_i w for the words w so far, closed under the letters
             span = close_span(span, letters, np.column_stack([dirs[:, i], letters[-1] @ span]))

@@ -211,12 +211,8 @@ def permutation_action(grp: FiniteGroup, alg: FDAlgebra, perms: np.ndarray) -> G
 def ad_action(grp: FiniteGroup, alg: FDAlgebra, unitaries: np.ndarray) -> GroupAction:
     """Inner action alpha_g = Ad(u_g), given coordinates of one unitary per element."""
     unitaries = np.asarray(unitaries, dtype=complex)
-    mats = np.stack(
-        [
-            alg.left_mult(unitaries[g]) @ alg.right_mult(alg.star_of(unitaries[g]))
-            for g in range(grp.order)
-        ]
-    )
+    # x -> u_g x u_g*, the stars u_g* = star conj(u_g) as rows
+    mats = alg.left_mult(unitaries) @ alg.right_mult(np.conj(unitaries) @ alg.star.T)
     act = GroupAction(grp, alg, mats)
     validate_action(act)
     return act
@@ -286,8 +282,7 @@ class CrossedProduct:
     def u_mult(self) -> tuple[np.ndarray, np.ndarray]:
         """(left_mult(u_g), right_mult(u_g)) for every g, each (|G|, n, n)."""
         us = self.embed_group.T
-        return (np.stack([self.algebra.left_mult(u) for u in us]),
-                np.stack([self.algebra.right_mult(u) for u in us]))
+        return self.algebra.left_mult(us), self.algebra.right_mult(us)
 
     def ad(self, g: int) -> np.ndarray:
         """Coordinate matrix of x -> u_g x u_g^-1."""
@@ -340,7 +335,8 @@ def center_basis(alg: FDAlgebra) -> np.ndarray:
     commutators with the basis, solved for the GNS-orthonormal coordinates
     w = T z, T = alg.onb_factor, so that T^-1 maps its orthonormal basis
     to a GNS-orthonormal one."""
-    rows = np.vstack([alg.left_mult(e) - alg.right_mult(e) for e in np.eye(alg.dim)])
+    eye = np.eye(alg.dim)
+    rows = (alg.left_mult(eye) - alg.right_mult(eye)).reshape(-1, alg.dim)
     return alg.onb_inverse @ nullspace(rows @ alg.onb_inverse).vectors().T
 
 
@@ -367,7 +363,7 @@ def central_projections(alg: FDAlgebra) -> list[tuple[int, np.ndarray]]:
     t, ti = alg.onb_factor, alg.onb_inverse
     one = t @ alg.unit
     # spectral_split adds the adjoints, T L(z^*) T^-1
-    lefts = np.stack([t @ alg.left_mult(z) @ ti for z in z_basis.T])
+    lefts = t @ alg.left_mult(z_basis.T) @ ti
     vec, bounds = spectral_split(lefts, want=z_basis.shape[1])
     out = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -409,12 +405,11 @@ def characters(g: FiniteGroup) -> list[Character]:
     if not g.is_abelian:
         raise NotAbelian(f"{g.label or 'group'} is not abelian")
     alg = group_algebra(g)
-    chars = []
-    for _, p in central_projections(alg):
-        # <x, p> = q x for the row q = conj(p) gram; u_h p = mult[h]^T p
-        q = np.conj(p) @ alg.gram
-        chars.append(np.tensordot(alg.mult, p, axes=(1, 0)) @ q / (q @ p))
-    chars.sort(key=lambda c: tuple((np.round(c, 8) + 0.0).view(float)))
+    ps = np.array([p for _, p in central_projections(alg)])
+    # <x, p> = q x for the row q = conj(p) gram; u_h p is column h of right_mult(p)
+    qs = (np.conj(ps) @ alg.gram)[:, None]
+    vals = (qs @ alg.right_mult(ps) / (qs @ ps[:, :, None]))[:, 0]
+    chars = sorted(vals, key=lambda c: tuple((np.round(c, 8) + 0.0).view(float)))
     return [Character(g, c) for c in chars]
 
 
@@ -436,7 +431,7 @@ def subalgebra_generate(alg: FDAlgebra, gens: list[np.ndarray]) -> np.ndarray:
     letters = [np.asarray(g, dtype=complex) for g in gens]
     letters += [alg.star_of(g) for g in letters]
     letters = [g / size for g in letters if (size := alg.norm(g))]
-    lefts = [t @ alg.left_mult(g) @ ti for g in letters]
+    lefts = list(t @ alg.left_mult(np.reshape(letters, (-1, alg.dim))) @ ti)
     empty = np.zeros((alg.dim, 0), dtype=complex)
     return ti @ close_span(empty, lefts, t @ np.column_stack([alg.unit] + letters))
 

@@ -183,13 +183,13 @@ def commutator_span(alg: FDAlgebra, xs: np.ndarray, xis: np.ndarray) -> np.ndarr
     holds the values at x_k of the inner derivations [., xi]. With xis the
     identity it is the matrix of xi -> ([x_k, xi])_k.
     """
-    xs = np.asarray(xs, dtype=complex)
-    xis = np.asarray(xis, dtype=complex)
-    out = np.empty((xs.shape[1], *xis.shape), dtype=complex)
-    for k, x in enumerate(xs.T):
-        left = apply_pair((alg.left_mult(x), None), xis)
-        np.subtract(left, apply_pair((None, alg.right_mult(x)), xis), out=out[k])
-    return out
+    n, m = alg.dim, np.shape(xis)[1]
+    xs = np.asarray(xs, dtype=complex).T
+    v = np.asarray(xis, dtype=complex).reshape(n, n, m)
+    # x . xi acts on leg a and xi . x on leg b, for every x at once
+    out = (alg.left_mult(xs) @ v.reshape(n, n * m)).reshape(-1, n, n, m)
+    out -= alg.right_mult(xs)[:, None] @ v
+    return out.reshape(-1, n * n, m)
 
 
 def leibniz_system(alg: FDAlgebra, rows: np.ndarray | None = None) -> SparseSystem:
@@ -263,9 +263,9 @@ def _whitened_mult(alg: FDAlgebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The whitened operators T left_mult(b_x) T^-1 and T right_mult(b_y)
     T^-1 of leibniz_system, indexed [x, y, z] as mult is, and the union of
     their nonzero patterns with mult's, on which its entries sit."""
-    t, t_inv = alg.onb_factor, alg.onb_inverse
-    lw = (t @ alg.mult.transpose(0, 2, 1) @ t_inv).transpose(0, 2, 1)
-    rw = (t @ alg.mult.transpose(1, 2, 0) @ t_inv).transpose(2, 0, 1)
+    t, t_inv, eye = alg.onb_factor, alg.onb_inverse, np.eye(alg.dim)
+    lw = (t @ alg.left_mult(eye) @ t_inv).transpose(0, 2, 1)
+    rw = (t @ alg.right_mult(eye) @ t_inv).transpose(2, 0, 1)
     return lw, rw, (alg.mult != 0) | (lw != 0) | (rw != 0)
 
 
@@ -380,10 +380,11 @@ def argument_map(alg: FDAlgebra, cols: np.ndarray) -> SparseSystem:
 
 # -- matrix-unit central projection -------------------------------------------
 
-def central_projection_element(alg: FDAlgebra, units: list[np.ndarray]) -> tuple[np.ndarray, list]:
+def central_projection_element(alg: FDAlgebra, units: list[np.ndarray]) -> tuple[np.ndarray, tuple]:
     """Element p = sum_i n_i^-1 sum_jk e^(i)_jk (x) (e^(i)_kj)^op and its
-    left multiplication on L^2(N), as a list of kron factor pairs whose
-    sum it is (one per matrix unit).
+    left multiplication on L^2(N) as two stacks (lefts, rights), one entry
+    per matrix unit e^(i)_jk: lefts[u] = n_i^-1 left_mult(e^(i)_jk) and
+    rights[u] = right_mult(e^(i)_kj), whose kron products sum to it.
 
     The units argument lists one (n_i, n_i, dim) array of coordinate vectors
     per block; they must satisfy the matrix-unit relations and sum to 1.
@@ -412,15 +413,9 @@ def central_projection_element(alg: FDAlgebra, units: list[np.ndarray]) -> tuple
     prods = np.einsum("ai,bj,ijk->abk", flat, flat, alg.mult)
     if np.linalg.norm(prods - want, axis=2).max() > tol:
         raise UnitsInvalid("matrix unit relations fail")
-    p = np.zeros(alg.dim**2, dtype=complex)
-    left = []
-    for arr in units:
-        n = arr.shape[0]
-        for j in range(n):
-            for k in range(n):
-                p += np.kron(arr[j, k], arr[k, j]) / n
-                left.append((alg.left_mult(arr[j, k]) / n, alg.right_mult(arr[k, j])))
-    return p, left
+    sizes = np.concatenate([np.full(arr.shape[0] ** 2, arr.shape[0]) for arr in units])
+    p = np.einsum("ua,ub->ab", flat / sizes[:, None], flat_t).reshape(-1)
+    return p, (alg.left_mult(flat) / sizes[:, None, None], alg.right_mult(flat_t))
 
 
 # -- scaling conjugation (covariance) -----------------------------------------

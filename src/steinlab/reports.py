@@ -599,7 +599,7 @@ def _chk_coset_projections(rc: RunContext):
     same = np.arange(grp.order)
 
     def stray(op, f):
-        return float(np.abs(op[gi[:, None] != f[gi][None, :]]).max(initial=0.0))
+        return float(np.abs(op[..., gi[:, None] != f[gi][None, :]]).max(initial=0.0))
 
     # the masks are orthogonal projections in the GNS metric, whose Gram is
     # kron(gram, gram), exactly when the Gram vanishes between different
@@ -612,9 +612,8 @@ def _chk_coset_projections(rc: RunContext):
     # conjugation swaps the sector indices, J p_{g,h} = p_{g^-1,h^-1} J, on both legs
     legs.append((calg.star, grp.inverse))
     # commutes with the base tensor algebra acting on either side
-    for j in range(rc.alg.dim):
-        lifted = rc.cp.lift(rc.alg.basis(j))
-        legs += [(calg.left_mult(lifted), same), (calg.right_mult(lifted), same)]
+    lifted = rc.cp.embed_base.T
+    legs += [(calg.left_mult(lifted), same), (calg.right_mult(lifted), same)]
     return Compared(max(worst, *(stray(op, f) for op, f in legs)), 0.0)
 
 
@@ -723,18 +722,21 @@ def _chk_central_projection(rc: RunContext):
     if rc.spec.blocks is None:
         raise Skip("matrix units not supplied")
     alg = rc.alg
-    p, left_p = central_projection_element(alg, matrix_units(rc.spec.blocks))
+    p, (lefts, rights) = central_projection_element(alg, matrix_units(rc.spec.blocks))
     p = p[:, None]
     q = central_vectors(alg, np.eye(alg.dim, dtype=complex))
+    n = alg.dim
 
     def left(v):
-        return sum(apply_pair(pair, v) for pair in left_p)
+        # sum_u kron(lefts[u], rights[u]) v, one contraction over the units
+        return np.einsum("uac,ubd,cdm->abm", lefts, rights, v.reshape(n, n, -1),
+                         optimize=True).reshape(n * n, -1)
 
     op_res = max(
         frob(whiten(alg, left(p) - p)),
         frob(whiten(alg, apply_pair((alg.star, alg.star), p.conj()) - p)),
         frob(whiten(alg, left(q) - q)),
-        abs(sum(np.trace(a) * np.trace(b) for a, b in left_p) - q.shape[1]),
+        abs(np.trace(lefts, axis1=1, axis2=2) @ np.trace(rights, axis1=1, axis2=2) - q.shape[1]),
     )
     unit = np.kron(alg.unit, alg.unit)[:, None]
     lhs = float(np.vdot(whiten(alg, unit), whiten(alg, p)).real)

@@ -554,10 +554,7 @@ def _right_ops(alg, xs: list) -> list:
     """Right multiplication on L^2(alg (x) alg^op) by x (x) 1 and 1 (x) x^op
     for each x, as (0, right_mult(x)) and (1, left_mult(x))."""
     xs = np.reshape(xs, (-1, alg.dim))
-    # right_mult(x)[k, i] = sum_j mult[i, j, k] x_j, left_mult(x)[k, j] =
-    # sum_i x_i mult[i, j, k], for all x at once
-    rights = np.tensordot(alg.mult, xs, axes=(1, 1)).transpose(2, 1, 0)
-    lefts = np.tensordot(xs, alg.mult, axes=(1, 0)).transpose(0, 2, 1)
+    rights, lefts = alg.right_mult(xs), alg.left_mult(xs)
     return [op for r, l in zip(rights, lefts) for op in ((0, r), (1, l))]
 
 
@@ -607,12 +604,9 @@ def _inner_basis(alg, gens: np.ndarray, legs: list) -> tuple[dict, int]:
     """
     (rot_a, inv_a, ca), (rot_b, inv_b, cb) = legs
     k, n = gens.shape[1], alg.dim
-    # left_mult(x) on leg a and right_mult(x) on leg b for every argument x,
-    # as in _right_ops
-    lefts = np.tensordot(gens.T, alg.mult, axes=(1, 0)).transpose(0, 2, 1)
-    rights = np.tensordot(alg.mult, gens, axes=(1, 0)).transpose(2, 1, 0)
-    diag_a, off_a = _cluster_diagonal(rot_a @ lefts @ inv_a, ca)
-    diag_b, off_b = _cluster_diagonal(rot_b @ rights @ inv_b, cb)
+    # left_mult(x) on leg a and right_mult(x) on leg b for every argument x
+    diag_a, off_a = _cluster_diagonal(rot_a @ alg.left_mult(gens.T) @ inv_a, ca)
+    diag_b, off_b = _cluster_diagonal(rot_b @ alg.right_mult(gens.T) @ inv_b, cb)
     # off-cluster entry (i', i) of A_c sits in column e_i (x) e_j for every j
     leak2 = n * (off_a + off_b)
 

@@ -264,7 +264,9 @@ def derivation_dimension(alg: TableAlgebra, return_rank: bool = False):
             block[:, i * nn : (i + 1) * nn] -= rops[j]
             rows.append(block)
     system = np.vstack(rows)
-    _, svals, vh = np.linalg.svd(system, full_matrices=True)
+    # n^4 rows and n^3 columns: the thin vh is square, so its rows past the
+    # rank span the kernel
+    _, svals, vh = np.linalg.svd(system, full_matrices=False)
     scale = svals[0] if svals.size else 1.0
     rank = int(np.sum(svals > CUT * max(scale, 1.0)))
     kernel = vh[rank:].conj().T  # columns: flattened derivations

@@ -56,7 +56,7 @@ M2 = multimatrix([(2, 1.0)], label="M2")
 def in_basis(alg: FDAlgebra, s: np.ndarray, label: str = "") -> FDAlgebra:
     """The same algebra in the basis b'_i = sum_a s[a, i] b_a, s invertible."""
     sinv = np.linalg.inv(s)
-    mult = np.einsum("ai,bj,abc,kc->ijk", s, s, alg.mult, sinv)
+    mult = np.einsum("ai,bj,abc,kc->ijk", s, s, alg.mult, sinv, optimize=True)
     star = sinv @ alg.star @ np.conj(s)
     return FDAlgebra(alg.dim, mult, star, sinv @ alg.unit, alg.trace @ s, label=label)
 
@@ -95,6 +95,26 @@ def cp_m2():
     sign = np.array([1, 0, 0, -1], dtype=complex)
     act = ad_action(cyclic(2), M2, np.stack([M2.unit, sign]))
     return crossed_product(M2, act)
+
+
+def test_mult_matrices_of_a_stack_are_the_per_element_ones(cp_m2):
+    # a (2, 3, dim) stack gives one matrix per element; column j of each is
+    # the product with b_j, on the left for left_mult and the right for right_mult
+    rng = np.random.default_rng(5)
+    rot = rotated(multimatrix([(2, 2 / 3), (1, 1 / 3)], label="M2+C"), rng)
+    for alg in (cp_m2.algebra, rot):
+        xs = rng.standard_normal((2, 3, alg.dim)) + 1j * rng.standard_normal((2, 3, alg.dim))
+        lefts, rights = alg.left_mult(xs), alg.right_mult(xs)
+        assert lefts.shape == rights.shape == (2, 3, alg.dim, alg.dim)
+        for idx in np.ndindex(2, 3):
+            x = xs[idx]
+            assert alg.left_mult(x).shape == alg.right_mult(x).shape == (alg.dim, alg.dim)
+            assert np.max(np.abs(lefts[idx] - alg.left_mult(x))) < 1e-13
+            assert np.max(np.abs(rights[idx] - alg.right_mult(x))) < 1e-13
+            for j in range(alg.dim):
+                b = alg.basis(j)
+                assert np.max(np.abs(lefts[idx][:, j] - alg.mul(x, b))) < 1e-13
+                assert np.max(np.abs(rights[idx][:, j] - alg.mul(b, x))) < 1e-13
 
 
 def test_derivation_space_satisfies_leibniz():
@@ -329,9 +349,9 @@ def test_apply_pair_is_the_kron_matmul_for_monomial_and_dense_factors():
 
 def test_central_projection_element_of_m2():
     blocks = [(2, 1.0)]
-    p, pairs = central_projection_element(M2, matrix_units(blocks))
-    # the kron pairs sum to left multiplication by p
-    left_p = sum(np.kron(a, b) for a, b in pairs)
+    p, stacks = central_projection_element(M2, matrix_units(blocks))
+    # the krons of the two stacks sum to left multiplication by p
+    left_p = sum(np.kron(a, b) for a, b in zip(*stacks))
     units = matrix_units(blocks)[0]
     want = sum(ref.left_pair(M2, units[j, k], units[k, j]) / 2 for j in range(2) for k in range(2))
     assert np.max(np.abs(left_p - want)) < 1e-12
@@ -351,8 +371,8 @@ def test_central_projection_element_checks_the_matrix_units():
     m2c_blocks = [(2, 0.6), (1, 0.4)]
     alg = multimatrix(m2c_blocks)
     units = matrix_units(m2c_blocks)
-    p, pairs = central_projection_element(alg, units)
-    assert len(pairs) == 5
+    p, (lefts, rights) = central_projection_element(alg, units)
+    assert lefts.shape == rights.shape == (5, alg.dim, alg.dim)
     swapped = [units[0].transpose(1, 0, 2), units[1]]  # e_jk <-> e_kj breaks e_jk e_kl = e_jl
     mixed = [units[0][::-1], units[1]]  # e_11 <-> e_21 breaks the star relation
     bad = {

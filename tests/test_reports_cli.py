@@ -442,22 +442,23 @@ def test_python_m_steinlab_runs_the_command_line(tmp_path):
 
 def test_cli_dim_of_rotated_m4_needs_no_leibniz_system(tmp_path, capsys):
     # the Leibniz system of M4 in a basis with no zero structure is one
-    # block past the dense limit; dim reads the inner module instead
-    alg = rotated(multimatrix([(4, 1.0)]), np.random.default_rng(9))
-
+    # block past the dense limit; dim reads the inner module instead, and
+    # so reaches rotated M8 (dim 64) too
     def pairs(a):
         return np.stack([a.real, a.imag], axis=-1).tolist()
 
-    path = tmp_path / "rotated.json"
-    fields = {f: pairs(getattr(alg, f)) for f in ("mult", "star", "unit", "trace")}
-    path.write_text(json.dumps({"dim": alg.dim, **fields}))
-    assert main(["dim", str(path)]) == 0
-    assert "(= 15/16)" in capsys.readouterr().out
-    assert main(["dim", str(path), "--format", "json"]) == 0
-    parsed = json.loads(capsys.readouterr().out)
-    assert parsed["route"] == "spectral"
-    assert parsed["rank"] == 4**4 - 4**2
-    assert abs(parsed["dimension"] - 15 / 16) < 1e-12
+    for n in (4, 8):
+        alg = rotated(multimatrix([(n, 1.0)]), np.random.default_rng(9))
+        path = tmp_path / f"rotated_m{n}.json"
+        fields = {f: pairs(getattr(alg, f)) for f in ("mult", "star", "unit", "trace")}
+        path.write_text(json.dumps({"dim": alg.dim, **fields}))
+        assert main(["dim", str(path)]) == 0
+        assert f"(= {n * n - 1}/{n * n})" in capsys.readouterr().out
+        assert main(["dim", str(path), "--format", "json"]) == 0
+        parsed = json.loads(capsys.readouterr().out)
+        assert parsed["route"] == "spectral"
+        assert parsed["rank"] == n**4 - n**2
+        assert abs(parsed["dimension"] - (1 - 1 / n**2)) < 1e-12
 
 
 def test_cli_dim_rejects_an_invalid_algebra(tmp_path, capsys):

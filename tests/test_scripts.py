@@ -4,7 +4,9 @@ import json
 import sys
 from pathlib import Path
 
-from steinlab import reports
+import numpy as np
+
+from steinlab import reports, validate
 from steinlab.constructions import validate_action
 from steinlab.reports import ExperimentSpec
 
@@ -112,10 +114,18 @@ def test_c4_d4_battery_checks_its_bounds():
 
 def test_m8_inner_ceiling_checks_its_bounds():
     script = load("m8_inner_ceiling")
-    assert script.failures(1 - 1 / 64, 1.0, 72 * 10**6) == []
-    assert script.failures(1 - 1 / 64 + 1e-11, 19.9, 99 * 10**6) == []
-    missed = script.failures(1 - 1 / 64 + 1e-9, 20.0, 100 * 10**6)
+    rot = script.rotated_m8()
+    assert rot.dim == 64
+    assert validate(rot).passed
+    # no zero pattern: every structure constant is nonzero
+    assert np.count_nonzero(rot.mult) == 64**3
+    exact = {"M8": 1 - 1 / 64, "rotated M8": 1 - 1 / 64}
+    assert script.failures(exact, 1.0, 72 * 10**6) == []
+    near = {name: value + 1e-11 for name, value in exact.items()}
+    assert script.failures(near, 19.9, 99 * 10**6) == []
+    missed = script.failures({**exact, "rotated M8": 1 - 1 / 64 + 1e-9}, 20.0, 100 * 10**6)
     assert [line.split()[0] for line in missed] == ["value", "took", "max"]
+    assert "for rotated M8" in missed[0]
 
 
 def test_code_lines_leaves_out_docstrings_comments_and_blank_lines(tmp_path, capsys):
