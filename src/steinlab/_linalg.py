@@ -159,14 +159,12 @@ def rank_cut(scale: float) -> float:
     return max(scale * REL_CUT, ABS_CUT)
 
 
-def rank_split(svals: np.ndarray, scale: float | None = None) -> int:
+def rank_split(svals: np.ndarray) -> int:
     """Number of nonzero singular values in a descending array."""
     s = np.asarray(svals, dtype=float)
     if s.size == 0:
         return 0
-    if scale is None:
-        scale = s[0]
-    kept = int(np.sum(s > rank_cut(scale)))
+    kept = int(np.sum(s > rank_cut(s[0])))
     if 0 < kept < s.size:
         top_dropped = s[kept]
         if top_dropped > 0 and s[kept - 1] / top_dropped < GAP_RATIO:

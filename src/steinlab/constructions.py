@@ -31,10 +31,19 @@ PRUNE_TOL = 1e-10
 
 # -- multimatrix algebras ----------------------------------------------------
 
+def _unit_index(blocks: list[tuple[int, float]]) -> list[np.ndarray]:
+    """Coordinate index of each matrix unit, one (n_i, n_i) array per block:
+    out[i][j, k] is that of e^{(i)}_{jk}. The units run in block order and
+    row-major within a block; no other code knows this layout."""
+    sizes = [int(n) for n, _ in blocks]
+    offsets = np.cumsum([0] + [n * n for n in sizes])
+    return [off + np.arange(n * n).reshape(n, n) for off, n in zip(offsets, sizes)]
+
+
 def multimatrix(blocks: list[tuple[int, float]], label: str = "") -> FDAlgebra:
     """Direct sum of matrix blocks M_{n_i} with trace weights alpha_i.
 
-    Basis is the matrix units e^{(i)}_{jk} in block order; the trace takes
+    Basis is the matrix units e^{(i)}_{jk} (_unit_index); the trace takes
     e^{(i)}_{jj} to alpha_i / n_i. Weights must sum to 1.
     """
     blocks = [(int(n), float(a)) for n, a in blocks]
@@ -49,22 +58,11 @@ def multimatrix(blocks: list[tuple[int, float]], label: str = "") -> FDAlgebra:
     star = np.zeros((dim, dim), dtype=complex)
     unit = np.zeros(dim, dtype=complex)
     trace = np.zeros(dim, dtype=complex)
-
-    off = 0
-    for n, a in blocks:
-        def pos(j, k, off=off, n=n):
-            return off + j * n + k
-
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    for m in range(n):
-                        if k == l:
-                            mult[pos(j, k), pos(l, m), pos(j, m)] = 1.0
-                star[pos(k, j), pos(j, k)] = 1.0
-            unit[pos(j, j)] = 1.0
-            trace[pos(j, j)] = a / n
-        off += n * n
+    for e, (n, a) in zip(_unit_index(blocks), blocks):
+        mult[e[:, :, None], e[None], e[:, None]] = 1.0  # e_jk e_km = e_jm
+        star[e.T, e] = 1.0  # e_jk* = e_kj
+        unit[e.diagonal()] = 1.0  # 1 = sum_j e_jj
+        trace[e.diagonal()] = a / n  # tau(e_jj) = alpha / n
 
     if not label:
         label = "+".join(f"M{n}({a:g})" for n, a in blocks)
@@ -73,64 +71,36 @@ def multimatrix(blocks: list[tuple[int, float]], label: str = "") -> FDAlgebra:
 
 def matrix_units(blocks: list[tuple[int, float]]) -> list[np.ndarray]:
     """Coordinate vectors of the standard units: units[b][j, k] is e^{(b)}_{jk}."""
-    dim = sum(int(n) * int(n) for n, _ in blocks)
-    out = []
-    off = 0
-    for n, _ in blocks:
-        n = int(n)
-        arr = np.zeros((n, n, dim), dtype=complex)
-        for j in range(n):
-            for k in range(n):
-                arr[j, k, off + j * n + k] = 1.0
-        out.append(arr)
-        off += n * n
-    return out
+    eye = np.eye(sum(int(n) * int(n) for n, _ in blocks), dtype=complex)
+    return [eye[e] for e in _unit_index(blocks)]
 
 
 def multimatrix_generators(blocks: list[tuple[int, float]]) -> np.ndarray:
     """Small self-adjoint generating set of a multimatrix algebra (columns).
 
     A diagonal element with distinct entries separates blocks and generates
-    the diagonal; a blockwise cyclic shift fills in the off-diagonal units.
-    The set {h, v, v*} is closed under star.
+    the diagonal; a blockwise cyclic shift v = sum_j e_{j, j+1} fills in the
+    off-diagonal units. The set {h, v, v*} is closed under star.
     """
-    dim = sum(int(n) * int(n) for n, _ in blocks)
-    h = np.zeros(dim, dtype=complex)
-    v = np.zeros(dim, dtype=complex)
-    off = 0
-    val = 1.0
-    for n, _ in blocks:
-        n = int(n)
-        for j in range(n):
-            h[off + j * n + j] = val
-            v[off + j * n + ((j + 1) % n)] = 1.0
-            val += 1.0
-        off += n * n
-    vstar = np.zeros(dim, dtype=complex)
-    off = 0
-    for n, _ in blocks:
-        n = int(n)
-        for j in range(n):
-            vstar[off + ((j + 1) % n) * n + j] = 1.0
-        off += n * n
-    return np.column_stack([h, v, vstar])
+    units = _unit_index(blocks)
+    diag = np.concatenate([e.diagonal() for e in units])
+    gens = np.zeros((sum(e.size for e in units), 3), dtype=complex)
+    gens[diag, 0] = np.arange(1, diag.size + 1)
+    gens[np.concatenate([np.roll(e, -1, axis=1).diagonal() for e in units]), 1] = 1.0
+    gens[np.concatenate([np.roll(e, -1, axis=0).diagonal() for e in units]), 2] = 1.0
+    return gens
 
 
 # -- group algebras ----------------------------------------------------------
 
 def group_algebra(g: FiniteGroup) -> FDAlgebra:
     """C[G] with basis u_g, u_g u_h = u_{gh}, u_g* = u_{g^-1}, tau(u_g) = [g = e]."""
-    n = g.order
-    mult = np.zeros((n, n, n), dtype=complex)
-    star = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        star[g.inv(a), a] = 1.0
-        for b in range(n):
-            mult[a, b, g.mul(a, b)] = 1.0
-    unit = np.zeros(n, dtype=complex)
-    unit[g.identity] = 1.0
-    trace = unit.copy()
-    return FDAlgebra(n, mult, star, unit, trace, label=f"C[{g.label or 'G'}]")
+    eye = np.eye(g.order, dtype=complex)
+    # star[g^-1, g] = 1 is eye[inverse], since inversion is an involution
+    unit = eye[g.identity]
+    return FDAlgebra(
+        g.order, eye[g.table], eye[g.inverse], unit, unit.copy(), label=f"C[{g.label or 'G'}]"
+    )
 
 
 # -- group actions -----------------------------------------------------------
@@ -200,9 +170,7 @@ def permutation_action(grp: FiniteGroup, alg: FDAlgebra, perms: np.ndarray) -> G
     perms = np.asarray(perms, dtype=int)
     k, n = grp.order, alg.dim
     mats = np.zeros((k, n, n), dtype=complex)
-    for g in range(k):
-        for q in range(n):
-            mats[g, perms[g][q], q] = 1.0
+    mats[np.arange(k)[:, None], perms, np.arange(n)] = 1.0
     act = GroupAction(grp, alg, mats)
     validate_action(act)
     return act
@@ -253,19 +221,16 @@ class CrossedProduct:
 
     @cached_property
     def embed_base(self) -> np.ndarray:
-        k = self.group.order
+        """b_i -> b_i u_e."""
+        i = np.arange(self.base.dim)
         out = np.zeros((self.algebra.dim, self.base.dim), dtype=complex)
-        for i in range(self.base.dim):
-            out[i * k + self.group.identity, i] = 1.0
+        out[i * self.group.order + self.group.identity, i] = 1.0
         return out
 
     @cached_property
     def embed_group(self) -> np.ndarray:
-        k = self.group.order
-        out = np.zeros((self.algebra.dim, k), dtype=complex)
-        for g in range(k):
-            out[:, g] = np.kron(self.base.unit, np.eye(k)[g])
-        return out
+        """u_g -> 1 u_g."""
+        return np.kron(self.base.unit[:, None], np.eye(self.group.order))
 
     def u(self, g: int) -> np.ndarray:
         return self.embed_group[:, g].copy()
@@ -505,7 +470,6 @@ def group_central_family(grp: FiniteGroup) -> np.ndarray:
     """
     k = grp.order
     out = np.zeros((k * k, k), dtype=complex)
-    for h in range(k):
-        for a in range(k):
-            out[grp.mul(a, h) * k + grp.inv(a), h] = 1.0
+    # u_{ah} (x) u_{a^-1} in column h, for a down the table and h across
+    out[grp.table * k + grp.inverse[:, None], np.arange(k)] = 1.0
     return out / np.sqrt(k)

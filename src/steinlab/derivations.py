@@ -192,7 +192,7 @@ def commutator_span(alg: FDAlgebra, xs: np.ndarray, xis: np.ndarray) -> np.ndarr
     return out.reshape(-1, n * n, m)
 
 
-def leibniz_system(alg: FDAlgebra, rows: np.ndarray | None = None) -> SparseSystem:
+def leibniz_system(alg: FDAlgebra, rows: np.ndarray) -> SparseSystem:
     """Linear system whose kernel is the space of derivations, in
     GNS-orthonormal leg coordinates.
 
@@ -202,11 +202,11 @@ def leibniz_system(alg: FDAlgebra, rows: np.ndarray | None = None) -> SparseSyst
     d(b_i b_j) - b_i . d(b_j) - d(b_i) . b_j = 0, so <., .>_X is the
     standard inner product of unknowns and a row norm is a GNS norm.
 
-    rows lists the basis indices i whose equations are built, S, all of
-    them by default; equation (p, i, j) with i = rows[s] is at row
-    (p * |S| + s) * dim A + j. When the words in S (products of one or
-    more elements b_s, s in S) span A, as for alg.generating_indices, the
-    kernel is the same as the full system's. For a fixed linear d, the x
+    rows lists the basis indices i whose equations are built, S
+    (np.arange(dim A) for the full system); equation (p, i, j) with
+    i = rows[s] is at row (p * |S| + s) * dim A + j. When the words in S
+    (products of one or more elements b_s, s in S) span A, as for
+    alg.generating_indices, the kernel is the same as the full system's. For a fixed linear d, the x
     with d(xy) = x . d(y) + d(x) . y for every y form a subspace L, and L
     is closed under products: for x1, x2 in L and every y,
         d(x1 x2 y) = x1 . d(x2 y) + d(x1) . x2 y
@@ -225,13 +225,12 @@ def leibniz_system(alg: FDAlgebra, rows: np.ndarray | None = None) -> SparseSyst
     keep that pattern.
     """
     n = alg.dim
-    sel = np.arange(n) if rows is None else np.asarray(rows)
+    sel = np.asarray(rows)
     m = sel.size
     lw, rw, pattern = _whitened_mult(alg)
     # every triple, and the triples with x = sel[r]
     x, y, z = (ax[:, None, None] for ax in np.nonzero(pattern))
-    r, yr, zr = (x, y, z) if rows is None else (
-        ax[:, None, None] for ax in np.nonzero(pattern[sel]))
+    r, yr, zr = (ax[:, None, None] for ax in np.nonzero(pattern[sel]))
     xr = sel[r]
     a = np.arange(n)[:, None]  # free index on one tensor leg of N
     b = np.arange(n)  # free index on A
@@ -284,24 +283,17 @@ class DerivationSpace:
 
     def columns(self, idx) -> np.ndarray:
         """The derivations idx of the basis, for idx any numpy index of
-        them (kernel_basis); nothing is cached."""
-        return kernel_basis(self.algebra, self.kernel, idx)
+        them, (count, dim N, dim A) in raw coordinates: the whitened
+        values, read by BlockKernel.vectors, mapped back by (T^-1, T^-1).
+        Each derivation is contiguous, so it is mapped back by the same
+        products whichever others are read with it; nothing is cached."""
+        n, t_inv = self.algebra.dim, self.algebra.onb_inverse
+        w = self.kernel.vectors(idx)
+        return apply_pair((t_inv, t_inv), w.reshape(len(w), n * n, n))
 
     @property
     def rank(self) -> int:
         return self.kernel.shape[1]
-
-
-def kernel_basis(alg: FDAlgebra, kernel: BlockKernel, idx=slice(None)) -> np.ndarray:
-    """The derivations idx (all by default) of a kernel of leibniz_system,
-    (count, dim N, dim A) in raw coordinates: the whitened values, read by
-    BlockKernel.vectors, mapped back by (T^-1, T^-1). Each derivation is
-    contiguous, so it is mapped back by the same products whichever others
-    are read with it."""
-    n = alg.dim
-    back = (alg.onb_inverse, alg.onb_inverse)
-    w = kernel.vectors(idx)
-    return apply_pair(back, w.reshape(len(w), n * n, n))
 
 
 def derivation_space(alg: FDAlgebra) -> DerivationSpace:

@@ -100,14 +100,10 @@ def cyclic(n: int) -> FiniteGroup:
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Product group on pairs, indexed a*|H| + b."""
     n, m = g.order, h.order
-    table = np.zeros((n * m, n * m), dtype=int)
-    for a1 in range(n):
-        for b1 in range(m):
-            for a2 in range(n):
-                for b2 in range(m):
-                    table[a1 * m + b1, a2 * m + b2] = g.mul(a1, a2) * m + h.mul(b1, b2)
+    # (a1, b1)(a2, b2) = (a1 a2, b1 b2), on axes a1, b1, a2, b2
+    table = g.table[:, None, :, None] * m + h.table[None, :, None, :]
     lab = f"{g.label or 'G'}x{h.label or 'H'}"
-    return FiniteGroup(n * m, table, label=lab)
+    return FiniteGroup(n * m, table.reshape(n * m, n * m), label=lab)
 
 
 def symmetric_3() -> FiniteGroup:
@@ -123,13 +119,9 @@ def symmetric_3() -> FiniteGroup:
 
 def dihedral_4() -> FiniteGroup:
     """Symmetries of the square, r^a s^b with s r s = r^-1; index a + 4b."""
-    table = np.zeros((8, 8), dtype=int)
-    for a in range(4):
-        for b in range(2):
-            for c in range(4):
-                for d in range(2):
-                    aa = (a + (c if b == 0 else -c)) % 4
-                    table[a + 4 * b, c + 4 * d] = aa + 4 * ((b + d) % 2)
+    a, b = np.arange(8) % 4, np.arange(8) // 4
+    # r^a s^b r^c s^d = r^(a + (-1)^b c) s^(b + d)
+    table = (a[:, None] + (1 - 2 * b[:, None]) * a) % 4 + 4 * ((b[:, None] + b) % 2)
     return FiniteGroup(8, table, label="D_4")
 
 

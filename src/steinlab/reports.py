@@ -128,11 +128,10 @@ def parse_group(obj) -> FiniteGroup:
         return built
     if isinstance(obj, dict):
         try:
-            order = int(obj["order"])
-            table = np.asarray(obj["table"], dtype=int)
+            order, table = obj["order"], np.asarray(obj["table"], dtype=int)
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecInvalid(f"group: {exc}") from None
-        return FiniteGroup(order, table, str(obj.get("label", "")))
+        return FiniteGroup(check_integer(order, "group.order"), table, str(obj.get("label", "")))
     raise SpecInvalid("group must be a name or an order/table dictionary")
 
 
@@ -144,7 +143,10 @@ def parse_algebra(obj) -> tuple[FDAlgebra, list[tuple[int, float]] | None]:
     if "multimatrix" in obj:
         body = obj["multimatrix"]
         try:
-            blocks = [(int(n), float(a)) for n, a in body["blocks"]]
+            blocks = [
+                (check_integer(n, "block size"), check_tolerance(a, "block weight"))
+                for n, a in body["blocks"]
+            ]
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecInvalid(f"algebra.multimatrix: {exc}") from None
         label = str(obj.get("label", "")) or "+".join(
@@ -159,7 +161,7 @@ def parse_algebra(obj) -> tuple[FDAlgebra, list[tuple[int, float]] | None]:
             raise SpecInvalid(f"algebra: missing field {key!r}")
     try:
         alg = FDAlgebra(
-            dim=int(obj["dim"]),
+            dim=check_integer(obj["dim"], "algebra.dim"),
             mult=_complex_array(obj["mult"], "algebra.mult"),
             star=_complex_array(obj["star"], "algebra.star"),
             unit=_complex_array(obj["unit"], "algebra.unit"),
@@ -222,25 +224,28 @@ def parse_action(obj, grp: FiniteGroup, alg: FDAlgebra) -> GroupAction:
 
 
 def check_tolerance(value, source: str = "tolerance") -> float:
-    """A report tolerance: a finite number >= 0, else SpecInvalid naming
-    the source and the value."""
+    """A report tolerance or a block weight: a finite number >= 0, and no
+    JSON true or false (which float() reads), else SpecInvalid naming the
+    source and the value."""
     try:
         tol = float(value)
     except (TypeError, ValueError):
-        raise SpecInvalid(f"{source}={value!r} is not a number") from None
+        tol = None
+    if tol is None or isinstance(value, bool):
+        raise SpecInvalid(f"{source}={value!r} is not a number")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise SpecInvalid(f"{source}={value!r} is not a finite number >= 0")
     return tol
 
 
 def check_integer(value, source: str) -> int:
-    """An integer field: what int() reads without rounding, else
-    SpecInvalid naming the source and the value."""
+    """An integer field: what int() reads without rounding, and no JSON
+    true or false, else SpecInvalid naming the source and the value."""
     try:
         out = int(value)
     except (TypeError, ValueError, OverflowError):
         out = None
-    if out is None or (isinstance(value, float) and out != value):
+    if out is None or isinstance(value, bool) or (isinstance(value, float) and out != value):
         raise SpecInvalid(f"{source}={value!r} is not an integer")
     return out
 
@@ -880,82 +885,57 @@ def run(spec: ExperimentSpec) -> VerificationReport:
 
 # -- built-in corpus ------------------------------------------------------------
 
-def corpus_specs(seed: int = 0, tolerance: float = 1e-8) -> list[ExperimentSpec]:
-    """The built-in battery of (algebra, group, action) triples."""
-    out: list[ExperimentSpec] = []
-
-    def add(label, alg, grp, act, blocks=None, sub=None):
-        out.append(
-            ExperimentSpec(
-                label=label, algebra=alg, group=grp, action=act,
-                blocks=blocks, tolerance=tolerance, seed=seed, subgroup=sub,
-            )
-        )
-
-    c1 = [(1, 1.0)]
-    v4 = direct_product(cyclic(2), cyclic(2))
-    named = [(f"Z/{n}", cyclic(n)) for n in range(2, 7)] + [("Z/2xZ/2", v4), ("S3", symmetric_3())]
-    for name, grp in named:
-        alg = multimatrix(c1, label="C")
-        add(f"C | {name} | trivial", alg, grp, trivial_action(grp, alg), blocks=c1)
-
-    c2b = [(1, 0.5), (1, 0.5)]
-    c2 = multimatrix(c2b, label="C^2")
-    z2 = cyclic(2)
-    add(
-        "C^2 | Z/2 | swap", c2, z2,
-        permutation_action(z2, c2, [[0, 1], [1, 0]]), blocks=c2b,
-    )
-
-    c3b = [(1, 1 / 3), (1, 1 / 3), (1, 1 / 3)]
-    c3 = multimatrix(c3b, label="C^3")
-    z3 = cyclic(3)
-    add(
-        "C^3 | Z/3 | cycle", c3, z3,
-        permutation_action(z3, c3, [[0, 1, 2], [2, 0, 1], [1, 2, 0]]), blocks=c3b,
-    )
-
-    c3ub = [(1, 0.5), (1, 0.3), (1, 0.2)]
-    c3u = multimatrix(c3ub, label="C^3 uneven")
-    add("C^3 uneven | Z/2 | trivial", c3u, z2, trivial_action(z2, c3u), blocks=c3ub)
-
-    m2b = [(2, 1.0)]
-    m2 = multimatrix(m2b, label="M2")
-    sign = np.array([1, 0, 0, -1], dtype=complex)  # diag(1, -1) in matrix units
-    add(
-        "M2 | Z/2 | ad(diag(1,-1))", m2, z2,
-        ad_action(z2, m2, np.stack([m2.unit, sign])), blocks=m2b,
-    )
-
-    m2cb = [(2, 2 / 3), (1, 1 / 3)]
-    m2c = multimatrix(m2cb, label="M2+C")
-    sign_c = np.array([1, 0, 0, -1, 1], dtype=complex)
-    add(
-        "M2+C | Z/2 | ad(diag(1,-1)+1)", m2c, z2,
-        ad_action(z2, m2c, np.stack([m2c.unit, sign_c])), blocks=m2cb,
-    )
-
-    cz2 = group_algebra(z2)
-    add("C[Z/2] | Z/2 | trivial", cz2, z2, trivial_action(z2, cz2))
-
-    for n in (2, 3):
-        act = dual_action(n)
-        add(f"C[Z/{n}] | Z/{n} | dual", act.algebra, act.group, act)
-
-    z4 = cyclic(4)
-    flip_through = [[0, 1] if g % 2 == 0 else [1, 0] for g in range(4)]
-    add(
-        "C^2 | Z/4 | swap through Z/2", c2, z4,
-        permutation_action(z4, c2, flip_through), blocks=c2b, sub=[0, 2],
-    )
-
+# the built-in battery of (algebra, group, action) triples, in the spec-file
+# format that steinlab run reads (ExperimentSpec.from_json)
+CORPUS: list[dict] = [
+    {"label": f"C | {name} | trivial",
+     "algebra": {"multimatrix": {"blocks": [[1, 1.0]]}, "label": "C"},
+     "group": name, "action": "trivial"}
+    for name in ("Z/2", "Z/3", "Z/4", "Z/5", "Z/6", "Z/2xZ/2", "S3")
+] + [
+    {"label": "C^2 | Z/2 | swap",
+     "algebra": {"multimatrix": {"blocks": [[1, 0.5], [1, 0.5]]}, "label": "C^2"},
+     "group": "Z/2", "action": {"name": "permutation", "perms": [[0, 1], [1, 0]]}},
+    {"label": "C^3 | Z/3 | cycle",
+     "algebra": {"multimatrix": {"blocks": [[1, 1 / 3], [1, 1 / 3], [1, 1 / 3]]}, "label": "C^3"},
+     "group": "Z/3", "action": {"name": "permutation", "perms": [[0, 1, 2], [2, 0, 1], [1, 2, 0]]}},
+    {"label": "C^3 uneven | Z/2 | trivial",
+     "algebra": {"multimatrix": {"blocks": [[1, 0.5], [1, 0.3], [1, 0.2]]}, "label": "C^3 uneven"},
+     "group": "Z/2", "action": "trivial"},
+    # the unitaries 1 and diag(1, -1) in matrix units
+    {"label": "M2 | Z/2 | ad(diag(1,-1))",
+     "algebra": {"multimatrix": {"blocks": [[2, 1.0]]}, "label": "M2"},
+     "group": "Z/2", "action": {"name": "ad", "unitaries": [[[1, 0], [0, 0], [0, 0], [1, 0]],
+                                                            [[1, 0], [0, 0], [0, 0], [-1, 0]]]}},
+    {"label": "M2+C | Z/2 | ad(diag(1,-1)+1)",
+     "algebra": {"multimatrix": {"blocks": [[2, 2 / 3], [1, 1 / 3]]}, "label": "M2+C"},
+     "group": "Z/2",
+     "action": {"name": "ad", "unitaries": [[[1, 0], [0, 0], [0, 0], [1, 0], [1, 0]],
+                                            [[1, 0], [0, 0], [0, 0], [-1, 0], [1, 0]]]}},
+    {"label": "C[Z/2] | Z/2 | trivial",
+     "algebra": {"group_algebra": "Z/2"}, "group": "Z/2", "action": "trivial"},
+    {"label": "C[Z/2] | Z/2 | dual",
+     "algebra": {"group_algebra": "Z/2"}, "group": "Z/2", "action": {"name": "dual"}},
+    {"label": "C[Z/3] | Z/3 | dual",
+     "algebra": {"group_algebra": "Z/3"}, "group": "Z/3", "action": {"name": "dual"}},
+    {"label": "C^2 | Z/4 | swap through Z/2",
+     "algebra": {"multimatrix": {"blocks": [[1, 0.5], [1, 0.5]]}, "label": "C^2"},
+     "group": "Z/4", "action": {"name": "permutation", "perms": [[0, 1], [1, 0], [0, 1], [1, 0]]},
+     "subgroup": [0, 2]},
     # (a, b) acts by swap^a; the subgroup {(0,0), (1,0)} realizes the swap
-    perms_v4 = [[0, 1], [0, 1], [1, 0], [1, 0]]
-    add(
-        "C^2 | Z/2xZ/2 | swap on first factor", c2, v4,
-        permutation_action(v4, c2, perms_v4), blocks=c2b, sub=[0, 2],
-    )
-    return out
+    {"label": "C^2 | Z/2xZ/2 | swap on first factor",
+     "algebra": {"multimatrix": {"blocks": [[1, 0.5], [1, 0.5]]}, "label": "C^2"},
+     "group": "Z/2xZ/2",
+     "action": {"name": "permutation", "perms": [[0, 1], [0, 1], [1, 0], [1, 0]]},
+     "subgroup": [0, 2]},
+]
+
+
+def corpus_specs(seed: int = 0, tolerance: float = 1e-8) -> list[ExperimentSpec]:
+    """The specs of CORPUS at the given seed and tolerance."""
+    return [
+        ExperimentSpec.from_json({**obj, "seed": seed, "tolerance": tolerance}) for obj in CORPUS
+    ]
 
 
 def run_corpus(seed: int = 0, tolerance: float = 1e-8) -> list[VerificationReport]:

@@ -14,6 +14,7 @@ from steinlab import (
     RankAmbiguous,
     ad_action,
     center_basis,
+    central_projection_element,
     characters,
     commutator_span,
     crossed_product,
@@ -183,6 +184,23 @@ def test_multimatrix_generators_generate():
     assert gens.shape[0] == alg.dim
     assert generates(alg, list(gens.T))
     assert not generates(alg, [alg.unit])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 4), st.floats(0.1, 1.0)), min_size=1, max_size=3))
+def test_unit_layout_of_mixed_blocks(draw):
+    # multimatrix, matrix_units and multimatrix_generators read one layout:
+    # central_projection_element checks every matrix-unit relation against
+    # mult, star and unit, and the generators generate
+    total = sum(a for _, a in draw)
+    blocks = [(n, a / total) for n, a in draw]
+    alg = multimatrix(blocks)
+    units = matrix_units(blocks)
+    _, (lefts, rights) = central_projection_element(alg, units)
+    assert lefts.shape == rights.shape == (alg.dim, alg.dim, alg.dim)
+    for (n, a), e in zip(blocks, units):
+        assert np.allclose(np.einsum("jji->ji", e) @ alg.trace, a / n)
+    assert generates(alg, list(multimatrix_generators(blocks).T))
 
 
 def test_span_closure_matches_the_whole_span_rounds():

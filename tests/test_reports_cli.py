@@ -112,6 +112,25 @@ def test_spec_rejects_unknown_checks():
         ExperimentSpec.from_json(payload)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tolerance", True),
+    ("seed", True),
+    ("subgroup", [False, True]),
+    ("algebra", {"multimatrix": {"blocks": [[True, 1.0]]}}),
+    ("algebra", {"multimatrix": {"blocks": [[1, True]]}}),
+    ("group", {"order": True, "table": [[0]]}),
+    ("algebra", {"dim": True, "mult": [[[[1, 0]]]], "star": [[[1, 0]]],
+                 "unit": [[1, 0]], "trace": [[1, 0]]}),
+], ids=["tolerance", "seed", "subgroup", "block-size", "block-weight", "group-order", "dim"])
+def test_json_booleans_are_not_numbers(field, value):
+    # float() and int() read true as 1: a spec with "tolerance": true would
+    # run with a pass/fail bound of 1.0, and one with a true block size or
+    # weight, group order or dim would build C
+    base = dict(C2_SPEC, group="Z/1", action="trivial")
+    with pytest.raises(SpecInvalid, match="True|False"):
+        ExperimentSpec.from_json(dict(base, **{field: value}))
+
+
 # -- the runner --------------------------------------------------------------------
 
 def test_run_subset_of_checks():
@@ -255,6 +274,18 @@ def test_json_round_trip_and_stability(corpus_reports):
     assert len(parsed["reports"]) == len(corpus_reports)
     again = reports.to_json(reports.run_corpus(seed=7))
     assert text == again
+
+
+def test_the_corpus_is_spec_file_data(tmp_path, capsys):
+    # CORPUS is plain JSON, and steinlab run on it prints the bytes of
+    # steinlab corpus
+    assert json.loads(json.dumps(reports.CORPUS)) == reports.CORPUS
+    path = write_spec(tmp_path, {"experiments": reports.CORPUS})
+    for seed in ("0", "1"):
+        assert main(["corpus", "--seed", seed, "--format", "json"]) == 0
+        want = capsys.readouterr().out
+        assert main(["run", path, "--seed", seed, "--format", "json"]) == 0
+        assert capsys.readouterr().out == want
 
 
 def test_markdown_and_csv_render(corpus_reports):

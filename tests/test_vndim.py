@@ -32,7 +32,6 @@ from steinlab import (
     symmetric_3,
     vn_dimension,
 )
-import steinlab.derivations as derivations
 import steinlab.vndim as vndim
 from steinlab import _linalg, reports
 from steinlab._linalg import BlockKernel, gram_onb, span_basis
@@ -708,7 +707,7 @@ def test_kernel_route_never_forms_the_derivation_basis(monkeypatch):
     def refuse(*args):
         raise AssertionError("the derivation basis was formed")
 
-    monkeypatch.setattr(derivations, "kernel_basis", refuse)
+    monkeypatch.setattr(DerivationSpace, "columns", refuse)
     for blocks in ([(2, 0.5), (1, 0.5)], [(3, 0.6), (1, 0.4)]):
         res = vn_dimension(phi_x(derivation_space(multimatrix(blocks))))
         assert res.route == "kernel"
@@ -728,7 +727,7 @@ def test_vanishing_space_is_read_without_forming_a_derivation_basis(monkeypatch)
     def refuse(*args):
         raise AssertionError("the derivation basis was formed")
 
-    monkeypatch.setattr(derivations, "kernel_basis", refuse)
+    monkeypatch.setattr(DerivationSpace, "columns", refuse)
     for name, dim_a in (("C2 x| Z/2", 0.5), ("dual", 2 / 3)):
         cp = _crossed(name)
         k = cp.group.order
