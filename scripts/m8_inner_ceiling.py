@@ -8,8 +8,8 @@ The inner path reaches algebras whose Leibniz blocks exceed the dense
 limit. Each leg of M8 splits into one class of 8 clusters of size 8, so
 its module is one class pair of 64 blocks (192 x 64), whose bases are
 built and cut one row of 8 blocks at a time and held once (12 MiB), and
-the closure test projects one source cluster's image onto one target
-cluster's slab of 8 blocks at a time. dim Der(M8) = 1 - 1/64. M8 is read
+the closure test applies each of its operators to one random vector of
+the module. dim Der(M8) = 1 - 1/64. M8 is read
 at multimatrix_generators; the rotated M8, M8 in the basis of a seeded
 random unitary, whose structure constants have no zero pattern, is read
 as `steinlab dim` reads an algebra given by its constants: at X the basis
@@ -36,7 +36,7 @@ from steinlab import (
 from _bounds import finish, limits_missed, max_rss, value_missed
 
 TOL = 1e-10
-MAX_SECONDS = 20.0
+MAX_SECONDS = 10.0
 # a run of both reads 71-73 MB of max RSS (2 cores, OpenBLAS), about 32 MB
 # of it the imports; the bound leaves 27 MB for other BLAS builds and hosts
 MAX_RSS_BYTES = 100 * 10**6

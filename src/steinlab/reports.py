@@ -128,9 +128,13 @@ def parse_group(obj) -> FiniteGroup:
         return built
     if isinstance(obj, dict):
         try:
-            order, table = obj["order"], np.asarray(obj["table"], dtype=int)
-        except (KeyError, TypeError, ValueError) as exc:
+            order, table = obj["order"], np.asarray(obj["table"])
+        except (KeyError, ValueError) as exc:
             raise SpecInvalid(f"group: {exc}") from None
+        # by dtype kind, as _perms reads a permutation: int() would truncate
+        # a float and read a boolean or a numeric string as an index
+        if table.dtype.kind not in "iu":
+            raise SpecInvalid("group.table: expected lists of integers")
         return FiniteGroup(check_integer(order, "group.order"), table, str(obj.get("label", "")))
     raise SpecInvalid("group must be a name or an order/table dictionary")
 

@@ -20,41 +20,37 @@ generates, so P commutes with all of R(N_0) exactly when it commutes with
 the generators' operators, and the one-leg operators of a *-closed
 generating set of A generate R(N_0).
 
-vn_dimension takes one of two routes, named in DimensionResult.route. A
-ModuleSubspace takes the kernel route: it holds the subspace as one
-GNS-orthonormal basis kept by connected block (a _linalg.BlockKernel),
-and the dimension is read from those blocks. An InnerModule takes the
-spectral route: it holds an orthonormal basis of its span by spectral
-block of the right action, in rotated leg coordinates, since in a
-non-monomial basis the spectral split is its only block structure.
+One module type. A ModuleSubspace holds its subspace as one orthonormal
+basis kept by block (a _linalg.BlockKernel) in the coordinates of its
+legs: unknown (a * n + b) * k + c is leg a, leg b and copy c, n = dim A,
+and each leg is read through its (rot, rot^-1), rot mapping the leg's raw
+coordinates to GNS-orthonormal ones. phi_x and full_module take the
+GNS-orthonormal coordinates themselves, rot = onb_factor, in which the
+unknown is that of leibniz_system; inner_derivation_module rotates each
+leg further into a spectral basis of its right operators (below).
+DimensionResult.route names the coordinates: "kernel" for the
+GNS-orthonormal ones, "spectral" for the rotated ones. vn_dimension reads
+both alike, and restrict_scalars keeps the basis and its coordinates and
+changes only the right action and the trace vectors.
 
-One basis for every span. A ModuleSubspace's basis is in GNS-orthonormal
-coordinates, unknown (a * n + b) * k + c being leg a, leg b and copy c,
-the layout of the unknown of leibniz_system. Copy c of phi_X(d) is
-d(x_c), so for X the basis of A the whitened span of phi_X is the
-space's whitened kernel itself, orthonormal and by block, for every
-DerivationSpace (derivation_space's and relative_derivations'): phi_x
-wraps it as it is. For X other than the basis, phi_X is read through
-the argument map on the kernel entries (derivations.argument_map times
-the kernel's SparseSystem, so no dense kernel is formed) and
-orthonormalized by span_basis, which keeps it by the connected blocks of
-its nonzero pattern.
-restrict_scalars keeps the basis and changes only the right action and
-the trace vectors, and L^2(N) itself (full_module) is the whitened
-standard basis, dim A^2 blocks of one unknown each.
+One basis for every span. Copy c of phi_X(d) is d(x_c), so for X the
+basis of A the whitened span of phi_X is the space's whitened kernel
+itself, orthonormal and by block, for every DerivationSpace
+(derivation_space's and relative_derivations'): phi_x wraps it as it is.
+For X other than the basis, phi_X is read through the argument map on the
+kernel entries (derivations.argument_map times the kernel's SparseSystem,
+so no dense kernel is formed) and orthonormalized by span_basis, which
+keeps it by the connected blocks of its nonzero pattern. L^2(N) itself
+(full_module) is the whitened standard basis, dim A^2 blocks of one
+unknown each.
 
-The kernel route. P = Q Q^H is block diagonal over the basis blocks,
-with no rotation, no block SVD and no rank certificate, since the basis
-is orthonormal. The dimension is sum_{c,j} |Q^H Omega_{c,j}|^2,
-Omega_{c,j} = omega_j in copy c, summed per block and vector. The closure
-test applies the combinations of _test_ops, with the legs in
-GNS-orthonormal coordinates (T, T^-1) in place of a rotation, to each
-part's blocks laid out by fibers (the n unknowns that differ only on the
-operator's leg), gathers the image of each source block onto every target
-block it meets, in full, and subtracts Q_t Q_t^H of it there; its
-residual is the relative norm below, over all parts at once. A subspace
-that is not right-closed fails this test; no other certificate is needed,
-since Q spans the subspace itself.
+The readout. P = Q Q^H is block diagonal over the basis blocks, with no
+block SVD and no rank certificate, since the basis is orthonormal. The
+dimension is sum_{c,j} |Q^H Omega_{c,j}|^2, Omega_{c,j} = omega_j in copy
+c, taken into the module's coordinates and summed per block, copy, vector
+and trace vector, for as many blocks at a time as hold about k n^2
+products per trace vector (_readout). Every rot is a unitary image of the
+GNS-orthonormal coordinates, so this is the value of the GNS projection.
 The readout of a Leibniz kernel is backed only for an exact algebra: the
 kernel of an inexact one is the exact kernel of a nearby wrong algebra,
 orthonormal and right-closed to rounding, which no test here can refuse.
@@ -62,63 +58,76 @@ So derivation_space certifies exactness first (algebra.certify_exact),
 and so does inner_derivation_module, whose blocks no test here can
 refuse either.
 
-The spectral route never forms P densely. A projection commuting with
-the right action commutes with every spectral projection of a
-self-adjoint element of it (Lueck, L^2-Invariants, ch. 1). So each leg is
-rotated into the eigenbasis of a fixed-seed random self-adjoint
-combination sum_j t_j (a_j + a_j^*) of its one-leg operators, in
-GNS-orthonormal coordinates, and L^2(N)^k splits into blocks
-C^k (x) E_a (x) E_b of eigenvalue clusters E_a, E_b, found by
-_linalg.spectral_split from SPLIT_SEED. Eigenvalues closer than
-_linalg.CLUSTER_GAP (relative) share a cluster: a union of eigenspaces is
-still a spectral projection, so merging only coarsens the blocks, while a
-split degenerate eigenspace would not be one. An InnerModule holds an
-orthonormal basis Q of its span by block, since each of its columns lies
-in one block (below). vn_dimension runs the closure test below against
-the block-diagonal projector P = Q Q^H at CLOSURE_TOL, applying each
-(target cluster, source cluster) block of an operator to the source
-cluster's blocks, whose image is laid out as the target cluster's slab
-of blocks and projected there (_closure_residual). The dimension is
-sum_ab |Q_ab^H Omega_ab|^2, with omega rotated once and read against the
-rows of each copy. The rotation is unitary, so for a module this is the
-value of the dense projection.
+The closure test. For each operator T of _test_ops, in the module's
+coordinates, and a vector z of iid standard complex Gaussian
+coefficients, one per basis vector, it forms v = Q z from the blocks,
+applies T on its leg and subtracts P T v block by block
+(_sketch_residual). Its residual is |(1 - P) T Q z| / max(1, |T Q z|),
+and the largest one is kept. It holds a few vectors of k n^2 entries
+beyond the basis. A subspace that is not right-closed fails this test; no
+other certificate is needed, since Q spans the subspace itself.
 
-The closure test applies random combinations, not every operator. With
-M_j = (1 - P) T_j Q for operators T_1 .. T_m, the residual of
-T(t) = sum_j t_j T_j is sum_j t_j M_j, and for iid t_j of unit variance
-E |sum_j t_j M_j|^2 = sum_j |M_j|^2 (Frobenius norms; Hutchinson, Comm.
-Statist. Simul. Comput. 18, 1989): the span is invariant under every T_j
-exactly when the expected residual is zero. So for each leg one
-combination sum_j t_j a_j of the leg's one-leg operators is tested, t
-iid standard complex Gaussian (E |t_j|^2 = 1) drawn from _CLOSURE_SEED,
-in CLOSURE_DRAWS = 2 independent draws: at most 4 applications, against
-one per right operator if each were tested alone. The largest residual
-is kept. The seed is not SPLIT_SEED: the spectral blocks are spectral
-subspaces of the cluster combination sum_j t_j (a_j + a_j^*), so a span
-of block parts passes against that combination by construction, and a
-test on it would prove nothing.
+The test applies random combinations to one random vector of the span,
+not every operator to every basis vector. With M_j = (1 - P) T_j Q for
+operators T_1 .. T_m, the residual of T(t) = sum_j t_j T_j on Q z is
+sum_j t_j M_j z, and for iid t_j and z_i of unit variance
+E |sum_j t_j M_j z|^2 = sum_j |M_j|^2 (Frobenius norms; Hutchinson,
+Comm. Statist. Simul. Comput. 18, 1989): the span is invariant under
+every T_j exactly when the expected residual is zero. So for each leg one
+combination sum_j t_j a_j of the leg's one-leg operators is tested, t iid
+standard complex Gaussian (E |t_j|^2 = 1) drawn from _CLOSURE_SEED, in
+CLOSURE_DRAWS = 4 independent draws, and then one z per combination from
+the same generator: at most 8 applications to one vector each. The seed
+is not SPLIT_SEED: the spectral blocks are spectral subspaces of the
+cluster combination sum_j t_j (a_j + a_j^*), so a span of block parts
+passes against that combination by construction, and a test on it would
+prove nothing.
 
 The chance of a miss. Let a_i have relative residual
 rho = |M_i| / max(1, |a_i Q|) > CLOSURE_TOL, and let one draw read its
-combination's residual against CLOSURE_TOL s, s = max(1, |T(t) Q|).
-Fix every t_j but t_i: the residual is t_i M_i + C for a fixed C, and
-its norm is at least |t_i |M_i| + <u, C>|, u = M_i / |M_i|. The density
-of a standard complex Gaussian is at most 1/pi, so a disc of radius r
-has probability at most r^2, and, taking the scale s as given, the draw
-misses a_i with probability at most
-(CLOSURE_TOL / rho)^2 (s / max(1, |a_i Q|))^2. Since
-E |T(t) Q|^2 = sum_j |T_j Q|^2, the ratio of scales is about sqrt(m)
-for m operators of one size, and the bound is about m (CLOSURE_TOL /
-rho)^2: 1e-8 m at rho = 1e-4, but 0.09 for m = 9 at rho = 10
-CLOSURE_TOL. The draws are independent and a miss of their maximum
-needs both to miss, so two draws square the bound (0.008 there), at the
-cost of two applications per leg. The seed is fixed, so the same
-module always gets the same verdict.
+residual against CLOSURE_TOL s, s = max(1, |T(t) Q z|), taking the scale
+s as given. Fix z and every t_j but t_i: the residual is t_i w + C,
+w = M_i z, for a fixed C, and its norm is at least
+|t_i |w| + <w, C> / |w||. So the draw misses only if t_i lies in a disc
+of radius CLOSURE_TOL s / |w|, and no disc of radius r has more standard
+complex Gaussian measure than the centred one, 1 - e^(-r^2) (Anderson's
+inequality). With c = (CLOSURE_TOL s / |M_i|)^2 and Y = |w|^2 / |M_i|^2,
+the draw misses with probability at most E h(Y), h(y) = 1 - e^(-c/y).
+For the singular values sigma_k and right singular vectors v_k of M_i,
+Y = sum_k p_k X_k with p_k = sigma_k^2 / |M_i|^2, summing to 1, and
+X_k = |<v_k, z>|^2 iid Exp(1). h is concave below c/2 and convex above,
+so g, its tangent at c/2 below c/2 and h above, is convex and at least h,
+and by Jensen's inequality E g(Y) <= sum_k p_k E g(X_k) = E g(X), X one
+Exp(1): a rank-one M_i is the worst case. Against
+E min(1, c/X) = 1 - e^(-c) + c E_1(c), E g(X) gains at most
+e^(-2) c^2 / 24 below c/2 (g - 1 = e^(-2) (1 - 4 y / c) there, odd about
+c/4 against the decreasing e^(-y)), loses at least e^(-2) c e^(-c) / 2
+between c/2 and c (h <= 1 - e^(-2) there) and loses above c
+(h <= c / y). So while c e^c < 12, one draw misses with probability at
+most 1 - e^(-c) + c E_1(c). Since E |T(t) Q z|^2 = sum_j |T_j Q|^2, the
+ratio of scales s / max(1, |a_i Q|) is about sqrt(m) for m operators of
+one size, and c is about m (CLOSURE_TOL / rho)^2. For m = 9 that is
+c = 9e-8 and a bound of 1.5e-6 at rho = 1e-4, but c = 0.09 and a bound
+of 0.26 at rho = 10 CLOSURE_TOL. The draws are independent and a miss of
+their maximum needs each of them to miss, so the 4 draws take the fourth
+power: 0.0045 there, where two draws of a combination on the whole basis
+gave 0.008. The seed is fixed, so the same module always gets the same
+verdict.
 
-inner_derivation_module (an InnerModule) builds its blocks directly and
-never forms the span. Its columns are phi_X([., xi]) for xi = e_i (x) e_j
-in the rotated GNS-orthonormal bases of the legs; in these coordinates the
-column of argument x_c is kron(A_c e_i, e_j) - kron(e_i, B_c e_j), with
+inner_derivation_module builds its blocks directly and never forms the
+span. A projection commuting with the right action commutes with every
+spectral projection of a self-adjoint element of it (Lueck,
+L^2-Invariants, ch. 1). So each leg is rotated into the eigenbasis of a
+fixed-seed random self-adjoint combination sum_j t_j (a_j + a_j^*) of its
+one-leg operators, in GNS-orthonormal coordinates, and L^2(N)^k splits
+into blocks C^k (x) E_a (x) E_b of eigenvalue clusters E_a, E_b, found by
+_linalg.spectral_split from SPLIT_SEED. Eigenvalues closer than
+_linalg.CLUSTER_GAP (relative) share a cluster: a union of eigenspaces is
+still a spectral projection, so merging only coarsens the blocks, while a
+split degenerate eigenspace would not be one. The columns are
+phi_X([., xi]) for xi = e_i (x) e_j in the rotated GNS-orthonormal bases
+of the legs; in these coordinates the column of argument x_c is
+kron(A_c e_i, e_j) - kron(e_i, B_c e_j), with
 A_c = rot_a left_mult(x_c) rot_a^-1 and B_c = rot_b right_mult(x_c)
 rot_b^-1. Left and right multiplication commute, so A_c and B_c commute
 with the legs' random self-adjoint right operators and are block diagonal
@@ -135,18 +144,19 @@ then moves no singular value by more than a tenth of the cut. The blocks
 keep every column: the shared rank cut discards the exact-zero ones, such
 as central xi.
 
-What an InnerModule holds. The builder makes one leg a cluster's row of
-blocks of a class pair at a time and takes the row's batched SVD at
-once, keeping only the left singular vectors; the blocks themselves are
-never held together. One rank cut on the union of all the block spectra,
-as batched_svd makes it (_linalg.shared_cut), then zeroes the dropped
-columns in place, and each class pair keeps the columns up to its
-largest block rank, in the same buffer. So the module holds one
-orthonormal basis by block, as a ModuleSubspace does, and its rank; the
-blocks' vectors take as much room as the blocks. M6 is 36 blocks of
-108 x 36, 2.1 MiB, where its span was 80 MB; M8 is 64 blocks of
-192 x 64, 12 MiB. Under tracemalloc, building and reading M6 peaks at
-about 4.2 MiB and M8 at about 20 MiB.
+What the inner module holds. The builder makes one leg a cluster's row of
+blocks of a class pair (clusters of one size on each leg) at a time and
+takes the row's batched SVD at once, keeping only the left singular
+vectors; the blocks themselves are never held together. One rank cut on
+the union of all the block spectra, as batched_svd makes it
+(_linalg.shared_cut), then keeps a prefix of each block's vectors. The
+blocks of one rank form one part of the BlockKernel: a class pair's most
+common rank moves down in its own buffer (_leading_columns), the others
+are copied out first, and parts of one shape from several class pairs
+are joined. The blocks' vectors take as much room as the blocks. M6 is
+36 blocks of 108 x 35, 2.1 MiB, where its span was 80 MB; M8 is 64 blocks
+of 192 x 63, 12 MiB. Under tracemalloc, building and reading M6 peaks at
+about 4 MiB and M8 at about 20 MiB.
 """
 
 from __future__ import annotations
@@ -163,16 +173,16 @@ from ._linalg import (  # noqa: F401
 )
 from .algebra import FDAlgebra, certify_exact
 from .constructions import CrossedProduct
-from .derivations import DerivationSpace, argument_map, whiten
+from .derivations import DerivationSpace, apply_pair, argument_map
 from .errors import NotGenerating, NotRightClosed
 
 # largest relative residual of a right operator's image off the span that
 # still counts as right-closed; fixed, independent of any report tolerance
 CLOSURE_TOL = 1e-8
-# random operator combinations per leg that the closure test applies, from a
-# seed of their own: the blocks pass the cluster split's combination by
-# construction
-CLOSURE_DRAWS = 2
+# random operator combinations per leg that the closure test applies, each to
+# one random vector of the span, from a seed of their own: the blocks pass
+# the cluster split's combination by construction
+CLOSURE_DRAWS = 4
 _CLOSURE_SEED = 1
 # largest distance of a value from the fraction that as_fraction shows for it
 FRACTION_TOL = 1e-6
@@ -180,13 +190,15 @@ FRACTION_TOL = 1e-6
 
 @dataclass(eq=False)
 class ModuleSubspace:
-    """Subspace of L^2(N)^ncoords with a right action, held by a
-    GNS-orthonormal basis kept by block.
+    """Subspace of L^2(N)^ncoords with a right action, held by an
+    orthonormal basis kept by block in the coordinates of its legs.
 
-    basis has ncoords * dim A^2 unknowns in GNS-orthonormal coordinates,
-    unknown (a * dim A + b) * ncoords + c being leg a, leg b and copy c
-    (see the module docstring). right_ops is closed under adjoints as a
-    span: the GNS adjoint of each operator lies in the span of the list
+    basis has ncoords * dim A^2 unknowns, unknown
+    (a * dim A + b) * ncoords + c being leg a, leg b and copy c. legs gives
+    each leg's coordinates as (rot, rot^-1), rot mapping raw coordinates to
+    GNS-orthonormal ones; None stands for (onb_factor, onb_inverse) on both
+    legs (see the module docstring). right_ops is closed under adjoints as
+    a span: the GNS adjoint of each operator lies in the span of the list
     (R(m)* = R(m*) for a trace, so a *-closed generating set gives such a
     list). Raises ValueError unless every right operator is (0 or 1, a
     (dim A, dim A) matrix).
@@ -199,6 +211,7 @@ class ModuleSubspace:
     # (dim A^2, t): the family omega of one copy, raw coordinates; the
     # trace vectors are omega_j in each coordinate, I_ncoords (x) omega
     trace_vectors: np.ndarray
+    legs: tuple | None = None
 
     def __post_init__(self):
         n = self.algebra.dim
@@ -208,35 +221,17 @@ class ModuleSubspace:
                 raise ValueError(f"a right operator is (leg 0 or 1, a ({n}, {n}) matrix)")
 
 
-@dataclass(eq=False)
-class InnerModule:
-    """phi_X of the span of commutator derivations, X the columns of gens,
-    held as one orthonormal basis by spectral block in the rotated
-    coordinates of the legs, and its rank (see inner_derivation_module);
-    the span itself is never formed."""
-
-    algebra: FDAlgebra
-    gens: np.ndarray  # (dim A, ncoords), the argument set X
-    right_ops: list  # as in ModuleSubspace
-    legs: list  # the leg splits of _legs for algebra and right_ops
-    # class pair -> the bases (count, rows, rho) of its blocks, leg a
-    # major, zero columns past each block's rank
-    basis: dict
-    rank: int
-
-    @property
-    def ncoords(self) -> int:
-        return self.gens.shape[1]
-
-
 @dataclass
 class DimensionResult:
     value: float
     rank: int
-    # largest relative residual (1 - P) T Q over the closure test's
-    # operators T, not over each right operator
+    # largest relative residual |(1 - P) T Q z| / max(1, |T Q z|) over the
+    # closure test's operators T, each with its random vector z of the span;
+    # not over each right operator
     closure_residual: float
-    route: str  # "kernel" or "spectral", see the module docstring
+    # the basis coordinates: "kernel" (GNS-orthonormal) or "spectral"
+    # (rotated by the right action), see the module docstring
+    route: str
 
     def __float__(self) -> float:
         return self.value
@@ -265,92 +260,85 @@ def _leg_split(alg: FDAlgebra, ops: list) -> tuple:
     return u.conj().T @ t, ti @ u, classes
 
 
-def _class_blocks(t: np.ndarray, legs: list) -> dict:
-    """Spectral blocks of rotated vectors, grouped by class pair
-    (alpha, beta): each value is a view of shape (ncoords, count_a, size_a,
-    count_b, size_b, columns) of t, one (cluster a, cluster b) block per
-    entry of the count axes."""
-    (_, _, ca), (_, _, cb) = legs
-    return {
-        (alpha, beta): t[:, sa : sa + a * d, sb : sb + b * e].reshape(len(t), a, d, b, e, -1)
-        for alpha, (sa, a, d) in enumerate(ca)
-        for beta, (sb, b, e) in enumerate(cb)
-    }
+def _gaussian(rng: np.random.Generator, size: int) -> np.ndarray:
+    """size iid standard complex Gaussian values, E |t|^2 = 1."""
+    x, y = rng.standard_normal((2, size))
+    return (x + 1j * y) / np.sqrt(2)
 
 
-def _block_stack(view: np.ndarray) -> np.ndarray:
-    """A class pair's blocks as one stack (count_a * count_b,
-    ncoords * size_a * size_b, columns), block rows in (coordinate, leg a,
-    leg b) order."""
-    k, a, d, b, e, cols = view.shape
-    return view.transpose(1, 3, 0, 2, 4, 5).reshape(a * b, k * d * e, cols)
-
-
-def _closure_residual(op: tuple, basis: dict, legs: list, ncoords: int) -> float:
-    """Relative Frobenius norm of (1 - P) T Q for the rotated one-leg right
-    operator op = (leg, T) and the block-diagonal basis Q of the span,
-    P = Q Q^H; basis maps each class pair to its stack of block bases.
-
-    T is applied one (target cluster, source cluster) block at a time, to
-    the source cluster's blocks of one class pair, one per cluster of the
-    other leg. Contracting the operator's leg of each block's rows lays
-    the image out as the target cluster's slab of blocks, whose projection
-    is subtracted there; the slab's adjoint is formed once per source
-    class pair and target cluster. So each step holds one slab and one
-    source cluster's image.
-    """
-    leg, mat = op
-    classes = legs[leg][2]
-    rem2 = img2 = 0.0
-    for key, q in basis.items():
-        if not q.size:  # no basis vectors here, so no image
-            continue
-        (_, a, d), (_, b, e) = legs[0][2][key[0]], legs[1][2][key[1]]
-        s, _, size = classes[key[leg]]
-        rho = q.shape[2]
-        # each source cluster's blocks as views, the operator's leg on the
-        # axis a cluster block of T contracts; blocks are stored leg a major
-        if leg == 0:
-            srcs = [q[i * b : (i + 1) * b].reshape(b, ncoords, d, e * rho) for i in range(a)]
-        else:
-            srcs = [q[i::b].reshape(a, ncoords * d, e, rho) for i in range(b)]
-        for c2, (s2, a2, d2) in enumerate(classes):
-            target = basis[(c2, key[1]) if leg == 0 else (key[0], c2)]
-            for i2 in range(a2):
-                slab = target[i2 * b : (i2 + 1) * b] if leg == 0 else target[i2::a2]
-                adj = slab.conj().transpose(0, 2, 1)
-                rows = mat[s2 + i2 * d2 : s2 + (i2 + 1) * d2]
-                for i, src in enumerate(srcs):
-                    img = np.matmul(rows[:, s + i * size : s + (i + 1) * size], src)
-                    img = img.reshape(len(src), -1, rho)
-                    img2 += np.vdot(img, img).real
-                    img -= slab @ (adj @ img)
-                    rem2 += np.vdot(img, img).real
-    return float(np.sqrt(rem2) / max(1.0, np.sqrt(img2)))
-
-
-def _test_ops(ops: list, legs: list) -> list:
-    """The operators the closure test applies, as (leg, matrix) in the
-    rotated coordinates of the legs: for each of CLOSURE_DRAWS draws and
-    each leg, one combination sum_j t_j a_j of the leg's operators a_j,
-    t iid standard complex Gaussian from _CLOSURE_SEED (see the module
-    docstring)."""
+def _test_ops(ops: list, legs: tuple, rank: int) -> list:
+    """The closure test's (leg, matrix, z), the matrix in the coordinates
+    (rot, rot^-1) of its leg: for each of CLOSURE_DRAWS draws and each leg,
+    one combination sum_j t_j a_j of the leg's operators a_j, t iid
+    standard complex Gaussian from _CLOSURE_SEED; then, from the same
+    generator, one z per combination, rank iid standard complex Gaussian
+    coefficients of the basis vectors (see the module docstring)."""
     rng = np.random.default_rng(_CLOSURE_SEED)
     mats = [np.array([m for l, m in ops if l == leg]) for leg in (0, 1)]
     out = []
     for _ in range(CLOSURE_DRAWS):
-        for leg, (rot, inv, _) in enumerate(legs):
+        for leg, (rot, inv) in enumerate(legs):
             if len(mats[leg]):
-                x, y = rng.standard_normal((2, len(mats[leg])))
-                t = (x + 1j * y) / np.sqrt(2)
+                t = _gaussian(rng, len(mats[leg]))
                 out.append((leg, rot @ np.tensordot(t, mats[leg], axes=1) @ inv))
-    return out
+    return [(leg, mat, _gaussian(rng, rank)) for leg, mat in out]
+
+
+def _sketch_residual(basis: BlockKernel, ncoords: int, leg: int, mat: np.ndarray,
+                     z: np.ndarray) -> float:
+    """|(1 - P) T Q z| / max(1, |T Q z|) for the one-leg operator T = mat on
+    leg leg, in the basis's coordinates, the basis Q and P = Q Q^H, from
+    the blocks, whose unknowns are disjoint: Q z is formed block by block,
+    z read part by part, and P is subtracted one part's blocks at a time."""
+    n, at = len(mat), 0
+    v = np.zeros(basis.ncols, dtype=complex)
+    for cols, vecs, _ in basis.parts:
+        m, _, d = vecs.shape
+        v[cols] = np.matmul(vecs, z[at : at + m * d].reshape(m, d, 1))[..., 0]
+        at += m * d
+    img = np.moveaxis(np.tensordot(mat, v.reshape(n, n, ncoords), axes=(1, leg)), 0, leg).ravel()
+    rem = img.copy()
+    for cols, vecs, _ in basis.parts:
+        # Q_b^H of the image, without a conjugate copy of the blocks
+        coef = np.matmul(vecs.transpose(0, 2, 1), img[cols].conj()[..., None]).conj()
+        rem[cols] -= np.matmul(vecs, coef)[..., 0]
+    return float(np.linalg.norm(rem) / max(1.0, np.linalg.norm(img)))
+
+
+def _readout(basis: BlockKernel, omega: np.ndarray, ncoords: int) -> float:
+    """sum_{c,j} |Q^H Omega_{c,j}|^2 for the basis Q and Omega_{c,j} =
+    column j of omega (dim A^2, t), in the basis's coordinates, in copy c.
+
+    Each overlap, per block, copy, vector and trace vector, is a bincount
+    of the products over the block's unknowns, for as many blocks at a time
+    as hold about ncols products per trace vector. A block's overlaps are
+    summed in one order however the blocks are cut, and the squares of a
+    part in one sum."""
+    k, nt = ncoords, omega.shape[1]
+    value = 0.0
+    for cols, vecs, _ in basis.parts:
+        m, c, d = vecs.shape
+        size = k * d * nt  # overlaps per block
+        re, im = np.zeros(m * size), np.zeros(m * size)
+        step, top = max(1, basis.ncols // (c * d)), 0
+        for lo in range(0, m, step):
+            q, copy = np.divmod(cols[lo : lo + step], k)
+            prod = (vecs[lo : lo + step].conj()[..., None] * omega[q][:, :, None]).ravel()
+            idx = (((np.arange(len(q))[:, None] * k + copy)[..., None, None] * d
+                    + np.arange(d)[:, None]) * nt + np.arange(nt)).ravel()
+            at = slice(lo * size, (lo + len(q)) * size)
+            re[at] = np.bincount(idx, prod.real, minlength=len(q) * size)
+            im[at] = np.bincount(idx, prod.imag, minlength=len(q) * size)
+            top = lo * size + int(idx.max()) + 1
+        value += float(np.sum(re[:top] ** 2 + im[:top] ** 2))
+    return value
 
 
 def _legs(alg: FDAlgebra, right_ops: list) -> list:
-    """The leg splits vn_dimension uses for a module over alg (x) alg^op
-    with these right operators: one _leg_split per tensor leg, each drawn
-    from _linalg.SPLIT_SEED, so the same inputs give the same rotation."""
+    """The leg splits inner_derivation_module uses for a module over
+    alg (x) alg^op with these right operators: one _leg_split per tensor
+    leg, each drawn from _linalg.SPLIT_SEED, so the same inputs give the
+    same rotation."""
     return [_leg_split(alg, [m for l, m in right_ops if l == leg]) for leg in (0, 1)]
 
 
@@ -363,152 +351,40 @@ def _drop_bound(top: float) -> float:
     return rank_cut(top) / 10
 
 
-def _leading_columns(u: np.ndarray, rho: int) -> np.ndarray:
-    """u[:, :, :rho] as a contiguous stack in u's own buffer. Each block
-    moves down into the room of the columns left out, never onto a later
-    block, so no second copy of the stack is held."""
+def _leading_columns(u: np.ndarray, sel: np.ndarray, rho: int) -> np.ndarray:
+    """u[sel, :, :rho], sel increasing, as a contiguous stack in u's own
+    buffer. Each block moves down into the room of the blocks and columns
+    left out, never onto a later block, so no second copy of the stack is
+    held."""
     count, rows, width = u.shape
-    if rho == width:
+    if rho == width and len(sel) == count:
         return u
-    out = u.reshape(-1)[: count * rows * rho].reshape(count, rows, rho)
-    for j in range(count):
-        out[j] = u[j, :, :rho]
+    out = u.reshape(-1)[: len(sel) * rows * rho].reshape(len(sel), rows, rho)
+    for j, b in enumerate(sel):
+        out[j] = u[b, :, :rho]
     return out
 
 
-def vn_dimension(sub: ModuleSubspace | InnerModule) -> DimensionResult:
-    """Trace of the span projection against the trace vectors.
+def vn_dimension(sub: ModuleSubspace) -> DimensionResult:
+    """Trace of the span projection against the trace vectors, read from
+    the basis blocks in the module's coordinates (_readout).
 
-    A ModuleSubspace is read from its basis blocks (_kernel_dimension). An
-    InnerModule takes the spectral route, which reads the block-diagonal
-    basis the module holds and makes no SVD. Both routes test the
-    operators of _test_ops, random combinations of each leg's operators,
-    against the block-diagonal projector (see the module docstring).
-    Raises NotRightClosed if some test operator's image leaves the span by
-    more than CLOSURE_TOL (relative); the result's closure_residual is the
-    largest of these residuals. Since right_ops is closed under adjoints,
-    invariance under each operator already gives invariance under its
-    adjoint.
+    Raises NotRightClosed if, for some operator of _test_ops, a random
+    combination of one leg's operators applied to a random vector of the
+    span, the image leaves the span by more than CLOSURE_TOL (relative,
+    _sketch_residual); the result's closure_residual is the largest of
+    these residuals. Since right_ops is closed under adjoints, invariance
+    under each operator already gives invariance under its adjoint.
     """
-    if not isinstance(sub, InnerModule):
-        return _kernel_dimension(sub)
-    k, legs = sub.ncoords, sub.legs
-    ops = _test_ops(sub.right_ops, legs)
-    worst = max((_closure_residual(op, sub.basis, legs, k) for op in ops), default=0.0)
+    alg, basis, k = sub.algebra, sub.basis, sub.ncoords
+    legs = sub.legs or 2 * ((alg.onb_factor, alg.onb_inverse),)
+    ops = _test_ops(sub.right_ops, legs, basis.shape[1])
+    worst = max((_sketch_residual(basis, k, *op) for op in ops), default=0.0)
     if worst > CLOSURE_TOL:
         raise NotRightClosed(f"commutant residual {worst:.3e} above {CLOSURE_TOL}")
-
-    # omega = 1 (x) 1 is rotated once, leg by leg, and read against the rows
-    # of every coordinate, one leg a cluster's blocks at a time
-    (rot_a, _, _), (rot_b, _, cb) = legs
-    omega = np.kron(sub.algebra.unit, sub.algebra.unit).reshape(len(rot_a), len(rot_b))
-    omegas = _class_blocks(np.matmul(rot_b, (rot_a @ omega)[..., None])[None], legs)
-    value = 0.0
-    for key, q in sub.basis.items():
-        (count, rows, rho), b = q.shape, cb[key[1]][1]
-        w = _block_stack(omegas[key])[:, None]
-        overlaps = np.empty((count, rho, k, 1), dtype=complex)
-        for lo in range(0, count, b):
-            qh = q[lo : lo + b].conj().transpose(0, 2, 1).reshape(b, rho, k, rows // k)
-            np.matmul(qh, w[lo : lo + b], out=overlaps[lo : lo + b])
-        value += float(np.sum(np.abs(overlaps) ** 2))
-    return DimensionResult(value, sub.rank, worst, "spectral")
-
-
-def _kernel_index(kernel: BlockKernel) -> tuple:
-    """(part, block, pos): for each unknown, the part of its kernel block
-    (-1 for an unknown in no kernel block), the block's index within the
-    part and the unknown's position among the block's columns."""
-    part, block, pos = (np.full(kernel.ncols, -1) for _ in range(3))
-    for p, (cols, _, _) in enumerate(kernel.parts):
-        part[cols] = p
-        block[cols] = np.arange(len(cols))[:, None]
-        pos[cols] = np.arange(cols.shape[1])
-    return part, block, pos
-
-
-def _kernel_fibers(kernel: BlockKernel, n: int, stride: int) -> list:
-    """The kernel blocks laid out by the fibers of one leg, whose index in
-    an unknown has stride stride: a fiber is the n unknowns of one block's
-    columns that differ only on that leg. Per part, (slot, x, src, at):
-    column j of block b sits at leg index x[b, j] of the block's fiber
-    slot[b, j], fibers numbered across the part, and, for every entry of
-    the (n, fibers) layout in row-major order, at is its unknown and src
-    its block."""
-    out = []
-    for cols, _, _ in kernel.parts:
-        m, c = cols.shape
-        x = cols // stride % n
-        key, slot = np.unique(np.arange(m)[:, None] * kernel.ncols + cols - x * stride,
-                              return_inverse=True)
-        src, start = np.divmod(key, kernel.ncols)
-        at = (start + (np.arange(n) * stride)[:, None]).ravel()
-        out.append((slot.reshape(m, c), x, np.tile(src, n), at))
-    return out
-
-
-def _kernel_residual(mat: np.ndarray, kernel: BlockKernel, fibers: list,
-                     index: tuple) -> tuple[float, float]:
-    """(|T Q|^2, |(1 - P) T Q|^2) for a whitened one-leg operator T = mat
-    and the kernel basis Q, P = Q Q^H, from the kernel blocks (fibers as
-    _kernel_fibers returns them for T's leg, index as _kernel_index).
-
-    T acts on the leg axis of each part's fiber layout. The image of a
-    source block is gathered onto each target block it meets, by target
-    part, and Q_t Q_t^H of it subtracted there; entries in no kernel block
-    are left whole.
-    """
-    part, block, pos = index
-    n = len(mat)
-    img2 = rem2 = 0.0
-    for (_, vecs, _), (slot, x, src, at) in zip(kernel.parts, fibers):
-        k = vecs.shape[2]
-        z = np.zeros((n, len(src) // n, k), dtype=complex)
-        z[x, slot] = vecs
-        y = (mat @ z.reshape(n, -1)).reshape(-1, k)
-        img2 += np.vdot(y, y).real
-        hit = np.flatnonzero(np.any(y != 0, axis=1))
-        y, src_h, at_h = y[hit], src[hit], at[hit]
-        rest = part[at_h] < 0
-        rem2 += np.vdot(y[rest], y[rest]).real
-        for target in np.unique(part[at_h[~rest]]):
-            sel = np.flatnonzero(part[at_h] == target)
-            tcols, tvecs, _ = kernel.parts[target]
-            pairs, pair = np.unique(src_h[sel] * len(tcols) + block[at_h[sel]],
-                                    return_inverse=True)
-            img = np.zeros((pairs.size, tcols.shape[1], k), dtype=complex)
-            img[pair.ravel(), pos[at_h[sel]]] = y[sel]
-            q = tvecs[pairs % len(tcols)]
-            img -= q @ (q.conj().transpose(0, 2, 1) @ img)
-            rem2 += np.vdot(img, img).real
-    return img2, rem2
-
-
-def _kernel_dimension(sub: ModuleSubspace) -> DimensionResult:
-    """vn_dimension of a ModuleSubspace from its basis blocks (see the
-    module docstring)."""
-    alg, kernel, k = sub.algebra, sub.basis, sub.ncoords
-    n, t = alg.dim, alg.onb_factor
-    index = _kernel_index(kernel)
-    fibers = [_kernel_fibers(kernel, n, stride) for stride in (n * k, k)]
-    worst = 0.0
-    for leg, mat in _test_ops(sub.right_ops, [(t, alg.onb_inverse, None)] * 2):
-        img2, rem2 = _kernel_residual(mat, kernel, fibers[leg], index)
-        worst = max(worst, float(np.sqrt(rem2) / max(1.0, np.sqrt(img2))))
-    if worst > CLOSURE_TOL:
-        raise NotRightClosed(f"commutant residual {worst:.3e} above {CLOSURE_TOL}")
-    # <Q_v, Omega_cj> for Omega_cj = omega_j in copy c, per block, copy,
-    # vector and trace vector
-    omega = whiten(alg, sub.trace_vectors)
-    value, nt = 0.0, omega.shape[1]
-    for cols, vecs, _ in kernel.parts:
-        m, c, d = vecs.shape
-        q, copy = np.divmod(cols, k)
-        prod = (vecs.conj()[..., None] * omega[q][:, :, None]).ravel()
-        idx = (((np.arange(m)[:, None] * k + copy)[..., None, None] * d
-                + np.arange(d)[:, None]) * nt + np.arange(nt)).ravel()
-        value += float(np.sum(np.bincount(idx, prod.real) ** 2 + np.bincount(idx, prod.imag) ** 2))
-    return DimensionResult(value, kernel.shape[1], worst, "kernel")
+    omega = apply_pair((legs[0][0], legs[1][0]), sub.trace_vectors)
+    route = "kernel" if sub.legs is None else "spectral"
+    return DimensionResult(_readout(basis, omega, k), basis.shape[1], worst, route)
 
 
 def as_fraction(x: float, max_den: int) -> Fraction | None:
@@ -591,16 +467,17 @@ def _cluster_diagonal(mats: np.ndarray, classes: list) -> tuple[list, float]:
     return diag, float(np.vdot(off, off).real)
 
 
-def _inner_basis(alg, gens: np.ndarray, legs: list) -> tuple[dict, int]:
+def _inner_basis(alg, gens: np.ndarray, legs: list) -> BlockKernel:
     """The orthonormal basis of the inner module by rotated spectral block,
-    as InnerModule.basis holds it, and its rank.
+    in the rotated coordinates of legs.
 
     The blocks are built from the rotated multiplications (see the module
     docstring) one leg a cluster's row of them at a time, and each row is
     taken by its SVD at once; only the left singular vectors are kept. One
-    cut on the union of the spectra (shared_cut) then zeroes the dropped
-    columns in place. Raises NotRightClosed if the parts off the cluster
-    diagonal, which the blocks leave out, exceed _drop_bound.
+    cut on the union of the spectra (shared_cut) then keeps a prefix of
+    each block's vectors, and the blocks of one shape and rank form one
+    part. Raises NotRightClosed if the parts off the cluster diagonal,
+    which the blocks leave out, exceed _drop_bound.
     """
     (rot_a, inv_a, ca), (rot_b, inv_b, cb) = legs
     k, n = gens.shape[1], alg.dim
@@ -630,19 +507,35 @@ def _inner_basis(alg, gens: np.ndarray, legs: list) -> tuple[dict, int]:
             f"the inner span leaks {np.sqrt(leak2):.3e} out of its spectral blocks, "
             f"above the drop bound {bound:.3e}"
         )
-    rank = 0
-    for key, kept in zip(spectra, shared_cut(list(spectra.values()))):
-        np.multiply(bases[key], kept[:, None, :], out=bases[key])
-        bases[key] = _leading_columns(bases[key], int(kept.sum(axis=1).max()))
-        rank += int(kept.sum())
-    return bases, rank
+    parts = {}
+    for (alpha, beta), kept in zip(spectra, shared_cut(list(spectra.values()))):
+        (sa, a, d), (sb, b, e) = ca[alpha], cb[beta]
+        # row (c, i', j') of block i b + j is the unknown of leg a at
+        # sa + i d + i', leg b at sb + j e + j' and copy c
+        la = (sa + np.arange(a * d)).reshape(a, 1, 1, d, 1)
+        lb = (sb + np.arange(b * e)).reshape(1, b, 1, 1, e)
+        cols = ((la * n + lb) * k + np.arange(k)[:, None, None]).reshape(a * b, k * d * e)
+        u, ranks = bases.pop((alpha, beta)), kept.sum(axis=1)
+        values, counts = np.unique(ranks, return_counts=True)
+        main = values[np.argmax(counts)]
+        # the other ranks are copied out before the most common one moves down
+        for r in [*values[values != main], main]:
+            sel = np.flatnonzero(ranks == r)
+            if r:
+                vecs = _leading_columns(u, sel, r) if r == main else u[sel, :, :r]
+                parts.setdefault((k * d * e, int(r)), []).append((cols[sel], vecs))
+    out, start = [], 0
+    for same in parts.values():
+        cols, vecs = (a[0] if len(a) == 1 else np.concatenate(a) for a in zip(*same))
+        out.append((cols, vecs, start + vecs.shape[2] * np.arange(len(cols))))
+        start += vecs.shape[0] * vecs.shape[2]
+    return BlockKernel(k * n * n, tuple(out))
 
 
-def inner_derivation_module(alg, gens: np.ndarray) -> InnerModule:
+def inner_derivation_module(alg, gens: np.ndarray) -> ModuleSubspace:
     """phi_X of the span of commutator derivations, held as an orthonormal
-    basis by block in the rotated coordinates vn_dimension splits by
-    (_inner_basis). Scales to algebras where the dense Leibniz solve does
-    not.
+    basis by block in the rotated coordinates of _legs (_inner_basis).
+    Scales to algebras where the dense Leibniz solve does not.
 
     The columns are phi_X([., xi]) for xi in the rotated GNS-orthonormal
     basis of L^2(N) (the inverse rotations of _legs); any basis of L^2(N)
@@ -657,18 +550,16 @@ def inner_derivation_module(alg, gens: np.ndarray) -> InnerModule:
     gens = _argument_set(alg, gens)
     ops = _right_ops(alg, _with_stars(alg, gens))
     legs = _legs(alg, ops)
-    return InnerModule(alg, gens, ops, legs, *_inner_basis(alg, gens, legs))
+    return ModuleSubspace(alg, gens.shape[1], _inner_basis(alg, gens, legs), ops,
+                          np.kron(alg.unit, alg.unit)[:, None], tuple(leg[:2] for leg in legs))
 
 
 def restrict_scalars(sub: ModuleSubspace, cp: CrossedProduct) -> ModuleSubspace:
     """View a module over N_big = (A x| G) (x) (A x| G)^op as a module over
     N_0 = A (x) A^op; same basis, right action through the inclusion (one
     operator pair per basis element of A and its star), and the trace
-    vectors u_g (x) u_h^op, one per sector, in every coordinate. An
-    InnerModule holds its basis only in the blocks of its own right action
-    and is refused."""
-    if not isinstance(sub, ModuleSubspace):
-        raise TypeError("restrict_scalars needs a ModuleSubspace, which holds its basis")
+    vectors u_g (x) u_h^op, one per sector, in every coordinate. The basis
+    keeps its coordinates, GNS-orthonormal or rotated."""
     if sub.algebra.dim != cp.algebra.dim:
         raise ValueError("module is not over the crossed-product bimodule")
     base = cp.base
@@ -677,7 +568,7 @@ def restrict_scalars(sub: ModuleSubspace, cp: CrossedProduct) -> ModuleSubspace:
     us = cp.embed_group.T
     # kron(u_g, u_h) in column g |G| + h
     traces = np.einsum("ga,hb->abgh", us, us).reshape(cp.algebra.dim**2, -1)
-    return ModuleSubspace(sub.algebra, sub.ncoords, sub.basis, ops, traces)
+    return ModuleSubspace(sub.algebra, sub.ncoords, sub.basis, ops, traces, sub.legs)
 
 
 def full_module(alg: FDAlgebra) -> ModuleSubspace:

@@ -170,13 +170,14 @@ def module_from_span(algebra, ncoords, span, right_ops, trace_vectors):
 
 
 def module_span(sub):
-    """The basis of a ModuleSubspace in module_from_span's raw layout."""
+    """The basis of a ModuleSubspace in module_from_span's raw layout,
+    mapped back by the inverse coordinates of its legs."""
     from steinlab.derivations import apply_pair
 
-    (nk, r), n = sub.basis.shape, sub.algebra.dim
-    q = sub.basis.vectors().T.reshape(n * n, sub.ncoords, r).transpose(1, 0, 2)
-    back = (sub.algebra.onb_inverse, sub.algebra.onb_inverse)
-    return apply_pair(back, q).reshape(nk, r)
+    (nk, r), alg = sub.basis.shape, sub.algebra
+    (_, inv_a), (_, inv_b) = sub.legs or 2 * ((alg.onb_factor, alg.onb_inverse),)
+    q = sub.basis.vectors().T.reshape(alg.dim**2, sub.ncoords, r).transpose(1, 0, 2)
+    return apply_pair((inv_a, inv_b), q).reshape(nk, r)
 
 
 # -- the inner-derivation module as one raw span ----------------------------------

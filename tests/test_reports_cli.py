@@ -60,6 +60,17 @@ def test_parse_group_rejects_garbage(bad):
         parse_group(bad)
 
 
+@pytest.mark.parametrize("table", [
+    [[0, 1], [1, 0.7]],
+    [[False, True], [True, False]],
+    [["0", 1], [1, 0]],
+], ids=["float", "boolean", "string"])
+def test_group_tables_take_integers_only(table):
+    # each would read as Z/2 through int()
+    with pytest.raises(SpecInvalid, match="group.table: expected lists of integers"):
+        parse_group({"order": 2, "table": table})
+
+
 def test_parse_algebra_forms():
     alg, blocks = parse_algebra({"multimatrix": {"blocks": [[2, 1.0]]}})
     assert alg.dim == 4 and blocks == [(2, 1.0)]

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from steinlab import (
     DerivationSpace,
-    InnerModule,
     ModuleSubspace,
     NotGenerating,
     NotRightClosed,
@@ -19,6 +18,7 @@ from steinlab import (
     crossed_product,
     cyclic,
     derivation_space,
+    dihedral_4,
     dual_action,
     full_module,
     group_algebra,
@@ -187,12 +187,18 @@ def test_restrict_scalars_trace_vectors_are_the_sector_units():
         assert np.array_equal(restrict_scalars(full_module(cp.algebra), cp).trace_vectors, want)
 
 
-def test_restrict_scalars_refuses_an_inner_module():
-    # an inner module holds only the blocks of its own right action
-    cp = _crossed("C2 x| Z/2")
-    gens = np.column_stack([cp.lift(cp.base.basis(0)), cp.u(1)])
-    with pytest.raises(TypeError, match="holds its basis"):
-        restrict_scalars(inner_derivation_module(cp.algebra, gens), cp)
+def test_restrict_scalars_of_an_inner_module_reads_the_kernel_route():
+    # the restricted module keeps the inner module's rotated coordinates and
+    # tests the base's right operators in them, on every corpus crossed
+    # product at X the basis
+    for spec in reports.corpus_specs():
+        cp = crossed_product(spec.algebra, spec.action)
+        eye = np.eye(cp.algebra.dim, dtype=complex)
+        inner = vn_dimension(restrict_scalars(inner_derivation_module(cp.algebra, eye), cp))
+        kernel = vn_dimension(restrict_scalars(phi_x(derivation_space(cp.algebra)), cp))
+        assert (inner.route, kernel.route) == ("spectral", "kernel")
+        assert inner.rank == kernel.rank
+        assert abs(inner.value - kernel.value) < 1e-12, spec.label
 
 
 def test_restrict_scalars_refuses_a_module_over_the_base():
@@ -267,17 +273,15 @@ def _apply(op: tuple, vecs: np.ndarray, shape: tuple) -> np.ndarray:
     return t.reshape(vecs.shape)
 
 
-def dense_vn_dimension(sub: ModuleSubspace | InnerModule):
+def dense_vn_dimension(sub: ModuleSubspace, span: np.ndarray | None = None):
     """Reference: orthonormalize the whole span by one SVD and test
-    every right operator against the dense projector onto it. An inner
-    module is read through its raw span (dense_reference.inner_span), a
-    ModuleSubspace through its basis in raw coordinates (span)."""
-    alg, k = sub.algebra, sub.ncoords
-    if isinstance(sub, InnerModule):
-        span = dense_reference.inner_span(alg, sub.gens)
-        omega = np.kron(alg.unit, alg.unit)[:, None]
-    else:
-        span, omega = dense_reference.module_span(sub), sub.trace_vectors
+    every right operator against the dense projector onto it. The span is
+    given in raw coordinates, as module_from_span takes it (an inner
+    module's by dense_reference.inner_span), or by default read from the
+    module's basis (dense_reference.module_span)."""
+    alg, k, omega = sub.algebra, sub.ncoords, sub.trace_vectors
+    if span is None:
+        span = dense_reference.module_span(sub)
     t, ti = alg.onb_factor, alg.onb_inverse
     shape = (k, alg.dim, alg.dim)
     q = gram_onb(_apply((t, t), span, shape))
@@ -393,8 +397,11 @@ def test_phi_x_basis_spans_the_raw_phi_span():
 @pytest.mark.parametrize("name", list(MODULES))
 def test_block_split_matches_dense_projector(name):
     sub = MODULES[name]()
+    # an inner module against its raw span, formed apart from its blocks
+    blocks = INNER.get(name.removeprefix("inner "))
+    span = None if blocks is None else _raw_span(blocks)[0]
     got = _outcome(vn_dimension, sub)
-    want = _outcome(dense_vn_dimension, sub)
+    want = _outcome(lambda s: dense_vn_dimension(s, span), sub)
     if isinstance(want, type):
         assert got is want
     else:
@@ -459,13 +466,15 @@ def test_closure_test_sees_the_one_operator_that_breaks_invariance(leg, odd):
 
 
 def test_closure_test_applies_two_combinations_per_leg(monkeypatch):
+    # one combination per leg and draw, each applied to one random vector
     sub = MODULES["inner M2+C, raw span"]()
     applied = []
-    residual = vndim._kernel_residual
-    monkeypatch.setattr(vndim, "_kernel_residual",
-                        lambda op, *args: applied.append(op) or residual(op, *args))
+    residual = vndim._sketch_residual
+    monkeypatch.setattr(vndim, "_sketch_residual",
+                        lambda *args: applied.append(args[2]) or residual(*args))
     vn_dimension(sub)
     assert len(applied) == 2 * vndim.CLOSURE_DRAWS
+    assert sorted(applied) == [0] * vndim.CLOSURE_DRAWS + [1] * vndim.CLOSURE_DRAWS
 
 
 # -- block-localized inner spans against the dense projector ---------------------
@@ -483,7 +492,7 @@ INNER = {
 def test_inner_module_matches_dense_projector(name):
     sub = _inner(INNER[name])
     got = vn_dimension(sub)
-    value, rank = dense_vn_dimension(sub)
+    value, rank = dense_vn_dimension(sub, _raw_span(INNER[name])[0])
     assert got.rank == rank
     assert abs(got.value - value) < 1e-10
 
@@ -495,24 +504,39 @@ def _raw_span(blocks):
 
 
 def _rotated(span: np.ndarray, legs: list, ncoords: int) -> np.ndarray:
-    """A raw span in the rotated coordinates of both legs, shape
-    (ncoords, n_a, n_b, columns)."""
-    (rot_a, _, _), (rot_b, _, _) = legs
+    """A raw span in the rotated coordinates of both legs, laid out as a
+    module's unknowns (a n + b) ncoords + c, one column per column of
+    span."""
+    (rot_a, *_), (rot_b, *_) = legs
     n = len(rot_a)
-    return np.einsum("ai,bj,kijr->kabr", rot_a, rot_b, span.reshape(ncoords, n, n, -1))
+    t = np.einsum("ai,bj,kijr->abkr", rot_a, rot_b, span.reshape(ncoords, n, n, -1))
+    return t.reshape(n * n * ncoords, -1)
+
+
+def _spectral_blocks(legs: list, ncoords: int) -> np.ndarray:
+    """The spectral block (cluster of leg a, cluster of leg b) of each
+    unknown (a n + b) ncoords + c, numbered from the cluster sizes of the
+    classes of _legs."""
+    la, lb = (np.repeat(np.arange(sum(a for _, a, _ in classes)),
+                        [d for _, a, d in classes for _ in range(a)])
+              for _, _, classes in legs)
+    return np.repeat((la[:, None] * (lb.max() + 1) + lb).ravel(), ncoords)
 
 
 @pytest.mark.parametrize("name", ["M2+C", "M4", "M4+M2+C"])
 def test_inner_span_columns_lie_in_one_spectral_block(name):
     blocks = {"M2+C": [(2, 0.6), (1, 0.4)], "M4": INNER["M4"], "M4+M2+C": INNER["M4+M2+C"]}
+    span, alg, _ = _raw_span(blocks[name])
     sub = _inner(blocks[name])
-    span = _raw_span(blocks[name])[0]
-    views = vndim._class_blocks(_rotated(span, sub.legs, sub.ncoords), sub.legs)
-    norms = np.concatenate([
-        np.sqrt(np.sum(np.abs(v) ** 2, axis=(0, 2, 4))).reshape(-1, v.shape[-1])
-        for v in views.values()
-    ])
-    second = np.sort(norms, axis=0)[-2]
+    legs = vndim._legs(alg, sub.right_ops)
+    labels = _spectral_blocks(legs, sub.ncoords)
+    norms = np.zeros((labels.max() + 1, span.shape[1]))
+    np.add.at(norms, labels, np.abs(_rotated(span, sub.legs, sub.ncoords)) ** 2)
+    # the module's blocks are these spectral blocks
+    for cols, _, _ in sub.basis.parts:
+        assert all(len(set(labels[c])) == 1 for c in cols)
+    second = np.sqrt(np.sort(norms, axis=0)[-2])
+    norms = np.sqrt(norms)
     assert second.max() <= 1e-12 * norms.max()
 
 
@@ -554,55 +578,14 @@ def test_inner_blocks_equal_the_blocks_gathered_from_the_raw_span(name):
     sub = _inner(blocks)
     span, alg, _ = _raw_span(blocks)
     k, nn = sub.ncoords, alg.dim**2
-    q = gram_onb(_rotated(span, sub.legs, k).reshape(k * nn, -1))
-    basis, rank = sub.basis, sub.rank
-    assert rank == q.shape[1]
-    # each block's rows as indices into the rotated coordinates
-    rows = vndim._class_blocks(np.arange(k * nn).reshape(k, alg.dim, alg.dim, 1), sub.legs)
+    q = gram_onb(_rotated(span, sub.legs, k))
+    assert sub.basis.ncols == k * nn
+    assert sub.basis.shape[1] == q.shape[1]
     got = np.zeros((k * nn, k * nn), dtype=complex)
-    for key, qb in basis.items():
-        qbh = qb.conj().transpose(0, 2, 1)
-        for idx, proj in zip(vndim._block_stack(rows[key])[..., 0], qb @ qbh):
-            got[np.ix_(idx, idx)] = proj
+    for cols, vecs, _ in sub.basis.parts:
+        for idx, qb in zip(cols, vecs):
+            got[np.ix_(idx, idx)] = qb @ qb.conj().T
     assert np.max(np.abs(got - q @ q.conj().T)) < 1e-13
-
-
-@pytest.mark.parametrize("drop", [False, True], ids=["closed", "one column left out"])
-@pytest.mark.parametrize("name", ["M4+M2+C", "M3+M3+C"])
-def test_spectral_closure_residual_is_the_dense_projection_residual(name, drop):
-    # |(1 - P) T Q| / max(1, |T Q|) from the block bases against the dense
-    # basis in the rotated coordinates, for each operator the closure test
-    # applies, on both legs; both algebras have several classes and several
-    # clusters per class
-    blocks = {**INNER, "M3+M3+C": [(3, 0.4), (3, 0.35), (1, 0.25)]}[name]
-    sub = _inner(blocks)
-    k, n = sub.ncoords, sub.algebra.dim
-    basis = dict(sub.basis)
-    if drop:
-        key = max(basis, key=lambda c: basis[c].shape[2])
-        q = basis[key].copy()
-        q[0, :, 0] = 0.0
-        basis[key] = q
-    # each block's columns placed on its rows of the rotated coordinates
-    rows = vndim._class_blocks(np.arange(k * n * n).reshape(k, n, n, 1), sub.legs)
-    cols = []
-    for key, qb in basis.items():
-        for idx, block in zip(vndim._block_stack(rows[key])[..., 0], qb):
-            col = np.zeros((k * n * n, block.shape[1]), dtype=complex)
-            col[idx] = block
-            cols.append(col)
-    dense = np.concatenate(cols, axis=1)
-    ops = vndim._test_ops(sub.right_ops, sub.legs)
-    assert sorted({leg for leg, _ in ops}) == [0, 1]
-    for leg, mat in ops:
-        v = dense.reshape(k, n, n, -1)
-        img = np.einsum("xa,kabr->kxbr", mat, v) if leg == 0 else np.einsum("yb,kabr->kayr", mat, v)
-        img = img.reshape(k * n * n, -1)
-        rem = img - dense @ (dense.conj().T @ img)
-        want = np.linalg.norm(rem) / max(1.0, np.linalg.norm(img))
-        got = vndim._closure_residual((leg, mat), basis, sub.legs, k)
-        assert abs(got - want) < 1e-12
-        assert (got > 1e-3) == drop
 
 
 def test_split_degenerate_eigenspaces_leak_out_of_the_inner_blocks(monkeypatch):
@@ -630,7 +613,8 @@ def _inner_peak(n: int) -> tuple:
 
 def test_inner_module_of_m6_holds_little_more_than_its_basis():
     # M6's block bases are 36 blocks of 108 x 36, 2.1 MiB, built and cut a
-    # row of 6 blocks at a time and tested one slab at a time; the rank is
+    # row of 6 blocks at a time and tested on one random vector at a time,
+    # and read a few blocks at a time; the rank is
     # that of the inner derivations, dim L^2(N) less the center's n^2
     got, peak = _inner_peak(6)
     assert abs(got.value - (1.0 - 1.0 / 36)) < 1e-10
@@ -640,8 +624,8 @@ def test_inner_module_of_m6_holds_little_more_than_its_basis():
 
 def test_inner_module_of_m8():
     # M8's block bases are 64 blocks of 192 x 64, 12 MiB, held once; the
-    # build holds one row of 8 blocks beside them and the closure test one
-    # slab
+    # build holds one row of 8 blocks beside them, the closure test a few
+    # vectors of 3 * 64^2 entries and the readout one block's products
     got, peak = _inner_peak(8)
     assert abs(got.value - (1.0 - 1.0 / 64)) < 1e-10
     assert peak < 32 * 2**20
@@ -756,34 +740,77 @@ def test_vanishing_dimension_does_not_depend_on_the_basis(cond):
     assert abs(got.value - 0.27) < 1e-10
 
 
-@pytest.mark.parametrize("drop", [False, True], ids=["closed", "one block left out"])
-def test_kernel_closure_residual_is_the_dense_projection_residual(drop):
-    # |(1 - P) T Q| and |T Q| from the blocks against the dense kernel basis,
-    # for each operator the closure test applies
-    alg = multimatrix([(2, 0.5), (1, 0.5)])
-    kernel = derivation_space(alg).kernel
-    if drop:
-        cols, vecs, first = kernel.parts[1]
-        kernel = BlockKernel(kernel.ncols, (kernel.parts[0], (cols[1:], vecs[1:], first[1:]),
-                                            *kernel.parts[2:]))
-    n, t = alg.dim, alg.onb_factor
-    # the kernel basis as columns, block by block (vectors() needs the
-    # column offsets that leaving a block out breaks)
-    dense = np.zeros((kernel.ncols, kernel.shape[1]), dtype=complex)
+# -- the closure test against one dense projector ----------------------------------
+
+def _dense_basis(basis: BlockKernel) -> np.ndarray:
+    """The basis as columns, part by part and block by block, the order in
+    which the closure test reads its random coefficients (vectors() needs
+    the vector offsets that leaving a block out breaks)."""
+    dense = np.zeros((basis.ncols, basis.shape[1]), dtype=complex)
     col = 0
-    for cols, vecs, _ in kernel.parts:
+    for cols, vecs, _ in basis.parts:
         for b in range(len(cols)):
             dense[cols[b], col : col + vecs.shape[2]] = vecs[b]
             col += vecs.shape[2]
-    index = vndim._kernel_index(kernel)
-    ops = vndim._test_ops(phi_x(derivation_space(alg)).right_ops, [(t, alg.onb_inverse, None)] * 2)
-    for leg, mat in ops:
-        fibers = vndim._kernel_fibers(kernel, n, n * n if leg == 0 else n)
-        img2, rem2 = vndim._kernel_residual(mat, kernel, fibers, index)
-        v = dense.reshape(n, n, n, -1)
-        img = np.einsum("xa,abkr->xbkr", mat, v) if leg == 0 else np.einsum("yb,abkr->aykr", mat, v)
-        img = img.reshape(kernel.ncols, -1)
+    return dense
+
+
+def _without_one_block(basis: BlockKernel) -> BlockKernel:
+    """basis with the first block of its largest part left out."""
+    parts = list(basis.parts)
+    i = max(range(len(parts)), key=lambda p: parts[p][1].size)
+    cols, vecs, first = parts[i]
+    parts[i] = (cols[1:], vecs[1:], first[1:])
+    return BlockKernel(basis.ncols, tuple(parts))
+
+
+CLOSURE_MODULES = {
+    "kernel M2+C": lambda: phi_x(derivation_space(multimatrix([(2, 0.5), (1, 0.5)]))),
+    # several classes and several clusters per class on both legs
+    "inner M4+M2+C": lambda: _inner(INNER["M4+M2+C"]),
+    "inner M3+M3+C": lambda: _inner([(3, 0.4), (3, 0.35), (1, 0.25)]),
+}
+
+
+@pytest.mark.parametrize("drop", [False, True], ids=["closed", "one block left out"])
+@pytest.mark.parametrize("name", list(CLOSURE_MODULES))
+def test_closure_residual_is_the_dense_residual(name, drop):
+    # |(1 - P) T Q z| / max(1, |T Q z|) from the blocks against the dense
+    # basis in the module's coordinates, for each operator T and vector z
+    # the closure test draws, on both legs
+    sub = CLOSURE_MODULES[name]()
+    basis = _without_one_block(sub.basis) if drop else sub.basis
+    alg, k = sub.algebra, sub.ncoords
+    n = alg.dim
+    dense = _dense_basis(basis)
+    legs = sub.legs or 2 * ((alg.onb_factor, alg.onb_inverse),)
+    ops = vndim._test_ops(sub.right_ops, legs, basis.shape[1])
+    assert sorted({leg for leg, _, _ in ops}) == [0, 1]
+    for leg, mat, z in ops:
+        v = (dense @ z).reshape(n, n, k)
+        img = np.einsum("xa,abk->xbk", mat, v) if leg == 0 else np.einsum("yb,abk->ayk", mat, v)
+        img = img.ravel()
         rem = img - dense @ (dense.conj().T @ img)
-        assert abs(np.sqrt(img2) - np.linalg.norm(img)) < 1e-12
-        assert abs(np.sqrt(rem2) - np.linalg.norm(rem)) < 1e-12
-        assert (np.linalg.norm(rem) > 1e-3) == drop
+        want = np.linalg.norm(rem) / max(1.0, np.linalg.norm(img))
+        got = vndim._sketch_residual(basis, k, leg, mat, z)
+        assert abs(got - want) < 1e-12
+        assert (got > 1e-3) == drop
+
+
+def test_kernel_closure_test_holds_little_beyond_the_basis():
+    # C^4 x| D4 (dim 32, 992 kernel vectors): the closure test holds a few
+    # vectors of 32^2 entries and one part's gather beside the basis, where
+    # dense leg images of every kernel column took 38 MiB
+    c4 = multimatrix([(1, 0.25)] * 4)
+    perms = [[(a + (q if b == 0 else -q)) % 4 for q in range(4)] for b in range(2) for a in range(4)]
+    cp = crossed_product(c4, permutation_action(dihedral_4(), c4, perms))
+    sub = phi_x(derivation_space(cp.algebra))
+    tracemalloc.start()
+    try:
+        got = vn_dimension(sub)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.rank == 32**2 - 32
+    assert abs(got.value - 31 / 32) < 1e-12
+    assert peak < 8 * 2**20
