@@ -36,7 +36,7 @@ from _bounds import finish, limits_missed, max_rss, value_missed
 
 TOL = 1e-10
 MAX_SECONDS = 60.0
-MAX_RSS_BYTES = 12 * 10**8
+MAX_RSS_BYTES = 6 * 10**8
 EXPECTED = 1 - 1 / 54
 
 

@@ -30,6 +30,22 @@ forms its rows x cols U; a one-column block's singular value is its
 norm. The padded spectra and the single cut are the same as for a
 direct SVD.
 
+nullspace never holds the densified system. Its entries are sorted once
+by their place in the blocks laid out one after another, blocks of one
+shape side by side, and the entries at one place summed. Each stack of
+blocks of one shape is densified one chunk of blocks at a time, from its
+run of entries, just before the chunk's QR or SVD, and the chunk is
+dropped once it is factored; until the shared cut the call holds only
+every block's Vh and spectrum, its input and the sorted entries. A
+chunk's working set stays within QR_CHUNK bytes and within the bytes the
+call holds anyway: those kept factors, the input (the matrix, or the
+entries as given) and the entries' places and sums. So the peak follows
+what the call is given and returns, not the densified input. (Counting
+the factors alone cuts small systems into chunks of one or two blocks,
+each paying numpy.linalg's fixed cost per call: a corpus pass then takes
+575 chunks for 271 stacks and 19% more solver time than one densified
+buffer; 2 cores, one BLAS thread.)
+
 nullspace returns the kernel as it solves it, by block (BlockKernel): per
 group of blocks of one column count and kernel dimension, the blocks'
 columns and their orthonormal local kernel vectors. The group is keyed by
@@ -67,18 +83,21 @@ dense SVDs and returned vectors would allocate more than DENSE_LIMIT
 bytes, before allocating them. _dense_bytes counts, in 16-byte complex
 entries for an r x c block, with m = c for nullspace and m = min(r, c)
 for span_basis:
-    r c + 2 m c         the densified block, Vh (all c right singular
-                        vectors for a kernel, the m of the thin SVD for a
-                        span) and the returned vectors (at most m of
-                        them), kept to the end of the call;
-    + r^2               U, for a block with r <= c;
-    + r c + 3 c^2       for a tall block, qr's working copy, R, the U of
-                        R and the chunk's Vh, counted only for the largest
-                        chunk of QR_CHUNK bytes, since the chunks are
-                        taken one after another;
-plus 8 c bytes for the spectrum. A tall block (m = c) thus keeps
-r c + 2 c^2 entries where a direct SVD would also keep its r x c U. A
-one-column block, whose norm needs none of this, is counted the same way.
+    2 m c               Vh (all c right singular vectors for a kernel,
+                        the m of the thin SVD for a span) and the
+                        returned vectors (at most m of them), for every
+                        block, kept to the end of the call;
+    r c + r^2           for a block with r <= c in a chunk, the block
+                        densified and the U of its SVD;
+    2 r c + 3 c^2       for a tall block in a chunk, the block densified,
+                        qr's working copy, R, the U of R and its Vh;
+the chunk terms counted for the largest chunk only, since the chunks are
+taken one after another, plus 8 c bytes for every block's spectrum. A
+single block is counted as its own chunk: a tall one (m = c) takes
+r c + 2 c^2 entries past its factors where a direct SVD would also keep
+its r x c U. A one-column block, whose norm needs none of this, is
+counted the same way. The sorted entries and their places, a few words
+per nonzero, are not counted.
 
 vndim's leg blocks and the minimal central projections of
 constructions.central_projections, which give the Artin-Wedderburn blocks
@@ -101,15 +120,16 @@ REL_CUT = 1e-10
 ABS_CUT = 1e-10
 GAP_RATIO = 10.0
 # most bytes the dense per-block SVDs of one nullspace or span_basis call
-# may allocate (densified blocks, SVD factors and vectors, _dense_bytes); the
-# Leibniz system of an algebra with no zero structure, cut to the rows of
-# a two-element generating set, is one 2 dim^3 x dim^3 block: 0.40 GiB at
-# dim 12, 0.65 GiB at dim 13, 1.01 GiB at dim 14 (refused), 1.53 GiB at
-# dim 15 and 2.25 GiB at dim 16; matrix-unit bases of that size stay far
-# below, and M3 x| S3 (dim 54) needs 759 MiB
+# may allocate (kept SVD factors and vectors, and the largest densified
+# chunk, _dense_bytes); the Leibniz system of an algebra with no zero
+# structure, cut to the rows of a two-element generating set, is one
+# 2 dim^3 x dim^3 block: 0.40 GiB at dim 12, 0.65 GiB at dim 13, 1.01 GiB
+# at dim 14 (refused), 1.53 GiB at dim 15 and 2.25 GiB at dim 16;
+# matrix-unit bases of that size stay far below, and M3 x| S3 (dim 54)
+# needs 317 MiB
 DENSE_LIMIT = 1 << 30
-# most working bytes (_qr_bytes) of the tall blocks that nullspace takes
-# through one QR at a time; the stack is cut into chunks of this size. The
+# most working bytes of the blocks that nullspace densifies and factors at
+# a time (_chunks); a stack is cut into chunks of this size or less. The
 # same budget bounds the dense kernel columns of one BlockKernel.slabs()
 # slice and the Leibniz rows of one slab of derivations.leibniz_residual
 QR_CHUNK = 1 << 26
@@ -195,42 +215,47 @@ def _column_components(rows: np.ndarray, cols: np.ndarray, nrows: int, ncols: in
         label = new
 
 
-def _positions(block: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Index of each element within its block, in increasing element order."""
-    order = np.argsort(block, kind="stable")
+def _positions(block: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each element within its block, in increasing element order,
+    and the elements grouped by block in that order."""
+    # block * n + element is unique, so any sort orders it stably by block
+    n = block.size
+    order = np.argsort(block * n + np.arange(n))
     starts = np.cumsum(counts) - counts
-    pos = np.empty(block.size, dtype=int)
-    pos[order] = np.arange(block.size) - starts[block[order]]
-    return pos
+    pos = np.empty(n, dtype=int)
+    pos[order] = np.arange(n) - starts[block[order]]
+    return pos, order
 
 
-def _dense_bytes(nrow: np.ndarray, ncol: np.ndarray, count: np.ndarray, span: bool) -> int:
-    """Bytes _block_vectors allocates for count[i] blocks of shape nrow[i] x
-    ncol[i] (see the module docstring): for every block the densified
-    block, rows x cols, and Vh and the returned vectors, each at most
-    m x cols, m = cols for a kernel and min(rows, cols) for a span (all
-    complex), and the spectrum, cols values (real); for a block with
-    rows <= cols the U of its SVD, rows x rows (complex); and the largest
-    QR chunk of tall blocks (_qr_step, _qr_bytes)."""
-    r, c, count = (np.asarray(a, dtype=np.int64) for a in (nrow, ncol, count))
-    tall = r > c
-    m = np.minimum(r, c) if span else c
-    total = int(np.sum(count * (16 * (r * c + 2 * m * c + np.where(tall, 0, r * r)) + 8 * c)))
-    if tall.any():
-        total += int(np.max((np.minimum(count, _qr_step(r, c)) * _qr_bytes(r, c))[tall]))
-    return total
+def _dense_bytes(shapes: list, held: int, span: bool) -> int:
+    """Bytes _block_vectors allocates for its stacks of blocks, (count,
+    rows, cols) each, beside held bytes of input and sorted entries (see
+    the module docstring): the factors kept for every
+    block, as many bytes again for the returned vectors (at most m of them
+    per block, as Vh has), less the spectra, and the largest chunk, since
+    the chunks are taken one after another (_chunks)."""
+    kept, spectra, work, step = _chunks(shapes, held, span)
+    return 2 * kept - spectra + max(
+        (min(num, s) * w for (num, _, _), w, s in zip(shapes, work, step)), default=0)
 
 
-def _qr_bytes(r, c):
-    """Working bytes of one tall rows x cols block on the QR path: qr's copy
-    of the block, then R, the U of R and its Vh (complex)."""
-    return 16 * (r * c + 3 * c * c)
-
-
-def _qr_step(r, c):
-    """Blocks per QR chunk of a stack of tall rows x cols blocks: as many as
-    QR_CHUNK bytes hold, at least one."""
-    return np.maximum(1, QR_CHUNK // _qr_bytes(r, c))
+def _chunks(shapes: list, held: int, span: bool) -> tuple[int, int, list, list]:
+    """How batched_svd takes stacks of blocks, (count, rows, cols) each,
+    beside held bytes of input and sorted entries: (kept, spectra, work,
+    step). kept is the
+    bytes of the factors it keeps for all the blocks, their Vh, m x cols
+    with m = cols for a kernel and min(rows, cols) for a span (complex),
+    and their spectra, cols values (real), which take spectra bytes.
+    work[j] is the working bytes of one block of stack j while its chunk
+    is factored: the densified block and, on the QR path (rows > cols),
+    qr's copy of it, R, the U of R and its Vh, else the U of its SVD
+    (complex). step[j] is the blocks per chunk of stack j, as many as fit
+    within QR_CHUNK and within kept + held bytes, at least one."""
+    vh = sum(num * 16 * (min(r, c) if span else c) * c for num, r, c in shapes)
+    spectra = sum(num * 8 * c for num, _, c in shapes)
+    work = [16 * (r * c + (r * c + 3 * c * c if r > c else r * r)) for _, r, c in shapes]
+    budget = min(QR_CHUNK, vh + spectra + held)
+    return vh + spectra, spectra, work, [max(1, budget // max(w, 1)) for w in work]
 
 
 class BlockKernel:
@@ -300,12 +325,12 @@ def nullspace(mat: np.ndarray | SparseSystem) -> BlockKernel:
     block (BlockKernel; its vectors().T is the basis as columns).
 
     mat is a dense array, whose exact zeros give the block structure, or a
-    SparseSystem. Blocks are solved one SVD per shape-batch, a tall block
-    by the SVD of its QR factor R, and share one rank decision (see the
-    module docstring). If the densified blocks, their SVD factors and the
-    kernel vectors need more than DENSE_LIMIT bytes (_dense_bytes, from
-    the block shapes), DenseLimitExceeded is raised before they are
-    allocated.
+    SparseSystem. Blocks of one shape are densified and solved a chunk at
+    a time, one batched SVD per chunk, a tall block by the SVD of its QR
+    factor R, and share one rank decision (see the module docstring). If
+    the kept SVD factors, the kernel vectors and the largest chunk need
+    more than DENSE_LIMIT bytes (_dense_bytes, from the block shapes),
+    DenseLimitExceeded is raised before they are allocated.
     """
     return _block_vectors(mat, span=False)
 
@@ -332,113 +357,139 @@ def _block_vectors(mat: np.ndarray | SparseSystem, span: bool) -> BlockKernel:
     if isinstance(mat, SparseSystem):
         nrows, ncols = mat.shape
         rows, cols, vals = mat.rows, mat.cols, mat.vals
+        given = 0
     else:
         m = np.asarray(mat, dtype=complex)
         nrows, ncols = m.shape
         rows, cols = np.nonzero(m)
         vals = m[rows, cols]
+        given = m.nbytes
+    # bytes held whatever the chunks: the input, its entries, and their
+    # sorted places and sums (8 + 16 bytes each)
+    held = given + rows.nbytes + cols.nbytes + vals.nbytes + 24 * vals.size
 
-    # blocks numbered by their smallest column
-    _, col_block = np.unique(
-        _column_components(rows, cols, nrows, ncols), return_inverse=True
-    )
+    # blocks numbered by their smallest column, the label of each component
+    label = _column_components(rows, cols, nrows, ncols)
+    col_block = np.cumsum(label == np.arange(ncols))[label] - 1
     ncol_b = np.bincount(col_block)
     entry_block = col_block[cols]
     row_block = np.full(nrows, -1)
     row_block[rows] = entry_block
     active = np.flatnonzero(row_block >= 0)
     nrow_b = np.bincount(row_block[active], minlength=ncol_b.size)
-    # blocks grouped by shape: group j is blocks slot[at[j] : at[j] + count[j]]
+    # blocks grouped by shape: stack j is blocks slot[at[j] : at[j] + count[j]]
     shape_key = nrow_b * (ncols + 1) + ncol_b
     slot = np.argsort(shape_key, kind="stable")
     _, at, count = np.unique(shape_key[slot], return_index=True, return_counts=True)
-    if (need := _dense_bytes(nrow_b[slot[at]], ncol_b[slot[at]], count, span)) > DENSE_LIMIT:
+    shapes = np.stack([count, nrow_b[slot[at]], ncol_b[slot[at]]], axis=1).tolist()
+    if (need := _dense_bytes(shapes, held, span)) > DENSE_LIMIT:
         raise DenseLimitExceeded(
             f"{ncol_b.size} connected blocks of up to {ncol_b.max()} unknowns need "
             f"{need} bytes, which exceeds the dense limit of {DENSE_LIMIT} bytes"
         )
     row_pos = np.zeros(nrows, dtype=int)
-    row_pos[active] = _positions(row_block[active], nrow_b)
-    col_pos = _positions(col_block, ncol_b)
-    block_cols = np.argsort(col_block, kind="stable")  # columns grouped by block
+    row_pos[active] = _positions(row_block[active], nrow_b)[0]
+    col_pos, block_cols = _positions(col_block, ncol_b)  # and the columns grouped by block
     col_start = np.cumsum(ncol_b) - ncol_b
 
-    # every block densified row-major into one flat buffer, blocks of one
-    # shape side by side so that each shape is a (count, rows, cols) view
+    # each entry's place in the blocks laid out row-major one after another,
+    # blocks of one shape side by side; the entries at one place are summed
+    # in the order given, and the places sorted once, so that each chunk of
+    # blocks reads one run of them
     size = nrow_b * ncol_b
     offset = np.empty_like(size)
     offset[slot] = np.cumsum(size[slot]) - size[slot]
-    buf = np.zeros(int(size.sum()), dtype=complex)
-    np.add.at(
-        buf,
+    place, inverse = np.unique(
         offset[entry_block] + row_pos[rows] * ncol_b[entry_block] + col_pos[cols],
-        vals,
+        return_inverse=True,
     )
+    summed = np.zeros(place.size, dtype=complex)
+    np.add.at(summed, inverse, vals)
+    del inverse
+    stack_place = offset[slot[at]]
 
-    stacks, block_ids = [], []
-    for j, num in zip(at, count):
-        ids = slot[j : j + num]
-        r, c = int(nrow_b[ids[0]]), int(ncol_b[ids[0]])
-        start = offset[ids[0]]
-        stacks.append(buf[start : start + num * r * c].reshape(num, r, c))
-        block_ids.append(ids)
+    def dense(j: int, lo: int, hi: int) -> np.ndarray:
+        """Blocks lo to hi - 1 of stack j, densified."""
+        _, r, c = shapes[j]
+        start = stack_place[j] + lo * r * c
+        begin, end = np.searchsorted(place, (start, start + (hi - lo) * r * c))
+        out = np.zeros((hi - lo, r, c), dtype=complex)
+        out.reshape(-1)[place[begin:end] - start] = summed[begin:end]
+        return out
 
+    # kept values are a prefix of each block's descending spectrum, so the
+    # row space is spanned by the first rows of a block's vh, the kernel by
+    # the last; num counts them for every block, in slot order, the order
+    # of the chunks
+    svds = batched_svd(shapes, held, dense, full=not span)
+    num = np.concatenate([kept.sum(axis=1) for *_, kept in svds] + [np.zeros(0, dtype=int)])
+    if not span:
+        num = ncol_b[slot] - num
+    first = np.cumsum(num) - num
     # parts keyed by (columns, vectors per block): blocks of one column count
-    # but different row counts solve in different stacks and share a part
-    parts, k = {}, 0
-    for ids, (s, vh, kept) in zip(block_ids, batched_svd(stacks, full=not span)):
-        # kept values are a prefix of each block's descending spectrum, so
-        # the row space is spanned by the first rows of vh, the kernel by
-        # the last
-        c = s.shape[1]
-        num = kept.sum(axis=1) if span else c - kept.sum(axis=1)
-        first = k + np.cumsum(num) - num
-        k += int(num.sum())
-        gcols = block_cols[col_start[ids, None] + np.arange(c)]
-        for dim in np.unique(num[num > 0]):
-            sel = np.flatnonzero(num == dim)
+    # but different row counts solve in different stacks and share a part,
+    # listed by the stack that first has them and then by vectors per block
+    parts, b = {}, 0
+    for i, (j, s, vh, _) in enumerate(svds):
+        svds[i] = None  # the chunk's factors are dropped once its vectors are taken
+        c, here = s.shape[1], num[b : b + len(s)]
+        for dim in np.flatnonzero(np.bincount(here)[1:]) + 1:
+            sel = np.flatnonzero(here == dim)
             vecs = vh[sel, :dim] if span else vh[sel, c - dim :]
-            parts.setdefault((c, int(dim)), []).append(
-                (gcols[sel], vecs.conj().transpose(0, 2, 1), first[sel]))
-    return BlockKernel(ncols, tuple(
-        tuple(a[0] if len(a) == 1 else np.concatenate(a) for a in zip(*same))
-        for same in parts.values()
-    ))
+            _, idx, vec = parts.setdefault((c, int(dim)), (j, [], []))
+            idx.append(b + sel)
+            vec.append(np.conjugate(vecs, out=vecs).transpose(0, 2, 1))
+        b += len(s)
+    blocks = []
+    for (c, _), (_, idx, vec) in sorted(parts.items(), key=lambda p: (p[1][0], p[0][1])):
+        idx = np.concatenate(idx)
+        blocks.append((block_cols[col_start[slot[idx], None] + np.arange(c)],
+                       vec[0] if len(vec) == 1 else np.concatenate(vec), first[idx]))
+    return BlockKernel(ncols, tuple(blocks))
 
 
-def batched_svd(stacks: list[np.ndarray], full: bool = False) -> list[tuple]:
+def batched_svd(shapes: list, held: int, dense, full: bool = False) -> list[tuple]:
     """Right singular vectors of many blocks with one rank decision, as for
     their direct sum.
 
-    stacks holds (count, rows, cols) arrays, one per block shape, each taken
-    by one batched SVD. Every block's spectrum is zero-padded to its column
-    count; one rank_split on the union, with the global scale, is the cut.
-    Returns (s, vh, kept) per stack, kept[b, j] marking the singular values
-    of block b above the cut (a prefix of each padded spectrum). No left
-    singular vectors are formed: a tall stack (rows > cols) is taken by the
-    SVD of the R of its QR, which has the block's singular values and right
-    singular vectors, QR_CHUNK bytes of blocks at a time (_qr_step), and a
-    one-column block's singular value is its norm, with right vector 1.
-    With full=True a wide block gets every right singular vector.
+    shapes holds (count, rows, cols) per stack of blocks of one shape,
+    held is the bytes the caller holds beside the factors (_chunks), and
+    dense(j, lo, hi) gives blocks lo to hi - 1 of stack j as a (hi - lo,
+    rows, cols) array. A stack is densified one chunk of blocks at a time
+    (_chunks), just before the chunk is factored, and the chunk is
+    dropped once it is, so that only the factors are kept. Every block's
+    spectrum is zero-padded to its column count; one rank_split on the
+    union, with the global scale, is the cut. Returns (j, s, vh, kept) per
+    chunk, in the order of the stacks and of their blocks, j the chunk's
+    stack and kept[b, i] marking the singular values of its block b above
+    the cut (a prefix of each padded spectrum). No left singular vectors
+    are kept: a tall chunk (rows > cols) is taken by the SVD of the R of
+    its QR, which has the blocks' singular values and right singular
+    vectors, and a one-column block's singular value is its norm, with
+    right vector 1. With full=True a wide block gets every right singular
+    vector.
     """
     svds = []
-    for stack in stacks:
-        m, r, c = stack.shape
-        if c == 1:
-            s, vh = np.linalg.norm(stack, axis=1), np.ones((m, 1, 1), dtype=complex)
-        elif r > c:
-            s, vh = np.empty((m, c)), np.empty((m, c, c), dtype=complex)
-            step = int(_qr_step(r, c))
-            for i in range(0, m, step):
-                _, s[i : i + step], vh[i : i + step] = np.linalg.svd(
-                    np.linalg.qr(stack[i : i + step], mode="r"))
-        else:
-            s, vh = np.linalg.svd(stack, full_matrices=full)[1:]
-        if s.shape[1] < c:
-            s = np.concatenate([s, np.zeros((s.shape[0], c - s.shape[1]))], axis=1)
-        svds.append((s, vh))
-    kept = shared_cut([s for s, _ in svds])
-    return [(s, vh, k) for (s, vh), k in zip(svds, kept)]
+    for j, ((num, _, _), step) in enumerate(zip(shapes, _chunks(shapes, held, not full)[3])):
+        for lo in range(0, num, step):
+            svds.append((j, *_svd(dense(j, lo, min(lo + step, num)), full)))
+    kept = shared_cut([s for _, s, _ in svds])
+    return [(*svd, k) for svd, k in zip(svds, kept)]
+
+
+def _svd(stack: np.ndarray, full: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(s, vh) of a (count, rows, cols) stack for batched_svd, each
+    spectrum zero-padded to cols values."""
+    m, r, c = stack.shape
+    if c == 1:
+        s, vh = np.linalg.norm(stack, axis=1), np.ones((m, 1, 1), dtype=complex)
+    elif r > c:
+        _, s, vh = np.linalg.svd(np.linalg.qr(stack, mode="r"))
+    else:
+        s, vh = np.linalg.svd(stack, full_matrices=full)[1:]
+    if s.shape[1] < c:
+        s = np.concatenate([s, np.zeros((m, c - s.shape[1]))], axis=1)
+    return s, vh
 
 
 def shared_cut(spectra: list[np.ndarray]) -> list[np.ndarray]:

@@ -128,12 +128,10 @@ def parse_group(obj) -> FiniteGroup:
         return built
     if isinstance(obj, dict):
         try:
-            order, table = obj["order"], np.asarray(obj["table"])
-        except (KeyError, ValueError) as exc:
+            order, table = obj["order"], _integer_array(obj["table"])
+        except KeyError as exc:
             raise SpecInvalid(f"group: {exc}") from None
-        # by dtype kind, as _perms reads a permutation: int() would truncate
-        # a float and read a boolean or a numeric string as an index
-        if table.dtype.kind not in "iu":
+        if table is None:
             raise SpecInvalid("group.table: expected lists of integers")
         return FiniteGroup(check_integer(order, "group.order"), table, str(obj.get("label", "")))
     raise SpecInvalid("group must be a name or an order/table dictionary")
@@ -183,14 +181,26 @@ def _action_field(obj: dict, key: str) -> object:
     return obj[key]
 
 
+def _integer_array(obj) -> np.ndarray | None:
+    """Nested lists of integers as an array, or None if obj is not one.
+    The entries are read by dtype kind, as int() would truncate a float and
+    read a numeric string as an index, and each JSON true or false among
+    them, which NumPy casts to 1 or 0, is refused as check_integer refuses
+    it."""
+    try:
+        arr, entries = np.asarray(obj), np.asarray(obj, dtype=object)
+    except ValueError:
+        return None
+    if arr.dtype.kind not in "iu" or any(isinstance(x, bool) for x in entries.flat):
+        return None
+    return arr
+
+
 def _perms(obj, grp: FiniteGroup, alg: FDAlgebra) -> np.ndarray:
     """One permutation image list per group element, entries in 0..dim A - 1."""
-    try:
-        perms = np.asarray(obj)
-    except ValueError:
-        perms = None
+    perms = _integer_array(obj)
     want = (grp.order, alg.dim)
-    if perms is None or perms.dtype.kind not in "iu" or perms.shape != want:
+    if perms is None or perms.shape != want:
         raise SpecInvalid(f"action.perms: expected {want[0]} lists of {want[1]} integers")
     if np.any((perms < 0) | (perms >= alg.dim)):
         raise SpecInvalid(f"action.perms: entries must lie in 0..{alg.dim - 1}")

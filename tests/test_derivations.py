@@ -43,6 +43,7 @@ from steinlab import (
     vn_dimension,
 )
 from steinlab import _linalg, algebra as algebra_module
+from steinlab.reports import CORPUS, ExperimentSpec
 from steinlab._linalg import nullspace
 from steinlab import derivations
 from steinlab.derivations import leibniz_system, whiten
@@ -214,6 +215,62 @@ def test_phi_x_at_other_arguments_holds_no_dense_kernel():
     assert gens.shape[1] < alg.dim
     assert peak < 4 * 2**20 < dense / 6
     assert abs(vn_dimension(sub).value - vn_dimension(phi_x(space)).value) < 1e-12
+
+
+def _cz3_dual():
+    """The corpus's C[Z/3] x| Z/3 under the dual action: its Leibniz system
+    is nine 162 x 81 blocks."""
+    spec = ExperimentSpec.from_json(next(s for s in CORPUS if s["label"] == "C[Z/3] | Z/3 | dual"))
+    return crossed_product(spec.algebra, spec.action).algebra
+
+
+def test_derivation_space_holds_memory_in_proportion_to_its_factors():
+    # the nine blocks are 3 MiB densified together, where their kept Vh take
+    # 0.9 MiB; each is densified and factored in its own chunk
+    alg = _cz3_dual()
+    tracemalloc.start()
+    try:
+        space = derivation_space(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.rank == 72
+    assert peak < 3 * 2**20
+
+
+def test_guard_counts_what_a_chunked_solve_holds(monkeypatch):
+    # the nine blocks are one tall stack of nine chunks: the traced peak of
+    # the solve stays within the guard's count of its shapes, and a limit
+    # one byte lower is refused before any block is factored
+    alg = _cz3_dual()
+    system = leibniz_system(alg, alg.generating_indices)
+    calls, count = [], _linalg._dense_bytes
+
+    def spy(*args):
+        calls.append(args)
+        return count(*args)
+
+    monkeypatch.setattr(_linalg, "_dense_bytes", spy)
+    tracemalloc.start()
+    try:
+        kernel = nullspace(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    [(shapes, held, span)] = calls
+    assert shapes == [[9, 162, 81]] and not span
+    assert _linalg._chunks(shapes, held, span)[3] == [1]
+    assert kernel.shape[1] == 72
+    need = count(shapes, held, span)
+    assert peak <= need
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an SVD ran")
+
+    monkeypatch.setattr(_linalg, "batched_svd", refuse)
+    monkeypatch.setattr(_linalg, "DENSE_LIMIT", need - 1)
+    with pytest.raises(DenseLimitExceeded, match=f"need {need} bytes"):
+        nullspace(system)
 
 
 def test_leibniz_residual_in_slabs_is_the_whole_system_residual(monkeypatch):

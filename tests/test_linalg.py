@@ -105,11 +105,16 @@ def test_max_block_guard_runs_on_the_largest_block(monkeypatch):
     m = _shuffled_block_diagonal(
         rng, [_with_spectrum(rng, 2, 2, [1.0]), _with_spectrum(rng, 3, 3, [1.0, 1.0])]
     )
-    monkeypatch.setattr(_linalg, "DENSE_LIMIT", 872)
+    # the kept Vh, kernel vectors and spectra of both blocks, 16 * 2 * (4 + 9)
+    # + 8 * (2 + 3), and the working set of the largest chunk only, the 3 x 3
+    # block densified and its U, 16 * (9 + 9): the 2 x 2 block's chunk is
+    # dropped before the 3 x 3 block's is densified
+    assert 16 * 26 + 40 + 16 * 18 == 744
+    monkeypatch.setattr(_linalg, "DENSE_LIMIT", 744)
     assert nullspace(m).shape[1] == 2
-    monkeypatch.setattr(_linalg, "DENSE_LIMIT", 871)
-    with pytest.raises(DenseLimitExceeded, match="up to 3 unknowns need 872 bytes, which "
-                                                 "exceeds the dense limit of 871 bytes"):
+    monkeypatch.setattr(_linalg, "DENSE_LIMIT", 743)
+    with pytest.raises(DenseLimitExceeded, match="up to 3 unknowns need 744 bytes, which "
+                                                 "exceeds the dense limit of 743 bytes"):
         nullspace(m)
 
 

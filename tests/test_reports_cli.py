@@ -64,9 +64,11 @@ def test_parse_group_rejects_garbage(bad):
     [[0, 1], [1, 0.7]],
     [[False, True], [True, False]],
     [["0", 1], [1, 0]],
-], ids=["float", "boolean", "string"])
+    [[0, True], [True, 0]],
+], ids=["float", "boolean", "string", "boolean-among-integers"])
 def test_group_tables_take_integers_only(table):
-    # each would read as Z/2 through int()
+    # each would read as Z/2 through int(), and the last one also by its
+    # dtype, as NumPy casts it to int64
     with pytest.raises(SpecInvalid, match="group.table: expected lists of integers"):
         parse_group({"order": 2, "table": table})
 
@@ -536,6 +538,7 @@ def test_cli_dim_rejects_seed(tmp_path, capsys):
     ("run", json.dumps(dict(C2_SPEC, action={"name": "permutation", "perms": [[0]]}))),
     ("run", json.dumps(dict(C2_SPEC, action={"name": "permutation", "perms": "ab"}))),
     ("run", json.dumps(dict(C2_SPEC, action={"name": "permutation", "perms": [[0, 1], [2, 0]]}))),
+    ("run", json.dumps(dict(C2_SPEC, action={"name": "permutation", "perms": [[0, 1], [True, 0]]}))),
     ("run", json.dumps(dict(C2_SPEC, action={"name": "ad"}))),
     ("run", json.dumps(dict(C2_SPEC, action={"name": "ad", "unitaries": [[[1, 0]]]}))),
     ("run", json.dumps(dict(C2_SPEC, alt_generators=[[[1, 0]]]))),
@@ -543,7 +546,8 @@ def test_cli_dim_rejects_seed(tmp_path, capsys):
     ("run", json.dumps(dict(C2_SPEC, checks="schreier_crossed"))),
 ], ids=["run-json", "dim-json", "seed-word", "seed-fraction", "seed-negative", "subgroup-word",
         "subgroup-range", "subgroup-not-list", "order-0", "perms-missing",
-        "perms-short", "perms-string", "perms-range", "unitaries-missing", "unitaries-shape",
+        "perms-short", "perms-string", "perms-range", "perms-boolean", "unitaries-missing",
+        "unitaries-shape",
         "alt-generators-length", "checks-number", "checks-string"])
 def test_cli_malformed_input_exits_2_with_one_line(tmp_path, capsys, command, text):
     path = tmp_path / "input.json"

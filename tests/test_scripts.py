@@ -87,9 +87,9 @@ def test_m3_s3_ceiling_checks_its_bounds():
     assert cp.algebra.dim == 54
     assert max(validate_action(cp.action).values()) == 0.0
     exact = {"the basis": 1 - 1 / 54, "the generators": 1 - 1 / 54}
-    assert script.failures(exact, 10.0, 10**9) == []
-    assert script.failures(exact, 59.9, 1199 * 10**6) == []
-    missed = script.failures({**exact, "the generators": 1 - 1 / 54 + 1e-9}, 60.0, 12 * 10**8)
+    assert script.failures(exact, 10.0, 4 * 10**8) == []
+    assert script.failures(exact, 59.9, 599 * 10**6) == []
+    missed = script.failures({**exact, "the generators": 1 - 1 / 54 + 1e-9}, 60.0, 6 * 10**8)
     assert [line.split()[0] for line in missed] == ["value", "took", "max"]
     assert "at X the generators" in missed[0]
 
@@ -108,9 +108,9 @@ def test_c4_d4_battery_checks_its_bounds():
     # the M3 x| S3 battery, with the bounds of the M3 x| S3 ceiling
     spec = script.SPECS["m3_s3"]()
     assert (spec.algebra.dim, spec.group.order, spec.subgroup) == (9, 6, [0, 3, 4])
-    assert script.failures(rows, 51.0, 928 * 10**6, "m3_s3") == []
-    assert script.failures(rows, 59.9, 1199 * 10**6, "m3_s3") == []
-    missed = script.failures(rows[1:] + ["fail"], 60.0, 12 * 10**8, "m3_s3")
+    assert script.failures(rows, 51.0, 430 * 10**6, "m3_s3") == []
+    assert script.failures(rows, 59.9, 599 * 10**6, "m3_s3") == []
+    missed = script.failures(rows[1:] + ["fail"], 60.0, 6 * 10**8, "m3_s3")
     assert [line.split()[0] for line in missed] == ["rows", "took", "max"]
 
 
