@@ -24,6 +24,7 @@ never the report tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,6 +49,19 @@ def _carr(a) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FDAlgebra:
+    """A tracial *-algebra by its structure constants (see the module
+    docstring), immutable.
+
+    What is fixed by the constants is computed once, on first use, and
+    held by the algebra as a cached property, so that it lives and dies
+    with the algebra: the Gram matrix and its factor T = onb_factor with
+    T^-1, the factor maps (T, T) and (T^-1, T^-1) of L^2(A (x) A^op)
+    (onb_map, onb_inverse_map), the whitened multiplications of the
+    Leibniz system (whitened_mult), the right operators of the basis and
+    its stars (basis_right_ops), a generating set and the axiom residuals
+    in GNS-orthonormal coordinates.
+    """
+
     dim: int
     mult: np.ndarray
     star: np.ndarray
@@ -126,6 +140,62 @@ class FDAlgebra:
         return np.linalg.inv(self.onb_factor)
 
     @cached_property
+    def onb_map(self) -> FactorMap:
+        """(T, T), T = onb_factor, on L^2(A (x) A^op): raw coordinates to
+        GNS-orthonormal ones, planned once."""
+        return FactorMap((self.onb_factor, self.onb_factor))
+
+    @cached_property
+    def onb_inverse_map(self) -> FactorMap:
+        """(T^-1, T^-1), GNS-orthonormal coordinates of L^2(A (x) A^op)
+        back to raw ones, planned once."""
+        return FactorMap((self.onb_inverse, self.onb_inverse))
+
+    @cached_property
+    def whitened_mult(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The whitened operators T left_mult(b_x) T^-1 and T right_mult(b_y)
+        T^-1 of the Leibniz system (derivations.leibniz_system), indexed
+        [x, y, z] as mult is, and the union of their nonzero patterns with
+        mult's, on which its entries sit; read-only."""
+        t, t_inv, eye = self.onb_factor, self.onb_inverse, np.eye(self.dim)
+        lw = (t @ self.left_mult(eye) @ t_inv).transpose(0, 2, 1)
+        rw = (t @ self.right_mult(eye) @ t_inv).transpose(2, 0, 1)
+        out = lw, rw, (self.mult != 0) | (lw != 0) | (rw != 0)
+        for arr in out:
+            arr.setflags(write=False)
+        return out
+
+    def with_stars(self, gens: np.ndarray) -> list:
+        """The columns of gens and their stars; repeats (a set already
+        containing its stars) are skipped."""
+        seen = set()
+        out = []
+        for j in range(gens.shape[1]):
+            for x in (gens[:, j], self.star_of(gens[:, j])):
+                key = (np.round(x, 12) + 0.0).tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    out.append(x)
+        return out
+
+    def right_ops(self, xs) -> list:
+        """Right multiplication on L^2(A (x) A^op) by x (x) 1 and
+        1 (x) x^op for each x of xs, as the one-leg operators
+        (0, right_mult(x)) and (1, left_mult(x)) of vndim."""
+        xs = np.reshape(xs, (-1, self.dim))
+        rights, lefts = self.right_mult(xs), self.left_mult(xs)
+        return [op for r, l in zip(rights, lefts) for op in ((0, r), (1, l))]
+
+    @cached_property
+    def basis_right_ops(self) -> tuple:
+        """right_ops of the basis and its stars (with_stars), the right
+        action of vndim.phi_x at X the basis; the matrices read-only."""
+        ops = self.right_ops(self.with_stars(np.eye(self.dim, dtype=complex)))
+        for _, mat in ops:
+            mat.setflags(write=False)
+        return tuple(ops)
+
+    @cached_property
     def generating_indices(self) -> np.ndarray:
         """Basis indices S, sorted, whose words, the products of one or more
         b_s with s in S (the empty word, 1, left out), span A.
@@ -176,6 +246,96 @@ class FDAlgebra:
         # c[i, j, k] = sum_abp ti[a, i] ti[b, j] mult[a, b, p] t[k, p]
         c = np.matmul(ti.T, (ti.T @ self.mult.reshape(n, n * n)).reshape(n, n, n)) @ t.T
         return axiom_residuals(c, t @ self.star @ np.conj(ti), t @ self.unit, self.trace @ ti)
+
+
+class FactorMap:
+    """The map v -> kron(a, b) v c of a factor pair (a, b) or triple
+    (a, b, c), None an identity leg, planned once and applied to any stack
+    v of shape (..., n1 n2, m): the L^2 axis is read as the two legs
+    (n1, n2), a (p1, n1) and b (p2, n2) contract their legs and may be
+    rectangular, and c (m, m') right-multiplies the argument axis; the
+    result is (..., p1 p2, m'). nn = n1 n2 gives the size of an identity
+    leg and is not needed without one (both None: two legs of one size).
+
+    The plan is made here, once. When every factor is monomial (at most
+    one nonzero entry in each row of a, b and c^T; a zero row maps to 0),
+    as the factors of a monomial basis (matrix units, b u_g) are, the map
+    is one gather and one scaling, of the p1 p2 rows with no c, of the
+    entries with one; the plan holds the source and the value of each
+    output row (entry), without the gather when it is the identity and
+    without the scaling when every value is 1. Each entry is then the one
+    nonzero product of the matmul it stands for, without its sum of exact
+    zeros. Otherwise the map is the matmuls of the factors.
+    """
+
+    def __init__(self, factors: tuple, nn: int | None = None):
+        a, b, c = (*factors, None)[:3]
+        n1 = a.shape[1] if a is not None else nn // b.shape[1] if b is not None else math.isqrt(nn)
+        n2 = b.shape[1] if b is not None else nn // n1
+        self.factors, self.legs = (a, b, c), (n1, n2)
+        self.p1 = n1 if a is None else len(a)
+        self.rows = self.p1 * (n2 if b is None else len(b))
+        legs = [n1 if a is None else a, n2 if b is None else b]
+        plan = _monomial(legs if c is None else [*legs, c.T])
+        self.monomial = plan is not None
+        if self.monomial:
+            src, val = plan
+            size = n1 * n2 * (1 if c is None else len(c))
+            self.src = None if src.size == size and (src == np.arange(size)).all() else src
+            self.scale = None if (val == 1).all() else val.reshape((-1, 1) if c is None else -1)
+            self.dtype = val.dtype
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """kron(a, b) v c for a stack v (..., n1 n2, m), a new array."""
+        a, b, c = self.factors
+        *lead, nn, m = v.shape
+        if self.monomial and c is None:
+            return self._remap(v, -2)
+        if self.monomial:
+            return self._remap(v.reshape(*lead, nn * m), -1).reshape(*lead, self.rows, c.shape[1])
+        (n1, n2), t = self.legs, v
+        if a is not None:
+            t = np.matmul(a, t.reshape(*lead, n1, n2 * m))
+        if b is not None:
+            t = np.matmul(b, t.reshape(*lead, self.p1, n2, m))
+        t = t.reshape(*lead, self.rows, m)
+        return t if c is None else t @ c
+
+    def _remap(self, v: np.ndarray, axis: int) -> np.ndarray:
+        """The planned monomial map along axis of v: out[..., i, ...] =
+        val[i] v[..., src[i], ...], a copy."""
+        if self.src is None:
+            return v.copy() if self.scale is None else v * self.scale
+        out = np.take(v, self.src, axis=axis).astype(np.result_type(v.dtype, self.dtype), copy=False)
+        if self.scale is not None:
+            out *= self.scale
+        return out
+
+
+def _monomial(factors: list) -> tuple[np.ndarray, np.ndarray] | None:
+    """kron of the factors as one monomial map, (src, val) with the one
+    nonzero entry of row i at column src[i], of value val[i]; a zero row
+    has val[i] = 0, so it maps to 0. An int k stands for the identity of
+    size k. None when a factor has a row with more than one nonzero entry."""
+    src, val = np.zeros(1, dtype=int), np.ones(1)
+    for f in factors:
+        if isinstance(f, int):
+            col, width, entry = np.arange(f), f, np.ones(f)
+        else:
+            # the nonzero entries in row order: one per row, or some rows
+            # with none (column 0, value 0) or with several (not monomial)
+            rows, col = np.nonzero(f)
+            at, width = np.arange(len(f)), f.shape[1]
+            if rows.size != len(f) or (rows != at).any():
+                if (rows[1:] == rows[:-1]).any():
+                    return None
+                full = np.zeros(len(f), dtype=int)
+                full[rows] = col
+                col = full
+            entry = f[at, col]
+        src = (src[:, None] * width + col).ravel()
+        val = (val[:, None] * entry).ravel()
+    return src, val
 
 
 def axiom_residuals(c: np.ndarray, s: np.ndarray, u: np.ndarray,

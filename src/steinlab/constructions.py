@@ -8,13 +8,14 @@ matrix per group element acting on algebra coordinates.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from ._linalg import frob, nullspace, spectral_split
-from .algebra import FDAlgebra, certify_exact, close_span
+from .algebra import FactorMap, FDAlgebra, certify_exact, close_span
 from .errors import (
     ActionInvalid,
     NotAbelian,
@@ -208,7 +209,13 @@ class CrossedProduct:
     """A x| G with basis b_i u_g at flat index i * |G| + g.
 
     embed_base and embed_group are the coordinate matrices of the unital
-    trace-preserving *-embeddings of A and C[G].
+    trace-preserving *-embeddings of A and C[G]; they, the group index of
+    each basis element and the multiplications by the u_g are cached
+    properties, computed once. So are the factor maps of the maps of
+    derivations between A and A x| G (the scaling conjugations, extensions
+    and restrictions of derivations.py): factor_map plans each on its
+    first use and holds it, so that it lives and dies with the crossed
+    product.
     """
 
     algebra: FDAlgebra
@@ -253,6 +260,18 @@ class CrossedProduct:
         """Coordinate matrix of x -> u_g x u_g^-1."""
         lu, ru = self.u_mult
         return lu[g] @ ru[self.group.inv(g)]
+
+    @cached_property
+    def _factor_maps(self) -> dict:
+        return {}
+
+    def factor_map(self, key: tuple, plan: Callable[[], FactorMap]) -> FactorMap:
+        """The factor map held under key, made by plan() on the first call
+        with that key; every later call returns the same map."""
+        maps = self._factor_maps
+        if key not in maps:
+            maps[key] = plan()
+        return maps[key]
 
 
 def crossed_product(base: FDAlgebra, act: GroupAction) -> CrossedProduct:

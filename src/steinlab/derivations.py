@@ -22,6 +22,14 @@ most one nonzero entry in each row (c in each column), as in a monomial
 basis (matrix units, b u_g), the map is one gather and one scaling, of
 the n^2 rows for a pair and of the entries for a triple; a zero row, such
 as a row of a leg factor outside the sector it reaches, maps to 0.
+Finding that plan costs several times the gather it gives, so a factor
+set is planned once, as an algebra.FactorMap, and held by the object
+that owns its factors: the FDAlgebra holds (T, T) and (T^-1, T^-1)
+(onb_map, onb_inverse_map), the CrossedProduct the conjugation,
+extension and restriction maps below (CrossedProduct.factor_map,
+planned on first use). They live and die with their owner; no plan is
+cached by the module. apply_pair plans a plain tuple for the one call
+and applies it the same way.
 Kernels are solved for whitened values and mapped back by (T^-1, T^-1).
 derivation_space builds the Leibniz equations only for the arguments of a
 generating set, which have the same kernel (see leibniz_system). A
@@ -67,75 +75,25 @@ from ._linalg import (  # noqa: F401
     QR_CHUNK, BlockKernel, SparseSystem, frob, gram_onb, nullspace, span_basis, sparse_product,
     stack_frob,
 )
-from .algebra import FDAlgebra, certify_exact
+from .algebra import FactorMap, FDAlgebra, certify_exact
 from .constructions import CrossedProduct, subalgebra_generate, span_equal
 from .errors import NotSubalgebra, UnitsInvalid
 
 
-def _monomial(*factors: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """kron of the factors as one monomial map, (src, val) with the one
-    nonzero entry of row i at column src[i], of value val[i]; a zero row
-    has val[i] = 0, so it maps to 0. None when a factor has a row with more
-    than one nonzero entry."""
-    src, val = np.zeros(1, dtype=int), np.ones(1)
-    for f in factors:
-        nz = f != 0
-        if (np.count_nonzero(nz, axis=1) > 1).any():
-            return None
-        col = nz.argmax(axis=1)
-        src = (src[:, None] * f.shape[1] + col).ravel()
-        val = (val[:, None] * f[np.arange(len(f)), col]).ravel()
-    return src, val
-
-
-def _remap(v: np.ndarray, src: np.ndarray, val: np.ndarray, axis: int) -> np.ndarray:
-    """The monomial map out[..., i, ...] = val[i] v[..., src[i], ...] along
-    axis of v, a copy, by one gather (none when src is the identity) and
-    one scaling (none when val is all ones): each entry is the one nonzero
-    product of the matmul it stands for, without its sum of exact zeros."""
-    scale = None if (val == 1).all() else val.reshape(-1, *[1] * (-1 - axis))
-    if src.size == v.shape[axis] and (src == np.arange(src.size)).all():
-        return v.copy() if scale is None else v * scale
-    out = np.take(v, src, axis=axis).astype(np.result_type(v, val), copy=False)
-    if scale is not None:
-        out *= scale
-    return out
-
-
-def apply_pair(factors: tuple, v: np.ndarray) -> np.ndarray:
-    """kron(a, b) v c for the factors (a, b) or (a, b, c), None an identity
-    leg, applied to a stack v of shape (..., n1 n2, m): the L^2 axis is
-    read as the two legs (n1, n2), a (p1, n1) and b (p2, n2) contract
-    their legs and may be rectangular, and c (m, m') right-multiplies the
-    argument axis; the result is (..., p1 p2, m'). When every factor is
-    monomial (at most one nonzero entry in each row of a, b and c^T; a zero
-    row maps to 0), as the factors of a monomial basis (matrix units,
-    b u_g) are, the map is one gather and one scaling: of the p1 p2 rows
-    with no c, of the entries with one."""
-    a, b, c = (*factors, None)[:3]
-    *lead, nn, m = v.shape
-    n1 = a.shape[1] if a is not None else nn // b.shape[1] if b is not None else math.isqrt(nn)
-    n2 = nn // n1
-    legs = [np.eye(k) if f is None else f for f, k in ((a, n1), (b, n2))]
-    p1, rows = len(legs[0]), len(legs[0]) * len(legs[1])
-    mono = _monomial(*legs) if c is None else _monomial(*legs, c.T)
-    if mono is not None and c is None:
-        return _remap(v, *mono, -2)
-    if mono is not None:
-        return _remap(v.reshape(*lead, nn * m), *mono, -1).reshape(*lead, rows, c.shape[1])
-    t = v
-    if a is not None:
-        t = np.matmul(a, t.reshape(*lead, n1, n2 * m))
-    if b is not None:
-        t = np.matmul(b, t.reshape(*lead, p1, n2, m))
-    t = t.reshape(*lead, rows, m)
-    return t if c is None else t @ c
+def apply_pair(factors: tuple | FactorMap, v: np.ndarray) -> np.ndarray:
+    """kron(a, b) v c for a stack v of shape (..., n1 n2, m): factors is a
+    planned algebra.FactorMap, or the factors (a, b) or (a, b, c), None an
+    identity leg, which are planned here for v's legs and applied by the
+    same map (see FactorMap for the shapes and the monomial case)."""
+    if not isinstance(factors, FactorMap):
+        factors = FactorMap(factors, v.shape[-2])
+    return factors.apply(v)
 
 
 def whiten(alg: FDAlgebra, v: np.ndarray) -> np.ndarray:
     """A stack (..., n^2, m) in GNS-orthonormal coordinates, where the GNS
     inner product of L^2(N) is the standard one."""
-    return apply_pair((alg.onb_factor, alg.onb_factor), v)
+    return apply_pair(alg.onb_map, v)
 
 
 def leibniz_residual(alg: FDAlgebra, mats: np.ndarray) -> np.ndarray:
@@ -152,7 +110,7 @@ def leibniz_residual(alg: FDAlgebra, mats: np.ndarray) -> np.ndarray:
     w = whiten(alg, mats).reshape(-1, n**3)
     # entries of the rows (., i, .): n^2 for each of two terms per triple
     # (i, y, z) of the pattern, and n per triple for the third
-    pattern = _whitened_mult(alg)[2]
+    pattern = alg.whitened_mult[2]
     entries = n * (2 * n * np.count_nonzero(pattern, axis=(1, 2)) + np.count_nonzero(pattern))
     slab = np.cumsum(entries) * (2 * 32 + 48) // QR_CHUNK
     worst = np.zeros(len(w))
@@ -227,7 +185,7 @@ def leibniz_system(alg: FDAlgebra, rows: np.ndarray) -> SparseSystem:
     n = alg.dim
     sel = np.asarray(rows)
     m = sel.size
-    lw, rw, pattern = _whitened_mult(alg)
+    lw, rw, pattern = alg.whitened_mult
     # every triple, and the triples with x = sel[r]
     x, y, z = (ax[:, None, None] for ax in np.nonzero(pattern))
     r, yr, zr = (ax[:, None, None] for ax in np.nonzero(pattern[sel]))
@@ -258,16 +216,6 @@ def leibniz_system(alg: FDAlgebra, rows: np.ndarray) -> SparseSystem:
     return SparseSystem((n * n * m * n, n**3), at, cols, vals)
 
 
-def _whitened_mult(alg: FDAlgebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The whitened operators T left_mult(b_x) T^-1 and T right_mult(b_y)
-    T^-1 of leibniz_system, indexed [x, y, z] as mult is, and the union of
-    their nonzero patterns with mult's, on which its entries sit."""
-    t, t_inv, eye = alg.onb_factor, alg.onb_inverse, np.eye(alg.dim)
-    lw = (t @ alg.left_mult(eye) @ t_inv).transpose(0, 2, 1)
-    rw = (t @ alg.right_mult(eye) @ t_inv).transpose(2, 0, 1)
-    return lw, rw, (alg.mult != 0) | (lw != 0) | (rw != 0)
-
-
 class DerivationSpace:
     """Span of derivations of algebra with a basis orthonormal for
     <., .>_X, X the basis of A: <d1, d2>_X = sum_j <d1(b_j), d2(b_j)>.
@@ -287,9 +235,9 @@ class DerivationSpace:
         values, read by BlockKernel.vectors, mapped back by (T^-1, T^-1).
         Each derivation is contiguous, so it is mapped back by the same
         products whichever others are read with it; nothing is cached."""
-        n, t_inv = self.algebra.dim, self.algebra.onb_inverse
+        alg = self.algebra
         w = self.kernel.vectors(idx)
-        return apply_pair((t_inv, t_inv), w.reshape(len(w), n * n, n))
+        return apply_pair(alg.onb_inverse_map, w.reshape(len(w), alg.dim**2, alg.dim))
 
     @property
     def rank(self) -> int:
@@ -323,9 +271,8 @@ def derivation_space(alg: FDAlgebra) -> DerivationSpace:
 def central_vectors(alg: FDAlgebra, sub_cols: np.ndarray) -> np.ndarray:
     """GNS-orthonormal basis of {v in N : b . v = v . b for all b in the span},
     solved for w = (T (x) T) v: the commutators of kron(T^-1, T^-1)."""
-    back = (alg.onb_inverse, alg.onb_inverse)
-    rows = commutator_span(alg, np.asarray(sub_cols), np.kron(*back))
-    return apply_pair(back, nullspace(rows.reshape(-1, alg.dim**2)).vectors().T)
+    rows = commutator_span(alg, np.asarray(sub_cols), np.kron(alg.onb_inverse, alg.onb_inverse))
+    return apply_pair(alg.onb_inverse_map, nullspace(rows.reshape(-1, alg.dim**2)).vectors().T)
 
 
 def relative_derivations(
@@ -420,7 +367,9 @@ def scaling_conjugation(cp: CrossedProduct, g: int, mats: np.ndarray) -> np.ndar
     In the b u_g basis of a permutation or Ad action all three are
     monomial, and the conjugation is one monomial map of the entries."""
     lu, ru = cp.u_mult
-    return apply_pair((lu[cp.group.inv(g)], ru[g], cp.ad(g)), np.asarray(mats))
+    fmap = cp.factor_map(("conjugation", g),
+                         lambda: FactorMap((lu[cp.group.inv(g)], ru[g], cp.ad(g))))
+    return apply_pair(fmap, np.asarray(mats))
 
 
 def average_scaling(cp: CrossedProduct, mats: np.ndarray) -> np.ndarray:
@@ -474,13 +423,23 @@ def extend_vanishing(cp: CrossedProduct, mats: np.ndarray, h: int) -> np.ndarray
     at_e = np.empty((*lead, nb, k, n, nb), dtype=complex)
     for g, alpha in enumerate(cp.action.matrices):
         gi = grp.inv(g)
-        triple = ((lu[gi] @ e)[gi::k], lu[h] @ ru[g] @ e, alpha)
+        triple = cp.factor_map(("extension", g, h), lambda: FactorMap(
+            ((lu[gi] @ e)[gi::k], lu[h] @ ru[g] @ e, alpha)))
         at_e[..., gi, :, :] = apply_pair(triple, mats).reshape(*lead, nb, n, nb)
+    return apply_pair(cp.factor_map(("expand",), lambda: _expand_map(cp)),
+                      at_e.reshape(*lead, n * n * nb, 1)).reshape(*lead, n * n, n)
+
+
+def _expand_map(cp: CrossedProduct) -> FactorMap:
+    """The pair (1, R) of extend_vanishing on (value, argument) of b u_e,
+    whose right leg and argument R takes from (l, j), the right leg's
+    group index and the argument, to row (l m, j, m) for every m."""
+    grp, nb = cp.group, cp.base.dim
+    k, n = grp.order, cp.algebra.dim
     l, m, j = np.ix_(range(k), range(k), range(nb))
     expand = np.zeros((k, nb, k, k, nb))
     expand[grp.table[l, m], j, m, l, j] = 1
-    return apply_pair((None, expand.reshape(k * nb * k, k * nb)),
-                      at_e.reshape(*lead, n * n * nb, 1)).reshape(*lead, n * n, n)
+    return FactorMap((None, expand.reshape(k * nb * k, k * nb)), n * n * nb)
 
 
 def restrict_component(cp: CrossedProduct, mats: np.ndarray, g: int, h: int) -> np.ndarray:
@@ -497,7 +456,8 @@ def restrict_component(cp: CrossedProduct, mats: np.ndarray, g: int, h: int) -> 
     """
     centre = cp.group_index == cp.group.identity
     lu, ru = cp.u_mult
-    pull = (ru[cp.group.inv(g)][centre], lu[cp.group.inv(h)][centre], cp.embed_base)
+    pull = cp.factor_map(("restriction", g, h), lambda: FactorMap(
+        (ru[cp.group.inv(g)][centre], lu[cp.group.inv(h)][centre], cp.embed_base)))
     return apply_pair(pull, np.asarray(mats))
 
 

@@ -58,13 +58,16 @@ So derivation_space certifies exactness first (algebra.certify_exact),
 and so does inner_derivation_module, whose blocks no test here can
 refuse either.
 
-The closure test. For each operator T of _test_ops, in the module's
-coordinates, and a vector z of iid standard complex Gaussian
-coefficients, one per basis vector, it forms v = Q z from the blocks,
-applies T on its leg and subtracts P T v block by block
-(_sketch_residual). Its residual is |(1 - P) T Q z| / max(1, |T Q z|),
-and the largest one is kept. It holds a few vectors of k n^2 entries
-beyond the basis. A subspace that is not right-closed fails this test; no
+The closure test. For each leg, _test_ops gives CLOSURE_DRAWS operators
+T on that leg, in the module's coordinates, each with its vector z of iid
+standard complex Gaussian coefficients, one per basis vector. One stacked
+pass per leg (_sketch_residual) forms every v = Q z from the blocks,
+applies each T to its v and subtracts P T v in place, block by block.
+Each residual is |(1 - P) T Q z| / max(1, |T Q z|), and the largest one
+is kept. The vectors are held draw-major, one row of k n^2 entries per
+draw, so beyond the basis the pass holds two stacks of CLOSURE_DRAWS
+vectors of k n^2 entries (the v and their images) and one part's gather
+of the images. A subspace that is not right-closed fails this test; no
 other certificate is needed, since Q spans the subspace itself.
 
 The test applies random combinations to one random vector of the span,
@@ -77,7 +80,10 @@ every T_j exactly when the expected residual is zero. So for each leg one
 combination sum_j t_j a_j of the leg's one-leg operators is tested, t iid
 standard complex Gaussian (E |t_j|^2 = 1) drawn from _CLOSURE_SEED, in
 CLOSURE_DRAWS = 4 independent draws, and then one z per combination from
-the same generator: at most 8 applications to one vector each. The seed
+the same generator: at most 8 combinations, each applied to its own
+vector. The numbers are read in that order, one combination at a time,
+from one standard_normal call of their summed length (_closure_draws),
+and each leg's combinations are then applied in one pass. The seed
 is not SPLIT_SEED: the spectral blocks are spectral subspaces of the
 cluster combination sum_j t_j (a_j + a_j^*), so a span of block parts
 passes against that combination by construction, and a test on it would
@@ -260,49 +266,77 @@ def _leg_split(alg: FDAlgebra, ops: list) -> tuple:
     return u.conj().T @ t, ti @ u, classes
 
 
-def _gaussian(rng: np.random.Generator, size: int) -> np.ndarray:
-    """size iid standard complex Gaussian values, E |t|^2 = 1."""
-    x, y = rng.standard_normal((2, size))
-    return (x + 1j * y) / np.sqrt(2)
+def _closure_draws(counts: list, rank: int) -> list:
+    """The closure test's random numbers: (leg, t, z) for each leg with
+    counts[leg] > 0 operators, t (CLOSURE_DRAWS, counts[leg]) and
+    z (CLOSURE_DRAWS, rank), iid standard complex Gaussian (x + i y) / sqrt(2),
+    E |t|^2 = 1. They are read from _CLOSURE_SEED in the order of one
+    combination at a time: t for each draw and each leg, then one z per
+    combination in the same order, x and y of each as two consecutive runs.
+    One standard_normal call of the summed length gives that sequence."""
+    legs = [leg for leg, count in enumerate(counts) if count]
+    per_draw = 2 * sum(counts)
+    raw = np.random.default_rng(_CLOSURE_SEED).standard_normal(
+        CLOSURE_DRAWS * (per_draw + 2 * len(legs) * rank))
+    ts = raw[: CLOSURE_DRAWS * per_draw].reshape(CLOSURE_DRAWS, per_draw)
+    zs = raw[CLOSURE_DRAWS * per_draw :].reshape(CLOSURE_DRAWS, len(legs), 2, rank)
+
+    def gaussian(xy):
+        return (xy[:, 0] + 1j * xy[:, 1]) / np.sqrt(2)
+
+    out, at = [], 0
+    for i, leg in enumerate(legs):
+        t = ts[:, at : at + 2 * counts[leg]].reshape(CLOSURE_DRAWS, 2, counts[leg])
+        at += 2 * counts[leg]
+        out.append((leg, gaussian(t), gaussian(zs[:, i])))
+    return out
 
 
 def _test_ops(ops: list, legs: tuple, rank: int) -> list:
-    """The closure test's (leg, matrix, z), the matrix in the coordinates
-    (rot, rot^-1) of its leg: for each of CLOSURE_DRAWS draws and each leg,
-    one combination sum_j t_j a_j of the leg's operators a_j, t iid
-    standard complex Gaussian from _CLOSURE_SEED; then, from the same
-    generator, one z per combination, rank iid standard complex Gaussian
-    coefficients of the basis vectors (see the module docstring)."""
-    rng = np.random.default_rng(_CLOSURE_SEED)
+    """The closure test's (leg, mats, z) for each leg with operators:
+    mats (CLOSURE_DRAWS, n, n) holds one combination sum_j t_j a_j of the
+    leg's operators a_j per draw, in the coordinates (rot, rot^-1) of its
+    leg, and z (CLOSURE_DRAWS, rank) one vector of coefficients of the
+    basis vectors per combination, t and z from _closure_draws (see the
+    module docstring)."""
     mats = [np.array([m for l, m in ops if l == leg]) for leg in (0, 1)]
     out = []
-    for _ in range(CLOSURE_DRAWS):
-        for leg, (rot, inv) in enumerate(legs):
-            if len(mats[leg]):
-                t = _gaussian(rng, len(mats[leg]))
-                out.append((leg, rot @ np.tensordot(t, mats[leg], axes=1) @ inv))
-    return [(leg, mat, _gaussian(rng, rank)) for leg, mat in out]
+    for leg, t, z in _closure_draws([len(m) for m in mats], rank):
+        rot, inv = legs[leg]
+        out.append((leg, rot @ np.tensordot(t, mats[leg], axes=1) @ inv, z))
+    return out
 
 
-def _sketch_residual(basis: BlockKernel, ncoords: int, leg: int, mat: np.ndarray,
-                     z: np.ndarray) -> float:
-    """|(1 - P) T Q z| / max(1, |T Q z|) for the one-leg operator T = mat on
-    leg leg, in the basis's coordinates, the basis Q and P = Q Q^H, from
-    the blocks, whose unknowns are disjoint: Q z is formed block by block,
-    z read part by part, and P is subtracted one part's blocks at a time."""
-    n, at = len(mat), 0
-    v = np.zeros(basis.ncols, dtype=complex)
+def _sketch_residual(basis: BlockKernel, ncoords: int, leg: int, mats: np.ndarray,
+                     z: np.ndarray) -> np.ndarray:
+    """|(1 - P) T Q z| / max(1, |T Q z|) for each draw, T = mats[draw] on
+    leg leg and z = z[draw], in the basis's coordinates, the basis Q and
+    P = Q Q^H, all draws in one pass. The vectors are held draw-major,
+    one row of k n^2 entries per draw; Q z is formed from the blocks, z
+    read part by part, and P is subtracted in place one part's blocks at
+    a time, the blocks' unknowns being disjoint."""
+    draws, n = mats.shape[:2]
+    v = np.zeros((draws, basis.ncols), dtype=complex)
+    at = 0
     for cols, vecs, _ in basis.parts:
         m, _, d = vecs.shape
-        v[cols] = np.matmul(vecs, z[at : at + m * d].reshape(m, d, 1))[..., 0]
+        coef = z[:, at : at + m * d].reshape(draws, m, d).transpose(1, 2, 0)
+        v.T[cols] = np.matmul(vecs, coef)
         at += m * d
-    img = np.moveaxis(np.tensordot(mat, v.reshape(n, n, ncoords), axes=(1, leg)), 0, leg).ravel()
-    rem = img.copy()
+    if leg == 0:
+        img = np.matmul(mats, v.reshape(draws, n, -1)).reshape(draws, -1)
+    else:
+        img = np.matmul(mats[:, None], v.reshape(draws, n, n, ncoords)).reshape(draws, -1)
+    del v
+    scale = np.maximum(1.0, np.linalg.norm(img, axis=1))
     for cols, vecs, _ in basis.parts:
-        # Q_b^H of the image, without a conjugate copy of the blocks
-        coef = np.matmul(vecs.transpose(0, 2, 1), img[cols].conj()[..., None]).conj()
-        rem[cols] -= np.matmul(vecs, coef)[..., 0]
-    return float(np.linalg.norm(rem) / max(1.0, np.linalg.norm(img)))
+        part = img.T[cols]
+        # Q_b^H of the image, conjugating the gather in place, not the blocks
+        coef = np.conjugate(np.matmul(vecs.transpose(0, 2, 1), np.conjugate(part, out=part)))
+        np.conjugate(part, out=part)
+        part -= np.matmul(vecs, coef)
+        img.T[cols] = part
+    return np.linalg.norm(img, axis=1) / scale
 
 
 def _readout(basis: BlockKernel, omega: np.ndarray, ncoords: int) -> float:
@@ -372,17 +406,19 @@ def vn_dimension(sub: ModuleSubspace) -> DimensionResult:
     Raises NotRightClosed if, for some operator of _test_ops, a random
     combination of one leg's operators applied to a random vector of the
     span, the image leaves the span by more than CLOSURE_TOL (relative,
-    _sketch_residual); the result's closure_residual is the largest of
-    these residuals. Since right_ops is closed under adjoints, invariance
-    under each operator already gives invariance under its adjoint.
+    _sketch_residual, one stacked pass per leg); the result's
+    closure_residual is the largest of these residuals. Since right_ops
+    is closed under adjoints, invariance under each operator already
+    gives invariance under its adjoint.
     """
     alg, basis, k = sub.algebra, sub.basis, sub.ncoords
     legs = sub.legs or 2 * ((alg.onb_factor, alg.onb_inverse),)
     ops = _test_ops(sub.right_ops, legs, basis.shape[1])
-    worst = max((_sketch_residual(basis, k, *op) for op in ops), default=0.0)
+    worst = max((float(_sketch_residual(basis, k, *op).max()) for op in ops), default=0.0)
     if worst > CLOSURE_TOL:
         raise NotRightClosed(f"commutant residual {worst:.3e} above {CLOSURE_TOL}")
-    omega = apply_pair((legs[0][0], legs[1][0]), sub.trace_vectors)
+    omega = apply_pair(alg.onb_map if sub.legs is None else (legs[0][0], legs[1][0]),
+                       sub.trace_vectors)
     route = "kernel" if sub.legs is None else "spectral"
     return DimensionResult(_readout(basis, omega, k), basis.shape[1], worst, route)
 
@@ -412,28 +448,6 @@ def _argument_set(alg, gens) -> np.ndarray:
     return gens
 
 
-def _with_stars(alg, gens: np.ndarray) -> list:
-    """The columns of gens and their stars; repeats (a set already
-    containing its stars) are skipped."""
-    seen = set()
-    out = []
-    for j in range(gens.shape[1]):
-        for x in (gens[:, j], alg.star_of(gens[:, j])):
-            key = (np.round(x, 12) + 0.0).tobytes()
-            if key not in seen:
-                seen.add(key)
-                out.append(x)
-    return out
-
-
-def _right_ops(alg, xs: list) -> list:
-    """Right multiplication on L^2(alg (x) alg^op) by x (x) 1 and 1 (x) x^op
-    for each x, as (0, right_mult(x)) and (1, left_mult(x))."""
-    xs = np.reshape(xs, (-1, alg.dim))
-    rights, lefts = alg.right_mult(xs), alg.left_mult(xs)
-    return [op for r, l in zip(rights, lefts) for op in ((0, r), (1, l))]
-
-
 def phi_x(space: DerivationSpace, gens: np.ndarray | None = None) -> ModuleSubspace:
     """Image of a derivation space under d -> (d(x))_{x in X}.
 
@@ -447,12 +461,12 @@ def phi_x(space: DerivationSpace, gens: np.ndarray | None = None) -> ModuleSubsp
     """
     alg = space.algebra
     if gens is None:
-        gens, basis = np.eye(alg.dim, dtype=complex), space.kernel
+        gens, basis, ops = np.eye(alg.dim, dtype=complex), space.kernel, alg.basis_right_ops
     else:
         gens = _argument_set(alg, gens)
         basis = span_basis(sparse_product(argument_map(alg, gens), space.kernel.sparse()))
-    return ModuleSubspace(alg, gens.shape[1], basis, _right_ops(alg, _with_stars(alg, gens)),
-                          np.kron(alg.unit, alg.unit)[:, None])
+        ops = alg.right_ops(alg.with_stars(gens))
+    return ModuleSubspace(alg, gens.shape[1], basis, list(ops), np.kron(alg.unit, alg.unit)[:, None])
 
 
 def _cluster_diagonal(mats: np.ndarray, classes: list) -> tuple[list, float]:
@@ -548,7 +562,7 @@ def inner_derivation_module(alg, gens: np.ndarray) -> ModuleSubspace:
     """
     certify_exact(alg)
     gens = _argument_set(alg, gens)
-    ops = _right_ops(alg, _with_stars(alg, gens))
+    ops = alg.right_ops(alg.with_stars(gens))
     legs = _legs(alg, ops)
     return ModuleSubspace(alg, gens.shape[1], _inner_basis(alg, gens, legs), ops,
                           np.kron(alg.unit, alg.unit)[:, None], tuple(leg[:2] for leg in legs))
@@ -564,7 +578,7 @@ def restrict_scalars(sub: ModuleSubspace, cp: CrossedProduct) -> ModuleSubspace:
         raise ValueError("module is not over the crossed-product bimodule")
     base = cp.base
     basis = np.eye(base.dim, dtype=complex)
-    ops = _right_ops(cp.algebra, [cp.lift(x) for x in _with_stars(base, basis)])
+    ops = cp.algebra.right_ops([cp.lift(x) for x in base.with_stars(basis)])
     us = cp.embed_group.T
     # kron(u_g, u_h) in column g |G| + h
     traces = np.einsum("ga,hb->abgh", us, us).reshape(cp.algebra.dim**2, -1)

@@ -187,21 +187,19 @@ def inner_span(alg, gens):
     xi in the rotated basis whose spectral blocks inner_derivation_module
     builds directly."""
     from steinlab.derivations import commutator_span
-    from steinlab.vndim import _legs, _right_ops, _with_stars
+    from steinlab.vndim import _legs
 
     gens = np.asarray(gens, dtype=complex)
     k, n = gens.shape[1], alg.dim
-    (_, inv_a, _), (_, inv_b, _) = _legs(alg, _right_ops(alg, _with_stars(alg, gens)))
+    (_, inv_a, _), (_, inv_b, _) = _legs(alg, alg.right_ops(alg.with_stars(gens)))
     return commutator_span(alg, gens, np.kron(inv_a, inv_b)).reshape(k * n * n, n * n)
 
 
 def inner_module(alg, gens):
     """phi_X of the commutator derivations as a ModuleSubspace formed from
     its raw span (inner_span)."""
-    from steinlab.vndim import _right_ops, _with_stars
-
     gens = np.asarray(gens, dtype=complex)
-    ops = _right_ops(alg, _with_stars(alg, gens))
+    ops = alg.right_ops(alg.with_stars(gens))
     unit = np.kron(alg.unit, alg.unit)[:, None]
     return module_from_span(alg, gens.shape[1], inner_span(alg, gens), ops, unit)
 

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from steinlab.algebra import FactorMap
+
 from steinlab import (
     DenseLimitExceeded,
     FDAlgebra,
@@ -389,19 +391,32 @@ def test_apply_pair_is_the_kron_matmul_for_monomial_and_dense_factors():
     zero_row = phase * [[1], [0], [1]]
     arg_mono = np.eye(4)[[3, 1, 0, 2]] * [1, -1j, 2, 1]
     arg_dense = rng.standard_normal((4, 2))
-    for v in (rng.standard_normal((2, 9, 4)), rng.standard_normal((9, 4)) + 1j):
-        for factors in [(phase, perm), (phase, None), (None, perm), (perm, phase), (dense, perm),
-                        (cut, perm), (None, cut), (zero_row, cut), (phase, perm, arg_mono),
-                        (cut, zero_row, arg_mono), (phase, None, arg_dense),
-                        (dense, cut, arg_mono)]:
+    vs = (rng.standard_normal((2, 9, 4)), rng.standard_normal((9, 4)) + 1j)
+    for factors in [(phase, perm), (phase, None), (None, perm), (perm, phase), (dense, perm),
+                    (cut, perm), (None, cut), (zero_row, cut), (phase, perm, arg_mono),
+                    (cut, zero_row, arg_mono), (phase, None, arg_dense),
+                    (dense, cut, arg_mono)]:
+        # planned once, as an owner holds it, and applied to every stack
+        planned = FactorMap(factors, 9)
+        monomial = not any(f is dense or f is arg_dense for f in factors)
+        assert planned.monomial == monomial
+        for v in vs:
             want = np.kron(*(np.eye(3) if f is None else f for f in factors[:2])) @ v
             if len(factors) == 3:
                 want = want @ factors[2]
-            got = apply_pair(factors, v)
-            assert got.shape == want.shape and got.dtype == want.dtype
-            if not any(f is dense or f is arg_dense for f in factors):
-                assert np.array_equal(got, want)
-            assert np.max(np.abs(got - want)) < 1e-14
+            for got in (apply_pair(factors, v), apply_pair(planned, v)):
+                assert got.shape == want.shape and got.dtype == want.dtype
+                if monomial:
+                    assert np.array_equal(got, want)
+                assert np.max(np.abs(got - want)) < 1e-14
+    # Ad of the Hadamard matrix mixes the matrix units: the maps its crossed
+    # product holds are planned as matmuls, those of a permutation action
+    # as gathers
+    for cp, monomial in ((_m2_hadamard(), False), (CROSSED["C^2 x| Z/2"](), True)):
+        scaling_conjugation(cp, 1, derivation_space(cp.algebra).columns(slice(3)))
+        extend_vanishing(cp, derivation_space(cp.base).columns(slice(None)), 1)
+        assert cp._factor_maps[("conjugation", 1)].monomial == monomial
+        assert cp._factor_maps[("extension", 1, 1)].monomial == monomial
 
 
 def test_central_projection_element_of_m2():

@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 
 from steinlab import (
     CrossedProduct,
+    FDAlgebra,
     GroupAction,
     SpecInvalid,
     cyclic,
@@ -20,6 +23,7 @@ from steinlab import (
     symmetric_3,
     trivial_action,
 )
+from steinlab.algebra import FactorMap
 from steinlab.cli import main
 from steinlab.reports import (
     CHECKS,
@@ -664,3 +668,67 @@ def test_no_check_forms_a_whole_derivation_space(monkeypatch, source):
     rows = run(spec).rows
     assert len(rows) == len(CHECKS)
     assert {row.status for row in rows} <= {"pass", "skipped"}
+
+
+# -- what a run holds ----------------------------------------------------------------
+
+def _record_owners(monkeypatch, ref) -> list:
+    """ref(owner) for every FDAlgebra and crossed product made from here on."""
+    owners = []
+    post_init = FDAlgebra.__post_init__
+    crossed = reports.crossed_product
+
+    def record_algebra(self):
+        post_init(self)
+        owners.append(ref(self))
+
+    def record_crossed(*args):
+        cp = crossed(*args)
+        owners.append(ref(cp))
+        return cp
+
+    monkeypatch.setattr(FDAlgebra, "__post_init__", record_algebra)
+    monkeypatch.setattr(reports, "crossed_product", record_crossed)
+    return owners
+
+
+def _spec(label: str) -> ExperimentSpec:
+    return ExperimentSpec.from_json(next(obj for obj in reports.CORPUS if obj["label"] == label))
+
+
+def test_a_run_plans_each_held_factor_map_once(monkeypatch):
+    # every factor map the run plans is one its owner holds: none is
+    # planned twice, and none is planned and dropped
+    planned = []
+    init = FactorMap.__init__
+
+    def record_plan(self, *args):
+        init(self, *args)
+        planned.append(self)
+
+    monkeypatch.setattr(FactorMap, "__init__", record_plan)
+    owners = _record_owners(monkeypatch, lambda owner: owner)
+    run(_spec("C[Z/3] | Z/3 | dual"))
+    held = []
+    for owner in owners:
+        fields = vars(owner)
+        held += [m for m in fields.values() if isinstance(m, FactorMap)]
+        held += list(fields.get("_factor_maps", {}).values())
+    assert len({id(m) for m in held}) == len(held)
+    assert {id(m) for m in planned} == {id(m) for m in held}
+    crossed = [o for o in owners if isinstance(o, CrossedProduct)]
+    kinds = {key[0] for cp in crossed for key in cp._factor_maps}
+    assert kinds == {"conjugation", "extension", "expand", "restriction"}
+
+
+@pytest.mark.parametrize("label", ["C[Z/3] | Z/3 | dual", "M2+C | Z/2 | ad(diag(1,-1)+1)"])
+def test_no_state_outlives_a_run(monkeypatch, label):
+    # the algebras and crossed products of a spec, with what they hold,
+    # are freed with the spec: nothing keeps them in a module-level cache
+    refs = _record_owners(monkeypatch, weakref.ref)
+    spec = _spec(label)
+    assert run(spec).passed
+    del spec
+    gc.collect()
+    assert len(refs) > 3
+    assert [r for r in refs if r() is not None] == []

@@ -35,7 +35,7 @@ from steinlab import (
 import steinlab.vndim as vndim
 from steinlab import _linalg, reports
 from steinlab._linalg import BlockKernel, gram_onb, span_basis
-from steinlab.vndim import CLOSURE_TOL, _right_ops, _with_stars
+from steinlab.vndim import CLOSURE_TOL
 from test_derivations import in_basis, random_unitary, rotated
 import dense_reference
 
@@ -139,7 +139,7 @@ def test_non_invariant_span_is_rejected():
         algebra=alg,
         ncoords=1,
         span=vec,
-        right_ops=_right_ops(alg, list(np.eye(4))),
+        right_ops=alg.right_ops(list(np.eye(4))),
         trace_vectors=np.kron(alg.unit, alg.unit).reshape(-1, 1),
     )
     with pytest.raises(NotRightClosed):
@@ -416,7 +416,7 @@ def test_rank_certificate_rejects_a_cyclic_vector(blocks):
     # the closure test against the span itself rejects it
     alg = multimatrix(blocks)
     unit = np.kron(alg.unit, alg.unit).reshape(-1, 1)
-    ops = _right_ops(alg, _with_stars(alg, multimatrix_generators(blocks)))
+    ops = alg.right_ops(alg.with_stars(multimatrix_generators(blocks)))
     sub = dense_reference.module_from_span(alg, 1, unit, ops, unit)
     with pytest.raises(NotRightClosed, match="commutant residual"):
         vn_dimension(sub)
@@ -465,16 +465,86 @@ def test_closure_test_sees_the_one_operator_that_breaks_invariance(leg, odd):
         vn_dimension(module)
 
 
-def test_closure_test_applies_two_combinations_per_leg(monkeypatch):
-    # one combination per leg and draw, each applied to one random vector
-    sub = MODULES["inner M2+C, raw span"]()
+def _count_passes(monkeypatch) -> list:
+    """Record (leg, combinations, vectors) of each stacked closure pass."""
     applied = []
     residual = vndim._sketch_residual
-    monkeypatch.setattr(vndim, "_sketch_residual",
-                        lambda *args: applied.append(args[2]) or residual(*args))
+
+    def counted(basis, ncoords, leg, mats, z):
+        applied.append((leg, len(mats), len(z)))
+        return residual(basis, ncoords, leg, mats, z)
+
+    monkeypatch.setattr(vndim, "_sketch_residual", counted)
+    return applied
+
+
+def test_closure_test_applies_one_stacked_pass_per_leg(monkeypatch):
+    # one pass per leg, carrying one combination and one random vector per draw
+    sub = MODULES["inner M2+C, raw span"]()
+    applied = _count_passes(monkeypatch)
     vn_dimension(sub)
-    assert len(applied) == 2 * vndim.CLOSURE_DRAWS
-    assert sorted(applied) == [0] * vndim.CLOSURE_DRAWS + [1] * vndim.CLOSURE_DRAWS
+    draws = vndim.CLOSURE_DRAWS
+    assert sorted(applied) == [(0, draws, draws), (1, draws, draws)]
+
+
+def _reference_draws(counts, rank):
+    """The closure test's t and z drawn one combination at a time: t for
+    each draw and each leg with operators, then one z per combination."""
+    rng = np.random.default_rng(vndim._CLOSURE_SEED)
+
+    def gaussian(size):
+        x, y = rng.standard_normal((2, size))
+        return (x + 1j * y) / np.sqrt(2)
+
+    combos = [(leg, gaussian(count)) for _ in range(vndim.CLOSURE_DRAWS)
+              for leg, count in enumerate(counts) if count]
+    return [(leg, t, gaussian(rank)) for leg, t in combos]
+
+
+@pytest.mark.parametrize("counts, rank", [([6, 6], 33), ([3, 0], 5), ([0, 4], 7), ([5, 2], 0)])
+def test_stacked_draws_are_the_one_at_a_time_draws(counts, rank):
+    stacked = vndim._closure_draws(counts, rank)
+    ref = _reference_draws(counts, rank)
+    assert [leg for leg, _, _ in stacked] == [leg for leg, c in enumerate(counts) if c]
+    for i, (leg, t, z) in enumerate(stacked):
+        assert t.shape == (vndim.CLOSURE_DRAWS, counts[leg])
+        assert z.shape == (vndim.CLOSURE_DRAWS, rank)
+        for draw in range(vndim.CLOSURE_DRAWS):
+            ref_leg, ref_t, ref_z = ref[draw * len(stacked) + i]
+            assert ref_leg == leg
+            assert np.array_equal(t[draw], ref_t) and np.array_equal(z[draw], ref_z)
+
+
+def test_closure_test_of_a_rank_zero_module(monkeypatch):
+    # C has no derivations: the inner module is rank 0, and each leg's
+    # pass applies its combinations to the zero vector
+    alg = multimatrix([(1, 1.0)])
+    sub = inner_derivation_module(alg, np.ones((1, 1)))
+    applied = _count_passes(monkeypatch)
+    res = vn_dimension(sub)
+    assert (res.rank, res.value, res.closure_residual) == (0, 0.0, 0.0)
+    draws = vndim.CLOSURE_DRAWS
+    assert sorted(applied) == [(0, draws, draws), (1, draws, draws)]
+
+
+@pytest.mark.parametrize("leg", [0, 1], ids=["leg a", "leg b"])
+def test_closure_test_of_operators_on_one_leg(monkeypatch, leg):
+    # diagonal operators on one leg keep the span of the coordinate
+    # vectors e_i (x) e_j, i, j < 2; an off-diagonal one on that leg does not
+    rng = np.random.default_rng(12)
+    alg = group_algebra(cyclic(4))
+    eye = np.eye(4, dtype=complex)
+    span = np.kron(eye[:, :2], eye[:, :2])
+    unit = np.kron(eye[:, :1], eye[:, :1])
+    ops = [(leg, np.diag(rng.standard_normal(4)).astype(complex)) for _ in range(3)]
+    applied = _count_passes(monkeypatch)
+    res = vn_dimension(dense_reference.module_from_span(alg, 1, span, ops, unit))
+    assert res.closure_residual < 1e-12
+    assert applied == [(leg, vndim.CLOSURE_DRAWS, vndim.CLOSURE_DRAWS)]
+    a = rng.standard_normal((4, 4))
+    odd = ops + [(leg, 1e-4 * (a - a.T).astype(complex))]
+    with pytest.raises(NotRightClosed, match="commutant residual"):
+        vn_dimension(dense_reference.module_from_span(alg, 1, span, odd, unit))
 
 
 # -- block-localized inner spans against the dense projector ---------------------
@@ -775,9 +845,9 @@ CLOSURE_MODULES = {
 @pytest.mark.parametrize("drop", [False, True], ids=["closed", "one block left out"])
 @pytest.mark.parametrize("name", list(CLOSURE_MODULES))
 def test_closure_residual_is_the_dense_residual(name, drop):
-    # |(1 - P) T Q z| / max(1, |T Q z|) from the blocks against the dense
-    # basis in the module's coordinates, for each operator T and vector z
-    # the closure test draws, on both legs
+    # |(1 - P) T Q z| / max(1, |T Q z|) from the blocks, one stacked pass
+    # per leg, against the dense basis in the module's coordinates, for
+    # each operator T and vector z the closure test draws, on both legs
     sub = CLOSURE_MODULES[name]()
     basis = _without_one_block(sub.basis) if drop else sub.basis
     alg, k = sub.algebra, sub.ncoords
@@ -785,16 +855,18 @@ def test_closure_residual_is_the_dense_residual(name, drop):
     dense = _dense_basis(basis)
     legs = sub.legs or 2 * ((alg.onb_factor, alg.onb_inverse),)
     ops = vndim._test_ops(sub.right_ops, legs, basis.shape[1])
-    assert sorted({leg for leg, _, _ in ops}) == [0, 1]
-    for leg, mat, z in ops:
-        v = (dense @ z).reshape(n, n, k)
-        img = np.einsum("xa,abk->xbk", mat, v) if leg == 0 else np.einsum("yb,abk->ayk", mat, v)
-        img = img.ravel()
-        rem = img - dense @ (dense.conj().T @ img)
-        want = np.linalg.norm(rem) / max(1.0, np.linalg.norm(img))
-        got = vndim._sketch_residual(basis, k, leg, mat, z)
-        assert abs(got - want) < 1e-12
-        assert (got > 1e-3) == drop
+    assert [leg for leg, _, _ in ops] == [0, 1]
+    for leg, mats, zs in ops:
+        got = vndim._sketch_residual(basis, k, leg, mats, zs)
+        assert got.shape == (vndim.CLOSURE_DRAWS,)
+        for draw, (mat, z) in enumerate(zip(mats, zs)):
+            v = (dense @ z).reshape(n, n, k)
+            img = np.einsum("xa,abk->xbk", mat, v) if leg == 0 else np.einsum("yb,abk->ayk", mat, v)
+            img = img.ravel()
+            rem = img - dense @ (dense.conj().T @ img)
+            want = np.linalg.norm(rem) / max(1.0, np.linalg.norm(img))
+            assert abs(got[draw] - want) < 1e-12
+            assert (got[draw] > 1e-3) == drop
 
 
 def test_kernel_closure_test_holds_little_beyond_the_basis():
