@@ -99,11 +99,12 @@ its r x c U. A one-column block, whose norm needs none of this, is
 counted the same way. The sorted entries and their places, a few words
 per nonzero, are not counted.
 
-vndim's leg blocks and the minimal central projections of
+The spectral legs of an algebra (FDAlgebra.spectral_legs, vndim's leg
+blocks) and the minimal central projections of
 constructions.central_projections, which give the Artin-Wedderburn blocks
 and the characters of an abelian group, are found by spectral_split: the
-eigenvectors of m + m^H, m a random combination of given matrices drawn
-from SPLIT_SEED, in clusters split at gaps above CLUSTER_GAP. A caller that
+eigenvectors of m + m^H, m a random linear combination drawn from
+SPLIT_SEED, in clusters split at gaps above CLUSTER_GAP. A caller that
 knows how many clusters there must be names the count, and a draw that
 misses it is redrawn, at most SPLIT_DRAWS draws in all.
 """
@@ -382,11 +383,8 @@ def _block_vectors(mat: np.ndarray | SparseSystem, span: bool) -> BlockKernel:
     slot = np.argsort(shape_key, kind="stable")
     _, at, count = np.unique(shape_key[slot], return_index=True, return_counts=True)
     shapes = np.stack([count, nrow_b[slot[at]], ncol_b[slot[at]]], axis=1).tolist()
-    if (need := _dense_bytes(shapes, held, span)) > DENSE_LIMIT:
-        raise DenseLimitExceeded(
-            f"{ncol_b.size} connected blocks of up to {ncol_b.max()} unknowns need "
-            f"{need} bytes, which exceeds the dense limit of {DENSE_LIMIT} bytes"
-        )
+    check_dense(_dense_bytes(shapes, held, span),
+                f"{ncol_b.size} connected blocks of up to {ncol_b.max()} unknowns")
     row_pos = np.zeros(nrows, dtype=int)
     row_pos[active] = _positions(row_block[active], nrow_b)[0]
     col_pos, block_cols = _positions(col_block, ncol_b)  # and the columns grouped by block
@@ -446,6 +444,14 @@ def _block_vectors(mat: np.ndarray | SparseSystem, span: bool) -> BlockKernel:
         blocks.append((block_cols[col_start[slot[idx], None] + np.arange(c)],
                        vec[0] if len(vec) == 1 else np.concatenate(vec), first[idx]))
     return BlockKernel(ncols, tuple(blocks))
+
+
+def check_dense(need: int, what: str) -> None:
+    """Raise DenseLimitExceeded if what, the blocks a call is about to
+    densify and factor, needs more than DENSE_LIMIT bytes."""
+    if need > DENSE_LIMIT:
+        raise DenseLimitExceeded(
+            f"{what} need {need} bytes, which exceeds the dense limit of {DENSE_LIMIT} bytes")
 
 
 def batched_svd(shapes: list, held: int, dense, full: bool = False) -> list[tuple]:
@@ -525,22 +531,21 @@ def gram_onb(vectors: np.ndarray, factor: np.ndarray | None = None) -> np.ndarra
     return u if factor is None else np.linalg.solve(factor, u)
 
 
-def spectral_split(mats: np.ndarray, want: int | None = None) -> tuple[np.ndarray, list[int]]:
+def spectral_split(combine, count: int, want: int | None = None) -> tuple[np.ndarray, list[int]]:
     """(vec, bounds): the eigenvectors of m + m^H by ascending eigenvalue,
-    m = sum_j t_j mats[j] for a stack mats (count, n, n) and t iid standard
-    complex Gaussian drawn from SPLIT_SEED; cluster i is
-    vec[:, bounds[i]:bounds[i + 1]], and an eigenvalue gap above
-    CLUSTER_GAP * (spectral radius) starts a new cluster.
+    m = combine(t) for t (count,) iid standard complex Gaussian drawn from
+    SPLIT_SEED, combine linear in t (t -> sum_j t_j mats[j] for a stack
+    mats, or one multiplication by the element with coordinates t);
+    cluster i is vec[:, bounds[i]:bounds[i + 1]], and an eigenvalue gap
+    above CLUSTER_GAP * (spectral radius) starts a new cluster.
 
     With want, a draw that gives another number of clusters is redrawn, at
     most SPLIT_DRAWS draws in all, and RankAmbiguous is raised if none
     gives want.
     """
-    mats = np.asarray(mats)
     rng = np.random.default_rng(SPLIT_SEED)
     for _ in range(1 if want is None else SPLIT_DRAWS):
-        t = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
-        m = np.tensordot(t, mats, axes=1)
+        m = combine(rng.standard_normal(count) + 1j * rng.standard_normal(count))
         lam, vec = np.linalg.eigh(m + m.conj().T)
         cuts = np.flatnonzero(lam[1:] - lam[:-1] > CLUSTER_GAP * np.abs(lam).max()) + 1
         bounds = [0, *cuts.tolist(), len(lam)]

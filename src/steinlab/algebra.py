@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import frob, rank_split
+from ._linalg import frob, rank_split, spectral_split
 from .errors import InexactAlgebra, RankAmbiguous, ShapeMismatch
 
 # largest axiom residual in GNS-orthonormal coordinates (onb_residuals) of
@@ -58,8 +58,9 @@ class FDAlgebra:
     T^-1, the factor maps (T, T) and (T^-1, T^-1) of L^2(A (x) A^op)
     (onb_map, onb_inverse_map), the whitened multiplications of the
     Leibniz system (whitened_mult), the right operators of the basis and
-    its stars (basis_right_ops), a generating set and the axiom residuals
-    in GNS-orthonormal coordinates.
+    its stars (basis_right_ops), the spectral coordinates of both tensor
+    legs (spectral_legs), a generating set and the axiom residuals in
+    GNS-orthonormal coordinates.
     """
 
     dim: int
@@ -181,19 +182,32 @@ class FDAlgebra:
     def right_ops(self, xs) -> list:
         """Right multiplication on L^2(A (x) A^op) by x (x) 1 and
         1 (x) x^op for each x of xs, as the one-leg operators
-        (0, right_mult(x)) and (1, left_mult(x)) of vndim."""
+        (0, right_mult(x)) and (1, left_mult(x)) of vndim; the matrices
+        read-only, so that a holder can share them."""
         xs = np.reshape(xs, (-1, self.dim))
         rights, lefts = self.right_mult(xs), self.left_mult(xs)
+        rights.setflags(write=False)
+        lefts.setflags(write=False)
         return [op for r, l in zip(rights, lefts) for op in ((0, r), (1, l))]
 
     @cached_property
     def basis_right_ops(self) -> tuple:
         """right_ops of the basis and its stars (with_stars), the right
-        action of vndim.phi_x at X the basis; the matrices read-only."""
-        ops = self.right_ops(self.with_stars(np.eye(self.dim, dtype=complex)))
-        for _, mat in ops:
-            mat.setflags(write=False)
-        return tuple(ops)
+        action of vndim.phi_x at X the basis."""
+        return tuple(self.right_ops(self.with_stars(np.eye(self.dim, dtype=complex))))
+
+    @cached_property
+    def spectral_legs(self) -> tuple:
+        """(rot, rot^-1, classes) of each tensor leg of L^2(A (x) A^op),
+        the coordinates of vndim.inner_derivation_module for every
+        argument set: leg a in the eigenbasis of the whitened right
+        multiplication by one random self-adjoint h = x + x^*, leg b in
+        that of its whitened left multiplication (_leg_split). Both are
+        right operators of N = A (x) A^op, so their spectral projections
+        commute with every right N-module's projection. x is one draw of
+        spectral_split from SPLIT_SEED, the same on both legs; the
+        matrices read-only."""
+        return tuple(_leg_split(self, mult) for mult in (self.right_mult, self.left_mult))
 
     @cached_property
     def generating_indices(self) -> np.ndarray:
@@ -246,6 +260,28 @@ class FDAlgebra:
         # c[i, j, k] = sum_abp ti[a, i] ti[b, j] mult[a, b, p] t[k, p]
         c = np.matmul(ti.T, (ti.T @ self.mult.reshape(n, n * n)).reshape(n, n, n)) @ t.T
         return axiom_residuals(c, t @ self.star @ np.conj(ti), t @ self.unit, self.trace @ ti)
+
+
+def _leg_split(alg: FDAlgebra, mult) -> tuple:
+    """(rot, inv, classes) for one tensor leg L^2(alg), mult being
+    alg.right_mult or alg.left_mult: rot maps basis coordinates to
+    GNS-orthonormal ones in the eigenbasis of T mult(x + x^*) T^-1,
+    T = onb_factor, for the element x with spectral_split's random
+    coordinates, formed as one multiplication; inv = rot^-1, and classes
+    lists (start, count, size) per cluster size, the clusters of one size
+    consecutive. In GNS-orthonormal coordinates T mult(x^*) T^-1 is the
+    adjoint of T mult(x) T^-1, the m^H that spectral_split adds."""
+    t, ti = alg.onb_factor, alg.onb_inverse
+    vec, bounds = spectral_split(lambda x: t @ mult(x) @ ti, alg.dim)
+    sizes = np.diff(bounds)
+    # the clusters by increasing size, in the order of the split within a size
+    u = np.hstack([vec[:, bounds[i] : bounds[i + 1]] for i in np.argsort(sizes, kind="stable")])
+    size, count = np.unique(sizes, return_counts=True)
+    start = np.cumsum(size * count) - size * count
+    rot, inv = u.conj().T @ t, ti @ u
+    for mat in (rot, inv):
+        mat.setflags(write=False)
+    return rot, inv, tuple(zip(start.tolist(), count.tolist(), size.tolist()))
 
 
 class FactorMap:

@@ -110,7 +110,9 @@ def group_algebra(g: FiniteGroup) -> FDAlgebra:
 class GroupAction:
     """Action of a finite group by trace-preserving *-automorphisms.
 
-    matrices[g] acts on coordinates: alpha_g(x) = matrices[g] @ x.
+    matrices[g] acts on coordinates: alpha_g(x) = matrices[g] @ x. The
+    residuals of the action axioms are computed once, on first use, and
+    held (residuals); validate_action reads them.
     """
 
     group: FiniteGroup
@@ -128,28 +130,30 @@ class GroupAction:
     def apply(self, g: int, x: np.ndarray) -> np.ndarray:
         return self.matrices[g] @ x
 
+    @cached_property
+    def residuals(self) -> dict[str, float]:
+        """Residuals of the action axioms: the identity, the
+        representation, and each alpha_g fixing the unit, multiplicative,
+        commuting with the star and preserving the trace."""
+        alg, grp, u = self.algebra, self.group, self.matrices
+        gs = range(grp.order)
+        return {
+            "identity": frob(u[grp.identity] - np.eye(alg.dim)),
+            "representation": max(frob(u[a] @ u[b] - u[grp.mul(a, b)]) for a in gs for b in gs),
+            "unit": max(frob(u[g] @ alg.unit - alg.unit) for g in gs),
+            # alpha_g(b_i b_j) against alpha_g(b_i) alpha_g(b_j)
+            "multiplicative": max(frob(np.einsum("ijk,lk->ijl", alg.mult, u[g])
+                                       - np.einsum("ai,bj,abk->ijk", u[g], u[g], alg.mult))
+                                  for g in gs),
+            "star": max(frob(u[g] @ alg.star - alg.star @ np.conj(u[g])) for g in gs),
+            "trace": max(frob(alg.trace @ u[g] - alg.trace) for g in gs),
+        }
+
 
 def validate_action(act: GroupAction, tol: float = 1e-8) -> dict[str, float]:
-    """Residuals of the action axioms; raises ActionInvalid above tol."""
-    alg, grp, u = act.algebra, act.group, act.matrices
-    res: dict[str, float] = {}
-    res["identity"] = frob(u[grp.identity] - np.eye(alg.dim))
-    rep = 0.0
-    for a in range(grp.order):
-        for b in range(grp.order):
-            rep = max(rep, frob(u[a] @ u[b] - u[grp.mul(a, b)]))
-    res["representation"] = rep
-    res["unit"] = max(frob(u[g] @ alg.unit - alg.unit) for g in range(grp.order))
-    mul_res = star_res = tr_res = 0.0
-    for g in range(grp.order):
-        lhs = np.einsum("ijk,lk->ijl", alg.mult, u[g])
-        rhs = np.einsum("ai,bj,abk->ijk", u[g], u[g], alg.mult)
-        mul_res = max(mul_res, frob(lhs - rhs))
-        star_res = max(star_res, frob(u[g] @ alg.star - alg.star @ np.conj(u[g])))
-        tr_res = max(tr_res, frob(alg.trace @ u[g] - alg.trace))
-    res["multiplicative"] = mul_res
-    res["star"] = star_res
-    res["trace"] = tr_res
+    """The action's residuals (GroupAction.residuals, computed once), as a
+    new dict; raises ActionInvalid above tol."""
+    res = dict(act.residuals)
     bad = {k: v for k, v in res.items() if v > tol}
     if bad:
         raise ActionInvalid(f"action residuals above {tol}: {bad}")
@@ -210,12 +214,12 @@ class CrossedProduct:
 
     embed_base and embed_group are the coordinate matrices of the unital
     trace-preserving *-embeddings of A and C[G]; they, the group index of
-    each basis element and the multiplications by the u_g are cached
-    properties, computed once. So are the factor maps of the maps of
-    derivations between A and A x| G (the scaling conjugations, extensions
-    and restrictions of derivations.py): factor_map plans each on its
-    first use and holds it, so that it lives and dies with the crossed
-    product.
+    each basis element, the multiplications by the u_g and the right
+    operators of the lifted base are cached properties, computed once. So
+    are the factor maps of the maps of derivations between A and A x| G
+    (the scaling conjugations, extensions and restrictions of
+    derivations.py): factor_map plans each on its first use and holds it,
+    so that it lives and dies with the crossed product.
     """
 
     algebra: FDAlgebra
@@ -244,6 +248,13 @@ class CrossedProduct:
 
     def lift(self, x: np.ndarray) -> np.ndarray:
         return self.embed_base @ x
+
+    @cached_property
+    def lifted_right_ops(self) -> tuple:
+        """right_ops of the lifts of the base's basis and its stars, the
+        right action of vndim.restrict_scalars."""
+        basis = self.base.with_stars(np.eye(self.base.dim, dtype=complex))
+        return tuple(self.algebra.right_ops([self.lift(x) for x in basis]))
 
     @cached_property
     def group_index(self) -> np.ndarray:
@@ -348,7 +359,8 @@ def central_projections(alg: FDAlgebra) -> list[tuple[int, np.ndarray]]:
     one = t @ alg.unit
     # spectral_split adds the adjoints, T L(z^*) T^-1
     lefts = t @ alg.left_mult(z_basis.T) @ ti
-    vec, bounds = spectral_split(lefts, want=z_basis.shape[1])
+    vec, bounds = spectral_split(lambda c: np.tensordot(c, lefts, axes=1), len(lefts),
+                                 want=z_basis.shape[1])
     out = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         ni = math.isqrt(hi - lo)

@@ -225,11 +225,14 @@ def parse_action(obj, grp: FiniteGroup, alg: FDAlgebra) -> GroupAction:
                 )
             return ad_action(grp, alg, us)
         if isinstance(obj, dict) and obj.get("name") == "dual":
-            if alg.dim != grp.order:
-                raise SpecInvalid(
-                    "dual action needs the group algebra of the acting group"
-                )
-            return GroupAction(grp, alg, dual_action(grp.order).matrices)
+            # the characters of Z/n scale the u_k of C[Z/n]; on another
+            # group or algebra of the same order they need not be an action
+            ref = dual_action(grp.order)
+            if not (np.array_equal(grp.table, ref.group.table) and all(
+                    np.array_equal(getattr(alg, f), getattr(ref.algebra, f))
+                    for f in ("mult", "star", "unit", "trace"))):
+                raise SpecInvalid(f"dual action needs C[Z/{grp.order}] under Z/{grp.order}")
+            return GroupAction(grp, alg, ref.matrices)
     except SteinlabError as exc:
         if isinstance(exc, SpecInvalid):
             raise

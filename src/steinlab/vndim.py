@@ -27,7 +27,8 @@ and each leg is read through its (rot, rot^-1), rot mapping the leg's raw
 coordinates to GNS-orthonormal ones. phi_x and full_module take the
 GNS-orthonormal coordinates themselves, rot = onb_factor, in which the
 unknown is that of leibniz_system; inner_derivation_module rotates each
-leg further into a spectral basis of its right operators (below).
+leg further into the algebra's spectral coordinates,
+FDAlgebra.spectral_legs (below).
 DimensionResult.route names the coordinates: "kernel" for the
 GNS-orthonormal ones, "spectral" for the rotated ones. vn_dimension reads
 both alike, and restrict_scalars keeps the basis and its coordinates and
@@ -85,9 +86,8 @@ vector. The numbers are read in that order, one combination at a time,
 from one standard_normal call of their summed length (_closure_draws),
 and each leg's combinations are then applied in one pass. The seed
 is not SPLIT_SEED: the spectral blocks are spectral subspaces of the
-cluster combination sum_j t_j (a_j + a_j^*), so a span of block parts
-passes against that combination by construction, and a test on it would
-prove nothing.
+split's operators R(h) and L(h) (below), so a span of block parts passes
+against them by construction, and a test on them would prove nothing.
 
 The chance of a miss. Let a_i have relative residual
 rho = |M_i| / max(1, |a_i Q|) > CLOSURE_TOL, and let one draw read its
@@ -123,11 +123,18 @@ verdict.
 inner_derivation_module builds its blocks directly and never forms the
 span. A projection commuting with the right action commutes with every
 spectral projection of a self-adjoint element of it (Lueck,
-L^2-Invariants, ch. 1). So each leg is rotated into the eigenbasis of a
-fixed-seed random self-adjoint combination sum_j t_j (a_j + a_j^*) of its
-one-leg operators, in GNS-orthonormal coordinates, and L^2(N)^k splits
-into blocks C^k (x) E_a (x) E_b of eigenvalue clusters E_a, E_b, found by
-_linalg.spectral_split from SPLIT_SEED. Eigenvalues closer than
+L^2-Invariants, ch. 1). phi_X(Der A) is a right module over all of
+N = A (x) A^op, whatever X is, since [., xi] n = [., xi n]; so the split
+is the algebra's, made once and held (FDAlgebra.spectral_legs): for one
+random self-adjoint h = x + x^* of A, x drawn by _linalg.spectral_split
+from SPLIT_SEED, leg a is rotated into the eigenbasis of R(h) and leg b
+into that of L(h), in GNS-orthonormal coordinates, and L^2(N)^k splits
+into blocks C^k (x) E_a (x) E_b of eigenvalue clusters E_a, E_b. Each
+operator is formed as one multiplication by h, never as a stack. For a
+generic h every block M_n of A gives each leg n clusters of n, the finest
+split. A split by the operators of X alone can be coarser: for the
+generating basis elements S of matrix-unit M_n it gives each leg one
+cluster of n (n - 2), whose blocks grow as n^8. Eigenvalues closer than
 _linalg.CLUSTER_GAP (relative) share a cluster: a union of eigenspaces is
 still a spectral projection, so merging only coarsens the blocks, while a
 split degenerate eigenspace would not be one. The columns are
@@ -145,7 +152,9 @@ the cluster diagonal, has total Frobenius norm
 sum_c (n_b |A_c^off|^2 + n_a |B_c^off|^2) over all columns; the builder
 certifies it below _drop_bound, a tenth of the rank cut of the largest
 block column norm, and raises NotRightClosed otherwise (a split
-degenerate eigenspace fails here). By Weyl's inequality what is left out
+degenerate eigenspace fails here). The argument set enters only here,
+through A_c and B_c, and in the closure test, which applies the
+operators of X. By Weyl's inequality what is left out
 then moves no singular value by more than a tenth of the cut. The blocks
 keep every column: the shared rank cut discards the exact-zero ones, such
 as central xi.
@@ -159,10 +168,16 @@ the union of all the block spectra, as batched_svd makes it
 blocks of one rank form one part of the BlockKernel: a class pair's most
 common rank moves down in its own buffer (_leading_columns), the others
 are copied out first, and parts of one shape from several class pairs
-are joined. The blocks' vectors take as much room as the blocks. M6 is
-36 blocks of 108 x 35, 2.1 MiB, where its span was 80 MB; M8 is 64 blocks
-of 192 x 63, 12 MiB. Under tracemalloc, building and reading M6 peaks at
-about 4 MiB and M8 at about 20 MiB.
+are joined. The blocks' vectors take as much room as the blocks. At
+multimatrix_generators (k = 3), M6 is 36 blocks of 108 x 35, 2.1 MiB,
+where its span was 80 MB; M8 is 64 blocks of 192 x 63, 12 MiB. Under
+tracemalloc, building and reading M6 peaks at about 4.7 MiB and M8 at
+about 20 MiB. At the k generating basis elements S that `steinlab dim`
+reads, M7 (k = 13) is 49 blocks of 637 x 49 and peaks at about 39 MiB,
+M8 (k = 15) 64 blocks of 960 x 64 and about 95 MiB. Before it forms a
+block the builder counts what it will hold, the kept bases and the
+largest row's working set (_inner_bytes), and raises DenseLimitExceeded
+above _linalg.DENSE_LIMIT.
 """
 
 from __future__ import annotations
@@ -175,7 +190,7 @@ import numpy as np
 # no program code calls gram_onb; the name stays bound only because
 # benchmark/tracing.py hooks steinlab.vndim.gram_onb, and goes with that hook
 from ._linalg import (  # noqa: F401
-    BlockKernel, gram_onb, rank_cut, shared_cut, span_basis, sparse_product, spectral_split,
+    BlockKernel, check_dense, gram_onb, rank_cut, shared_cut, span_basis, sparse_product,
 )
 from .algebra import FDAlgebra, certify_exact
 from .constructions import CrossedProduct
@@ -241,29 +256,6 @@ class DimensionResult:
 
     def __float__(self) -> float:
         return self.value
-
-
-def _leg_split(alg: FDAlgebra, ops: list) -> tuple:
-    """(rot, inv, classes) for one tensor leg L^2(alg): rot maps basis
-    coordinates to GNS-orthonormal ones in the eigenbasis of a random
-    self-adjoint combination of the leg's operators, inv = rot^-1, and
-    classes lists (start, count, size) per cluster size, the clusters of
-    one size consecutive, by spectral_split."""
-    t, ti, n = alg.onb_factor, alg.onb_inverse, alg.dim
-    if not ops:
-        return t, ti, [(0, 1, n)]
-    vec, bounds = spectral_split(t @ np.array(ops) @ ti)
-    clusters = sorted(zip(bounds[:-1], bounds[1:]), key=lambda c: c[1] - c[0])
-    u = vec[:, [i for lo, hi in clusters for i in range(lo, hi)]]
-    classes, start = [], 0
-    for lo, hi in clusters:
-        size = hi - lo
-        if classes and classes[-1][2] == size:
-            classes[-1] = (classes[-1][0], classes[-1][1] + 1, size)
-        else:
-            classes.append((start, 1, size))
-        start += size
-    return u.conj().T @ t, ti @ u, classes
 
 
 def _closure_draws(counts: list, rank: int) -> list:
@@ -366,14 +358,6 @@ def _readout(basis: BlockKernel, omega: np.ndarray, ncoords: int) -> float:
             top = lo * size + int(idx.max()) + 1
         value += float(np.sum(re[:top] ** 2 + im[:top] ** 2))
     return value
-
-
-def _legs(alg: FDAlgebra, right_ops: list) -> list:
-    """The leg splits inner_derivation_module uses for a module over
-    alg (x) alg^op with these right operators: one _leg_split per tensor
-    leg, each drawn from _linalg.SPLIT_SEED, so the same inputs give the
-    same rotation."""
-    return [_leg_split(alg, [m for l, m in right_ops if l == leg]) for leg in (0, 1)]
 
 
 def _drop_bound(top: float) -> float:
@@ -481,20 +465,37 @@ def _cluster_diagonal(mats: np.ndarray, classes: list) -> tuple[list, float]:
     return diag, float(np.vdot(off, off).real)
 
 
-def _inner_basis(alg, gens: np.ndarray, legs: list) -> BlockKernel:
+def _inner_bytes(k: int, ca: tuple, cb: tuple) -> int:
+    """Bytes _inner_basis allocates for k arguments and the leg classes ca
+    and cb: every block's left singular vectors and spectrum, kept until
+    the cut, and the largest row's working set, both einsum terms, the row
+    and the U, Vh and spectrum of its SVD (complex entries of 16 bytes,
+    real ones of 8)."""
+    # (blocks, blocks per row, rows, columns) of each class pair's blocks
+    pairs = [(a * b, b, k * d * e, d * e) for _, a, d in ca for _, b, e in cb]
+    kept = sum(m * (16 * r * c + 8 * c) for m, _, r, c in pairs)
+    return kept + max(16 * (r * c + 3 * b * r * c + b * c * c) + 8 * b * c for _, b, r, c in pairs)
+
+
+def _inner_basis(alg, gens: np.ndarray) -> BlockKernel:
     """The orthonormal basis of the inner module by rotated spectral block,
-    in the rotated coordinates of legs.
+    in the rotated coordinates of alg.spectral_legs.
 
     The blocks are built from the rotated multiplications (see the module
     docstring) one leg a cluster's row of them at a time, and each row is
     taken by its SVD at once; only the left singular vectors are kept. One
     cut on the union of the spectra (shared_cut) then keeps a prefix of
     each block's vectors, and the blocks of one shape and rank form one
-    part. Raises NotRightClosed if the parts off the cluster diagonal,
-    which the blocks leave out, exceed _drop_bound.
+    part. Raises DenseLimitExceeded before any block is formed if they
+    need more than _linalg.DENSE_LIMIT bytes (_inner_bytes), and
+    NotRightClosed if the parts off the cluster diagonal, which the blocks
+    leave out, exceed _drop_bound.
     """
-    (rot_a, inv_a, ca), (rot_b, inv_b, cb) = legs
+    (rot_a, inv_a, ca), (rot_b, inv_b, cb) = alg.spectral_legs
     k, n = gens.shape[1], alg.dim
+    # the classes run by increasing cluster size
+    d, e = ca[-1][2], cb[-1][2]
+    check_dense(_inner_bytes(k, ca, cb), f"inner blocks of up to {k * d * e} x {d * e}")
     # left_mult(x) on leg a and right_mult(x) on leg b for every argument x
     diag_a, off_a = _cluster_diagonal(rot_a @ alg.left_mult(gens.T) @ inv_a, ca)
     diag_b, off_b = _cluster_diagonal(rot_b @ alg.right_mult(gens.T) @ inv_b, cb)
@@ -548,41 +549,42 @@ def _inner_basis(alg, gens: np.ndarray, legs: list) -> BlockKernel:
 
 def inner_derivation_module(alg, gens: np.ndarray) -> ModuleSubspace:
     """phi_X of the span of commutator derivations, held as an orthonormal
-    basis by block in the rotated coordinates of _legs (_inner_basis).
+    basis by block in the rotated coordinates of the algebra's
+    spectral_legs (_inner_basis), the same for every argument set.
     Scales to algebras where the dense Leibniz solve does not.
 
     The columns are phi_X([., xi]) for xi in the rotated GNS-orthonormal
-    basis of L^2(N) (the inverse rotations of _legs); any basis of L^2(N)
-    spans the same module, and with this one each column lies in one
-    spectral block, since xi -> [x, xi] commutes with the right action.
-    gens is checked as phi_x checks it (_argument_set). Raises
-    InexactAlgebra unless alg passes algebra.certify_exact, and
-    NotRightClosed if the columns leak out of their blocks by more than the
-    drop bound.
+    basis of L^2(N) (the inverse rotations of spectral_legs); any basis of
+    L^2(N) spans the same module, and with this one each column lies in
+    one spectral block, since xi -> [x, xi] commutes with the right action
+    of all of N. The module's right operators, which the closure test
+    applies, are those of X and its stars. gens is checked as phi_x
+    checks it (_argument_set). Raises InexactAlgebra unless alg passes
+    algebra.certify_exact, DenseLimitExceeded if the blocks would need
+    more than _linalg.DENSE_LIMIT bytes, and NotRightClosed if the columns
+    leak out of their blocks by more than the drop bound.
     """
     certify_exact(alg)
     gens = _argument_set(alg, gens)
-    ops = alg.right_ops(alg.with_stars(gens))
-    legs = _legs(alg, ops)
-    return ModuleSubspace(alg, gens.shape[1], _inner_basis(alg, gens, legs), ops,
-                          np.kron(alg.unit, alg.unit)[:, None], tuple(leg[:2] for leg in legs))
+    return ModuleSubspace(alg, gens.shape[1], _inner_basis(alg, gens),
+                          alg.right_ops(alg.with_stars(gens)), np.kron(alg.unit, alg.unit)[:, None],
+                          tuple(leg[:2] for leg in alg.spectral_legs))
 
 
 def restrict_scalars(sub: ModuleSubspace, cp: CrossedProduct) -> ModuleSubspace:
     """View a module over N_big = (A x| G) (x) (A x| G)^op as a module over
     N_0 = A (x) A^op; same basis, right action through the inclusion (one
     operator pair per basis element of A and its star), and the trace
-    vectors u_g (x) u_h^op, one per sector, in every coordinate. The basis
-    keeps its coordinates, GNS-orthonormal or rotated."""
+    vectors u_g (x) u_h^op, one per sector, in every coordinate. The
+    operators are the crossed product's lifted_right_ops, built once. The
+    basis keeps its coordinates, GNS-orthonormal or rotated."""
     if sub.algebra.dim != cp.algebra.dim:
         raise ValueError("module is not over the crossed-product bimodule")
-    base = cp.base
-    basis = np.eye(base.dim, dtype=complex)
-    ops = cp.algebra.right_ops([cp.lift(x) for x in base.with_stars(basis)])
     us = cp.embed_group.T
     # kron(u_g, u_h) in column g |G| + h
     traces = np.einsum("ga,hb->abgh", us, us).reshape(cp.algebra.dim**2, -1)
-    return ModuleSubspace(sub.algebra, sub.ncoords, sub.basis, ops, traces, sub.legs)
+    return ModuleSubspace(sub.algebra, sub.ncoords, sub.basis, list(cp.lifted_right_ops), traces,
+                          sub.legs)
 
 
 def full_module(alg: FDAlgebra) -> ModuleSubspace:

@@ -187,11 +187,10 @@ def inner_span(alg, gens):
     xi in the rotated basis whose spectral blocks inner_derivation_module
     builds directly."""
     from steinlab.derivations import commutator_span
-    from steinlab.vndim import _legs
 
     gens = np.asarray(gens, dtype=complex)
     k, n = gens.shape[1], alg.dim
-    (_, inv_a, _), (_, inv_b, _) = _legs(alg, alg.right_ops(alg.with_stars(gens)))
+    (_, inv_a, _), (_, inv_b, _) = alg.spectral_legs
     return commutator_span(alg, gens, np.kron(inv_a, inv_b)).reshape(k * n * n, n * n)
 
 

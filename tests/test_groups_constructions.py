@@ -383,8 +383,8 @@ def test_decompose_certifies_each_central_idempotent(monkeypatch):
     # certificate refuses them instead of returning their traces
     split = constructions.spectral_split
 
-    def moved(m, want=None):
-        vec, bounds = split(m, want)
+    def moved(*args, **kwargs):
+        vec, bounds = split(*args, **kwargs)
         return vec + 1e-6 * np.random.default_rng(0).standard_normal(vec.shape), bounds
 
     monkeypatch.setattr(constructions, "spectral_split", moved)

@@ -23,6 +23,7 @@ from steinlab import (
     symmetric_3,
     trivial_action,
 )
+from steinlab import constructions
 from steinlab.algebra import FactorMap
 from steinlab.cli import main
 from steinlab.reports import (
@@ -121,6 +122,37 @@ def test_parse_action_forms():
         parse_action({"name": "dual"}, cyclic(3), alg)  # needs dim = |G|
     with pytest.raises(SpecInvalid):
         parse_action("mystery", z2, alg)
+
+
+@pytest.mark.parametrize("algebra, group", [("Z/2xZ/2", "Z/2xZ/2"), ("Z/2xZ/2", "Z/4")])
+def test_dual_action_needs_the_group_algebra_of_a_cyclic_group(tmp_path, capsys, algebra, group):
+    # dim A = |G| = 4 in both, but the characters of Z/4 act on C[Z/4] only:
+    # the spec is refused instead of run with an action that fails its axioms
+    payload = {"label": "dual", "algebra": {"group_algebra": algebra}, "group": group,
+               "action": {"name": "dual"}}
+    with pytest.raises(SpecInvalid, match=r"dual action needs C\[Z/4\] under Z/4"):
+        ExperimentSpec.from_json(payload)
+    path = tmp_path / "dual.json"
+    path.write_text(json.dumps({"experiments": [payload]}))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("steinlab: ") and err.count("\n") == 1
+
+
+def test_an_action_is_validated_once(monkeypatch):
+    # the constructor computes the action's residuals and holds them;
+    # crossed_product and the action_valid row read them, with no frob
+    spec = ExperimentSpec.from_json(
+        dict(C2_SPEC, checks=["algebra_valid", "action_valid", "schreier_crossed"]))
+    assert "residuals" in vars(spec.action)
+
+    def no_frob(m):
+        raise AssertionError("the action's residuals were computed again")
+
+    monkeypatch.setattr(constructions, "frob", no_frob)
+    rep = run(spec)
+    assert rep.passed
+    assert rep.row("action_valid").lhs == max(spec.action.residuals.values())
 
 
 def test_spec_rejects_unknown_checks():

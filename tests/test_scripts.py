@@ -128,6 +128,11 @@ def test_m8_inner_ceiling_checks_its_bounds():
     missed = script.failures({**exact, "rotated M8": 1 - 1 / 64 + 1e-9}, 10.0, 100 * 10**6)
     assert [line.split()[0] for line in missed] == ["value", "took", "max"]
     assert "for rotated M8" in missed[0]
+    # M8 at its generating basis elements, with bounds of its own
+    at_s = {"M8 at S": 1 - 1 / 64}
+    assert script.failures(at_s, 4.9, 199 * 10**6, "at_s") == []
+    missed = script.failures({"M8 at S": 1 - 1 / 64 + 1e-9}, 5.0, 200 * 10**6, "at_s")
+    assert [line.split()[0] for line in missed] == ["value", "took", "max"]
 
 
 def test_code_lines_leaves_out_docstrings_comments_and_blank_lines(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steinlab import (
+    DenseLimitExceeded,
     DerivationSpace,
     ModuleSubspace,
     NotGenerating,
@@ -199,6 +200,15 @@ def test_restrict_scalars_of_an_inner_module_reads_the_kernel_route():
         assert (inner.route, kernel.route) == ("spectral", "kernel")
         assert inner.rank == kernel.rank
         assert abs(inner.value - kernel.value) < 1e-12, spec.label
+
+
+def test_restrict_scalars_reads_the_operators_the_crossed_product_holds():
+    # the lifted right operators are built once per crossed product, not on
+    # every call, and no caller can write to them
+    cp = _crossed("C2 x| Z/2")
+    first, again = (restrict_scalars(full_module(cp.algebra), cp) for _ in range(2))
+    assert all(a is b for (_, a), (_, b) in zip(first.right_ops, again.right_ops))
+    assert not any(mat.flags.writeable for _, mat in first.right_ops)
 
 
 def test_restrict_scalars_refuses_a_module_over_the_base():
@@ -586,7 +596,7 @@ def _rotated(span: np.ndarray, legs: list, ncoords: int) -> np.ndarray:
 def _spectral_blocks(legs: list, ncoords: int) -> np.ndarray:
     """The spectral block (cluster of leg a, cluster of leg b) of each
     unknown (a n + b) ncoords + c, numbered from the cluster sizes of the
-    classes of _legs."""
+    classes of the algebra's spectral_legs."""
     la, lb = (np.repeat(np.arange(sum(a for _, a, _ in classes)),
                         [d for _, a, d in classes for _ in range(a)])
               for _, _, classes in legs)
@@ -598,8 +608,7 @@ def test_inner_span_columns_lie_in_one_spectral_block(name):
     blocks = {"M2+C": [(2, 0.6), (1, 0.4)], "M4": INNER["M4"], "M4+M2+C": INNER["M4+M2+C"]}
     span, alg, _ = _raw_span(blocks[name])
     sub = _inner(blocks[name])
-    legs = vndim._legs(alg, sub.right_ops)
-    labels = _spectral_blocks(legs, sub.ncoords)
+    labels = _spectral_blocks(alg.spectral_legs, sub.ncoords)
     norms = np.zeros((labels.max() + 1, span.shape[1]))
     np.add.at(norms, labels, np.abs(_rotated(span, sub.legs, sub.ncoords)) ** 2)
     # the module's blocks are these spectral blocks
@@ -668,10 +677,13 @@ def test_split_degenerate_eigenspaces_leak_out_of_the_inner_blocks(monkeypatch):
         vn_dimension(_inner([(3, 1.0)]))
 
 
-def _inner_peak(n: int) -> tuple:
-    """vn_dimension of Der(M_n) through the inner path, and its
-    tracemalloc peak."""
-    alg, gens = multimatrix([(n, 1.0)]), multimatrix_generators([(n, 1.0)])
+def _inner_peak(n: int, at_s: bool = False) -> tuple:
+    """vn_dimension of Der(M_n) through the inner path, at
+    multimatrix_generators or, as `steinlab dim` reads it, at the
+    generating basis elements S, and its tracemalloc peak."""
+    alg = multimatrix([(n, 1.0)])
+    gens = (np.eye(alg.dim)[:, alg.generating_indices] if at_s
+            else multimatrix_generators([(n, 1.0)]))
     tracemalloc.start()
     try:
         got = vn_dimension(inner_derivation_module(alg, gens))
@@ -699,6 +711,52 @@ def test_inner_module_of_m8():
     got, peak = _inner_peak(8)
     assert abs(got.value - (1.0 - 1.0 / 64)) < 1e-10
     assert peak < 32 * 2**20
+
+
+def test_dim_reads_m7_at_its_generating_basis_elements():
+    # S of matrix-unit M7 has 13 elements in an arrow pattern; the split of
+    # the algebra itself still gives each leg 7 clusters of 7, so the module
+    # is 49 blocks of 637 x 49 (24 MiB), where a split by S's operators made
+    # one cluster of 35 and peaked at 1.5 GiB
+    got, peak = _inner_peak(7, at_s=True)
+    assert abs(got.value - 48 / 49) < 1e-12
+    assert got.rank == 7**4 - 7**2
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("blocks", [[(4, 1.0)], [(4, 0.5), (2, 0.3), (1, 0.2)]],
+                         ids=["M4", "M4+M2+C"])
+def test_inner_legs_do_not_depend_on_the_argument_set(blocks):
+    # the spectral coordinates are the algebra's: the basis, the generating
+    # basis elements and multimatrix_generators give the same legs
+    alg = multimatrix(blocks)
+    eye = np.eye(alg.dim, dtype=complex)
+    subs = [inner_derivation_module(alg, gens)
+            for gens in (eye, eye[:, alg.generating_indices], multimatrix_generators(blocks))]
+    for sub in subs[1:]:
+        for (rot, inv), (rot0, inv0) in zip(sub.legs, subs[0].legs):
+            assert np.array_equal(rot, rot0) and np.array_equal(inv, inv0)
+
+
+def test_inner_builder_refuses_blocks_above_the_dense_limit(monkeypatch):
+    # M3's inner blocks at multimatrix_generators are 9 of 27 x 9, 35 KB of
+    # kept bases; under a 30 KB limit the builder refuses them before it
+    # forms a block or runs an SVD, where it used to fail inside numpy
+    alg = multimatrix([(3, 1.0)])
+    gens = multimatrix_generators([(3, 1.0)])
+    assert vndim._inner_bytes(3, *(leg[2] for leg in alg.spectral_legs)) > 30_000
+    svd, stacks = np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        stacks.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(_linalg, "DENSE_LIMIT", 30_000)
+    with pytest.raises(DenseLimitExceeded, match="inner blocks of up to 27 x 9 need"):
+        inner_derivation_module(alg, gens)
+    # the generating-set test before the builder takes 2-d SVDs only
+    assert all(len(shape) == 2 for shape in stacks)
 
 
 def test_m3_crossed_by_s3_through_the_inner_path():
